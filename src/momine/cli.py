@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .anchors import AnchorSet, load_anchors, power_iteration, save_anchors, select_anchors
 from .diffusion import DiffusionConfig, solve_column
-from .errors import MomineError
+from .errors import BadConfig, MomineError
 from .features import (
     FeatureSet,
     SyntheticSpec,
@@ -31,7 +31,7 @@ from .features import (
     save_features,
     save_labels,
 )
-from .graph import build_reciprocal_graph, load_graph, normalize_graph, save_graph
+from .graph import build_reciprocal_graph, load_graph, normalize_graph, save_graph, top_k
 from .mining import (
     MiningConfig,
     baseline_pools,
@@ -119,15 +119,26 @@ def _apply_overrides(cfg: dict, pairs) -> dict:
         if key not in DEFAULTS:
             raise MomineError(f"unknown config key {key!r}")
         ref = DEFAULTS[key]
-        if isinstance(ref, bool):
-            cfg[key] = value.lower() in ("1", "true", "yes")
-        elif isinstance(ref, int):
-            cfg[key] = int(value)
-        elif isinstance(ref, float):
-            cfg[key] = float(value)
-        else:
-            cfg[key] = value
+        try:
+            if isinstance(ref, bool):
+                cfg[key] = value.lower() in ("1", "true", "yes")
+            else:
+                cfg[key] = type(ref)(value)
+        except ValueError as exc:
+            raise BadConfig(f"{key}: {exc}") from None
     return cfg
+
+
+def _validate_config(cfg, seed) -> None:
+    """Build the diffusion, mining and training configs and parse eval.ks, so
+    a bad value fails before any work."""
+    try:
+        _diffusion_config(cfg)
+        _mining_config(cfg)
+        _train_config(cfg, seed)
+        _eval_ks(cfg)
+    except (ValueError, TypeError) as exc:
+        raise BadConfig(str(exc)) from None
 
 
 def _resolve_seed(args, cfg) -> int:
@@ -273,7 +284,7 @@ def cmd_diffuse(args, cfg, seed, out: Path):
     graph = load_graph(args.graph)
     sym = normalize_graph(graph, "symmetric")
     column = solve_column(sym, args.anchor, _diffusion_config(cfg))
-    order = np.lexsort((np.arange(graph.n), -column.values))
+    order = top_k(column.values, graph.n)
     with open(out / "column.txt", "w") as fh:
         for j in order:
             fh.write(f"{j} {column.values[j]:.9g}\n")
@@ -341,9 +352,15 @@ def cmd_train(args, cfg, seed, out: Path):
     return 0
 
 
+def _eval_ks(cfg) -> list:
+    ks = [int(k) for k in str(cfg["eval.ks"]).split(",") if k.strip()]
+    if not ks or min(ks) < 1:
+        raise BadConfig(f"eval.ks must list recall depths >= 1, got {cfg['eval.ks']!r}")
+    return ks
+
+
 def _eval_report(embeddings, labels, cfg, seed):
-    ks = [int(k) for k in str(cfg["eval.ks"]).split(",") if k]
-    return evaluate_embeddings(embeddings, labels, ks=ks, seed=seed)
+    return evaluate_embeddings(embeddings, labels, ks=_eval_ks(cfg), seed=seed)
 
 
 def _write_report(report, path):
@@ -371,9 +388,9 @@ def cmd_eval(args, cfg, seed, out: Path):
         name = "initial_report.json"
     report = _eval_report(emb, labels, cfg, seed)
     _write_report(report, out / name)
-    r1 = report.recall_at.get(1)
+    k = min(report.recall_at)
     print(
-        f"eval: recall@1={r1:.4f} nmi={report.nmi:.4f}"
+        f"eval: recall@{k}={report.recall_at[k]:.4f} nmi={report.nmi:.4f}"
         f" map={report.map_score:.4f} -> {out / name}"
     )
     return 0
@@ -426,9 +443,10 @@ def cmd_pipeline(args, cfg, seed, out: Path):
         _write_report(initial, out / "initial_report.json")
         trained = _eval_report(forward(model, feats.data), labels, cfg, seed)
         _write_report(trained, out / "report.json")
+        k = min(initial.recall_at)
         print(
-            f"pipeline: rounds={rounds} recall@1 initial={initial.recall_at.get(1):.4f}"
-            f" trained={trained.recall_at.get(1):.4f} -> {out / 'report.json'}"
+            f"pipeline: rounds={rounds} recall@{k} initial={initial.recall_at[k]:.4f}"
+            f" trained={trained.recall_at[k]:.4f} -> {out / 'report.json'}"
         )
     else:
         print(f"pipeline: rounds={rounds} trained model -> {out / 'model.bin'} (no labels, no eval)")
@@ -439,7 +457,7 @@ def _add_common(p):
     p.add_argument("--config", help="JSON config with flat dotted keys")
     p.add_argument("--seed", type=int, default=None, help="global seed (fallback: MOM_SEED env)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; 1 (default) guarantees bitwise determinism")
+                   help="recorded in config.json only; BLAS threads follow the environment")
     p.add_argument("--set", nargs=2, action="append", default=[], metavar=("KEY", "VALUE"),
                    help="override one config key, e.g. --set graph.k 10")
     p.add_argument("--out", required=True, help="output directory")
@@ -524,6 +542,7 @@ def main(argv=None) -> int:
             cfg["mining.oracle"] = args.oracle
         seed = _resolve_seed(args, cfg)
         cfg["seed"] = seed
+        _validate_config(cfg, seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_config(cfg, out)

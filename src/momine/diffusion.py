@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import KTooLarge, TooLarge
-from .graph import NormalizedOperator
+from .graph import NormalizedOperator, top_k
 
 DENSE_ORACLE_LIMIT = 2000
 
@@ -120,10 +120,8 @@ def manifold_knn(column: SimilarityColumn, k: int, exclude_self: bool = True) ->
     limit = n - 1 if exclude_self else n
     if not 1 <= k <= limit:
         raise KTooLarge(f"k={k} must be in [1, {limit}]")
-    order = np.lexsort((np.arange(n), -values))
-    if exclude_self:
-        order = order[order != column.anchor_index]
-    return order[:k]
+    order = top_k(values, k + 1 if exclude_self else k)
+    return order[order != column.anchor_index][:k] if exclude_self else order
 
 
 def dense_oracle(operator: NormalizedOperator, alpha: float) -> np.ndarray:

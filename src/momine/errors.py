@@ -17,6 +17,10 @@ class RankDeficient(MomineError):
     """Fewer usable principal components than requested."""
 
 
+class BadConfig(MomineError):
+    """A configuration value cannot be parsed or is out of range."""
+
+
 class BadSpec(MomineError):
     """Invalid synthetic dataset specification."""
 

@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, LengthMismatch
+from .errors import DegenerateLabels, KTooLarge, LengthMismatch
+from .graph import BLOCK_ROWS, top_k
 
 
 @dataclass
@@ -27,19 +28,41 @@ def _check_labels(embeddings: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _ranked_others(embeddings: np.ndarray):
-    """Per query, all other indices ordered by ascending Euclidean distance,
-    ties by ascending index."""
+def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: bool):
+    """(Recall@k per k in ks, mAP or None, scorable queries) from one ranking.
+
+    Each query ranks every other item by ascending squared Euclidean
+    distance, ties by ascending index, BLOCK_ROWS queries at a time, so
+    memory is O(BLOCK_ROWS * n). Recall needs only the top max(ks); mAP
+    needs the full ranking. Queries whose label occurs once are excluded.
+    """
     n = embeddings.shape[0]
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    totals = counts[inverse] - 1  # same-label items per query
+    scorable = int(np.count_nonzero(totals))
+    if scorable == 0:
+        raise DegenerateLabels("no query has a same-label counterpart")
+    depth = n - 1 if with_map else max(ks)
     sq = np.sum(embeddings**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (embeddings @ embeddings.T)
-    idx = np.arange(n)
-    out = np.empty((n, n - 1), dtype=np.int64)
-    for i in range(n):
-        row = d2[i].copy()
-        row[i] = np.inf
-        out[i] = np.lexsort((idx, row))[: n - 1]
-    return out
+    hits = np.zeros(len(ks), dtype=np.int64)
+    aps = np.empty(n)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (embeddings[start:stop] @ embeddings.T)
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        rel = labels[top_k(np.negative(d2, out=d2), depth)] == labels[start:stop, None]
+        first = np.where(rel.any(axis=1), rel.argmax(axis=1), depth)
+        hits += np.count_nonzero(first[:, None] < np.asarray(ks), axis=0)
+        if with_map:
+            # rows with equal hit counts share a shape, so each AP is the
+            # same row mean as a per-query loop would take
+            block_totals = totals[start:stop]
+            for total in np.unique(block_totals[block_totals > 0]):
+                rows = np.flatnonzero(block_totals == total)
+                hit_ranks = np.nonzero(rel[rows])[1].reshape(rows.size, total) + 1
+                aps[start + rows] = (np.arange(1, total + 1) / hit_ranks).mean(axis=1)
+    recall = {k: int(h) / scorable for k, h in zip(ks, hits)}
+    return recall, (float(np.mean(aps[totals > 0])) if with_map else None), scorable
 
 
 def recall_at_k(embeddings: np.ndarray, labels, ks) -> dict:
@@ -52,20 +75,7 @@ def recall_at_k(embeddings: np.ndarray, labels, ks) -> dict:
     ks = sorted(int(k) for k in ks)
     if ks[0] < 1 or ks[-1] > embeddings.shape[0] - 1:
         raise ValueError(f"ks must lie in [1, n-1], got {ks}")
-    ranked = _ranked_others(embeddings)
-    scorable = 0
-    hits = {k: 0 for k in ks}
-    for i in range(embeddings.shape[0]):
-        same = labels[ranked[i]] == labels[i]
-        if not same.any():
-            continue
-        scorable += 1
-        for k in ks:
-            if same[:k].any():
-                hits[k] += 1
-    if scorable == 0:
-        raise DegenerateLabels("no query has a same-label counterpart")
-    return {k: hits[k] / scorable for k in ks}
+    return _ranking_metrics(embeddings, labels, ks, with_map=False)[0]
 
 
 def kmeans(embeddings: np.ndarray, c: int, seed: int = 0, max_iter: int = 100) -> np.ndarray:
@@ -139,19 +149,7 @@ def mean_average_precision(embeddings: np.ndarray, labels) -> float:
     taken at each relevant hit, uninterpolated."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = _check_labels(embeddings, labels)
-    ranked = _ranked_others(embeddings)
-    aps = []
-    for i in range(embeddings.shape[0]):
-        rel = labels[ranked[i]] == labels[i]
-        total = int(rel.sum())
-        if total == 0:
-            continue
-        hit_ranks = np.flatnonzero(rel) + 1
-        precisions = np.arange(1, total + 1) / hit_ranks
-        aps.append(float(precisions.mean()))
-    if not aps:
-        raise DegenerateLabels("no query has a same-label counterpart")
-    return float(np.mean(aps))
+    return _ranking_metrics(embeddings, labels, [], with_map=True)[1]
 
 
 def evaluate_embeddings(
@@ -162,18 +160,18 @@ def evaluate_embeddings(
     with_map: bool = True,
 ) -> EvalReport:
     """Full report: Recall@k, NMI of a seeded k-means (one cluster per label
-    value), and optionally mAP."""
+    value), and optionally mAP. n_queries counts the items whose label
+    occurs at least twice."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = _check_labels(embeddings, labels)
     n = embeddings.shape[0]
-    ks = [k for k in ks if 1 <= k <= n - 1]
-    recall = recall_at_k(embeddings, labels, ks)
+    ks = sorted(int(k) for k in ks if 1 <= k <= n - 1)
+    if not ks:
+        raise KTooLarge(f"no recall depth lies in [1, n-1={n - 1}]")
+    recall, ap, n_queries = _ranking_metrics(embeddings, labels, ks, with_map)
     c = int(np.unique(labels).size)
     clusters = kmeans(embeddings, c, seed=seed)
     score = nmi(labels, clusters)
-    ap = mean_average_precision(embeddings, labels) if with_map else None
-    ranked = _ranked_others(embeddings)
-    n_queries = int(sum((labels[ranked[i]] == labels[i]).any() for i in range(n)))
     return EvalReport(
         recall_at=recall, nmi=score, map_score=ap, n_queries=n_queries, seed=seed
     )

@@ -14,6 +14,9 @@ from .errors import KTooLarge
 from .features import FeatureSet
 
 GRAPH_MAGIC = "MOMG"
+# rows per block in the n-wide rankings: memory is O(BLOCK_ROWS * n), and a
+# larger block is no faster but raises peak memory at n = 10^4
+BLOCK_ROWS = 256
 
 
 @dataclass
@@ -24,18 +27,6 @@ class NeighborGraph:
     k: int
     adjacency: sp.csr_matrix
     degrees: np.ndarray
-
-    @property
-    def csr_rowptr(self) -> np.ndarray:
-        return self.adjacency.indptr
-
-    @property
-    def csr_cols(self) -> np.ndarray:
-        return self.adjacency.indices
-
-    @property
-    def csr_vals(self) -> np.ndarray:
-        return self.adjacency.data
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.adjacency.indices[self.adjacency.indptr[i] : self.adjacency.indptr[i + 1]]
@@ -78,7 +69,34 @@ def _similarity_block(x_block: np.ndarray, x_all: np.ndarray) -> np.ndarray:
     return np.clip(x_block @ x_all.T, 0.0, None) ** 3
 
 
-def knn_search(features: FeatureSet, k: int, block: int = 1024):
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest scores, descending, ties by ascending index.
+
+    Works on a 1-D array or on each row of a 2-D block and ranks as a stable
+    sort of the negated scores would, NaN last. For k up to n/4 only the
+    candidates at or above the k-th largest value are sorted, so ties across
+    that boundary survive; for larger k a full stable sort is cheaper.
+    """
+    scores = np.asarray(scores)
+    block = np.atleast_2d(scores)
+    m, n = block.shape
+    if not 1 <= k <= n:
+        raise KTooLarge(f"k={k} must be in [1, {n}]")
+    out = None
+    if 4 * k <= n:
+        neg = -block
+        neg.partition(k - 1, axis=1)
+        rows, cols = np.nonzero(block >= -neg[:, k - 1 : k])
+        counts = np.bincount(rows, minlength=m)
+        if counts.min() >= k:  # else a NaN failed the comparison: sort in full
+            order = np.lexsort((cols, -block[rows, cols], rows))
+            out = cols[order][(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    if out is None:
+        out = np.argsort(-block, axis=1, kind="stable")[:, :k]
+    return out[0] if scores.ndim == 1 else out
+
+
+def knn_search(features: FeatureSet, k: int):
     """Exact brute-force top-k neighbors by similarity for every item.
 
     Returns (neighbors, sims), both (n, k), ranked by descending similarity
@@ -88,18 +106,14 @@ def knn_search(features: FeatureSet, k: int, block: int = 1024):
     if not 1 <= k < n:
         raise KTooLarge(f"k={k} must satisfy 1 <= k < n={n}")
     x = features.data
-    idx = np.arange(n)
     neighbors = np.empty((n, k), dtype=np.int64)
     sims = np.empty((n, k), dtype=np.float64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
         s = _similarity_block(x[start:stop], x)
-        for r in range(start, stop):
-            row = s[r - start]
-            row[r] = -np.inf  # exclude self
-            order = np.lexsort((idx, -row))[:k]
-            neighbors[r] = order
-            sims[r] = row[order]
+        s[np.arange(stop - start), np.arange(start, stop)] = -np.inf  # exclude self
+        neighbors[start:stop] = top_k(s, k)
+        sims[start:stop] = np.take_along_axis(s, neighbors[start:stop], axis=1)
     return neighbors, sims
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .diffusion import DiffusionConfig, manifold_knn, solve_column
 from .errors import AllPoolsEmpty, LabelsMissing
 from .features import FeatureSet
-from .graph import NormalizedOperator
+from .graph import NormalizedOperator, top_k
 
 
 @dataclass
@@ -58,7 +58,7 @@ def _euclidean_ranked(features: FeatureSet, anchor: int, k: int):
     rule as knn_search (descending s_e, ties by ascending index)."""
     sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
     sims[anchor] = -np.inf
-    order = np.lexsort((np.arange(features.n), -sims))[:k]
+    order = top_k(sims, k)
     return order, sims[order]
 
 

@@ -144,3 +144,45 @@ def nmi_oracle(a, b):
     if denom <= 0:
         return 0.0
     return max(0.0, min(1.0, mi / denom))
+
+
+def lexsort_top_k(scores, k):
+    """Reference for graph.top_k: a full lexsort per row on (-score, index)."""
+    scores = np.asarray(scores)
+    rows = np.atleast_2d(scores)
+    idx = np.arange(rows.shape[1])
+    out = np.array([np.lexsort((idx, -row))[:k] for row in rows])
+    return out[0] if scores.ndim == 1 else out
+
+
+def ranked_others(embeddings):
+    """Per query, all other indices ordered by ascending Euclidean distance,
+    ties by ascending index; the distances come from one n x n product."""
+    n = embeddings.shape[0]
+    sq = np.sum(embeddings**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (embeddings @ embeddings.T)
+    idx = np.arange(n)
+    out = np.empty((n, n - 1), dtype=np.int64)
+    for i in range(n):
+        row = d2[i].copy()
+        row[i] = np.inf
+        out[i] = np.lexsort((idx, row))[: n - 1]
+    return out
+
+
+def ranking_metrics_oracle(embeddings, labels, ks):
+    """(Recall@k per k, mAP, n_queries) by per-query loops over ranked_others."""
+    labels = np.asarray(labels)
+    ranked = ranked_others(np.asarray(embeddings, dtype=np.float64))
+    hits = {k: 0 for k in ks}
+    aps = []
+    for i in range(len(labels)):
+        rel = labels[ranked[i]] == labels[i]
+        total = int(rel.sum())
+        if total == 0:
+            continue
+        for k in ks:
+            hits[k] += bool(rel[:k].any())
+        hit_ranks = np.flatnonzero(rel) + 1
+        aps.append(float((np.arange(1, total + 1) / hit_ranks).mean()))
+    return {k: hits[k] / len(aps) for k in ks}, float(np.mean(aps)), len(aps)

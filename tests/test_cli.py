@@ -187,3 +187,43 @@ def test_pipeline_reproducible_bytes_subprocess(tmp_path):
         assert res.returncode == 0, res.stderr
     for name in ("pools.jsonl", "model.bin", "report.json", "train_log.csv"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+def test_eval_ks_without_one(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE
+                + ["--set", "eval.ks", "2,4"]) == 0
+    for name in ("initial_report.json", "report.json"):
+        assert set(json.loads((out / name).read_text())["recall_at"]) == {"2", "4"}
+    assert "recall@2 initial=" in capsys.readouterr().out
+    assert main(["eval", "--out", str(tmp_path / "e"), "--features", str(out / "features.bin"),
+                 "--labels", str(out / "labels.txt"), "--model", str(out / "model.bin"),
+                 "--set", "eval.ks", "4"]) == 0
+    assert "recall@4=" in capsys.readouterr().out
+
+
+def test_eval_ks_beyond_n_is_data_error(tmp_path, capsys):
+    run_gen(tmp_path / "data")
+    code = main(["eval", "--out", str(tmp_path / "e"),
+                 "--features", str(tmp_path / "data" / "features.bin"),
+                 "--labels", str(tmp_path / "data" / "labels.txt"), "--set", "eval.ks", "500"])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("diffusion.alpha", "1.5"),
+    ("graph.k", "abc"),
+    ("mining.max_neg", "0"),
+    ("train.loss", "hinge"),
+    ("eval.ks", ","),
+    ("eval.ks", "0,1"),
+    ("eval.ks", "1,x"),
+])
+def test_bad_config_value_exits_two_before_any_work(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    code = main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE + ["--set", key, value])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("mom pipeline: error:") and "Traceback" not in err

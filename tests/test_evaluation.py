@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momine.errors import DegenerateLabels, LengthMismatch
+from momine.errors import DegenerateLabels, KTooLarge, LengthMismatch
 from momine.evaluation import (
     evaluate_embeddings,
     kmeans,
@@ -10,7 +10,9 @@ from momine.evaluation import (
     recall_at_k,
 )
 
-from helpers import map_oracle, nmi_oracle, recall_oracle
+from momine.graph import BLOCK_ROWS
+
+from helpers import map_oracle, nmi_oracle, ranking_metrics_oracle, recall_oracle
 
 
 def test_recall_two_items_same_label():
@@ -166,3 +168,42 @@ def test_evaluate_embeddings_report():
     assert report.map_score > 0.9
     assert report.n_queries == 40
     assert report.seed == 3
+
+
+def _grid_case(n, seed, dup=False):
+    """Small-integer embeddings: every distance is exact, so equal distances
+    tie exactly whatever the matrix product's blocking."""
+    rng = np.random.default_rng(seed)
+    z = rng.integers(-2, 3, size=(n, 3)).astype(float)
+    if dup:
+        z = z[rng.integers(0, n // 4, size=n)]
+    return z, rng.integers(0, 3, size=n)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["duplicates", "below_one_block", "ragged_last_block", "singleton_label", "continuous"],
+)
+def test_single_pass_matches_full_ranking(case):
+    n = 40 if case == "below_one_block" else 2 * BLOCK_ROWS + 37
+    if case == "continuous":
+        rng = np.random.default_rng(11)
+        z, labels = rng.normal(size=(n, 5)), rng.integers(0, 4, size=n)
+    else:
+        z, labels = _grid_case(n, seed=n, dup=case == "duplicates")
+    if case == "singleton_label":
+        labels[7] = 9  # one query without a same-label counterpart
+    ks = [1, 2, 5, 16]
+    recall, ap, n_queries = ranking_metrics_oracle(z, labels, ks)
+    report = evaluate_embeddings(z, labels, ks=ks, seed=0)
+    assert report.recall_at == recall
+    assert report.map_score == ap
+    assert report.n_queries == n_queries
+    assert recall_at_k(z, labels, ks) == recall
+    assert mean_average_precision(z, labels) == ap
+
+
+def test_evaluate_without_usable_k():
+    z = np.eye(4)
+    with pytest.raises(KTooLarge):
+        evaluate_embeddings(z, [0, 0, 1, 1], ks=(0, 4))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momine.errors import BadMagic, KTooLarge
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import (
+    BLOCK_ROWS,
     NeighborGraph,
     build_reciprocal_graph,
     euclidean_similarity,
@@ -11,9 +14,10 @@ from momine.graph import (
     load_graph,
     normalize_graph,
     save_graph,
+    top_k,
 )
 
-from helpers import knn_oracle, random_graph
+from helpers import knn_oracle, lexsort_top_k, random_graph
 
 
 def unit_rows(rows):
@@ -65,6 +69,57 @@ def test_knn_matches_exhaustive_oracle(n, k):
     for i in range(n):
         assert list(nbrs[i]) == expected[i]
     assert np.all(np.diff(sims, axis=1) <= 1e-15)  # ranked descending
+
+
+# few distinct values, so ties straddle the k-th boundary
+TIED_SCORES = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0])
+SCORES = st.one_of(TIED_SCORES, st.floats(-2.0, 2.0))
+DERANDOMIZED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def score_blocks(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 40))
+    rows = draw(st.lists(st.lists(SCORES, min_size=n, max_size=n), min_size=m, max_size=m))
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n)))
+    return np.array(rows), k
+
+
+@DERANDOMIZED
+@given(score_blocks())
+def test_top_k_matches_lexsort(case):
+    scores, k = case
+    assert np.array_equal(top_k(scores, k), lexsort_top_k(scores, k))
+    assert np.array_equal(top_k(scores[0], k), lexsort_top_k(scores[0], k))
+
+
+def test_top_k_nan_ranks_last():
+    scores = np.array([[0.5, np.nan, 1.0, 0.5, np.nan, 0.0, 0.2, 0.1]])
+    for k in (1, 3, 4, 8):
+        assert np.array_equal(top_k(scores, k), lexsort_top_k(scores, k))
+
+
+def test_top_k_k_out_of_range():
+    with pytest.raises(KTooLarge):
+        top_k(np.zeros(3), 0)
+    with pytest.raises(KTooLarge):
+        top_k(np.zeros(3), 4)
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS // 2, 2 * BLOCK_ROWS + 37])
+def test_knn_matches_full_lexsort_on_exact_ties(n):
+    # small-integer rows make every product exact, so duplicated and
+    # equal-similarity rows tie exactly, within and across row blocks
+    rng = np.random.default_rng(n)
+    base = rng.integers(-1, 3, size=(n // 3, 4)).astype(float)
+    feats = FeatureSet(data=base[rng.integers(0, base.shape[0], size=n)], normalized=True)
+    nbrs, sims = knn_search(feats, 12)
+    s = np.clip(feats.data @ feats.data.T, 0.0, None) ** 3
+    np.fill_diagonal(s, -np.inf)
+    expected = lexsort_top_k(s, 12)
+    assert np.array_equal(nbrs, expected)
+    assert np.array_equal(sims, np.take_along_axis(s, expected, axis=1))
 
 
 def test_knn_k_too_large():
