@@ -10,7 +10,14 @@ on the mined tuples.
 __version__ = "0.1.0"
 
 from .anchors import AnchorSet, StationaryDistribution, local_maxima, power_iteration, select_anchors
-from .diffusion import DiffusionConfig, SimilarityColumn, dense_oracle, manifold_knn, solve_column
+from .diffusion import (
+    DiffusionConfig,
+    SimilarityColumn,
+    dense_oracle,
+    manifold_knn,
+    solve_column,
+    solve_columns,
+)
 from .features import (
     FeatureSet,
     SyntheticSpec,
@@ -42,9 +49,7 @@ from .mining import (
     build_training_pool,
     load_pools,
     mine_anchor_pools,
-    negative_pool,
     oracle_pools,
-    positive_pool,
     sample_epoch_tuples,
     save_pools,
 )

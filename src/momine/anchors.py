@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadAnchors
 from .graph import NeighborGraph, NormalizedOperator
 
 
@@ -122,13 +123,21 @@ def save_anchors(anchor_set: AnchorSet, path) -> None:
 
 
 def load_anchors(path) -> AnchorSet:
+    """Read an anchor dump; a line that is not "id pi" raises BadAnchors."""
     ids, pis = [], []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             parts = line.split()
-            if parts:
-                ids.append(int(parts[0]))
-                pis.append(float(parts[1]))
+            if not parts:
+                continue
+            try:
+                anchor, pi = parts
+                ids.append(int(anchor))
+                pis.append(float(pi))
+            except ValueError:
+                raise BadAnchors(
+                    f"{path}:{number}: expected 'id pi', got {line.strip()!r}"
+                ) from None
     return AnchorSet(
         anchor_ids=np.asarray(ids, dtype=np.int64), pi_values=np.asarray(pis)
     )

@@ -129,10 +129,43 @@ def _apply_overrides(cfg: dict, pairs) -> dict:
     return cfg
 
 
+# the config values no config object checks: key -> (parse, test, rule)
+_CHECKS = {
+    "threads": (int, lambda v: v >= 1, ">= 1"),
+    "prep.whiten_dims": (int, lambda v: v >= 0, ">= 0"),
+    "graph.k": (int, lambda v: v >= 1, ">= 1"),
+    "anchors.count": (int, lambda v: v >= 1, ">= 1"),
+    "anchors.mode": (str, lambda v: v in ("maxima", "all"), "'maxima' or 'all'"),
+    "anchors.tolerance": (float, lambda v: v > 0, "> 0"),
+    "anchors.max_iterations": (int, lambda v: v >= 1, ">= 1"),
+    "anchors.damping": (float, lambda v: 0 <= v <= 1, "in [0, 1] (0 = off)"),
+    "mining.mode": (str, lambda v: v in ("mined", "baseline"), "'mined' or 'baseline'"),
+    "mining.baseline_k": (int, lambda v: v >= 1, ">= 1"),
+    "mining.oracle": (
+        str, lambda v: v in ("none", "positive", "negative"), "'none', 'positive' or 'negative'"
+    ),
+    "model.kind": (str, lambda v: v in ("linear", "mlp"), "'linear' or 'mlp'"),
+    "model.output_dim": (int, lambda v: v >= 1, ">= 1"),
+    "model.hidden_dim": (int, lambda v: v >= 0, ">= 0"),
+    "train.margin": (float, lambda v: v >= 0, ">= 0 (0 = per-loss default)"),
+    "rounds": (int, lambda v: v >= 1, ">= 1"),
+}
+
+
 def _validate_config(cfg, seed) -> None:
-    """Build the diffusion, mining and training configs and parse eval.ks, so
-    a bad value fails before any work."""
+    """Check every config value and build the generator, diffusion, mining
+    and training configs, so a bad value fails before any work."""
+    for key, (parse, test, rule) in _CHECKS.items():
+        try:
+            ok = test(parse(cfg[key]))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise BadConfig(f"{key} must be {rule}, got {cfg[key]!r}")
+    if (cfg["model.kind"] == "mlp") != (int(cfg["model.hidden_dim"]) > 0):
+        raise BadConfig("model.hidden_dim must be 0 for a linear model and >= 1 for an mlp")
     try:
+        _gen_spec(cfg)
         _diffusion_config(cfg)
         _mining_config(cfg)
         _train_config(cfg, seed)
@@ -145,9 +178,12 @@ def _resolve_seed(args, cfg) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("MOM_SEED")
-    if env is not None:
-        return int(env)
-    return int(cfg["seed"])
+    value = env if env is not None else cfg["seed"]
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        source = "MOM_SEED" if env is not None else "seed"
+        raise BadConfig(f"{source} must be an integer, got {value!r}") from None
 
 
 def _write_config(cfg: dict, out: Path) -> None:
@@ -209,15 +245,18 @@ def _anchor_set(graph, stat, cfg) -> AnchorSet:
     return select_anchors(graph, stat.pi, count)
 
 
-def _gen(cfg, seed) -> FeatureSet:
-    spec = SyntheticSpec(
+def _gen_spec(cfg) -> SyntheticSpec:
+    return SyntheticSpec(
         kind=cfg["gen.kind"],
         per_class=int(cfg["gen.per_class"]),
         classes=int(cfg["gen.classes"]),
         ambient_dim=int(cfg["gen.ambient_dim"]),
         noise=float(cfg["gen.noise"]),
     )
-    return generate_synthetic(spec, seed)
+
+
+def _gen(cfg, seed) -> FeatureSet:
+    return generate_synthetic(_gen_spec(cfg), seed)
 
 
 def _prepared_features(path, cfg) -> FeatureSet:

@@ -41,6 +41,10 @@ class KTooLarge(MomineError):
     """Requested neighbor count exceeds what the instance can provide."""
 
 
+class BadAnchors(MomineError, ValueError):
+    """Anchor ids that cannot be parsed or lie outside [0, n)."""
+
+
 class TooLarge(MomineError):
     """Instance exceeds a test-only size guard."""
 

@@ -90,6 +90,16 @@ class SyntheticSpec:
     ambient_dim: int = 2
     noise: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in SYNTHETIC_KINDS:
+            raise BadSpec(f"unknown kind {self.kind!r}; expected one of {SYNTHETIC_KINDS}")
+        if self.per_class < 1 or self.classes < 1 or self.ambient_dim < 1:
+            raise BadSpec("per_class, classes and ambient_dim must be positive")
+        if self.kind == "moons" and self.classes != 2:
+            raise BadSpec("moons has exactly 2 classes")
+        if not self.noise >= 0:
+            raise BadSpec("noise must be non-negative")
+
 
 def l2_normalize(features: FeatureSet) -> FeatureSet:
     """Divide every row by its Euclidean norm.
@@ -214,15 +224,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
     noise. Values are quantized through float32 so the feature-file round
     trip is exact.
     """
-    if spec.kind not in SYNTHETIC_KINDS:
-        raise BadSpec(f"unknown kind {spec.kind!r}; expected one of {SYNTHETIC_KINDS}")
-    if spec.per_class < 1 or spec.classes < 1 or spec.ambient_dim < 1:
-        raise BadSpec("per_class, classes and ambient_dim must be positive")
-    if spec.kind == "moons" and spec.classes != 2:
-        raise BadSpec("moons has exactly 2 classes")
-    if spec.noise < 0:
-        raise BadSpec("noise must be non-negative")
-
     rng = np.random.default_rng(seed)
     pts, labels = _intrinsic_points(spec, rng)
     q = pts.shape[1]

@@ -11,10 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, manifold_knn, solve_column
-from .errors import AllPoolsEmpty, LabelsMissing
+from .diffusion import (
+    DiffusionConfig,
+    SimilarityColumn,
+    check_anchor_ids,
+    manifold_knn,
+    solve_column,
+    solve_columns,
+)
+from .errors import AllPoolsEmpty, DimMismatch, LabelsMissing
 from .features import FeatureSet
 from .graph import NormalizedOperator, top_k
+
+# anchors per block: the CG state of a block solve is O(ANCHOR_BLOCK * n),
+# below the kNN block's memory, and the sampler's distance block is
+# O(ANCHOR_BLOCK * max_neg * d)
+ANCHOR_BLOCK = 64
 
 
 @dataclass
@@ -69,29 +81,42 @@ def mine_anchor_pools(
     diffusion_config: DiffusionConfig,
     mining_config: MiningConfig,
 ) -> AnchorPools:
-    """Both pools from a single diffusion solve for the anchor.
+    """Both pools from a single diffusion solve for the anchor."""
+    column = solve_column(operator, anchor, diffusion_config)
+    return _pools_from_column(column, features, mining_config)
 
-    Neighbor counts above n-1 are clamped (the large-set k_neg default can
-    exceed a desk-scale collection).
+
+def _pools_from_column(
+    column: SimilarityColumn, features: FeatureSet, mining_config: MiningConfig
+) -> AnchorPools:
+    """Positives: manifold top-k_pos minus Euclidean top-k_pos, by descending
+    s_m. Negatives: Euclidean top-k_neg minus manifold top-k_neg, by
+    descending s_e, capped at max_neg.
+
+    Each side is ranked once, to the larger k; the rankings are exact, so
+    their prefixes are the smaller rankings. Neighbor counts above n-1 are
+    clamped (the large-set k_neg default can exceed a desk-scale collection).
     """
     n = features.n
-    column = solve_column(operator, anchor, diffusion_config)
+    anchor = column.anchor_index
     k_pos = min(mining_config.k_pos, n - 1)
     k_neg = min(mining_config.k_neg, n - 1)
+    k = max(k_pos, k_neg)
+    nn_m = manifold_knn(column, k, exclude_self=True)
+    nn_e, sims_e = _euclidean_ranked(features, anchor, k)
 
-    nn_m_pos = manifold_knn(column, k_pos, exclude_self=True)
-    nn_e_pos, _ = _euclidean_ranked(features, anchor, k_pos)
-    euclid_set = set(int(j) for j in nn_e_pos)
+    euclid_set = set(nn_e[:k_pos].tolist())
     positives = [
-        (int(j), float(column.values[j])) for j in nn_m_pos if int(j) not in euclid_set
+        (j, float(column.values[j])) for j in nn_m[:k_pos].tolist() if j not in euclid_set
     ]
     if mining_config.max_pos is not None:
         positives = positives[: mining_config.max_pos]
 
-    nn_m_neg = set(int(j) for j in manifold_knn(column, k_neg, exclude_self=True))
-    nn_e_neg, sims_neg = _euclidean_ranked(features, anchor, k_neg)
+    manifold_set = set(nn_m[:k_neg].tolist())
     negatives = [
-        (int(j), float(s)) for j, s in zip(nn_e_neg, sims_neg) if int(j) not in nn_m_neg
+        (j, float(s))
+        for j, s in zip(nn_e[:k_neg].tolist(), sims_e[:k_neg])
+        if j not in manifold_set
     ]
     negatives = negatives[: mining_config.max_neg]
 
@@ -101,20 +126,6 @@ def mine_anchor_pools(
         negatives=negatives,
         diffusion_converged=column.converged,
     )
-
-
-def positive_pool(anchor, features, operator, diffusion_config, mining_config) -> list:
-    """Eq-5-style pool: manifold top-k minus Euclidean top-k, descending s_m."""
-    return mine_anchor_pools(
-        anchor, features, operator, diffusion_config, mining_config
-    ).positives
-
-
-def negative_pool(anchor, features, operator, diffusion_config, mining_config) -> list:
-    """Euclidean top-k minus manifold top-k, descending s_e, capped at max_neg."""
-    return mine_anchor_pools(
-        anchor, features, operator, diffusion_config, mining_config
-    ).negatives
 
 
 def baseline_pools(
@@ -129,6 +140,7 @@ def baseline_pools(
     if k_base < 1:
         raise ValueError("k_base must be >= 1")
     n = features.n
+    check_anchor_ids([anchor], n)
     k_base = min(k_base, n - 1)
     nn_e, sims = _euclidean_ranked(features, anchor, k_base)
     positives = [(int(j), float(s)) for j, s in zip(nn_e, sims)]
@@ -188,21 +200,29 @@ def build_training_pool(
 ):
     """Pools for every anchor plus the item union they span.
 
+    Anchors are solved ANCHOR_BLOCK at a time; each column is bit-equal to
+    its single-anchor solve.
+
     Anchors whose pools both come out empty are dropped (with a warning) and
     do not enter the union. Raises AllPoolsEmpty if nothing survives.
     """
+    if operator.n != features.n:
+        raise DimMismatch(f"graph has n={operator.n}, features have n={features.n}")
+    anchors = check_anchor_ids(anchor_set.anchor_ids, features.n)
     pools = []
     members = set()
     dropped = 0
-    for anchor in np.asarray(anchor_set.anchor_ids, dtype=np.int64):
-        p = mine_anchor_pools(int(anchor), features, operator, diffusion_config, mining_config)
-        if not p.positives and not p.negatives:
-            dropped += 1
-            continue
-        pools.append(p)
-        members.add(p.anchor_id)
-        members.update(j for j, _ in p.positives)
-        members.update(j for j, _ in p.negatives)
+    for start in range(0, anchors.size, ANCHOR_BLOCK):
+        block = anchors[start : start + ANCHOR_BLOCK]
+        for column in solve_columns(operator, block, diffusion_config):
+            p = _pools_from_column(column, features, mining_config)
+            if not p.positives and not p.negatives:
+                dropped += 1
+                continue
+            pools.append(p)
+            members.add(p.anchor_id)
+            members.update(j for j, _ in p.positives)
+            members.update(j for j, _ in p.negatives)
     if dropped:
         warnings.warn(f"dropped {dropped} anchors with empty pools", stacklevel=2)
     if not pools:
@@ -222,19 +242,33 @@ def sample_epoch_tuples(
     over the hard window: the hard_subset_size pool members closest to the
     anchor in the current embedding space. Returns (tuples, skipped_count).
     """
-    rng = np.random.default_rng(seed)
+    usable = [p for p in pools if p.positives and p.negatives]
+    skipped = len(pools) - len(usable)
+    if not usable:
+        return [], skipped
     z = np.asarray(current_embeddings)
+    anchors = np.asarray([p.anchor_id for p in usable], dtype=np.int64)
+    sizes = np.asarray([len(p.negatives) for p in usable])
+    real = np.arange(sizes.max()) < sizes[:, None]
+    # negatives padded to one id block; the padding sorts after every member
+    ids = np.full(real.shape, np.iinfo(np.int64).max)
+    ids[real] = [j for p in usable for j, _ in p.negatives]
+    rows = np.where(real, ids, 0)
+    dists = np.empty(real.shape)
+    for start in range(0, len(usable), ANCHOR_BLOCK):
+        block = slice(start, start + ANCHOR_BLOCK)
+        dists[block] = np.linalg.norm(z[rows[block]] - z[anchors[block], None], axis=2)
+    dists[~real] = np.nan
+    windows = np.take_along_axis(ids, np.lexsort((ids, dists), axis=-1), axis=1)
+    # one draw per positive pool and per hard window, in pool order
+    bounds = np.empty(2 * len(usable), dtype=np.int64)
+    bounds[0::2] = [len(p.positives) for p in usable]
+    bounds[1::2] = np.minimum(sizes, mining_config.hard_subset_size)
+    draws = np.random.default_rng(seed).integers(bounds)
+    negatives = windows[np.arange(len(usable)), draws[1::2]].tolist()
     tuples = []
-    skipped = 0
-    for pool in pools:
-        if not pool.positives or not pool.negatives:
-            skipped += 1
-            continue
-        pos_id, pos_w = pool.positives[rng.integers(len(pool.positives))]
-        neg_ids = np.asarray([j for j, _ in pool.negatives], dtype=np.int64)
-        dists = np.linalg.norm(z[neg_ids] - z[pool.anchor_id], axis=1)
-        window = neg_ids[np.lexsort((neg_ids, dists))[: mining_config.hard_subset_size]]
-        neg_id = int(window[rng.integers(len(window))])
+    for pool, pick, neg_id in zip(usable, draws[0::2].tolist(), negatives):
+        pos_id, pos_w = pool.positives[pick]
         tuples.append(
             TrainingTuple(
                 anchor_id=pool.anchor_id,

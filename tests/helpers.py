@@ -7,7 +7,9 @@ paths they are checking.
 
 import numpy as np
 
+from momine.diffusion import SimilarityColumn
 from momine.graph import NeighborGraph
+from momine.mining import AnchorPools, TrainingTuple
 
 
 def random_graph(n, seed, extra_edges=None, connected=True, ensure_triangle=True):
@@ -186,3 +188,86 @@ def ranking_metrics_oracle(embeddings, labels, ks):
         hit_ranks = np.flatnonzero(rel) + 1
         aps.append(float((np.arange(1, total + 1) / hit_ranks).mean()))
     return {k: hits[k] / len(aps) for k in ks}, float(np.mean(aps)), len(aps)
+
+
+def solve_column_reference(operator, anchor, config):
+    """Reference for diffusion.solve_columns: CG on one vector, with one
+    sparse matvec and scalar dot products per iteration, best iterate kept."""
+    n = operator.n
+    alpha = config.alpha
+    mat = operator.matrix
+    b = np.zeros(n)
+    b[anchor] = 1.0 - alpha
+    if mat.indptr[anchor] == mat.indptr[anchor + 1]:  # isolated: system decouples
+        return SimilarityColumn(anchor, b, 0.0, 0, True, np.zeros(0))
+    b_norm = 1.0 - alpha
+    x = np.zeros(n)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    best_x = x.copy()
+    best_rel = np.sqrt(rs) / b_norm
+    history = []
+    converged = False
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        ap = p - alpha * (mat @ p)
+        denom = float(p @ ap)
+        if denom <= 0.0:
+            iterations -= 1
+            break
+        gamma = rs / denom
+        x += gamma * p
+        r -= gamma * ap
+        rs_new = float(r @ r)
+        rel = np.sqrt(rs_new) / b_norm
+        if rel < best_rel:
+            best_rel = rel
+            best_x = x.copy()
+        history.append(best_rel)
+        if best_rel <= config.tolerance:
+            converged = True
+            break
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return SimilarityColumn(anchor, best_x, best_rel, iterations, converged, np.asarray(history))
+
+
+def pools_two_rankings(column, features, mining_config):
+    """Reference for mining's one-ranking pools: each side ranked separately
+    at k_pos and at k_neg by a full lexsort, as the pool rule reads."""
+    n = features.n
+    anchor = column.anchor_index
+    k_pos = min(mining_config.k_pos, n - 1)
+    k_neg = min(mining_config.k_neg, n - 1)
+    manifold = column.values.copy()
+    manifold[anchor] = -np.inf
+    sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
+    sims[anchor] = -np.inf
+    m_pos, e_pos = lexsort_top_k(manifold, k_pos), lexsort_top_k(sims, k_pos)
+    positives = [(int(j), float(column.values[j])) for j in m_pos if j not in set(e_pos)]
+    if mining_config.max_pos is not None:
+        positives = positives[: mining_config.max_pos]
+    m_neg, e_neg = lexsort_top_k(manifold, k_neg), lexsort_top_k(sims, k_neg)
+    negatives = [(int(j), float(sims[j])) for j in e_neg if j not in set(m_neg)]
+    return AnchorPools(anchor, positives, negatives[: mining_config.max_neg], column.converged)
+
+
+def sample_epoch_tuples_reference(pools, current_embeddings, mining_config, seed):
+    """Reference for mining.sample_epoch_tuples: one step per pool, with a
+    scalar draw for the positive and one for the hard-window negative."""
+    rng = np.random.default_rng(seed)
+    z = np.asarray(current_embeddings)
+    tuples = []
+    skipped = 0
+    for pool in pools:
+        if not pool.positives or not pool.negatives:
+            skipped += 1
+            continue
+        pos_id, pos_w = pool.positives[rng.integers(len(pool.positives))]
+        neg_ids = np.asarray([j for j, _ in pool.negatives], dtype=np.int64)
+        dists = np.linalg.norm(z[neg_ids] - z[pool.anchor_id], axis=1)
+        window = neg_ids[np.lexsort((neg_ids, dists))[: mining_config.hard_subset_size]]
+        neg_id = int(window[rng.integers(len(window))])
+        tuples.append(TrainingTuple(pool.anchor_id, int(pos_id), neg_id, float(pos_w)))
+    return tuples, skipped

@@ -227,3 +227,59 @@ def test_bad_config_value_exits_two_before_any_work(tmp_path, capsys, key, value
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("mom pipeline: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("model.kind", "foo"),
+    ("anchors.mode", "bogus"),
+    ("mining.oracle", "both"),
+    ("train.margin", "-1"),
+    ("model.hidden_dim", "8"),  # a linear model has no hidden layer
+])
+def test_unchecked_config_value_exits_two_before_any_work(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    code = main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE + ["--set", key, value])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("mom pipeline: error:") and key in err
+
+
+def test_bad_config_file_value_exits_two_before_any_work(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"graph.k": "abc"}))
+    out = tmp_path / "run"
+    code = main(["pipeline", "--out", str(out), "--seed", "5", "--config", str(config)] + GEN_ARGS)
+    assert code == 2
+    assert not out.exists()
+    assert "graph.k" in capsys.readouterr().err
+
+
+def test_bad_mom_seed_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MOM_SEED", "abc")
+    out = tmp_path / "env"
+    assert main(["gen", "--out", str(out)] + GEN_ARGS) == 2
+    assert not out.exists()
+    assert "MOM_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("anchors_txt", ["-3 0.1\n", "7 0.2\n500 0.1\n", "x y\n"])
+def test_mine_bad_anchor_ids_are_data_errors(tmp_path, capsys, anchors_txt):
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data), "--seed", "5"] + GEN_ARGS
+                + ["--set", "gen.per_class", "25"]) == 0  # 100 items
+    assert main(["graph", "--out", str(tmp_path / "g"), "--features", str(data / "features.bin"),
+                 "--set", "graph.k", "8"]) == 0
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text(anchors_txt)
+    for extra in ([], ["--set", "mining.mode", "baseline"]):
+        code = main(["mine", "--out", str(tmp_path / "m"), "--features", str(data / "features.bin"),
+                     "--graph", str(tmp_path / "g" / "graph.txt"), "--anchors", str(anchors)]
+                    + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mom mine: error:") and "anchor" in err
+    code = main(["diffuse", "--out", str(tmp_path / "d"), "--graph", str(tmp_path / "g" / "graph.txt"),
+                 "--anchor", "500"])
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err

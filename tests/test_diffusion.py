@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from momine.diffusion import DiffusionConfig, dense_oracle, manifold_knn, solve_column
-from momine.errors import KTooLarge, TooLarge
+from momine.diffusion import (
+    DiffusionConfig,
+    dense_oracle,
+    manifold_knn,
+    solve_column,
+    solve_columns,
+)
+from momine.errors import BadAnchors, KTooLarge, TooLarge
 from momine.graph import NeighborGraph, normalize_graph
+from momine.mining import ANCHOR_BLOCK
 
-from helpers import circulant_graph, random_graph
+from helpers import circulant_graph, random_graph, solve_column_reference
 
 
 def sym_op(graph):
@@ -169,3 +177,53 @@ def test_dense_oracle_size_guard():
     g = NeighborGraph.from_edges(2001, 1, edges)
     with pytest.raises(TooLarge):
         dense_oracle(sym_op(g), 0.5)
+
+
+def mixed_operator():
+    """A 120-node random graph plus small components: nodes 130-131 form an
+    edge and 132-134 a path (both solved exactly within two iterations), and
+    nodes 120-129 and 135-139 are isolated."""
+    g = random_graph(120, seed=3)
+    coo = sp.triu(g.adjacency, k=1).tocoo()
+    edges = list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    edges += [(130, 131, 0.5), (132, 133, 0.7), (133, 134, 0.2)]
+    return sym_op(NeighborGraph.from_edges(140, 5, edges))
+
+
+@pytest.mark.parametrize("cfg", [
+    DiffusionConfig(alpha=0.99, tolerance=1e-10, max_iterations=500),
+    DiffusionConfig(alpha=0.9, tolerance=1e-300, max_iterations=400),  # p.Ap hits 0
+    DiffusionConfig(alpha=0.99, tolerance=1e-6, max_iterations=2),  # mostly unconverged
+])
+def test_solve_columns_bit_equal_to_single_solves(cfg):
+    op = mixed_operator()
+    anchors = np.random.default_rng(4).permutation(140)[:131]  # 64 does not divide 131
+    blocks = [solve_columns(op, anchors, cfg)] + [
+        solve_columns(op, anchors[s : s + ANCHOR_BLOCK], cfg)
+        for s in range(0, anchors.size, ANCHOR_BLOCK)
+    ]
+    for columns in (blocks[0], [c for block in blocks[1:] for c in block]):
+        assert [c.anchor_index for c in columns] == anchors.tolist()
+        for col in columns:
+            for ref in (solve_column(op, col.anchor_index, cfg),
+                        solve_column_reference(op, col.anchor_index, cfg)):
+                assert np.array_equal(col.values, ref.values)
+                assert col.residual_norm == ref.residual_norm
+                assert col.iterations_used == ref.iterations_used
+                assert col.converged == ref.converged
+                assert np.array_equal(col.residual_history, ref.residual_history)
+    stops = {(c.iterations_used, c.converged) for c in blocks[0]}
+    assert (0, True) in stops  # isolated anchors
+    assert len(stops) > 2  # rows leave the block at different iterations
+    if cfg.max_iterations == 2:
+        assert (2, False) in stops and (2, True) in stops
+    if cfg.tolerance < 1e-200:
+        assert any(it < cfg.max_iterations and not conv for it, conv in stops)
+
+
+def test_solve_columns_rejects_out_of_range_anchors():
+    op = sym_op(random_graph(10, seed=6))
+    for bad in ([-3], [0, 10], [2, -1, 4]):
+        with pytest.raises(BadAnchors):
+            solve_columns(op, bad, DiffusionConfig())
+    assert solve_columns(op, [], DiffusionConfig()) == []

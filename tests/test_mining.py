@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from momine.anchors import AnchorSet, power_iteration, select_anchors
-from momine.diffusion import DiffusionConfig, dense_oracle
-from momine.errors import AllPoolsEmpty, LabelsMissing
+from momine.diffusion import DiffusionConfig, dense_oracle, solve_columns
+from momine.errors import AllPoolsEmpty, BadAnchors, DimMismatch, LabelsMissing
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import build_reciprocal_graph, normalize_graph
 from momine.mining import (
+    ANCHOR_BLOCK,
     AnchorPools,
     MiningConfig,
     TrainingTuple,
@@ -16,15 +17,18 @@ from momine.mining import (
     build_training_pool,
     load_pools,
     mine_anchor_pools,
-    negative_pool,
     oracle_pools,
-    positive_pool,
     sample_epoch_tuples,
     save_pools,
     save_tuples,
 )
 
-from helpers import knn_oracle
+from helpers import (
+    knn_oracle,
+    pools_two_rankings,
+    sample_epoch_tuples_reference,
+    solve_column_reference,
+)
 
 DC = DiffusionConfig(alpha=0.99, tolerance=1e-12, max_iterations=500)
 
@@ -101,8 +105,9 @@ def test_identical_rankings_give_empty_pools():
     # are empty
     feats, graph, op = small_setup(n=12, k=5)
     cfg = MiningConfig(k_pos=11, k_neg=11, max_neg=5, hard_subset_size=2)
-    assert positive_pool(0, feats, op, DC, cfg) == []
-    assert negative_pool(0, feats, op, DC, cfg) == []
+    pools = mine_anchor_pools(0, feats, op, DC, cfg)
+    assert pools.positives == []
+    assert pools.negatives == []
 
 
 def test_elbow_graph_pools_hand_checked():
@@ -135,7 +140,7 @@ def test_two_moons_tip_positive_pool_purity():
     checked = 0
     hits = []
     for anchor in range(0, fn.n, 10):
-        pool = positive_pool(anchor, fn, op, dcfg, cfg)
+        pool = mine_anchor_pools(anchor, fn, op, dcfg, cfg).positives
         if len(pool) < 3:
             continue
         checked += 1
@@ -160,7 +165,7 @@ def test_two_moons_gap_negative_pool_purity():
     anchors = np.argsort(gap_dist)[:15]
     hits = []
     for anchor in anchors:
-        pool = negative_pool(int(anchor), fn, op, dcfg, cfg)
+        pool = mine_anchor_pools(int(anchor), fn, op, dcfg, cfg).negatives
         hits += [fs.labels[j] != fs.labels[anchor] for j, _ in pool]
     assert len(hits) >= 30
     assert np.mean(hits) > 0.9
@@ -348,3 +353,68 @@ def test_pools_jsonl_round_trip(tmp_path):
         assert [j for j, _ in a.negatives] == [j for j, _ in b.negatives]
         for (_, wa), (_, wb) in zip(a.positives + a.negatives, b.positives + b.negatives):
             assert wb == pytest.approx(wa, rel=1e-8)
+
+
+def duplicated_setup(k=6):
+    """60 items: 30 random points, each present twice, so Euclidean and
+    manifold rankings hold exact ties."""
+    rng = np.random.default_rng(15)
+    half = rng.normal(size=(30, 6))
+    feats = l2_normalize(FeatureSet(data=np.vstack([half, half])))
+    graph = build_reciprocal_graph(feats, k)
+    return feats, graph, normalize_graph(graph, "symmetric")
+
+
+@pytest.mark.parametrize("k_pos,k_neg,max_pos", [
+    (25, 8, None), (8, 25, None), (12, 12, 5), (80, 200, None),
+])
+def test_one_ranking_pools_match_two_rankings(k_pos, k_neg, max_pos):
+    cfg = MiningConfig(k_pos=k_pos, k_neg=k_neg, max_pos=max_pos, max_neg=10, hard_subset_size=3)
+    for feats, graph, op in (small_setup(n=60, seed=15), duplicated_setup()):
+        for column in solve_columns(op, np.arange(feats.n), DC):
+            expected = pools_two_rankings(column, feats, cfg)
+            assert mine_anchor_pools(column.anchor_index, feats, op, DC, cfg) == expected
+
+
+def test_build_training_pool_blocks_match_single_solves():
+    feats, graph, op = small_setup(n=150, seed=16, k=6)
+    cfg = MiningConfig(k_pos=12, k_neg=30, max_neg=10, hard_subset_size=4)
+    ids = np.arange(149, -1, -1)  # 150 anchors: 64 does not divide them
+    pools, _ = build_training_pool(AnchorSet(ids, np.zeros(150)), feats, op, DC, cfg)
+    expected = [pools_two_rankings(solve_column_reference(op, int(a), DC), feats, cfg) for a in ids]
+    assert pools == [p for p in expected if p.positives or p.negatives]
+
+
+def test_build_training_pool_checks_anchor_ids_and_sizes():
+    feats, graph, op = small_setup(n=30, seed=17)
+    cfg = MiningConfig(k_pos=8, k_neg=12, max_neg=6, hard_subset_size=3)
+    for bad in ([0, -3], [30], [29, 500]):
+        anchors = AnchorSet(np.asarray(bad), np.zeros(len(bad)))
+        with pytest.raises(BadAnchors):
+            build_training_pool(anchors, feats, op, DC, cfg)
+    with pytest.raises(BadAnchors):
+        baseline_pools(-3, feats)
+    other = FeatureSet(data=feats.data[:20], normalized=True)
+    with pytest.raises(DimMismatch):
+        build_training_pool(AnchorSet(np.asarray([0]), np.zeros(1)), other, op, DC, cfg)
+
+
+def test_sample_epoch_tuples_matches_per_pool_loop():
+    feats, graph, op = small_setup(n=60, seed=13)
+    cfg = MiningConfig(k_pos=10, k_neg=25, max_neg=12, hard_subset_size=6)
+    pools = [mine_anchor_pools(a, feats, op, DC, cfg) for a in range(60)] * 2
+    pools[3:3] = [
+        AnchorPools(5, [], [(1, 0.5)]),  # empty pools are skipped
+        AnchorPools(6, [(2, 0.3)], []),
+        AnchorPools(7, [(3, 0.2)], [(9, 0.1), (8, 0.05)]),  # fewer negatives than the window
+    ]
+    assert any(0 < len(p.negatives) < cfg.hard_subset_size for p in pools)
+    assert len(pools) > ANCHOR_BLOCK  # the distances span two blocks
+    # a coarse integer grid with repeated rows: many exact distance ties
+    z = np.random.default_rng(14).integers(0, 3, size=(60, 4)).astype(np.float64)
+    z[30:] = z[:30]
+    for seed in range(30):
+        got = sample_epoch_tuples(pools, z, cfg, seed=[seed, 2, 5])
+        assert got == sample_epoch_tuples_reference(pools, z, cfg, [seed, 2, 5])
+        assert got[1] >= 2
+    assert sample_epoch_tuples(pools[3:5], z, cfg, seed=0) == ([], 2)
