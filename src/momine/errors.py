@@ -33,6 +33,14 @@ class TruncatedFile(MomineError):
     """File ends before the payload promised by its header."""
 
 
+class TrailingBytes(MomineError):
+    """File holds bytes after the payload promised by its header."""
+
+
+class NonFinite(MomineError):
+    """A feature value is NaN or infinite."""
+
+
 class DimMismatch(MomineError):
     """Sidecar length or dimensionality does not match the feature set."""
 
@@ -43,6 +51,10 @@ class KTooLarge(MomineError):
 
 class BadAnchors(MomineError, ValueError):
     """Anchor ids that cannot be parsed or lie outside [0, n)."""
+
+
+class BadPools(MomineError, ValueError):
+    """Pool member ids that lie outside [0, n)."""
 
 
 class TooLarge(MomineError):

@@ -28,6 +28,25 @@ def _check_labels(embeddings: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _row_aps(rel: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """AP of each row of a (rows, depth) relevance block whose row i holds
+    totals[i] hits; rows without hits get an unspecified value.
+
+    Rows with equal hit counts share a shape, so each AP is the same row
+    mean as a per-query loop would take. The hit-rank temporaries are freed
+    on return, before the next block is ranked.
+    """
+    m, depth = rel.shape
+    aps = np.empty(m)
+    for total in np.unique(totals[totals > 0]):
+        rows = np.flatnonzero(totals == total)
+        sub = rel if rows.size == m else rel[rows]
+        offsets = np.arange(rows.size) * depth - 1
+        hit_ranks = np.flatnonzero(sub).reshape(rows.size, total) - offsets[:, None]
+        aps[rows] = (np.arange(1, total + 1) / hit_ranks).mean(axis=1)
+    return aps
+
+
 def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: bool):
     """(Recall@k per k in ks, mAP or None, scorable queries) from one ranking.
 
@@ -42,25 +61,25 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: b
     scorable = int(np.count_nonzero(totals))
     if scorable == 0:
         raise DegenerateLabels("no query has a same-label counterpart")
+    codes = inverse.astype(np.min_scalar_type(counts.size - 1))
     depth = n - 1 if with_map else max(ks)
     sq = np.sum(embeddings**2, axis=1)
     hits = np.zeros(len(ks), dtype=np.int64)
     aps = np.empty(n)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (embeddings[start:stop] @ embeddings.T)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        rel = labels[top_k(np.negative(d2, out=d2), depth)] == labels[start:stop, None]
+        # 2 x.y - (|x|^2 + |y|^2) is the exact negation of the squared
+        # distance |x|^2 + |y|^2 - 2 x.y, built in place
+        score = embeddings[start:stop] @ embeddings.T
+        score *= 2.0
+        score -= sq[start:stop, None] + sq[None, :]
+        score[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        rel = codes[top_k(score, depth)] == codes[start:stop, None]
+        del score
         first = np.where(rel.any(axis=1), rel.argmax(axis=1), depth)
         hits += np.count_nonzero(first[:, None] < np.asarray(ks), axis=0)
         if with_map:
-            # rows with equal hit counts share a shape, so each AP is the
-            # same row mean as a per-query loop would take
-            block_totals = totals[start:stop]
-            for total in np.unique(block_totals[block_totals > 0]):
-                rows = np.flatnonzero(block_totals == total)
-                hit_ranks = np.nonzero(rel[rows])[1].reshape(rows.size, total) + 1
-                aps[start + rows] = (np.arange(1, total + 1) / hit_ranks).mean(axis=1)
+            aps[start:stop] = _row_aps(rel, totals[start:stop])
     recall = {k: int(h) / scorable for k, h in zip(ks, hits)}
     return recall, (float(np.mean(aps[totals > 0])) if with_map else None), scorable
 

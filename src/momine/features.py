@@ -15,7 +15,9 @@ from .errors import (
     BadMagic,
     BadSpec,
     DimMismatch,
+    NonFinite,
     RankDeficient,
+    TrailingBytes,
     TruncatedFile,
     ZeroVector,
 )
@@ -104,10 +106,14 @@ class SyntheticSpec:
 def l2_normalize(features: FeatureSet) -> FeatureSet:
     """Divide every row by its Euclidean norm.
 
-    Raises ZeroVector(i) if row i has norm below 1e-12. Idempotent to within
-    float64 round-off.
+    Raises NonFinite if a row holds a NaN or infinite value (its norm is
+    then not finite) and ZeroVector(i) if row i has norm below 1e-12.
+    Idempotent to within float64 round-off.
     """
     norms = np.linalg.norm(features.data, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise NonFinite(f"row {int(bad[0])} has a NaN or infinite value")
     bad = np.flatnonzero(norms < 1e-12)
     if bad.size:
         raise ZeroVector(int(bad[0]))
@@ -136,6 +142,8 @@ def pca_whiten_fit(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     mean = features.data.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise NonFinite("feature values must be finite to fit whitening")
     centered = features.data - mean
     cov = centered.T @ centered / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -271,6 +279,8 @@ def load_features(path) -> FeatureSet:
         if len(payload) < n * d * 4:
             have = len(payload) // (d * 4) if d else 0
             raise TruncatedFile(f"{path}: header promises {n} rows, payload has {have}")
+        if fh.read(1):
+            raise TrailingBytes(f"{path}: bytes after the {n}x{d} payload")
     data = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
     return FeatureSet(data=data, normalized=False)
 

@@ -75,14 +75,17 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     Works on a 1-D array or on each row of a 2-D block and ranks as a stable
     sort of the negated scores would, NaN last. For k up to n/4 only the
     candidates at or above the k-th largest value are sorted, so ties across
-    that boundary survive; for larger k a full stable sort is cheaper.
+    that boundary survive. For larger k each row gets numpy's default
+    (unstable) sort; a row with no equal adjacent keys has only one correct
+    order, and on the other rows each run of equal keys (numerically equal,
+    so -0.0 equals 0.0, or both NaN) is put back in ascending index order by
+    one integer sort of run id * n + index.
     """
     scores = np.asarray(scores)
     block = np.atleast_2d(scores)
     m, n = block.shape
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} must be in [1, {n}]")
-    out = None
     if 4 * k <= n:
         neg = -block
         neg.partition(k - 1, axis=1)
@@ -91,8 +94,25 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
         if counts.min() >= k:  # else a NaN failed the comparison: sort in full
             order = np.lexsort((cols, -block[rows, cols], rows))
             out = cols[order][(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-    if out is None:
-        out = np.argsort(-block, axis=1, kind="stable")[:, :k]
+            return out[0] if scores.ndim == 1 else out
+    order = np.argsort(-block, axis=1)
+    # equal negated keys are equal scores; NaNs compare unequal but sort
+    # last, so only rows that end in NaN need their NaN keys joined
+    keys = np.take_along_axis(block, order, axis=1)
+    same = keys[:, 1:] == keys[:, :-1]
+    nan_rows = np.flatnonzero(np.isnan(keys[:, -1]))
+    same[nan_rows] |= np.isnan(keys[nan_rows, :-1])
+    del keys
+    tied = np.flatnonzero(same.any(axis=1))
+    if tied.size:
+        runs = np.zeros((tied.size, n), dtype=np.int64)
+        np.cumsum(~same[tied], axis=1, out=runs[:, 1:])
+        del same
+        runs *= n
+        runs += order[tied]
+        runs.sort(axis=1)
+        order[tied] = np.remainder(runs, n, out=runs)
+    out = order[:, :k]
     return out[0] if scores.ndim == 1 else out
 
 

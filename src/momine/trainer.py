@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import DiffusionConfig
-from .errors import BadMagic, DegenerateOutput, Diverged, TruncatedFile
+from .errors import BadMagic, BadPools, DegenerateOutput, Diverged, TrailingBytes, TruncatedFile
 from .features import FeatureSet
 from .mining import MiningConfig, sample_epoch_tuples
 
@@ -292,6 +292,9 @@ def train(
         if pool.positives:
             max_w[pool.anchor_id] = max(w for _, w in pool.positives)
     members = np.asarray(sorted(members), dtype=np.int64)
+    if members[0] < 0 or members[-1] >= features.n:
+        bad = members[0] if members[0] < 0 else members[-1]
+        raise BadPools(f"pool member id {bad} out of range [0, {features.n})")
 
     loss_fn = _LOSSES[train_config.loss]
     velocity = [[np.zeros_like(w), np.zeros_like(b)] for w, b in model.layers]
@@ -447,6 +450,8 @@ def load_model(path) -> EmbeddingModel:
             layers.append(
                 [flat[: fan_out * fan_in].reshape(fan_out, fan_in), flat[fan_out * fan_in :]]
             )
+        if fh.read(1):
+            raise TrailingBytes(f"{path}: bytes after the parameter payload")
     return EmbeddingModel(kind, d_in, d_out, hidden, layers)
 
 

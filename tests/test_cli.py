@@ -3,10 +3,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from momine.cli import main
+from momine.diffusion import DiffusionConfig, solve_column
 from momine.features import load_features, load_labels
+from momine.graph import NeighborGraph, load_graph, normalize_graph, save_graph
+from momine.mining import load_pools
+
+from helpers import lexsort_top_k
 
 GEN_ARGS = [
     "--set", "gen.kind", "clusters",
@@ -283,3 +289,80 @@ def test_mine_bad_anchor_ids_are_data_errors(tmp_path, capsys, anchors_txt):
                  "--anchor", "500"])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_diffuse_column_order_matches_lexsort_with_isolated_nodes(tmp_path, capsys):
+    # nodes 6-8 form another component and 9-11 are isolated, so the column
+    # holds runs of tied zeros that must come out in ascending index order
+    edges = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 4, 0.25), (4, 5, 1.0),
+             (6, 7, 1.0), (7, 8, 1.0)]
+    path = tmp_path / "graph.txt"
+    save_graph(NeighborGraph.from_edges(12, 2, edges), path)
+    for anchor in (0, 7, 10):
+        assert main(["diffuse", "--out", str(tmp_path / f"d{anchor}"), "--graph", str(path),
+                     "--anchor", str(anchor)]) == 0
+        ids = [int(line.split()[0])
+               for line in (tmp_path / f"d{anchor}" / "column.txt").read_text().splitlines()]
+        column = solve_column(normalize_graph(load_graph(path), "symmetric"), anchor,
+                              DiffusionConfig())
+        assert (column.values == 0).sum() >= 6
+        assert ids == lexsort_top_k(column.values, 12).tolist()
+    capsys.readouterr()
+
+
+def test_train_with_pools_from_a_larger_set_is_data_error(tmp_path, capsys):
+    small, large = tmp_path / "small", tmp_path / "large"
+    run_gen(small)  # 120 items
+    assert main(["gen", "--out", str(large), "--seed", "5"] + GEN_ARGS
+                + ["--set", "gen.per_class", "40"]) == 0  # 160 items
+    feats = str(large / "features.bin")
+    assert main(["graph", "--out", str(tmp_path / "g"), "--features", feats,
+                 "--set", "graph.k", "8"]) == 0
+    assert main(["anchors", "--out", str(tmp_path / "a"),
+                 "--graph", str(tmp_path / "g" / "graph.txt")]) == 0
+    assert main(["mine", "--out", str(tmp_path / "m"), "--features", feats,
+                 "--graph", str(tmp_path / "g" / "graph.txt"),
+                 "--anchors", str(tmp_path / "a" / "anchors.txt"),
+                 "--set", "mining.k_pos", "15", "--set", "mining.k_neg", "40",
+                 "--set", "mining.max_neg", "10"]) == 0
+    pools = tmp_path / "m" / "pools.jsonl"
+    assert max(j for p in load_pools(pools) for j, _ in p.positives + p.negatives) >= 120
+    capsys.readouterr()
+    code = main(["train", "--out", str(tmp_path / "t"), "--features",
+                 str(small / "features.bin"), "--pools", str(pools)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mom train: error:") and "out of range [0, 120)" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("whiten", ["0", "4"])
+def test_graph_non_finite_features_are_data_errors(tmp_path, capsys, bad, whiten):
+    run_gen(tmp_path / "data")
+    path = tmp_path / "data" / "features.bin"
+    blob = bytearray(path.read_bytes())
+    offset = 12 + (5 * 8 + 2) * 4  # row 5, column 2 of the 8-d float32 payload
+    blob[offset : offset + 4] = np.float32(bad).tobytes()
+    path.write_bytes(bytes(blob))
+    code = main(["graph", "--out", str(tmp_path / "g"), "--features", str(path),
+                 "--set", "graph.k", "8", "--set", "prep.whiten_dims", whiten])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_trailing_bytes_are_data_errors(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE) == 0
+    for name in ("features.bin", "model.bin"):
+        path = out / name
+        path.write_bytes(path.read_bytes() + b"\x00\x00")
+    capsys.readouterr()
+    code = main(["graph", "--out", str(tmp_path / "g"), "--features", str(out / "features.bin"),
+                 "--set", "graph.k", "8"])
+    assert code == 2
+    assert "features.bin: bytes after" in capsys.readouterr().err
+    (out / "features.bin").write_bytes((out / "features.bin").read_bytes()[:-2])
+    code = main(["eval", "--out", str(tmp_path / "e"), "--features", str(out / "features.bin"),
+                 "--labels", str(out / "labels.txt"), "--model", str(out / "model.bin")])
+    assert code == 2
+    assert "model.bin: bytes after" in capsys.readouterr().err

@@ -182,17 +182,31 @@ def _grid_case(n, seed, dup=False):
 
 @pytest.mark.parametrize(
     "case",
-    ["duplicates", "below_one_block", "ragged_last_block", "singleton_label", "continuous"],
+    [
+        "duplicates",
+        "below_one_block",
+        "ragged_last_block",
+        "singleton_label",
+        "continuous",
+        "equal_totals",
+        "many_classes",
+    ],
 )
 def test_single_pass_matches_full_ranking(case):
-    n = 40 if case == "below_one_block" else 2 * BLOCK_ROWS + 37
+    n = {"below_one_block": 40, "equal_totals": 3 * BLOCK_ROWS}.get(case, 2 * BLOCK_ROWS + 37)
     if case == "continuous":
         rng = np.random.default_rng(11)
         z, labels = rng.normal(size=(n, 5)), rng.integers(0, 4, size=n)
     else:
-        z, labels = _grid_case(n, seed=n, dup=case == "duplicates")
+        z, labels = _grid_case(n, seed=n, dup=case in ("duplicates", "equal_totals"))
     if case == "singleton_label":
         labels[7] = 9  # one query without a same-label counterpart
+    if case == "equal_totals":
+        labels = np.arange(n) % 3  # three equal classes: one hit total per block
+    if case == "many_classes":
+        # uneven classes with label values outside any small code range, so
+        # hit totals differ within each block
+        labels = np.array([-7, 0, 300, 301, 70000, 5])[np.random.default_rng(6).integers(0, 6, n)]
     ks = [1, 2, 5, 16]
     recall, ap, n_queries = ranking_metrics_oracle(z, labels, ks)
     report = evaluate_embeddings(z, labels, ks=ks, seed=0)

@@ -5,7 +5,9 @@ from momine.errors import (
     BadMagic,
     BadSpec,
     DimMismatch,
+    NonFinite,
     RankDeficient,
+    TrailingBytes,
     TruncatedFile,
     ZeroVector,
 )
@@ -58,6 +60,16 @@ def test_normalize_zero_row_raises():
     with pytest.raises(ZeroVector) as exc:
         l2_normalize(fs)
     assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(bad):
+    data = np.random.default_rng(4).normal(size=(6, 4))
+    data[3, 1] = bad
+    with pytest.raises(NonFinite, match="row 3"):
+        l2_normalize(FeatureSet(data=data))
+    with pytest.raises(NonFinite):
+        pca_whiten_fit(FeatureSet(data=data), 2)
 
 
 def test_featureset_validation():
@@ -209,6 +221,15 @@ def test_feature_file_truncated_payload(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 12])  # drop the last row
     with pytest.raises(TruncatedFile):
+        load_features(path)
+
+
+def test_feature_file_trailing_bytes(tmp_path):
+    fs = FeatureSet(data=np.random.default_rng(9).normal(size=(5, 3)).astype(np.float32))
+    path = tmp_path / "x.bin"
+    save_features(fs, path)
+    path.write_bytes(path.read_bytes() + b"\x00\x00")
+    with pytest.raises(TrailingBytes):
         load_features(path)
 
 

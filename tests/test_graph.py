@@ -72,7 +72,7 @@ def test_knn_matches_exhaustive_oracle(n, k):
 
 
 # few distinct values, so ties straddle the k-th boundary
-TIED_SCORES = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0])
+TIED_SCORES = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, np.nan])
 SCORES = st.one_of(TIED_SCORES, st.floats(-2.0, 2.0))
 DERANDOMIZED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -98,6 +98,38 @@ def test_top_k_nan_ranks_last():
     scores = np.array([[0.5, np.nan, 1.0, 0.5, np.nan, 0.0, 0.2, 0.1]])
     for k in (1, 3, 4, 8):
         assert np.array_equal(top_k(scores, k), lexsort_top_k(scores, k))
+
+
+def full_sort_rows(n, seed):
+    """One row per tie pattern the full sort must repair, plus untied rows."""
+    rng = np.random.default_rng(seed)
+    return {
+        "all_equal": np.full(n, 0.5),
+        "all_nan": np.full(n, np.nan),
+        "signed_zeros": np.where(rng.random(n) < 0.5, -0.0, 0.0),
+        "signed_zeros_and_nan": rng.choice([-0.0, 0.0, np.nan, 1.0], n),
+        "neg_inf_runs": rng.choice([-np.inf, -1.0, 2.0], n),
+        "coarse": np.round(rng.normal(size=n), 1),
+        "untied": rng.normal(size=n),
+        "untied_with_one_nan": np.where(np.arange(n) == n // 3, np.nan, rng.normal(size=n)),
+    }
+
+
+FULL_SORT_N = 97
+
+
+# every k here is above n/4, so the full-sort branch runs
+@pytest.mark.parametrize("k", [FULL_SORT_N // 4 + 1, FULL_SORT_N // 2, FULL_SORT_N - 1, FULL_SORT_N])
+def test_top_k_full_sort_repairs_every_tie_run(k):
+    n = FULL_SORT_N
+    rows = full_sort_rows(n, seed=3)
+    for name, row in rows.items():
+        assert np.array_equal(top_k(row, k), lexsort_top_k(row, k)), name
+    # tied and untied rows mixed in one block, and a block with no ties at all
+    mixed = np.array(list(rows.values()))
+    assert np.array_equal(top_k(mixed, k), lexsort_top_k(mixed, k))
+    untied = np.random.default_rng(4).normal(size=(5, n))
+    assert np.array_equal(top_k(untied, k), lexsort_top_k(untied, k))
 
 
 def test_top_k_k_out_of_range():

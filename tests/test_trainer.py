@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momine.diffusion import DiffusionConfig
-from momine.errors import BadMagic, DegenerateOutput, Diverged, TruncatedFile
+from momine.errors import BadMagic, BadPools, DegenerateOutput, Diverged, TrailingBytes, TruncatedFile
 from momine.features import SyntheticSpec, generate_synthetic, l2_normalize
 from momine.mining import AnchorPools, MiningConfig
 from momine.trainer import (
@@ -335,6 +335,15 @@ def test_train_zero_epochs_returns_model_unchanged():
     assert all(np.array_equal(a, w) for a, (w, _) in zip(before, model.layers))
 
 
+@pytest.mark.parametrize("bad_id", [-1, 120])
+def test_train_rejects_pool_ids_outside_features(bad_id):
+    fn, pools = two_moons_run()  # 120 items
+    pools[4].negatives.append((bad_id, 0.5))
+    model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
+    with pytest.raises(BadPools, match=f"{bad_id} out of range"):
+        train(fn, pools, model, TrainConfig(epochs=1, seed=3), MiningConfig(max_neg=50))
+
+
 def test_train_deterministic_given_seed():
     fn, pools = two_moons_run()
     mcfg = MiningConfig(hard_subset_size=5, max_neg=50)
@@ -451,4 +460,7 @@ def test_model_file_errors(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(TruncatedFile):
+        load_model(path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(TrailingBytes):
         load_model(path)
