@@ -335,20 +335,38 @@ def cmd_diffuse(args, cfg, seed, out: Path):
     return 0
 
 
-def cmd_anchors(args, cfg, seed, out: Path):
-    graph = load_graph(args.graph)
+def _stationary(graph, cfg, command):
+    """Power iteration on the graph's walk per config; a stop at the
+    iteration cap is reported on stderr."""
     sto = normalize_graph(graph, "stochastic")
     damping = float(cfg["anchors.damping"]) or None
     stat = power_iteration(
         sto, float(cfg["anchors.tolerance"]), int(cfg["anchors.max_iterations"]), damping
     )
-    anchor_set = _anchor_set(graph, stat, cfg)
-    save_anchors(anchor_set, out / "anchors.txt")
-    print(
+    if not stat.converged:
+        print(
+            f"mom {command}: warning: power iteration stopped at its cap of"
+            f" {stat.iterations_used} iterations without converging (L1 change"
+            f" {stat.l1_delta:.3g}, tolerance {cfg['anchors.tolerance']})",
+            file=sys.stderr,
+        )
+    return stat
+
+
+def _anchors_line(anchor_set, stat, cfg, path) -> str:
+    return (
         f"anchors: {len(anchor_set)} of requested {cfg['anchors.count']}"
         f" (power iteration: {stat.iterations_used} its, converged={stat.converged})"
-        f" -> {out / 'anchors.txt'}"
+        f" -> {path}"
     )
+
+
+def cmd_anchors(args, cfg, seed, out: Path):
+    graph = load_graph(args.graph)
+    stat = _stationary(graph, cfg, args.command)
+    anchor_set = _anchor_set(graph, stat, cfg)
+    save_anchors(anchor_set, out / "anchors.txt")
+    print(_anchors_line(anchor_set, stat, cfg, out / "anchors.txt"))
     return 0
 
 
@@ -464,13 +482,11 @@ def cmd_pipeline(args, cfg, seed, out: Path):
         )
         graph = build_reciprocal_graph(space, int(cfg["graph.k"]))
         save_graph(graph, out / f"graph{suffix}.txt")
-        sto = normalize_graph(graph, "stochastic")
-        damping = float(cfg["anchors.damping"]) or None
-        stat = power_iteration(
-            sto, float(cfg["anchors.tolerance"]), int(cfg["anchors.max_iterations"]), damping
-        )
+        stat = _stationary(graph, cfg, args.command)
         anchor_set = _anchor_set(graph, stat, cfg)
-        save_anchors(anchor_set, out / f"anchors{suffix}.txt")
+        anchors_path = out / f"anchors{suffix}.txt"
+        save_anchors(anchor_set, anchors_path)
+        print(f"round {rnd}: " + _anchors_line(anchor_set, stat, cfg, anchors_path))
         pools = _mine_pools(space, graph, anchor_set, cfg, seed, labels)
         save_pools(pools, out / f"pools{suffix}.jsonl")
         model, log = train(feats, pools, model, tcfg, mcfg)

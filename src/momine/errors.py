@@ -33,6 +33,10 @@ class TruncatedFile(MomineError):
     """File ends before the payload promised by its header."""
 
 
+class BadGraph(MomineError, ValueError):
+    """Graph sizes or edges that cannot be parsed or break the format's rules."""
+
+
 class TrailingBytes(MomineError):
     """File holds bytes after the payload promised by its header."""
 

@@ -5,15 +5,18 @@ their k most similar items; weights are the clipped-cosine similarity cubed.
 Everything is stored CSR via scipy.sparse and is immutable once built.
 """
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import KTooLarge
+from .errors import BadGraph, BadMagic, KTooLarge
 from .features import FeatureSet
 
 GRAPH_MAGIC = "MOMG"
+# one "i j w" line of a graph file
+_EDGE_LINE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 # rows per block in the n-wide rankings: memory is O(BLOCK_ROWS * n), and a
 # larger block is no faster but raises peak memory at n = 10^4
 BLOCK_ROWS = 256
@@ -34,20 +37,40 @@ class NeighborGraph:
     @classmethod
     def from_edges(cls, n: int, k: int, edges) -> "NeighborGraph":
         """Build a graph from (i, j, w) triples with i < j; each edge is mirrored."""
-        rows, cols, vals = [], [], []
-        for i, j, w in edges:
-            if not 0 <= i < j < n:
-                raise ValueError(f"edge ({i},{j}) must satisfy 0 <= i < j < n")
-            if w <= 0:
-                raise ValueError(f"edge ({i},{j}) must have positive weight, got {w}")
-            rows.extend((i, j))
-            cols.extend((j, i))
-            vals.extend((w, w))
-        adj = sp.csr_matrix(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
-        )
-        degrees = np.asarray(adj.sum(axis=1)).ravel()
-        return cls(n=n, k=k, adjacency=adj, degrees=degrees)
+        edges = np.array(list(edges), dtype=object).reshape(-1, 3)
+        i, j = (edges[:, c].astype(np.int64) for c in (0, 1))
+        w = edges[:, 2].astype(np.float64)
+        _check_edges(n, i, j, w)
+        return _mirrored_graph(n, k, i, j, w)
+
+
+def _check_edges(n: int, i, j, w, where: str = "graph") -> None:
+    """Raise BadGraph unless every edge has 0 <= i < j < n, a finite
+    positive weight, and appears once."""
+    bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
+    if bad.size:
+        e = bad[0]
+        raise BadGraph(f"{where}: edge ({i[e]},{j[e]}) must satisfy 0 <= i < j < n={n}")
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if bad.size:
+        e = bad[0]
+        raise BadGraph(f"{where}: edge ({i[e]},{j[e]}) needs a finite positive weight, got {w[e]}")
+    order = np.lexsort((j, i))
+    si, sj = i[order], j[order]
+    dup = np.flatnonzero((si[1:] == si[:-1]) & (sj[1:] == sj[:-1]))
+    if dup.size:
+        e = dup[0]
+        raise BadGraph(f"{where}: edge ({si[e]},{sj[e]}) is listed more than once")
+
+
+def _mirrored_graph(n: int, k: int, i, j, w) -> NeighborGraph:
+    """The graph with edges (i, j) and (j, i) of weight w for each i < j."""
+    adj = sp.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    )
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    return NeighborGraph(n=n, k=k, adjacency=adj, degrees=degrees)
 
 
 @dataclass
@@ -60,13 +83,14 @@ class NormalizedOperator:
     isolated_nodes: int
 
 
+def similarity(dots):
+    """The similarity kernel on dot products of unit vectors: max(dot, 0)^3."""
+    return np.clip(dots, 0.0, None) ** 3
+
+
 def euclidean_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Clipped-cosine similarity cubed between two unit vectors: max(a.b, 0)^3."""
-    return float(max(float(np.dot(a, b)), 0.0) ** 3)
-
-
-def _similarity_block(x_block: np.ndarray, x_all: np.ndarray) -> np.ndarray:
-    return np.clip(x_block @ x_all.T, 0.0, None) ** 3
+    return float(similarity(np.dot(a, b)))
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -89,7 +113,7 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     if 4 * k <= n:
         neg = -block
         neg.partition(k - 1, axis=1)
-        rows, cols = np.nonzero(block >= -neg[:, k - 1 : k])
+        rows, cols = np.divmod(np.flatnonzero(block >= -neg[:, k - 1 : k]), n)
         counts = np.bincount(rows, minlength=m)
         if counts.min() >= k:  # else a NaN failed the comparison: sort in full
             order = np.lexsort((cols, -block[rows, cols], rows))
@@ -130,10 +154,25 @@ def knn_search(features: FeatureSet, k: int):
     sims = np.empty((n, k), dtype=np.float64)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
-        s = _similarity_block(x[start:stop], x)
-        s[np.arange(stop - start), np.arange(start, stop)] = -np.inf  # exclude self
-        neighbors[start:stop] = top_k(s, k)
-        sims[start:stop] = np.take_along_axis(s, neighbors[start:stop], axis=1)
+        c = x[start:stop] @ x.T
+        np.maximum(c, 0.0, out=c)
+        c[np.arange(stop - start), np.arange(start, stop)] = -np.inf  # exclude self
+        nbrs = top_k(c, k)
+        kept = np.take_along_axis(c, nbrs, axis=1)
+        # Ranking the clipped dot c ranks its cube exactly when the k-th kept
+        # value is at least 1e-100: x -> x^3 is strictly increasing, the cubes
+        # of adjacent doubles there are normal and at least 1.5 ulp apart, and
+        # numpy's pow errs by under 0.75 ulp (0.70 measured for numpy 2.4's
+        # AVX-512 loop, 0.50 for libm), so no two distinct kept or boundary
+        # values cube to equal or swapped results. Below it (or at NaN),
+        # clipped zeros tie and tiny cubes underflow; those rows are ranked on
+        # the cubes themselves.
+        low = np.flatnonzero(~(kept[:, -1] >= 1e-100))
+        if low.size:
+            nbrs[low] = top_k(c[low] ** 3, k)  # self stays -inf
+            kept[low] = np.take_along_axis(c[low], nbrs[low], axis=1)
+        neighbors[start:stop] = nbrs
+        sims[start:stop] = similarity(kept)
     return neighbors, sims
 
 
@@ -152,16 +191,9 @@ def build_reciprocal_graph(features: FeatureSet, k: int) -> NeighborGraph:
     )
     mutual = sp.triu(listed.multiply(listed.T), k=1).tocoo()
     ii, jj = mutual.row, mutual.col
-    dots = np.einsum("ij,ij->i", features.data[ii], features.data[jj])
-    w = np.clip(dots, 0.0, None) ** 3
+    w = similarity(np.einsum("ij,ij->i", features.data[ii], features.data[jj]))
     keep = w > 0
-    ii, jj, w = ii[keep], jj[keep], w[keep]
-    adj = sp.csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([ii, jj]), np.concatenate([jj, ii]))),
-        shape=(n, n),
-    )
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    return NeighborGraph(n=n, k=k, adjacency=adj, degrees=degrees)
+    return _mirrored_graph(n, k, ii[keep], jj[keep], w[keep])
 
 
 def normalize_graph(graph: NeighborGraph, kind: str) -> NormalizedOperator:
@@ -191,27 +223,38 @@ def save_graph(graph: NeighborGraph, path) -> None:
     """Text format: header "MOMG n k", then "i j w" per edge with i < j."""
     coo = sp.triu(graph.adjacency, k=1).tocoo()
     order = np.lexsort((coo.col, coo.row))
+    edges = map(
+        "{} {} {:.9g}\n".format,
+        coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist(),
+    )
     with open(path, "w") as fh:
-        fh.write(f"{GRAPH_MAGIC} {graph.n} {graph.k}\n")
-        for e in order:
-            fh.write(f"{coo.row[e]} {coo.col[e]} {coo.data[e]:.9g}\n")
+        fh.write(f"{GRAPH_MAGIC} {graph.n} {graph.k}\n" + "".join(edges))
 
 
 def load_graph(path) -> NeighborGraph:
-    """Read a graph file written by :func:`save_graph`, mirroring each edge."""
-    from .errors import BadMagic, TruncatedFile
+    """Read a graph file written by :func:`save_graph`, mirroring each edge.
 
+    Raises BadMagic on a wrong header, and BadGraph on sizes that are not
+    integers >= 1, a line that is not "i j w", or an edge that fails
+    :func:`_check_edges`.
+    """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[0] != GRAPH_MAGIC:
-            raise BadMagic(f"{path}: expected header '{GRAPH_MAGIC} n k'")
+        body = fh.read()
+    if len(header) != 3 or header[0] != GRAPH_MAGIC:
+        raise BadMagic(f"{path}: expected header '{GRAPH_MAGIC} n k'")
+    try:
         n, k = int(header[1]), int(header[2])
-        edges = []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise TruncatedFile(f"{path}: malformed edge line {line!r}")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return NeighborGraph.from_edges(n, k, edges)
+    except ValueError:
+        n = k = 0
+    if n < 1 or k < 1:
+        raise BadGraph(f"{path}: header sizes must be integers >= 1, got {header[1:]}")
+    edges = np.zeros(0, dtype=_EDGE_LINE)
+    if body.strip():  # loadtxt warns on a file without lines
+        try:
+            edges = np.loadtxt(io.StringIO(body), dtype=_EDGE_LINE, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise BadGraph(f"{path}: malformed edge line: {exc}") from None
+    i, j, w = edges["i"], edges["j"], edges["w"]
+    _check_edges(n, i, j, w, where=str(path))
+    return _mirrored_graph(n, k, i, j, w)

@@ -21,7 +21,7 @@ from .diffusion import (
 )
 from .errors import AllPoolsEmpty, DimMismatch, LabelsMissing
 from .features import FeatureSet
-from .graph import NormalizedOperator, top_k
+from .graph import NormalizedOperator, similarity, top_k
 
 # anchors per block: the CG state of a block solve is O(ANCHOR_BLOCK * n),
 # below the kNN block's memory, and the sampler's distance block is
@@ -68,7 +68,7 @@ class TrainingTuple:
 def _euclidean_ranked(features: FeatureSet, anchor: int, k: int):
     """Top-k items by similarity to the anchor, self excluded; same ranking
     rule as knn_search (descending s_e, ties by ascending index)."""
-    sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
+    sims = similarity(features.data @ features.data[anchor])
     sims[anchor] = -np.inf
     order = top_k(sims, k)
     return order, sims[order]
@@ -149,7 +149,7 @@ def baseline_pools(
     rng = np.random.default_rng([seed, anchor])
     take = min(max_neg, candidates.size)
     drawn = rng.choice(candidates, size=take, replace=False) if take else candidates[:0]
-    sims_all = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
+    sims_all = similarity(features.data @ features.data[anchor])
     order = np.lexsort((drawn, -sims_all[drawn]))
     negatives = [(int(j), float(sims_all[j])) for j in drawn[order]]
     return AnchorPools(anchor_id=anchor, positives=positives, negatives=negatives)
@@ -175,7 +175,7 @@ def oracle_pools(
         raise ValueError(f"mode must be 'positive' or 'negative', got {mode!r}")
     labels = np.asarray(labels)
     anchor = base.anchor_id
-    sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
+    sims = similarity(features.data @ features.data[anchor])
     same = labels == labels[anchor]
     if mode == "positive":
         ids = np.flatnonzero(same)

@@ -366,3 +366,50 @@ def test_trailing_bytes_are_data_errors(tmp_path, capsys):
                  "--labels", str(out / "labels.txt"), "--model", str(out / "model.bin")])
     assert code == 2
     assert "model.bin: bytes after" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "MOMG four 2\n0 1 0.5\n",
+    "MOMG 4 2\n0 1 0.5x\n",
+    "MOMG 4 2\n0 1\n",
+    "MOMG 4 2\n0 9 0.5\n",
+    "MOMG 4 2\n2 1 0.5\n",
+    "MOMG 4 2\n0 1 nan\n",
+    "MOMG 4 2\n0 1 -0.5\n",
+    "MOMG 4 2\n0 1 0.5\n1 2 0.5\n0 1 0.5\n",
+])
+def test_bad_graph_file_is_data_error(tmp_path, capsys, body):
+    path = tmp_path / "graph.txt"
+    path.write_text(body)
+    for argv in (["anchors"], ["diffuse", "--anchor", "0"]):
+        code = main(argv + ["--graph", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, (argv, body)
+        assert err.startswith(f"mom {argv[0]}: error:") and "Traceback" not in err
+        assert not (tmp_path / "out" / "anchors.txt").exists()
+
+
+def test_pipeline_reports_power_iteration_per_round(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--out", str(out), "--seed", "5", "--rounds", "2"]
+                + SMALL_PIPELINE) == 0
+    captured = capsys.readouterr()
+    rounds = [line for line in captured.out.splitlines() if line.startswith("round ")]
+    assert [line.split(":")[0] for line in rounds] == ["round 1", "round 2"]
+    assert all("converged=True" in line for line in rounds)
+    assert captured.err == ""
+
+
+def test_pipeline_warns_when_power_iteration_hits_its_cap(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE
+                + ["--set", "anchors.max_iterations", "3"]) == 0
+    captured = capsys.readouterr()
+    assert "round 1: anchors:" in captured.out
+    assert "(power iteration: 3 its, converged=False)" in captured.out
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 1
+    assert warnings[0].startswith(
+        "mom pipeline: warning: power iteration stopped at its cap of 3 iterations"
+    )
+    assert (out / "model.bin").exists()

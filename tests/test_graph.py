@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momine.errors import BadMagic, KTooLarge
+from momine.errors import BadGraph, BadMagic, KTooLarge
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import (
     BLOCK_ROWS,
@@ -11,6 +12,7 @@ from momine.graph import (
     build_reciprocal_graph,
     euclidean_similarity,
     knn_search,
+    similarity,
     load_graph,
     normalize_graph,
     save_graph,
@@ -261,3 +263,126 @@ def test_graph_file_bad_header(tmp_path):
     path.write_text("NOPE 3 2\n0 1 0.5\n")
     with pytest.raises(BadMagic):
         load_graph(path)
+
+
+def exact_gram_features(seed):
+    """Rows that share at most one nonzero coordinate, so every dot product is
+    one rounded product and the Gram matrix is the same bits however a GEMM
+    blocks it. Coordinate 0 holds duplicated hubs (1, 0, 0) and items whose
+    hub dots are the chosen values: one-ulp neighbours (around 1e-100 too),
+    values in (1e-110, 1e-100) whose cubes tie at zero or in the subnormals,
+    zeros and negatives. Coordinates 1 and 2 hold groups with fewer than k
+    positive dots, so most of their scores are tied zeros. n = 2 * BLOCK_ROWS
+    + 37, shuffled so duplicates fall in different blocks."""
+    rng = np.random.default_rng(seed)
+    near = [0.5, 0.3, 0.75, 1e-100]
+    hub_dots = (
+        near
+        + [np.nextafter(v, 1.0) for v in near]
+        + [np.nextafter(v, 0.0) for v in near]
+        + list(np.geomspace(1e-110, 1e-100, 40))
+        + [0.0] * 5
+        + list(-rng.random(10))
+    )
+    n = 2 * BLOCK_ROWS + 37
+    first = np.zeros((len(hub_dots) + 4, 3))
+    first[:4, 0] = 1.0  # four duplicated hubs
+    first[4:, 0] = hub_dots
+    second = np.zeros((n - first.shape[0] - 6, 3))
+    second[:, 1] = rng.choice([0.25, 0.5, 0.5, 1.0, -0.5], size=second.shape[0])
+    third = np.zeros((6, 3))
+    third[:, 2] = 1.0  # six duplicated rows with five positive dots each
+    data = np.vstack([first, second, third])[rng.permutation(n)]
+    return FeatureSet(data=data, normalized=True)
+
+
+@pytest.mark.parametrize("k", [1, 5, 12, 23, 40, 2 * BLOCK_ROWS + 36])
+def test_knn_equals_lexsort_on_cubed_clipped_gram(k):
+    feats = exact_gram_features(seed=k)
+    s = np.clip(feats.data @ feats.data.T, 0.0, None) ** 3
+    np.fill_diagonal(s, -np.inf)
+    expected = lexsort_top_k(s, k)
+    nbrs, sims = knn_search(feats, k)
+    assert np.array_equal(nbrs, expected)
+    assert np.array_equal(sims, np.take_along_axis(s, expected, axis=1))
+
+
+def test_knn_ranks_cube_ties_below_the_guard_by_index():
+    # dots 1e-109 > 1e-110 > 0 all cube to 0.0, so they tie by index
+    data = np.array([[1.0, 0.0], [0.0, 1.0], [1e-110, 0.0], [1e-109, 0.0], [0.5, 0.0]])
+    nbrs, sims = knn_search(FeatureSet(data=data, normalized=True), 3)
+    assert nbrs[0].tolist() == [4, 1, 2]
+    assert sims[0].tolist() == [0.125, 0.0, 0.0]
+
+
+def test_similarity_kernel_scalar_and_array_forms():
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(2, 50, 4))
+    dots = np.einsum("ij,ij->i", a, b)
+    assert np.array_equal(similarity(dots), np.where(dots > 0, dots, 0.0) ** 3)
+    # the scalar wrapper keeps the bits of the per-pair formula it replaced
+    assert [euclidean_similarity(x, y) for x, y in zip(a, b)] == [
+        max(float(np.dot(x, y)), 0.0) ** 3 for x, y in zip(a, b)
+    ]
+
+
+def test_graph_file_bytes_match_per_edge_writer(tmp_path):
+    rng = np.random.default_rng(16)
+    pairs = {(int(i), int(j)) for i, j in np.sort(rng.integers(0, 60, (300, 2)), axis=1) if i < j}
+    edges = [(i, j, rng.random() * 10.0 ** rng.integers(-12, 4)) for i, j in sorted(pairs)]
+    g = NeighborGraph.from_edges(60, 7, edges)
+    path = tmp_path / "g.txt"
+    save_graph(g, path)
+    coo = sp.triu(g.adjacency, k=1).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    expected = "MOMG 60 7\n" + "".join(
+        f"{coo.row[e]} {coo.col[e]} {coo.data[e]:.9g}\n" for e in order
+    )
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("body", [
+    "MOMG four 2\n0 1 0.5\n",  # non-integer header
+    "MOMG 4 2.0\n0 1 0.5\n",
+    "MOMG 0 2\n",
+    "MOMG 4 2\n0 1\n",  # malformed lines
+    "MOMG 4 2\n0 1 0.5 7\n",
+    "MOMG 4 2\n0 1 0.5x\n",
+    "MOMG 4 2\n0.0 1 0.5\n",
+    "MOMG 4 2\n# note\n0 1 0.5\n",
+    "MOMG 4 2\n0 4 0.5\n",  # ids outside [0, n) or not i < j
+    "MOMG 4 2\n-1 2 0.5\n",
+    "MOMG 4 2\n2 1 0.5\n",
+    "MOMG 4 2\n1 1 0.5\n",
+    "MOMG 4 2\n0 1 nan\n",  # weights that are not finite and positive
+    "MOMG 4 2\n0 1 inf\n",
+    "MOMG 4 2\n0 1 0\n",
+    "MOMG 4 2\n0 1 -0.5\n",
+    "MOMG 4 2\n0 1 0.5\n1 2 0.5\n0 1 0.5\n",  # a duplicate edge
+])
+def test_load_graph_rejects_bad_files(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(BadGraph):
+        load_graph(path)
+
+
+def test_load_graph_accepts_blank_lines_and_no_edges(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("MOMG 4 2\n0 1 0.5\n\n2 3 0.25\n")
+    g = load_graph(path)
+    assert g.adjacency.toarray().tolist() == [
+        [0, 0.5, 0, 0], [0.5, 0, 0, 0], [0, 0, 0, 0.25], [0, 0, 0.25, 0]
+    ]
+    path.write_text("MOMG 3 1\n")
+    g = load_graph(path)
+    assert g.n == 3 and g.adjacency.nnz == 0 and g.degrees.tolist() == [0, 0, 0]
+
+
+def test_from_edges_rejects_duplicates_and_non_finite_weights():
+    with pytest.raises(BadGraph):
+        NeighborGraph.from_edges(3, 1, [(0, 1, 0.5), (0, 1, 0.5)])
+    with pytest.raises(ValueError):
+        NeighborGraph.from_edges(3, 1, [(0, 1, float("nan"))])
+    with pytest.raises(ValueError):
+        NeighborGraph.from_edges(3, 1, [(1, 0, 0.5)])
