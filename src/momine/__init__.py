@@ -9,7 +9,14 @@ on the mined tuples.
 
 __version__ = "0.1.0"
 
-from .anchors import AnchorSet, StationaryDistribution, local_maxima, power_iteration, select_anchors
+from .anchors import (
+    AnchorSet,
+    StationaryDistribution,
+    local_maxima,
+    power_iteration,
+    select_anchors,
+    stationary,
+)
 from .diffusion import (
     DiffusionConfig,
     SimilarityColumn,

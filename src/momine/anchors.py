@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadAnchors
-from .graph import NeighborGraph, NormalizedOperator
+from .errors import BadAnchors, EmptyGraph
+from .graph import NeighborGraph, NormalizedOperator, components
 
 
 @dataclass
@@ -27,6 +27,30 @@ class AnchorSet:
         return len(self.anchor_ids)
 
 
+def stationary(graph: NeighborGraph) -> tuple[np.ndarray, int]:
+    """The undamped walk's stationary distribution in closed form, and the
+    number of components that hold its mass.
+
+    Iterating pi <- pi P from the uniform start (renormalized each step)
+    empties the isolated nodes in one step and then keeps each component C
+    at mass(C) = |C| / (n - isolated). Inside C, pi_i = mass(C) * d_i /
+    vol(C), with d_i the weighted degree and vol(C) the sum of C's degrees.
+    This is the limit of power iteration where it converges, and on a
+    bipartite component, where the iterate oscillates, the mean of the
+    oscillation (its Cesaro limit).
+    """
+    if graph.adjacency.nnz == 0:
+        raise EmptyGraph("graph has no edges; the walk is undefined")
+    d = graph.degrees
+    live = d > 0
+    part = components(graph)[live]
+    vol = np.bincount(part, weights=d[live], minlength=graph.n)
+    size = np.bincount(part, minlength=graph.n)
+    pi = np.zeros(graph.n)
+    pi[live] = size[part] / part.size * d[live] / vol[part]
+    return pi, int(np.count_nonzero(size))
+
+
 def power_iteration(
     operator: NormalizedOperator,
     tolerance: float = 1e-10,
@@ -37,14 +61,17 @@ def power_iteration(
     drops below tolerance.
 
     The vector is renormalized to sum 1 every step since isolated nodes leak
-    mass. Plain iteration can oscillate on bipartite components; the optional
-    damping factor beta mixes in the uniform distribution (pi <- beta*pi*P +
-    (1-beta)*u) at the cost of deviating from the pi ~ degree law.
+    mass. The damping factor beta mixes in the uniform distribution (pi <-
+    beta*pi*P + (1-beta)*u) at the cost of deviating from the pi ~ degree
+    law. The damped walk has no closed form; the undamped limit is
+    :func:`stationary`, which the CLI uses instead, so `anchors.tolerance`,
+    `anchors.max_iterations` and the cap warning apply only when
+    `anchors.damping` > 0.
     """
     if operator.kind != "stochastic":
         raise ValueError("power_iteration needs the row-stochastic operator")
     if operator.matrix.nnz == 0:
-        raise ValueError("graph has no edges; the walk is undefined")
+        raise EmptyGraph("graph has no edges; the walk is undefined")
     if damping is not None and not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must be in (0, 1], got {damping}")
     n = operator.n
@@ -68,16 +95,23 @@ def local_maxima(graph: NeighborGraph, pi: np.ndarray) -> list[int]:
     """Nodes (degree > 0) whose pi dominates every neighbor.
 
     An exact-tie plateau (connected nodes with identical pi, none of which has
-    a strictly greater neighbor) contributes its smallest index only.
+    a strictly greater neighbor) contributes its smallest index only. A node
+    above its largest neighbour (NaN neighbours are ignored) is a maximum on
+    its own; only nodes level with their largest neighbour start a flood of
+    their plateau, and the other nodes are dominated.
     """
     pi = np.asarray(pi, dtype=np.float64)
     if pi.shape != (graph.n,):
         raise ValueError(f"pi must have length {graph.n}")
     indptr, cols = graph.adjacency.indptr, graph.adjacency.indices
+    live = np.flatnonzero(np.diff(indptr))
+    own, top = pi[live], np.fmax.reduceat(pi[cols], indptr[live])
+    # NaN compares false either way: a NaN pi or all-NaN neighbours leave
+    # the node undominated, as in the flood
+    out = live[~(own <= top)].tolist()
     visited = np.zeros(graph.n, dtype=bool)
-    out = []
-    for start in range(graph.n):
-        if visited[start] or indptr[start] == indptr[start + 1]:
+    for start in live[own == top].tolist():
+        if visited[start]:
             continue
         # flood the exact-equality plateau containing `start`
         level = pi[start]
@@ -88,7 +122,7 @@ def local_maxima(graph: NeighborGraph, pi: np.ndarray) -> list[int]:
         while q < len(plateau):
             i = plateau[q]
             q += 1
-            for j in cols[indptr[i] : indptr[i + 1]]:
+            for j in cols[indptr[i] : indptr[i + 1]].tolist():
                 if pi[j] > level:
                     dominated = True
                 elif pi[j] == level and not visited[j]:

@@ -16,7 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .anchors import AnchorSet, load_anchors, power_iteration, save_anchors, select_anchors
+from .anchors import (
+    AnchorSet,
+    load_anchors,
+    power_iteration,
+    save_anchors,
+    select_anchors,
+    stationary,
+)
 from .diffusion import DiffusionConfig, solve_column
 from .errors import BadConfig, MomineError
 from .features import (
@@ -233,16 +240,16 @@ def _train_config(cfg, seed) -> TrainConfig:
     )
 
 
-def _anchor_set(graph, stat, cfg) -> AnchorSet:
+def _anchor_set(graph, pi, cfg) -> AnchorSet:
     """Anchor selection per config: stationary local maxima, or every
     non-isolated node ordered by pi (the all-items protocol)."""
     count = int(cfg["anchors.count"])
     if cfg["anchors.mode"] == "all":
         ids = np.flatnonzero(graph.degrees > 0)
-        order = np.lexsort((ids, -stat.pi[ids]))[:count]
+        order = np.lexsort((ids, -pi[ids]))[:count]
         chosen = ids[order]
-        return AnchorSet(anchor_ids=chosen, pi_values=stat.pi[chosen])
-    return select_anchors(graph, stat.pi, count)
+        return AnchorSet(anchor_ids=chosen, pi_values=pi[chosen])
+    return select_anchors(graph, pi, count)
 
 
 def _gen_spec(cfg) -> SyntheticSpec:
@@ -336,10 +343,14 @@ def cmd_diffuse(args, cfg, seed, out: Path):
 
 
 def _stationary(graph, cfg, command):
-    """Power iteration on the graph's walk per config; a stop at the
-    iteration cap is reported on stderr."""
+    """The stationary distribution of the graph's walk and how it was found:
+    in closed form when undamped, else by damped power iteration, whose stop
+    at the iteration cap is reported on stderr."""
+    damping = float(cfg["anchors.damping"])
+    if not damping:
+        pi, parts = stationary(graph)
+        return pi, f"stationary: closed form, {parts} components"
     sto = normalize_graph(graph, "stochastic")
-    damping = float(cfg["anchors.damping"]) or None
     stat = power_iteration(
         sto, float(cfg["anchors.tolerance"]), int(cfg["anchors.max_iterations"]), damping
     )
@@ -350,23 +361,19 @@ def _stationary(graph, cfg, command):
             f" {stat.l1_delta:.3g}, tolerance {cfg['anchors.tolerance']})",
             file=sys.stderr,
         )
-    return stat
+    return stat.pi, f"power iteration: {stat.iterations_used} its, converged={stat.converged}"
 
 
-def _anchors_line(anchor_set, stat, cfg, path) -> str:
-    return (
-        f"anchors: {len(anchor_set)} of requested {cfg['anchors.count']}"
-        f" (power iteration: {stat.iterations_used} its, converged={stat.converged})"
-        f" -> {path}"
-    )
+def _anchors_line(anchor_set, method, cfg, path) -> str:
+    return f"anchors: {len(anchor_set)} of requested {cfg['anchors.count']} ({method}) -> {path}"
 
 
 def cmd_anchors(args, cfg, seed, out: Path):
     graph = load_graph(args.graph)
-    stat = _stationary(graph, cfg, args.command)
-    anchor_set = _anchor_set(graph, stat, cfg)
+    pi, method = _stationary(graph, cfg, args.command)
+    anchor_set = _anchor_set(graph, pi, cfg)
     save_anchors(anchor_set, out / "anchors.txt")
-    print(_anchors_line(anchor_set, stat, cfg, out / "anchors.txt"))
+    print(_anchors_line(anchor_set, method, cfg, out / "anchors.txt"))
     return 0
 
 
@@ -482,11 +489,11 @@ def cmd_pipeline(args, cfg, seed, out: Path):
         )
         graph = build_reciprocal_graph(space, int(cfg["graph.k"]))
         save_graph(graph, out / f"graph{suffix}.txt")
-        stat = _stationary(graph, cfg, args.command)
-        anchor_set = _anchor_set(graph, stat, cfg)
+        pi, method = _stationary(graph, cfg, args.command)
+        anchor_set = _anchor_set(graph, pi, cfg)
         anchors_path = out / f"anchors{suffix}.txt"
         save_anchors(anchor_set, anchors_path)
-        print(f"round {rnd}: " + _anchors_line(anchor_set, stat, cfg, anchors_path))
+        print(f"round {rnd}: " + _anchors_line(anchor_set, method, cfg, anchors_path))
         pools = _mine_pools(space, graph, anchor_set, cfg, seed, labels)
         save_pools(pools, out / f"pools{suffix}.jsonl")
         model, log = train(feats, pools, model, tcfg, mcfg)

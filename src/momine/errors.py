@@ -37,6 +37,10 @@ class BadGraph(MomineError, ValueError):
     """Graph sizes or edges that cannot be parsed or break the format's rules."""
 
 
+class EmptyGraph(MomineError, ValueError):
+    """A graph without edges: its random walk and stationary distribution are undefined."""
+
+
 class TrailingBytes(MomineError):
     """File holds bytes after the payload promised by its header."""
 

@@ -73,6 +73,35 @@ def _mirrored_graph(n: int, k: int, i, j, w) -> NeighborGraph:
     return NeighborGraph(n=n, k=k, adjacency=adj, degrees=degrees)
 
 
+def components(graph: NeighborGraph) -> np.ndarray:
+    """Connected-component labels: each node's label is the smallest node id
+    in its component, so an isolated node is labelled with its own id.
+
+    Every round each non-isolated node finds the smallest label among itself
+    and its neighbours and hands it to the node its label points at; the
+    labels are then pointer-jumped (label <- label[label]) until they are
+    roots, so each node ends at or below what it found. A round in which no
+    node finds a smaller label ends the loop. Handing the label to the root
+    rather than to the node alone keeps a long path with shuffled ids at a
+    few rounds.
+    """
+    indptr, cols = graph.adjacency.indptr, graph.adjacency.indices
+    live = np.flatnonzero(np.diff(indptr))
+    label = np.arange(graph.n)
+    starts = indptr[live]
+    while True:
+        own = label[live]
+        low = np.minimum(np.minimum.reduceat(label[cols], starts), own)
+        if np.array_equal(low, own):
+            return label
+        np.minimum.at(label, own, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 @dataclass
 class NormalizedOperator:
     """Either the symmetric D^-1/2 A D^-1/2 or the row-stochastic D^-1 A."""

@@ -67,6 +67,68 @@ def knn_oracle(data, k):
     return out
 
 
+def disjoint_union(*graphs, isolated=0):
+    """One graph holding the given graphs side by side (node ids offset in
+    order), followed by `isolated` nodes without edges."""
+    edges, offset = [], 0
+    for g in graphs:
+        coo = g.adjacency.tocoo()
+        upper = coo.row < coo.col
+        edges += [(int(i) + offset, int(j) + offset, float(w))
+                  for i, j, w in zip(coo.row[upper], coo.col[upper], coo.data[upper])]
+        offset += g.n
+    n = offset + isolated
+    return NeighborGraph.from_edges(n, k=n, edges=sorted(edges))
+
+
+def components_reference(graph):
+    """Breadth-first search from each unlabelled node in ascending order, so
+    every node is labelled with the smallest id in its component."""
+    label = np.full(graph.n, -1, dtype=np.int64)
+    for start in range(graph.n):
+        if label[start] >= 0:
+            continue
+        label[start] = start
+        queue = [start]
+        for i in queue:
+            for j in graph.neighbors(i):
+                if label[j] < 0:
+                    label[j] = start
+                    queue.append(j)
+    return label
+
+
+def local_maxima_reference(graph, pi):
+    """Reference for anchors.local_maxima: flood the exact-equality plateau of
+    every non-isolated node in index order, keeping the smallest index of each
+    plateau that has no strictly greater neighbour."""
+    pi = np.asarray(pi, dtype=np.float64)
+    indptr, cols = graph.adjacency.indptr, graph.adjacency.indices
+    visited = np.zeros(graph.n, dtype=bool)
+    out = []
+    for start in range(graph.n):
+        if visited[start] or indptr[start] == indptr[start + 1]:
+            continue
+        level = pi[start]
+        plateau = [start]
+        visited[start] = True
+        dominated = False
+        q = 0
+        while q < len(plateau):
+            i = plateau[q]
+            q += 1
+            for j in cols[indptr[i] : indptr[i + 1]]:
+                if pi[j] > level:
+                    dominated = True
+                elif pi[j] == level and not visited[j]:
+                    visited[j] = True
+                    plateau.append(j)
+        if not dominated:
+            out.append(min(plateau))
+    out.sort()
+    return out
+
+
 def local_maxima_oracle(graph, pi):
     """Direct neighbor comparison; assumes pi has no exact ties."""
     out = []

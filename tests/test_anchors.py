@@ -7,11 +7,19 @@ from momine.anchors import (
     power_iteration,
     save_anchors,
     select_anchors,
+    stationary,
 )
+from momine.errors import EmptyGraph, MomineError
 from momine.features import SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import NeighborGraph, build_reciprocal_graph, normalize_graph
 
-from helpers import circulant_graph, local_maxima_oracle, random_graph
+from helpers import (
+    circulant_graph,
+    disjoint_union,
+    local_maxima_oracle,
+    local_maxima_reference,
+    random_graph,
+)
 
 
 def stochastic(graph):
@@ -73,6 +81,87 @@ def test_power_iteration_validates():
     empty = NeighborGraph.from_edges(3, 1, [])
     with pytest.raises(ValueError):
         power_iteration(stochastic(empty))
+
+
+def test_edgeless_graph_is_a_named_error_for_both_routes():
+    empty = NeighborGraph.from_edges(5, 2, [])
+    for route in (lambda: stationary(empty), lambda: power_iteration(stochastic(empty))):
+        with pytest.raises(EmptyGraph) as info:
+            route()
+        assert isinstance(info.value, MomineError) and isinstance(info.value, ValueError)
+
+
+def path_graph(weights):
+    return NeighborGraph.from_edges(
+        len(weights) + 1, 2, [(i, i + 1, w) for i, w in enumerate(weights)]
+    )
+
+
+def test_stationary_equals_power_iteration_on_aperiodic_components():
+    # several components, each with a triangle, and isolated nodes
+    for seed in range(4):
+        g = disjoint_union(
+            random_graph(15, seed=seed),
+            random_graph(9, seed=seed + 10, extra_edges=3),
+            circulant_graph(7),
+            random_graph(3, seed=seed + 20),
+            isolated=3,
+        )
+        pi, parts = stationary(g)
+        stat = power_iteration(stochastic(g), tolerance=1e-13, max_iterations=100000)
+        assert stat.converged
+        assert parts == 4
+        assert np.max(np.abs(pi - stat.pi)) < 1e-9
+        assert abs(pi.sum() - 1.0) < 1e-12 and np.all(pi[-3:] == 0.0)
+
+
+def test_stationary_is_the_mean_of_a_bipartite_oscillation():
+    # paths with uneven degrees, a 4-cycle and a star are bipartite: the
+    # iterate ends in a period-2 cycle whose mean is the closed form
+    cycle = NeighborGraph.from_edges(4, 2, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 3, 0.5)])
+    star = NeighborGraph.from_edges(5, 4, [(0, j, 0.25 * j) for j in range(1, 5)])
+    g = disjoint_union(
+        path_graph([1.0, 1.0]), path_graph([1.0, 2.0, 0.5]), cycle, star,
+        random_graph(8, seed=3), isolated=2,
+    )
+    sto = stochastic(g)
+    late = power_iteration(sto, tolerance=0.0, max_iterations=3000)
+    later = power_iteration(sto, tolerance=0.0, max_iterations=3001)
+    assert not later.converged and later.l1_delta > 1e-3
+    pi, parts = stationary(g)
+    assert parts == 5
+    assert np.max(np.abs(pi - 0.5 * (late.pi + later.pi))) < 1e-9
+
+
+def tied_graph(seed):
+    """Random graph with weights in {0.5, 1}, so degrees and pi tie exactly,
+    plus pair and triple components and isolated nodes."""
+    rng = np.random.default_rng(seed)
+    m = 40
+    edges = {}
+    for _ in range(60):
+        i, j = sorted(rng.choice(m, size=2, replace=False).tolist())
+        edges[(i, j)] = float(rng.choice([0.5, 1.0]))
+    edges.update({(m, m + 1): 1.0, (m + 2, m + 3): 0.5})  # pairs
+    edges.update({(m + 4, m + 5): 1.0, (m + 5, m + 6): 1.0})  # a path triple
+    edges.update({(m + 7, m + 8): 0.5, (m + 8, m + 9): 0.5, (m + 7, m + 9): 0.5})  # triangle
+    n = m + 14  # the last four nodes are isolated
+    return NeighborGraph.from_edges(n, 5, [(i, j, w) for (i, j), w in sorted(edges.items())])
+
+
+def test_local_maxima_equals_the_plateau_flood_on_ties():
+    rng = np.random.default_rng(7)
+    for seed in range(12):
+        g = tied_graph(seed)
+        coarse = rng.integers(0, 3, size=g.n) / 4.0
+        with_nan = coarse.copy()
+        with_nan[rng.choice(g.n, size=6, replace=False)] = np.nan
+        for pi in (g.degrees / g.degrees.sum(), stationary(g)[0], coarse, with_nan):
+            assert local_maxima(g, pi) == local_maxima_reference(g, pi)
+
+
+def test_local_maxima_on_edgeless_graph_is_empty():
+    assert local_maxima(NeighborGraph.from_edges(3, 1, []), np.ones(3)) == []
 
 
 def test_local_maxima_unique_peak():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -392,7 +393,7 @@ def test_bad_graph_file_is_data_error(tmp_path, capsys, body):
 def test_pipeline_reports_power_iteration_per_round(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--out", str(out), "--seed", "5", "--rounds", "2"]
-                + SMALL_PIPELINE) == 0
+                + SMALL_PIPELINE + ["--set", "anchors.damping", "0.9"]) == 0
     captured = capsys.readouterr()
     rounds = [line for line in captured.out.splitlines() if line.startswith("round ")]
     assert [line.split(":")[0] for line in rounds] == ["round 1", "round 2"]
@@ -403,7 +404,7 @@ def test_pipeline_reports_power_iteration_per_round(tmp_path, capsys):
 def test_pipeline_warns_when_power_iteration_hits_its_cap(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE
-                + ["--set", "anchors.max_iterations", "3"]) == 0
+                + ["--set", "anchors.max_iterations", "3", "--set", "anchors.damping", "0.9"]) == 0
     captured = capsys.readouterr()
     assert "round 1: anchors:" in captured.out
     assert "(power iteration: 3 its, converged=False)" in captured.out
@@ -413,3 +414,49 @@ def test_pipeline_warns_when_power_iteration_hits_its_cap(tmp_path, capsys):
         "mom pipeline: warning: power iteration stopped at its cap of 3 iterations"
     )
     assert (out / "model.bin").exists()
+
+
+def test_undamped_pipeline_uses_the_closed_form_and_ignores_the_cap(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--out", str(out), "--seed", "5", "--rounds", "2"] + SMALL_PIPELINE
+                + ["--set", "anchors.max_iterations", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rounds = [line for line in captured.out.splitlines() if line.startswith("round ")]
+    assert len(rounds) == 2
+    for line in rounds:
+        assert re.search(r"\(stationary: closed form, [1-9][0-9]* components\)", line), line
+
+
+@pytest.mark.parametrize("damping", ["0", "0.5"])
+def test_anchors_on_an_edgeless_graph_is_a_data_error(tmp_path, capsys, damping):
+    path = tmp_path / "graph.txt"
+    path.write_text("MOMG 5 2\n")
+    code = main(["anchors", "--graph", str(path), "--out", str(tmp_path / "out"),
+                 "--set", "anchors.damping", damping])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("mom anchors: error:") and "no edges" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "anchors.txt").exists()
+
+
+def test_pipeline_loads_no_dense_or_graph_solvers(tmp_path):
+    # scipy.sparse.csgraph pulls in scipy.linalg and scipy.sparse.linalg:
+    # about 10 MB of resident memory and 0.14 s per process
+    import momine
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(next(iter(momine.__path__)) + "/..")
+    script = (
+        "import sys\n"
+        "from momine.cli import main\n"
+        f"assert main({['pipeline', '--seed', '5', '--out', str(tmp_path / 'run')] + SMALL_PIPELINE!r}) == 0\n"
+        "heavy = ('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg')\n"
+        "print('loaded:', [m for m in heavy if m in sys.modules])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "loaded: []"
+    assert (tmp_path / "run" / "report.json").exists()

@@ -10,6 +10,7 @@ from momine.graph import (
     BLOCK_ROWS,
     NeighborGraph,
     build_reciprocal_graph,
+    components,
     euclidean_similarity,
     knn_search,
     similarity,
@@ -19,7 +20,13 @@ from momine.graph import (
     top_k,
 )
 
-from helpers import knn_oracle, lexsort_top_k, random_graph
+from helpers import (
+    components_reference,
+    disjoint_union,
+    knn_oracle,
+    lexsort_top_k,
+    random_graph,
+)
 
 
 def unit_rows(rows):
@@ -386,3 +393,26 @@ def test_from_edges_rejects_duplicates_and_non_finite_weights():
         NeighborGraph.from_edges(3, 1, [(0, 1, float("nan"))])
     with pytest.raises(ValueError):
         NeighborGraph.from_edges(3, 1, [(1, 0, 0.5)])
+
+
+def shuffled_path(n, seed):
+    """A path through all n nodes in a random order of ids."""
+    perm = np.random.default_rng(seed).permutation(n)
+    lo, hi = np.minimum(perm[:-1], perm[1:]), np.maximum(perm[:-1], perm[1:])
+    return NeighborGraph.from_edges(n, 2, zip(lo.tolist(), hi.tolist(), [1.0] * (n - 1)))
+
+
+def test_components_match_breadth_first_search():
+    star = NeighborGraph.from_edges(9, 8, [(j, 7, 1.0) for j in range(7)] + [(7, 8, 1.0)])
+    graphs = [
+        NeighborGraph.from_edges(6, 1, []),
+        star,
+        shuffled_path(2000, seed=0),
+        disjoint_union(shuffled_path(300, seed=1), star, shuffled_path(2, seed=2), isolated=4),
+    ]
+    for seed in range(6):
+        parts = [random_graph(m, seed=seed + m, extra_edges=m // 3, connected=False)
+                 for m in (30, 12, 3)]
+        graphs.append(disjoint_union(*parts, isolated=seed))
+    for g in graphs:
+        assert np.array_equal(components(g), components_reference(g))
