@@ -66,7 +66,7 @@ def power_iteration(
     law. The damped walk has no closed form; the undamped limit is
     :func:`stationary`, which the CLI uses instead, so `anchors.tolerance`,
     `anchors.max_iterations` and the cap warning apply only when
-    `anchors.damping` > 0.
+    0 < `anchors.damping` < 1.
     """
     if operator.kind != "stochastic":
         raise ValueError("power_iteration needs the row-stochastic operator")

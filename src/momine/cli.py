@@ -75,7 +75,7 @@ DEFAULTS = {
     "anchors.mode": "maxima",  # maxima | all (every non-isolated node, by pi)
     "anchors.tolerance": 1e-10,
     "anchors.max_iterations": 10000,
-    "anchors.damping": 0.0,  # 0 = off
+    "anchors.damping": 0.0,  # 0 (or 1) = off
     "mining.k_pos": 50,
     "mining.k_neg": 100,
     "mining.max_pos": 0,  # 0 = unlimited
@@ -145,7 +145,7 @@ _CHECKS = {
     "anchors.mode": (str, lambda v: v in ("maxima", "all"), "'maxima' or 'all'"),
     "anchors.tolerance": (float, lambda v: v > 0, "> 0"),
     "anchors.max_iterations": (int, lambda v: v >= 1, ">= 1"),
-    "anchors.damping": (float, lambda v: 0 <= v <= 1, "in [0, 1] (0 = off)"),
+    "anchors.damping": (float, lambda v: 0 <= v <= 1, "in [0, 1] (0 or 1 = off)"),
     "mining.mode": (str, lambda v: v in ("mined", "baseline"), "'mined' or 'baseline'"),
     "mining.baseline_k": (int, lambda v: v >= 1, ">= 1"),
     "mining.oracle": (
@@ -344,10 +344,11 @@ def cmd_diffuse(args, cfg, seed, out: Path):
 
 def _stationary(graph, cfg, command):
     """The stationary distribution of the graph's walk and how it was found:
-    in closed form when undamped, else by damped power iteration, whose stop
-    at the iteration cap is reported on stderr."""
+    in closed form when undamped (damping 0, or 1, which mixes in nothing),
+    else by damped power iteration, whose stop at the iteration cap is
+    reported on stderr."""
     damping = float(cfg["anchors.damping"])
-    if not damping:
+    if damping in (0.0, 1.0):
         pi, parts = stationary(graph)
         return pi, f"stationary: closed form, {parts} components"
     sto = normalize_graph(graph, "stochastic")

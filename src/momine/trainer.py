@@ -358,17 +358,16 @@ def alternate_rounds(
     diffusion_config: DiffusionConfig,
     mining_config: MiningConfig,
     train_config: TrainConfig,
-    power_tolerance: float = 1e-10,
-    power_max_iterations: int = 10000,
 ):
     """Alternate (mine -> train) for `rounds` rounds.
 
     Round 1 mines on the (normalized) input features; each later round embeds
     the whole set with the current model and mines on those embeddings, while
     the model keeps consuming the original features. Returns (model, rounds
-    info), one record per round with the graph, anchors, pools and train log.
+    info), one record per round with the graph, its closed-form stationary
+    distribution pi, anchors, pools and train log.
     """
-    from .anchors import power_iteration, select_anchors
+    from .anchors import select_anchors, stationary
     from .features import l2_normalize
     from .graph import build_reciprocal_graph, normalize_graph
     from .mining import build_training_pool
@@ -383,9 +382,8 @@ def alternate_rounds(
             space = FeatureSet(data=forward(model, features.data), normalized=True)
         graph = build_reciprocal_graph(space, graph_k)
         sym = normalize_graph(graph, "symmetric")
-        sto = normalize_graph(graph, "stochastic")
-        stationary = power_iteration(sto, power_tolerance, power_max_iterations)
-        anchor_set = select_anchors(graph, stationary.pi, anchor_count)
+        pi, _ = stationary(graph)
+        anchor_set = select_anchors(graph, pi, anchor_count)
         pools, pool_items = build_training_pool(
             anchor_set, space, sym, diffusion_config, mining_config
         )
@@ -394,7 +392,7 @@ def alternate_rounds(
             {
                 "round": rnd,
                 "graph": graph,
-                "stationary": stationary,
+                "pi": pi,
                 "anchors": anchor_set,
                 "pools": pools,
                 "pool_items": pool_items,

@@ -428,6 +428,21 @@ def test_undamped_pipeline_uses_the_closed_form_and_ignores_the_cap(tmp_path, ca
         assert re.search(r"\(stationary: closed form, [1-9][0-9]* components\)", line), line
 
 
+def test_damping_one_mixes_in_nothing_and_takes_the_closed_form(tmp_path, capsys):
+    # beta = 1 is the undamped walk, so it must not reach power iteration
+    runs = {}
+    for damping in ("0", "1"):
+        out = tmp_path / damping
+        assert main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE
+                    + ["--set", "anchors.max_iterations", "3",
+                       "--set", "anchors.damping", damping]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "(stationary: closed form, " in captured.out
+        runs[damping] = (out / "model.bin").read_bytes()
+    assert runs["0"] == runs["1"]
+
+
 @pytest.mark.parametrize("damping", ["0", "0.5"])
 def test_anchors_on_an_edgeless_graph_is_a_data_error(tmp_path, capsys, damping):
     path = tmp_path / "graph.txt"

@@ -390,13 +390,12 @@ def test_alternate_single_round_equals_plain_train():
     model_a = EmbeddingModel.initialize("linear", 8, 8, seed=2)
     model_a, rec = alternate_rounds(fn, 1, model_a, 6, 50, dcfg, mcfg, tcfg)
 
-    from momine.anchors import power_iteration, select_anchors
+    from momine.anchors import select_anchors, stationary
     from momine.graph import build_reciprocal_graph, normalize_graph
     from momine.mining import build_training_pool
 
     graph = build_reciprocal_graph(fn, 6)
-    stat = power_iteration(normalize_graph(graph, "stochastic"), 1e-10, 10000)
-    anchors = select_anchors(graph, stat.pi, 50)
+    anchors = select_anchors(graph, stationary(graph)[0], 50)
     pools, _ = build_training_pool(anchors, fn, normalize_graph(graph, "symmetric"), dcfg, mcfg)
     model_b = EmbeddingModel.initialize("linear", 8, 8, seed=2)
     model_b, _ = train(fn, pools, model_b, tcfg, mcfg)
