@@ -51,12 +51,12 @@ from .graph import (
 from .mining import (
     AnchorPools,
     MiningConfig,
-    TrainingTuple,
     baseline_pools,
     build_training_pool,
     load_pools,
     mine_anchor_pools,
     oracle_pools,
+    pool_table,
     sample_epoch_tuples,
     save_pools,
 )

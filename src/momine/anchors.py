@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadAnchors, EmptyGraph
-from .graph import NeighborGraph, NormalizedOperator, components
+from .graph import NeighborGraph, NormalizedOperator, components, top_k
 
 
 @dataclass
@@ -144,8 +144,7 @@ def select_anchors(graph: NeighborGraph, pi: np.ndarray, count: int) -> AnchorSe
     maxima = np.asarray(local_maxima(graph, pi), dtype=np.int64)
     if maxima.size == 0:
         return AnchorSet(anchor_ids=maxima, pi_values=np.zeros(0))
-    order = np.lexsort((maxima, -pi[maxima]))[:count]
-    chosen = maxima[order]
+    chosen = maxima[top_k(pi[maxima], min(count, maxima.size))]
     return AnchorSet(anchor_ids=chosen, pi_values=np.asarray(pi)[chosen])
 
 

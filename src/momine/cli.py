@@ -246,8 +246,7 @@ def _anchor_set(graph, pi, cfg) -> AnchorSet:
     count = int(cfg["anchors.count"])
     if cfg["anchors.mode"] == "all":
         ids = np.flatnonzero(graph.degrees > 0)
-        order = np.lexsort((ids, -pi[ids]))[:count]
-        chosen = ids[order]
+        chosen = ids[top_k(pi[ids], min(count, ids.size))]
         return AnchorSet(anchor_ids=chosen, pi_values=pi[chosen])
     return select_anchors(graph, pi, count)
 
@@ -287,9 +286,8 @@ def _mine_pools(feats, graph, anchor_set, cfg, seed, labels=None):
             for a in anchor_set.anchor_ids
         ]
         pools = [p for p in pools if p.positives or p.negatives]
-        items = None
     else:
-        pools, items = build_training_pool(anchor_set, feats, sym, dcfg, mcfg)
+        pools, _ = build_training_pool(anchor_set, feats, sym, dcfg, mcfg)
     if cfg["mining.oracle"] != "none":
         if labels is None:
             raise MomineError("oracle pools need --labels")

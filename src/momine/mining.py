@@ -6,20 +6,14 @@ per-epoch hard-negative window looks at the current embedding.
 """
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (
-    DiffusionConfig,
-    SimilarityColumn,
-    check_anchor_ids,
-    manifold_knn,
-    solve_column,
-    solve_columns,
-)
-from .errors import AllPoolsEmpty, DimMismatch, LabelsMissing
+from .diffusion import DiffusionConfig, check_anchor_ids, solve_column, solve_columns
+from .errors import AllPoolsEmpty, BadPools, DimMismatch, LabelsMissing
 from .features import FeatureSet
 from .graph import NormalizedOperator, similarity, top_k
 
@@ -57,23 +51,6 @@ class AnchorPools:
     diffusion_converged: bool = True
 
 
-@dataclass
-class TrainingTuple:
-    anchor_id: int
-    positive_id: int
-    negative_id: int
-    weight: float  # s_m of the chosen positive
-
-
-def _euclidean_ranked(features: FeatureSet, anchor: int, k: int):
-    """Top-k items by similarity to the anchor, self excluded; same ranking
-    rule as knn_search (descending s_e, ties by ascending index)."""
-    sims = similarity(features.data @ features.data[anchor])
-    sims[anchor] = -np.inf
-    order = top_k(sims, k)
-    return order, sims[order]
-
-
 def mine_anchor_pools(
     anchor: int,
     features: FeatureSet,
@@ -83,49 +60,60 @@ def mine_anchor_pools(
 ) -> AnchorPools:
     """Both pools from a single diffusion solve for the anchor."""
     column = solve_column(operator, anchor, diffusion_config)
-    return _pools_from_column(column, features, mining_config)
+    return _block_pools([column], features, mining_config)[0]
 
 
-def _pools_from_column(
-    column: SimilarityColumn, features: FeatureSet, mining_config: MiningConfig
-) -> AnchorPools:
+def _euclidean_block(features: FeatureSet, anchors: list) -> np.ndarray:
+    """s_e to each anchor, self at -inf, a GEMV per row: a GEMM rounds differently."""
+    sims = np.stack([similarity(features.data @ features.data[a]) for a in anchors])
+    sims[np.arange(len(anchors)), anchors] = -np.inf
+    return sims
+
+
+def _pairs(ids: np.ndarray, values: np.ndarray) -> list:
+    return list(zip(ids.tolist(), values[ids].tolist()))
+
+
+def _block_pools(columns: list, features: FeatureSet, mining_config: MiningConfig) -> list:
     """Positives: manifold top-k_pos minus Euclidean top-k_pos, by descending
     s_m. Negatives: Euclidean top-k_neg minus manifold top-k_neg, by
     descending s_e, capped at max_neg.
 
-    Each side is ranked once, to the larger k; the rankings are exact, so
-    their prefixes are the smaller rankings. Neighbor counts above n-1 are
+    Each side of the block is ranked once, to the larger k, by one 2-D
+    top_k; the rankings are exact, so their prefixes are the smaller
+    rankings. The anchor's own manifold value is set to -inf, which ranks the
+    others as "top k+1, then drop self" does. Neighbor counts above n-1 are
     clamped (the large-set k_neg default can exceed a desk-scale collection).
     """
     n = features.n
-    anchor = column.anchor_index
+    anchors = [c.anchor_index for c in columns]
+    rows = np.arange(len(columns))[:, None]
     k_pos = min(mining_config.k_pos, n - 1)
     k_neg = min(mining_config.k_neg, n - 1)
-    k = max(k_pos, k_neg)
-    nn_m = manifold_knn(column, k, exclude_self=True)
-    nn_e, sims_e = _euclidean_ranked(features, anchor, k)
+    manifold = np.stack([c.values for c in columns])
+    manifold[rows[:, 0], anchors] = -np.inf
+    nn_m = top_k(manifold, max(k_pos, k_neg))
+    sims = _euclidean_block(features, anchors)
+    nn_e = top_k(sims, max(k_pos, k_neg))
+    # membership in the other side's top-k, marked on n-wide rows: memory
+    # O(block * n), where comparing every pair of two top-k lists is O(block * k^2)
+    listed = np.zeros((2,) + manifold.shape, dtype=bool)
+    listed[0, rows, nn_e[:, :k_pos]] = listed[1, rows, nn_m[:, :k_neg]] = True
+    pos_kept = ~listed[0, rows, nn_m[:, :k_pos]]
+    neg_kept = ~listed[1, rows, nn_e[:, :k_neg]]
+    pools = []
+    for i, column in enumerate(columns):
+        pos = nn_m[i, :k_pos][pos_kept[i]][: mining_config.max_pos]
+        neg = nn_e[i, :k_neg][neg_kept[i]][: mining_config.max_neg]
+        pos_pairs, neg_pairs = _pairs(pos, column.values), _pairs(neg, sims[i])
+        pools.append(AnchorPools(anchors[i], pos_pairs, neg_pairs, column.converged))
+    return pools
 
-    euclid_set = set(nn_e[:k_pos].tolist())
-    positives = [
-        (j, float(column.values[j])) for j in nn_m[:k_pos].tolist() if j not in euclid_set
-    ]
-    if mining_config.max_pos is not None:
-        positives = positives[: mining_config.max_pos]
 
-    manifold_set = set(nn_m[:k_neg].tolist())
-    negatives = [
-        (j, float(s))
-        for j, s in zip(nn_e[:k_neg].tolist(), sims_e[:k_neg])
-        if j not in manifold_set
-    ]
-    negatives = negatives[: mining_config.max_neg]
-
-    return AnchorPools(
-        anchor_id=anchor,
-        positives=positives,
-        negatives=negatives,
-        diffusion_converged=column.converged,
-    )
+def _ranked(ids: np.ndarray, sims: np.ndarray, k) -> np.ndarray:
+    """At most k of the ascending ids, by descending sims[id], ties by id."""
+    k = ids.size if k is None else min(k, ids.size)
+    return ids[top_k(sims[ids], k)] if k else ids[:0]
 
 
 def baseline_pools(
@@ -141,18 +129,16 @@ def baseline_pools(
         raise ValueError("k_base must be >= 1")
     n = features.n
     check_anchor_ids([anchor], n)
-    k_base = min(k_base, n - 1)
-    nn_e, sims = _euclidean_ranked(features, anchor, k_base)
-    positives = [(int(j), float(s)) for j, s in zip(nn_e, sims)]
-    excluded = set(int(j) for j in nn_e) | {anchor}
-    candidates = np.asarray([j for j in range(n) if j not in excluded], dtype=np.int64)
+    sims = _euclidean_block(features, [anchor])[0]
+    nn_e = top_k(sims, min(k_base, n - 1))
+    candidate = np.ones(n, dtype=bool)
+    candidate[nn_e] = candidate[anchor] = False
+    candidates = np.flatnonzero(candidate)
     rng = np.random.default_rng([seed, anchor])
     take = min(max_neg, candidates.size)
     drawn = rng.choice(candidates, size=take, replace=False) if take else candidates[:0]
-    sims_all = similarity(features.data @ features.data[anchor])
-    order = np.lexsort((drawn, -sims_all[drawn]))
-    negatives = [(int(j), float(sims_all[j])) for j in drawn[order]]
-    return AnchorPools(anchor_id=anchor, positives=positives, negatives=negatives)
+    neg = _ranked(np.sort(drawn), sims, take)
+    return AnchorPools(anchor, _pairs(nn_e, sims), _pairs(neg, sims))
 
 
 def oracle_pools(
@@ -175,19 +161,13 @@ def oracle_pools(
         raise ValueError(f"mode must be 'positive' or 'negative', got {mode!r}")
     labels = np.asarray(labels)
     anchor = base.anchor_id
-    sims = similarity(features.data @ features.data[anchor])
+    sims = _euclidean_block(features, [anchor])[0]
     same = labels == labels[anchor]
     if mode == "positive":
-        ids = np.flatnonzero(same)
-        ids = ids[ids != anchor]
-        order = np.lexsort((ids, -sims[ids]))
-        pool = [(int(j), float(sims[j])) for j in ids[order]]
-        if max_pos is not None:
-            pool = pool[:max_pos]
+        same[anchor] = False
+        pool = _pairs(_ranked(np.flatnonzero(same), sims, max_pos), sims)
         return AnchorPools(anchor, pool, list(base.negatives), base.diffusion_converged)
-    ids = np.flatnonzero(~same)
-    order = np.lexsort((ids, -sims[ids]))[:max_neg]
-    pool = [(int(j), float(sims[j])) for j in ids[order]]
+    pool = _pairs(_ranked(np.flatnonzero(~same), sims, max_neg), sims)
     return AnchorPools(anchor, list(base.positives), pool, base.diffusion_converged)
 
 
@@ -200,8 +180,8 @@ def build_training_pool(
 ):
     """Pools for every anchor plus the item union they span.
 
-    Anchors are solved ANCHOR_BLOCK at a time; each column is bit-equal to
-    its single-anchor solve.
+    Anchors are solved and ranked ANCHOR_BLOCK at a time; each column is
+    bit-equal to its single-anchor solve.
 
     Anchors whose pools both come out empty are dropped (with a warning) and
     do not enter the union. Raises AllPoolsEmpty if nothing survives.
@@ -210,74 +190,103 @@ def build_training_pool(
         raise DimMismatch(f"graph has n={operator.n}, features have n={features.n}")
     anchors = check_anchor_ids(anchor_set.anchor_ids, features.n)
     pools = []
-    members = set()
-    dropped = 0
     for start in range(0, anchors.size, ANCHOR_BLOCK):
-        block = anchors[start : start + ANCHOR_BLOCK]
-        for column in solve_columns(operator, block, diffusion_config):
-            p = _pools_from_column(column, features, mining_config)
-            if not p.positives and not p.negatives:
-                dropped += 1
-                continue
-            pools.append(p)
-            members.add(p.anchor_id)
-            members.update(j for j, _ in p.positives)
-            members.update(j for j, _ in p.negatives)
-    if dropped:
-        warnings.warn(f"dropped {dropped} anchors with empty pools", stacklevel=2)
+        columns = solve_columns(operator, anchors[start : start + ANCHOR_BLOCK], diffusion_config)
+        pools += [p for p in _block_pools(columns, features, mining_config)
+                  if p.positives or p.negatives]
+    if len(pools) < anchors.size:
+        warnings.warn(f"dropped {anchors.size - len(pools)} anchors with empty pools", stacklevel=2)
     if not pools:
         raise AllPoolsEmpty("every anchor produced empty pools")
-    return pools, np.asarray(sorted(members), dtype=np.int64)
+    return pools, pool_table(pools).members
 
 
-def sample_epoch_tuples(
-    pools: list,
-    current_embeddings: np.ndarray,
-    mining_config: MiningConfig,
-    seed,
-):
-    """One (anchor, positive, negative) tuple per usable anchor.
+@dataclass
+class PoolTable:
+    """Pools flattened for sampling, in pool order, keeping the usable ones
+    (with a positive and a negative). Pool i draws its positive from
+    pos_ids[pos_offsets[i] : pos_offsets[i + 1]], and a tuple with positive t
+    trains at weights[t]. Its negatives are neg_ids[i, : neg_sizes[i]],
+    sorted by id; the rest of the row is 0."""
+
+    anchors: np.ndarray
+    pos_offsets: np.ndarray
+    pos_ids: np.ndarray
+    weights: np.ndarray
+    neg_ids: np.ndarray
+    neg_sizes: np.ndarray
+    members: np.ndarray  # sorted ids of every anchor and member of every pool
+    skipped: int  # pools without a positive or without a negative
+
+
+def pool_table(pools: list, weighting: str = "none") -> PoolTable:
+    """The pools as one table. A tuple's weight is its positive's s_m
+    ("none"); that divided by the largest s_m among all positives of the same
+    anchor, in any pool, or 0 where that is not positive ("per-anchor-max");
+    or 1 ("unit")."""
+    anchors = np.fromiter((p.anchor_id for p in pools), np.int64, len(pools))
+    n_pos = np.fromiter((len(p.positives) for p in pools), np.int64, len(pools))
+    n_neg = np.fromiter((len(p.negatives) for p in pools), np.int64, len(pools))
+    pos_ids = np.fromiter((j for p in pools for j, _ in p.positives), np.int64, n_pos.sum())
+    weights = np.fromiter((w for p in pools for _, w in p.positives), np.float64, n_pos.sum())
+    neg_ids = np.fromiter((j for p in pools for j, _ in p.negatives), np.int64, n_neg.sum())
+    if weighting == "per-anchor-max":
+        keys, owner = np.unique(np.repeat(anchors, n_pos), return_inverse=True)
+        top = np.full(keys.size, -np.inf)
+        np.maximum.at(top, owner, weights)
+        weights = np.divide(weights, top[owner], out=np.zeros_like(weights), where=top[owner] > 0)
+    elif weighting == "unit":
+        weights = np.ones_like(weights)
+    use = (n_pos > 0) & (n_neg > 0)
+    sizes = n_neg[use]
+    block = np.full((sizes.size, sizes.max(initial=0)), np.iinfo(np.int64).max)
+    real = np.arange(block.shape[1]) < sizes[:, None]
+    block[real] = neg_ids[np.repeat(use, n_neg)]
+    block.sort(axis=1)
+    block[~real] = 0
+    return PoolTable(
+        anchors[use], np.concatenate([[0], np.cumsum(n_pos[use])]),
+        pos_ids[np.repeat(use, n_pos)], weights[np.repeat(use, n_pos)], block, sizes,
+        np.unique(np.concatenate([anchors, pos_ids, neg_ids])), len(pools) - sizes.size,
+    )
+
+
+def sample_epoch_tuples(table: PoolTable, current_embeddings, mining_config: MiningConfig, seed):
+    """One (anchor, positive, negative, weight) tuple per pool of the table.
 
     The positive is uniform over the positive pool; the negative is uniform
     over the hard window: the hard_subset_size pool members closest to the
-    anchor in the current embedding space. Returns (tuples, skipped_count).
+    anchor in the current embedding space, ties by id. Returns the four
+    columns as arrays and the table's skipped count.
     """
-    usable = [p for p in pools if p.positives and p.negatives]
-    skipped = len(pools) - len(usable)
-    if not usable:
-        return [], skipped
+    anchors, ids, m = table.anchors, table.neg_ids, table.anchors.size
     z = np.asarray(current_embeddings)
-    anchors = np.asarray([p.anchor_id for p in usable], dtype=np.int64)
-    sizes = np.asarray([len(p.negatives) for p in usable])
-    real = np.arange(sizes.max()) < sizes[:, None]
-    # negatives padded to one id block; the padding sorts after every member
-    ids = np.full(real.shape, np.iinfo(np.int64).max)
-    ids[real] = [j for p in usable for j, _ in p.negatives]
-    rows = np.where(real, ids, 0)
-    dists = np.empty(real.shape)
-    for start in range(0, len(usable), ANCHOR_BLOCK):
+    if table.members.size and not 0 <= table.members[0] <= table.members[-1] < len(z):
+        raise BadPools(f"pool member ids outside the {len(z)} rows of the embeddings")
+    dists = np.empty(ids.shape)
+    # np.linalg.norm's steps (square, add.reduce over the last axis, sqrt)
+    # in one reused buffer: the same values bit for bit
+    buf = np.empty((min(m, ANCHOR_BLOCK), ids.shape[1], z.shape[1]))
+    for start in range(0, m, ANCHOR_BLOCK):
         block = slice(start, start + ANCHOR_BLOCK)
-        dists[block] = np.linalg.norm(z[rows[block]] - z[anchors[block], None], axis=2)
-    dists[~real] = np.nan
-    windows = np.take_along_axis(ids, np.lexsort((ids, dists), axis=-1), axis=1)
+        diff = buf[: min(ANCHOR_BLOCK, m - start)]
+        np.take(z, ids[block], axis=0, out=diff, mode="clip")  # ids checked above
+        diff -= z[anchors[block], None]
+        diff *= diff
+        np.add.reduce(diff, axis=2, out=dists[block])
+    np.sqrt(dists, out=dists)
+    dists[np.arange(ids.shape[1]) >= table.neg_sizes[:, None]] = np.nan
+    # rows are sorted by id, so a stable sort breaks distance ties by id
+    order = np.argsort(dists, axis=1, kind="stable")
     # one draw per positive pool and per hard window, in pool order
-    bounds = np.empty(2 * len(usable), dtype=np.int64)
-    bounds[0::2] = [len(p.positives) for p in usable]
-    bounds[1::2] = np.minimum(sizes, mining_config.hard_subset_size)
+    bounds = np.empty(2 * m, dtype=np.int64)
+    bounds[0::2] = np.diff(table.pos_offsets)
+    bounds[1::2] = np.minimum(table.neg_sizes, mining_config.hard_subset_size)
     draws = np.random.default_rng(seed).integers(bounds)
-    negatives = windows[np.arange(len(usable)), draws[1::2]].tolist()
-    tuples = []
-    for pool, pick, neg_id in zip(usable, draws[0::2].tolist(), negatives):
-        pos_id, pos_w = pool.positives[pick]
-        tuples.append(
-            TrainingTuple(
-                anchor_id=pool.anchor_id,
-                positive_id=int(pos_id),
-                negative_id=neg_id,
-                weight=float(pos_w),
-            )
-        )
-    return tuples, skipped
+    rows = np.arange(m)
+    pick = table.pos_offsets[:-1] + draws[0::2]
+    negatives = ids[rows, order[rows, draws[1::2]]]
+    return (anchors, table.pos_ids[pick], negatives, table.weights[pick]), table.skipped
 
 
 def save_pools(pools: list, path) -> None:
@@ -291,27 +300,46 @@ def save_pools(pools: list, path) -> None:
             )
 
 
+def _is_id(j) -> bool:
+    return type(j) is int and 0 <= j < 2**63  # an int64 array index
+
+
+def _pool_entry(pair) -> tuple:
+    j, w = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
+    if not _is_id(j) or type(w) not in (int, float) or not (math.isfinite(w) and w >= 0):
+        raise ValueError(f"{pair!r} is not an [id >= 0, finite weight >= 0] pair")
+    return j, float(w)
+
+
+def _pool_from_json(obj) -> AnchorPools:
+    if not (isinstance(obj, dict) and _is_id(obj.get("anchor"))):
+        raise ValueError('not an object with an integer "anchor" >= 0')
+    pos, neg = ([_pool_entry(e) for e in obj[side]] for side in ("positives", "negatives"))
+    return AnchorPools(obj["anchor"], pos, neg)
+
+
 def load_pools(path) -> list:
+    """Read a pools file written by :func:`save_pools`. Raises BadPools,
+    naming the file and line, on a line that is not an object with an integer
+    "anchor" and "positives" and "negatives" lists of [id, weight] pairs
+    (ids below 2^63, both >= 0, weights finite), and on a file without pools."""
     pools = []
     with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            pools.append(
-                AnchorPools(
-                    anchor_id=int(obj["anchor"]),
-                    positives=[(int(j), float(w)) for j, w in obj["positives"]],
-                    negatives=[(int(j), float(w)) for j, w in obj["negatives"]],
-                )
-            )
+        for number, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    pools.append(_pool_from_json(json.loads(line)))
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
+                raise BadPools(f"{path}:{number}: {type(exc).__name__}: {exc}") from None
+    if not pools:
+        raise BadPools(f"{path}: no pools")
     return pools
 
 
-def save_tuples(tuples: list, path) -> None:
+def save_tuples(tuples, path) -> None:
+    """JSON lines from the (anchor, positive, negative, weight) arrays of
+    :func:`sample_epoch_tuples`, weights at 9 significant digits."""
+    columns = (np.asarray(col).tolist() for col in tuples)
+    lines = map('{{"r": {}, "p": {}, "n": {}, "w": {:.9g}}}\n'.format, *columns)
     with open(path, "w") as fh:
-        for t in tuples:
-            fh.write(
-                f'{{"r": {t.anchor_id}, "p": {t.positive_id}, "n": {t.negative_id}, '
-                f'"w": {t.weight:.9g}}}\n'
-            )
+        fh.write("".join(lines))

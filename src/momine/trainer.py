@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .anchors import select_anchors, stationary
 from .diffusion import DiffusionConfig
 from .errors import BadMagic, BadPools, DegenerateOutput, Diverged, TrailingBytes, TruncatedFile
-from .features import FeatureSet
-from .mining import MiningConfig, sample_epoch_tuples
+from .features import FeatureSet, l2_normalize
+from .graph import build_reciprocal_graph, normalize_graph
+from .mining import MiningConfig, build_training_pool, pool_table, sample_epoch_tuples
 
 MODEL_MAGIC = b"MOMM"
 _KIND_CODES = {"linear": 0, "mlp": 1}
@@ -283,15 +285,9 @@ def train(
         raise ValueError("pools must be non-empty")
     if features.d != model.input_dim:
         raise ValueError(f"model expects input_dim={model.input_dim}, features have d={features.d}")
-    members = set()
-    max_w = {}
-    for pool in pools:
-        members.add(pool.anchor_id)
-        members.update(j for j, _ in pool.positives)
-        members.update(j for j, _ in pool.negatives)
-        if pool.positives:
-            max_w[pool.anchor_id] = max(w for _, w in pool.positives)
-    members = np.asarray(sorted(members), dtype=np.int64)
+    weighting = train_config.weight_normalization if train_config.weighted else "unit"
+    table = pool_table(pools, weighting)
+    members = table.members
     if members[0] < 0 or members[-1] >= features.n:
         bad = members[0] if members[0] < 0 else members[-1]
         raise BadPools(f"pool member id {bad} out of range [0, {features.n})")
@@ -304,48 +300,32 @@ def train(
         lr = train_config.lr0 * train_config.lr_decay ** (epoch // train_config.lr_decay_every)
         z_pool = np.zeros((features.n, model.output_dim))
         z_pool[members] = forward(model, features.data[members])
-        tuples, _ = sample_epoch_tuples(
-            pools, z_pool, mining_config, seed=[train_config.seed, 2, epoch]
+        (anchors, positives, negatives, weights), _ = sample_epoch_tuples(
+            table, z_pool, mining_config, seed=[train_config.seed, 2, epoch]
         )
-        if not tuples:
+        if not anchors.size:
             log.append({"epoch": epoch, "mean_loss": 0.0, "lr": lr, "tuples_used": 0})
             continue
-        order = shuffle_rng.permutation(len(tuples))
+        order = shuffle_rng.permutation(anchors.size)
         total = 0.0
-        for start in range(0, len(order), train_config.batch_size):
-            batch = [tuples[t] for t in order[start : start + train_config.batch_size]]
-            r_ids = np.asarray([t.anchor_id for t in batch])
-            p_ids = np.asarray([t.positive_id for t in batch])
-            n_ids = np.asarray([t.negative_id for t in batch])
-            if train_config.weighted:
-                if train_config.weight_normalization == "per-anchor-max":
-                    w = np.asarray(
-                        [
-                            t.weight / max_w[t.anchor_id] if max_w.get(t.anchor_id, 0.0) > 0 else 0.0
-                            for t in batch
-                        ]
-                    )
-                else:
-                    w = np.asarray([t.weight for t in batch])
-            else:
-                w = np.ones(len(batch))
-            zr, cr = _forward_cache(model, features.data[r_ids])
-            zp, cp = _forward_cache(model, features.data[p_ids])
-            zn, cn = _forward_cache(model, features.data[n_ids])
+        for start in range(0, anchors.size, train_config.batch_size):
+            batch = order[start : start + train_config.batch_size]
+            w = weights[batch]
+            zr, cr = _forward_cache(model, features.data[anchors[batch]])
+            zp, cp = _forward_cache(model, features.data[positives[batch]])
+            zn, cn = _forward_cache(model, features.data[negatives[batch]])
             losses, g_r, g_p, g_n = loss_fn(zr, zp, zn, train_config.margin)
-            scale = (w / len(batch))[:, None]
+            scale = (w / batch.size)[:, None]
             grads = [[np.zeros_like(wm), np.zeros_like(bm)] for wm, bm in model.layers]
             _backward(model, cr, g_r * scale, grads)
             _backward(model, cp, g_p * scale, grads)
             _backward(model, cn, g_n * scale, grads)
             sgd_momentum_step(model.layers, grads, velocity, lr, train_config.momentum)
             total += float(np.sum(losses * w))
-        mean_loss = total / len(tuples)
+        mean_loss = total / anchors.size
         if not np.isfinite(mean_loss):
             raise Diverged(f"mean loss became non-finite at epoch {epoch}")
-        log.append(
-            {"epoch": epoch, "mean_loss": mean_loss, "lr": lr, "tuples_used": len(tuples)}
-        )
+        log.append({"epoch": epoch, "mean_loss": mean_loss, "lr": lr, "tuples_used": anchors.size})
     return model, log
 
 
@@ -367,11 +347,6 @@ def alternate_rounds(
     info), one record per round with the graph, its closed-form stationary
     distribution pi, anchors, pools and train log.
     """
-    from .anchors import select_anchors, stationary
-    from .features import l2_normalize
-    from .graph import build_reciprocal_graph, normalize_graph
-    from .mining import build_training_pool
-
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     records = []

@@ -9,7 +9,8 @@ import numpy as np
 
 from momine.diffusion import SimilarityColumn
 from momine.graph import NeighborGraph
-from momine.mining import AnchorPools, TrainingTuple
+from momine.mining import AnchorPools
+from momine.trainer import _LOSSES, _backward, _forward_cache, forward, sgd_momentum_step
 
 
 def random_graph(n, seed, extra_edges=None, connected=True, ensure_triangle=True):
@@ -317,7 +318,8 @@ def pools_two_rankings(column, features, mining_config):
 
 def sample_epoch_tuples_reference(pools, current_embeddings, mining_config, seed):
     """Reference for mining.sample_epoch_tuples: one step per pool, with a
-    scalar draw for the positive and one for the hard-window negative."""
+    scalar draw for the positive and one for the hard-window negative.
+    Returns ((anchor, positive, negative, weight) lists, skipped)."""
     rng = np.random.default_rng(seed)
     z = np.asarray(current_embeddings)
     tuples = []
@@ -331,5 +333,90 @@ def sample_epoch_tuples_reference(pools, current_embeddings, mining_config, seed
         dists = np.linalg.norm(z[neg_ids] - z[pool.anchor_id], axis=1)
         window = neg_ids[np.lexsort((neg_ids, dists))[: mining_config.hard_subset_size]]
         neg_id = int(window[rng.integers(len(window))])
-        tuples.append(TrainingTuple(pool.anchor_id, int(pos_id), neg_id, float(pos_w)))
-    return tuples, skipped
+        tuples.append((pool.anchor_id, int(pos_id), neg_id, float(pos_w)))
+    return tuple(list(col) for col in zip(*tuples)) or ([], [], [], []), skipped
+
+
+def tuple_lists(tuples):
+    """The (anchor, positive, negative, weight) arrays of sample_epoch_tuples as lists."""
+    return tuple(np.asarray(col).tolist() for col in tuples)
+
+
+def train_reference(features, pools, model, train_config, mining_config):
+    """Reference for trainer.train: tuples drawn pool by pool as Python
+    tuples, batches assembled from them, per-anchor-max weights taken over
+    every positive of the anchor in any pool."""
+    max_w = {}
+    for pool in pools:
+        for _, w in pool.positives:
+            max_w[pool.anchor_id] = max(max_w.get(pool.anchor_id, w), w)
+    members = sorted({p.anchor_id for p in pools}
+                     | {j for p in pools for j, _ in p.positives + p.negatives})
+    loss_fn = _LOSSES[train_config.loss]
+    velocity = [[np.zeros_like(w), np.zeros_like(b)] for w, b in model.layers]
+    shuffle_rng = np.random.default_rng([train_config.seed, 1])
+    log = []
+    for epoch in range(train_config.epochs):
+        lr = train_config.lr0 * train_config.lr_decay ** (epoch // train_config.lr_decay_every)
+        z_pool = np.zeros((features.n, model.output_dim))
+        z_pool[members] = forward(model, features.data[members])
+        columns, _ = sample_epoch_tuples_reference(
+            pools, z_pool, mining_config, [train_config.seed, 2, epoch]
+        )
+        tuples = list(zip(*columns))
+        if not tuples:
+            log.append({"epoch": epoch, "mean_loss": 0.0, "lr": lr, "tuples_used": 0})
+            continue
+        order = shuffle_rng.permutation(len(tuples))
+        total = 0.0
+        for start in range(0, len(order), train_config.batch_size):
+            batch = [tuples[t] for t in order[start : start + train_config.batch_size]]
+            r_ids, p_ids, n_ids = (np.asarray([t[c] for t in batch]) for c in range(3))
+            if not train_config.weighted:
+                w = np.ones(len(batch))
+            elif train_config.weight_normalization == "per-anchor-max":
+                w = np.asarray([t[3] / max_w[t[0]] if max_w[t[0]] > 0 else 0.0 for t in batch])
+            else:
+                w = np.asarray([t[3] for t in batch])
+            zr, cr = _forward_cache(model, features.data[r_ids])
+            zp, cp = _forward_cache(model, features.data[p_ids])
+            zn, cn = _forward_cache(model, features.data[n_ids])
+            losses, g_r, g_p, g_n = loss_fn(zr, zp, zn, train_config.margin)
+            scale = (w / len(batch))[:, None]
+            grads = [[np.zeros_like(wm), np.zeros_like(bm)] for wm, bm in model.layers]
+            _backward(model, cr, g_r * scale, grads)
+            _backward(model, cp, g_p * scale, grads)
+            _backward(model, cn, g_n * scale, grads)
+            sgd_momentum_step(model.layers, grads, velocity, lr, train_config.momentum)
+            total += float(np.sum(losses * w))
+        log.append({"epoch": epoch, "mean_loss": total / len(tuples), "lr": lr,
+                    "tuples_used": len(tuples)})
+    return model, log
+
+
+def baseline_pools_reference(anchor, features, k_base, seed, max_neg):
+    """Reference for mining.baseline_pools: the candidate set built by a
+    Python loop and every ranking by a full lexsort on (-s_e, id)."""
+    n = features.n
+    sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
+    others = sims.copy()
+    others[anchor] = -np.inf
+    nn_e = lexsort_top_k(others, min(k_base, n - 1))
+    excluded = set(nn_e.tolist()) | {anchor}
+    candidates = np.asarray([j for j in range(n) if j not in excluded], dtype=np.int64)
+    rng = np.random.default_rng([seed, anchor])
+    take = min(max_neg, candidates.size)
+    drawn = rng.choice(candidates, size=take, replace=False) if take else candidates[:0]
+    drawn = drawn[np.lexsort((drawn, -sims[drawn]))]
+    return AnchorPools(anchor, [(int(j), float(sims[j])) for j in nn_e],
+                       [(int(j), float(sims[j])) for j in drawn])
+
+
+def oracle_side_reference(anchor, features, labels, same_label, limit):
+    """Reference for one side of mining.oracle_pools: the other-than-anchor
+    items with (or without) the anchor's label by a full lexsort on (-s_e, id)."""
+    sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
+    ids = np.flatnonzero((np.asarray(labels) == labels[anchor]) == same_label)
+    ids = ids[ids != anchor]
+    ids = ids[np.lexsort((ids, -sims[ids]))][:limit]
+    return [(int(j), float(sims[j])) for j in ids]

@@ -475,3 +475,45 @@ def test_pipeline_loads_no_dense_or_graph_solvers(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "loaded: []"
     assert (tmp_path / "run" / "report.json").exists()
+
+
+GOOD_POOL_LINE = '{"anchor": 0, "positives": [[1, 0.5]], "negatives": [[2, 0.25]]}\n'
+
+
+@pytest.mark.parametrize("line,needle", [
+    ('{"anchor": 3, "positives": [[1, 0.5]]}', "KeyError: 'negatives'"),
+    ('{"anchor": 3, "positives": [[1, "0.5x"]], "negatives": [[2, 0.5]]}', "[1, '0.5x']"),
+    ('{"anchor": 3, "positives": [[1, NaN]], "negatives": [[2, 0.5]]}', "[1, nan]"),
+    ('{"anchor": 3, "positives": [[1, 0.5]], "negatives": [[2, -0.5]]}', "[2, -0.5]"),
+    ('{"anchor": 3, "positives": [[1.7, 0.5]], "negatives": [[2, 0.5]]}', "[1.7, 0.5]"),
+    ('{"anchor": 3.0, "positives": [[1, 0.5]], "negatives": [[2, 0.5]]}', "integer \"anchor\""),
+    ('{"anchor": -3, "positives": [[1, 0.5]], "negatives": [[2, 0.5]]}', "integer \"anchor\""),
+    ('{"anchor": 3, "positives": [[1, 0.5]], "negatives": [[2, 0.5], [-2, 0.5]]}', "[-2, 0.5]"),
+    ('{"anchor": 3, "positives": [[%d, 0.5]], "negatives": [[2, 0.5]]}' % 2**64, str(2**64)),
+    ('{"anchor": 3, "positives": [[1, 0.5, 7]], "negatives": [[2, 0.5]]}', "[1, 0.5, 7]"),
+    ('{"anchor": 3, "positives": [[1, 0.5]], "negatives": [[2, 0.5]', "JSONDecodeError"),
+], ids=["missing-key", "non-numeric-weight", "nan-weight", "negative-weight", "fractional-id",
+        "fractional-anchor", "negative-anchor", "negative-id", "id-past-int64", "not-a-pair",
+        "bad-json"])
+def test_train_rejects_a_bad_pool_line_with_file_and_line(tmp_path, capsys, line, needle):
+    run_gen(tmp_path / "data")
+    pools = tmp_path / "pools.jsonl"
+    pools.write_text(GOOD_POOL_LINE + "\n" + line + "\n")
+    capsys.readouterr()
+    code = main(["train", "--out", str(tmp_path / "t"), "--features",
+                 str(tmp_path / "data" / "features.bin"), "--pools", str(pools)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mom train: error:") and f"{pools}:3:" in err and needle in err
+    assert "Traceback" not in err
+
+
+def test_train_rejects_a_pool_file_without_pools(tmp_path, capsys):
+    run_gen(tmp_path / "data")
+    pools = tmp_path / "pools.jsonl"
+    pools.write_text("\n  \n")
+    capsys.readouterr()
+    code = main(["train", "--out", str(tmp_path / "t"), "--features",
+                 str(tmp_path / "data" / "features.bin"), "--pools", str(pools)])
+    assert code == 2
+    assert f"{pools}: no pools" in capsys.readouterr().err

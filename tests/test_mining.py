@@ -12,22 +12,25 @@ from momine.mining import (
     ANCHOR_BLOCK,
     AnchorPools,
     MiningConfig,
-    TrainingTuple,
     baseline_pools,
     build_training_pool,
     load_pools,
     mine_anchor_pools,
     oracle_pools,
+    pool_table,
     sample_epoch_tuples,
     save_pools,
     save_tuples,
 )
 
 from helpers import (
+    baseline_pools_reference,
     knn_oracle,
+    oracle_side_reference,
     pools_two_rankings,
     sample_epoch_tuples_reference,
     solve_column_reference,
+    tuple_lists,
 )
 
 DC = DiffusionConfig(alpha=0.99, tolerance=1e-12, max_iterations=500)
@@ -280,15 +283,14 @@ def test_sample_epoch_tuples_deterministic():
     pools = [p for p in pools if p.positives and p.negatives]
     rng = np.random.default_rng(9)
     z = rng.normal(size=(40, 5))
-    first, skipped1 = sample_epoch_tuples(pools, z, cfg, seed=123)
-    second, _ = sample_epoch_tuples(pools, z, cfg, seed=123)
-    assert [(t.anchor_id, t.positive_id, t.negative_id, t.weight) for t in first] == [
-        (t.anchor_id, t.positive_id, t.negative_id, t.weight) for t in second
-    ]
-    third, _ = sample_epoch_tuples(pools, z, cfg, seed=124)
-    assert first != third
-    for t in first:
-        assert len({t.anchor_id, t.positive_id, t.negative_id}) == 3
+    table = pool_table(pools)
+    first, skipped1 = sample_epoch_tuples(table, z, cfg, seed=123)
+    second, _ = sample_epoch_tuples(table, z, cfg, seed=123)
+    assert tuple_lists(first) == tuple_lists(second)
+    third, _ = sample_epoch_tuples(table, z, cfg, seed=124)
+    assert tuple_lists(first) != tuple_lists(third)
+    for t in zip(*tuple_lists(first)[:3]):
+        assert len(set(t)) == 3
 
 
 def test_sample_epoch_tuples_hard_window():
@@ -300,15 +302,15 @@ def test_sample_epoch_tuples_hard_window():
     z[4] = [0.0, -1.0]
     cfg = MiningConfig(k_pos=5, k_neg=5, max_neg=3, hard_subset_size=1)
     for seed in range(5):
-        tuples, _ = sample_epoch_tuples([pool], z, cfg, seed=seed)
-        assert tuples[0].negative_id == 3
+        (_, _, negatives, _), _ = sample_epoch_tuples(pool_table([pool]), z, cfg, seed=seed)
+        assert negatives[0] == 3
     # degenerate window: with the window as large as the pool every member
     # can be drawn
     cfg_all = MiningConfig(k_pos=5, k_neg=5, max_neg=3, hard_subset_size=3)
     seen = set()
     for seed in range(30):
-        tuples, _ = sample_epoch_tuples([pool], z, cfg_all, seed=seed)
-        seen.add(tuples[0].negative_id)
+        (_, _, negatives, _), _ = sample_epoch_tuples(pool_table([pool]), z, cfg_all, seed=seed)
+        seen.add(int(negatives[0]))
     assert seen == {2, 3, 4}
 
 
@@ -317,15 +319,12 @@ def test_sample_epoch_tuples_skips_empty():
     empty = AnchorPools(anchor_id=3, positives=[], negatives=[(2, 0.8)])
     z = np.eye(4)
     cfg = MiningConfig(k_pos=3, k_neg=3, max_neg=2, hard_subset_size=1)
-    tuples, skipped = sample_epoch_tuples([full, empty], z, cfg, seed=0)
-    assert len(tuples) == 1 and skipped == 1
+    tuples, skipped = sample_epoch_tuples(pool_table([full, empty]), z, cfg, seed=0)
+    assert all(len(col) == 1 for col in tuples) and skipped == 1
 
 
 def test_tuples_file_format(tmp_path):
-    tuples = [
-        TrainingTuple(anchor_id=3, positive_id=7, negative_id=1, weight=0.123456789),
-        TrainingTuple(anchor_id=5, positive_id=2, negative_id=9, weight=0.5),
-    ]
+    tuples = (np.array([3, 5]), np.array([7, 2]), np.array([1, 9]), np.array([0.123456789, 0.5]))
     path = tmp_path / "tuples.jsonl"
     save_tuples(tuples, path)
     lines = path.read_text().splitlines()
@@ -413,8 +412,59 @@ def test_sample_epoch_tuples_matches_per_pool_loop():
     # a coarse integer grid with repeated rows: many exact distance ties
     z = np.random.default_rng(14).integers(0, 3, size=(60, 4)).astype(np.float64)
     z[30:] = z[:30]
+    table = pool_table(pools)
     for seed in range(30):
-        got = sample_epoch_tuples(pools, z, cfg, seed=[seed, 2, 5])
-        assert got == sample_epoch_tuples_reference(pools, z, cfg, [seed, 2, 5])
-        assert got[1] >= 2
-    assert sample_epoch_tuples(pools[3:5], z, cfg, seed=0) == ([], 2)
+        got, skipped = sample_epoch_tuples(table, z, cfg, seed=[seed, 2, 5])
+        assert (tuple_lists(got), skipped) == sample_epoch_tuples_reference(pools, z, cfg, [seed, 2, 5])
+        assert skipped >= 2
+    got, skipped = sample_epoch_tuples(pool_table(pools[3:5]), z, cfg, seed=0)
+    assert (tuple_lists(got), skipped) == (([], [], [], []), 2)
+
+
+def test_baseline_and_oracle_pools_match_lexsort_references():
+    for feats, graph, op in (small_setup(n=60, seed=15), duplicated_setup()):
+        labels = np.arange(feats.n) % 3
+        for anchor in range(0, feats.n, 7):
+            for k_base, max_neg in ((5, 10), (3, 200), (200, 10)):
+                got = baseline_pools(anchor, feats, k_base=k_base, seed=4, max_neg=max_neg)
+                assert got == baseline_pools_reference(anchor, feats, k_base, 4, max_neg)
+            base = AnchorPools(anchor, [(1, 0.5)], [(2, 0.4)])
+            for max_pos in (None, 4):
+                pos = oracle_pools(base, labels, "positive", feats, max_pos=max_pos)
+                assert pos.positives == oracle_side_reference(anchor, feats, labels, True, max_pos)
+                assert pos.negatives == base.negatives
+            neg = oracle_pools(base, labels, "negative", feats, max_neg=9)
+            assert neg.negatives == oracle_side_reference(anchor, feats, labels, False, 9)
+            assert neg.positives == base.positives
+
+
+@pytest.mark.parametrize("k_pos,k_neg,max_pos", [(12, 30, 4), (500, 20, None), (9, 500, None)])
+def test_block_pools_match_two_rankings_with_isolated_anchors(k_pos, k_neg, max_pos):
+    # a sparse reciprocal graph leaves isolated nodes; k above n - 1 is clamped
+    feats, graph, op = small_setup(n=90, seed=21, k=2)
+    assert (graph.degrees == 0).sum() >= 3
+    cfg = MiningConfig(k_pos=k_pos, k_neg=k_neg, max_pos=max_pos, max_neg=10, hard_subset_size=3)
+    ids = np.arange(feats.n)  # one full block of 64 and a partial one
+    pools, items = build_training_pool(AnchorSet(ids, np.zeros(feats.n)), feats, op, DC, cfg)
+    expected = [pools_two_rankings(solve_column_reference(op, int(a), DC), feats, cfg) for a in ids]
+    assert pools == [p for p in expected if p.positives or p.negatives]
+    isolated = set(np.flatnonzero(graph.degrees == 0).tolist())
+    assert isolated & {p.anchor_id for p in pools}
+    assert items.tolist() == sorted({p.anchor_id for p in pools} | {
+        j for p in pools for j, _ in p.positives + p.negatives})
+
+
+def test_pool_table_per_anchor_max_spans_every_pool_of_the_anchor():
+    pools = [
+        AnchorPools(0, [(1, 0.9)], [(2, 0.5)]),
+        AnchorPools(4, [(5, 0.0)], [(2, 0.5)]),  # a zero maximum trains at weight 0
+        AnchorPools(0, [(3, 0.3), (6, 0.45)], [(2, 0.5)]),
+        AnchorPools(0, [(7, 1.8)], []),  # skipped, but its positive still counts
+    ]
+    table = pool_table(pools, "per-anchor-max")
+    assert table.weights.tolist() == [0.5, 0.0, 0.3 / 1.8, 0.45 / 1.8]
+    assert table.anchors.tolist() == [0, 4, 0] and table.skipped == 1
+    assert pool_table(pools, "none").weights.tolist() == [0.9, 0.0, 0.3, 0.45]
+    assert pool_table(pools, "unit").weights.tolist() == [1.0] * 4
+    assert table.members.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert table.neg_ids.tolist() == [[2], [2], [2]]

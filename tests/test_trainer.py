@@ -21,6 +21,8 @@ from momine.trainer import (
     triplet_loss,
 )
 
+from helpers import train_reference
+
 
 def unit(v):
     v = np.asarray(v, dtype=float)
@@ -463,3 +465,47 @@ def test_model_file_errors(tmp_path):
     path.write_bytes(blob + b"\x00")
     with pytest.raises(TrailingBytes):
         load_model(path)
+
+
+@pytest.mark.parametrize("loss,kind,weighted,normalization", [
+    ("contrastive", "linear", True, "per-anchor-max"),
+    ("triplet", "mlp", True, "per-anchor-max"),
+    ("triplet-literal", "linear", True, "none"),
+    ("contrastive", "mlp", False, "per-anchor-max"),
+    ("triplet", "linear", False, "none"),
+])
+def test_train_matches_tuple_reference(tmp_path, loss, kind, weighted, normalization):
+    fn, pools = two_moons_run()
+    pools[2:2] = [AnchorPools(7, [], [(1, 0.5)]), AnchorPools(8, [(2, 0.3)], [])]  # skipped
+    pools[5].negatives = pools[5].negatives[:2]  # fewer negatives than the window
+    pools.append(AnchorPools(pools[0].anchor_id, [(50, 1.7)], [(51, 0.2)]))  # repeated anchor
+    mcfg = MiningConfig(hard_subset_size=5, max_neg=50)
+    tcfg = TrainConfig(loss=loss, weighted=weighted, weight_normalization=normalization,
+                       epochs=4, seed=5, batch_size=16)
+    runs = []
+    for fit in (train, train_reference):
+        model = EmbeddingModel.initialize(kind, 8, 5, hidden_dim=6 if kind == "mlp" else 0, seed=1)
+        model, log = fit(fn, pools, model, tcfg, mcfg)
+        save_model(model, tmp_path / "model.bin")
+        runs.append(([p for layer in model.layers for p in layer], log,
+                     (tmp_path / "model.bin").read_bytes()))
+    (params, log, blob), (ref_params, ref_log, ref_blob) = runs
+    assert all(np.array_equal(a, b) for a, b in zip(params, ref_params))
+    assert log == ref_log and blob == ref_blob
+    assert all(row["tuples_used"] == len(pools) - 2 for row in log)
+
+
+def test_per_anchor_max_normalizes_over_every_pool_of_a_repeated_anchor():
+    fn, _ = two_moons_run()
+    mcfg = MiningConfig(hard_subset_size=2, max_neg=50)
+    tcfg = TrainConfig(epochs=3, seed=4, batch_size=2)
+    negatives = [(20, 0.4), (21, 0.3)]
+    split = [AnchorPools(0, [(1, 0.9)], negatives), AnchorPools(0, [(3, 0.3)], negatives)]
+    # the same pools with the weights already divided by the anchor's max, 0.9
+    scaled = [AnchorPools(0, [(1, 1.0)], negatives), AnchorPools(0, [(3, 0.3 / 0.9)], negatives)]
+    models = []
+    for pools, normalization in ((split, "per-anchor-max"), (scaled, "none")):
+        model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
+        cfg = TrainConfig(**{**tcfg.__dict__, "weight_normalization": normalization})
+        models.append(train(fn, pools, model, cfg, mcfg)[0].layers[0][0])
+    assert np.array_equal(models[0], models[1])
