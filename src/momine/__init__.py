@@ -20,7 +20,6 @@ from .anchors import (
 from .diffusion import (
     DiffusionConfig,
     SimilarityColumn,
-    dense_oracle,
     manifold_knn,
     solve_column,
     solve_columns,
@@ -64,7 +63,6 @@ from .evaluation import EvalReport, evaluate_embeddings, kmeans, mean_average_pr
 from .trainer import (
     EmbeddingModel,
     TrainConfig,
-    alternate_rounds,
     apply_weight,
     contrastive_loss,
     forward,

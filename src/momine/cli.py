@@ -60,7 +60,6 @@ from .trainer import (
 
 DEFAULTS = {
     "seed": 0,
-    "threads": 1,
     "gen.kind": "moons",
     "gen.classes": 2,
     "gen.per_class": 200,
@@ -114,11 +113,16 @@ def _load_config(path) -> dict:
     if path:
         with open(path) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise BadConfig(f"{path}: the top level must be an object of dotted keys")
         unknown = sorted(set(loaded) - set(DEFAULTS))
         if unknown:
             raise MomineError(f"unknown config keys: {unknown}")
         cfg.update(loaded)
     return cfg
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _apply_overrides(cfg: dict, pairs) -> dict:
@@ -128,9 +132,11 @@ def _apply_overrides(cfg: dict, pairs) -> dict:
         ref = DEFAULTS[key]
         try:
             if isinstance(ref, bool):
-                cfg[key] = value.lower() in ("1", "true", "yes")
+                cfg[key] = _BOOLS[value.lower()]
             else:
                 cfg[key] = type(ref)(value)
+        except KeyError:
+            raise BadConfig(f"{key} must be one of {sorted(_BOOLS)}, got {value!r}") from None
         except ValueError as exc:
             raise BadConfig(f"{key}: {exc}") from None
     return cfg
@@ -138,7 +144,6 @@ def _apply_overrides(cfg: dict, pairs) -> dict:
 
 # the config values no config object checks: key -> (parse, test, rule)
 _CHECKS = {
-    "threads": (int, lambda v: v >= 1, ">= 1"),
     "prep.whiten_dims": (int, lambda v: v >= 0, ">= 0"),
     "graph.k": (int, lambda v: v >= 1, ">= 1"),
     "anchors.count": (int, lambda v: v >= 1, ">= 1"),
@@ -154,6 +159,7 @@ _CHECKS = {
     "model.kind": (str, lambda v: v in ("linear", "mlp"), "'linear' or 'mlp'"),
     "model.output_dim": (int, lambda v: v >= 1, ">= 1"),
     "model.hidden_dim": (int, lambda v: v >= 0, ">= 0"),
+    "train.weighted": (lambda v: v, lambda v: isinstance(v, bool), "true or false"),
     "train.margin": (float, lambda v: v >= 0, ">= 0 (0 = per-loss default)"),
     "rounds": (int, lambda v: v >= 1, ">= 1"),
 }
@@ -206,8 +212,17 @@ def _margin(cfg) -> float:
     return 0.7 if cfg["train.loss"] == "contrastive" else 0.5
 
 
+def _checked(section, make, **values):
+    """Build a config object; a value it rejects is reported under its dotted key."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise BadConfig(f"{section}.{exc}") from None
+
+
 def _diffusion_config(cfg) -> DiffusionConfig:
-    return DiffusionConfig(
+    return _checked(
+        "diffusion", DiffusionConfig,
         alpha=float(cfg["diffusion.alpha"]),
         tolerance=float(cfg["diffusion.tolerance"]),
         max_iterations=int(cfg["diffusion.max_iterations"]),
@@ -215,7 +230,8 @@ def _diffusion_config(cfg) -> DiffusionConfig:
 
 
 def _mining_config(cfg) -> MiningConfig:
-    return MiningConfig(
+    return _checked(
+        "mining", MiningConfig,
         k_pos=int(cfg["mining.k_pos"]),
         k_neg=int(cfg["mining.k_neg"]),
         max_pos=int(cfg["mining.max_pos"]) or None,
@@ -225,9 +241,10 @@ def _mining_config(cfg) -> MiningConfig:
 
 
 def _train_config(cfg, seed) -> TrainConfig:
-    return TrainConfig(
+    return _checked(
+        "train", TrainConfig,
         loss=cfg["train.loss"],
-        weighted=bool(cfg["train.weighted"]),
+        weighted=cfg["train.weighted"],
         margin=_margin(cfg),
         lr0=float(cfg["train.lr0"]),
         lr_decay=float(cfg["train.lr_decay"]),
@@ -265,12 +282,19 @@ def _gen(cfg, seed) -> FeatureSet:
     return generate_synthetic(_gen_spec(cfg), seed)
 
 
-def _prepared_features(path, cfg) -> FeatureSet:
-    feats = load_features(path)
+def _prepare(feats, cfg) -> FeatureSet:
+    """Whiten if configured, then l2-normalize."""
     if int(cfg["prep.whiten_dims"]):
         transform = pca_whiten_fit(feats, int(cfg["prep.whiten_dims"]))
         feats = pca_whiten_apply(feats, transform)
     return l2_normalize(feats)
+
+
+def _initial_model(cfg, input_dim, seed) -> EmbeddingModel:
+    return EmbeddingModel.initialize(
+        cfg["model.kind"], input_dim, int(cfg["model.output_dim"]),
+        int(cfg["model.hidden_dim"]), seed=seed,
+    )
 
 
 def _mine_pools(feats, graph, anchor_set, cfg, seed, labels=None):
@@ -313,7 +337,7 @@ def cmd_gen(args, cfg, seed, out: Path):
 
 
 def cmd_graph(args, cfg, seed, out: Path):
-    feats = _prepared_features(args.features, cfg)
+    feats = _prepare(load_features(args.features), cfg)
     graph = build_reciprocal_graph(feats, int(cfg["graph.k"]))
     save_graph(graph, out / "graph.txt")
     isolated = int(np.sum(graph.degrees == 0))
@@ -377,7 +401,7 @@ def cmd_anchors(args, cfg, seed, out: Path):
 
 
 def cmd_mine(args, cfg, seed, out: Path):
-    feats = _prepared_features(args.features, cfg)
+    feats = _prepare(load_features(args.features), cfg)
     graph = load_graph(args.graph)
     anchor_set = load_anchors(args.anchors)
     labels = load_labels(args.labels, feats.n) if args.labels else None
@@ -394,15 +418,9 @@ def cmd_mine(args, cfg, seed, out: Path):
 
 
 def cmd_train(args, cfg, seed, out: Path):
-    feats = _prepared_features(args.features, cfg)
+    feats = _prepare(load_features(args.features), cfg)
     pools = load_pools(args.pools)
-    model = EmbeddingModel.initialize(
-        cfg["model.kind"],
-        feats.d,
-        int(cfg["model.output_dim"]),
-        int(cfg["model.hidden_dim"]),
-        seed=seed,
-    )
+    model = _initial_model(cfg, feats.d, seed)
     model, log = train(feats, pools, model, _train_config(cfg, seed), _mining_config(cfg))
     save_model(model, out / "model.bin")
     save_train_log(log, out / "train_log.csv")
@@ -440,7 +458,7 @@ def _write_report(report, path):
 
 
 def cmd_eval(args, cfg, seed, out: Path):
-    feats = _prepared_features(args.features, cfg)
+    feats = _prepare(load_features(args.features), cfg)
     labels = load_labels(args.labels, feats.n)
     if args.model:
         model = load_model(args.model)
@@ -469,15 +487,8 @@ def cmd_pipeline(args, cfg, seed, out: Path):
     save_features(feats_raw, out / "features.bin")
     if labels is not None:
         save_labels(labels, out / "labels.txt")
-    if int(cfg["prep.whiten_dims"]):
-        transform = pca_whiten_fit(feats_raw, int(cfg["prep.whiten_dims"]))
-        feats_raw = pca_whiten_apply(feats_raw, transform)
-    feats = l2_normalize(feats_raw)
-
-    model = EmbeddingModel.initialize(
-        cfg["model.kind"], feats.d, int(cfg["model.output_dim"]),
-        int(cfg["model.hidden_dim"]), seed=seed,
-    )
+    feats = _prepare(feats_raw, cfg)
+    model = _initial_model(cfg, feats.d, seed)
     rounds = int(cfg["rounds"])
     mcfg = _mining_config(cfg)
     tcfg = _train_config(cfg, seed)
@@ -517,8 +528,6 @@ def cmd_pipeline(args, cfg, seed, out: Path):
 def _add_common(p):
     p.add_argument("--config", help="JSON config with flat dotted keys")
     p.add_argument("--seed", type=int, default=None, help="global seed (fallback: MOM_SEED env)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="recorded in config.json only; BLAS threads follow the environment")
     p.add_argument("--set", nargs=2, action="append", default=[], metavar=("KEY", "VALUE"),
                    help="override one config key, e.g. --set graph.k 10")
     p.add_argument("--out", required=True, help="output directory")
@@ -593,8 +602,6 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _apply_overrides(cfg, args.set)
-        if args.threads is not None:
-            cfg["threads"] = args.threads
         if getattr(args, "rounds", None) is not None:
             cfg["rounds"] = args.rounds
         if getattr(args, "baseline", None):

@@ -2,18 +2,15 @@
 
 S is the symmetric normalized adjacency, so the system is positive definite
 and conjugate gradient applies. The dense matrix (1-alpha)(I - alpha*S)^-1 is
-never formed outside of the test oracle; production code solves a block of
-columns at a time, one CG row per anchor.
+never formed; a block of columns is solved at a time, one CG row per anchor.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadAnchors, KTooLarge, TooLarge
+from .errors import BadAnchors, KTooLarge
 from .graph import NormalizedOperator, top_k
-
-DENSE_ORACLE_LIMIT = 2000
 
 
 @dataclass
@@ -151,14 +148,3 @@ def manifold_knn(column: SimilarityColumn, k: int, exclude_self: bool = True) ->
         raise KTooLarge(f"k={k} must be in [1, {limit}]")
     order = top_k(values, k + 1 if exclude_self else k)
     return order[order != column.anchor_index][:k] if exclude_self else order
-
-
-def dense_oracle(operator: NormalizedOperator, alpha: float) -> np.ndarray:
-    """Dense (1-alpha)(I - alpha*S)^-1 by direct solve. Test oracle only."""
-    if operator.kind != "symmetric":
-        raise ValueError("dense_oracle needs the symmetric-normalized operator")
-    n = operator.n
-    if n > DENSE_ORACLE_LIMIT:
-        raise TooLarge(f"dense oracle capped at n={DENSE_ORACLE_LIMIT}, got {n}")
-    m = np.eye(n) - alpha * operator.matrix.toarray()
-    return np.linalg.solve(m, (1.0 - alpha) * np.eye(n))

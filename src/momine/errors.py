@@ -65,10 +65,6 @@ class BadPools(MomineError, ValueError):
     """Pool member ids that lie outside [0, n)."""
 
 
-class TooLarge(MomineError):
-    """Instance exceeds a test-only size guard."""
-
-
 class LabelsMissing(MomineError):
     """A label-dependent operation was called without labels."""
 

@@ -135,10 +135,10 @@ def pca_whiten_fit(
     comes out with unit variance per retained component.
     """
     n, d = features.n, features.d
-    if n < 2:
-        raise ValueError("whitening needs at least 2 samples")
     if not 1 <= retained_dims <= min(n - 1, d):
-        raise ValueError(f"retained_dims must be in [1, min(n-1, d)]={min(n - 1, d)}")
+        raise RankDeficient(
+            f"retained_dims must be in [1, min(n-1, d)={min(n - 1, d)}], got {retained_dims}"
+        )
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     mean = features.data.mean(axis=0)

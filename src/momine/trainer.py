@@ -12,12 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import select_anchors, stationary
-from .diffusion import DiffusionConfig
 from .errors import BadMagic, BadPools, DegenerateOutput, Diverged, TrailingBytes, TruncatedFile
-from .features import FeatureSet, l2_normalize
-from .graph import build_reciprocal_graph, normalize_graph
-from .mining import MiningConfig, build_training_pool, pool_table, sample_epoch_tuples
+from .features import FeatureSet
+from .mining import MiningConfig, pool_table, sample_epoch_tuples
 
 MODEL_MAGIC = b"MOMM"
 _KIND_CODES = {"linear": 0, "mlp": 1}
@@ -261,6 +258,10 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {self.loss!r}")
         if self.margin <= 0:
             raise ValueError("margin must be positive")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.lr_decay_every < 1:
+            raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.weight_normalization not in ("per-anchor-max", "none"):
@@ -327,54 +328,6 @@ def train(
             raise Diverged(f"mean loss became non-finite at epoch {epoch}")
         log.append({"epoch": epoch, "mean_loss": mean_loss, "lr": lr, "tuples_used": anchors.size})
     return model, log
-
-
-def alternate_rounds(
-    features: FeatureSet,
-    rounds: int,
-    model: EmbeddingModel,
-    graph_k: int,
-    anchor_count: int,
-    diffusion_config: DiffusionConfig,
-    mining_config: MiningConfig,
-    train_config: TrainConfig,
-):
-    """Alternate (mine -> train) for `rounds` rounds.
-
-    Round 1 mines on the (normalized) input features; each later round embeds
-    the whole set with the current model and mines on those embeddings, while
-    the model keeps consuming the original features. Returns (model, rounds
-    info), one record per round with the graph, its closed-form stationary
-    distribution pi, anchors, pools and train log.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    records = []
-    for rnd in range(1, rounds + 1):
-        if rnd == 1:
-            space = features if features.normalized else l2_normalize(features)
-        else:
-            space = FeatureSet(data=forward(model, features.data), normalized=True)
-        graph = build_reciprocal_graph(space, graph_k)
-        sym = normalize_graph(graph, "symmetric")
-        pi, _ = stationary(graph)
-        anchor_set = select_anchors(graph, pi, anchor_count)
-        pools, pool_items = build_training_pool(
-            anchor_set, space, sym, diffusion_config, mining_config
-        )
-        model, log = train(features, pools, model, train_config, mining_config)
-        records.append(
-            {
-                "round": rnd,
-                "graph": graph,
-                "pi": pi,
-                "anchors": anchor_set,
-                "pools": pools,
-                "pool_items": pool_items,
-                "log": log,
-            }
-        )
-    return model, records
 
 
 def save_model(model: EmbeddingModel, path) -> None:

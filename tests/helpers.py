@@ -12,6 +12,23 @@ from momine.graph import NeighborGraph
 from momine.mining import AnchorPools
 from momine.trainer import _LOSSES, _backward, _forward_cache, forward, sgd_momentum_step
 
+DENSE_ORACLE_LIMIT = 2000
+
+
+class TooLarge(Exception):
+    """Instance exceeds the dense oracle's size guard."""
+
+
+def dense_oracle(operator, alpha):
+    """Dense (1-alpha)(I - alpha*S)^-1 by direct solve."""
+    if operator.kind != "symmetric":
+        raise ValueError("dense_oracle needs the symmetric-normalized operator")
+    n = operator.n
+    if n > DENSE_ORACLE_LIMIT:
+        raise TooLarge(f"dense oracle capped at n={DENSE_ORACLE_LIMIT}, got {n}")
+    m = np.eye(n) - alpha * operator.matrix.toarray()
+    return np.linalg.solve(m, (1.0 - alpha) * np.eye(n))
+
 
 def random_graph(n, seed, extra_edges=None, connected=True, ensure_triangle=True):
     """Random weighted undirected graph: spanning tree plus extra edges.

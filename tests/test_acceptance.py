@@ -16,7 +16,7 @@ import pytest
 
 import momine
 from momine.anchors import AnchorSet, power_iteration
-from momine.diffusion import DiffusionConfig, dense_oracle, solve_column
+from momine.diffusion import DiffusionConfig, solve_column
 from momine.evaluation import mean_average_precision, nmi, recall_at_k
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import build_reciprocal_graph, normalize_graph
@@ -40,7 +40,7 @@ from momine.trainer import (
     triplet_loss,
 )
 
-from helpers import map_oracle, nmi_oracle, random_graph, recall_oracle
+from helpers import dense_oracle, map_oracle, nmi_oracle, random_graph, recall_oracle
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -398,7 +398,7 @@ def test_acceptance_8_pipeline_determinism(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(next(iter(momine.__path__)) + "/..")
     cmd = [
-        sys.executable, "-m", "momine.cli", "pipeline", "--seed", "7", "--threads", "1",
+        sys.executable, "-m", "momine.cli", "pipeline", "--seed", "7",
         "--set", "gen.kind", "clusters", "--set", "gen.classes", "4",
         "--set", "gen.per_class", "40", "--set", "gen.ambient_dim", "8",
         "--set", "gen.noise", "0.6", "--set", "graph.k", "8",

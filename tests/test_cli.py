@@ -184,8 +184,7 @@ def test_pipeline_reproducible_bytes_subprocess(tmp_path):
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(next(iter(momine.__path__)) + "/..")
-    cmd = [sys.executable, "-m", "momine.cli", "pipeline", "--seed", "5",
-           "--threads", "1"] + SMALL_PIPELINE
+    cmd = [sys.executable, "-m", "momine.cli", "pipeline", "--seed", "5"] + SMALL_PIPELINE
     for sub in ("r1", "r2"):
         res = subprocess.run(
             cmd + ["--out", str(tmp_path / sub)],
@@ -242,6 +241,9 @@ def test_bad_config_value_exits_two_before_any_work(tmp_path, capsys, key, value
     ("mining.oracle", "both"),
     ("train.margin", "-1"),
     ("model.hidden_dim", "8"),  # a linear model has no hidden layer
+    ("train.batch_size", "0"),
+    ("train.lr_decay_every", "0"),
+    ("train.weighted", "maybe"),
 ])
 def test_unchecked_config_value_exits_two_before_any_work(tmp_path, capsys, key, value):
     out = tmp_path / "run"
@@ -252,14 +254,44 @@ def test_unchecked_config_value_exits_two_before_any_work(tmp_path, capsys, key,
     assert err.startswith("mom pipeline: error:") and key in err
 
 
-def test_bad_config_file_value_exits_two_before_any_work(tmp_path, capsys):
+@pytest.mark.parametrize("payload,named", [
+    pytest.param({"graph.k": "abc"}, "graph.k", id="graph.k-abc"),
+    pytest.param({"train.weighted": "false"}, "train.weighted", id="train.weighted-string"),
+    pytest.param({"train.weighted": 0}, "train.weighted", id="train.weighted-number"),
+    pytest.param(5, "top level", id="not-an-object"),
+])
+def test_bad_config_file_value_exits_two_before_any_work(tmp_path, capsys, payload, named):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"graph.k": "abc"}))
+    config.write_text(json.dumps(payload))
     out = tmp_path / "run"
     code = main(["pipeline", "--out", str(out), "--seed", "5", "--config", str(config)] + GEN_ARGS)
     assert code == 2
     assert not out.exists()
-    assert "graph.k" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_bool_config_spellings(tmp_path):
+    config = tmp_path / "cfg.json"
+    for value, expected in [("true", True), ("Yes", True), ("1", True),
+                            ("false", False), ("NO", False), ("0", False)]:
+        out = tmp_path / value
+        assert main(["gen", "--out", str(out), "--set", "train.weighted", value] + GEN_ARGS) == 0
+        assert json.loads((out / "config.json").read_text())["train.weighted"] is expected
+    for expected in (True, False):
+        config.write_text(json.dumps({"train.weighted": expected}))
+        out = tmp_path / f"file-{expected}"
+        assert main(["gen", "--out", str(out), "--config", str(config)] + GEN_ARGS) == 0
+        assert json.loads((out / "config.json").read_text())["train.weighted"] is expected
+
+
+def test_pipeline_whiten_beyond_dim_is_data_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE
+                + ["--set", "prep.whiten_dims", "100"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mom pipeline: error:") and "retained_dims" in err
 
 
 def test_bad_mom_seed_exits_two_before_any_work(tmp_path, capsys, monkeypatch):

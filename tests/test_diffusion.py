@@ -4,16 +4,15 @@ import scipy.sparse as sp
 
 from momine.diffusion import (
     DiffusionConfig,
-    dense_oracle,
     manifold_knn,
     solve_column,
     solve_columns,
 )
-from momine.errors import BadAnchors, KTooLarge, TooLarge
+from momine.errors import BadAnchors, KTooLarge
 from momine.graph import NeighborGraph, normalize_graph
 from momine.mining import ANCHOR_BLOCK
 
-from helpers import circulant_graph, random_graph, solve_column_reference
+from helpers import TooLarge, circulant_graph, dense_oracle, random_graph, solve_column_reference
 
 
 def sym_op(graph):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momine.anchors import AnchorSet, power_iteration, select_anchors
-from momine.diffusion import DiffusionConfig, dense_oracle, solve_columns
+from momine.diffusion import DiffusionConfig, solve_columns
 from momine.errors import AllPoolsEmpty, BadAnchors, DimMismatch, LabelsMissing
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import build_reciprocal_graph, normalize_graph
@@ -25,6 +25,7 @@ from momine.mining import (
 
 from helpers import (
     baseline_pools_reference,
+    dense_oracle,
     knn_oracle,
     oracle_side_reference,
     pools_two_rankings,

@@ -10,7 +10,6 @@ from momine.trainer import (
     TrainConfig,
     _backward,
     _forward_cache,
-    alternate_rounds,
     apply_weight,
     contrastive_loss,
     forward,
@@ -381,56 +380,62 @@ def test_train_diverged_guard():
         train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50))
 
 
-def test_alternate_single_round_equals_plain_train():
-    spec = SyntheticSpec(kind="clusters", per_class=30, classes=3, ambient_dim=8, noise=0.5)
-    fs = generate_synthetic(spec, 5)
-    fn = l2_normalize(fs)
-    dcfg = DiffusionConfig(alpha=0.95, tolerance=1e-8, max_iterations=300)
-    mcfg = MiningConfig(k_pos=10, k_neg=20, max_neg=10, hard_subset_size=5)
-    tcfg = TrainConfig(loss="contrastive", margin=0.7, epochs=4, seed=9, batch_size=16)
+# clusters 3 x 30 in d = 8, mined on a 6-NN graph; one seed drives gen, model and training
+ROUND_ARGS = [
+    "--seed", "5",
+    "--set", "gen.kind", "clusters", "--set", "gen.classes", "3",
+    "--set", "gen.per_class", "30", "--set", "gen.ambient_dim", "8",
+    "--set", "gen.noise", "0.5", "--set", "graph.k", "6",
+    "--set", "diffusion.alpha", "0.95", "--set", "diffusion.tolerance", "1e-8",
+    "--set", "diffusion.max_iterations", "300", "--set", "anchors.count", "50",
+    "--set", "mining.k_pos", "10", "--set", "mining.k_neg", "20",
+    "--set", "mining.max_neg", "10", "--set", "mining.hard_subset_size", "5",
+    "--set", "model.output_dim", "8", "--set", "train.batch_size", "16",
+]
 
-    model_a = EmbeddingModel.initialize("linear", 8, 8, seed=2)
-    model_a, rec = alternate_rounds(fn, 1, model_a, 6, 50, dcfg, mcfg, tcfg)
 
+def test_alternate_single_round_equals_plain_train(tmp_path, capsys):
     from momine.anchors import select_anchors, stationary
+    from momine.cli import main
     from momine.graph import build_reciprocal_graph, normalize_graph
     from momine.mining import build_training_pool
 
-    graph = build_reciprocal_graph(fn, 6)
-    anchors = select_anchors(graph, stationary(graph)[0], 50)
-    pools, _ = build_training_pool(anchors, fn, normalize_graph(graph, "symmetric"), dcfg, mcfg)
-    model_b = EmbeddingModel.initialize("linear", 8, 8, seed=2)
-    model_b, _ = train(fn, pools, model_b, tcfg, mcfg)
-    assert np.array_equal(model_a.layers[0][0], model_b.layers[0][0])
-    assert len(rec) == 1
-
-
-def test_alternate_rounds_remines_from_new_embedding():
-    from momine.evaluation import recall_at_k
+    out = tmp_path / "run"
+    assert main(["pipeline", "--out", str(out), "--set", "train.epochs", "4"] + ROUND_ARGS) == 0
+    capsys.readouterr()
+    assert not (out / "pools.round2.jsonl").exists()
 
     spec = SyntheticSpec(kind="clusters", per_class=30, classes=3, ambient_dim=8, noise=0.5)
-    labels = generate_synthetic(spec, 5).labels
     fn = l2_normalize(generate_synthetic(spec, 5))
     dcfg = DiffusionConfig(alpha=0.95, tolerance=1e-8, max_iterations=300)
     mcfg = MiningConfig(k_pos=10, k_neg=20, max_neg=10, hard_subset_size=5)
-    tcfg = TrainConfig(loss="contrastive", margin=0.7, epochs=6, seed=9, batch_size=16, lr0=0.1)
+    tcfg = TrainConfig(loss="contrastive", margin=0.7, epochs=4, seed=5, batch_size=16)
+    graph = build_reciprocal_graph(fn, 6)
+    anchors = select_anchors(graph, stationary(graph)[0], 50)
+    pools, _ = build_training_pool(anchors, fn, normalize_graph(graph, "symmetric"), dcfg, mcfg)
+    model = EmbeddingModel.initialize("linear", 8, 8, seed=5)
+    model, _ = train(fn, pools, model, tcfg, mcfg)
+    save_model(model, tmp_path / "chain.bin")
+    assert (tmp_path / "chain.bin").read_bytes() == (out / "model.bin").read_bytes()
 
-    one = EmbeddingModel.initialize("linear", 8, 8, seed=2)
-    one, _ = alternate_rounds(fn, 1, one, 6, 50, dcfg, mcfg, tcfg)
-    r1 = recall_at_k(forward(one, fn.data), labels, [1])[1]
 
-    two = EmbeddingModel.initialize("linear", 8, 8, seed=2)
-    two, rec = alternate_rounds(fn, 2, two, 6, 50, dcfg, mcfg, tcfg)
-    assert len(rec) == 2
+def test_alternate_rounds_remines_from_new_embedding(tmp_path, capsys):
+    import json
 
-    def pool_hash(pools):
-        return hash(tuple((p.anchor_id, tuple(p.positives), tuple(p.negatives)) for p in pools))
+    from momine.cli import main
+
+    recall = {}
+    for rounds in (1, 2):
+        out = tmp_path / f"r{rounds}"
+        assert main(["pipeline", "--out", str(out), "--rounds", str(rounds),
+                     "--set", "train.epochs", "6", "--set", "train.lr0", "0.1"] + ROUND_ARGS) == 0
+        recall[rounds] = json.loads((out / "report.json").read_text())["recall_at"]["1"]
+    capsys.readouterr()
 
     # round 2 mines on the round-1 embedding, so its pools differ
-    assert pool_hash(rec[0]["pools"]) != pool_hash(rec[1]["pools"])
+    assert (out / "pools.jsonl").read_bytes() != (out / "pools.round2.jsonl").read_bytes()
     # non-collapse guard
-    r2 = recall_at_k(forward(two, fn.data), labels, [1])[1]
-    assert r2 >= r1 - 0.02
+    assert recall[2] >= recall[1] - 0.02
 
 
 # ---- model persistence -----------------------------------------------------
