@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -108,95 +109,86 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_config(path) -> dict:
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _parse(key, value, text=False, source=None):
+    """The one place a config value gets its type: that of the key's DEFAULTS
+    entry. A string from the command line (`text`: `--set`, MOM_SEED) is
+    parsed, a bool from one of the _BOOLS spellings. A config-file value must
+    already have the key's JSON type; an integer also passes for a float.
+    A mismatch is a BadConfig naming `source`, by default the key."""
+    if key not in DEFAULTS:
+        raise BadConfig(f"unknown config key {key!r}")
+    kind = type(DEFAULTS[key])
+    try:
+        if text and kind is bool:
+            return _BOOLS[value.lower()]
+        if text or type(value) is kind or (kind is float and type(value) is int):
+            return kind(value)
+    except (KeyError, ValueError, OverflowError):  # OverflowError: a huge int for a float
+        pass
+    rule = f"one of {sorted(_BOOLS)}" if text and kind is bool else _KINDS[kind]
+    raise BadConfig(f"{source or key} must be {rule}, got {value!r}")
+
+
+def _load_config(path, pairs) -> dict:
+    """DEFAULTS, then the config file's values, then the `--set` pairs, each
+    typed by `_parse`."""
     cfg = dict(DEFAULTS)
     if path:
         with open(path) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise BadConfig(f"{path}: the top level must be an object of dotted keys")
-        unknown = sorted(set(loaded) - set(DEFAULTS))
-        if unknown:
-            raise MomineError(f"unknown config keys: {unknown}")
-        cfg.update(loaded)
+        cfg.update((key, _parse(key, value)) for key, value in loaded.items())
+    cfg.update((key, _parse(key, value, text=True)) for key, value in pairs)
     return cfg
 
 
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _apply_overrides(cfg: dict, pairs) -> dict:
-    for key, value in pairs:
-        if key not in DEFAULTS:
-            raise MomineError(f"unknown config key {key!r}")
-        ref = DEFAULTS[key]
-        try:
-            if isinstance(ref, bool):
-                cfg[key] = _BOOLS[value.lower()]
-            else:
-                cfg[key] = type(ref)(value)
-        except KeyError:
-            raise BadConfig(f"{key} must be one of {sorted(_BOOLS)}, got {value!r}") from None
-        except ValueError as exc:
-            raise BadConfig(f"{key}: {exc}") from None
-    return cfg
-
-
-# the config values no config object checks: key -> (parse, test, rule)
+# the config values no config object checks: key -> (test, rule)
 _CHECKS = {
-    "prep.whiten_dims": (int, lambda v: v >= 0, ">= 0"),
-    "graph.k": (int, lambda v: v >= 1, ">= 1"),
-    "anchors.count": (int, lambda v: v >= 1, ">= 1"),
-    "anchors.mode": (str, lambda v: v in ("maxima", "all"), "'maxima' or 'all'"),
-    "anchors.tolerance": (float, lambda v: v > 0, "> 0"),
-    "anchors.max_iterations": (int, lambda v: v >= 1, ">= 1"),
-    "anchors.damping": (float, lambda v: 0 <= v <= 1, "in [0, 1] (0 or 1 = off)"),
-    "mining.mode": (str, lambda v: v in ("mined", "baseline"), "'mined' or 'baseline'"),
-    "mining.baseline_k": (int, lambda v: v >= 1, ">= 1"),
+    "prep.whiten_dims": (lambda v: v >= 0, ">= 0"),
+    "graph.k": (lambda v: v >= 1, ">= 1"),
+    "anchors.count": (lambda v: v >= 1, ">= 1"),
+    "anchors.mode": (lambda v: v in ("maxima", "all"), "'maxima' or 'all'"),
+    "anchors.tolerance": (lambda v: v > 0, "> 0"),
+    "anchors.max_iterations": (lambda v: v >= 1, ">= 1"),
+    "anchors.damping": (lambda v: 0 <= v <= 1, "in [0, 1] (0 or 1 = off)"),
+    "mining.mode": (lambda v: v in ("mined", "baseline"), "'mined' or 'baseline'"),
+    "mining.baseline_k": (lambda v: v >= 1, ">= 1"),
     "mining.oracle": (
-        str, lambda v: v in ("none", "positive", "negative"), "'none', 'positive' or 'negative'"
+        lambda v: v in ("none", "positive", "negative"), "'none', 'positive' or 'negative'"
     ),
-    "model.kind": (str, lambda v: v in ("linear", "mlp"), "'linear' or 'mlp'"),
-    "model.output_dim": (int, lambda v: v >= 1, ">= 1"),
-    "model.hidden_dim": (int, lambda v: v >= 0, ">= 0"),
-    "train.weighted": (lambda v: v, lambda v: isinstance(v, bool), "true or false"),
-    "train.margin": (float, lambda v: v >= 0, ">= 0 (0 = per-loss default)"),
-    "rounds": (int, lambda v: v >= 1, ">= 1"),
+    "model.kind": (lambda v: v in ("linear", "mlp"), "'linear' or 'mlp'"),
+    "model.output_dim": (lambda v: v >= 1, ">= 1"),
+    "model.hidden_dim": (lambda v: v >= 0, ">= 0"),
+    "train.margin": (lambda v: v >= 0, ">= 0 (0 = per-loss default)"),
+    "rounds": (lambda v: v >= 1, ">= 1"),
 }
 
 
 def _validate_config(cfg, seed) -> None:
     """Check every config value and build the generator, diffusion, mining
     and training configs, so a bad value fails before any work."""
-    for key, (parse, test, rule) in _CHECKS.items():
-        try:
-            ok = test(parse(cfg[key]))
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
+    for key, (test, rule) in _CHECKS.items():
+        if not test(cfg[key]):
             raise BadConfig(f"{key} must be {rule}, got {cfg[key]!r}")
-    if (cfg["model.kind"] == "mlp") != (int(cfg["model.hidden_dim"]) > 0):
+    if (cfg["model.kind"] == "mlp") != (cfg["model.hidden_dim"] > 0):
         raise BadConfig("model.hidden_dim must be 0 for a linear model and >= 1 for an mlp")
-    try:
-        _gen_spec(cfg)
-        _diffusion_config(cfg)
-        _mining_config(cfg)
-        _train_config(cfg, seed)
-        _eval_ks(cfg)
-    except (ValueError, TypeError) as exc:
-        raise BadConfig(str(exc)) from None
+    _gen_spec(cfg)
+    _diffusion_config(cfg)
+    _mining_config(cfg)
+    _train_config(cfg, seed)
+    _eval_ks(cfg)
 
 
 def _resolve_seed(args, cfg) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("MOM_SEED")
-    value = env if env is not None else cfg["seed"]
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        source = "MOM_SEED" if env is not None else "seed"
-        raise BadConfig(f"{source} must be an integer, got {value!r}") from None
+    return cfg["seed"] if env is None else _parse("seed", env, text=True, source="MOM_SEED")
 
 
 def _write_config(cfg: dict, out: Path) -> None:
@@ -208,12 +200,18 @@ def _write_config(cfg: dict, out: Path) -> None:
 
 def _margin(cfg) -> float:
     if cfg["train.margin"] > 0:
-        return float(cfg["train.margin"])
+        return cfg["train.margin"]
     return 0.7 if cfg["train.loss"] == "contrastive" else 0.5
 
 
-def _checked(section, make, **values):
-    """Build a config object; a value it rejects is reported under its dotted key."""
+def _checked(section, make, cfg, **values):
+    """Build a config object from the `section.*` keys named after its fields,
+    `values` winning; a value it rejects is reported under its dotted key."""
+    names = {field.name for field in fields(make)}
+    for key, value in cfg.items():
+        head, _, name = key.partition(".")
+        if head == section and name in names:
+            values.setdefault(name, value)
     try:
         return make(**values)
     except ValueError as exc:
@@ -221,46 +219,21 @@ def _checked(section, make, **values):
 
 
 def _diffusion_config(cfg) -> DiffusionConfig:
-    return _checked(
-        "diffusion", DiffusionConfig,
-        alpha=float(cfg["diffusion.alpha"]),
-        tolerance=float(cfg["diffusion.tolerance"]),
-        max_iterations=int(cfg["diffusion.max_iterations"]),
-    )
+    return _checked("diffusion", DiffusionConfig, cfg)
 
 
 def _mining_config(cfg) -> MiningConfig:
-    return _checked(
-        "mining", MiningConfig,
-        k_pos=int(cfg["mining.k_pos"]),
-        k_neg=int(cfg["mining.k_neg"]),
-        max_pos=int(cfg["mining.max_pos"]) or None,
-        max_neg=int(cfg["mining.max_neg"]),
-        hard_subset_size=int(cfg["mining.hard_subset_size"]),
-    )
+    return _checked("mining", MiningConfig, cfg, max_pos=cfg["mining.max_pos"] or None)
 
 
 def _train_config(cfg, seed) -> TrainConfig:
-    return _checked(
-        "train", TrainConfig,
-        loss=cfg["train.loss"],
-        weighted=cfg["train.weighted"],
-        margin=_margin(cfg),
-        lr0=float(cfg["train.lr0"]),
-        lr_decay=float(cfg["train.lr_decay"]),
-        lr_decay_every=int(cfg["train.lr_decay_every"]),
-        momentum=float(cfg["train.momentum"]),
-        batch_size=int(cfg["train.batch_size"]),
-        epochs=int(cfg["train.epochs"]),
-        seed=seed,
-        weight_normalization=cfg["train.weight_normalization"],
-    )
+    return _checked("train", TrainConfig, cfg, margin=_margin(cfg), seed=seed)
 
 
 def _anchor_set(graph, pi, cfg) -> AnchorSet:
     """Anchor selection per config: stationary local maxima, or every
     non-isolated node ordered by pi (the all-items protocol)."""
-    count = int(cfg["anchors.count"])
+    count = cfg["anchors.count"]
     if cfg["anchors.mode"] == "all":
         ids = np.flatnonzero(graph.degrees > 0)
         chosen = ids[top_k(pi[ids], min(count, ids.size))]
@@ -269,13 +242,7 @@ def _anchor_set(graph, pi, cfg) -> AnchorSet:
 
 
 def _gen_spec(cfg) -> SyntheticSpec:
-    return SyntheticSpec(
-        kind=cfg["gen.kind"],
-        per_class=int(cfg["gen.per_class"]),
-        classes=int(cfg["gen.classes"]),
-        ambient_dim=int(cfg["gen.ambient_dim"]),
-        noise=float(cfg["gen.noise"]),
-    )
+    return _checked("gen", SyntheticSpec, cfg)
 
 
 def _gen(cfg, seed) -> FeatureSet:
@@ -284,16 +251,16 @@ def _gen(cfg, seed) -> FeatureSet:
 
 def _prepare(feats, cfg) -> FeatureSet:
     """Whiten if configured, then l2-normalize."""
-    if int(cfg["prep.whiten_dims"]):
-        transform = pca_whiten_fit(feats, int(cfg["prep.whiten_dims"]))
+    if cfg["prep.whiten_dims"]:
+        transform = pca_whiten_fit(feats, cfg["prep.whiten_dims"])
         feats = pca_whiten_apply(feats, transform)
     return l2_normalize(feats)
 
 
 def _initial_model(cfg, input_dim, seed) -> EmbeddingModel:
     return EmbeddingModel.initialize(
-        cfg["model.kind"], input_dim, int(cfg["model.output_dim"]),
-        int(cfg["model.hidden_dim"]), seed=seed,
+        cfg["model.kind"], input_dim, cfg["model.output_dim"],
+        cfg["model.hidden_dim"], seed=seed,
     )
 
 
@@ -304,7 +271,7 @@ def _mine_pools(feats, graph, anchor_set, cfg, seed, labels=None):
     if cfg["mining.mode"] == "baseline":
         pools = [
             baseline_pools(
-                int(a), feats, k_base=int(cfg["mining.baseline_k"]), seed=seed,
+                int(a), feats, k_base=cfg["mining.baseline_k"], seed=seed,
                 max_neg=mcfg.max_neg,
             )
             for a in anchor_set.anchor_ids
@@ -338,7 +305,7 @@ def cmd_gen(args, cfg, seed, out: Path):
 
 def cmd_graph(args, cfg, seed, out: Path):
     feats = _prepare(load_features(args.features), cfg)
-    graph = build_reciprocal_graph(feats, int(cfg["graph.k"]))
+    graph = build_reciprocal_graph(feats, cfg["graph.k"])
     save_graph(graph, out / "graph.txt")
     isolated = int(np.sum(graph.degrees == 0))
     print(
@@ -369,13 +336,13 @@ def _stationary(graph, cfg, command):
     in closed form when undamped (damping 0, or 1, which mixes in nothing),
     else by damped power iteration, whose stop at the iteration cap is
     reported on stderr."""
-    damping = float(cfg["anchors.damping"])
+    damping = cfg["anchors.damping"]
     if damping in (0.0, 1.0):
         pi, parts = stationary(graph)
         return pi, f"stationary: closed form, {parts} components"
     sto = normalize_graph(graph, "stochastic")
     stat = power_iteration(
-        sto, float(cfg["anchors.tolerance"]), int(cfg["anchors.max_iterations"]), damping
+        sto, cfg["anchors.tolerance"], cfg["anchors.max_iterations"], damping
     )
     if not stat.converged:
         print(
@@ -434,7 +401,10 @@ def cmd_train(args, cfg, seed, out: Path):
 
 
 def _eval_ks(cfg) -> list:
-    ks = [int(k) for k in str(cfg["eval.ks"]).split(",") if k.strip()]
+    try:
+        ks = [int(k) for k in cfg["eval.ks"].split(",") if k.strip()]
+    except ValueError:
+        ks = []
     if not ks or min(ks) < 1:
         raise BadConfig(f"eval.ks must list recall depths >= 1, got {cfg['eval.ks']!r}")
     return ks
@@ -489,7 +459,7 @@ def cmd_pipeline(args, cfg, seed, out: Path):
         save_labels(labels, out / "labels.txt")
     feats = _prepare(feats_raw, cfg)
     model = _initial_model(cfg, feats.d, seed)
-    rounds = int(cfg["rounds"])
+    rounds = cfg["rounds"]
     mcfg = _mining_config(cfg)
     tcfg = _train_config(cfg, seed)
     for rnd in range(1, rounds + 1):
@@ -497,7 +467,7 @@ def cmd_pipeline(args, cfg, seed, out: Path):
         space = feats if rnd == 1 else FeatureSet(
             data=forward(model, feats.data), normalized=True
         )
-        graph = build_reciprocal_graph(space, int(cfg["graph.k"]))
+        graph = build_reciprocal_graph(space, cfg["graph.k"])
         save_graph(graph, out / f"graph{suffix}.txt")
         pi, method = _stationary(graph, cfg, args.command)
         anchor_set = _anchor_set(graph, pi, cfg)
@@ -600,8 +570,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        _apply_overrides(cfg, args.set)
+        cfg = _load_config(args.config, args.set)
         if getattr(args, "rounds", None) is not None:
             cfg["rounds"] = args.rounds
         if getattr(args, "baseline", None):
@@ -615,7 +584,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_config(cfg, out)
         return _COMMANDS[args.command](args, cfg, seed, out)
-    except (MomineError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+    except (MomineError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"mom {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -65,6 +65,10 @@ class BadPools(MomineError, ValueError):
     """Pool member ids that lie outside [0, n)."""
 
 
+class BadLabels(MomineError, ValueError):
+    """A label sidecar line that is not a decimal integer."""
+
+
 class LabelsMissing(MomineError):
     """A label-dependent operation was called without labels."""
 

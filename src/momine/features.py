@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadLabels,
     BadMagic,
     BadSpec,
     DimMismatch,
@@ -293,8 +294,13 @@ def save_labels(labels: np.ndarray, path) -> None:
 
 def load_labels(path, expected_n: int) -> np.ndarray:
     """Read the label sidecar: one decimal integer per line, exactly n lines."""
+    values = []
     with open(path) as fh:
-        values = [int(line) for line in fh.read().split()]
+        for number, line in enumerate(fh, 1):
+            try:
+                values.extend(int(token) for token in line.split())
+            except ValueError:
+                raise BadLabels(f"{path}, line {number}: not an integer: {line.strip()!r}") from None
     if len(values) != expected_n:
         raise DimMismatch(f"{path}: {len(values)} labels for n={expected_n} items")
     return np.asarray(values, dtype=np.int64)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from momine.cli import main
+from momine.cli import DEFAULTS, main
 from momine.diffusion import DiffusionConfig, solve_column
 from momine.features import load_features, load_labels
 from momine.graph import NeighborGraph, load_graph, normalize_graph, save_graph
@@ -105,6 +105,35 @@ def test_eval_initial_features(tmp_path, capsys):
                  str(data / "features.bin"), "--labels", str(data / "labels.txt")]) == 0
     assert (tmp_path / "e" / "initial_report.json").exists()
     capsys.readouterr()
+
+
+def test_eval_non_integer_label_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_gen(data)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\nb\n")
+    code = main(["eval", "--out", str(tmp_path / "e"), "--features",
+                 str(data / "features.bin"), "--labels", str(labels)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mom eval: error:") and f"{labels}, line 1" in err
+
+
+def test_out_under_a_file_is_data_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["gen", "--out", str(tmp_path / "file" / "run")] + GEN_ARGS) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mom gen: error:") and "Traceback" not in err
+
+
+def test_non_utf8_config_file_is_data_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(b'{"graph.k": "\xff"}')
+    out = tmp_path / "run"
+    assert main(["gen", "--out", str(out), "--config", str(config)] + GEN_ARGS) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("mom gen: error:") and "Traceback" not in err
 
 
 def test_mine_missing_graph_is_data_error(tmp_path, capsys):
@@ -224,7 +253,6 @@ def test_eval_ks_beyond_n_is_data_error(tmp_path, capsys):
     ("train.loss", "hinge"),
     ("eval.ks", ","),
     ("eval.ks", "0,1"),
-    ("eval.ks", "1,x"),
 ])
 def test_bad_config_value_exits_two_before_any_work(tmp_path, capsys, key, value):
     out = tmp_path / "run"
@@ -244,6 +272,7 @@ def test_bad_config_value_exits_two_before_any_work(tmp_path, capsys, key, value
     ("train.batch_size", "0"),
     ("train.lr_decay_every", "0"),
     ("train.weighted", "maybe"),
+    ("eval.ks", "1,x"),
 ])
 def test_unchecked_config_value_exits_two_before_any_work(tmp_path, capsys, key, value):
     out = tmp_path / "run"
@@ -259,6 +288,13 @@ def test_unchecked_config_value_exits_two_before_any_work(tmp_path, capsys, key,
     pytest.param({"train.weighted": "false"}, "train.weighted", id="train.weighted-string"),
     pytest.param({"train.weighted": 0}, "train.weighted", id="train.weighted-number"),
     pytest.param(5, "top level", id="not-an-object"),
+    pytest.param({"train.margin": "0.5"}, "train.margin", id="train.margin-string"),
+    pytest.param({"train.lr0": "abc"}, "train.lr0", id="train.lr0-abc"),
+    pytest.param({"gen.noise": "x"}, "gen.noise", id="gen.noise-x"),
+    pytest.param({"graph.k": True}, "graph.k", id="graph.k-bool"),
+    pytest.param({"graph.k": 2.7}, "graph.k", id="graph.k-float"),
+    pytest.param({"train.epochs": "3"}, "train.epochs", id="train.epochs-string"),
+    pytest.param({"train.lr0": 10**400}, "train.lr0", id="train.lr0-huge-int"),
 ])
 def test_bad_config_file_value_exits_two_before_any_work(tmp_path, capsys, payload, named):
     config = tmp_path / "cfg.json"
@@ -283,6 +319,27 @@ def test_bool_config_spellings(tmp_path):
         out = tmp_path / f"file-{expected}"
         assert main(["gen", "--out", str(out), "--config", str(config)] + GEN_ARGS) == 0
         assert json.loads((out / "config.json").read_text())["train.weighted"] is expected
+
+
+def test_set_and_config_file_write_the_same_config(tmp_path, monkeypatch):
+    # every key's default, once as --set text and once as its JSON value,
+    # gives the same typed config; a file's integer for a float key is a float
+    monkeypatch.delenv("MOM_SEED", raising=False)
+    config = tmp_path / "cfg.json"
+
+    def written(name, argv):
+        assert main(["gen", "--out", str(tmp_path / name)] + argv) == 0
+        return (tmp_path / name / "config.json").read_text()
+
+    for key, value in DEFAULTS.items():
+        text = str(value).lower() if isinstance(value, bool) else str(value)
+        config.write_text(json.dumps({key: value}))
+        assert written(f"set-{key}", ["--set", key, text]) == written(
+            f"file-{key}", ["--config", str(config)]), key
+    config.write_text(json.dumps({"train.margin": 1}))
+    recorded = written("int-for-float", ["--config", str(config)])
+    assert '"train.margin": 1.0,' in recorded
+    assert recorded == written("set-margin", ["--set", "train.margin", "1"])
 
 
 def test_pipeline_whiten_beyond_dim_is_data_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from momine.errors import (
+    BadLabels,
     BadMagic,
     BadSpec,
     DimMismatch,
@@ -247,3 +248,10 @@ def test_labels_sidecar_round_trip(tmp_path):
     assert np.array_equal(load_labels(path, 5), labels)
     with pytest.raises(DimMismatch):
         load_labels(path, 6)
+
+
+def test_labels_sidecar_non_integer_line_names_file_and_line(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("0\n1\nx\n1\n")
+    with pytest.raises(BadLabels, match=r"labels\.txt, line 3: .*'x'"):
+        load_labels(path, 4)
