@@ -20,7 +20,6 @@ from .anchors import (
 from .diffusion import (
     DiffusionConfig,
     SimilarityColumn,
-    manifold_knn,
     solve_column,
     solve_columns,
 )
@@ -41,7 +40,6 @@ from .graph import (
     NeighborGraph,
     NormalizedOperator,
     build_reciprocal_graph,
-    euclidean_similarity,
     knn_search,
     load_graph,
     normalize_graph,

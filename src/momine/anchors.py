@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadAnchors, EmptyGraph
+from .errors import BadAnchors, EmptyGraph, open_text
 from .graph import NeighborGraph, NormalizedOperator, components, top_k
 
 
@@ -158,7 +158,7 @@ def save_anchors(anchor_set: AnchorSet, path) -> None:
 def load_anchors(path) -> AnchorSet:
     """Read an anchor dump; a line that is not "id pi" raises BadAnchors."""
     ids, pis = [], []
-    with open(path) as fh:
+    with open_text(path, BadAnchors) as fh:
         for number, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:

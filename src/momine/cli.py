@@ -1,8 +1,9 @@
 """Command-line pipeline: gen, graph, diffuse, anchors, mine, train, eval,
 and the chained `pipeline` with optional alternating rounds.
 
-Every subcommand reads a flat dotted-key JSON config (CLI flags win), writes
-its resolved config next to its outputs, and prints a one-line summary.
+Every subcommand reads a flat dotted-key JSON config (CLI flags win) and its
+inputs, and only then creates the output directory, writes its resolved
+config next to its outputs and prints a one-line summary.
 Exit codes: 0 success, 1 usage error, 2 data error. Artifacts contain no
 timestamps, so a fixed seed reproduces them byte for byte.
 """
@@ -26,7 +27,7 @@ from .anchors import (
     stationary,
 )
 from .diffusion import DiffusionConfig, solve_column
-from .errors import BadConfig, MomineError
+from .errors import BadConfig, LabelsMissing, MomineError, open_text
 from .features import (
     FeatureSet,
     SyntheticSpec,
@@ -138,7 +139,7 @@ def _load_config(path, pairs) -> dict:
     typed by `_parse`."""
     cfg = dict(DEFAULTS)
     if path:
-        with open(path) as fh:
+        with open_text(path, BadConfig) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise BadConfig(f"{path}: the top level must be an object of dotted keys")
@@ -280,8 +281,6 @@ def _mine_pools(feats, graph, anchor_set, cfg, seed, labels=None):
     else:
         pools, _ = build_training_pool(anchor_set, feats, sym, dcfg, mcfg)
     if cfg["mining.oracle"] != "none":
-        if labels is None:
-            raise MomineError("oracle pools need --labels")
         pools = [
             oracle_pools(
                 p, labels, cfg["mining.oracle"], feats,
@@ -292,8 +291,16 @@ def _mine_pools(feats, graph, anchor_set, cfg, seed, labels=None):
     return pools
 
 
+def _labels(args, cfg, n):
+    """The --labels sidecar, or None without one; the oracle pools need it."""
+    if not args.labels and cfg["mining.oracle"] != "none":
+        raise LabelsMissing(f"mining.oracle {cfg['mining.oracle']} needs --labels")
+    return load_labels(args.labels, n) if args.labels else None
+
+
 def cmd_gen(args, cfg, seed, out: Path):
     feats = _gen(cfg, seed)
+    _write_config(cfg, out)
     save_features(feats, out / "features.bin")
     save_labels(feats.labels, out / "labels.txt")
     print(
@@ -306,6 +313,7 @@ def cmd_gen(args, cfg, seed, out: Path):
 def cmd_graph(args, cfg, seed, out: Path):
     feats = _prepare(load_features(args.features), cfg)
     graph = build_reciprocal_graph(feats, cfg["graph.k"])
+    _write_config(cfg, out)
     save_graph(graph, out / "graph.txt")
     isolated = int(np.sum(graph.degrees == 0))
     print(
@@ -320,6 +328,7 @@ def cmd_diffuse(args, cfg, seed, out: Path):
     sym = normalize_graph(graph, "symmetric")
     column = solve_column(sym, args.anchor, _diffusion_config(cfg))
     order = top_k(column.values, graph.n)
+    _write_config(cfg, out)
     with open(out / "column.txt", "w") as fh:
         for j in order:
             fh.write(f"{j} {column.values[j]:.9g}\n")
@@ -362,6 +371,7 @@ def cmd_anchors(args, cfg, seed, out: Path):
     graph = load_graph(args.graph)
     pi, method = _stationary(graph, cfg, args.command)
     anchor_set = _anchor_set(graph, pi, cfg)
+    _write_config(cfg, out)
     save_anchors(anchor_set, out / "anchors.txt")
     print(_anchors_line(anchor_set, method, cfg, out / "anchors.txt"))
     return 0
@@ -371,8 +381,9 @@ def cmd_mine(args, cfg, seed, out: Path):
     feats = _prepare(load_features(args.features), cfg)
     graph = load_graph(args.graph)
     anchor_set = load_anchors(args.anchors)
-    labels = load_labels(args.labels, feats.n) if args.labels else None
+    labels = _labels(args, cfg, feats.n)
     pools = _mine_pools(feats, graph, anchor_set, cfg, seed, labels)
+    _write_config(cfg, out)
     save_pools(pools, out / "pools.jsonl")
     n_pos = sum(len(p.positives) for p in pools)
     n_neg = sum(len(p.negatives) for p in pools)
@@ -389,6 +400,7 @@ def cmd_train(args, cfg, seed, out: Path):
     pools = load_pools(args.pools)
     model = _initial_model(cfg, feats.d, seed)
     model, log = train(feats, pools, model, _train_config(cfg, seed), _mining_config(cfg))
+    _write_config(cfg, out)
     save_model(model, out / "model.bin")
     save_train_log(log, out / "train_log.csv")
     last = log[-1]["mean_loss"] if log else float("nan")
@@ -438,6 +450,7 @@ def cmd_eval(args, cfg, seed, out: Path):
         emb = feats.data
         name = "initial_report.json"
     report = _eval_report(emb, labels, cfg, seed)
+    _write_config(cfg, out)
     _write_report(report, out / name)
     k = min(report.recall_at)
     print(
@@ -450,10 +463,11 @@ def cmd_eval(args, cfg, seed, out: Path):
 def cmd_pipeline(args, cfg, seed, out: Path):
     if args.features:
         feats_raw = load_features(args.features)
-        labels = load_labels(args.labels, feats_raw.n) if args.labels else None
+        labels = _labels(args, cfg, feats_raw.n)
     else:
         feats_raw = _gen(cfg, seed)
         labels = feats_raw.labels
+    _write_config(cfg, out)
     save_features(feats_raw, out / "features.bin")
     if labels is not None:
         save_labels(labels, out / "labels.txt")
@@ -464,9 +478,7 @@ def cmd_pipeline(args, cfg, seed, out: Path):
     tcfg = _train_config(cfg, seed)
     for rnd in range(1, rounds + 1):
         suffix = "" if rnd == 1 else f".round{rnd}"
-        space = feats if rnd == 1 else FeatureSet(
-            data=forward(model, feats.data), normalized=True
-        )
+        space = feats if rnd == 1 else FeatureSet(forward(model, feats.data))
         graph = build_reciprocal_graph(space, cfg["graph.k"])
         save_graph(graph, out / f"graph{suffix}.txt")
         pi, method = _stationary(graph, cfg, args.command)
@@ -580,11 +592,8 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args, cfg)
         cfg["seed"] = seed
         _validate_config(cfg, seed)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_config(cfg, out)
-        return _COMMANDS[args.command](args, cfg, seed, out)
-    except (MomineError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return _COMMANDS[args.command](args, cfg, seed, Path(args.out))
+    except (MomineError, OSError) as exc:
         print(f"mom {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

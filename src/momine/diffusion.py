@@ -5,12 +5,12 @@ and conjugate gradient applies. The dense matrix (1-alpha)(I - alpha*S)^-1 is
 never formed; a block of columns is solved at a time, one CG row per anchor.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadAnchors, KTooLarge
-from .graph import NormalizedOperator, top_k
+from .errors import BadAnchors
+from .graph import NormalizedOperator
 
 
 @dataclass
@@ -37,7 +37,6 @@ class SimilarityColumn:
     residual_norm: float
     iterations_used: int
     converged: bool
-    residual_history: np.ndarray = field(default=None, repr=False)
 
 
 def check_anchor_ids(anchors, n: int) -> np.ndarray:
@@ -57,8 +56,8 @@ def solve_columns(
     The state is one row per anchor and every iteration does a single sparse
     product for all rows still running; each row keeps its own step scalars.
     Each solve starts from the zero vector and keeps the best iterate seen,
-    so its residual history is non-increasing and on non-convergence the
-    best iterate is returned with converged=False. A row stops when it
+    so its residual never increases with max_iterations, and on
+    non-convergence the best iterate is returned with converged=False. A row stops when it
     converges, reaches max_iterations, or its curvature p.Ap is no longer
     positive. Isolated anchors get the analytic solution (1-alpha) e_a
     without running CG. Memory is O(len(anchors) * n).
@@ -76,7 +75,6 @@ def solve_columns(
     iterations = np.zeros(anchors.size, dtype=np.int64)
     converged = np.ones(anchors.size, dtype=bool)
     residual = np.zeros(anchors.size)
-    history = []  # per iteration, the best relative residual of every row
 
     live = rows[mat.indptr[anchors] != mat.indptr[anchors + 1]]  # isolated rows decouple
     r = values[live].copy()
@@ -107,7 +105,6 @@ def solve_columns(
         best[better] = rel[better]
         values[live[better]] = x[better]
         residual[live] = best
-        history.append(residual.copy())
         done = best <= config.tolerance
         iterations[live] = it
         converged[live[done]] = True
@@ -118,7 +115,6 @@ def solve_columns(
             )
         p = r + (rs_new / rs)[:, None] * p
         rs = rs_new
-    history = np.asarray(history).reshape(len(history), anchors.size)
     return [
         SimilarityColumn(
             anchor_index=int(anchors[i]),
@@ -126,7 +122,6 @@ def solve_columns(
             residual_norm=residual[i],
             iterations_used=int(iterations[i]),
             converged=bool(converged[i]),
-            residual_history=history[: iterations[i], i].copy(),
         )
         for i in rows
     ]
@@ -138,13 +133,3 @@ def solve_column(
     """One anchor's column: the single-row case of :func:`solve_columns`."""
     return solve_columns(operator, [anchor], config)[0]
 
-
-def manifold_knn(column: SimilarityColumn, k: int, exclude_self: bool = True) -> np.ndarray:
-    """Indices of the k largest column values, descending, ties by ascending index."""
-    values = column.values
-    n = values.shape[0]
-    limit = n - 1 if exclude_self else n
-    if not 1 <= k <= limit:
-        raise KTooLarge(f"k={k} must be in [1, {limit}]")
-    order = top_k(values, k + 1 if exclude_self else k)
-    return order[order != column.anchor_index][:k] if exclude_self else order

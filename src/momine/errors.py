@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a text opener that names its file."""
+
+import json
+from contextlib import contextmanager
 
 
 class MomineError(Exception):
@@ -91,3 +94,13 @@ class DegenerateOutput(MomineError):
 
 class Diverged(MomineError):
     """Training loss became non-finite."""
+
+
+@contextmanager
+def open_text(path, error):
+    """Open a text file; a text or JSON decode error raises `error` naming the file."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: {exc}") from None

@@ -12,7 +12,7 @@ from .graph import BLOCK_ROWS, top_k
 class EvalReport:
     recall_at: dict
     nmi: float
-    map_score: float | None
+    map_score: float
     n_queries: int
     seed: int
 
@@ -132,7 +132,7 @@ def kmeans(embeddings: np.ndarray, c: int, seed: int = 0, max_iter: int = 100) -
     return assign
 
 
-def nmi(labels_a, labels_b, normalizer: str = "arithmetic") -> float:
+def nmi(labels_a, labels_b) -> float:
     """Mutual information normalized by the mean of the two entropies.
 
     Convention 0/0 -> 0 (e.g. one side is a single cluster).
@@ -141,8 +141,6 @@ def nmi(labels_a, labels_b, normalizer: str = "arithmetic") -> float:
     b = np.asarray(labels_b)
     if a.shape[0] != b.shape[0] or a.shape[0] < 1:
         raise LengthMismatch(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    if normalizer not in ("arithmetic", "geometric"):
-        raise ValueError("normalizer must be 'arithmetic' or 'geometric'")
     n = a.shape[0]
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
@@ -157,7 +155,7 @@ def nmi(labels_a, labels_b, normalizer: str = "arithmetic") -> float:
     mi = float(np.sort(terms).sum())
     ha = float(-np.sum(pa[pa > 0] * np.log(pa[pa > 0])))
     hb = float(-np.sum(pb[pb > 0] * np.log(pb[pb > 0])))
-    denom = 0.5 * (ha + hb) if normalizer == "arithmetic" else np.sqrt(ha * hb)
+    denom = 0.5 * (ha + hb)
     if denom <= 0.0:
         return 0.0
     return max(0.0, min(1.0, mi / denom))
@@ -176,10 +174,9 @@ def evaluate_embeddings(
     labels,
     ks=(1, 2, 4, 8),
     seed: int = 0,
-    with_map: bool = True,
 ) -> EvalReport:
     """Full report: Recall@k, NMI of a seeded k-means (one cluster per label
-    value), and optionally mAP. n_queries counts the items whose label
+    value), and mAP. n_queries counts the items whose label
     occurs at least twice."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = _check_labels(embeddings, labels)
@@ -187,7 +184,7 @@ def evaluate_embeddings(
     ks = sorted(int(k) for k in ks if 1 <= k <= n - 1)
     if not ks:
         raise KTooLarge(f"no recall depth lies in [1, n-1={n - 1}]")
-    recall, ap, n_queries = _ranking_metrics(embeddings, labels, ks, with_map)
+    recall, ap, n_queries = _ranking_metrics(embeddings, labels, ks, with_map=True)
     c = int(np.unique(labels).size)
     clusters = kmeans(embeddings, c, seed=seed)
     score = nmi(labels, clusters)

@@ -21,6 +21,7 @@ from .errors import (
     TrailingBytes,
     TruncatedFile,
     ZeroVector,
+    open_text,
 )
 
 MAGIC = b"MOM1"
@@ -30,26 +31,18 @@ SYNTHETIC_KINDS = ("moons", "circles", "swiss-roll", "clusters")
 
 @dataclass
 class FeatureSet:
-    """An immutable n x d matrix of item features with stable ids.
+    """An immutable n x d matrix of item features; item i is row i.
 
     ``labels`` is optional and exists for evaluation only.
     """
 
     data: np.ndarray
-    ids: np.ndarray = None
     labels: np.ndarray | None = None
-    normalized: bool = False
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise ValueError(f"feature matrix must be 2-D and non-empty, got {self.data.shape}")
-        if self.ids is None:
-            self.ids = np.arange(self.data.shape[0], dtype=np.int64)
-        else:
-            self.ids = np.asarray(self.ids, dtype=np.int64)
-            if not np.array_equal(self.ids, np.arange(self.data.shape[0])):
-                raise ValueError("ids must be unique and dense in [0, n)")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.data.shape[0],):
@@ -58,7 +51,6 @@ class FeatureSet:
                 )
             self.labels.flags.writeable = False
         self.data.flags.writeable = False
-        self.ids.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -75,7 +67,6 @@ class WhiteningTransform:
 
     mean: np.ndarray
     projection: np.ndarray  # (d, retained_dims), columns scaled by 1/sqrt(eigval + eps)
-    retained_dims: int
 
 
 @dataclass
@@ -118,12 +109,7 @@ def l2_normalize(features: FeatureSet) -> FeatureSet:
     bad = np.flatnonzero(norms < 1e-12)
     if bad.size:
         raise ZeroVector(int(bad[0]))
-    return FeatureSet(
-        data=features.data / norms[:, None],
-        ids=features.ids,
-        labels=features.labels,
-        normalized=True,
-    )
+    return FeatureSet(data=features.data / norms[:, None], labels=features.labels)
 
 
 def pca_whiten_fit(
@@ -161,7 +147,7 @@ def pca_whiten_fit(
         if eigvecs[pivot, j] < 0:
             eigvecs[:, j] = -eigvecs[:, j]
     proj = eigvecs[:, :retained_dims] / np.sqrt(eigvals[:retained_dims] + epsilon)
-    return WhiteningTransform(mean=mean, projection=proj, retained_dims=retained_dims)
+    return WhiteningTransform(mean=mean, projection=proj)
 
 
 def pca_whiten_apply(features: FeatureSet, transform: WhiteningTransform) -> FeatureSet:
@@ -171,7 +157,7 @@ def pca_whiten_apply(features: FeatureSet, transform: WhiteningTransform) -> Fea
             f"transform expects d={transform.mean.shape[0]}, got d={features.d}"
         )
     out = (features.data - transform.mean) @ transform.projection
-    return FeatureSet(data=out, ids=features.ids, labels=features.labels, normalized=False)
+    return FeatureSet(data=out, labels=features.labels)
 
 
 def _intrinsic_points(spec: SyntheticSpec, rng: np.random.Generator):
@@ -253,7 +239,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
     if spec.noise > 0:
         pts = pts + spec.noise * rng.normal(size=pts.shape)
     pts = pts.astype(np.float32).astype(np.float64)
-    return FeatureSet(data=pts, labels=labels, normalized=False)
+    return FeatureSet(data=pts, labels=labels)
 
 
 def save_features(features: FeatureSet, path) -> None:
@@ -283,7 +269,7 @@ def load_features(path) -> FeatureSet:
         if fh.read(1):
             raise TrailingBytes(f"{path}: bytes after the {n}x{d} payload")
     data = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
-    return FeatureSet(data=data, normalized=False)
+    return FeatureSet(data=data)
 
 
 def save_labels(labels: np.ndarray, path) -> None:
@@ -295,7 +281,7 @@ def save_labels(labels: np.ndarray, path) -> None:
 def load_labels(path, expected_n: int) -> np.ndarray:
     """Read the label sidecar: one decimal integer per line, exactly n lines."""
     values = []
-    with open(path) as fh:
+    with open_text(path, BadLabels) as fh:
         for number, line in enumerate(fh, 1):
             try:
                 values.extend(int(token) for token in line.split())

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadGraph, BadMagic, KTooLarge
+from .errors import BadGraph, BadMagic, KTooLarge, open_text
 from .features import FeatureSet
 
 GRAPH_MAGIC = "MOMG"
@@ -30,9 +30,6 @@ class NeighborGraph:
     k: int
     adjacency: sp.csr_matrix
     degrees: np.ndarray
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.adjacency.indices[self.adjacency.indptr[i] : self.adjacency.indptr[i + 1]]
 
     @classmethod
     def from_edges(cls, n: int, k: int, edges) -> "NeighborGraph":
@@ -109,17 +106,11 @@ class NormalizedOperator:
     kind: str  # "symmetric" | "stochastic"
     matrix: sp.csr_matrix
     n: int
-    isolated_nodes: int
 
 
 def similarity(dots):
     """The similarity kernel on dot products of unit vectors: max(dot, 0)^3."""
     return np.clip(dots, 0.0, None) ** 3
-
-
-def euclidean_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Clipped-cosine similarity cubed between two unit vectors: max(a.b, 0)^3."""
-    return float(similarity(np.dot(a, b)))
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -228,13 +219,11 @@ def build_reciprocal_graph(features: FeatureSet, k: int) -> NeighborGraph:
 def normalize_graph(graph: NeighborGraph, kind: str) -> NormalizedOperator:
     """Build D^-1/2 A D^-1/2 ("symmetric") or D^-1 A ("stochastic").
 
-    Isolated nodes yield all-zero rows/columns; their count is reported on the
-    returned operator.
+    Isolated nodes yield all-zero rows/columns.
     """
     if kind not in ("symmetric", "stochastic"):
         raise ValueError(f"kind must be 'symmetric' or 'stochastic', got {kind!r}")
     d = graph.degrees
-    isolated = int(np.sum(d == 0))
     inv = np.zeros_like(d)
     nz = d > 0
     coo = graph.adjacency.tocoo()
@@ -245,7 +234,7 @@ def normalize_graph(graph: NeighborGraph, kind: str) -> NormalizedOperator:
         inv[nz] = 1.0 / d[nz]
         vals = coo.data * inv[coo.row]
     mat = sp.csr_matrix((vals, (coo.row, coo.col)), shape=(graph.n, graph.n))
-    return NormalizedOperator(kind=kind, matrix=mat, n=graph.n, isolated_nodes=isolated)
+    return NormalizedOperator(kind=kind, matrix=mat, n=graph.n)
 
 
 def save_graph(graph: NeighborGraph, path) -> None:
@@ -267,7 +256,7 @@ def load_graph(path) -> NeighborGraph:
     integers >= 1, a line that is not "i j w", or an edge that fails
     :func:`_check_edges`.
     """
-    with open(path) as fh:
+    with open_text(path, BadGraph) as fh:
         header = fh.readline().split()
         body = fh.read()
     if len(header) != 3 or header[0] != GRAPH_MAGIC:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionConfig, check_anchor_ids, solve_column, solve_columns
-from .errors import AllPoolsEmpty, BadPools, DimMismatch, LabelsMissing
+from .errors import AllPoolsEmpty, BadPools, DimMismatch, LabelsMissing, open_text
 from .features import FeatureSet
 from .graph import NormalizedOperator, similarity, top_k
 
@@ -324,7 +324,7 @@ def load_pools(path) -> list:
     "anchor" and "positives" and "negatives" lists of [id, weight] pairs
     (ids below 2^63, both >= 0, weights finite), and on a file without pools."""
     pools = []
-    with open(path) as fh:
+    with open_text(path, BadPools) as fh:
         for number, line in enumerate(fh, 1):
             try:
                 if line.strip():

@@ -21,6 +21,13 @@ _KIND_CODES = {"linear": 0, "mlp": 1}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 
+def _layer_dims(kind, input_dim, output_dim, hidden_dim):
+    """(fan_out, fan_in) of each layer: one affine map, or two around the ReLU."""
+    if kind == "linear":
+        return [(output_dim, input_dim)]
+    return [(hidden_dim, input_dim), (output_dim, hidden_dim)]
+
+
 @dataclass
 class EmbeddingModel:
     """Parametric map to the unit sphere: affine (+ optional ReLU hidden layer),
@@ -39,24 +46,11 @@ class EmbeddingModel:
             raise ValueError("linear model takes hidden_dim=0")
         if self.kind == "mlp" and self.hidden_dim < 1:
             raise ValueError("mlp model needs hidden_dim >= 1")
-        if not self.layers:
-            raise ValueError("layers missing; use EmbeddingModel.initialize")
-        shapes = self._expected_shapes()
+        dims = _layer_dims(self.kind, self.input_dim, self.output_dim, self.hidden_dim)
+        shapes = [((fan_out, fan_in), (fan_out,)) for fan_out, fan_in in dims]
         got = [(w.shape, b.shape) for w, b in self.layers]
         if got != shapes:
             raise ValueError(f"parameter shapes {got} do not match architecture {shapes}")
-
-    def _expected_shapes(self):
-        if self.kind == "linear":
-            return [((self.output_dim, self.input_dim), (self.output_dim,))]
-        return [
-            ((self.hidden_dim, self.input_dim), (self.hidden_dim,)),
-            ((self.output_dim, self.hidden_dim), (self.output_dim,)),
-        ]
-
-    @property
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in self.layers)
 
     @classmethod
     def initialize(cls, kind, input_dim, output_dim, hidden_dim=0, seed=0):
@@ -82,42 +76,25 @@ class EmbeddingModel:
         else:
             layers = [
                 [rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_out, fan_in)), np.zeros(fan_out)]
-                for fan_out, fan_in in [(hidden_dim, input_dim), (output_dim, hidden_dim)]
+                for fan_out, fan_in in _layer_dims(kind, input_dim, output_dim, hidden_dim)
             ]
         return cls(kind, input_dim, output_dim, hidden_dim, layers)
 
-    def copy(self) -> "EmbeddingModel":
-        return EmbeddingModel(
-            self.kind,
-            self.input_dim,
-            self.output_dim,
-            self.hidden_dim,
-            [[w.copy(), b.copy()] for w, b in self.layers],
-        )
-
 
 def _forward_cache(model: EmbeddingModel, x: np.ndarray):
-    """Batched forward pass keeping what the backward pass needs."""
-    cache = {"x": x}
-    if model.kind == "linear":
-        w, b = model.layers[0]
-        pre = x @ w.T + b
-    else:
-        w1, b1 = model.layers[0]
-        w2, b2 = model.layers[1]
-        hpre = x @ w1.T + b1
-        h = np.maximum(hpre, 0.0)
-        cache["hpre"] = hpre
-        cache["h"] = h
-        pre = h @ w2.T + b2
+    """Batched forward pass, a ReLU between layers, keeping each layer's
+    input and the normalization for the backward pass."""
+    inputs = []
+    pre = x
+    for i, (w, b) in enumerate(model.layers):
+        inputs.append(np.maximum(pre, 0.0) if i else pre)
+        pre = inputs[i] @ w.T + b
     norms = np.linalg.norm(pre, axis=1)
     if np.any(norms < 1e-12):
         bad = int(np.flatnonzero(norms < 1e-12)[0])
         raise DegenerateOutput(f"pre-normalization norm below 1e-12 for input row {bad}")
     z = pre / norms[:, None]
-    cache["z"] = z
-    cache["norms"] = norms
-    return z, cache
+    return z, (inputs, z, norms)
 
 
 def forward(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
@@ -130,19 +107,16 @@ def forward(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
 
 def _backward(model: EmbeddingModel, cache, dz: np.ndarray, grads: list) -> None:
     """Accumulate parameter gradients for dLoss/dz into `grads` (same shapes
-    as model.layers). Normalization backprop: dpre = (dz - (dz.z) z)/||pre||."""
-    z, norms = cache["z"], cache["norms"]
+    as model.layers). Normalization backprop: dpre = (dz - (dz.z) z)/||pre||;
+    a ReLU passes the gradient where its output, the next layer's input, is
+    positive."""
+    inputs, z, norms = cache
     dpre = (dz - np.sum(dz * z, axis=1, keepdims=True) * z) / norms[:, None]
-    if model.kind == "linear":
-        grads[0][0] += dpre.T @ cache["x"]
-        grads[0][1] += dpre.sum(axis=0)
-        return
-    w2 = model.layers[1][0]
-    grads[1][0] += dpre.T @ cache["h"]
-    grads[1][1] += dpre.sum(axis=0)
-    dh = (dpre @ w2) * (cache["hpre"] > 0.0)
-    grads[0][0] += dh.T @ cache["x"]
-    grads[0][1] += dh.sum(axis=0)
+    for i in reversed(range(len(model.layers))):
+        grads[i][0] += dpre.T @ inputs[i]
+        grads[i][1] += dpre.sum(axis=0)
+        if i:
+            dpre = (dpre @ model.layers[i][0]) * (inputs[i] > 0.0)
 
 
 def _contrastive_batch(zr, zp, zn, margin):
@@ -210,11 +184,9 @@ def contrastive_loss(z_r, z_p, z_n, margin):
     return float(losses[0]), (g_r[0], g_p[0], g_n[0])
 
 
-def triplet_loss(z_r, z_p, z_n, margin, literal_form: bool = False):
-    """Scalar triplet loss and gradients; `literal_form` switches to the
-    hinge-squared mixed-distance variant."""
-    fn = _triplet_literal_batch if literal_form else _triplet_batch
-    losses, g_r, g_p, g_n = fn(
+def triplet_loss(z_r, z_p, z_n, margin):
+    """Scalar triplet loss and gradients w.r.t. the three embeddings."""
+    losses, g_r, g_p, g_n = _triplet_batch(
         np.atleast_2d(z_r), np.atleast_2d(z_p), np.atleast_2d(z_n), margin
     )
     return float(losses[0]), (g_r[0], g_p[0], g_n[0])
@@ -229,14 +201,11 @@ def apply_weight(loss: float, grads, weight: float):
 
 def sgd_momentum_step(params: list, grads: list, velocity: list, lr: float, momentum: float):
     """In-place v <- momentum*v - lr*g; theta <- theta + v."""
-    for (w, b), (gw, gb), (vw, vb) in zip(params, grads, velocity):
-        vw *= momentum
-        vw -= lr * gw
-        w += vw
-        vb *= momentum
-        vb -= lr * gb
-        b += vb
-    return params, velocity
+    for layer, layer_grads, layer_velocity in zip(params, grads, velocity):
+        for theta, g, v in zip(layer, layer_grads, layer_velocity):
+            v *= momentum
+            v -= lr * g
+            theta += v
 
 
 @dataclass
@@ -363,11 +332,8 @@ def load_model(path) -> EmbeddingModel:
         if code not in _CODE_KINDS:
             raise BadMagic(f"{path}: unknown model kind code {code}")
         kind = _CODE_KINDS[code]
-        dims = (
-            [(d_out, d_in)] if kind == "linear" else [(hidden, d_in), (d_out, hidden)]
-        )
         layers = []
-        for fan_out, fan_in in dims:
+        for fan_out, fan_in in _layer_dims(kind, d_in, d_out, hidden):
             need = (fan_out * fan_in + fan_out) * 4
             blob = fh.read(need)
             if len(blob) < need:

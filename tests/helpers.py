@@ -99,6 +99,11 @@ def disjoint_union(*graphs, isolated=0):
     return NeighborGraph.from_edges(n, k=n, edges=sorted(edges))
 
 
+def neighbors(graph, i):
+    """Ids of the nodes adjacent to node i, ascending."""
+    return graph.adjacency.indices[graph.adjacency.indptr[i] : graph.adjacency.indptr[i + 1]]
+
+
 def components_reference(graph):
     """Breadth-first search from each unlabelled node in ascending order, so
     every node is labelled with the smallest id in its component."""
@@ -109,7 +114,7 @@ def components_reference(graph):
         label[start] = start
         queue = [start]
         for i in queue:
-            for j in graph.neighbors(i):
+            for j in neighbors(graph, i):
                 if label[j] < 0:
                     label[j] = start
                     queue.append(j)
@@ -151,7 +156,7 @@ def local_maxima_oracle(graph, pi):
     """Direct neighbor comparison; assumes pi has no exact ties."""
     out = []
     for i in range(graph.n):
-        nbrs = graph.neighbors(i)
+        nbrs = neighbors(graph, i)
         if len(nbrs) == 0:
             continue
         if all(pi[i] > pi[j] for j in nbrs):
@@ -279,7 +284,7 @@ def solve_column_reference(operator, anchor, config):
     b = np.zeros(n)
     b[anchor] = 1.0 - alpha
     if mat.indptr[anchor] == mat.indptr[anchor + 1]:  # isolated: system decouples
-        return SimilarityColumn(anchor, b, 0.0, 0, True, np.zeros(0))
+        return SimilarityColumn(anchor, b, 0.0, 0, True)
     b_norm = 1.0 - alpha
     x = np.zeros(n)
     r = b.copy()
@@ -287,7 +292,6 @@ def solve_column_reference(operator, anchor, config):
     rs = float(r @ r)
     best_x = x.copy()
     best_rel = np.sqrt(rs) / b_norm
-    history = []
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
@@ -304,13 +308,12 @@ def solve_column_reference(operator, anchor, config):
         if rel < best_rel:
             best_rel = rel
             best_x = x.copy()
-        history.append(best_rel)
         if best_rel <= config.tolerance:
             converged = True
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return SimilarityColumn(anchor, best_x, best_rel, iterations, converged, np.asarray(history))
+    return SimilarityColumn(anchor, best_x, best_rel, iterations, converged)
 
 
 def pools_two_rankings(column, features, mining_config):

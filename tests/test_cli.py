@@ -117,6 +117,7 @@ def test_eval_non_integer_label_is_data_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("mom eval: error:") and f"{labels}, line 1" in err
+    assert not (tmp_path / "e").exists()
 
 
 def test_out_under_a_file_is_data_error(tmp_path, capsys):
@@ -134,6 +135,51 @@ def test_non_utf8_config_file_is_data_error(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("mom gen: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--config", "{truncated}"],
+    ["gen", "--config", "{undecodable}"],
+    ["eval", "--features", "{features}", "--labels", "{undecodable}"],
+    ["anchors", "--graph", "{undecodable}"],
+    ["mine", "--features", "{features}", "--graph", "{graph}", "--anchors", "{undecodable}"],
+    ["train", "--features", "{features}", "--pools", "{undecodable}"],
+], ids=["config-truncated", "config", "labels", "graph", "anchors", "pools"])
+def test_unreadable_text_file_is_named_in_the_data_error(tmp_path, capsys, argv):
+    run_gen(tmp_path / "data")
+    paths = {
+        "truncated": tmp_path / "truncated.json",
+        "undecodable": tmp_path / "undecodable.txt",
+        "features": tmp_path / "data" / "features.bin",
+        "graph": tmp_path / "graph.txt",
+    }
+    paths["truncated"].write_text('{"graph.k": ')
+    paths["undecodable"].write_bytes(b"0 0.5\n\xff\n")
+    paths["graph"].write_text("MOMG 120 8\n")
+    bad = paths[argv[-1][1:-1]]
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"mom {argv[0]}: error: {bad}: ")
+    assert not out.exists()
+
+
+def test_oracle_without_labels_fails_before_any_work(tmp_path, capsys):
+    run_gen(tmp_path / "data")
+    features = str(tmp_path / "data" / "features.bin")
+    graph, anchors = tmp_path / "graph.txt", tmp_path / "anchors.txt"
+    graph.write_text("MOMG 120 8\n")
+    anchors.write_text("0 0.5\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    for argv in (
+        ["pipeline", "--features", features, "--oracle", "positive"],
+        ["mine", "--features", features, "--graph", str(graph), "--anchors", str(anchors),
+         "--set", "mining.oracle", "negative"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"mom {argv[0]}: error: mining.oracle {argv[-1]} needs --labels\n"
+        assert not out.exists()
 
 
 def test_mine_missing_graph_is_data_error(tmp_path, capsys):
@@ -375,10 +421,12 @@ def test_mine_bad_anchor_ids_are_data_errors(tmp_path, capsys, anchors_txt):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("mom mine: error:") and "anchor" in err
+        assert not (tmp_path / "m").exists()
     code = main(["diffuse", "--out", str(tmp_path / "d"), "--graph", str(tmp_path / "g" / "graph.txt"),
                  "--anchor", "500"])
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_diffuse_column_order_matches_lexsort_with_isolated_nodes(tmp_path, capsys):
@@ -595,6 +643,7 @@ def test_train_rejects_a_bad_pool_line_with_file_and_line(tmp_path, capsys, line
     err = capsys.readouterr().err
     assert err.startswith("mom train: error:") and f"{pools}:3:" in err and needle in err
     assert "Traceback" not in err
+    assert not (tmp_path / "t").exists()
 
 
 def test_train_rejects_a_pool_file_without_pools(tmp_path, capsys):

@@ -112,13 +112,6 @@ def test_nmi_symmetry_and_permutation_invariance():
     assert nmi(a, b) == pytest.approx(nmi_oracle(a, b), abs=1e-12)
 
 
-def test_nmi_geometric_normalizer():
-    rng = np.random.default_rng(7)
-    a = rng.integers(0, 3, size=40)
-    b = rng.integers(0, 5, size=40)
-    assert nmi(a, b, normalizer="geometric") > 0 or nmi(a, b) == 0
-
-
 def test_nmi_length_mismatch():
     with pytest.raises(LengthMismatch):
         nmi([0, 1], [0, 1, 2])

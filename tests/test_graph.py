@@ -11,7 +11,6 @@ from momine.graph import (
     NeighborGraph,
     build_reciprocal_graph,
     components,
-    euclidean_similarity,
     knn_search,
     similarity,
     load_graph,
@@ -31,28 +30,28 @@ from helpers import (
 
 def unit_rows(rows):
     arr = np.asarray(rows, dtype=float)
-    return FeatureSet(data=arr / np.linalg.norm(arr, axis=1, keepdims=True), normalized=True)
+    return FeatureSet(data=arr / np.linalg.norm(arr, axis=1, keepdims=True))
 
 
 def on_circle(angles_deg):
     t = np.deg2rad(np.asarray(angles_deg, dtype=float))
-    return FeatureSet(data=np.column_stack([np.cos(t), np.sin(t)]), normalized=True)
+    return FeatureSet(data=np.column_stack([np.cos(t), np.sin(t)]))
 
 
 def test_similarity_self_is_one():
     v = np.array([0.6, 0.8])
-    assert euclidean_similarity(v, v) == pytest.approx(1.0)
+    assert similarity(np.dot(v, v)) == pytest.approx(1.0)
 
 
 def test_similarity_orthogonal_clipped():
-    assert euclidean_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert euclidean_similarity(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 0.0
+    assert similarity(np.dot(np.array([1.0, 0.0]), np.array([0.0, 1.0]))) == 0.0
+    assert similarity(np.dot(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))) == 0.0
 
 
 def test_similarity_cube():
     a = np.array([1.0, 0.0])
     b = np.array([0.5, np.sqrt(3) / 2])
-    assert euclidean_similarity(a, b) == pytest.approx(0.125)
+    assert similarity(np.dot(a, b)) == pytest.approx(0.125)
 
 
 def test_knn_monotone_in_angle():
@@ -64,7 +63,7 @@ def test_knn_monotone_in_angle():
 def test_knn_duplicate_points_tie():
     v = np.array([1.0, 0.0])
     u = np.array([0.0, 1.0])
-    feats = FeatureSet(data=np.vstack([v, v, u]), normalized=True)
+    feats = FeatureSet(data=np.vstack([v, v, u]))
     nbrs, _ = knn_search(feats, 2)
     assert list(nbrs[0]) == [1, 2]
 
@@ -154,7 +153,7 @@ def test_knn_matches_full_lexsort_on_exact_ties(n):
     # equal-similarity rows tie exactly, within and across row blocks
     rng = np.random.default_rng(n)
     base = rng.integers(-1, 3, size=(n // 3, 4)).astype(float)
-    feats = FeatureSet(data=base[rng.integers(0, base.shape[0], size=n)], normalized=True)
+    feats = FeatureSet(data=base[rng.integers(0, base.shape[0], size=n)])
     nbrs, sims = knn_search(feats, 12)
     s = np.clip(feats.data @ feats.data.T, 0.0, None) ** 3
     np.fill_diagonal(s, -np.inf)
@@ -172,7 +171,7 @@ def test_knn_k_too_large():
 def test_reciprocal_edge_for_mutual_pair():
     feats = on_circle([0, 5, 90])
     g = build_reciprocal_graph(feats, 1)
-    w = euclidean_similarity(feats.data[0], feats.data[1])
+    w = similarity(np.dot(feats.data[0], feats.data[1]))
     assert g.adjacency[0, 1] == pytest.approx(w)
     assert g.adjacency[1, 0] == g.adjacency[0, 1]
     assert g.adjacency[0, 2] == 0.0
@@ -225,7 +224,6 @@ def test_normalize_row_sums_and_symmetry():
 def test_normalize_reports_isolated():
     g = NeighborGraph.from_edges(4, 1, [(0, 1, 1.0)])
     op = normalize_graph(g, "stochastic")
-    assert op.isolated_nodes == 2
     assert np.asarray(op.matrix.sum(axis=1)).ravel()[2] == 0.0
 
 
@@ -300,7 +298,7 @@ def exact_gram_features(seed):
     third = np.zeros((6, 3))
     third[:, 2] = 1.0  # six duplicated rows with five positive dots each
     data = np.vstack([first, second, third])[rng.permutation(n)]
-    return FeatureSet(data=data, normalized=True)
+    return FeatureSet(data=data)
 
 
 @pytest.mark.parametrize("k", [1, 5, 12, 23, 40, 2 * BLOCK_ROWS + 36])
@@ -317,7 +315,7 @@ def test_knn_equals_lexsort_on_cubed_clipped_gram(k):
 def test_knn_ranks_cube_ties_below_the_guard_by_index():
     # dots 1e-109 > 1e-110 > 0 all cube to 0.0, so they tie by index
     data = np.array([[1.0, 0.0], [0.0, 1.0], [1e-110, 0.0], [1e-109, 0.0], [0.5, 0.0]])
-    nbrs, sims = knn_search(FeatureSet(data=data, normalized=True), 3)
+    nbrs, sims = knn_search(FeatureSet(data=data), 3)
     assert nbrs[0].tolist() == [4, 1, 2]
     assert sims[0].tolist() == [0.125, 0.0, 0.0]
 
@@ -327,8 +325,8 @@ def test_similarity_kernel_scalar_and_array_forms():
     a, b = rng.normal(size=(2, 50, 4))
     dots = np.einsum("ij,ij->i", a, b)
     assert np.array_equal(similarity(dots), np.where(dots > 0, dots, 0.0) ** 3)
-    # the scalar wrapper keeps the bits of the per-pair formula it replaced
-    assert [euclidean_similarity(x, y) for x, y in zip(a, b)] == [
+    # on one dot product it keeps the bits of the per-pair formula
+    assert [float(similarity(np.dot(x, y))) for x, y in zip(a, b)] == [
         max(float(np.dot(x, y)), 0.0) ** 3 for x, y in zip(a, b)
     ]
 

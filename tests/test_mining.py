@@ -394,7 +394,7 @@ def test_build_training_pool_checks_anchor_ids_and_sizes():
             build_training_pool(anchors, feats, op, DC, cfg)
     with pytest.raises(BadAnchors):
         baseline_pools(-3, feats)
-    other = FeatureSet(data=feats.data[:20], normalized=True)
+    other = FeatureSet(data=feats.data[:20])
     with pytest.raises(DimMismatch):
         build_training_pool(AnchorSet(np.asarray([0]), np.zeros(1)), other, op, DC, cfg)
 

@@ -8,6 +8,7 @@ from momine.mining import AnchorPools, MiningConfig
 from momine.trainer import (
     EmbeddingModel,
     TrainConfig,
+    _LOSSES,
     _backward,
     _forward_cache,
     apply_weight,
@@ -30,6 +31,13 @@ def unit(v):
 
 def random_unit_triple(rng, d=6):
     return (unit(rng.normal(size=d)), unit(rng.normal(size=d)), unit(rng.normal(size=d)))
+
+
+def triplet_literal_loss(z_r, z_p, z_n, margin):
+    """The "triplet-literal" training loss on one tuple: its value and the
+    gradients w.r.t. the three embeddings."""
+    losses, *grads = _LOSSES["triplet-literal"](*map(np.atleast_2d, (z_r, z_p, z_n)), margin)
+    return float(losses[0]), tuple(g[0] for g in grads)
 
 
 def identity_model(d):
@@ -75,7 +83,7 @@ def test_initialize_shapes_and_identity():
     up = EmbeddingModel.initialize("linear", 3, 8, seed=0)
     assert np.allclose(up.layers[0][0].T @ up.layers[0][0], np.eye(3), atol=1e-12)
     mlp = EmbeddingModel.initialize("mlp", 5, 3, hidden_dim=7, seed=0)
-    assert mlp.parameter_count == (7 * 5 + 7) + (3 * 7 + 3)
+    assert [(w.shape, b.shape) for w, b in mlp.layers] == [((7, 5), (7,)), ((3, 7), (3,))]
     with pytest.raises(ValueError):
         EmbeddingModel("linear", 3, 2, layers=[[np.zeros((9, 9)), np.zeros(9)]])
 
@@ -117,7 +125,7 @@ def test_triplet_literal_form_value():
     z_r = unit([1.0, 0.0])
     z_p = unit([0.0, 1.0])  # squared distance 2
     z_n = unit([-1.0, 0.0])  # distance 2 (not squared in the literal form)
-    loss, _ = triplet_loss(z_r, z_p, z_n, margin=0.5, literal_form=True)
+    loss, _ = triplet_literal_loss(z_r, z_p, z_n, margin=0.5)
     assert loss == pytest.approx((0.5 + 2.0 - 2.0) ** 2)
 
 
@@ -139,7 +147,7 @@ def test_losses_never_negative():
         z_r, z_p, z_n = random_unit_triple(rng)
         assert contrastive_loss(z_r, z_p, z_n, 0.7)[0] >= 0.0
         assert triplet_loss(z_r, z_p, z_n, 0.5)[0] >= 0.0
-        assert triplet_loss(z_r, z_p, z_n, 0.5, literal_form=True)[0] >= 0.0
+        assert triplet_literal_loss(z_r, z_p, z_n, 0.5)[0] >= 0.0
 
 
 def _fd_check(fn, z_r, z_p, z_n, margin, step=1e-5, tol=1e-4):
@@ -176,7 +184,7 @@ def test_loss_gradients_match_finite_differences(kind):
     fn = {
         "contrastive": lambda *a: contrastive_loss(*a),
         "triplet": lambda *a: triplet_loss(*a),
-        "triplet-literal": lambda *a: triplet_loss(*a, literal_form=True),
+        "triplet-literal": triplet_literal_loss,
     }[kind]
     checked = 0
     while checked < 100:
