@@ -52,37 +52,26 @@ def stationary(graph: NeighborGraph) -> tuple[np.ndarray, int]:
 
 
 def power_iteration(
-    operator: NormalizedOperator,
-    tolerance: float = 1e-10,
-    max_iterations: int = 10000,
-    damping: float | None = None,
+    operator: NormalizedOperator, tolerance: float = 1e-10, max_iterations: int = 10000
 ) -> StationaryDistribution:
     """Iterate pi <- pi P from the uniform distribution until the L1 change
     drops below tolerance.
 
     The vector is renormalized to sum 1 every step since isolated nodes leak
-    mass. The damping factor beta mixes in the uniform distribution (pi <-
-    beta*pi*P + (1-beta)*u) at the cost of deviating from the pi ~ degree
-    law. The damped walk has no closed form; the undamped limit is
-    :func:`stationary`, which the CLI uses instead, so `anchors.tolerance`,
-    `anchors.max_iterations` and the cap warning apply only when
-    0 < `anchors.damping` < 1.
+    mass. This is the test reference for :func:`stationary`, the closed form
+    of its limit (and of its Cesaro mean on a bipartite component, where the
+    iterate oscillates); the pipeline uses only the closed form.
     """
     if operator.kind != "stochastic":
         raise ValueError("power_iteration needs the row-stochastic operator")
     if operator.matrix.nnz == 0:
         raise EmptyGraph("graph has no edges; the walk is undefined")
-    if damping is not None and not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must be in (0, 1], got {damping}")
-    n = operator.n
     pt = operator.matrix.T.tocsr()  # pi @ P as a csr matvec
-    pi = np.full(n, 1.0 / n)
+    pi = np.full(operator.n, 1.0 / operator.n)
     delta = np.inf
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         nxt = pt @ pi
-        if damping is not None and damping < 1.0:
-            nxt = damping * nxt + (1.0 - damping) / n
         nxt /= nxt.sum()
         delta = float(np.abs(nxt - pi).sum())
         pi = nxt

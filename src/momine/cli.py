@@ -21,7 +21,6 @@ from . import __version__
 from .anchors import (
     AnchorSet,
     load_anchors,
-    power_iteration,
     save_anchors,
     select_anchors,
     stationary,
@@ -74,9 +73,6 @@ DEFAULTS = {
     "diffusion.max_iterations": 100,
     "anchors.count": 64,
     "anchors.mode": "maxima",  # maxima | all (every non-isolated node, by pi)
-    "anchors.tolerance": 1e-10,
-    "anchors.max_iterations": 10000,
-    "anchors.damping": 0.0,  # 0 (or 1) = off
     "mining.k_pos": 50,
     "mining.k_neg": 100,
     "mining.max_pos": 0,  # 0 = unlimited
@@ -154,9 +150,6 @@ _CHECKS = {
     "graph.k": (lambda v: v >= 1, ">= 1"),
     "anchors.count": (lambda v: v >= 1, ">= 1"),
     "anchors.mode": (lambda v: v in ("maxima", "all"), "'maxima' or 'all'"),
-    "anchors.tolerance": (lambda v: v > 0, "> 0"),
-    "anchors.max_iterations": (lambda v: v >= 1, ">= 1"),
-    "anchors.damping": (lambda v: 0 <= v <= 1, "in [0, 1] (0 or 1 = off)"),
     "mining.mode": (lambda v: v in ("mined", "baseline"), "'mined' or 'baseline'"),
     "mining.baseline_k": (lambda v: v >= 1, ">= 1"),
     "mining.oracle": (
@@ -340,40 +333,20 @@ def cmd_diffuse(args, cfg, seed, out: Path):
     return 0
 
 
-def _stationary(graph, cfg, command):
-    """The stationary distribution of the graph's walk and how it was found:
-    in closed form when undamped (damping 0, or 1, which mixes in nothing),
-    else by damped power iteration, whose stop at the iteration cap is
-    reported on stderr."""
-    damping = cfg["anchors.damping"]
-    if damping in (0.0, 1.0):
-        pi, parts = stationary(graph)
-        return pi, f"stationary: closed form, {parts} components"
-    sto = normalize_graph(graph, "stochastic")
-    stat = power_iteration(
-        sto, cfg["anchors.tolerance"], cfg["anchors.max_iterations"], damping
+def _anchors_line(anchor_set, parts, cfg, path) -> str:
+    return (
+        f"anchors: {len(anchor_set)} of requested {cfg['anchors.count']}"
+        f" (stationary: closed form, {parts} components) -> {path}"
     )
-    if not stat.converged:
-        print(
-            f"mom {command}: warning: power iteration stopped at its cap of"
-            f" {stat.iterations_used} iterations without converging (L1 change"
-            f" {stat.l1_delta:.3g}, tolerance {cfg['anchors.tolerance']})",
-            file=sys.stderr,
-        )
-    return stat.pi, f"power iteration: {stat.iterations_used} its, converged={stat.converged}"
-
-
-def _anchors_line(anchor_set, method, cfg, path) -> str:
-    return f"anchors: {len(anchor_set)} of requested {cfg['anchors.count']} ({method}) -> {path}"
 
 
 def cmd_anchors(args, cfg, seed, out: Path):
     graph = load_graph(args.graph)
-    pi, method = _stationary(graph, cfg, args.command)
+    pi, parts = stationary(graph)
     anchor_set = _anchor_set(graph, pi, cfg)
     _write_config(cfg, out)
     save_anchors(anchor_set, out / "anchors.txt")
-    print(_anchors_line(anchor_set, method, cfg, out / "anchors.txt"))
+    print(_anchors_line(anchor_set, parts, cfg, out / "anchors.txt"))
     return 0
 
 
@@ -481,11 +454,11 @@ def cmd_pipeline(args, cfg, seed, out: Path):
         space = feats if rnd == 1 else FeatureSet(forward(model, feats.data))
         graph = build_reciprocal_graph(space, cfg["graph.k"])
         save_graph(graph, out / f"graph{suffix}.txt")
-        pi, method = _stationary(graph, cfg, args.command)
+        pi, parts = stationary(graph)
         anchor_set = _anchor_set(graph, pi, cfg)
         anchors_path = out / f"anchors{suffix}.txt"
         save_anchors(anchor_set, anchors_path)
-        print(f"round {rnd}: " + _anchors_line(anchor_set, method, cfg, anchors_path))
+        print(f"round {rnd}: " + _anchors_line(anchor_set, parts, cfg, anchors_path))
         pools = _mine_pools(space, graph, anchor_set, cfg, seed, labels)
         save_pools(pools, out / f"pools{suffix}.jsonl")
         model, log = train(feats, pools, model, tcfg, mcfg)
@@ -557,7 +530,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="gen/load -> graph -> anchors -> mine -> train -> eval")
     _add_common(p)
     p.add_argument("--features", help="feature file; omit to generate synthetically")
-    p.add_argument("--labels", help="label sidecar for evaluation")
+    p.add_argument("--labels", help="label sidecar for --features (evaluation)")
     p.add_argument("--rounds", type=int, default=None, help="alternating mine/train rounds")
     p.add_argument("--baseline", choices=["euclidean"], default=None,
                    help="use Euclidean-NN baseline pools instead of mined ones")
@@ -581,6 +554,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "pipeline" and args.labels and not args.features:
+        parser.error("pipeline --labels needs --features: generated data brings its own labels")
     try:
         cfg = _load_config(args.config, args.set)
         if getattr(args, "rounds", None) is not None:

@@ -7,6 +7,8 @@ import numpy as np
 from .errors import DegenerateLabels, KTooLarge, LengthMismatch
 from .graph import BLOCK_ROWS, top_k
 
+KMEANS_MAX_ITER = 100  # Lloyd rounds; the loop also stops once no assignment changes
+
 
 @dataclass
 class EvalReport:
@@ -97,7 +99,7 @@ def recall_at_k(embeddings: np.ndarray, labels, ks) -> dict:
     return _ranking_metrics(embeddings, labels, ks, with_map=False)[0]
 
 
-def kmeans(embeddings: np.ndarray, c: int, seed: int = 0, max_iter: int = 100) -> np.ndarray:
+def kmeans(embeddings: np.ndarray, c: int, seed: int = 0) -> np.ndarray:
     """Lloyd's algorithm with seeded farthest-point initialization.
 
     Deterministic per seed: argmin/argmax ties go to the lowest index, and an
@@ -115,7 +117,7 @@ def kmeans(embeddings: np.ndarray, c: int, seed: int = 0, max_iter: int = 100) -
         centers[j] = x[int(np.argmax(mind))]
         mind = np.minimum(mind, np.linalg.norm(x - centers[j], axis=1))
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = (
             np.sum(x**2, axis=1)[:, None]
             - 2.0 * (x @ centers.T)

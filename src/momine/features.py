@@ -28,6 +28,8 @@ MAGIC = b"MOM1"
 
 SYNTHETIC_KINDS = ("moons", "circles", "swiss-roll", "clusters")
 
+WHITEN_EPSILON = 1e-9  # eigenvalue floor and regularizer of the whitening scale
+
 
 @dataclass
 class FeatureSet:
@@ -112,22 +114,18 @@ def l2_normalize(features: FeatureSet) -> FeatureSet:
     return FeatureSet(data=features.data / norms[:, None], labels=features.labels)
 
 
-def pca_whiten_fit(
-    features: FeatureSet, retained_dims: int, epsilon: float = 1e-9
-) -> WhiteningTransform:
+def pca_whiten_fit(features: FeatureSet, retained_dims: int) -> WhiteningTransform:
     """Fit an unsupervised PCA whitening transform on the feature set.
 
     Centers by the sample mean, keeps the top ``retained_dims`` principal
-    axes, and scales each by 1/sqrt(eigenvalue + epsilon) so the fitting set
-    comes out with unit variance per retained component.
+    axes, and scales each by 1/sqrt(eigenvalue + WHITEN_EPSILON) so the
+    fitting set comes out with unit variance per retained component.
     """
     n, d = features.n, features.d
     if not 1 <= retained_dims <= min(n - 1, d):
         raise RankDeficient(
             f"retained_dims must be in [1, min(n-1, d)={min(n - 1, d)}], got {retained_dims}"
         )
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     mean = features.data.mean(axis=0)
     if not np.isfinite(mean).all():
         raise NonFinite("feature values must be finite to fit whitening")
@@ -136,17 +134,17 @@ def pca_whiten_fit(
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    usable = int(np.sum(eigvals > epsilon))
+    usable = int(np.sum(eigvals > WHITEN_EPSILON))
     if usable < retained_dims:
         raise RankDeficient(
-            f"only {usable} eigenvalues exceed epsilon={epsilon}, need {retained_dims}"
+            f"only {usable} eigenvalues exceed epsilon={WHITEN_EPSILON}, need {retained_dims}"
         )
     # canonical sign: largest-magnitude entry of each axis is positive
     for j in range(retained_dims):
         pivot = np.argmax(np.abs(eigvecs[:, j]))
         if eigvecs[pivot, j] < 0:
             eigvecs[:, j] = -eigvecs[:, j]
-    proj = eigvecs[:, :retained_dims] / np.sqrt(eigvals[:retained_dims] + epsilon)
+    proj = eigvecs[:, :retained_dims] / np.sqrt(eigvals[:retained_dims] + WHITEN_EPSILON)
     return WhiteningTransform(mean=mean, projection=proj)
 
 

@@ -63,12 +63,6 @@ def test_two_node_edge_converges_from_uniform():
     assert np.allclose(stat.pi, [0.5, 0.5])
 
 
-def test_damping_rescues_bipartite_path():
-    g = NeighborGraph.from_edges(3, 2, [(0, 1, 1.0), (1, 2, 1.0)])
-    stat = power_iteration(stochastic(g), tolerance=1e-10, max_iterations=5000, damping=0.85)
-    assert stat.converged
-
-
 def test_isolated_nodes_lose_all_mass():
     g = NeighborGraph.from_edges(5, 2, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     stat = power_iteration(stochastic(g), tolerance=1e-12, max_iterations=10000)

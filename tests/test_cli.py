@@ -194,20 +194,34 @@ def test_mine_missing_graph_is_data_error(tmp_path, capsys):
     assert "nope" in err
 
 
-def test_usage_error_exit_code_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["mine", "--out", "x"])  # missing required flags
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate", "--out", "x"])
-    assert exc.value.code == 1
-    capsys.readouterr()
+def test_usage_error_exit_code_one(tmp_path, capsys):
+    out = tmp_path / "x"
+    for argv in (
+        ["mine"],  # missing required flags
+        ["frobnicate"],
+        # generated data brings its own labels, which --labels would not replace
+        ["pipeline", "--labels", "no-such-file.txt", "--seed", "1",
+         "--set", "gen.per_class", "50"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_config_key_is_data_error(tmp_path, capsys):
-    code = main(["gen", "--out", str(tmp_path / "x"), "--set", "gen.bogus", "1"])
-    assert code == 2
-    capsys.readouterr()
+    # the anchors.* keys are still in every config.json written before the
+    # damped walk was removed, so feeding one back through --config fails here
+    unknown = {"gen.bogus": 1, "anchors.damping": 0.0, "anchors.max_iterations": 10000,
+               "anchors.tolerance": 1e-10}
+    config, out = tmp_path / "config.json", tmp_path / "x"
+    for key, value in unknown.items():
+        config.write_text(json.dumps({**DEFAULTS, key: value}, indent=2, sort_keys=True) + "\n")
+        for extra in (["--set", key, str(value)], ["--config", str(config)]):
+            assert main(["gen", "--out", str(out)] + extra) == 2
+            assert capsys.readouterr().err == f"mom gen: error: unknown config key {key!r}\n"
+            assert not out.exists()
 
 
 def test_version_flag(capsys):
@@ -527,36 +541,10 @@ def test_bad_graph_file_is_data_error(tmp_path, capsys, body):
         assert not (tmp_path / "out" / "anchors.txt").exists()
 
 
-def test_pipeline_reports_power_iteration_per_round(tmp_path, capsys):
+def test_pipeline_uses_the_closed_form_every_round(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--out", str(out), "--seed", "5", "--rounds", "2"]
-                + SMALL_PIPELINE + ["--set", "anchors.damping", "0.9"]) == 0
-    captured = capsys.readouterr()
-    rounds = [line for line in captured.out.splitlines() if line.startswith("round ")]
-    assert [line.split(":")[0] for line in rounds] == ["round 1", "round 2"]
-    assert all("converged=True" in line for line in rounds)
-    assert captured.err == ""
-
-
-def test_pipeline_warns_when_power_iteration_hits_its_cap(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE
-                + ["--set", "anchors.max_iterations", "3", "--set", "anchors.damping", "0.9"]) == 0
-    captured = capsys.readouterr()
-    assert "round 1: anchors:" in captured.out
-    assert "(power iteration: 3 its, converged=False)" in captured.out
-    warnings = captured.err.splitlines()
-    assert len(warnings) == 1
-    assert warnings[0].startswith(
-        "mom pipeline: warning: power iteration stopped at its cap of 3 iterations"
-    )
-    assert (out / "model.bin").exists()
-
-
-def test_undamped_pipeline_uses_the_closed_form_and_ignores_the_cap(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(["pipeline", "--out", str(out), "--seed", "5", "--rounds", "2"] + SMALL_PIPELINE
-                + ["--set", "anchors.max_iterations", "3"]) == 0
+                + SMALL_PIPELINE) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     rounds = [line for line in captured.out.splitlines() if line.startswith("round ")]
@@ -565,27 +553,10 @@ def test_undamped_pipeline_uses_the_closed_form_and_ignores_the_cap(tmp_path, ca
         assert re.search(r"\(stationary: closed form, [1-9][0-9]* components\)", line), line
 
 
-def test_damping_one_mixes_in_nothing_and_takes_the_closed_form(tmp_path, capsys):
-    # beta = 1 is the undamped walk, so it must not reach power iteration
-    runs = {}
-    for damping in ("0", "1"):
-        out = tmp_path / damping
-        assert main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE
-                    + ["--set", "anchors.max_iterations", "3",
-                       "--set", "anchors.damping", damping]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert "(stationary: closed form, " in captured.out
-        runs[damping] = (out / "model.bin").read_bytes()
-    assert runs["0"] == runs["1"]
-
-
-@pytest.mark.parametrize("damping", ["0", "0.5"])
-def test_anchors_on_an_edgeless_graph_is_a_data_error(tmp_path, capsys, damping):
+def test_anchors_on_an_edgeless_graph_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "graph.txt"
     path.write_text("MOMG 5 2\n")
-    code = main(["anchors", "--graph", str(path), "--out", str(tmp_path / "out"),
-                 "--set", "anchors.damping", damping])
+    code = main(["anchors", "--graph", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("mom anchors: error:") and "no edges" in err

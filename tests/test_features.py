@@ -84,7 +84,7 @@ def test_whiten_isotropic_data_is_rotation():
     data = rng.normal(size=(4000, 3))
     data -= data.mean(axis=0)
     fs = FeatureSet(data=data)
-    tr = pca_whiten_fit(fs, 3, epsilon=1e-9)
+    tr = pca_whiten_fit(fs, 3)
     out = pca_whiten_apply(fs, tr)
     # variance per retained dim is lambda/(lambda+eps), i.e. 1 up to eps
     assert np.all(np.abs(out.data.var(axis=0, ddof=1) - 1.0) < 1e-6)
@@ -102,7 +102,7 @@ def test_whiten_output_covariance_identity():
     t = rng.normal(size=400)
     data = np.column_stack([t, 0.5 * t + 0.05 * rng.normal(size=400)])
     fs = FeatureSet(data=data)
-    tr = pca_whiten_fit(fs, 2, epsilon=1e-12)
+    tr = pca_whiten_fit(fs, 2)
     out = pca_whiten_apply(fs, tr)
     cov = np.cov(out.data.T)
     # oracle: covariance of the transformed set
@@ -111,7 +111,7 @@ def test_whiten_output_covariance_identity():
 
 def test_whiten_toy_first_axis():
     fs = FeatureSet(data=np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]]))
-    tr = pca_whiten_fit(fs, 1, epsilon=1e-12)
+    tr = pca_whiten_fit(fs, 1)
     axis = tr.projection[:, 0] / np.linalg.norm(tr.projection[:, 0])
     # eigen-decomposition by hand: all variance on the x axis
     assert np.allclose(np.abs(axis), [1.0, 0.0], atol=1e-12)
@@ -120,14 +120,14 @@ def test_whiten_toy_first_axis():
 def test_whiten_rank_deficient():
     fs = FeatureSet(data=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
     with pytest.raises(RankDeficient):
-        pca_whiten_fit(fs, 2, epsilon=1e-9)
+        pca_whiten_fit(fs, 2)
 
 
 def test_whiten_fitting_set_unit_variance():
     rng = np.random.default_rng(4)
     data = rng.normal(size=(300, 5)) @ np.diag([3.0, 2.0, 1.0, 0.5, 0.2])
     fs = FeatureSet(data=data)
-    tr = pca_whiten_fit(fs, 4, epsilon=1e-10)
+    tr = pca_whiten_fit(fs, 4)
     out = pca_whiten_apply(fs, tr)
     assert np.all(np.abs(out.data.var(axis=0, ddof=1) - 1.0) < 1e-4)
 
