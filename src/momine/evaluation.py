@@ -8,6 +8,7 @@ from .errors import DegenerateLabels, KTooLarge, LengthMismatch
 from .graph import BLOCK_ROWS, top_k
 
 KMEANS_MAX_ITER = 100  # Lloyd rounds; the loop also stops once no assignment changes
+_INF_BITS = np.float64(np.inf).view(np.uint64)  # above it: negative, -0.0 or NaN
 
 
 @dataclass
@@ -56,6 +57,15 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: b
     distance, ties by ascending index, BLOCK_ROWS queries at a time, so
     memory is O(BLOCK_ROWS * n). Recall needs only the top max(ks); mAP
     needs the full ranking. Queries whose label occurs once are excluded.
+
+    Only the label pattern of a ranking enters the metrics, so a row is one
+    int64 sort of packed keys (of the top depth + 1 after a partition, for
+    recall alone): the bits of d >= +0.0 (ordered as d is) with the lowest
+    bit set to "label differs from the query's". Same-label ties and
+    last-bit swaps cannot change the pattern. A row goes back to top_k when
+    a d is negative, -0.0 or NaN, or when two sorted keys up to rank depth
+    differ in the label bit alone (a cross-label tie up to the last bit), or
+    the key at rank depth has such a partner beyond it.
     """
     n = embeddings.shape[0]
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
@@ -70,14 +80,28 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: b
     aps = np.empty(n)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
-        # 2 x.y - (|x|^2 + |y|^2) is the exact negation of the squared
-        # distance |x|^2 + |y|^2 - 2 x.y, built in place
-        score = embeddings[start:stop] @ embeddings.T
-        score *= 2.0
-        score -= sq[start:stop, None] + sq[None, :]
-        score[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        rel = codes[top_k(score, depth)] == codes[start:stop, None]
-        del score
+        # |x|^2 + |y|^2 - 2 x.y, built in place; the self distance is +inf
+        dist = embeddings[start:stop] @ embeddings.T
+        dist *= -2.0
+        dist += sq[start:stop, None] + sq[None, :]
+        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        fallback = (dist.view(np.uint64) > _INF_BITS).any(axis=1)
+        key = dist.view(np.int64) & -2
+        key |= codes[None, :] != codes[start:stop, None]
+        if depth < n - 1:  # recall alone: sort only the top depth + 1
+            key.partition(depth, axis=1)
+        head = key[:, : depth + 1]
+        head.sort(axis=1)
+        fallback |= ((head[:, 1:] ^ head[:, :-1]) == 1).any(axis=1)
+        # a same-label run at rank depth with an other-label tie further on
+        fallback |= (key[:, depth + 1 :] == (head[:, -1:] ^ 1)).any(axis=1)
+        rel = (head[:, :depth] & 1) == 0
+        del key, head
+        rows = np.flatnonzero(fallback)
+        if rows.size:
+            ranked = top_k(np.negative(dist[rows]), depth)
+            rel[rows] = codes[ranked] == codes[start + rows, None]
+        del dist
         first = np.where(rel.any(axis=1), rel.argmax(axis=1), depth)
         hits += np.count_nonzero(first[:, None] < np.asarray(ks), axis=0)
         if with_map:

@@ -9,6 +9,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -198,7 +199,11 @@ def build_training_pool(
         warnings.warn(f"dropped {anchors.size - len(pools)} anchors with empty pools", stacklevel=2)
     if not pools:
         raise AllPoolsEmpty("every anchor produced empty pools")
-    return pools, pool_table(pools).members
+    members = {p.anchor_id for p in pools}
+    for p in pools:
+        members.update(j for j, _ in p.positives)
+        members.update(j for j, _ in p.negatives)
+    return pools, np.array(sorted(members), dtype=np.int64)
 
 
 @dataclass
@@ -293,8 +298,9 @@ def save_pools(pools: list, path) -> None:
     """JSON lines, one object per anchor, weights at 9 significant digits."""
     with open(path, "w") as fh:
         for pool in pools:
-            pos = ", ".join(f"[{j}, {w:.9g}]" for j, w in pool.positives)
-            neg = ", ".join(f"[{j}, {w:.9g}]" for j, w in pool.negatives)
+            # one %-format per side, "[id, weight], ..."
+            pos, neg = (", ".join(["[%d, %.9g]"] * len(side)) % tuple(chain.from_iterable(side))
+                        for side in (pool.positives, pool.negatives))
             fh.write(
                 f'{{"anchor": {pool.anchor_id}, "positives": [{pos}], "negatives": [{neg}]}}\n'
             )

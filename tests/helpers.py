@@ -8,7 +8,8 @@ paths they are checking.
 import numpy as np
 
 from momine.diffusion import SimilarityColumn
-from momine.graph import NeighborGraph
+from momine.evaluation import _row_aps
+from momine.graph import BLOCK_ROWS, NeighborGraph, top_k
 from momine.mining import AnchorPools
 from momine.trainer import _LOSSES, _backward, _forward_cache, forward, sgd_momentum_step
 
@@ -273,6 +274,33 @@ def ranking_metrics_oracle(embeddings, labels, ks):
         hit_ranks = np.flatnonzero(rel) + 1
         aps.append(float((np.arange(1, total + 1) / hit_ranks).mean()))
     return {k: hits[k] / len(aps) for k in ks}, float(np.mean(aps)), len(aps)
+
+
+def ranking_metrics_reference(embeddings, labels, ks, with_map):
+    """Reference for evaluation._ranking_metrics: each block of queries is
+    ranked by top_k on the negated squared distances, the self score -inf."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    n = embeddings.shape[0]
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    totals = counts[inverse] - 1
+    scorable = int(np.count_nonzero(totals))
+    depth = n - 1 if with_map else max(ks)
+    sq = np.sum(embeddings**2, axis=1)
+    hits = np.zeros(len(ks), dtype=np.int64)
+    aps = np.empty(n)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        score = embeddings[start:stop] @ embeddings.T
+        score *= 2.0
+        score -= sq[start:stop, None] + sq[None, :]
+        score[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        rel = inverse[top_k(score, depth)] == inverse[start:stop, None]
+        first = np.where(rel.any(axis=1), rel.argmax(axis=1), depth)
+        hits += np.count_nonzero(first[:, None] < np.asarray(ks), axis=0)
+        if with_map:
+            aps[start:stop] = _row_aps(rel, totals[start:stop])
+    recall = {k: int(h) / scorable for k, h in zip(ks, hits)}
+    return recall, (float(np.mean(aps[totals > 0])) if with_map else None), scorable
 
 
 def solve_column_reference(operator, anchor, config):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import momine.evaluation
 from momine.errors import DegenerateLabels, KTooLarge, LengthMismatch
 from momine.evaluation import (
     evaluate_embeddings,
@@ -10,9 +11,15 @@ from momine.evaluation import (
     recall_at_k,
 )
 
-from momine.graph import BLOCK_ROWS
+from momine.graph import BLOCK_ROWS, top_k
 
-from helpers import map_oracle, nmi_oracle, ranking_metrics_oracle, recall_oracle
+from helpers import (
+    map_oracle,
+    nmi_oracle,
+    ranking_metrics_oracle,
+    ranking_metrics_reference,
+    recall_oracle,
+)
 
 
 def test_recall_two_items_same_label():
@@ -208,6 +215,107 @@ def test_single_pass_matches_full_ranking(case):
     assert report.n_queries == n_queries
     assert recall_at_k(z, labels, ks) == recall
     assert mean_average_precision(z, labels) == ap
+
+
+def _last_bit_radii():
+    """(r, s) with r*r's bit pattern even and s*s one ulp above it: points
+    at those radii from the origin differ only in the lowest distance bit."""
+    for r in np.linspace(0.25, 0.5, 97):
+        t = r * r
+        up = np.nextafter(t, np.inf)
+        if t.view(np.int64) % 2 == 0 and np.sqrt(up) ** 2 == up:
+            return r, np.sqrt(up)
+    raise AssertionError("no last-bit pair found")
+
+
+def _mixed_case(classes):
+    """Continuous embeddings, n = 2 * BLOCK_ROWS + 37, in which a few queries
+    see an ambiguous packed-key ranking and the others do not.
+
+    Row 30 is an integer point whose three nearest items, rows 31 (other
+    label) and 32, 33 (same label), lie at exactly distance 5 (an exact
+    duplicate pair of different labels would tie for every query; the grid
+    cases in test_single_pass_matches_full_ranking cover that). Rows
+    300-339 are near-duplicate pairs, whose squared distance can round
+    below zero. Row 400 is the origin; row 402 (other label) and row
+    401 (same label) lie on different axes at radii whose squared distances
+    differ only in the last bit, the other-label one closer.
+    """
+    n = 2 * BLOCK_ROWS + 37
+    rng = np.random.default_rng(classes)
+    z = rng.normal(size=(n, 5))
+    labels = rng.integers(0, classes, size=n)
+    z[30:34] = [[0, 0, 0, 0, 6], [1, 2, 0, 0, 6], [0, 0, 2, 0, 7], [0, 0, 0, 2, 5]]
+    labels[30:34] = [0, 1, 0, 0]
+    z[301:340:2] = z[300:340:2] * (1.0 + 1e-13)
+    r, s = _last_bit_radii()
+    z[400:403] = 0.0
+    z[401, 0], z[402, 1] = s, r
+    labels[400:403] = [0, 0, 1]
+    return z, labels
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """The negated distance rows that _ranking_metrics hands back to top_k."""
+    calls = []
+
+    def spy(scores, k):
+        calls.append(scores.copy())
+        return top_k(scores, k)
+
+    monkeypatch.setattr(momine.evaluation, "top_k", spy)
+    return calls
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+def test_packed_ranking_matches_reference(classes, fallback_calls):
+    z, labels = _mixed_case(classes)
+    ks = [1, 2, 5, 16]
+    recall, ap, n_queries = ranking_metrics_reference(z, labels, ks, with_map=True)
+    report = evaluate_embeddings(z, labels, ks=ks, seed=0)
+    assert report.recall_at == recall
+    assert report.map_score == ap
+    assert report.n_queries == n_queries
+    assert recall_at_k(z, labels, ks) == ranking_metrics_reference(z, labels, ks, False)[0]
+    # at depth 1 row 30's other-label tie lies beyond the two sorted keys
+    assert recall_at_k(z, labels, [1]) == ranking_metrics_reference(z, labels, [1], False)[0]
+    assert mean_average_precision(z, labels) == ap
+    # the ambiguous rows went back to top_k, a few at a time, so each shared
+    # its block with rows ranked by the packed keys; one held a distance
+    # that rounded below zero
+    sizes = [len(c) for c in fallback_calls]
+    assert sizes and all(0 < m < BLOCK_ROWS for m in sizes)
+    assert any((c > 0).any() for c in fallback_calls)
+    # rows 30 and 400 fell back in each of the four calls
+    assert sum(sizes) >= 2 * 4
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as exc:  # the reference's own failure, reproduced
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+def test_packed_ranking_matches_reference_with_an_inf_row(classes, fallback_calls):
+    z, labels = _mixed_case(classes)
+    z[5] = [np.inf, 0.0, 0.0, 0.0, 0.0]  # distances to it are +inf or NaN
+    ks = [1, 2, 5, 16]
+
+    def report():
+        r = evaluate_embeddings(z, labels, ks=ks, seed=0)
+        return r.recall_at, r.map_score, r.n_queries
+
+    with np.errstate(invalid="ignore"):
+        want = _outcome(lambda: ranking_metrics_reference(z, labels, ks, True))
+        assert _outcome(report) == want
+        assert _outcome(lambda: mean_average_precision(z, labels)) == _outcome(
+            lambda: ranking_metrics_reference(z, labels, [], True)[1]
+        )
+        assert recall_at_k(z, labels, ks) == ranking_metrics_reference(z, labels, ks, False)[0]
+    assert any(0 < len(c) < BLOCK_ROWS for c in fallback_calls)
 
 
 def test_evaluate_without_usable_k():
