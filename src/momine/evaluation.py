@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, KTooLarge, LengthMismatch
+from .errors import DegenerateLabels, KTooLarge, LengthMismatch, NonFinite
 from .graph import BLOCK_ROWS, top_k
 
 KMEANS_MAX_ITER = 100  # Lloyd rounds; the loop also stops once no assignment changes
@@ -20,7 +20,12 @@ class EvalReport:
     seed: int
 
 
-def _check_labels(embeddings: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _check_inputs(embeddings: np.ndarray, labels) -> np.ndarray:
+    """The labels as an array, once the embeddings are finite and the labels
+    fit them; a NaN or inf would rank as no distance can."""
+    bad = np.flatnonzero(~np.isfinite(embeddings).all(axis=1))
+    if bad.size:
+        raise NonFinite(f"embedding row {int(bad[0])} has a NaN or infinite value")
     labels = np.asarray(labels)
     if labels.shape[0] != embeddings.shape[0]:
         raise LengthMismatch(
@@ -116,7 +121,7 @@ def recall_at_k(embeddings: np.ndarray, labels, ks) -> dict:
     Queries without any same-label counterpart are excluded from the mean.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = _check_labels(embeddings, labels)
+    labels = _check_inputs(embeddings, labels)
     ks = sorted(int(k) for k in ks)
     if ks[0] < 1 or ks[-1] > embeddings.shape[0] - 1:
         raise ValueError(f"ks must lie in [1, n-1], got {ks}")
@@ -191,7 +196,7 @@ def mean_average_precision(embeddings: np.ndarray, labels) -> float:
     """Mean AP over queries with at least one same-label item; precision is
     taken at each relevant hit, uninterpolated."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = _check_labels(embeddings, labels)
+    labels = _check_inputs(embeddings, labels)
     return _ranking_metrics(embeddings, labels, [], with_map=True)[1]
 
 
@@ -205,7 +210,7 @@ def evaluate_embeddings(
     value), and mAP. n_queries counts the items whose label
     occurs at least twice."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = _check_labels(embeddings, labels)
+    labels = _check_inputs(embeddings, labels)
     n = embeddings.shape[0]
     ks = sorted(int(k) for k in ks if 1 <= k <= n - 1)
     if not ks:

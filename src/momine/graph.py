@@ -6,6 +6,7 @@ Everything is stored CSR via scipy.sparse and is immutable once built.
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,9 @@ GRAPH_MAGIC = "MOMG"
 # one "i j w" line of a graph file
 _EDGE_LINE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 # rows per block in the n-wide rankings: memory is O(BLOCK_ROWS * n), and a
-# larger block is no faster but raises peak memory at n = 10^4
+# larger block is no faster but raises peak memory at n = 10^4. knn_search
+# writes every block's GEMM into one (BLOCK_ROWS, n) buffer, and top_k
+# selects each block's rows on int64 views of it without a float copy
 BLOCK_ROWS = 256
 
 
@@ -117,28 +120,92 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores, descending, ties by ascending index.
 
     Works on a 1-D array or on each row of a 2-D block and ranks as a stable
-    sort of the negated scores would, NaN last. For k up to n/4 only the
-    candidates at or above the k-th largest value are sorted, so ties across
-    that boundary survive. For larger k each row gets numpy's default
-    (unstable) sort; a row with no equal adjacent keys has only one correct
-    order, and on the other rows each run of equal keys (numerically equal,
-    so -0.0 equals 0.0, or both NaN) is put back in ascending index order by
-    one integer sort of run id * n + index.
+    sort of the negated scores would, NaN last, -0.0 equal to 0.0. For k up
+    to n/4 a float64 row is selected on the int64 view of its scores above a
+    sampled bound (see _top_k_above_bound); the rows that cannot be, and
+    every row for larger k, are ranked by a full sort (_top_k_sorted).
     """
     scores = np.asarray(scores)
     block = np.atleast_2d(scores)
     m, n = block.shape
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} must be in [1, {n}]")
-    if 4 * k <= n:
-        neg = -block
-        neg.partition(k - 1, axis=1)
-        rows, cols = np.divmod(np.flatnonzero(block >= -neg[:, k - 1 : k]), n)
-        counts = np.bincount(rows, minlength=m)
-        if counts.min() >= k:  # else a NaN failed the comparison: sort in full
-            order = np.lexsort((cols, -block[rows, cols], rows))
-            out = cols[order][(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-            return out[0] if scores.ndim == 1 else out
+    out = np.empty((m, k), dtype=np.int64)
+    rest = np.arange(m)
+    if 4 * k <= n and block.dtype == np.float64:
+        rest = _top_k_above_bound(block, k, out)
+    if rest.size:
+        out[rest] = _top_k_sorted(block[rest], k)
+    return out[0] if scores.ndim == 1 else out
+
+
+# int64 views of doubles: +inf, and a bound that no key reaches but a NaN
+_INF_KEY = np.float64(np.inf).view(np.int64)
+_NO_BOUND = np.iinfo(np.int64).max
+# each row's sample takes every stride-th column, stride = isqrt(n // (8 k)):
+# the sample's cost grows as n / stride and the candidates above its bound
+# as k * stride, and 8 balances the two on 256 x 10^4 blocks. stride <= 1
+# (n < 32 k) takes every column, so the bound is the row's exact k-th key;
+# otherwise n // stride >= 8 k * stride >= k, so every sample holds k keys.
+_SAMPLE_SPREAD = 8
+
+
+def _top_k_above_bound(block: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """Fill the rows of out that can be ranked on int64 keys; return the others.
+
+    A double whose sign bit is clear views as an int64 that orders as the
+    double does (+0.0 is 0, +inf is _INF_KEY, a NaN is above it); a set sign
+    bit (negatives, -0.0, -inf) views as a negative int64. The k-th largest
+    key b of a strided sample of a row is a lower bound on the row's k-th
+    largest, since the sample's top k are k entries of the row, so the row's
+    top k are among its keys >= b. When b is positive and not a NaN, those
+    candidates are positive doubles and NaNs, and every other entry is a
+    double below b or one that ranks last; with no NaN among them, the top k
+    of the row are the k largest candidate keys, equal keys being equal
+    values, ties by index. A row whose b is +0.0 or below (where -0.0 would
+    have to tie with 0.0), or a NaN, or whose candidates hold a NaN, is
+    returned for the full sort.
+    """
+    m, n = block.shape
+    keys = block.view(np.int64)
+    stride = max(1, math.isqrt(n // (_SAMPLE_SPREAD * k)))
+    bound = np.partition(keys[:, ::stride], -k, axis=1)[:, -k]
+    exact = (bound > 0) & (bound <= _INF_KEY)
+    bound[~exact] = _NO_BOUND  # no candidates
+    flat = np.flatnonzero(keys >= bound[:, None])
+    rows, cols = np.divmod(flat, n)
+    vals = keys.ravel()[flat]
+    # each row's exact k-th key, from a partition of its candidates alone
+    padded = _by_row(rows, vals, m, k, np.iinfo(np.int64).min)
+    top = np.partition(padded, -k, axis=1)[:, -k:]
+    exact &= top.max(axis=1) <= _INF_KEY
+    take = (vals >= top[rows, 0]) & exact[rows]  # k or more per exact row
+    rows, cols, vals = rows[take], cols[take], vals[take]
+    # each row's entries are in ascending column order, so a stable sort of
+    # the negated keys breaks ties by index
+    order = np.argsort(_by_row(rows, -vals, m, k, _NO_BOUND), axis=1, kind="stable")
+    done = np.flatnonzero(exact)
+    out[done] = np.take_along_axis(_by_row(rows, cols, m, k, 0), order[:, :k], axis=1)[done]
+    return np.flatnonzero(~exact)
+
+
+def _by_row(rows: np.ndarray, values: np.ndarray, m: int, k: int, fill) -> np.ndarray:
+    """The values of ascending rows laid out one row each, in their order,
+    padded with fill to the longest row's length and at least k."""
+    counts = np.bincount(rows, minlength=m)
+    padded = np.full((m, max(int(counts.max(initial=0)), k)), fill, dtype=values.dtype)
+    padded[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = values
+    return padded
+
+
+def _top_k_sorted(block: np.ndarray, k: int) -> np.ndarray:
+    """top_k of each row by numpy's default (unstable) sort of the negated
+    scores. A row with no equal adjacent keys has only one correct order; on
+    the other rows each run of equal keys (numerically equal, so -0.0 equals
+    0.0, or both NaN) is put back in ascending index order by one integer
+    sort of run id * n + index.
+    """
+    n = block.shape[1]
     order = np.argsort(-block, axis=1)
     # equal negated keys are equal scores; NaNs compare unequal but sort
     # last, so only rows that end in NaN need their NaN keys joined
@@ -156,15 +223,16 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
         runs += order[tied]
         runs.sort(axis=1)
         order[tied] = np.remainder(runs, n, out=runs)
-    out = order[:, :k]
-    return out[0] if scores.ndim == 1 else out
+    return order[:, :k]
 
 
 def knn_search(features: FeatureSet, k: int):
     """Exact brute-force top-k neighbors by similarity for every item.
 
     Returns (neighbors, sims), both (n, k), ranked by descending similarity
-    with ties broken by ascending index. The item itself is excluded.
+    with ties broken by ascending index. The item itself is excluded. Each
+    block of BLOCK_ROWS rows is one GEMM into a buffer that every block
+    reuses, ranked on the raw dot products by top_k.
     """
     n = features.n
     if not 1 <= k < n:
@@ -172,25 +240,30 @@ def knn_search(features: FeatureSet, k: int):
     x = features.data
     neighbors = np.empty((n, k), dtype=np.int64)
     sims = np.empty((n, k), dtype=np.float64)
+    buffer = np.empty((min(BLOCK_ROWS, n), n))
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
-        c = x[start:stop] @ x.T
-        np.maximum(c, 0.0, out=c)
-        c[np.arange(stop - start), np.arange(start, stop)] = -np.inf  # exclude self
+        rows = np.arange(stop - start)
+        c = np.matmul(x[start:stop], x.T, out=buffer[: stop - start])
+        c[rows, start + rows] = -np.inf  # exclude self
         nbrs = top_k(c, k)
         kept = np.take_along_axis(c, nbrs, axis=1)
-        # Ranking the clipped dot c ranks its cube exactly when the k-th kept
-        # value is at least 1e-100: x -> x^3 is strictly increasing, the cubes
-        # of adjacent doubles there are normal and at least 1.5 ulp apart, and
+        # Ranking the raw dot ranks the clipped dot exactly when the k-th
+        # kept value is at least 1e-100: clipping moves only negatives, to 0,
+        # below every kept value. And ranking the clipped dot ranks its cube
+        # exactly there: x -> x^3 is strictly increasing, the cubes of
+        # adjacent doubles there are normal and at least 1.5 ulp apart, and
         # numpy's pow errs by under 0.75 ulp (0.70 measured for numpy 2.4's
         # AVX-512 loop, 0.50 for libm), so no two distinct kept or boundary
         # values cube to equal or swapped results. Below it (or at NaN),
-        # clipped zeros tie and tiny cubes underflow; those rows are ranked on
-        # the cubes themselves.
+        # clipped zeros tie and tiny cubes underflow; those rows alone are
+        # clipped and ranked on the cubes themselves.
         low = np.flatnonzero(~(kept[:, -1] >= 1e-100))
         if low.size:
-            nbrs[low] = top_k(c[low] ** 3, k)  # self stays -inf
-            kept[low] = np.take_along_axis(c[low], nbrs[low], axis=1)
+            clipped = np.maximum(c[low], 0.0)
+            clipped[np.arange(low.size), start + low] = -np.inf  # self stays -inf
+            nbrs[low] = top_k(clipped**3, k)
+            kept[low] = np.take_along_axis(clipped, nbrs[low], axis=1)
         neighbors[start:stop] = nbrs
         sims[start:stop] = similarity(kept)
     return neighbors, sims

@@ -12,7 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagic, BadPools, DegenerateOutput, Diverged, TrailingBytes, TruncatedFile
+from .errors import (
+    BadMagic,
+    BadPools,
+    DegenerateOutput,
+    Diverged,
+    NonFinite,
+    TrailingBytes,
+    TruncatedFile,
+)
 from .features import FeatureSet
 from .mining import MiningConfig, pool_table, sample_epoch_tuples
 
@@ -339,6 +347,8 @@ def load_model(path) -> EmbeddingModel:
             if len(blob) < need:
                 raise TruncatedFile(f"{path}: parameter payload truncated")
             flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+            if not np.isfinite(flat).all():
+                raise NonFinite(f"{path}: a model parameter is NaN or infinite")
             layers.append(
                 [flat[: fan_out * fan_in].reshape(fan_out, fan_in), flat[fan_out * fan_in :]]
             )

@@ -12,6 +12,7 @@ from momine.diffusion import DiffusionConfig, solve_column
 from momine.features import load_features, load_labels
 from momine.graph import NeighborGraph, load_graph, normalize_graph, save_graph
 from momine.mining import load_pools
+from momine.trainer import EmbeddingModel, save_model
 
 from helpers import lexsort_top_k
 
@@ -117,6 +118,20 @@ def test_eval_non_integer_label_is_data_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("mom eval: error:") and f"{labels}, line 1" in err
+    assert not (tmp_path / "e").exists()
+
+
+def test_eval_non_finite_model_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_gen(data)
+    model = EmbeddingModel.initialize("linear", 8, 4, seed=0)
+    model.layers[0][0][1, 2] = np.inf
+    save_model(model, tmp_path / "bad.bin")
+    code = main(["eval", "--out", str(tmp_path / "e"), "--features", str(data / "features.bin"),
+                 "--labels", str(data / "labels.txt"), "--model", str(tmp_path / "bad.bin")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mom eval: error:") and "bad.bin" in err
     assert not (tmp_path / "e").exists()
 
 

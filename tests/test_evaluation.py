@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import momine.evaluation
-from momine.errors import DegenerateLabels, KTooLarge, LengthMismatch
+from momine.errors import DegenerateLabels, KTooLarge, LengthMismatch, NonFinite
 from momine.evaluation import (
+    _ranking_metrics,
     evaluate_embeddings,
     kmeans,
     mean_average_precision,
@@ -300,22 +301,30 @@ def _outcome(f):
 
 @pytest.mark.parametrize("classes", [2, 5])
 def test_packed_ranking_matches_reference_with_an_inf_row(classes, fallback_calls):
+    # the public metrics reject the row (see the next test), so the packed
+    # ranking itself is held to the reference here
     z, labels = _mixed_case(classes)
     z[5] = [np.inf, 0.0, 0.0, 0.0, 0.0]  # distances to it are +inf or NaN
     ks = [1, 2, 5, 16]
-
-    def report():
-        r = evaluate_embeddings(z, labels, ks=ks, seed=0)
-        return r.recall_at, r.map_score, r.n_queries
-
+    labels = np.asarray(labels)
     with np.errstate(invalid="ignore"):
-        want = _outcome(lambda: ranking_metrics_reference(z, labels, ks, True))
-        assert _outcome(report) == want
-        assert _outcome(lambda: mean_average_precision(z, labels)) == _outcome(
-            lambda: ranking_metrics_reference(z, labels, [], True)[1]
-        )
-        assert recall_at_k(z, labels, ks) == ranking_metrics_reference(z, labels, ks, False)[0]
+        for depths, with_map in ((ks, True), ([], True), (ks, False)):
+            got = _outcome(lambda: _ranking_metrics(z, labels, depths, with_map))
+            assert got == _outcome(lambda: ranking_metrics_reference(z, labels, depths, with_map))
     assert any(0 < len(c) < BLOCK_ROWS for c in fallback_calls)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_metrics_reject_a_non_finite_embedding_row(value):
+    z, labels = _mixed_case(2)
+    z[5, 3] = z[9, 0] = value
+    for metric in (
+        lambda: evaluate_embeddings(z, labels, ks=[1, 2]),
+        lambda: mean_average_precision(z, labels),
+        lambda: recall_at_k(z, labels, [1]),
+    ):
+        with pytest.raises(NonFinite, match="row 5 "):
+            metric()
 
 
 def test_evaluate_without_usable_k():

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momine.graph
 from momine.errors import BadGraph, BadMagic, KTooLarge
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import (
+    _SAMPLE_SPREAD,
     BLOCK_ROWS,
     NeighborGraph,
     build_reciprocal_graph,
@@ -102,6 +106,83 @@ def test_top_k_matches_lexsort(case):
     assert np.array_equal(top_k(scores[0], k), lexsort_top_k(scores[0], k))
 
 
+# top_k samples every stride-th column once stride = isqrt(n // (8 k)) >= 2
+SAMPLED_FROM = 4 * _SAMPLE_SPREAD  # the n / k where that starts
+
+
+def stride(n, k):
+    return math.isqrt(n // (_SAMPLE_SPREAD * k))
+
+
+# a few values per row, so ties fall on sampled and unsampled columns and
+# the sampled bound is often the k-th value itself; plus distinct negatives
+PALETTE_SCORES = st.one_of(TIED_SCORES, st.floats(-2.0, 0.0, exclude_max=True))
+
+
+@st.composite
+def sampled_blocks(draw):
+    """Blocks just below and just above the n / k where sampling starts, and
+    a few strides beyond; each row draws its entries from its own palette."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.one_of(
+        st.integers(SAMPLED_FROM * k - 4, SAMPLED_FROM * k + 4),
+        st.integers(4 * k, 5 * SAMPLED_FROM * k),
+    ))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        palette = draw(st.lists(PALETTE_SCORES, min_size=1, max_size=8))
+        rows.append(draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)))
+    return np.array(rows, dtype=float), k
+
+
+@DERANDOMIZED
+@given(sampled_blocks())
+def test_top_k_matches_lexsort_around_the_sampled_bound(case):
+    scores, k = case
+    assert np.array_equal(top_k(scores, k), lexsort_top_k(scores, k))
+    assert np.array_equal(top_k(scores[0], k), lexsort_top_k(scores[0], k))
+
+
+@pytest.fixture
+def full_sorts(monkeypatch):
+    """The row counts that top_k hands to its full sort."""
+    calls = []
+
+    def spy(block, k):
+        calls.append(block.shape[0])
+        return sorted_rows(block, k)
+
+    sorted_rows = momine.graph._top_k_sorted
+    monkeypatch.setattr(momine.graph, "_top_k_sorted", spy)
+    return calls
+
+
+def test_top_k_sampled_bound_edge_cases(full_sorts):
+    k, n = 4, 200
+    assert stride(n, k) == 2  # columns 0, 2, 4, ... are sampled
+    rng = np.random.default_rng(5)
+    rows = np.tile(rng.random(n) * 0.4, (4, 1))
+    # 0.5 on three sampled and three unsampled columns straddles the k-th
+    # rank; the unsampled 1.0 leaves the bound below it
+    rows[0, 1:7] = 0.5
+    rows[0, 101] = 1.0
+    # a sampled 1.0 makes the sample's k-th value 0.5, the row's k-th value
+    rows[1] = rows[0]
+    rows[1, [100, 101]] = [1.0, 0.0]
+    # samples that hold only zeros (+0.0 and -0.0): the bound is zero
+    rows[2, ::2] = np.where(np.arange(n // 2) % 3, 0.0, -0.0)
+    # the same with at most k - 1 positives, so zeros tie at the k-th rank
+    rows[3] = np.where(np.arange(n) % 2, -0.0, 0.0)
+    rows[3, [7, 9, 150]] = [0.3, 0.2, 0.3]
+    ranked = top_k(rows, k)
+    assert np.array_equal(ranked, lexsort_top_k(rows, k))
+    assert ranked[:2].tolist() == [[101, 1, 2, 3], [100, 1, 2, 3]]
+    assert ranked[3].tolist() == [7, 150, 9, 0]
+    assert full_sorts == [2]  # the two rows whose bound is zero
+    for row in rows:
+        assert np.array_equal(top_k(row, k), lexsort_top_k(row, k))
+
+
 def test_top_k_nan_ranks_last():
     scores = np.array([[0.5, np.nan, 1.0, 0.5, np.nan, 0.0, 0.2, 0.1]])
     for k in (1, 3, 4, 8):
@@ -160,6 +241,39 @@ def test_knn_matches_full_lexsort_on_exact_ties(n):
     expected = lexsort_top_k(s, 12)
     assert np.array_equal(nbrs, expected)
     assert np.array_equal(sims, np.take_along_axis(s, expected, axis=1))
+
+
+def sampled_knn_features(seed):
+    """n = 2 * BLOCK_ROWS + 37 small-integer rows, so every dot product is
+    exact. Coordinates 0-3 repeat 40 random rows all over the blocks, so
+    duplicates tie across blocks. Coordinate 4 gives row 0 three positive
+    dots (rows 35-37) and distinct negative dots (rows 1-34); all its other
+    dots are 0, so the negatives tie with them at 0 once clipped."""
+    rng = np.random.default_rng(seed)
+    n = 2 * BLOCK_ROWS + 37
+    base = rng.integers(-1, 4, size=(40, 4)).astype(float)
+    data = np.zeros((n, 5))
+    data[1:, :4] = base[rng.integers(0, 40, size=n - 1)]
+    data[0, 4] = -1.0
+    data[1:35, 4] = np.arange(1, 35)
+    data[35:38, 4] = [-2.0, -1.0, -2.0]
+    data[1:38, :4] = 0.0
+    return FeatureSet(data=data)
+
+
+@pytest.mark.parametrize("k", [5, 12, 17])
+def test_knn_sampled_path_matches_lexsort(k):
+    n = 2 * BLOCK_ROWS + 37
+    assert stride(n, k) >= 2  # top_k samples each block row
+    feats = sampled_knn_features(seed=k)
+    s = np.clip(feats.data @ feats.data.T, 0.0, None) ** 3
+    np.fill_diagonal(s, -np.inf)
+    expected = lexsort_top_k(s, k)
+    nbrs, sims = knn_search(feats, k)
+    assert np.array_equal(nbrs, expected)
+    assert np.array_equal(sims, np.take_along_axis(s, expected, axis=1))
+    # row 0: its positives, then the lowest ids of the clipped ties
+    assert nbrs[0].tolist() == [35, 37, 36] + list(range(1, k - 2))
 
 
 def test_knn_k_too_large():
@@ -261,6 +375,34 @@ def test_graph_file_round_trip(tmp_path):
     assert path.read_text() == first
     # weights survive at 9 significant digits
     assert np.max(np.abs((loaded.adjacency - g.adjacency).toarray())) < 1e-8
+
+
+POSITIVE_WEIGHTS = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, k, [(i, j, w), ...]) with i < j < n, each pair once, w finite and > 0."""
+    n = draw(st.integers(1, 30))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    edges = draw(st.lists(pairs, max_size=60, unique=True)) if n > 1 else []
+    weights = draw(st.lists(POSITIVE_WEIGHTS, min_size=len(edges), max_size=len(edges)))
+    return n, draw(st.integers(1, 40)), [(i, j, w) for (i, j), w in zip(edges, weights)]
+
+
+@DERANDOMIZED
+@given(edge_lists())
+def test_graph_file_round_trip_property(tmp_path_factory, case):
+    n, k, edges = case
+    path = tmp_path_factory.mktemp("graph") / "g.txt"
+    save_graph(NeighborGraph.from_edges(n, k, edges), path)
+    first = path.read_bytes()
+    loaded = load_graph(path)
+    save_graph(loaded, path)
+    assert path.read_bytes() == first
+    assert (loaded.n, loaded.k, loaded.adjacency.nnz) == (n, k, 2 * len(edges))
+    for i, j, w in edges:
+        assert loaded.adjacency[i, j] == loaded.adjacency[j, i] == float(f"{w:.9g}")
 
 
 def test_graph_file_bad_header(tmp_path):

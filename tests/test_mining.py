@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momine.anchors import AnchorSet, power_iteration, select_anchors
 from momine.diffusion import DiffusionConfig, solve_columns
@@ -353,6 +355,25 @@ def test_pools_jsonl_round_trip(tmp_path):
         assert [j for j, _ in a.negatives] == [j for j, _ in b.negatives]
         for (_, wa), (_, wb) in zip(a.positives + a.negatives, b.positives + b.negatives):
             assert wb == pytest.approx(wa, rel=1e-8)
+
+
+IDS = st.integers(0, 2**63 - 1)
+SIDES = st.lists(st.tuples(IDS, st.floats(0.0, allow_infinity=False)), max_size=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.builds(AnchorPools, IDS, SIDES, SIDES), min_size=1, max_size=5))
+def test_pools_file_round_trip_property(tmp_path_factory, pools):
+    path = tmp_path_factory.mktemp("pools") / "pools.jsonl"
+    save_pools(pools, path)
+    first = path.read_bytes()
+    loaded = load_pools(path)
+    save_pools(loaded, path)
+    assert path.read_bytes() == first
+    for a, b in zip(pools, loaded, strict=True):
+        assert b.anchor_id == a.anchor_id
+        for side_a, side_b in ((a.positives, b.positives), (a.negatives, b.negatives)):
+            assert side_b == [(j, float(f"{w:.9g}")) for j, w in side_a]
 
 
 def duplicated_setup(k=6):

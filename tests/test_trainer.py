@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from momine.diffusion import DiffusionConfig
-from momine.errors import BadMagic, BadPools, DegenerateOutput, Diverged, TrailingBytes, TruncatedFile
+from momine.errors import (
+    BadMagic,
+    BadPools,
+    DegenerateOutput,
+    Diverged,
+    NonFinite,
+    TrailingBytes,
+    TruncatedFile,
+)
 from momine.features import SyntheticSpec, generate_synthetic, l2_normalize
 from momine.mining import AnchorPools, MiningConfig
 from momine.trainer import (
@@ -477,6 +485,17 @@ def test_model_file_errors(tmp_path):
         load_model(path)
     path.write_bytes(blob + b"\x00")
     with pytest.raises(TrailingBytes):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp", 5)])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_load_model_rejects_a_non_finite_parameter(tmp_path, kind, hidden, value):
+    model = EmbeddingModel.initialize(kind, 6, 4, hidden_dim=hidden, seed=3)
+    model.layers[-1][1][2] = value  # a bias of the last layer
+    path = tmp_path / "bad.bin"
+    save_model(model, path)
+    with pytest.raises(NonFinite, match="bad.bin"):
         load_model(path)
 
 
