@@ -83,30 +83,35 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: b
     sq = np.sum(embeddings**2, axis=1)
     hits = np.zeros(len(ks), dtype=np.int64)
     aps = np.empty(n)
+    # every block's distances, keys and (BLOCK_ROWS, n) temporaries go into
+    # three buffers that all blocks reuse, so no block allocates (and page
+    # faults) arrays of that size afresh
+    dist_buf, temp_buf = np.empty((2, min(BLOCK_ROWS, n), n))
+    key_buf = np.empty(dist_buf.shape, dtype=np.int64)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
+        m = stop - start
         # |x|^2 + |y|^2 - 2 x.y, built in place; the self distance is +inf
-        dist = embeddings[start:stop] @ embeddings.T
+        dist = np.matmul(embeddings[start:stop], embeddings.T, out=dist_buf[:m])
         dist *= -2.0
-        dist += sq[start:stop, None] + sq[None, :]
-        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        dist += np.add(sq[start:stop, None], sq[None, :], out=temp_buf[:m])
+        dist[np.arange(m), np.arange(start, stop)] = np.inf
         fallback = (dist.view(np.uint64) > _INF_BITS).any(axis=1)
-        key = dist.view(np.int64) & -2
+        key = np.bitwise_and(dist.view(np.int64), -2, out=key_buf[:m])
         key |= codes[None, :] != codes[start:stop, None]
         if depth < n - 1:  # recall alone: sort only the top depth + 1
             key.partition(depth, axis=1)
         head = key[:, : depth + 1]
         head.sort(axis=1)
-        fallback |= ((head[:, 1:] ^ head[:, :-1]) == 1).any(axis=1)
+        pairs = temp_buf[:m].view(np.int64)[:, :depth]
+        fallback |= (np.bitwise_xor(head[:, 1:], head[:, :-1], out=pairs) == 1).any(axis=1)
         # a same-label run at rank depth with an other-label tie further on
         fallback |= (key[:, depth + 1 :] == (head[:, -1:] ^ 1)).any(axis=1)
-        rel = (head[:, :depth] & 1) == 0
-        del key, head
+        rel = np.bitwise_and(head[:, :depth], 1, out=pairs) == 0
         rows = np.flatnonzero(fallback)
         if rows.size:
             ranked = top_k(np.negative(dist[rows]), depth)
             rel[rows] = codes[ranked] == codes[start + rows, None]
-        del dist
         first = np.where(rel.any(axis=1), rel.argmax(axis=1), depth)
         hits += np.count_nonzero(first[:, None] < np.asarray(ks), axis=0)
         if with_map:

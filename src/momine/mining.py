@@ -295,12 +295,22 @@ def sample_epoch_tuples(table: PoolTable, current_embeddings, mining_config: Min
 
 
 def save_pools(pools: list, path) -> None:
-    """JSON lines, one object per anchor, weights at 9 significant digits."""
+    """JSON lines, one object per anchor, weights at 9 significant digits.
+
+    A zero weight is written as 0 whatever its sign: "%.9g" writes -0.0 as
+    "-0", which json reads back as the integer 0, so the file would not
+    round-trip. A weight is the only field that follows ", ", so ", -0]"
+    marks exactly the weights written as "-0", and one replace per formatted
+    side rewrites them.
+    """
     with open(path, "w") as fh:
         for pool in pools:
             # one %-format per side, "[id, weight], ..."
-            pos, neg = (", ".join(["[%d, %.9g]"] * len(side)) % tuple(chain.from_iterable(side))
-                        for side in (pool.positives, pool.negatives))
+            pos, neg = (
+                (", ".join(["[%d, %.9g]"] * len(side)) % tuple(chain.from_iterable(side)))
+                .replace(", -0]", ", 0]")
+                for side in (pool.positives, pool.negatives)
+            )
             fh.write(
                 f'{{"anchor": {pool.anchor_id}, "positives": [{pos}], "negatives": [{neg}]}}\n'
             )

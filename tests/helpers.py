@@ -6,10 +6,19 @@ paths they are checking.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from momine.diffusion import SimilarityColumn
 from momine.evaluation import _row_aps
-from momine.graph import BLOCK_ROWS, NeighborGraph, top_k
+from momine.graph import (
+    BLOCK_ROWS,
+    GRAPH_MAGIC,
+    NeighborGraph,
+    _mirrored_graph,
+    knn_search,
+    similarity,
+    top_k,
+)
 from momine.mining import AnchorPools
 from momine.trainer import _LOSSES, _backward, _forward_cache, forward, sgd_momentum_step
 
@@ -84,6 +93,34 @@ def knn_oracle(data, k):
         sims.sort()
         out.append([j for _, j in sims[:k]])
     return out
+
+
+def reciprocal_graph_reference(features, k):
+    """Reference for graph.build_reciprocal_graph: the mutual pairs of
+    knn_search, every pair's endpoints gathered at once and weighed by one
+    einsum over all of them."""
+    n = features.n
+    nbrs, _ = knn_search(features, k)
+    rows = np.repeat(np.arange(n), k)
+    listed = sp.csr_matrix((np.ones(n * k, dtype=bool), (rows, nbrs.ravel())), shape=(n, n))
+    mutual = sp.triu(listed.multiply(listed.T), k=1).tocoo()
+    ii, jj = mutual.row, mutual.col
+    w = similarity(np.einsum("ij,ij->i", features.data[ii], features.data[jj]))
+    keep = w > 0
+    return _mirrored_graph(n, k, ii[keep], jj[keep], w[keep])
+
+
+def save_graph_reference(graph, path):
+    """Reference for graph.save_graph: every edge line formatted at once and
+    written as one joined string."""
+    coo = sp.triu(graph.adjacency, k=1).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    edges = map(
+        "{} {} {:.9g}\n".format,
+        coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist(),
+    )
+    with open(path, "w") as fh:
+        fh.write(f"{GRAPH_MAGIC} {graph.n} {graph.k}\n" + "".join(edges))
 
 
 def disjoint_union(*graphs, isolated=0):

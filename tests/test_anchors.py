@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momine.anchors import (
+    AnchorSet,
     load_anchors,
     local_maxima,
     power_iteration,
@@ -224,3 +227,24 @@ def test_anchor_dump_round_trip(tmp_path):
     loaded = load_anchors(path)
     assert list(loaded.anchor_ids) == list(aset.anchor_ids)
     assert np.allclose(loaded.pi_values, aset.pi_values, atol=1e-8)
+
+
+ANCHOR_LINES = st.lists(st.tuples(st.integers(0, 2**63 - 1), st.floats()), max_size=20)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ANCHOR_LINES)
+def test_anchor_file_round_trip_property(tmp_path_factory, lines):
+    aset = AnchorSet(
+        anchor_ids=np.asarray([i for i, _ in lines], dtype=np.int64),
+        pi_values=np.asarray([p for _, p in lines], dtype=np.float64),
+    )
+    path = tmp_path_factory.mktemp("anchors") / "anchors.txt"
+    save_anchors(aset, path)
+    first = path.read_bytes()
+    loaded = load_anchors(path)
+    save_anchors(loaded, path)
+    assert path.read_bytes() == first
+    assert loaded.anchor_ids.tolist() == [i for i, _ in lines]
+    expected = np.asarray([float(f"{p:.9g}") for _, p in lines], dtype=np.float64)
+    assert np.array_equal(loaded.pi_values.view(np.int64), expected.view(np.int64))

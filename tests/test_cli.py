@@ -544,6 +544,7 @@ def test_trailing_bytes_are_data_errors(tmp_path, capsys):
     "MOMG 4 2\n0 1 nan\n",
     "MOMG 4 2\n0 1 -0.5\n",
     "MOMG 4 2\n0 1 0.5\n1 2 0.5\n0 1 0.5\n",
+    "MOMG 3 2\n0 1 1e308\n0 2 1e308\n",
 ])
 def test_bad_graph_file_is_data_error(tmp_path, capsys, body):
     path = tmp_path / "graph.txt"

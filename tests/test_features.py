@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from momine.errors import (
     BadLabels,
@@ -200,6 +203,27 @@ def test_feature_file_round_trip(tmp_path):
     first = path.read_bytes()
     loaded = load_features(path)
     assert np.array_equal(loaded.data, fs.data)
+    save_features(loaded, path)
+    assert path.read_bytes() == first
+
+
+FEATURE_MATRICES = arrays(
+    np.float32,
+    array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+    elements=st.floats(width=32, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(FEATURE_MATRICES)
+def test_feature_file_round_trip_property(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("features") / "f.bin"
+    save_features(FeatureSet(data=data), path)
+    first = path.read_bytes()
+    assert len(first) == 12 + 4 * data.size
+    loaded = load_features(path)
+    assert loaded.data.shape == data.shape
+    assert np.array_equal(loaded.data.view(np.int64), data.astype(np.float64).view(np.int64))
     save_features(loaded, path)
     assert path.read_bytes() == first
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_no
 from momine.graph import (
     _SAMPLE_SPREAD,
     BLOCK_ROWS,
+    EDGE_CHUNK,
     NeighborGraph,
     build_reciprocal_graph,
     components,
@@ -29,6 +31,8 @@ from helpers import (
     knn_oracle,
     lexsort_top_k,
     random_graph,
+    reciprocal_graph_reference,
+    save_graph_reference,
 )
 
 
@@ -312,6 +316,58 @@ def test_graph_exactly_symmetric_zero_diagonal():
     assert np.all(g.adjacency.data > 0)
 
 
+def paired_features(edges, seed):
+    """Inputs whose reciprocal graph at k = 1 has exactly `edges` edges: that
+    many random 64-d directions, each taken twice with a little noise, so an
+    item's only mutual neighbour is its twin. With no edges: three unit
+    vectors 120 degrees apart, whose one mutual pair has similarity 0."""
+    if edges == 0:
+        return on_circle([0, 120, 240])
+    rng = np.random.default_rng(seed)
+    data = np.repeat(rng.normal(size=(edges, 64)), 2, axis=0)
+    return l2_normalize(FeatureSet(data=data + 0.01 * rng.normal(size=data.shape)))
+
+
+def assert_same_graph(g, ref):
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(g.adjacency, name), getattr(ref.adjacency, name))
+    assert np.array_equal(g.adjacency.data.view(np.int64), ref.adjacency.data.view(np.int64))
+    assert np.array_equal(g.degrees.view(np.int64), ref.degrees.view(np.int64))
+
+
+@pytest.mark.parametrize("edges", [0, 1, EDGE_CHUNK, EDGE_CHUNK + 1])
+def test_reciprocal_graph_weights_match_one_shot_einsum(edges):
+    feats = paired_features(edges, seed=edges)
+    g = build_reciprocal_graph(feats, 1)
+    assert g.adjacency.nnz == 2 * edges
+    assert_same_graph(g, reciprocal_graph_reference(feats, 1))
+
+
+def test_reciprocal_graph_matches_one_shot_einsum_over_several_chunks():
+    spec = SyntheticSpec(kind="moons", per_class=400, classes=2, ambient_dim=16, noise=0.15)
+    feats = l2_normalize(generate_synthetic(spec, 4))
+    g = build_reciprocal_graph(feats, 12)
+    assert g.adjacency.nnz // 2 > 2 * EDGE_CHUNK and g.adjacency.nnz // 2 % EDGE_CHUNK
+    assert_same_graph(g, reciprocal_graph_reference(feats, 12))
+
+
+def test_reciprocal_graph_peak_memory_stays_below_one_edge_gather():
+    # at d = 256 one gather of every edge's endpoints is several times the
+    # (BLOCK_ROWS, n) block of knn_search; weighing the edges in chunks
+    # keeps the whole build below that one gather
+    spec = SyntheticSpec(kind="moons", per_class=1000, classes=2, ambient_dim=256, noise=0.15)
+    feats = l2_normalize(generate_synthetic(spec, 3))
+    tracemalloc.start()
+    try:
+        g = build_reciprocal_graph(feats, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather = g.adjacency.nnz // 2 * feats.d * feats.data.itemsize
+    assert gather > 4 * BLOCK_ROWS * feats.n * feats.data.itemsize
+    assert peak < gather
+
+
 def test_normalize_two_node_unit_edge():
     g = NeighborGraph.from_edges(2, 1, [(0, 1, 1.0)])
     sym = normalize_graph(g, "symmetric")
@@ -380,6 +436,18 @@ def test_graph_file_round_trip(tmp_path):
 POSITIVE_WEIGHTS = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
+def degree_overflows(n, edges):
+    """Whether the exact sum of some node's edge weights is past the double range."""
+    weights = [[] for _ in range(n)]
+    for i, j, w in edges:
+        weights[i].append(w)
+        weights[j].append(w)
+    try:
+        return not all(math.isfinite(math.fsum(ws)) for ws in weights)
+    except OverflowError:
+        return True
+
+
 @st.composite
 def edge_lists(draw):
     """(n, k, [(i, j, w), ...]) with i < j < n, each pair once, w finite and > 0."""
@@ -394,6 +462,10 @@ def edge_lists(draw):
 @given(edge_lists())
 def test_graph_file_round_trip_property(tmp_path_factory, case):
     n, k, edges = case
+    if degree_overflows(n, edges):
+        with pytest.raises(BadGraph, match="degree that is not finite"):
+            NeighborGraph.from_edges(n, k, edges)
+        return
     path = tmp_path_factory.mktemp("graph") / "g.txt"
     save_graph(NeighborGraph.from_edges(n, k, edges), path)
     first = path.read_bytes()
@@ -488,6 +560,20 @@ def test_graph_file_bytes_match_per_edge_writer(tmp_path):
     assert path.read_text() == expected
 
 
+@pytest.mark.parametrize("count", [0, 1, EDGE_CHUNK, EDGE_CHUNK + 1, 3 * EDGE_CHUNK + 5])
+def test_graph_file_bytes_match_one_shot_writer(tmp_path, count):
+    rng = np.random.default_rng(count)
+    n = 100
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1).ravel())
+    pairs = np.divmod(rng.choice(upper, size=count, replace=False), n)
+    weights = rng.random(count) * 10.0 ** rng.integers(-12, 4, size=count)
+    g = NeighborGraph.from_edges(n, 7, zip(*pairs, weights))
+    save_graph(g, tmp_path / "g.txt")
+    save_graph_reference(g, tmp_path / "reference.txt")
+    assert (tmp_path / "g.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    assert len((tmp_path / "g.txt").read_text().splitlines()) == 1 + count
+
+
 @pytest.mark.parametrize("body", [
     "MOMG four 2\n0 1 0.5\n",  # non-integer header
     "MOMG 4 2.0\n0 1 0.5\n",
@@ -506,6 +592,7 @@ def test_graph_file_bytes_match_per_edge_writer(tmp_path):
     "MOMG 4 2\n0 1 0\n",
     "MOMG 4 2\n0 1 -0.5\n",
     "MOMG 4 2\n0 1 0.5\n1 2 0.5\n0 1 0.5\n",  # a duplicate edge
+    "MOMG 3 2\n0 1 1e308\n0 2 1e308\n",  # node 0's degree overflows
 ])
 def test_load_graph_rejects_bad_files(tmp_path, body):
     path = tmp_path / "bad.txt"
@@ -533,6 +620,8 @@ def test_from_edges_rejects_duplicates_and_non_finite_weights():
         NeighborGraph.from_edges(3, 1, [(0, 1, float("nan"))])
     with pytest.raises(ValueError):
         NeighborGraph.from_edges(3, 1, [(1, 0, 0.5)])
+    with pytest.raises(BadGraph, match="node 1 has a degree that is not finite"):
+        NeighborGraph.from_edges(3, 1, [(0, 1, 1e308), (1, 2, 1e308)])
 
 
 def shuffled_path(n, seed):

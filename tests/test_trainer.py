@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from momine.diffusion import DiffusionConfig
 from momine.errors import (
@@ -470,6 +473,40 @@ def test_model_file_round_trip(tmp_path):
         for (w, b), (lw, lb) in zip(model.layers, loaded.layers):
             assert np.allclose(w, lw, atol=1e-6)
             assert np.allclose(b, lb, atol=1e-6)
+
+
+FINITE_PARAMETERS = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def models(draw):
+    """Linear and MLP models of small dims whose parameters are finite float32 values."""
+    kind = draw(st.sampled_from(["linear", "mlp"]))
+    d_in, d_out = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    hidden = draw(st.integers(1, 6)) if kind == "mlp" else 0
+    shapes = [(d_out, d_in)] if kind == "linear" else [(hidden, d_in), (d_out, hidden)]
+    layers = [
+        [draw(arrays(np.float32, shape, elements=FINITE_PARAMETERS)).astype(np.float64),
+         draw(arrays(np.float32, shape[0], elements=FINITE_PARAMETERS)).astype(np.float64)]
+        for shape in shapes
+    ]
+    return EmbeddingModel(kind, d_in, d_out, hidden, layers)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(models())
+def test_model_file_round_trip_property(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("model") / "m.bin"
+    save_model(model, path)
+    first = path.read_bytes()
+    loaded = load_model(path)
+    save_model(loaded, path)
+    assert path.read_bytes() == first
+    assert (loaded.kind, loaded.input_dim, loaded.output_dim, loaded.hidden_dim) == (
+        model.kind, model.input_dim, model.output_dim, model.hidden_dim)
+    for (w, b), (lw, lb) in zip(model.layers, loaded.layers, strict=True):
+        assert np.array_equal(lw.view(np.int64), w.view(np.int64))
+        assert np.array_equal(lb.view(np.int64), b.view(np.int64))
 
 
 def test_model_file_errors(tmp_path):
