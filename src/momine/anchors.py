@@ -145,7 +145,8 @@ def save_anchors(anchor_set: AnchorSet, path) -> None:
 
 
 def load_anchors(path) -> AnchorSet:
-    """Read an anchor dump; a line that is not "id pi" raises BadAnchors."""
+    """Read an anchor dump; a line that is not "id pi", or whose id does not
+    fit in an int64, raises BadAnchors."""
     ids, pis = [], []
     with open_text(path, BadAnchors) as fh:
         for number, line in enumerate(fh, 1):
@@ -160,6 +161,8 @@ def load_anchors(path) -> AnchorSet:
                 raise BadAnchors(
                     f"{path}:{number}: expected 'id pi', got {line.strip()!r}"
                 ) from None
+            if not -(2**63) <= ids[-1] < 2**63:
+                raise BadAnchors(f"{path}:{number}: anchor id {ids[-1]} does not fit in 64 bits")
     return AnchorSet(
         anchor_ids=np.asarray(ids, dtype=np.int64), pi_values=np.asarray(pis)
     )

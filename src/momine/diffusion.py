@@ -41,7 +41,10 @@ class SimilarityColumn:
 
 def check_anchor_ids(anchors, n: int) -> np.ndarray:
     """Anchor ids as an int64 array; raises BadAnchors unless all lie in [0, n)."""
-    ids = np.asarray(anchors, dtype=np.int64).reshape(-1)
+    try:
+        ids = np.asarray(anchors, dtype=np.int64).reshape(-1)
+    except OverflowError:  # a Python int beyond int64, so outside [0, n) too
+        ids = np.asarray(anchors, dtype=object).reshape(-1)
     bad = ids[(ids < 0) | (ids >= n)]
     if bad.size:
         raise BadAnchors(f"anchor id {int(bad[0])} out of range [0, {n})")

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, KTooLarge, LengthMismatch, NonFinite
-from .graph import BLOCK_ROWS, top_k
+from .graph import RANK_ROWS, _run_blocks, top_k
 
 KMEANS_MAX_ITER = 100  # Lloyd rounds; the loop also stops once no assignment changes
 _INF_BITS = np.float64(np.inf).view(np.uint64)  # above it: negative, -0.0 or NaN
@@ -59,9 +59,10 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: b
     """(Recall@k per k in ks, mAP or None, scorable queries) from one ranking.
 
     Each query ranks every other item by ascending squared Euclidean
-    distance, ties by ascending index, BLOCK_ROWS queries at a time, so
-    memory is O(BLOCK_ROWS * n). Recall needs only the top max(ks); mAP
-    needs the full ranking. Queries whose label occurs once are excluded.
+    distance, ties by ascending index, RANK_ROWS queries per block on each
+    worker thread, so memory is O(BLOCK_ROWS * n). Recall
+    needs only the top max(ks); mAP needs the full ranking. Queries whose
+    label occurs once are excluded.
 
     Only the label pattern of a ranking enters the metrics, so a row is one
     int64 sort of packed keys (of the top depth + 1 after a partition, for
@@ -81,42 +82,47 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: b
     codes = inverse.astype(np.min_scalar_type(counts.size - 1))
     depth = n - 1 if with_map else max(ks)
     sq = np.sum(embeddings**2, axis=1)
-    hits = np.zeros(len(ks), dtype=np.int64)
+    hits = []  # one integer count per worker, summed at the end
     aps = np.empty(n)
-    # every block's distances, keys and (BLOCK_ROWS, n) temporaries go into
-    # three buffers that all blocks reuse, so no block allocates (and page
-    # faults) arrays of that size afresh
-    dist_buf, temp_buf = np.empty((2, min(BLOCK_ROWS, n), n))
-    key_buf = np.empty(dist_buf.shape, dtype=np.int64)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        m = stop - start
-        # |x|^2 + |y|^2 - 2 x.y, built in place; the self distance is +inf
-        dist = np.matmul(embeddings[start:stop], embeddings.T, out=dist_buf[:m])
-        dist *= -2.0
-        dist += np.add(sq[start:stop, None], sq[None, :], out=temp_buf[:m])
-        dist[np.arange(m), np.arange(start, stop)] = np.inf
-        fallback = (dist.view(np.uint64) > _INF_BITS).any(axis=1)
-        key = np.bitwise_and(dist.view(np.int64), -2, out=key_buf[:m])
-        key |= codes[None, :] != codes[start:stop, None]
-        if depth < n - 1:  # recall alone: sort only the top depth + 1
-            key.partition(depth, axis=1)
-        head = key[:, : depth + 1]
-        head.sort(axis=1)
-        pairs = temp_buf[:m].view(np.int64)[:, :depth]
-        fallback |= (np.bitwise_xor(head[:, 1:], head[:, :-1], out=pairs) == 1).any(axis=1)
-        # a same-label run at rank depth with an other-label tie further on
-        fallback |= (key[:, depth + 1 :] == (head[:, -1:] ^ 1)).any(axis=1)
-        rel = np.bitwise_and(head[:, :depth], 1, out=pairs) == 0
-        rows = np.flatnonzero(fallback)
-        if rows.size:
-            ranked = top_k(np.negative(dist[rows]), depth)
-            rel[rows] = codes[ranked] == codes[start + rows, None]
-        first = np.where(rel.any(axis=1), rel.argmax(axis=1), depth)
-        hits += np.count_nonzero(first[:, None] < np.asarray(ks), axis=0)
-        if with_map:
-            aps[start:stop] = _row_aps(rel, totals[start:stop])
-    recall = {k: int(h) / scorable for k, h in zip(ks, hits)}
+
+    def rank(spans):
+        # a worker's distances, keys and (RANK_ROWS, n) temporaries go into
+        # three buffers that all its blocks reuse, so no block allocates (and
+        # page faults) arrays of that size afresh
+        dist_buf, temp_buf = np.empty((2, min(RANK_ROWS, n), n))
+        key_buf = np.empty(dist_buf.shape, dtype=np.int64)
+        found = np.zeros(len(ks), dtype=np.int64)
+        hits.append(found)
+        for start, stop in spans:
+            m = stop - start
+            # |x|^2 + |y|^2 - 2 x.y, built in place; the self distance is +inf
+            dist = np.matmul(embeddings[start:stop], embeddings.T, out=dist_buf[:m])
+            dist *= -2.0
+            dist += np.add(sq[start:stop, None], sq[None, :], out=temp_buf[:m])
+            dist[np.arange(m), np.arange(start, stop)] = np.inf
+            fallback = (dist.view(np.uint64) > _INF_BITS).any(axis=1)
+            key = np.bitwise_and(dist.view(np.int64), -2, out=key_buf[:m])
+            key |= codes[None, :] != codes[start:stop, None]
+            if depth < n - 1:  # recall alone: sort only the top depth + 1
+                key.partition(depth, axis=1)
+            head = key[:, : depth + 1]
+            head.sort(axis=1)
+            pairs = temp_buf[:m].view(np.int64)[:, :depth]
+            fallback |= (np.bitwise_xor(head[:, 1:], head[:, :-1], out=pairs) == 1).any(axis=1)
+            # a same-label run at rank depth with an other-label tie further on
+            fallback |= (key[:, depth + 1 :] == (head[:, -1:] ^ 1)).any(axis=1)
+            rel = np.bitwise_and(head[:, :depth], 1, out=pairs) == 0
+            rows = np.flatnonzero(fallback)
+            if rows.size:
+                ranked = top_k(np.negative(dist[rows]), depth)
+                rel[rows] = codes[ranked] == codes[start + rows, None]
+            first = np.where(rel.any(axis=1), rel.argmax(axis=1), depth)
+            found += np.count_nonzero(first[:, None] < np.asarray(ks), axis=0)
+            if with_map:
+                aps[start:stop] = _row_aps(rel, totals[start:stop])
+
+    _run_blocks(n, RANK_ROWS, rank)
+    recall = {k: int(h) / scorable for k, h in zip(ks, sum(hits))}
     return recall, (float(np.mean(aps[totals > 0])) if with_map else None), scorable
 
 

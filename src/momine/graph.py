@@ -5,8 +5,11 @@ their k most similar items; weights are the clipped-cosine similarity cubed.
 Everything is stored CSR via scipy.sparse and is immutable once built.
 """
 
+import contextvars
 import io
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +21,20 @@ from .features import FeatureSet
 GRAPH_MAGIC = "MOMG"
 # one "i j w" line of a graph file
 _EDGE_LINE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
-# rows per block in the n-wide rankings: memory is O(BLOCK_ROWS * n), and a
-# larger block is no faster but raises peak memory at n = 10^4. knn_search
-# writes every block's GEMM into one (BLOCK_ROWS, n) buffer, and top_k
-# selects each block's rows on int64 views of it without a float copy
+# rows in flight in the n-wide rankings: memory is O(BLOCK_ROWS * n), and a
+# larger block is no faster but raises peak memory at n = 10^4
 BLOCK_ROWS = 256
+# threads of the block loops (kNN, evaluation, mining): one per CPU in the
+# process's affinity set, up to MAX_WORKERS, the largest count measured
+MAX_WORKERS = 2
+WORKERS = min(MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+# rows per kNN and evaluation block, so that MAX_WORKERS blocks hold
+# BLOCK_ROWS rows. The grid is the same at every worker count: OpenBLAS
+# rounds a row of x[s:s+m] @ x.T differently for a different m, so a grid
+# that followed WORKERS would make the bytes follow it too. knn_search writes
+# a worker's GEMMs into its one (RANK_ROWS, n) buffer, and top_k selects each
+# block's rows on int64 views of it without a float copy
+RANK_ROWS = BLOCK_ROWS // MAX_WORKERS
 # edges per chunk when build_reciprocal_graph gathers both endpoints to weigh
 # them and when save_graph formats them: memory is O(EDGE_CHUNK * d), where
 # one gather of every edge is about 5 * n * d doubles at graph.k 30. At d = 64
@@ -242,13 +254,64 @@ def _top_k_sorted(block: np.ndarray, k: int) -> np.ndarray:
     return order[:, :k]
 
 
+def _run_blocks(count: int, size: int, work, balance: bool = False) -> None:
+    """Run range(count) in blocks of size items on up to WORKERS threads.
+
+    work(spans) is called once per worker with an iterator over the
+    (start, stop) of its blocks: worker w takes blocks w, w + workers, ...
+    in ascending order, and any buffers work allocates before its loop are
+    that worker's own. The blocks are the same at every worker count unless
+    balance is set: then they shrink to ceil(count / WORKERS) items when
+    that is smaller, so every worker gets one, which suits only a loop whose
+    results do not depend on the block size. The calling thread is worker 0;
+    every other worker runs in a copy of the caller's contextvars context,
+    where numpy keeps np.errstate. A worker stops at its first failing
+    block. Once every worker has finished, the exception of the lowest
+    failing block is raised: the one a serial loop would raise, since every
+    block below it has run.
+    """
+    if balance:
+        size = min(size, -(-count // WORKERS))
+    size = max(1, size)
+    blocks = -(-count // size)
+    workers = max(1, min(WORKERS, blocks))
+    failed = {}
+
+    def run(w):
+        current = w  # a failure before the first block counts against it
+
+        def spans():
+            nonlocal current
+            for current in range(w, blocks, workers):
+                yield current * size, min(current * size + size, count)
+
+        try:
+            work(spans())
+        except Exception as exc:
+            failed[current] = exc
+
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, w))
+        for w in range(1, workers)
+    ]
+    for thread in helpers:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+
+
 def knn_search(features: FeatureSet, k: int):
     """Exact brute-force top-k neighbors by similarity for every item.
 
     Returns (neighbors, sims), both (n, k), ranked by descending similarity
     with ties broken by ascending index. The item itself is excluded. Each
-    block of BLOCK_ROWS rows is one GEMM into a buffer that every block
-    reuses, ranked on the raw dot products by top_k.
+    block of RANK_ROWS rows is one GEMM into its worker's buffer, which that
+    worker's blocks reuse, ranked on the raw dot products by top_k.
     """
     n = features.n
     if not 1 <= k < n:
@@ -256,32 +319,35 @@ def knn_search(features: FeatureSet, k: int):
     x = features.data
     neighbors = np.empty((n, k), dtype=np.int64)
     sims = np.empty((n, k), dtype=np.float64)
-    buffer = np.empty((min(BLOCK_ROWS, n), n))
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        rows = np.arange(stop - start)
-        c = np.matmul(x[start:stop], x.T, out=buffer[: stop - start])
-        c[rows, start + rows] = -np.inf  # exclude self
-        nbrs = top_k(c, k)
-        kept = np.take_along_axis(c, nbrs, axis=1)
-        # Ranking the raw dot ranks the clipped dot exactly when the k-th
-        # kept value is at least 1e-100: clipping moves only negatives, to 0,
-        # below every kept value. And ranking the clipped dot ranks its cube
-        # exactly there: x -> x^3 is strictly increasing, the cubes of
-        # adjacent doubles there are normal and at least 1.5 ulp apart, and
-        # numpy's pow errs by under 0.75 ulp (0.70 measured for numpy 2.4's
-        # AVX-512 loop, 0.50 for libm), so no two distinct kept or boundary
-        # values cube to equal or swapped results. Below it (or at NaN),
-        # clipped zeros tie and tiny cubes underflow; those rows alone are
-        # clipped and ranked on the cubes themselves.
-        low = np.flatnonzero(~(kept[:, -1] >= 1e-100))
-        if low.size:
-            clipped = np.maximum(c[low], 0.0)
-            clipped[np.arange(low.size), start + low] = -np.inf  # self stays -inf
-            nbrs[low] = top_k(clipped**3, k)
-            kept[low] = np.take_along_axis(clipped, nbrs[low], axis=1)
-        neighbors[start:stop] = nbrs
-        sims[start:stop] = similarity(kept)
+
+    def rank(spans):
+        buffer = np.empty((min(RANK_ROWS, n), n))
+        for start, stop in spans:
+            rows = np.arange(stop - start)
+            c = np.matmul(x[start:stop], x.T, out=buffer[: stop - start])
+            c[rows, start + rows] = -np.inf  # exclude self
+            nbrs = top_k(c, k)
+            kept = np.take_along_axis(c, nbrs, axis=1)
+            # Ranking the raw dot ranks the clipped dot exactly when the k-th
+            # kept value is at least 1e-100: clipping moves only negatives, to
+            # 0, below every kept value. And ranking the clipped dot ranks its
+            # cube exactly there: x -> x^3 is strictly increasing, the cubes of
+            # adjacent doubles there are normal and at least 1.5 ulp apart, and
+            # numpy's pow errs by under 0.75 ulp (0.70 measured for numpy 2.4's
+            # AVX-512 loop, 0.50 for libm), so no two distinct kept or boundary
+            # values cube to equal or swapped results. Below it (or at NaN),
+            # clipped zeros tie and tiny cubes underflow; those rows alone are
+            # clipped and ranked on the cubes themselves.
+            low = np.flatnonzero(~(kept[:, -1] >= 1e-100))
+            if low.size:
+                clipped = np.maximum(c[low], 0.0)
+                clipped[np.arange(low.size), start + low] = -np.inf  # self stays -inf
+                nbrs[low] = top_k(clipped**3, k)
+                kept[low] = np.take_along_axis(clipped, nbrs[low], axis=1)
+            neighbors[start:stop] = nbrs
+            sims[start:stop] = similarity(kept)
+
+    _run_blocks(n, RANK_ROWS, rank)
     return neighbors, sims
 
 
@@ -292,7 +358,7 @@ def build_reciprocal_graph(features: FeatureSet, k: int) -> NeighborGraph:
     matrix is symmetric bit-for-bit. Pairs with zero similarity are dropped
     (their adjacency entry would be zero anyway). The dot products are taken
     EDGE_CHUNK pairs at a time, so the endpoint gathers stay O(EDGE_CHUNK * d)
-    and the peak memory is that of knn_search's (BLOCK_ROWS, n) block. Each
+    and the peak memory is that of knn_search's (RANK_ROWS, n) blocks. Each
     pair's dot is its own einsum, so the chunking leaves every weight's bits
     as they are; the kNN GEMM's values would round differently.
     """
@@ -360,7 +426,7 @@ def load_graph(path) -> NeighborGraph:
     """Read a graph file written by :func:`save_graph`, mirroring each edge.
 
     Raises BadMagic on a wrong header, and BadGraph on sizes that are not
-    integers >= 1, a line that is not "i j w", or an edge that fails
+    integers in [1, 2^63), a line that is not "i j w", or an edge that fails
     :func:`_check_edges`.
     """
     with open_text(path, BadGraph) as fh:
@@ -372,8 +438,8 @@ def load_graph(path) -> NeighborGraph:
         n, k = int(header[1]), int(header[2])
     except ValueError:
         n = k = 0
-    if n < 1 or k < 1:
-        raise BadGraph(f"{path}: header sizes must be integers >= 1, got {header[1:]}")
+    if not (1 <= n < 2**63 and 1 <= k < 2**63):  # an id or size beyond int64
+        raise BadGraph(f"{path}: header sizes must be integers in [1, 2^63), got {header[1:]}")
     edges = np.zeros(0, dtype=_EDGE_LINE)
     if body.strip():  # loadtxt warns on a file without lines
         try:

@@ -16,11 +16,12 @@ import numpy as np
 from .diffusion import DiffusionConfig, check_anchor_ids, solve_column, solve_columns
 from .errors import AllPoolsEmpty, BadPools, DimMismatch, LabelsMissing, open_text
 from .features import FeatureSet
-from .graph import NormalizedOperator, similarity, top_k
+from .graph import NormalizedOperator, _run_blocks, similarity, top_k
 
 # anchors per block: the CG state of a block solve is O(ANCHOR_BLOCK * n),
 # below the kNN block's memory, and the sampler's distance block is
-# O(ANCHOR_BLOCK * max_neg * d)
+# O(ANCHOR_BLOCK * max_neg * d). build_training_pool's blocks shrink so that
+# every worker thread gets one
 ANCHOR_BLOCK = 64
 
 
@@ -181,8 +182,10 @@ def build_training_pool(
 ):
     """Pools for every anchor plus the item union they span.
 
-    Anchors are solved and ranked ANCHOR_BLOCK at a time; each column is
-    bit-equal to its single-anchor solve.
+    The m anchors are solved and ranked in blocks of at most ANCHOR_BLOCK,
+    balanced over the worker threads (see graph._run_blocks), and the pools
+    are joined in block order; each column is bit-equal to its single-anchor
+    solve, whatever the block size.
 
     Anchors whose pools both come out empty are dropped (with a warning) and
     do not enter the union. Raises AllPoolsEmpty if nothing survives.
@@ -190,11 +193,16 @@ def build_training_pool(
     if operator.n != features.n:
         raise DimMismatch(f"graph has n={operator.n}, features have n={features.n}")
     anchors = check_anchor_ids(anchor_set.anchor_ids, features.n)
-    pools = []
-    for start in range(0, anchors.size, ANCHOR_BLOCK):
-        columns = solve_columns(operator, anchors[start : start + ANCHOR_BLOCK], diffusion_config)
-        pools += [p for p in _block_pools(columns, features, mining_config)
-                  if p.positives or p.negatives]
+    mined = {}
+
+    def mine(spans):
+        for start, stop in spans:
+            columns = solve_columns(operator, anchors[start:stop], diffusion_config)
+            mined[start] = [p for p in _block_pools(columns, features, mining_config)
+                            if p.positives or p.negatives]
+
+    _run_blocks(anchors.size, ANCHOR_BLOCK, mine, balance=True)
+    pools = list(chain.from_iterable(mined[start] for start in sorted(mined)))
     if len(pools) < anchors.size:
         warnings.warn(f"dropped {anchors.size - len(pools)} anchors with empty pools", stacklevel=2)
     if not pools:

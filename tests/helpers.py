@@ -11,8 +11,8 @@ import scipy.sparse as sp
 from momine.diffusion import SimilarityColumn
 from momine.evaluation import _row_aps
 from momine.graph import (
-    BLOCK_ROWS,
     GRAPH_MAGIC,
+    RANK_ROWS,
     NeighborGraph,
     _mirrored_graph,
     knn_search,
@@ -315,7 +315,9 @@ def ranking_metrics_oracle(embeddings, labels, ks):
 
 def ranking_metrics_reference(embeddings, labels, ks, with_map):
     """Reference for evaluation._ranking_metrics: each block of queries is
-    ranked by top_k on the negated squared distances, the self score -inf."""
+    ranked by top_k on the negated squared distances, the self score -inf.
+    The blocks are the RANK_ROWS rows that _ranking_metrics takes, so a
+    failure (such as _row_aps on an inf row) names the same block shape."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
@@ -325,8 +327,8 @@ def ranking_metrics_reference(embeddings, labels, ks, with_map):
     sq = np.sum(embeddings**2, axis=1)
     hits = np.zeros(len(ks), dtype=np.int64)
     aps = np.empty(n)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
+    for start in range(0, n, RANK_ROWS):
+        stop = min(start + RANK_ROWS, n)
         score = embeddings[start:stop] @ embeddings.T
         score *= 2.0
         score -= sq[start:stop, None] + sq[None, :]

@@ -12,7 +12,7 @@ from momine.anchors import (
     select_anchors,
     stationary,
 )
-from momine.errors import EmptyGraph, MomineError
+from momine.errors import BadAnchors, EmptyGraph, MomineError
 from momine.features import SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import NeighborGraph, build_reciprocal_graph, normalize_graph
 
@@ -227,6 +227,14 @@ def test_anchor_dump_round_trip(tmp_path):
     loaded = load_anchors(path)
     assert list(loaded.anchor_ids) == list(aset.anchor_ids)
     assert np.allclose(loaded.pi_values, aset.pi_values, atol=1e-8)
+
+
+@pytest.mark.parametrize("anchor_id", [2**63, 2**64, -(2**63) - 1])
+def test_load_anchors_rejects_ids_beyond_int64(tmp_path, anchor_id):
+    path = tmp_path / "anchors.txt"
+    path.write_text(f"3 0.5\n{anchor_id} 0.25\n")
+    with pytest.raises(BadAnchors, match=f"anchors.txt:2: anchor id {anchor_id} does not fit"):
+        load_anchors(path)
 
 
 ANCHOR_LINES = st.lists(st.tuples(st.integers(0, 2**63 - 1), st.floats()), max_size=20)

@@ -434,7 +434,9 @@ def test_bad_mom_seed_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
     assert "MOM_SEED" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("anchors_txt", ["-3 0.1\n", "7 0.2\n500 0.1\n", "x y\n"])
+@pytest.mark.parametrize("anchors_txt", [
+    "-3 0.1\n", "7 0.2\n500 0.1\n", "x y\n", "7 0.2\n18446744073709551616 0.1\n",
+])
 def test_mine_bad_anchor_ids_are_data_errors(tmp_path, capsys, anchors_txt):
     data = tmp_path / "data"
     assert main(["gen", "--out", str(data), "--seed", "5"] + GEN_ARGS
@@ -456,6 +458,17 @@ def test_mine_bad_anchor_ids_are_data_errors(tmp_path, capsys, anchors_txt):
     assert code == 2
     assert "out of range" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("anchor_id", [str(2**64), str(-(2**63) - 1)])
+def test_diffuse_anchor_beyond_int64_is_data_error(tmp_path, capsys, anchor_id):
+    path = tmp_path / "graph.txt"
+    path.write_text("MOMG 4 2\n0 1 0.5\n")
+    out = tmp_path / "d"
+    assert main(["diffuse", "--out", str(out), "--graph", str(path), "--anchor", anchor_id]) == 2
+    err = capsys.readouterr().err
+    assert err == f"mom diffuse: error: anchor id {anchor_id} out of range [0, 4)\n"
+    assert not out.exists()
 
 
 def test_diffuse_column_order_matches_lexsort_with_isolated_nodes(tmp_path, capsys):
@@ -537,6 +550,8 @@ def test_trailing_bytes_are_data_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("body", [
     "MOMG four 2\n0 1 0.5\n",
+    "MOMG 18446744073709551616 2\n0 1 0.5\n",  # sizes beyond int64
+    "MOMG 4 18446744073709551616\n0 1 0.5\n",
     "MOMG 4 2\n0 1 0.5x\n",
     "MOMG 4 2\n0 1\n",
     "MOMG 4 2\n0 9 0.5\n",

@@ -222,4 +222,7 @@ def test_solve_columns_rejects_out_of_range_anchors():
     for bad in ([-3], [0, 10], [2, -1, 4]):
         with pytest.raises(BadAnchors):
             solve_columns(op, bad, DiffusionConfig())
+    for bad in ([2**64], [3, -(2**63) - 1]):  # beyond int64: named, not OverflowError
+        with pytest.raises(BadAnchors, match=f"anchor id {bad[-1]} out of range"):
+            solve_columns(op, bad, DiffusionConfig())
     assert solve_columns(op, [], DiffusionConfig()) == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import momine.evaluation
+import momine.graph
 from momine.errors import DegenerateLabels, KTooLarge, LengthMismatch, NonFinite
 from momine.evaluation import (
     _ranking_metrics,
@@ -312,6 +313,26 @@ def test_packed_ranking_matches_reference_with_an_inf_row(classes, fallback_call
             got = _outcome(lambda: _ranking_metrics(z, labels, depths, with_map))
             assert got == _outcome(lambda: ranking_metrics_reference(z, labels, depths, with_map))
     assert any(0 < len(c) < BLOCK_ROWS for c in fallback_calls)
+
+
+def test_ranking_metrics_is_the_same_at_every_worker_count(monkeypatch):
+    z, labels = _mixed_case(5)
+    labels = np.asarray(labels)
+    ks = [1, 2, 5, 16]
+    bad = z.copy()
+    bad[5] = [np.inf, 0.0, 0.0, 0.0, 0.0]
+    first = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(momine.graph, "WORKERS", workers)
+        for depths, with_map in ((ks, True), ([], True), (ks, False)):
+            got = _ranking_metrics(z, labels, depths, with_map)
+            assert got == first.setdefault((len(depths), with_map), got), workers
+            # with an inf row, blocks of the map pass fail: the lowest failing
+            # block's error surfaces, the one the reference's serial loop raises
+            with np.errstate(invalid="ignore"):
+                outcome = _outcome(lambda: _ranking_metrics(bad, labels, depths, with_map))
+                assert outcome == _outcome(
+                    lambda: ranking_metrics_reference(bad, labels, depths, with_map))
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from momine.graph import (
     BLOCK_ROWS,
     EDGE_CHUNK,
     NeighborGraph,
+    _run_blocks,
     build_reciprocal_graph,
     components,
     knn_search,
@@ -351,21 +354,130 @@ def test_reciprocal_graph_matches_one_shot_einsum_over_several_chunks():
     assert_same_graph(g, reciprocal_graph_reference(feats, 12))
 
 
-def test_reciprocal_graph_peak_memory_stays_below_one_edge_gather():
+def test_reciprocal_graph_peak_memory_stays_below_one_edge_gather(monkeypatch):
     # at d = 256 one gather of every edge's endpoints is several times the
-    # (BLOCK_ROWS, n) block of knn_search; weighing the edges in chunks
-    # keeps the whole build below that one gather
+    # (BLOCK_ROWS, n) rows of knn_search's blocks; weighing the edges in
+    # chunks keeps the whole build below that one gather, with one worker or two
     spec = SyntheticSpec(kind="moons", per_class=1000, classes=2, ambient_dim=256, noise=0.15)
     feats = l2_normalize(generate_synthetic(spec, 3))
-    tracemalloc.start()
+    for workers in (1, 2):
+        monkeypatch.setattr(momine.graph, "WORKERS", workers)
+        tracemalloc.start()
+        try:
+            g = build_reciprocal_graph(feats, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gather = g.adjacency.nnz // 2 * feats.d * feats.data.itemsize
+        assert gather > 4 * BLOCK_ROWS * feats.n * feats.data.itemsize
+        assert peak < gather, workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_blocks_gives_each_worker_its_blocks_in_order(monkeypatch, workers):
+    monkeypatch.setattr(momine.graph, "WORKERS", workers)
+    grid = [(0, 3), (3, 6), (6, 9), (9, 12), (12, 15), (15, 18), (18, 20)]
+    seen = []
+    _run_blocks(20, 3, lambda spans: seen.append(list(spans)))
+    assert sorted(seen) == [grid[w::workers] for w in range(workers)]
+    seen.clear()
+    _run_blocks(3, 3, lambda spans: seen.append(list(spans)))  # one block: the caller alone
+    assert seen == [[(0, 3)]]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_blocks_balances_only_when_asked(monkeypatch, workers):
+    monkeypatch.setattr(momine.graph, "WORKERS", workers)
+    seen = []
+    _run_blocks(7, 64, lambda spans: seen.extend(spans), balance=True)
+    size = -(-7 // workers)
+    assert sorted(seen) == [(s, min(s + size, 7)) for s in range(0, 7, size)]
+    seen.clear()
+    _run_blocks(7, 64, lambda spans: seen.extend(spans))
+    assert seen == [(0, 7)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_blocks_raises_the_lowest_failing_block(monkeypatch, workers):
+    monkeypatch.setattr(momine.graph, "WORKERS", workers)
+    failing = (1, 3)
+    ran = []
+
+    def work(spans):
+        for start, _ in spans:
+            if start in failing:
+                raise ValueError(f"block {start}")
+            ran.append(start)
+
+    with pytest.raises(ValueError, match="^block 1$"):
+        _run_blocks(6, 1, work)
+    # each worker stops at its own first failure, and the runner waits for all
+    expected = [b for w in range(workers)
+                for b in itertools.takewhile(lambda b: b not in failing, range(w, 6, workers))]
+    assert sorted(ran) == sorted(expected)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_blocks_keeps_the_callers_errstate(monkeypatch, workers):
+    monkeypatch.setattr(momine.graph, "WORKERS", workers)
+    out = np.zeros(6)
+
+    def work(spans):
+        for start, stop in spans:
+            out[start:stop] = np.divide(np.zeros(stop - start), 0.0)  # invalid: 0 / 0
+
+    with np.errstate(invalid="ignore"):
+        _run_blocks(6, 1, work)
+    assert np.isnan(out).all()
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        _run_blocks(6, 1, work)
+
+
+def test_run_blocks_loses_no_block_with_more_workers_than_cpus(monkeypatch):
+    # eight workers switching every microsecond: every block runs once, and
+    # knn_search writes the one-worker neighbours and similarities byte for
+    # byte. n = 700 is not a multiple of 8, where a GEMM of another row
+    # count would round the last columns' products differently
+    feats = l2_normalize(FeatureSet(data=np.random.default_rng(8).normal(size=(700, 6))))
+    monkeypatch.setattr(momine.graph, "WORKERS", 1)
+    expected = knn_search(feats, 9)
+    monkeypatch.setattr(momine.graph, "WORKERS", 8)
+    runs = np.zeros(500, dtype=np.int64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        g = build_reciprocal_graph(feats, 30)
-        peak = tracemalloc.get_traced_memory()[1]
+        def work(spans):
+            for start, stop in spans:
+                runs[start:stop] += 1
+
+        _run_blocks(runs.size, 1, work)
+        got = knn_search(feats, 9)
     finally:
-        tracemalloc.stop()
-    gather = g.adjacency.nnz // 2 * feats.d * feats.data.itemsize
-    assert gather > 4 * BLOCK_ROWS * feats.n * feats.data.itemsize
-    assert peak < gather
+        sys.setswitchinterval(interval)
+    assert (runs == 1).all()
+    assert np.array_equal(got[0], expected[0])
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
+def test_knn_search_is_the_same_at_every_worker_count(monkeypatch):
+    # moons in the first 8 of 10 dimensions, plus a few items along the last
+    # two axes: their dots with everything else are 0, so they take the
+    # clipped path; several blocks at every worker count
+    spec = SyntheticSpec(kind="moons", per_class=BLOCK_ROWS + 10, classes=2, ambient_dim=8, noise=0.15)
+    moons = generate_synthetic(spec, 5).data
+    axes = np.zeros((17, 10))
+    axes[::2, 8] = axes[1::2, 9] = 1.0
+    data = np.vstack([np.hstack([moons, np.zeros((moons.shape[0], 2))]), axes])
+    feats = l2_normalize(FeatureSet(data=data))
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(momine.graph, "WORKERS", workers)
+        runs.append(knn_search(feats, 10))
+    (nbrs, sims), *others = runs
+    for other_nbrs, other_sims in others:
+        assert np.array_equal(other_nbrs, nbrs) and other_sims.tobytes() == sims.tobytes()
+    assert (sims[-17:, -1] == 0).all()
 
 
 def test_normalize_two_node_unit_edge():
@@ -578,6 +690,8 @@ def test_graph_file_bytes_match_one_shot_writer(tmp_path, count):
     "MOMG four 2\n0 1 0.5\n",  # non-integer header
     "MOMG 4 2.0\n0 1 0.5\n",
     "MOMG 0 2\n",
+    "MOMG 18446744073709551616 2\n0 1 0.5\n",  # sizes beyond int64
+    "MOMG 4 18446744073709551616\n0 1 0.5\n",
     "MOMG 4 2\n0 1\n",  # malformed lines
     "MOMG 4 2\n0 1 0.5 7\n",
     "MOMG 4 2\n0 1 0.5x\n",

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momine.graph
 from momine.anchors import AnchorSet, power_iteration, select_anchors
 from momine.diffusion import DiffusionConfig, solve_columns
 from momine.errors import AllPoolsEmpty, BadAnchors, DimMismatch, LabelsMissing
@@ -405,6 +407,33 @@ def test_build_training_pool_blocks_match_single_solves():
     pools, _ = build_training_pool(AnchorSet(ids, np.zeros(150)), feats, op, DC, cfg)
     expected = [pools_two_rankings(solve_column_reference(op, int(a), DC), feats, cfg) for a in ids]
     assert pools == [p for p in expected if p.positives or p.negatives]
+
+
+def test_build_training_pool_is_the_same_at_every_worker_count(monkeypatch):
+    feats, graph, op = small_setup(n=150, seed=16, k=6)
+    cfg = MiningConfig(k_pos=12, k_neg=30, max_neg=10, hard_subset_size=4)
+    # 150 anchors take blocks of 64, 64 and 50; 45 take 45, 23 and 15
+    for ids in (np.arange(149, -1, -1), np.arange(0, 135, 3)):
+        anchors = AnchorSet(ids, np.zeros(ids.size))
+        first = None
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(momine.graph, "WORKERS", workers)
+            got = build_training_pool(anchors, feats, op, DC, cfg)
+            first = first or got
+            assert got[0] == first[0] and np.array_equal(got[1], first[1]), workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_build_training_pool_warns_once_from_the_caller(monkeypatch, workers):
+    monkeypatch.setattr(momine.graph, "WORKERS", workers)
+    feats, graph, op = small_setup(n=10, k=4)
+    anchors = AnchorSet(anchor_ids=np.arange(10), pi_values=np.zeros(10))
+    cfg = MiningConfig(k_pos=9, k_neg=9, max_neg=3, hard_subset_size=2)
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(AllPoolsEmpty):
+        warnings.simplefilter("always")
+        build_training_pool(anchors, feats, op, DC, cfg)
+    assert [str(w.message) for w in caught] == ["dropped 10 anchors with empty pools"]
+    assert caught[0].filename == __file__
 
 
 def test_build_training_pool_checks_anchor_ids_and_sizes():
