@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 
 from .anchors import (
     AnchorSet,
-    StationaryDistribution,
     local_maxima,
-    power_iteration,
     select_anchors,
     stationary,
 )
@@ -51,22 +49,18 @@ from .mining import (
     baseline_pools,
     build_training_pool,
     load_pools,
-    mine_anchor_pools,
     oracle_pools,
     pool_table,
     sample_epoch_tuples,
     save_pools,
 )
-from .evaluation import EvalReport, evaluate_embeddings, kmeans, mean_average_precision, nmi, recall_at_k
+from .evaluation import EvalReport, evaluate_embeddings, kmeans, nmi
 from .trainer import (
     EmbeddingModel,
     TrainConfig,
-    apply_weight,
-    contrastive_loss,
     forward,
     load_model,
     save_model,
     sgd_momentum_step,
     train,
-    triplet_loss,
 )

@@ -5,15 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadAnchors, EmptyGraph, open_text
-from .graph import NeighborGraph, NormalizedOperator, components, top_k
-
-
-@dataclass
-class StationaryDistribution:
-    pi: np.ndarray
-    iterations_used: int
-    converged: bool
-    l1_delta: float
+from .graph import NeighborGraph, components, top_k
 
 
 @dataclass
@@ -49,35 +41,6 @@ def stationary(graph: NeighborGraph) -> tuple[np.ndarray, int]:
     pi = np.zeros(graph.n)
     pi[live] = size[part] / part.size * d[live] / vol[part]
     return pi, int(np.count_nonzero(size))
-
-
-def power_iteration(
-    operator: NormalizedOperator, tolerance: float = 1e-10, max_iterations: int = 10000
-) -> StationaryDistribution:
-    """Iterate pi <- pi P from the uniform distribution until the L1 change
-    drops below tolerance.
-
-    The vector is renormalized to sum 1 every step since isolated nodes leak
-    mass. This is the test reference for :func:`stationary`, the closed form
-    of its limit (and of its Cesaro mean on a bipartite component, where the
-    iterate oscillates); the pipeline uses only the closed form.
-    """
-    if operator.kind != "stochastic":
-        raise ValueError("power_iteration needs the row-stochastic operator")
-    if operator.matrix.nnz == 0:
-        raise EmptyGraph("graph has no edges; the walk is undefined")
-    pt = operator.matrix.T.tocsr()  # pi @ P as a csr matvec
-    pi = np.full(operator.n, 1.0 / operator.n)
-    delta = np.inf
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        nxt = pt @ pi
-        nxt /= nxt.sum()
-        delta = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        if delta <= tolerance:
-            return StationaryDistribution(pi, iterations, True, delta)
-    return StationaryDistribution(pi, iterations, False, delta)
 
 
 def local_maxima(graph: NeighborGraph, pi: np.ndarray) -> list[int]:

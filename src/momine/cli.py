@@ -259,7 +259,7 @@ def _initial_model(cfg, input_dim, seed) -> EmbeddingModel:
 
 
 def _mine_pools(feats, graph, anchor_set, cfg, seed, labels=None):
-    sym = normalize_graph(graph, "symmetric")
+    sym = normalize_graph(graph)
     dcfg = _diffusion_config(cfg)
     mcfg = _mining_config(cfg)
     if cfg["mining.mode"] == "baseline":
@@ -318,7 +318,7 @@ def cmd_graph(args, cfg, seed, out: Path):
 
 def cmd_diffuse(args, cfg, seed, out: Path):
     graph = load_graph(args.graph)
-    sym = normalize_graph(graph, "symmetric")
+    sym = normalize_graph(graph)
     column = solve_column(sym, args.anchor, _diffusion_config(cfg))
     order = top_k(column.values, graph.n)
     _write_config(cfg, out)

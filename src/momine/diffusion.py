@@ -65,8 +65,6 @@ def solve_columns(
     positive. Isolated anchors get the analytic solution (1-alpha) e_a
     without running CG. Memory is O(len(anchors) * n).
     """
-    if operator.kind != "symmetric":
-        raise ValueError("solve_columns needs the symmetric-normalized operator")
     n = operator.n
     anchors = check_anchor_ids(anchors, n)
     alpha = config.alpha

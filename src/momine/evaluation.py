@@ -55,23 +55,20 @@ def _row_aps(rel: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return aps
 
 
-def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: bool):
-    """(Recall@k per k in ks, mAP or None, scorable queries) from one ranking.
+def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks):
+    """(Recall@k per k in ks, mAP, scorable queries) from one ranking.
 
     Each query ranks every other item by ascending squared Euclidean
     distance, ties by ascending index, RANK_ROWS queries per block on each
-    worker thread, so memory is O(BLOCK_ROWS * n). Recall
-    needs only the top max(ks); mAP needs the full ranking. Queries whose
-    label occurs once are excluded.
+    worker thread, so memory is O(BLOCK_ROWS * n). Queries whose label
+    occurs once are excluded.
 
     Only the label pattern of a ranking enters the metrics, so a row is one
-    int64 sort of packed keys (of the top depth + 1 after a partition, for
-    recall alone): the bits of d >= +0.0 (ordered as d is) with the lowest
-    bit set to "label differs from the query's". Same-label ties and
-    last-bit swaps cannot change the pattern. A row goes back to top_k when
-    a d is negative, -0.0 or NaN, or when two sorted keys up to rank depth
-    differ in the label bit alone (a cross-label tie up to the last bit), or
-    the key at rank depth has such a partner beyond it.
+    int64 sort of packed keys: the bits of d >= +0.0 (ordered as d is) with
+    the lowest bit set to "label differs from the query's". Same-label ties
+    and last-bit swaps cannot change the pattern. A row goes back to top_k
+    when a d is negative, -0.0 or NaN, or when two sorted keys differ in the
+    label bit alone (a cross-label tie up to the last bit).
     """
     n = embeddings.shape[0]
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
@@ -80,7 +77,7 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: b
     if scorable == 0:
         raise DegenerateLabels("no query has a same-label counterpart")
     codes = inverse.astype(np.min_scalar_type(counts.size - 1))
-    depth = n - 1 if with_map else max(ks)
+    depth = n - 1
     sq = np.sum(embeddings**2, axis=1)
     hits = []  # one integer count per worker, summed at the end
     aps = np.empty(n)
@@ -103,40 +100,21 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks, with_map: b
             fallback = (dist.view(np.uint64) > _INF_BITS).any(axis=1)
             key = np.bitwise_and(dist.view(np.int64), -2, out=key_buf[:m])
             key |= codes[None, :] != codes[start:stop, None]
-            if depth < n - 1:  # recall alone: sort only the top depth + 1
-                key.partition(depth, axis=1)
-            head = key[:, : depth + 1]
-            head.sort(axis=1)
+            key.sort(axis=1)
             pairs = temp_buf[:m].view(np.int64)[:, :depth]
-            fallback |= (np.bitwise_xor(head[:, 1:], head[:, :-1], out=pairs) == 1).any(axis=1)
-            # a same-label run at rank depth with an other-label tie further on
-            fallback |= (key[:, depth + 1 :] == (head[:, -1:] ^ 1)).any(axis=1)
-            rel = np.bitwise_and(head[:, :depth], 1, out=pairs) == 0
+            fallback |= (np.bitwise_xor(key[:, 1:], key[:, :-1], out=pairs) == 1).any(axis=1)
+            rel = np.bitwise_and(key[:, :depth], 1, out=pairs) == 0
             rows = np.flatnonzero(fallback)
             if rows.size:
                 ranked = top_k(np.negative(dist[rows]), depth)
                 rel[rows] = codes[ranked] == codes[start + rows, None]
             first = np.where(rel.any(axis=1), rel.argmax(axis=1), depth)
             found += np.count_nonzero(first[:, None] < np.asarray(ks), axis=0)
-            if with_map:
-                aps[start:stop] = _row_aps(rel, totals[start:stop])
+            aps[start:stop] = _row_aps(rel, totals[start:stop])
 
     _run_blocks(n, RANK_ROWS, rank)
     recall = {k: int(h) / scorable for k, h in zip(ks, sum(hits))}
-    return recall, (float(np.mean(aps[totals > 0])) if with_map else None), scorable
-
-
-def recall_at_k(embeddings: np.ndarray, labels, ks) -> dict:
-    """Fraction of queries whose k nearest neighbors contain their label.
-
-    Queries without any same-label counterpart are excluded from the mean.
-    """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = _check_inputs(embeddings, labels)
-    ks = sorted(int(k) for k in ks)
-    if ks[0] < 1 or ks[-1] > embeddings.shape[0] - 1:
-        raise ValueError(f"ks must lie in [1, n-1], got {ks}")
-    return _ranking_metrics(embeddings, labels, ks, with_map=False)[0]
+    return recall, float(np.mean(aps[totals > 0])), scorable
 
 
 def kmeans(embeddings: np.ndarray, c: int, seed: int = 0) -> np.ndarray:
@@ -203,14 +181,6 @@ def nmi(labels_a, labels_b) -> float:
     return max(0.0, min(1.0, mi / denom))
 
 
-def mean_average_precision(embeddings: np.ndarray, labels) -> float:
-    """Mean AP over queries with at least one same-label item; precision is
-    taken at each relevant hit, uninterpolated."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = _check_inputs(embeddings, labels)
-    return _ranking_metrics(embeddings, labels, [], with_map=True)[1]
-
-
 def evaluate_embeddings(
     embeddings: np.ndarray,
     labels,
@@ -226,7 +196,7 @@ def evaluate_embeddings(
     ks = sorted(int(k) for k in ks if 1 <= k <= n - 1)
     if not ks:
         raise KTooLarge(f"no recall depth lies in [1, n-1={n - 1}]")
-    recall, ap, n_queries = _ranking_metrics(embeddings, labels, ks, with_map=True)
+    recall, ap, n_queries = _ranking_metrics(embeddings, labels, ks)
     c = int(np.unique(labels).size)
     clusters = kmeans(embeddings, c, seed=seed)
     score = nmi(labels, clusters)

@@ -6,6 +6,7 @@ ever consumed by evaluation and oracle ablations, never by the graph, mining,
 or training code paths.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -260,10 +261,12 @@ def load_features(path) -> FeatureSet:
         if len(header) < 8:
             raise TruncatedFile(f"{path}: header truncated")
         n, d = struct.unpack("<II", header)
-        payload = fh.read(n * d * 4)
-        if len(payload) < n * d * 4:
-            have = len(payload) // (d * 4) if d else 0
+        # the size the header promises against the bytes left, before any read
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < n * d * 4:
+            have = left // (d * 4) if d else 0
             raise TruncatedFile(f"{path}: header promises {n} rows, payload has {have}")
+        payload = fh.read(n * d * 4)
         if fh.read(1):
             raise TrailingBytes(f"{path}: bytes after the {n}x{d} payload")
     data = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)

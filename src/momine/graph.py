@@ -84,14 +84,18 @@ def _check_edges(n: int, i, j, w, where: str = "graph") -> None:
 def _mirrored_graph(n: int, k: int, i, j, w, where: str = "graph") -> NeighborGraph:
     """The graph with edges (i, j) and (j, i) of weight w for each i < j.
 
-    Raises BadGraph when a node's finite weights sum past the double range,
-    since its degree, and with it the walk and the normalized operators,
-    would not be finite.
+    Raises BadGraph when n is too large for the (n + 1)-long index array to
+    be allocated, and when a node's finite weights sum past the double
+    range, since its degree, and with it the walk and the normalized
+    operators, would not be finite.
     """
-    adj = sp.csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
-    )
+    try:
+        adj = sp.csr_matrix(
+            (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+            shape=(n, n),
+        )
+    except (ValueError, MemoryError):  # numpy: "array is too big", or no memory
+        raise BadGraph(f"{where}: a graph of n={n} nodes does not fit in memory") from None
     with np.errstate(over="ignore"):
         degrees = np.asarray(adj.sum(axis=1)).ravel()
     bad = np.flatnonzero(~np.isfinite(degrees))
@@ -132,9 +136,8 @@ def components(graph: NeighborGraph) -> np.ndarray:
 
 @dataclass
 class NormalizedOperator:
-    """Either the symmetric D^-1/2 A D^-1/2 or the row-stochastic D^-1 A."""
+    """The symmetric normalized adjacency D^-1/2 A D^-1/2."""
 
-    kind: str  # "symmetric" | "stochastic"
     matrix: sp.csr_matrix
     n: int
 
@@ -305,12 +308,12 @@ def _run_blocks(count: int, size: int, work, balance: bool = False) -> None:
         raise failed[min(failed)]
 
 
-def knn_search(features: FeatureSet, k: int):
+def knn_search(features: FeatureSet, k: int) -> np.ndarray:
     """Exact brute-force top-k neighbors by similarity for every item.
 
-    Returns (neighbors, sims), both (n, k), ranked by descending similarity
-    with ties broken by ascending index. The item itself is excluded. Each
-    block of RANK_ROWS rows is one GEMM into its worker's buffer, which that
+    Returns the (n, k) neighbor ids, ranked by descending similarity with
+    ties broken by ascending index. The item itself is excluded. Each block
+    of RANK_ROWS rows is one GEMM into its worker's buffer, which that
     worker's blocks reuse, ranked on the raw dot products by top_k.
     """
     n = features.n
@@ -318,7 +321,6 @@ def knn_search(features: FeatureSet, k: int):
         raise KTooLarge(f"k={k} must satisfy 1 <= k < n={n}")
     x = features.data
     neighbors = np.empty((n, k), dtype=np.int64)
-    sims = np.empty((n, k), dtype=np.float64)
 
     def rank(spans):
         buffer = np.empty((min(RANK_ROWS, n), n))
@@ -327,10 +329,9 @@ def knn_search(features: FeatureSet, k: int):
             c = np.matmul(x[start:stop], x.T, out=buffer[: stop - start])
             c[rows, start + rows] = -np.inf  # exclude self
             nbrs = top_k(c, k)
-            kept = np.take_along_axis(c, nbrs, axis=1)
             # Ranking the raw dot ranks the clipped dot exactly when the k-th
-            # kept value is at least 1e-100: clipping moves only negatives, to
-            # 0, below every kept value. And ranking the clipped dot ranks its
+            # value is at least 1e-100: clipping moves only negatives, to 0,
+            # below every kept value. And ranking the clipped dot ranks its
             # cube exactly there: x -> x^3 is strictly increasing, the cubes of
             # adjacent doubles there are normal and at least 1.5 ulp apart, and
             # numpy's pow errs by under 0.75 ulp (0.70 measured for numpy 2.4's
@@ -338,17 +339,15 @@ def knn_search(features: FeatureSet, k: int):
             # values cube to equal or swapped results. Below it (or at NaN),
             # clipped zeros tie and tiny cubes underflow; those rows alone are
             # clipped and ranked on the cubes themselves.
-            low = np.flatnonzero(~(kept[:, -1] >= 1e-100))
+            low = np.flatnonzero(~(c[rows, nbrs[:, -1]] >= 1e-100))
             if low.size:
                 clipped = np.maximum(c[low], 0.0)
                 clipped[np.arange(low.size), start + low] = -np.inf  # self stays -inf
                 nbrs[low] = top_k(clipped**3, k)
-                kept[low] = np.take_along_axis(clipped, nbrs[low], axis=1)
             neighbors[start:stop] = nbrs
-            sims[start:stop] = similarity(kept)
 
     _run_blocks(n, RANK_ROWS, rank)
-    return neighbors, sims
+    return neighbors
 
 
 def build_reciprocal_graph(features: FeatureSet, k: int) -> NeighborGraph:
@@ -363,7 +362,7 @@ def build_reciprocal_graph(features: FeatureSet, k: int) -> NeighborGraph:
     as they are; the kNN GEMM's values would round differently.
     """
     n = features.n
-    nbrs, _ = knn_search(features, k)
+    nbrs = knn_search(features, k)
     rows = np.repeat(np.arange(n), k)
     listed = sp.csr_matrix(
         (np.ones(n * k, dtype=bool), (rows, nbrs.ravel())), shape=(n, n)
@@ -380,25 +379,16 @@ def build_reciprocal_graph(features: FeatureSet, k: int) -> NeighborGraph:
     return _mirrored_graph(n, k, ii[keep], jj[keep], w[keep])
 
 
-def normalize_graph(graph: NeighborGraph, kind: str) -> NormalizedOperator:
-    """Build D^-1/2 A D^-1/2 ("symmetric") or D^-1 A ("stochastic").
-
-    Isolated nodes yield all-zero rows/columns.
-    """
-    if kind not in ("symmetric", "stochastic"):
-        raise ValueError(f"kind must be 'symmetric' or 'stochastic', got {kind!r}")
+def normalize_graph(graph: NeighborGraph) -> NormalizedOperator:
+    """Build D^-1/2 A D^-1/2; isolated nodes yield all-zero rows/columns."""
     d = graph.degrees
     inv = np.zeros_like(d)
     nz = d > 0
+    inv[nz] = 1.0 / np.sqrt(d[nz])
     coo = graph.adjacency.tocoo()
-    if kind == "symmetric":
-        inv[nz] = 1.0 / np.sqrt(d[nz])
-        vals = coo.data * inv[coo.row] * inv[coo.col]
-    else:
-        inv[nz] = 1.0 / d[nz]
-        vals = coo.data * inv[coo.row]
+    vals = coo.data * inv[coo.row] * inv[coo.col]
     mat = sp.csr_matrix((vals, (coo.row, coo.col)), shape=(graph.n, graph.n))
-    return NormalizedOperator(kind=kind, matrix=mat, n=graph.n)
+    return NormalizedOperator(matrix=mat, n=graph.n)
 
 
 def save_graph(graph: NeighborGraph, path) -> None:

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, check_anchor_ids, solve_column, solve_columns
+from .diffusion import DiffusionConfig, check_anchor_ids, solve_columns
 from .errors import AllPoolsEmpty, BadPools, DimMismatch, LabelsMissing, open_text
 from .features import FeatureSet
 from .graph import NormalizedOperator, _run_blocks, similarity, top_k
@@ -50,19 +50,6 @@ class AnchorPools:
     anchor_id: int
     positives: list  # [(item_id, s_m), ...]
     negatives: list  # [(item_id, s_e), ...]
-    diffusion_converged: bool = True
-
-
-def mine_anchor_pools(
-    anchor: int,
-    features: FeatureSet,
-    operator: NormalizedOperator,
-    diffusion_config: DiffusionConfig,
-    mining_config: MiningConfig,
-) -> AnchorPools:
-    """Both pools from a single diffusion solve for the anchor."""
-    column = solve_column(operator, anchor, diffusion_config)
-    return _block_pools([column], features, mining_config)[0]
 
 
 def _euclidean_block(features: FeatureSet, anchors: list) -> np.ndarray:
@@ -108,7 +95,7 @@ def _block_pools(columns: list, features: FeatureSet, mining_config: MiningConfi
         pos = nn_m[i, :k_pos][pos_kept[i]][: mining_config.max_pos]
         neg = nn_e[i, :k_neg][neg_kept[i]][: mining_config.max_neg]
         pos_pairs, neg_pairs = _pairs(pos, column.values), _pairs(neg, sims[i])
-        pools.append(AnchorPools(anchors[i], pos_pairs, neg_pairs, column.converged))
+        pools.append(AnchorPools(anchors[i], pos_pairs, neg_pairs))
     return pools
 
 
@@ -168,9 +155,9 @@ def oracle_pools(
     if mode == "positive":
         same[anchor] = False
         pool = _pairs(_ranked(np.flatnonzero(same), sims, max_pos), sims)
-        return AnchorPools(anchor, pool, list(base.negatives), base.diffusion_converged)
+        return AnchorPools(anchor, pool, list(base.negatives))
     pool = _pairs(_ranked(np.flatnonzero(~same), sims, max_neg), sims)
-    return AnchorPools(anchor, list(base.positives), pool, base.diffusion_converged)
+    return AnchorPools(anchor, list(base.positives), pool)
 
 
 def build_training_pool(
@@ -187,22 +174,28 @@ def build_training_pool(
     are joined in block order; each column is bit-equal to its single-anchor
     solve, whatever the block size.
 
-    Anchors whose pools both come out empty are dropped (with a warning) and
-    do not enter the union. Raises AllPoolsEmpty if nothing survives.
+    Diffusion solves that stop above diffusion_config.tolerance are counted
+    in one warning. Anchors whose pools both come out empty are dropped
+    (with a warning) and do not enter the union. Raises AllPoolsEmpty if
+    nothing survives.
     """
     if operator.n != features.n:
         raise DimMismatch(f"graph has n={operator.n}, features have n={features.n}")
     anchors = check_anchor_ids(anchor_set.anchor_ids, features.n)
-    mined = {}
+    mined, stopped = {}, []
 
     def mine(spans):
         for start, stop in spans:
             columns = solve_columns(operator, anchors[start:stop], diffusion_config)
+            stopped.append(sum(not c.converged for c in columns))
             mined[start] = [p for p in _block_pools(columns, features, mining_config)
                             if p.positives or p.negatives]
 
     _run_blocks(anchors.size, ANCHOR_BLOCK, mine, balance=True)
     pools = list(chain.from_iterable(mined[start] for start in sorted(mined)))
+    if sum(stopped):
+        warnings.warn(f"{sum(stopped)} of {anchors.size} diffusion solves stopped above "
+                      "diffusion.tolerance", stacklevel=2)
     if len(pools) < anchors.size:
         warnings.warn(f"dropped {anchors.size - len(pools)} anchors with empty pools", stacklevel=2)
     if not pools:
@@ -358,12 +351,3 @@ def load_pools(path) -> list:
     if not pools:
         raise BadPools(f"{path}: no pools")
     return pools
-
-
-def save_tuples(tuples, path) -> None:
-    """JSON lines from the (anchor, positive, negative, weight) arrays of
-    :func:`sample_epoch_tuples`, weights at 9 significant digits."""
-    columns = (np.asarray(col).tolist() for col in tuples)
-    lines = map('{{"r": {}, "p": {}, "n": {}, "w": {:.9g}}}\n'.format, *columns)
-    with open(path, "w") as fh:
-        fh.write("".join(lines))

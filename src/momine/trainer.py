@@ -7,6 +7,7 @@ gradients; backprop through the normalization is the tangent-space projection
 config seed.
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -184,29 +185,6 @@ _LOSSES = {
 }
 
 
-def contrastive_loss(z_r, z_p, z_n, margin):
-    """Scalar contrastive loss and gradients w.r.t. the three embeddings."""
-    losses, g_r, g_p, g_n = _contrastive_batch(
-        np.atleast_2d(z_r), np.atleast_2d(z_p), np.atleast_2d(z_n), margin
-    )
-    return float(losses[0]), (g_r[0], g_p[0], g_n[0])
-
-
-def triplet_loss(z_r, z_p, z_n, margin):
-    """Scalar triplet loss and gradients w.r.t. the three embeddings."""
-    losses, g_r, g_p, g_n = _triplet_batch(
-        np.atleast_2d(z_r), np.atleast_2d(z_p), np.atleast_2d(z_n), margin
-    )
-    return float(losses[0]), (g_r[0], g_p[0], g_n[0])
-
-
-def apply_weight(loss: float, grads, weight: float):
-    """Scale a loss and its gradients by a non-negative tuple weight."""
-    if weight < 0:
-        raise ValueError("weight must be non-negative")
-    return loss * weight, tuple(g * weight for g in grads)
-
-
 def sgd_momentum_step(params: list, grads: list, velocity: list, lr: float, momentum: float):
     """In-place v <- momentum*v - lr*g; theta <- theta + v."""
     for layer, layer_grads, layer_velocity in zip(params, grads, velocity):
@@ -340,12 +318,13 @@ def load_model(path) -> EmbeddingModel:
         if code not in _CODE_KINDS:
             raise BadMagic(f"{path}: unknown model kind code {code}")
         kind = _CODE_KINDS[code]
+        dims = _layer_dims(kind, d_in, d_out, hidden)
+        # the size the header promises against the bytes left, before any read
+        if os.fstat(fh.fileno()).st_size - fh.tell() < sum((o * i + o) * 4 for o, i in dims):
+            raise TruncatedFile(f"{path}: parameter payload truncated")
         layers = []
-        for fan_out, fan_in in _layer_dims(kind, d_in, d_out, hidden):
-            need = (fan_out * fan_in + fan_out) * 4
-            blob = fh.read(need)
-            if len(blob) < need:
-                raise TruncatedFile(f"{path}: parameter payload truncated")
+        for fan_out, fan_in in dims:
+            blob = fh.read((fan_out * fan_in + fan_out) * 4)
             flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
             if not np.isfinite(flat).all():
                 raise NonFinite(f"{path}: a model parameter is NaN or infinite")

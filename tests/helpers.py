@@ -5,10 +5,14 @@ The oracles here re-derive expected values straight from definitions
 paths they are checking.
 """
 
+import tracemalloc
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
-from momine.diffusion import SimilarityColumn
+from momine.diffusion import SimilarityColumn, solve_column
+from momine.errors import EmptyGraph
 from momine.evaluation import _row_aps
 from momine.graph import (
     GRAPH_MAGIC,
@@ -19,7 +23,7 @@ from momine.graph import (
     similarity,
     top_k,
 )
-from momine.mining import AnchorPools
+from momine.mining import AnchorPools, _block_pools
 from momine.trainer import _LOSSES, _backward, _forward_cache, forward, sgd_momentum_step
 
 DENSE_ORACLE_LIMIT = 2000
@@ -31,13 +35,60 @@ class TooLarge(Exception):
 
 def dense_oracle(operator, alpha):
     """Dense (1-alpha)(I - alpha*S)^-1 by direct solve."""
-    if operator.kind != "symmetric":
-        raise ValueError("dense_oracle needs the symmetric-normalized operator")
     n = operator.n
     if n > DENSE_ORACLE_LIMIT:
         raise TooLarge(f"dense oracle capped at n={DENSE_ORACLE_LIMIT}, got {n}")
     m = np.eye(n) - alpha * operator.matrix.toarray()
     return np.linalg.solve(m, (1.0 - alpha) * np.eye(n))
+
+
+@dataclass
+class StationaryDistribution:
+    pi: np.ndarray
+    iterations_used: int
+    converged: bool
+    l1_delta: float
+
+
+def power_iteration(graph, tolerance=1e-10, max_iterations=10000):
+    """Reference for anchors.stationary: iterate pi <- pi P on the
+    row-stochastic P = D^-1 A from the uniform distribution until the L1
+    change drops below tolerance.
+
+    The vector is renormalized to sum 1 every step since isolated nodes leak
+    mass. stationary is the closed form of its limit (and of its Cesaro mean
+    on a bipartite component, where the iterate oscillates).
+    """
+    if graph.adjacency.nnz == 0:
+        raise EmptyGraph("graph has no edges; the walk is undefined")
+    d = graph.degrees
+    inv = np.zeros_like(d)
+    inv[d > 0] = 1.0 / d[d > 0]
+    pt = sp.diags(inv).dot(graph.adjacency).T.tocsr()  # pi @ P as a csr matvec
+    pi = np.full(graph.n, 1.0 / graph.n)
+    delta = np.inf
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        nxt = pt @ pi
+        nxt /= nxt.sum()
+        delta = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if delta <= tolerance:
+            return StationaryDistribution(pi, iterations, True, delta)
+    return StationaryDistribution(pi, iterations, False, delta)
+
+
+def raises_with_peak(error, call):
+    """The peak of Python-tracked memory while call() raises `error`."""
+    tracemalloc.start()
+    try:
+        try:
+            call()
+        except error:
+            return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    raise AssertionError(f"{error.__name__} not raised")
 
 
 def random_graph(n, seed, extra_edges=None, connected=True, ensure_triangle=True):
@@ -100,7 +151,7 @@ def reciprocal_graph_reference(features, k):
     knn_search, every pair's endpoints gathered at once and weighed by one
     einsum over all of them."""
     n = features.n
-    nbrs, _ = knn_search(features, k)
+    nbrs = knn_search(features, k)
     rows = np.repeat(np.arange(n), k)
     listed = sp.csr_matrix((np.ones(n * k, dtype=bool), (rows, nbrs.ravel())), shape=(n, n))
     mutual = sp.triu(listed.multiply(listed.T), k=1).tocoo()
@@ -313,7 +364,7 @@ def ranking_metrics_oracle(embeddings, labels, ks):
     return {k: hits[k] / len(aps) for k in ks}, float(np.mean(aps)), len(aps)
 
 
-def ranking_metrics_reference(embeddings, labels, ks, with_map):
+def ranking_metrics_reference(embeddings, labels, ks):
     """Reference for evaluation._ranking_metrics: each block of queries is
     ranked by top_k on the negated squared distances, the self score -inf.
     The blocks are the RANK_ROWS rows that _ranking_metrics takes, so a
@@ -323,7 +374,7 @@ def ranking_metrics_reference(embeddings, labels, ks, with_map):
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     totals = counts[inverse] - 1
     scorable = int(np.count_nonzero(totals))
-    depth = n - 1 if with_map else max(ks)
+    depth = n - 1
     sq = np.sum(embeddings**2, axis=1)
     hits = np.zeros(len(ks), dtype=np.int64)
     aps = np.empty(n)
@@ -336,10 +387,9 @@ def ranking_metrics_reference(embeddings, labels, ks, with_map):
         rel = inverse[top_k(score, depth)] == inverse[start:stop, None]
         first = np.where(rel.any(axis=1), rel.argmax(axis=1), depth)
         hits += np.count_nonzero(first[:, None] < np.asarray(ks), axis=0)
-        if with_map:
-            aps[start:stop] = _row_aps(rel, totals[start:stop])
+        aps[start:stop] = _row_aps(rel, totals[start:stop])
     recall = {k: int(h) / scorable for k, h in zip(ks, hits)}
-    return recall, (float(np.mean(aps[totals > 0])) if with_map else None), scorable
+    return recall, float(np.mean(aps[totals > 0])), scorable
 
 
 def solve_column_reference(operator, anchor, config):
@@ -400,7 +450,14 @@ def pools_two_rankings(column, features, mining_config):
         positives = positives[: mining_config.max_pos]
     m_neg, e_neg = lexsort_top_k(manifold, k_neg), lexsort_top_k(sims, k_neg)
     negatives = [(int(j), float(sims[j])) for j in e_neg if j not in set(m_neg)]
-    return AnchorPools(anchor, positives, negatives[: mining_config.max_neg], column.converged)
+    return AnchorPools(anchor, positives, negatives[: mining_config.max_neg])
+
+
+def mine_pools(anchor, features, operator, diffusion_config, mining_config):
+    """One anchor's pools from its single diffusion solve, as
+    mining.build_training_pool mines them, empty pools included."""
+    column = solve_column(operator, anchor, diffusion_config)
+    return _block_pools([column], features, mining_config)[0]
 
 
 def sample_epoch_tuples_reference(pools, current_embeddings, mining_config, seed):

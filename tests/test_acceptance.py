@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import momine
-from momine.anchors import AnchorSet, power_iteration
+from momine.anchors import AnchorSet
 from momine.diffusion import DiffusionConfig, solve_column
-from momine.evaluation import mean_average_precision, nmi, recall_at_k
+from momine.evaluation import evaluate_embeddings, nmi
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import build_reciprocal_graph, normalize_graph
 from momine.mining import (
@@ -25,22 +25,27 @@ from momine.mining import (
     MiningConfig,
     baseline_pools,
     build_training_pool,
-    mine_anchor_pools,
     oracle_pools,
 )
 from momine.trainer import (
     EmbeddingModel,
     TrainConfig,
+    _LOSSES,
     _backward,
     _forward_cache,
-    apply_weight,
-    contrastive_loss,
     forward,
     train,
-    triplet_loss,
 )
 
-from helpers import dense_oracle, map_oracle, nmi_oracle, random_graph, recall_oracle
+from helpers import (
+    dense_oracle,
+    map_oracle,
+    mine_pools,
+    nmi_oracle,
+    power_iteration,
+    random_graph,
+    recall_oracle,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -59,7 +64,7 @@ def test_acceptance_1_diffusion_oracle_equivalence():
     worst = 0.0
     for idx, n in enumerate(sizes):  # 50 seeded random graphs
         graph = random_graph(n, seed=idx)
-        op = normalize_graph(graph, "symmetric")
+        op = normalize_graph(graph)
         alpha = alphas[idx % 3]
         full = dense_oracle(op, alpha)
         cfg = DiffusionConfig(alpha=alpha, tolerance=1e-12, max_iterations=3 * n)
@@ -83,7 +88,7 @@ def test_acceptance_2_manifold_similarity_symmetry():
     pairs_checked = 0
     for seed, n in ((0, 300), (1, 500)):
         graph = random_graph(n, seed=seed)
-        op = normalize_graph(graph, "symmetric")
+        op = normalize_graph(graph)
         cfg = DiffusionConfig(alpha=0.99, tolerance=1e-12, max_iterations=1200)
         anchors = rng.choice(n, size=120, replace=False)
         columns = {int(a): solve_column(op, int(a), cfg).values for a in anchors}
@@ -106,12 +111,11 @@ def test_acceptance_3_stationary_degree_law():
     for seed in range(20):
         n = 30 + 7 * seed
         graph = random_graph(n, seed=100 + seed)
-        sto = normalize_graph(graph, "stochastic")
-        stat = power_iteration(sto, tolerance=1e-13, max_iterations=100000)
+        stat = power_iteration(graph, tolerance=1e-13, max_iterations=100000)
         assert stat.converged
         expected = graph.degrees / graph.degrees.sum()
         worst_law = max(worst_law, float(np.max(np.abs(stat.pi - expected))))
-        resid = stat.pi @ sto.matrix.toarray() - stat.pi
+        resid = stat.pi @ (graph.adjacency.toarray() / graph.degrees[:, None]) - stat.pi
         worst_fixed = max(worst_fixed, float(np.max(np.abs(resid))))
     ok = worst_law <= 1e-8 and worst_fixed <= 1e-8
     report(3, "stationary degree law", ok,
@@ -132,10 +136,10 @@ def test_acceptance_4_pool_contracts_and_oracle_match():
         n = 60 + 10 * seed
         feats = l2_normalize(FeatureSet(data=rng.normal(size=(n, 6))))
         graph = build_reciprocal_graph(feats, 8)
-        op = normalize_graph(graph, "symmetric")
+        op = normalize_graph(graph)
         full = dense_oracle(op, dcfg.alpha)
         for anchor in range(0, n, 7):
-            pools = mine_anchor_pools(anchor, feats, op, dcfg, cfg)
+            pools = mine_pools(anchor, feats, op, dcfg, cfg)
             pos_ids = [j for j, _ in pools.positives]
             neg_ids = [j for j, _ in pools.negatives]
             assert anchor not in pos_ids and anchor not in neg_ids
@@ -167,16 +171,14 @@ def test_acceptance_4_pool_contracts_and_oracle_match():
 # -- criterion 5: gradient suite ----------------------------------------------
 
 
+def _weighted_loss(loss_name, zs, margin, weight):
+    """One tuple's weighted loss and its gradients w.r.t. the three embeddings."""
+    losses, *grads = _LOSSES[loss_name](*(z[None, :] for z in zs), margin)
+    return float(losses[0]) * weight, [g[0] * weight for g in grads]
+
+
 def _model_loss(model, tuple_x, loss_name, margin, weight):
-    x_r, x_p, x_n = tuple_x
-    z_r = forward(model, x_r)
-    z_p = forward(model, x_p)
-    z_n = forward(model, x_n)
-    if loss_name == "contrastive":
-        loss, grads = contrastive_loss(z_r, z_p, z_n, margin)
-    else:
-        loss, grads = triplet_loss(z_r, z_p, z_n, margin)
-    return apply_weight(loss, grads, weight)
+    return _weighted_loss(loss_name, [forward(model, x) for x in tuple_x], margin, weight)
 
 
 def _model_param_grads(model, tuple_x, loss_name, margin, weight):
@@ -187,11 +189,7 @@ def _model_param_grads(model, tuple_x, loss_name, margin, weight):
         z, cache = _forward_cache(model, x[None, :])
         zs.append(z[0])
         caches.append(cache)
-    if loss_name == "contrastive":
-        loss, gz = contrastive_loss(*zs, margin)
-    else:
-        loss, gz = triplet_loss(*zs, margin)
-    _, gz = apply_weight(loss, gz, weight)
+    _, gz = _weighted_loss(loss_name, zs, margin, weight)
     for cache, g in zip(caches, gz):
         _backward(model, cache, g[None, :], grads)
     return grads
@@ -279,9 +277,8 @@ def _mining_space(setup):
     fs = generate_synthetic(setup["spec"], setup["gen_seed"])
     fn = l2_normalize(fs)
     graph = build_reciprocal_graph(fn, setup["graph_k"])
-    sym = normalize_graph(graph, "symmetric")
-    sto = normalize_graph(graph, "stochastic")
-    stat = power_iteration(sto, max_iterations=20000)
+    sym = normalize_graph(graph)
+    stat = power_iteration(graph, max_iterations=20000)
     order = np.lexsort((np.arange(fn.n), -stat.pi))
     anchors = AnchorSet(anchor_ids=order, pi_values=stat.pi[order])
     return fs, fn, sym, anchors
@@ -297,13 +294,13 @@ def _train_recall(features, labels, pools, setup, weighted, hard_subset):
     model = EmbeddingModel.initialize("linear", 16, 16, seed=MODEL_SEED)
     tcfg = TrainConfig(weighted=weighted, **setup["train"])
     model, _ = train(features, pools, model, tcfg, mcfg)
-    return recall_at_k(forward(model, features.data), labels, [1])[1]
+    return evaluate_embeddings(forward(model, features.data), labels, ks=[1]).recall_at[1]
 
 
 def _ordering_run(setup):
     fs, fn, sym, anchors = _mining_space(setup)
     labels = fs.labels
-    r_init = recall_at_k(fn.data, labels, [1])[1]
+    r_init = evaluate_embeddings(fn.data, labels, ks=[1]).recall_at[1]
     mined, _ = build_training_pool(anchors, fn, sym, setup["diffusion"], setup["mining"])
     base = [
         baseline_pools(int(a), fn, k_base=5, seed=setup["gen_seed"],
@@ -437,12 +434,10 @@ def test_acceptance_9_metric_oracles():
         labels = rng.integers(0, int(rng.integers(2, 5)), size=n)
         if np.unique(labels).size < 2:
             labels[0] = labels[0] + 1
+        got = evaluate_embeddings(z, labels, ks=(1, 3))
         for k in (1, 3):
-            got = recall_at_k(z, labels, [k])[k]
-            want = recall_oracle(z, labels, k)
-            worst = max(worst, abs(got - want))
-        got_map = mean_average_precision(z, labels)
-        worst = max(worst, abs(got_map - map_oracle(z, labels)))
+            worst = max(worst, abs(got.recall_at[k] - recall_oracle(z, labels, k)))
+        worst = max(worst, abs(got.map_score - map_oracle(z, labels)))
         other = rng.integers(0, 3, size=n)
         worst = max(worst, abs(nmi(labels, other) - nmi_oracle(labels, other)))
     ok = worst <= 1e-12

@@ -7,14 +7,13 @@ from momine.anchors import (
     AnchorSet,
     load_anchors,
     local_maxima,
-    power_iteration,
     save_anchors,
     select_anchors,
     stationary,
 )
 from momine.errors import BadAnchors, EmptyGraph, MomineError
 from momine.features import SyntheticSpec, generate_synthetic, l2_normalize
-from momine.graph import NeighborGraph, build_reciprocal_graph, normalize_graph
+from momine.graph import NeighborGraph, build_reciprocal_graph
 
 from helpers import (
     circulant_graph,
@@ -22,17 +21,14 @@ from helpers import (
     local_maxima_oracle,
     local_maxima_reference,
     neighbors,
+    power_iteration,
     random_graph,
 )
 
 
-def stochastic(graph):
-    return normalize_graph(graph, "stochastic")
-
-
 def test_regular_graph_uniform_distribution():
     g = circulant_graph(24, offsets=(1, 2))
-    stat = power_iteration(stochastic(g), tolerance=1e-12, max_iterations=20000)
+    stat = power_iteration(g, tolerance=1e-12, max_iterations=20000)
     assert stat.converged
     assert np.max(np.abs(stat.pi - 1.0 / 24)) < 1e-9
 
@@ -40,12 +36,12 @@ def test_regular_graph_uniform_distribution():
 def test_weighted_graph_degree_law():
     # closed form: the walk's stationary distribution is d_i / vol(G)
     g = random_graph(40, seed=0)
-    stat = power_iteration(stochastic(g), tolerance=1e-12, max_iterations=50000)
+    stat = power_iteration(g, tolerance=1e-12, max_iterations=50000)
     assert stat.converged
     expected = g.degrees / g.degrees.sum()
     assert np.max(np.abs(stat.pi - expected)) < 1e-8
     # fixed point: pi P = pi
-    resid = stat.pi @ stochastic(g).matrix.toarray() - stat.pi
+    resid = stat.pi @ (g.adjacency.toarray() / g.degrees[:, None]) - stat.pi
     assert np.max(np.abs(resid)) < 1e-8
     assert abs(stat.pi.sum() - 1.0) < 1e-10
 
@@ -53,7 +49,7 @@ def test_weighted_graph_degree_law():
 def test_bipartite_path_oscillates():
     # degrees are uneven, so the uniform start is period-2 on this path
     g = NeighborGraph.from_edges(3, 2, [(0, 1, 1.0), (1, 2, 1.0)])
-    stat = power_iteration(stochastic(g), tolerance=1e-10, max_iterations=500)
+    stat = power_iteration(g, tolerance=1e-10, max_iterations=500)
     assert not stat.converged
     assert stat.l1_delta > 1e-3
 
@@ -61,29 +57,20 @@ def test_bipartite_path_oscillates():
 def test_two_node_edge_converges_from_uniform():
     # uniform is already stationary here, so the bipartite graph converges
     g = NeighborGraph.from_edges(2, 1, [(0, 1, 1.0)])
-    stat = power_iteration(stochastic(g), tolerance=1e-10, max_iterations=50)
+    stat = power_iteration(g, tolerance=1e-10, max_iterations=50)
     assert stat.converged
     assert np.allclose(stat.pi, [0.5, 0.5])
 
 
 def test_isolated_nodes_lose_all_mass():
     g = NeighborGraph.from_edges(5, 2, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    stat = power_iteration(stochastic(g), tolerance=1e-12, max_iterations=10000)
+    stat = power_iteration(g, tolerance=1e-12, max_iterations=10000)
     assert stat.pi[3] == 0.0 and stat.pi[4] == 0.0
-
-
-def test_power_iteration_validates():
-    g = random_graph(5, seed=1)
-    with pytest.raises(ValueError):
-        power_iteration(normalize_graph(g, "symmetric"))
-    empty = NeighborGraph.from_edges(3, 1, [])
-    with pytest.raises(ValueError):
-        power_iteration(stochastic(empty))
 
 
 def test_edgeless_graph_is_a_named_error_for_both_routes():
     empty = NeighborGraph.from_edges(5, 2, [])
-    for route in (lambda: stationary(empty), lambda: power_iteration(stochastic(empty))):
+    for route in (lambda: stationary(empty), lambda: power_iteration(empty)):
         with pytest.raises(EmptyGraph) as info:
             route()
         assert isinstance(info.value, MomineError) and isinstance(info.value, ValueError)
@@ -106,7 +93,7 @@ def test_stationary_equals_power_iteration_on_aperiodic_components():
             isolated=3,
         )
         pi, parts = stationary(g)
-        stat = power_iteration(stochastic(g), tolerance=1e-13, max_iterations=100000)
+        stat = power_iteration(g, tolerance=1e-13, max_iterations=100000)
         assert stat.converged
         assert parts == 4
         assert np.max(np.abs(pi - stat.pi)) < 1e-9
@@ -122,9 +109,8 @@ def test_stationary_is_the_mean_of_a_bipartite_oscillation():
         path_graph([1.0, 1.0]), path_graph([1.0, 2.0, 0.5]), cycle, star,
         random_graph(8, seed=3), isolated=2,
     )
-    sto = stochastic(g)
-    late = power_iteration(sto, tolerance=0.0, max_iterations=3000)
-    later = power_iteration(sto, tolerance=0.0, max_iterations=3001)
+    late = power_iteration(g, tolerance=0.0, max_iterations=3000)
+    later = power_iteration(g, tolerance=0.0, max_iterations=3001)
     assert not later.converged and later.l1_delta > 1e-3
     pi, parts = stationary(g)
     assert parts == 5
@@ -193,7 +179,7 @@ def test_local_maxima_matches_oracle():
 
 def test_select_anchor_saturation_and_order():
     g = random_graph(30, seed=3)
-    stat = power_iteration(stochastic(g), max_iterations=50000)
+    stat = power_iteration(g, max_iterations=50000)
     maxima = local_maxima(g, stat.pi)
     got = select_anchors(g, stat.pi, 1000)
     assert sorted(got.anchor_ids) == maxima
@@ -211,7 +197,7 @@ def test_cluster_anchors_land_one_per_cluster():
     fs = generate_synthetic(spec, 21)
     fn = l2_normalize(fs)
     g = build_reciprocal_graph(fn, 8)
-    stat = power_iteration(stochastic(g), max_iterations=50000)
+    stat = power_iteration(g, max_iterations=50000)
     top = select_anchors(g, stat.pi, 3)
     assert len(top) == 3
     # label oracle: the three strongest anchors cover all three clusters
@@ -220,7 +206,7 @@ def test_cluster_anchors_land_one_per_cluster():
 
 def test_anchor_dump_round_trip(tmp_path):
     g = random_graph(20, seed=4)
-    stat = power_iteration(stochastic(g), max_iterations=50000)
+    stat = power_iteration(g, max_iterations=50000)
     aset = select_anchors(g, stat.pi, 5)
     path = tmp_path / "anchors.txt"
     save_anchors(aset, path)

@@ -299,6 +299,35 @@ def test_pipeline_reproducible_bytes_subprocess(tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+def test_mine_warns_when_diffusion_solves_stop_early(tmp_path, capsys):
+    # the count goes to stderr as one warning, and the pools are still written
+    import momine
+
+    run_gen(tmp_path / "data")
+    features = str(tmp_path / "data" / "features.bin")
+    assert main(["graph", "--out", str(tmp_path / "g"), "--features", features,
+                 "--set", "graph.k", "8"]) == 0
+    graph = str(tmp_path / "g" / "graph.txt")
+    assert main(["anchors", "--out", str(tmp_path / "a"), "--graph", graph]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(next(iter(momine.__path__)) + "/..")
+    mine = ["mine", "--features", features, "--graph", graph,
+            "--anchors", str(tmp_path / "a" / "anchors.txt")]
+    for name, starved in (("starved", ["--set", "diffusion.max_iterations", "1"]), ("healthy", [])):
+        res = subprocess.run([sys.executable, "-m", "momine.cli"] + mine + starved
+                             + ["--out", str(tmp_path / name)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        warned = re.findall(r"UserWarning: (\d+) of (\d+) diffusion solves stopped above "
+                            r"diffusion\.tolerance", res.stderr)
+        if starved:
+            assert len(warned) == 1 and 0 < int(warned[0][0]) <= int(warned[0][1]), res.stderr
+        else:
+            assert warned == [], res.stderr
+        assert (tmp_path / name / "pools.jsonl").exists()
+    capsys.readouterr()
+
+
 def test_eval_ks_without_one(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE
@@ -483,7 +512,7 @@ def test_diffuse_column_order_matches_lexsort_with_isolated_nodes(tmp_path, caps
                      "--anchor", str(anchor)]) == 0
         ids = [int(line.split()[0])
                for line in (tmp_path / f"d{anchor}" / "column.txt").read_text().splitlines()]
-        column = solve_column(normalize_graph(load_graph(path), "symmetric"), anchor,
+        column = solve_column(normalize_graph(load_graph(path)), anchor,
                               DiffusionConfig())
         assert (column.values == 0).sum() >= 6
         assert ids == lexsort_top_k(column.values, 12).tolist()
@@ -560,6 +589,8 @@ def test_trailing_bytes_are_data_errors(tmp_path, capsys):
     "MOMG 4 2\n0 1 -0.5\n",
     "MOMG 4 2\n0 1 0.5\n1 2 0.5\n0 1 0.5\n",
     "MOMG 3 2\n0 1 1e308\n0 2 1e308\n",
+    "MOMG 4611686018427387904 2\n0 1 0.5\n",  # n = 2^62: too big for numpy to size
+    "MOMG 1125899906842624 2\n0 1 0.5\n",  # n = 2^50: no memory for its index array
 ])
 def test_bad_graph_file_is_data_error(tmp_path, capsys, body):
     path = tmp_path / "graph.txt"
@@ -569,7 +600,7 @@ def test_bad_graph_file_is_data_error(tmp_path, capsys, body):
         err = capsys.readouterr().err
         assert code == 2, (argv, body)
         assert err.startswith(f"mom {argv[0]}: error:") and "Traceback" not in err
-        assert not (tmp_path / "out" / "anchors.txt").exists()
+        assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_uses_the_closed_form_every_round(tmp_path, capsys):

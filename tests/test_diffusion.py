@@ -11,7 +11,7 @@ from helpers import TooLarge, circulant_graph, dense_oracle, random_graph, solve
 
 
 def sym_op(graph):
-    return normalize_graph(graph, "symmetric")
+    return normalize_graph(graph)
 
 
 def manifold_knn(column, k):
@@ -121,9 +121,6 @@ def test_manifold_similarity_symmetric():
 
 def test_solve_column_validates_inputs():
     g = random_graph(10, seed=6)
-    sto = normalize_graph(g, "stochastic")
-    with pytest.raises(ValueError):
-        solve_column(sto, 0, DiffusionConfig())
     with pytest.raises(ValueError):
         solve_column(sym_op(g), 10, DiffusionConfig())
     with pytest.raises(ValueError):

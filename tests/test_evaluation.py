@@ -8,9 +8,7 @@ from momine.evaluation import (
     _ranking_metrics,
     evaluate_embeddings,
     kmeans,
-    mean_average_precision,
     nmi,
-    recall_at_k,
 )
 
 from momine.graph import BLOCK_ROWS, top_k
@@ -22,6 +20,14 @@ from helpers import (
     ranking_metrics_reference,
     recall_oracle,
 )
+
+
+def recall_at_k(z, labels, ks):
+    return evaluate_embeddings(z, labels, ks=ks).recall_at
+
+
+def mean_average_precision(z, labels):
+    return evaluate_embeddings(z, labels).map_score
 
 
 def test_recall_two_items_same_label():
@@ -215,8 +221,6 @@ def test_single_pass_matches_full_ranking(case):
     assert report.recall_at == recall
     assert report.map_score == ap
     assert report.n_queries == n_queries
-    assert recall_at_k(z, labels, ks) == recall
-    assert mean_average_precision(z, labels) == ap
 
 
 def _last_bit_radii():
@@ -274,23 +278,19 @@ def fallback_calls(monkeypatch):
 def test_packed_ranking_matches_reference(classes, fallback_calls):
     z, labels = _mixed_case(classes)
     ks = [1, 2, 5, 16]
-    recall, ap, n_queries = ranking_metrics_reference(z, labels, ks, with_map=True)
+    recall, ap, n_queries = ranking_metrics_reference(z, labels, ks)
     report = evaluate_embeddings(z, labels, ks=ks, seed=0)
     assert report.recall_at == recall
     assert report.map_score == ap
     assert report.n_queries == n_queries
-    assert recall_at_k(z, labels, ks) == ranking_metrics_reference(z, labels, ks, False)[0]
-    # at depth 1 row 30's other-label tie lies beyond the two sorted keys
-    assert recall_at_k(z, labels, [1]) == ranking_metrics_reference(z, labels, [1], False)[0]
-    assert mean_average_precision(z, labels) == ap
     # the ambiguous rows went back to top_k, a few at a time, so each shared
     # its block with rows ranked by the packed keys; one held a distance
     # that rounded below zero
     sizes = [len(c) for c in fallback_calls]
     assert sizes and all(0 < m < BLOCK_ROWS for m in sizes)
     assert any((c > 0).any() for c in fallback_calls)
-    # rows 30 and 400 fell back in each of the four calls
-    assert sum(sizes) >= 2 * 4
+    # rows 30 and 400 fell back
+    assert sum(sizes) >= 2
 
 
 def _outcome(f):
@@ -309,9 +309,9 @@ def test_packed_ranking_matches_reference_with_an_inf_row(classes, fallback_call
     ks = [1, 2, 5, 16]
     labels = np.asarray(labels)
     with np.errstate(invalid="ignore"):
-        for depths, with_map in ((ks, True), ([], True), (ks, False)):
-            got = _outcome(lambda: _ranking_metrics(z, labels, depths, with_map))
-            assert got == _outcome(lambda: ranking_metrics_reference(z, labels, depths, with_map))
+        for depths in (ks, []):
+            got = _outcome(lambda: _ranking_metrics(z, labels, depths))
+            assert got == _outcome(lambda: ranking_metrics_reference(z, labels, depths))
     assert any(0 < len(c) < BLOCK_ROWS for c in fallback_calls)
 
 
@@ -324,28 +324,22 @@ def test_ranking_metrics_is_the_same_at_every_worker_count(monkeypatch):
     first = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(momine.graph, "WORKERS", workers)
-        for depths, with_map in ((ks, True), ([], True), (ks, False)):
-            got = _ranking_metrics(z, labels, depths, with_map)
-            assert got == first.setdefault((len(depths), with_map), got), workers
+        for depths in (ks, []):
+            got = _ranking_metrics(z, labels, depths)
+            assert got == first.setdefault(len(depths), got), workers
             # with an inf row, blocks of the map pass fail: the lowest failing
             # block's error surfaces, the one the reference's serial loop raises
             with np.errstate(invalid="ignore"):
-                outcome = _outcome(lambda: _ranking_metrics(bad, labels, depths, with_map))
-                assert outcome == _outcome(
-                    lambda: ranking_metrics_reference(bad, labels, depths, with_map))
+                outcome = _outcome(lambda: _ranking_metrics(bad, labels, depths))
+                assert outcome == _outcome(lambda: ranking_metrics_reference(bad, labels, depths))
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_metrics_reject_a_non_finite_embedding_row(value):
     z, labels = _mixed_case(2)
     z[5, 3] = z[9, 0] = value
-    for metric in (
-        lambda: evaluate_embeddings(z, labels, ks=[1, 2]),
-        lambda: mean_average_precision(z, labels),
-        lambda: recall_at_k(z, labels, [1]),
-    ):
-        with pytest.raises(NonFinite, match="row 5 "):
-            metric()
+    with pytest.raises(NonFinite, match="row 5 "):
+        evaluate_embeddings(z, labels, ks=[1, 2])
 
 
 def test_evaluate_without_usable_k():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from momine.features import (
     FeatureSet,
     SyntheticSpec,
     generate_synthetic,
+    MAGIC,
     l2_normalize,
     load_features,
     load_labels,
@@ -28,6 +31,8 @@ from momine.features import (
     save_features,
     save_labels,
 )
+
+from helpers import raises_with_peak
 
 
 def test_normalize_three_four_five():
@@ -244,6 +249,11 @@ def test_feature_file_truncated_payload(tmp_path):
     path.write_bytes(blob[: len(blob) - 12])  # drop the last row
     with pytest.raises(TruncatedFile):
         load_features(path)
+    # headers that promise more than any file holds are refused before a
+    # read, so nothing of the promised size is allocated
+    for n_d in (2**32 - 1, 2**20):
+        path.write_bytes(MAGIC + struct.pack("<II", n_d, n_d))
+        assert raises_with_peak(TruncatedFile, lambda: load_features(path)) < 2**20
 
 
 def test_feature_file_trailing_bytes(tmp_path):

@@ -67,7 +67,7 @@ def test_similarity_cube():
 
 def test_knn_monotone_in_angle():
     feats = on_circle([0, 10, 80])
-    nbrs, _ = knn_search(feats, 1)
+    nbrs = knn_search(feats, 1)
     assert nbrs[0, 0] == 1
 
 
@@ -75,7 +75,7 @@ def test_knn_duplicate_points_tie():
     v = np.array([1.0, 0.0])
     u = np.array([0.0, 1.0])
     feats = FeatureSet(data=np.vstack([v, v, u]))
-    nbrs, _ = knn_search(feats, 2)
+    nbrs = knn_search(feats, 2)
     assert list(nbrs[0]) == [1, 2]
 
 
@@ -83,11 +83,10 @@ def test_knn_duplicate_points_tie():
 def test_knn_matches_exhaustive_oracle(n, k):
     rng = np.random.default_rng(10 + n)
     feats = l2_normalize(FeatureSet(data=rng.normal(size=(n, 8))))
-    nbrs, sims = knn_search(feats, k)
+    nbrs = knn_search(feats, k)
     expected = knn_oracle(feats.data, k)
     for i in range(n):
         assert list(nbrs[i]) == expected[i]
-    assert np.all(np.diff(sims, axis=1) <= 1e-15)  # ranked descending
 
 
 # few distinct values, so ties straddle the k-th boundary
@@ -242,12 +241,10 @@ def test_knn_matches_full_lexsort_on_exact_ties(n):
     rng = np.random.default_rng(n)
     base = rng.integers(-1, 3, size=(n // 3, 4)).astype(float)
     feats = FeatureSet(data=base[rng.integers(0, base.shape[0], size=n)])
-    nbrs, sims = knn_search(feats, 12)
+    nbrs = knn_search(feats, 12)
     s = np.clip(feats.data @ feats.data.T, 0.0, None) ** 3
     np.fill_diagonal(s, -np.inf)
-    expected = lexsort_top_k(s, 12)
-    assert np.array_equal(nbrs, expected)
-    assert np.array_equal(sims, np.take_along_axis(s, expected, axis=1))
+    assert np.array_equal(nbrs, lexsort_top_k(s, 12))
 
 
 def sampled_knn_features(seed):
@@ -275,10 +272,8 @@ def test_knn_sampled_path_matches_lexsort(k):
     feats = sampled_knn_features(seed=k)
     s = np.clip(feats.data @ feats.data.T, 0.0, None) ** 3
     np.fill_diagonal(s, -np.inf)
-    expected = lexsort_top_k(s, k)
-    nbrs, sims = knn_search(feats, k)
-    assert np.array_equal(nbrs, expected)
-    assert np.array_equal(sims, np.take_along_axis(s, expected, axis=1))
+    nbrs = knn_search(feats, k)
+    assert np.array_equal(nbrs, lexsort_top_k(s, k))
     # row 0: its positives, then the lowest ids of the clipped ties
     assert nbrs[0].tolist() == [35, 37, 36] + list(range(1, k - 2))
 
@@ -436,12 +431,21 @@ def test_run_blocks_keeps_the_callers_errstate(monkeypatch, workers):
 
 def test_run_blocks_loses_no_block_with_more_workers_than_cpus(monkeypatch):
     # eight workers switching every microsecond: every block runs once, and
-    # knn_search writes the one-worker neighbours and similarities byte for
-    # byte. n = 700 is not a multiple of 8, where a GEMM of another row
-    # count would round the last columns' products differently
+    # knn_search ranks the one-worker GEMM blocks byte for byte and writes
+    # the one-worker neighbours. n = 700 is not a multiple of 8, where a GEMM
+    # of another row count would round the last columns' products differently
     feats = l2_normalize(FeatureSet(data=np.random.default_rng(8).normal(size=(700, 6))))
+    ranked = []
+
+    def spy(scores, k):
+        ranked.append(scores.tobytes())
+        return top_k(scores, k)
+
+    monkeypatch.setattr(momine.graph, "top_k", spy)
     monkeypatch.setattr(momine.graph, "WORKERS", 1)
     expected = knn_search(feats, 9)
+    blocks = sorted(ranked)
+    ranked.clear()
     monkeypatch.setattr(momine.graph, "WORKERS", 8)
     runs = np.zeros(500, dtype=np.int64)
     interval = sys.getswitchinterval()
@@ -456,8 +460,8 @@ def test_run_blocks_loses_no_block_with_more_workers_than_cpus(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert (runs == 1).all()
-    assert np.array_equal(got[0], expected[0])
-    assert got[1].tobytes() == expected[1].tobytes()
+    assert np.array_equal(got, expected)
+    assert sorted(ranked) == blocks
 
 
 def test_knn_search_is_the_same_at_every_worker_count(monkeypatch):
@@ -474,52 +478,40 @@ def test_knn_search_is_the_same_at_every_worker_count(monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(momine.graph, "WORKERS", workers)
         runs.append(knn_search(feats, 10))
-    (nbrs, sims), *others = runs
-    for other_nbrs, other_sims in others:
-        assert np.array_equal(other_nbrs, nbrs) and other_sims.tobytes() == sims.tobytes()
-    assert (sims[-17:, -1] == 0).all()
+    nbrs, *others = runs
+    for other in others:
+        assert np.array_equal(other, nbrs)
+    kth = np.einsum("ij,ij->i", feats.data[-17:], feats.data[nbrs[-17:, -1]])
+    assert (similarity(kth) == 0).all()
 
 
 def test_normalize_two_node_unit_edge():
     g = NeighborGraph.from_edges(2, 1, [(0, 1, 1.0)])
-    sym = normalize_graph(g, "symmetric")
+    sym = normalize_graph(g)
     assert np.allclose(sym.matrix.toarray(), [[0, 1], [1, 0]])
-
-
-def test_normalize_path_graph_stochastic():
-    g = NeighborGraph.from_edges(3, 2, [(0, 1, 1.0), (1, 2, 1.0)])
-    sto = normalize_graph(g, "stochastic")
-    assert np.allclose(sto.matrix.toarray()[1], [0.5, 0.0, 0.5])
 
 
 def test_normalize_row_sums_and_symmetry():
     g = random_graph(40, seed=13)
-    sto = normalize_graph(g, "stochastic")
-    sums = np.asarray(sto.matrix.sum(axis=1)).ravel()
-    # oracle: recompute row sums
-    assert np.max(np.abs(sums - 1.0)) < 1e-12
-    sym = normalize_graph(g, "symmetric")
+    sym = normalize_graph(g)
+    # oracle: D^-1/2 A D^-1/2 d^1/2 = D^-1/2 A 1 = d^1/2, the row sums of A
+    root = np.sqrt(g.degrees)
+    assert np.max(np.abs(sym.matrix @ root - root)) < 1e-12
     m = sym.matrix.toarray()
     assert np.max(np.abs(m - m.T)) < 1e-12
 
 
 def test_normalize_reports_isolated():
     g = NeighborGraph.from_edges(4, 1, [(0, 1, 1.0)])
-    op = normalize_graph(g, "stochastic")
+    op = normalize_graph(g)
     assert np.asarray(op.matrix.sum(axis=1)).ravel()[2] == 0.0
-
-
-def test_normalize_bad_kind():
-    g = NeighborGraph.from_edges(2, 1, [(0, 1, 1.0)])
-    with pytest.raises(ValueError):
-        normalize_graph(g, "laplacian")
 
 
 def test_symmetric_operator_spectral_radius_at_most_one():
     rng = np.random.default_rng(14)
     for seed in range(3):
         g = random_graph(60, seed=seed)
-        sym = normalize_graph(g, "symmetric")
+        sym = normalize_graph(g)
         v = rng.normal(size=60)
         prev = np.linalg.norm(v)
         for _ in range(50):
@@ -632,18 +624,14 @@ def test_knn_equals_lexsort_on_cubed_clipped_gram(k):
     feats = exact_gram_features(seed=k)
     s = np.clip(feats.data @ feats.data.T, 0.0, None) ** 3
     np.fill_diagonal(s, -np.inf)
-    expected = lexsort_top_k(s, k)
-    nbrs, sims = knn_search(feats, k)
-    assert np.array_equal(nbrs, expected)
-    assert np.array_equal(sims, np.take_along_axis(s, expected, axis=1))
+    assert np.array_equal(knn_search(feats, k), lexsort_top_k(s, k))
 
 
 def test_knn_ranks_cube_ties_below_the_guard_by_index():
     # dots 1e-109 > 1e-110 > 0 all cube to 0.0, so they tie by index
     data = np.array([[1.0, 0.0], [0.0, 1.0], [1e-110, 0.0], [1e-109, 0.0], [0.5, 0.0]])
-    nbrs, sims = knn_search(FeatureSet(data=data), 3)
+    nbrs = knn_search(FeatureSet(data=data), 3)
     assert nbrs[0].tolist() == [4, 1, 2]
-    assert sims[0].tolist() == [0.125, 0.0, 0.0]
 
 
 def test_similarity_kernel_scalar_and_array_forms():

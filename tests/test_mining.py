@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momine.graph
-from momine.anchors import AnchorSet, power_iteration, select_anchors
+from momine.anchors import AnchorSet, select_anchors
 from momine.diffusion import DiffusionConfig, solve_columns
 from momine.errors import AllPoolsEmpty, BadAnchors, DimMismatch, LabelsMissing
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
@@ -19,20 +19,20 @@ from momine.mining import (
     baseline_pools,
     build_training_pool,
     load_pools,
-    mine_anchor_pools,
     oracle_pools,
     pool_table,
     sample_epoch_tuples,
     save_pools,
-    save_tuples,
 )
 
 from helpers import (
     baseline_pools_reference,
     dense_oracle,
     knn_oracle,
+    mine_pools,
     oracle_side_reference,
     pools_two_rankings,
+    power_iteration,
     sample_epoch_tuples_reference,
     solve_column_reference,
     tuple_lists,
@@ -45,7 +45,7 @@ def small_setup(n=40, d=6, seed=0, k=6):
     rng = np.random.default_rng(seed)
     feats = l2_normalize(FeatureSet(data=rng.normal(size=(n, d))))
     graph = build_reciprocal_graph(feats, k)
-    return feats, graph, normalize_graph(graph, "symmetric")
+    return feats, graph, normalize_graph(graph)
 
 
 def clusters_setup(noise=1.0, seed=11, k=12):
@@ -53,9 +53,8 @@ def clusters_setup(noise=1.0, seed=11, k=12):
     fs = generate_synthetic(spec, seed)
     fn = l2_normalize(fs)
     graph = build_reciprocal_graph(fn, k)
-    sym = normalize_graph(graph, "symmetric")
-    sto = normalize_graph(graph, "stochastic")
-    stat = power_iteration(sto, max_iterations=20000)
+    sym = normalize_graph(graph)
+    stat = power_iteration(graph, max_iterations=20000)
     order = np.lexsort((np.arange(fn.n), -stat.pi))
     anchors = AnchorSet(anchor_ids=order, pi_values=stat.pi[order])
     return fs, fn, graph, sym, anchors
@@ -84,7 +83,7 @@ def test_pool_contracts_hold():
     feats, graph, op = small_setup()
     cfg = MiningConfig(k_pos=10, k_neg=15, max_neg=8, hard_subset_size=4)
     for anchor in range(0, feats.n, 5):
-        pools = mine_anchor_pools(anchor, feats, op, DC, cfg)
+        pools = mine_pools(anchor, feats, op, DC, cfg)
         pos_ids = [j for j, _ in pools.positives]
         neg_ids = [j for j, _ in pools.negatives]
         assert anchor not in pos_ids and anchor not in neg_ids
@@ -102,7 +101,7 @@ def test_pools_match_dense_oracle_exactly():
         feats, graph, op = small_setup(n=60, seed=seed, k=8)
         cfg = MiningConfig(k_pos=12, k_neg=20, max_neg=10, hard_subset_size=5)
         for anchor in (0, 11, 37):
-            pools = mine_anchor_pools(anchor, feats, op, DC, cfg)
+            pools = mine_pools(anchor, feats, op, DC, cfg)
             pos, neg = pools_via_dense_oracle(anchor, feats, op, cfg)
             assert [j for j, _ in pools.positives] == pos
             assert [j for j, _ in pools.negatives] == neg
@@ -113,7 +112,7 @@ def test_identical_rankings_give_empty_pools():
     # are empty
     feats, graph, op = small_setup(n=12, k=5)
     cfg = MiningConfig(k_pos=11, k_neg=11, max_neg=5, hard_subset_size=2)
-    pools = mine_anchor_pools(0, feats, op, DC, cfg)
+    pools = mine_pools(0, feats, op, DC, cfg)
     assert pools.positives == []
     assert pools.negatives == []
 
@@ -128,9 +127,9 @@ def test_elbow_graph_pools_hand_checked():
     ) + np.array([5.0, 5.0])
     feats = l2_normalize(FeatureSet(data=pts))
     graph = build_reciprocal_graph(feats, 2)
-    op = normalize_graph(graph, "symmetric")
+    op = normalize_graph(graph)
     cfg = MiningConfig(k_pos=4, k_neg=4, max_neg=4, hard_subset_size=2)
-    pools = mine_anchor_pools(0, feats, op, DC, cfg)
+    pools = mine_pools(0, feats, op, DC, cfg)
     pos, neg = pools_via_dense_oracle(0, feats, op, cfg)
     assert [j for j, _ in pools.positives] == pos
     assert [j for j, _ in pools.negatives] == neg
@@ -141,14 +140,14 @@ def test_two_moons_tip_positive_pool_purity():
     fs = generate_synthetic(spec, 11)
     fn = l2_normalize(fs)
     graph = build_reciprocal_graph(fn, 12)
-    op = normalize_graph(graph, "symmetric")
+    op = normalize_graph(graph)
     cfg = MiningConfig(k_pos=40, k_neg=40, max_neg=20, hard_subset_size=5)
     dcfg = DiffusionConfig(alpha=0.95, tolerance=1e-8, max_iterations=500)
     # anchors away from the gap: positives should stay on the same moon
     checked = 0
     hits = []
     for anchor in range(0, fn.n, 10):
-        pool = mine_anchor_pools(anchor, fn, op, dcfg, cfg).positives
+        pool = mine_pools(anchor, fn, op, dcfg, cfg).positives
         if len(pool) < 3:
             continue
         checked += 1
@@ -162,7 +161,7 @@ def test_two_moons_gap_negative_pool_purity():
     fs = generate_synthetic(spec, 11)
     fn = l2_normalize(fs)
     graph = build_reciprocal_graph(fn, 12)
-    op = normalize_graph(graph, "symmetric")
+    op = normalize_graph(graph)
     cfg = MiningConfig(k_pos=200, k_neg=200, max_neg=10, hard_subset_size=5)
     dcfg = DiffusionConfig(alpha=0.95, tolerance=1e-8, max_iterations=500)
     # anchors near the inter-moon gap: closest to any opposite-moon point
@@ -173,7 +172,7 @@ def test_two_moons_gap_negative_pool_purity():
     anchors = np.argsort(gap_dist)[:15]
     hits = []
     for anchor in anchors:
-        pool = mine_anchor_pools(int(anchor), fn, op, dcfg, cfg).negatives
+        pool = mine_pools(int(anchor), fn, op, dcfg, cfg).negatives
         hits += [fs.labels[j] != fs.labels[anchor] for j, _ in pool]
     assert len(hits) >= 30
     assert np.mean(hits) > 0.9
@@ -199,10 +198,14 @@ def test_unconverged_diffusion_flags_the_pool():
     feats, graph, op = small_setup(n=50, seed=12, k=6)
     cfg = MiningConfig(k_pos=10, k_neg=15, max_neg=8, hard_subset_size=4)
     starved = DiffusionConfig(alpha=0.99, tolerance=1e-14, max_iterations=2)
-    pools = mine_anchor_pools(0, feats, op, starved, cfg)
-    assert pools.diffusion_converged is False
-    healthy = mine_anchor_pools(0, feats, op, DC, cfg)
-    assert healthy.diffusion_converged is True
+    anchors = AnchorSet(anchor_ids=np.array([0, 1, 2]), pi_values=np.zeros(3))
+    with pytest.warns(UserWarning, match="^3 of 3 diffusion solves stopped above diffusion.tolerance$"):
+        flagged = build_training_pool(anchors, feats, op, starved, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        healthy = build_training_pool(anchors, feats, op, DC, cfg)
+    # the warning is the only trace: the pools keep their shape
+    assert [p.anchor_id for p in flagged[0]] == [p.anchor_id for p in healthy[0]]
 
 
 def test_baseline_pools_contract():
@@ -231,7 +234,7 @@ def test_baseline_pools_exhausted_complement():
 def test_oracle_pools_modes():
     fs, fn, graph, sym, anchors = clusters_setup(noise=0.8)
     cfg = MiningConfig(k_pos=30, k_neg=60, max_neg=15, hard_subset_size=5)
-    base = mine_anchor_pools(int(anchors.anchor_ids[0]), fn, sym, DiffusionConfig(), cfg)
+    base = mine_pools(int(anchors.anchor_ids[0]), fn, sym, DiffusionConfig(), cfg)
     pos = oracle_pools(base, fs.labels, "positive", fn, max_neg=15)
     anchor_label = fs.labels[base.anchor_id]
     assert all(fs.labels[j] == anchor_label for j, _ in pos.positives)
@@ -257,8 +260,7 @@ def test_oracle_positive_singleton_class_empty():
 
 def test_build_training_pool_union():
     feats, graph, op = small_setup(n=50, seed=7, k=7)
-    sto = normalize_graph(graph, "stochastic")
-    stat = power_iteration(sto, max_iterations=50000)
+    stat = power_iteration(graph, max_iterations=50000)
     anchors = select_anchors(graph, stat.pi, 10)
     cfg = MiningConfig(k_pos=10, k_neg=15, max_neg=8, hard_subset_size=4)
     pools, items = build_training_pool(anchors, feats, op, DC, cfg)
@@ -284,7 +286,7 @@ def test_build_training_pool_all_empty_raises():
 def test_sample_epoch_tuples_deterministic():
     feats, graph, op = small_setup(n=40, seed=8)
     cfg = MiningConfig(k_pos=10, k_neg=15, max_neg=8, hard_subset_size=3)
-    pools = [mine_anchor_pools(a, feats, op, DC, cfg) for a in range(0, 40, 4)]
+    pools = [mine_pools(a, feats, op, DC, cfg) for a in range(0, 40, 4)]
     pools = [p for p in pools if p.positives and p.negatives]
     rng = np.random.default_rng(9)
     z = rng.normal(size=(40, 5))
@@ -328,22 +330,10 @@ def test_sample_epoch_tuples_skips_empty():
     assert all(len(col) == 1 for col in tuples) and skipped == 1
 
 
-def test_tuples_file_format(tmp_path):
-    tuples = (np.array([3, 5]), np.array([7, 2]), np.array([1, 9]), np.array([0.123456789, 0.5]))
-    path = tmp_path / "tuples.jsonl"
-    save_tuples(tuples, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    first = json.loads(lines[0])
-    assert first == {"r": 3, "p": 7, "n": 1, "w": pytest.approx(0.123456789, rel=1e-8)}
-    save_tuples(tuples, tmp_path / "again.jsonl")
-    assert path.read_bytes() == (tmp_path / "again.jsonl").read_bytes()
-
-
 def test_pools_jsonl_round_trip(tmp_path):
     feats, graph, op = small_setup(n=30, seed=10)
     cfg = MiningConfig(k_pos=8, k_neg=12, max_neg=6, hard_subset_size=3)
-    pools = [mine_anchor_pools(a, feats, op, DC, cfg) for a in (0, 5, 9)]
+    pools = [mine_pools(a, feats, op, DC, cfg) for a in (0, 5, 9)]
     path = tmp_path / "pools.jsonl"
     save_pools(pools, path)
     for line in path.read_text().splitlines():
@@ -386,7 +376,7 @@ def duplicated_setup(k=6):
     half = rng.normal(size=(30, 6))
     feats = l2_normalize(FeatureSet(data=np.vstack([half, half])))
     graph = build_reciprocal_graph(feats, k)
-    return feats, graph, normalize_graph(graph, "symmetric")
+    return feats, graph, normalize_graph(graph)
 
 
 @pytest.mark.parametrize("k_pos,k_neg,max_pos", [
@@ -397,7 +387,7 @@ def test_one_ranking_pools_match_two_rankings(k_pos, k_neg, max_pos):
     for feats, graph, op in (small_setup(n=60, seed=15), duplicated_setup()):
         for column in solve_columns(op, np.arange(feats.n), DC):
             expected = pools_two_rankings(column, feats, cfg)
-            assert mine_anchor_pools(column.anchor_index, feats, op, DC, cfg) == expected
+            assert mine_pools(column.anchor_index, feats, op, DC, cfg) == expected
 
 
 def test_build_training_pool_blocks_match_single_solves():
@@ -453,7 +443,7 @@ def test_build_training_pool_checks_anchor_ids_and_sizes():
 def test_sample_epoch_tuples_matches_per_pool_loop():
     feats, graph, op = small_setup(n=60, seed=13)
     cfg = MiningConfig(k_pos=10, k_neg=25, max_neg=12, hard_subset_size=6)
-    pools = [mine_anchor_pools(a, feats, op, DC, cfg) for a in range(60)] * 2
+    pools = [mine_pools(a, feats, op, DC, cfg) for a in range(60)] * 2
     pools[3:3] = [
         AnchorPools(5, [], [(1, 0.5)]),  # empty pools are skipped
         AnchorPools(6, [(2, 0.3)], []),

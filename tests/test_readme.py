@@ -10,5 +10,6 @@ def test_readme_python_example_runs(tmp_path, monkeypatch):
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.S | re.M)
     assert len(blocks) == 1
     monkeypatch.chdir(tmp_path)
-    exec(compile(blocks[0], str(README), "exec"), {})
-    assert (tmp_path / "tuples.jsonl").read_text().count("\n") > 0
+    names = {}
+    exec(compile(blocks[0], str(README), "exec"), names)
+    assert names["anchor_ids"].size > 0

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,22 +19,20 @@ from momine.errors import (
 from momine.features import SyntheticSpec, generate_synthetic, l2_normalize
 from momine.mining import AnchorPools, MiningConfig
 from momine.trainer import (
+    MODEL_MAGIC,
     EmbeddingModel,
     TrainConfig,
     _LOSSES,
     _backward,
     _forward_cache,
-    apply_weight,
-    contrastive_loss,
     forward,
     load_model,
     save_model,
     sgd_momentum_step,
     train,
-    triplet_loss,
 )
 
-from helpers import train_reference
+from helpers import raises_with_peak, train_reference
 
 
 def unit(v):
@@ -44,11 +44,20 @@ def random_unit_triple(rng, d=6):
     return (unit(rng.normal(size=d)), unit(rng.normal(size=d)), unit(rng.normal(size=d)))
 
 
-def triplet_literal_loss(z_r, z_p, z_n, margin):
-    """The "triplet-literal" training loss on one tuple: its value and the
-    gradients w.r.t. the three embeddings."""
-    losses, *grads = _LOSSES["triplet-literal"](*map(np.atleast_2d, (z_r, z_p, z_n)), margin)
-    return float(losses[0]), tuple(g[0] for g in grads)
+def tuple_loss(name):
+    """The training loss `name` on one tuple: a function of (z_r, z_p, z_n,
+    margin) that returns its value and the gradients w.r.t. the three
+    embeddings."""
+    def loss(z_r, z_p, z_n, margin):
+        losses, *grads = _LOSSES[name](*map(np.atleast_2d, (z_r, z_p, z_n)), margin)
+        return float(losses[0]), tuple(g[0] for g in grads)
+
+    return loss
+
+
+contrastive_loss = tuple_loss("contrastive")
+triplet_loss = tuple_loss("triplet")
+triplet_literal_loss = tuple_loss("triplet-literal")
 
 
 def identity_model(d):
@@ -192,11 +201,7 @@ def _active_margin(kind, z_r, z_p, z_n, margin):
 def test_loss_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(3)
     margin = 0.7 if kind == "contrastive" else 0.5
-    fn = {
-        "contrastive": lambda *a: contrastive_loss(*a),
-        "triplet": lambda *a: triplet_loss(*a),
-        "triplet-literal": triplet_literal_loss,
-    }[kind]
+    fn = tuple_loss(kind)
     checked = 0
     while checked < 100:
         z_r, z_p, z_n = random_unit_triple(rng)
@@ -217,7 +222,7 @@ def test_weighted_loss_gradients_match_finite_differences():
 
         def weighted(a, b, c, m):
             loss, grads = contrastive_loss(a, b, c, m)
-            return apply_weight(loss, grads, weight)
+            return loss * weight, tuple(g * weight for g in grads)
 
         _fd_check(weighted, z_r, z_p, z_n, 0.7)
         checked += 1
@@ -278,18 +283,6 @@ def test_parameter_gradients_through_normalization(arch):
                 it.iternext()
             denom = max(np.linalg.norm(numeric.ravel()), 1e-12)
             assert np.linalg.norm((grad - numeric).ravel()) / denom < 1e-4
-
-
-def test_apply_weight_linearity():
-    z_r, z_p, z_n = random_unit_triple(np.random.default_rng(6))
-    loss, grads = contrastive_loss(z_r, z_p, z_n, 0.7)
-    same_l, same_g = apply_weight(loss, grads, 1.0)
-    assert same_l == loss and all(np.array_equal(a, b) for a, b in zip(same_g, grads))
-    zero_l, zero_g = apply_weight(loss, grads, 0.0)
-    assert zero_l == 0.0 and all(np.all(g == 0) for g in zero_g)
-    half_l, half_g = apply_weight(loss, grads, 0.5)
-    assert half_l == pytest.approx(0.5 * loss)
-    assert all(np.allclose(h, 0.5 * g) for h, g in zip(half_g, grads))
 
 
 # ---- optimizer -------------------------------------------------------------
@@ -431,7 +424,7 @@ def test_alternate_single_round_equals_plain_train(tmp_path, capsys):
     tcfg = TrainConfig(loss="contrastive", margin=0.7, epochs=4, seed=5, batch_size=16)
     graph = build_reciprocal_graph(fn, 6)
     anchors = select_anchors(graph, stationary(graph)[0], 50)
-    pools, _ = build_training_pool(anchors, fn, normalize_graph(graph, "symmetric"), dcfg, mcfg)
+    pools, _ = build_training_pool(anchors, fn, normalize_graph(graph), dcfg, mcfg)
     model = EmbeddingModel.initialize("linear", 8, 8, seed=5)
     model, _ = train(fn, pools, model, tcfg, mcfg)
     save_model(model, tmp_path / "chain.bin")
@@ -520,6 +513,10 @@ def test_model_file_errors(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(TruncatedFile):
         load_model(path)
+    # a header whose dims promise more than any file holds is refused before
+    # a read, so nothing of the promised size is allocated
+    path.write_bytes(MODEL_MAGIC + struct.pack("<IIII", 0, 2**32 - 1, 2**32 - 1, 0))
+    assert raises_with_peak(TruncatedFile, lambda: load_model(path)) < 2**20
     path.write_bytes(blob + b"\x00")
     with pytest.raises(TrailingBytes):
         load_model(path)
