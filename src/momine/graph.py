@@ -11,6 +11,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,18 +26,21 @@ _EDGE_LINE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 # larger block is no faster but raises peak memory at n = 10^4
 BLOCK_ROWS = 256
 # threads of the block loops (kNN, evaluation, mining): one per CPU in the
-# process's affinity set, up to MAX_WORKERS, the largest count measured
+# process's affinity set, up to MAX_WORKERS, the largest count measured.
+# No byte of an artifact depends on the count
 MAX_WORKERS = 2
 WORKERS = min(MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
 # rows per kNN and evaluation block, so that MAX_WORKERS blocks hold
-# BLOCK_ROWS rows. The grid is the same at every worker count: OpenBLAS
-# rounds a row of x[s:s+m] @ x.T differently for a different m, so a grid
-# that followed WORKERS would make the bytes follow it too. knn_search writes
-# a worker's GEMMs into its one (RANK_ROWS, n) buffer, and top_k selects each
-# block's rows on int64 views of it without a float copy
+# BLOCK_ROWS rows. knn_search writes a worker's float32 GEMMs into its one
+# (RANK_ROWS, n) buffer, and its neighbours depend neither on the grid nor
+# on the BLAS threads. Evaluation's float64 GEMMs do: OpenBLAS rounds a row
+# of x[s:s+m] @ x.T differently for a different m or thread count, so its
+# grid is the same at every worker count, and its reports reproduce byte
+# for byte with one BLAS thread
 RANK_ROWS = BLOCK_ROWS // MAX_WORKERS
 # edges per chunk when build_reciprocal_graph gathers both endpoints to weigh
-# them and when save_graph formats them: memory is O(EDGE_CHUNK * d), where
+# them, when knn_search rescores its survivors and when save_graph formats
+# them: memory is O(EDGE_CHUNK * d), where
 # one gather of every edge is about 5 * n * d doubles at graph.k 30. At d = 64
 # a 1024-edge chunk (2 x 512 KB) stays in cache and weighs the 55k edges of
 # n = 10^4 about 3x faster than one gather; larger chunks are slower
@@ -178,7 +182,13 @@ _NO_BOUND = np.iinfo(np.int64).max
 # as k * stride, and 8 balances the two on 256 x 10^4 blocks. stride <= 1
 # (n < 32 k) takes every column, so the bound is the row's exact k-th key;
 # otherwise n // stride >= 8 k * stride >= k, so every sample holds k keys.
+# knn_search's float32 rows are bounded by the k-th largest maximum of
+# 8 k residue classes instead (at most n // 4 classes, at least k)
 _SAMPLE_SPREAD = 8
+# knn_search keeps its thresholds at -4 or above, below every float32 score
+# of the scaled features (at most 2 in magnitude), so that a vast margin
+# neither overflows the cast to float32 nor keeps the self score of -inf
+_FLOOR32 = -4.0
 
 
 def _top_k_above_bound(block: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
@@ -312,42 +322,149 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
     """Exact brute-force top-k neighbors by similarity for every item.
 
     Returns the (n, k) neighbor ids, ranked by descending similarity with
-    ties broken by ascending index. The item itself is excluded. Each block
-    of RANK_ROWS rows is one GEMM into its worker's buffer, which that
-    worker's blocks reuse, ranked on the raw dot products by top_k.
+    ties broken by ascending index. The item itself is excluded. The
+    similarity is that of each pair's float64 dot D_ij, the einsum that
+    build_reciprocal_graph weighs the pair's edge with, so the neighbours
+    depend neither on the BLAS threads nor on the block grid.
+
+    Prefilter. Each block of RANK_ROWS rows is one float32 GEMM of
+    y = fl32(2^-e x) into its worker's buffer, with e chosen so that every
+    ||2^-e x_i|| is at most nu_i < 1; E_ij = 2^-2e x_i.x_j is the exact
+    scaled dot. Let u = 2^-24, g(v) = d v / (1 - d v) and t = 2^-126.
+    Componentwise |y - 2^-e x| <= u |2^-e x| + t, t covering float32
+    subnormals and flush to zero. A float32 dot F_ij of y_i and y_j, summed
+    in any order (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.1), errs by
+
+        |F_ij - E_ij| <= (g(u) (1 + u)^2 + 2u + u^2) nu_i nu_j + 10 d t,
+
+    the last term bounding every input, product and partial sum that lands
+    below t. The float64 pair dot, scaled, errs by
+    |2^-2e D_ij - E_ij| <= g(2^-53) nu_i nu_j + 4 d 2^(-1022-2e). Let f be
+    row i's k-th largest F. Every j whose D_ij is at least the row's k-th
+    largest D (each neighbour, and each item tied with the last) has
+    D_ij >= D_il for one of the k items l with F_il >= f, since k items
+    cannot all lie below the k-th largest. Going from F_il to E_il, D_il,
+    D_ij, E_ij and F_ij costs one bound each, so F_ij >= f - M_i with
+
+        M_i = 2 ((g(u) (1 + u)^2 + 2u + u^2 + g(2^-53)) nu_i max(nu)
+                 + 10 d t + 4 d 2^(-1022-2e)),
+
+    rounded up. The j with F_ij >= f - M_i survive (30.1 per row at k = 30
+    on the 64-d moons of n = 10^4). To find them, each row's columns are
+    split into B = max(k, min(8k, n // 4)) residue classes mod B (the last
+    n mod B columns left out): the k-th largest of the class maxima, k
+    entries of the row, is a lower bound b <= f, so the candidates
+    F_ij >= b - M_i (32.5 per row there) hold every survivor, and f is
+    their k-th largest.
+
+    Ranking. The survivors are rescored with the pair einsum and ranked by
+    top_k on the raw dots, ties by ascending id. That ranks the clipped
+    dot exactly when the k-th dot is at least 1e-100: clipping moves only
+    negatives, to 0, below every kept value. And ranking the clipped dot
+    ranks its cube exactly there: x -> x^3 is strictly increasing, the
+    cubes of adjacent doubles there are normal and at least 1.5 ulp apart,
+    and numpy's pow errs by under 0.75 ulp (0.70 measured for numpy 2.4's
+    AVX-512 loop, 0.50 for libm), so no two distinct kept or boundary
+    values cube to equal or swapped results. A row whose k-th dot is below
+    1e-100 or a NaN (where clipped zeros tie and tiny cubes underflow), or
+    that has more than n/4 survivors, is ranked on the clipped cubes of all
+    its pair dots instead. So is every row when x is not finite or e > 511,
+    where a float64 dot may overflow.
     """
     n = features.n
     if not 1 <= k < n:
         raise KTooLarge(f"k={k} must satisfy 1 <= k < n={n}")
     x = features.data
+    y, margin = _float32_prefilter(x)
+    classes = max(k, min(_SAMPLE_SPREAD * k, n // 4))
+    sampled = n // classes * classes
     neighbors = np.empty((n, k), dtype=np.int64)
 
     def rank(spans):
-        buffer = np.empty((min(RANK_ROWS, n), n))
+        buffer = np.empty((min(RANK_ROWS, n), n), dtype=np.float32)
+        ends = np.empty((2, EDGE_CHUNK, x.shape[1]))  # both ends of the pairs rescored
         for start, stop in spans:
-            rows = np.arange(stop - start)
-            c = np.matmul(x[start:stop], x.T, out=buffer[: stop - start])
-            c[rows, start + rows] = -np.inf  # exclude self
-            nbrs = top_k(c, k)
-            # Ranking the raw dot ranks the clipped dot exactly when the k-th
-            # value is at least 1e-100: clipping moves only negatives, to 0,
-            # below every kept value. And ranking the clipped dot ranks its
-            # cube exactly there: x -> x^3 is strictly increasing, the cubes of
-            # adjacent doubles there are normal and at least 1.5 ulp apart, and
-            # numpy's pow errs by under 0.75 ulp (0.70 measured for numpy 2.4's
-            # AVX-512 loop, 0.50 for libm), so no two distinct kept or boundary
-            # values cube to equal or swapped results. Below it (or at NaN),
-            # clipped zeros tie and tiny cubes underflow; those rows alone are
-            # clipped and ranked on the cubes themselves.
-            low = np.flatnonzero(~(c[rows, nbrs[:, -1]] >= 1e-100))
-            if low.size:
-                clipped = np.maximum(c[low], 0.0)
-                clipped[np.arange(low.size), start + low] = -np.inf  # self stays -inf
-                nbrs[low] = top_k(clipped**3, k)
+            m = stop - start
+            rows = np.arange(m)
+            f = _scores32(y, start, stop, buffer[:m])
+            f[rows, start + rows] = -np.inf  # exclude self
+            slack = margin[start:stop]
+            # candidates above the class maxima's bound, then the survivors
+            maxima = f[:, :sampled].reshape(m, -1, classes).max(axis=1)
+            bound = np.partition(maxima, -k, axis=1)[:, -k]
+            flat = np.flatnonzero(f >= _below(bound, slack)[:, None])
+            cand, cols = np.divmod(flat, n)
+            scores = f.ravel()[flat]
+            kth = np.partition(_by_row(cand, scores, m, k, -np.inf), -k, axis=1)[:, -k]
+            keep = scores >= _below(kth, slack)[cand]
+            full = 4 * np.bincount(cand[keep], minlength=m) > n
+            keep &= ~full[cand]
+            cand, cols = cand[keep], cols[keep]
+            # each row's survivors in ascending id order, rescored and ranked
+            dots = np.empty(cand.size)
+            for s in range(0, cand.size, EDGE_CHUNK):
+                c = min(EDGE_CHUNK, cand.size - s)
+                # the ids are in range; "clip" lets take write into out unbuffered
+                a = np.take(x, start + cand[s : s + c], axis=0, out=ends[0, :c], mode="clip")
+                b = np.take(x, cols[s : s + c], axis=0, out=ends[1, :c], mode="clip")
+                np.einsum("ij,ij->i", a, b, out=dots[s : s + c])
+            dots = _by_row(cand, dots, m, k, -np.inf)
+            order = top_k(dots, k)
+            nbrs = np.take_along_axis(_by_row(cand, cols, m, k, 0), order, axis=1)
+            full = np.flatnonzero(full | ~(dots[rows, order[:, -1]] >= 1e-100))
+            if full.size:  # every pair dot of these rows
+                clipped = np.empty((full.size, n))
+                for row, i in enumerate(start + full):
+                    np.einsum("j,ij->i", x[i], x, out=clipped[row])
+                np.maximum(clipped, 0.0, out=clipped)
+                clipped[np.arange(full.size), start + full] = -np.inf  # exclude self
+                nbrs[full] = top_k(clipped**3, k)
             neighbors[start:stop] = nbrs
 
     _run_blocks(n, RANK_ROWS, rank)
     return neighbors
+
+
+def _scores32(y: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Rows start:stop of the float32 Gram matrix y y^T, written into out."""
+    return np.matmul(y[start:stop], y.T, out=out)
+
+
+def _float32_prefilter(x: np.ndarray):
+    """(y, M): the features scaled by 2^-e and rounded to float32, and each
+    row's margin M_i (see knn_search). Every margin is infinite, so every
+    row is ranked on its full dots, when x is not finite or when a float64
+    dot may overflow."""
+    n, d = x.shape
+    amax = np.max(np.abs(x))
+    if not np.isfinite(amax):
+        return np.zeros((n, d), dtype=np.float32), np.full(n, np.inf)
+    e1 = int(np.frexp(amax)[1])
+    x1 = np.ldexp(x, -e1)  # |x1| < 1, so no square overflows
+    # upper bounds on the norms, through the roundings and underflows
+    nu = np.sqrt(np.einsum("ij,ij->i", x1, x1)) * (1 + 2.0**-20) + 2.0**-500
+    e2 = int(np.frexp(nu.max())[1])
+    nu = np.ldexp(nu, -e2)  # max(nu) < 1
+    y = np.ldexp(x1, -e2).astype(np.float32)
+    e = e1 + e2
+    if e > 511:  # ||x_i|| ||x_j|| may pass the double range
+        return y, np.full(n, np.inf)
+    u = 2.0**-24  # float32's unit roundoff
+    g32 = d * u / (1 - d * u) if d * u < 0.5 else np.inf
+    g64 = d * 2.0**-53 / (1 - d * 2.0**-53)
+    rel = g32 * (1 + u) ** 2 + 2 * u + u**2 + g64
+    with np.errstate(over="ignore"):
+        tiny = 10 * d * 2.0**-126 + np.ldexp(4.0 * d, -1022 - 2 * e)
+    return y, 2 * (rel * nu * nu.max() + tiny) * (1 + 2.0**-40)
+
+
+def _below(scores: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """A float32 at most scores - margin for each float32 score, and at
+    least _FLOOR32 or just below it."""
+    exact = np.nextafter(scores.astype(np.float64) - margin, -np.inf)
+    low = np.maximum(exact, _FLOOR32).astype(np.float32)
+    return np.where(low > exact, np.nextafter(low, np.float32(-np.inf)), low)
 
 
 def build_reciprocal_graph(features: FeatureSet, k: int) -> NeighborGraph:
@@ -395,9 +512,9 @@ def save_graph(graph: NeighborGraph, path) -> None:
     """Text format: header "MOMG n k", then "i j w" per edge with i < j,
     ascending by (i, j), w at 9 significant digits.
 
-    The edges are sorted once and written EDGE_CHUNK lines at a time, so
-    the Python ints, floats and strings of the lines never exist for more
-    than one chunk.
+    The edges are sorted once and written EDGE_CHUNK lines at a time, each
+    chunk by one %-format, so the Python ints, floats and strings of the
+    lines never exist for more than one chunk.
     """
     coo = sp.triu(graph.adjacency, k=1).tocoo()
     order = np.lexsort((coo.col, coo.row))
@@ -405,11 +522,8 @@ def save_graph(graph: NeighborGraph, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{GRAPH_MAGIC} {graph.n} {graph.k}\n")
         for start in range(0, order.size, EDGE_CHUNK):
-            edges = slice(start, start + EDGE_CHUNK)
-            fh.write("".join(map(
-                "{} {} {:.9g}\n".format,
-                rows[edges].tolist(), cols[edges].tolist(), weights[edges].tolist(),
-            )))
+            i, j, w = (a[start : start + EDGE_CHUNK].tolist() for a in (rows, cols, weights))
+            fh.write("%d %d %.9g\n" * len(i) % tuple(chain.from_iterable(zip(i, j, w))))
 
 
 def load_graph(path) -> NeighborGraph:

@@ -146,6 +146,19 @@ def knn_oracle(data, k):
     return out
 
 
+def pair_dot_knn_oracle(data, k):
+    """Exhaustive top-k by clipped-cubed pair dot, ties by ascending index:
+    each dot is the einsum of the pair's two rows, as build_reciprocal_graph
+    weighs an edge, and each row is one lexsort."""
+    n = data.shape[0]
+    scores = np.empty((n, n))
+    for i in range(n):
+        scores[i] = np.einsum("ij,ij->i", np.repeat(data[i : i + 1], n, axis=0), data)
+    scores = np.clip(scores, 0.0, None) ** 3
+    np.fill_diagonal(scores, -np.inf)
+    return lexsort_top_k(scores, k)
+
+
 def reciprocal_graph_reference(features, k):
     """Reference for graph.build_reciprocal_graph: the mutual pairs of
     knn_search, every pair's endpoints gathered at once and weighed by one

@@ -33,6 +33,7 @@ from helpers import (
     disjoint_union,
     knn_oracle,
     lexsort_top_k,
+    pair_dot_knn_oracle,
     random_graph,
     reciprocal_graph_reference,
     save_graph_reference,
@@ -747,3 +748,118 @@ def test_components_match_breadth_first_search():
         graphs.append(disjoint_union(*parts, isolated=seed))
     for g in graphs:
         assert np.array_equal(components(g), components_reference(g))
+
+
+def test_pair_einsum_is_symmetric_and_the_same_in_every_form():
+    # knn_search ranks row i on einsum("j,ij->i", x[i], x) and on chunks of
+    # einsum("ij,ij->i", x[i's], x[j's]); build_reciprocal_graph weighs the
+    # edge {i, j} on einsum("ij,ij->i", x[min], x[max]). All must be the
+    # same bits, whatever the chunk
+    rng = np.random.default_rng(11)
+    for d in (1, 3, 16, 64, 65):
+        x = rng.normal(size=(300, d))
+        ii, jj = rng.integers(0, 300, size=(2, 2000))
+        pairs = np.einsum("ij,ij->i", x[ii], x[jj])
+        assert np.array_equal(pairs, np.einsum("ij,ij->i", x[jj], x[ii]))
+        chunks = [np.einsum("ij,ij->i", x[ii[s : s + 7]], x[jj[s : s + 7]]) for s in range(0, 2000, 7)]
+        assert np.array_equal(pairs, np.concatenate(chunks))
+        for i in (0, 17):
+            row = np.einsum("j,ij->i", x[i], x)
+            assert np.array_equal(row, np.einsum("ij,ij->i", np.repeat(x[i : i + 1], 300, axis=0), x))
+
+
+def float32_hard_inputs():
+    """Inputs float32 handles badly, each at n = 300 (three 128-row blocks)."""
+    rng = np.random.default_rng(12)
+    n, d = 300, 16
+    normal = rng.normal(size=(n, d))
+    mixed = normal * rng.choice([1e30, 1e-40], size=(n, d))
+    # a third of the rows 1e70 times shorter: float32 holds them as zeros
+    rows = normal * np.where(rng.random((n, 1)) < 1 / 3, 1e-40, 1e30)
+    # 40 directions plus one tiny coordinate each: most rows' dots are
+    # 1e-110 and below, so their k-th dot is below 1e-100
+    sparse = np.zeros((n, 41))
+    sparse[np.arange(n), rng.integers(0, 40, size=n)] = rng.random(n) + 0.5
+    sparse[:, 40] = 1e-55 * rng.random(n)
+    # small integers: every dot is exact, and 30 distinct rows repeat over
+    # all three blocks, so the ties cross blocks
+    grid = rng.integers(-2, 3, size=(30, 5)).astype(float)[rng.integers(0, 30, size=n)]
+    return {
+        "near 1e200": normal * 1e200,  # float64 dots overflow
+        "near 1e-300": normal * 1e-300,  # float64 dots underflow
+        "near 1e30": normal * 1e30,
+        "near 1e-40": normal * 1e-40,
+        "components near 1e30 and 1e-40": mixed,
+        "rows near 1e30 and 1e-40": rows,
+        "k-th dot below 1e-100": sparse,
+        "integer grid": grid,
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(float32_hard_inputs()))
+@pytest.mark.parametrize("k", [1, 10, 40])
+def test_knn_matches_pair_dot_oracle_where_float32_is_poor(monkeypatch, name, k):
+    data = float32_hard_inputs()[name]
+    full = []  # rows ranked on all their n dots; a row's survivors are fewer
+
+    def spy(scores, k):
+        if np.shape(scores)[-1] == data.shape[0]:
+            full.append(np.atleast_2d(scores).shape[0])
+        return top_k(scores, k)
+
+    monkeypatch.setattr(momine.graph, "top_k", spy)
+    assert np.array_equal(knn_search(FeatureSet(data=data), k), pair_dot_knn_oracle(data, k))
+    # one power of two scales these into float32's range, so the
+    # prefilter ranks every row; past 2^511 no row is prefiltered
+    if name in ("near 1e30", "near 1e-40", "components near 1e30 and 1e-40"):
+        assert sum(full) == 0
+    if name == "near 1e200":
+        assert sum(full) == data.shape[0]
+
+
+def test_knn_search_is_the_same_on_every_block_grid_and_worker_count(monkeypatch):
+    spec = SyntheticSpec(kind="moons", per_class=301, classes=2, ambient_dim=16, noise=0.15)
+    feats = l2_normalize(generate_synthetic(spec, 13))
+    expected = pair_dot_knn_oracle(feats.data, 20)
+    for rows in (1, 17, 128):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(momine.graph, "RANK_ROWS", rows)
+            monkeypatch.setattr(momine.graph, "WORKERS", workers)
+            assert np.array_equal(knn_search(feats, 20), expected), (rows, workers)
+
+
+def test_knn_survives_float32_scores_moved_by_their_error_bound(monkeypatch):
+    # every float32 score may err by (g(u) (1 + u)^2 + 2u + u^2) nu_i nu_j,
+    # u = 2^-24, g(u) = d u / (1 - d u), nu the scaled norms (knn_search's
+    # docstring). Here each score is the exact scaled dot moved by that much,
+    # less room for its own float32 rounding, toward the row's k-th score:
+    # down for the row's true neighbours, up for every other item. Row 0 is
+    # a hub whose dots with rows 1-60 step by 1e-8, far below the bound, so
+    # its k-th and (k+1)-th items swap and a margin of half the bound fails
+    rng = np.random.default_rng(14)
+    n, d, k = 400, 16, 10
+    data = rng.normal(size=(n, d))
+    data[0] = np.eye(d)[0]
+    c = 0.9 + 1e-8 * np.arange(1, 61)
+    side = rng.normal(size=(60, d - 1))
+    data[1:61, 0] = c
+    data[1:61, 1:] = side / np.linalg.norm(side, axis=1, keepdims=True) * np.sqrt(1 - c**2)[:, None]
+    data[61:] /= np.linalg.norm(data[61:], axis=1, keepdims=True)
+    expected = pair_dot_knn_oracle(data, k)
+    members = np.zeros((n, n), dtype=bool)
+    members[np.arange(n)[:, None], expected] = True
+    u = 2.0**-24
+    rel = d * u / (1 - d * u) * (1 + u) ** 2 + 2 * u + u**2
+
+    def moved(y, start, stop, out):
+        scale = 2.0 ** np.round(np.log2(np.abs(y).max() / np.abs(data).max()))
+        scaled = data * scale
+        nu = np.linalg.norm(scaled, axis=1)
+        step = (rel - 2 * u) * nu[start:stop, None] * nu[None, :]
+        exact = scaled[start:stop] @ scaled.T
+        out[:] = np.where(members[start:stop], exact - step, exact + step)
+        return out
+
+    monkeypatch.setattr(momine.graph, "_scores32", moved)
+    assert np.array_equal(knn_search(FeatureSet(data=data), k), expected)
