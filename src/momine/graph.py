@@ -274,18 +274,22 @@ def _run_blocks(count: int, size: int, work, balance: bool = False) -> None:
     (start, stop) of its blocks: worker w takes blocks w, w + workers, ...
     in ascending order, and any buffers work allocates before its loop are
     that worker's own. The blocks are the same at every worker count unless
-    balance is set: then they shrink to ceil(count / WORKERS) items when
-    that is smaller, so every worker gets one, which suits only a loop whose
-    results do not depend on the block size. The calling thread is worker 0;
-    every other worker runs in a copy of the caller's contextvars context,
-    where numpy keeps np.errstate. A worker stops at its first failing
-    block. Once every worker has finished, the exception of the lowest
-    failing block is raised: the one a serial loop would raise, since every
-    block below it has run.
+    balance is set, which suits only a loop whose results do not depend on
+    the block size. Then B is the fewest blocks of at most size items whose
+    number is a multiple of WORKERS, and each block holds ceil(count / B)
+    items, which is ceil(count / WORKERS) when count <= WORKERS * size. That
+    makes B blocks, or fewer where B blocks of that size would leave one
+    empty (4 items on 3 workers take 2 blocks of 2, and 9 items in blocks of
+    at most 4 on 2 workers take 3 blocks of 3). The calling thread is
+    worker 0; every other worker runs in a copy of the caller's contextvars
+    context, where numpy keeps np.errstate. A worker stops at its first
+    failing block. Once every worker has finished, the exception of the
+    lowest failing block is raised: the one a serial loop would raise, since
+    every block below it has run.
     """
-    if balance:
-        size = min(size, -(-count // WORKERS))
     size = max(1, size)
+    if balance and count:
+        size = -(-count // (-(-count // (size * WORKERS)) * WORKERS))
     blocks = -(-count // size)
     workers = max(1, min(WORKERS, blocks))
     failed = {}

@@ -18,11 +18,14 @@ from .errors import AllPoolsEmpty, BadPools, DimMismatch, LabelsMissing, open_te
 from .features import FeatureSet
 from .graph import NormalizedOperator, _run_blocks, similarity, top_k
 
-# anchors per block: the CG state of a block solve is O(ANCHOR_BLOCK * n),
-# below the kNN block's memory, and the sampler's distance block is
-# O(ANCHOR_BLOCK * max_neg * d). build_training_pool's blocks shrink so that
-# every worker thread gets one
+# anchors per block: the sampler's distance block is
+# O(ANCHOR_BLOCK * max_neg * d), and build_training_pool solves and ranks at
+# most ANCHOR_BLOCK anchors, and at most ANCHOR_CELLS // n, per block. A
+# (rows, n) float64 array of the block CG and its rankings then takes at
+# most 1 MiB (one row where n > ANCHOR_CELLS), so a worker's CG state stays
+# near its core's L2 cache and mining's memory is not O(ANCHOR_BLOCK * n)
 ANCHOR_BLOCK = 64
+ANCHOR_CELLS = 2**17
 
 
 @dataclass
@@ -169,10 +172,12 @@ def build_training_pool(
 ):
     """Pools for every anchor plus the item union they span.
 
-    The m anchors are solved and ranked in blocks of at most ANCHOR_BLOCK,
-    balanced over the worker threads (see graph._run_blocks), and the pools
-    are joined in block order; each column is bit-equal to its single-anchor
-    solve, whatever the block size.
+    The m anchors are solved and ranked in blocks of at most
+    min(ANCHOR_BLOCK, max(1, ANCHOR_CELLS // n)), balanced over the worker
+    threads (see graph._run_blocks): the fewest such blocks whose number is
+    a multiple of the workers, so mining's memory is O(ANCHOR_CELLS + n)
+    per worker. The pools are joined in block order; each column is
+    bit-equal to its single-anchor solve, whatever the block size.
 
     Diffusion solves that stop above diffusion_config.tolerance are counted
     in one warning. Anchors whose pools both come out empty are dropped
@@ -191,7 +196,8 @@ def build_training_pool(
             mined[start] = [p for p in _block_pools(columns, features, mining_config)
                             if p.positives or p.negatives]
 
-    _run_blocks(anchors.size, ANCHOR_BLOCK, mine, balance=True)
+    size = min(ANCHOR_BLOCK, max(1, ANCHOR_CELLS // features.n))
+    _run_blocks(anchors.size, size, mine, balance=True)
     pools = list(chain.from_iterable(mined[start] for start in sorted(mined)))
     if sum(stopped):
         warnings.warn(f"{sum(stopped)} of {anchors.size} diffusion solves stopped above "

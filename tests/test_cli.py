@@ -489,6 +489,20 @@ def test_mine_bad_anchor_ids_are_data_errors(tmp_path, capsys, anchors_txt):
     assert not (tmp_path / "d").exists()
 
 
+def test_mine_with_an_empty_anchors_file_is_data_error(tmp_path, capsys):
+    run_gen(tmp_path / "data")
+    features = str(tmp_path / "data" / "features.bin")
+    assert main(["graph", "--out", str(tmp_path / "g"), "--features", features,
+                 "--set", "graph.k", "8"]) == 0
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text("")
+    code = main(["mine", "--out", str(tmp_path / "m"), "--features", features,
+                 "--graph", str(tmp_path / "g" / "graph.txt"), "--anchors", str(anchors)])
+    assert code == 2
+    assert capsys.readouterr().err == "mom mine: error: every anchor produced empty pools\n"
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("anchor_id", [str(2**64), str(-(2**63) - 1)])
 def test_diffuse_anchor_beyond_int64_is_data_error(tmp_path, capsys, anchor_id):
     path = tmp_path / "graph.txt"

@@ -394,6 +394,37 @@ def test_run_blocks_balances_only_when_asked(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_blocks_balanced_takes_the_fewest_blocks_a_multiple_of_the_workers(
+    monkeypatch, workers
+):
+    monkeypatch.setattr(momine.graph, "WORKERS", workers)
+    for count, size in itertools.product(range(130), (1, 2, 3, 5, 13, 64)):
+        seen = []
+        _run_blocks(count, size, lambda spans: seen.extend(spans), balance=True)
+        seen.sort()
+        assert [i for start, stop in seen for i in range(start, stop)] == list(range(count))
+        assert all(0 < stop - start <= size for start, stop in seen)
+        fewest = -(-count // (size * workers)) * workers
+        rows = -(-count // fewest) if count else 1
+        assert [start for start, _ in seen] == list(range(0, count, rows))
+        # blocks of ceil(count / fewest) items fill all fewest blocks once
+        # they hold as many items as there are blocks; 4 items on 3 workers
+        # take 2 blocks of 2
+        assert len(seen) == fewest if count > fewest * (fewest - 1) else len(seen) <= fewest
+    # (count, size): (blocks, rows) at this worker count
+    grids = {
+        (43, 13): {1: (4, 11), 2: (4, 11), 3: (6, 8)},
+        (792, 64): {1: (13, 61), 2: (14, 57), 3: (15, 53)},
+        (200, 32): {1: (7, 29), 2: (8, 25), 3: (9, 23)},
+        (7, 64): {1: (1, 7), 2: (2, 4), 3: (3, 3)},
+    }
+    for (count, size), by_workers in grids.items():
+        seen = []
+        _run_blocks(count, size, lambda spans: seen.extend(spans), balance=True)
+        assert (len(seen), max(stop - start for start, stop in seen)) == by_workers[workers]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_run_blocks_raises_the_lowest_failing_block(monkeypatch, workers):
     monkeypatch.setattr(momine.graph, "WORKERS", workers)
     failing = (1, 3)

@@ -1,17 +1,20 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momine.graph
+import momine.mining
 from momine.anchors import AnchorSet, select_anchors
 from momine.diffusion import DiffusionConfig, solve_columns
 from momine.errors import AllPoolsEmpty, BadAnchors, DimMismatch, LabelsMissing
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
-from momine.graph import build_reciprocal_graph, normalize_graph
+from momine.graph import NeighborGraph, build_reciprocal_graph, normalize_graph
 from momine.mining import (
     ANCHOR_BLOCK,
     AnchorPools,
@@ -402,7 +405,7 @@ def test_build_training_pool_blocks_match_single_solves():
 def test_build_training_pool_is_the_same_at_every_worker_count(monkeypatch):
     feats, graph, op = small_setup(n=150, seed=16, k=6)
     cfg = MiningConfig(k_pos=12, k_neg=30, max_neg=10, hard_subset_size=4)
-    # 150 anchors take blocks of 64, 64 and 50; 45 take 45, 23 and 15
+    # at 1, 2 and 3 workers 150 anchors take blocks of 50, 38 and 50; 45 take 45, 23 and 15
     for ids in (np.arange(149, -1, -1), np.arange(0, 135, 3)):
         anchors = AnchorSet(ids, np.zeros(ids.size))
         first = None
@@ -424,6 +427,54 @@ def test_build_training_pool_warns_once_from_the_caller(monkeypatch, workers):
         build_training_pool(anchors, feats, op, DC, cfg)
     assert [str(w.message) for w in caught] == ["dropped 10 anchors with empty pools"]
     assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_build_training_pool_with_no_anchors_raises(monkeypatch, workers):
+    monkeypatch.setattr(momine.graph, "WORKERS", workers)
+    feats, graph, op = small_setup(n=10, k=4)
+    cfg = MiningConfig(k_pos=9, k_neg=9, max_neg=3, hard_subset_size=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AllPoolsEmpty):
+            build_training_pool(AnchorSet(np.zeros(0, np.int64), np.zeros(0)), feats, op, DC, cfg)
+
+
+def test_build_training_pool_matches_single_solves_at_any_block_grid(monkeypatch):
+    feats, graph, op = small_setup(n=128, seed=21, k=2)
+    cfg = MiningConfig(k_pos=12, k_neg=30, max_pos=6, max_neg=10, hard_subset_size=3)
+    ids = np.arange(feats.n)
+    expected = [pools_two_rankings(solve_column_reference(op, int(a), DC), feats, cfg) for a in ids]
+    expected = [p for p in expected if p.positives or p.negatives]
+    assert {p.anchor_id for p in expected} & set(np.flatnonzero(graph.degrees == 0).tolist())
+    for rows in (1, 3, 64):
+        # blocks of at most rows anchors; 64 rows at one or two workers
+        monkeypatch.setattr(momine.mining, "ANCHOR_CELLS", rows * feats.n)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(momine.graph, "WORKERS", workers)
+            pools, _ = build_training_pool(AnchorSet(ids, np.zeros(ids.size)), feats, op, DC, cfg)
+            assert pools == expected, (rows, workers)
+
+
+def test_build_training_pool_memory_does_not_grow_with_block_times_n(monkeypatch):
+    # a 50,000-node path, where a (32, n) float64 array takes 12.8 MB
+    monkeypatch.setattr(momine.graph, "WORKERS", 2)
+    n = 50_000
+    feats = l2_normalize(FeatureSet(data=np.random.default_rng(3).normal(size=(n, 2))))
+    adjacency = sp.diags([np.ones(n - 1)] * 2, [-1, 1], format="csr")
+    graph = NeighborGraph(n, 1, adjacency, np.asarray(adjacency.sum(axis=1)).ravel())
+    op = normalize_graph(graph)
+    anchors = AnchorSet(np.arange(64) * 781, np.zeros(64))
+    short = DiffusionConfig(alpha=0.99, tolerance=1e-6, max_iterations=3)
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="64 of 64 diffusion solves stopped"):
+            pools, _ = build_training_pool(anchors, feats, op, short, MiningConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pools) == 64
+    assert peak < 40e6
 
 
 def test_build_training_pool_checks_anchor_ids_and_sizes():
@@ -486,7 +537,7 @@ def test_block_pools_match_two_rankings_with_isolated_anchors(k_pos, k_neg, max_
     feats, graph, op = small_setup(n=90, seed=21, k=2)
     assert (graph.degrees == 0).sum() >= 3
     cfg = MiningConfig(k_pos=k_pos, k_neg=k_neg, max_pos=max_pos, max_neg=10, hard_subset_size=3)
-    ids = np.arange(feats.n)  # one full block of 64 and a partial one
+    ids = np.arange(feats.n)  # two blocks of 45 at one or two workers
     pools, items = build_training_pool(AnchorSet(ids, np.zeros(feats.n)), feats, op, DC, cfg)
     expected = [pools_two_rankings(solve_column_reference(op, int(a), DC), feats, cfg) for a in ids]
     assert pools == [p for p in expected if p.positives or p.negatives]
