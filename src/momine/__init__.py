@@ -15,12 +15,7 @@ from .anchors import (
     select_anchors,
     stationary,
 )
-from .diffusion import (
-    DiffusionConfig,
-    SimilarityColumn,
-    solve_column,
-    solve_columns,
-)
+from .diffusion import DiffusionConfig, solve_columns
 from .features import (
     FeatureSet,
     SyntheticSpec,

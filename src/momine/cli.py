@@ -25,7 +25,7 @@ from .anchors import (
     select_anchors,
     stationary,
 )
-from .diffusion import DiffusionConfig, solve_column
+from .diffusion import DiffusionConfig, solve_columns
 from .errors import BadConfig, LabelsMissing, MomineError, open_text
 from .features import (
     FeatureSet,
@@ -44,6 +44,7 @@ from .mining import (
     MiningConfig,
     baseline_pools,
     build_training_pool,
+    drop_empty_pools,
     load_pools,
     oracle_pools,
     save_pools,
@@ -263,14 +264,13 @@ def _mine_pools(feats, graph, anchor_set, cfg, seed, labels=None):
     dcfg = _diffusion_config(cfg)
     mcfg = _mining_config(cfg)
     if cfg["mining.mode"] == "baseline":
-        pools = [
+        pools = drop_empty_pools([
             baseline_pools(
                 int(a), feats, k_base=cfg["mining.baseline_k"], seed=seed,
                 max_neg=mcfg.max_neg,
             )
             for a in anchor_set.anchor_ids
-        ]
-        pools = [p for p in pools if p.positives or p.negatives]
+        ])
     else:
         pools, _ = build_training_pool(anchor_set, feats, sym, dcfg, mcfg)
     if cfg["mining.oracle"] != "none":
@@ -319,15 +319,16 @@ def cmd_graph(args, cfg, seed, out: Path):
 def cmd_diffuse(args, cfg, seed, out: Path):
     graph = load_graph(args.graph)
     sym = normalize_graph(graph)
-    column = solve_column(sym, args.anchor, _diffusion_config(cfg))
-    order = top_k(column.values, graph.n)
+    block = solve_columns(sym, [args.anchor], _diffusion_config(cfg))
+    values = block.values[0]
+    order = top_k(values, graph.n)
     _write_config(cfg, out)
     with open(out / "column.txt", "w") as fh:
         for j in order:
-            fh.write(f"{j} {column.values[j]:.9g}\n")
+            fh.write(f"{j} {values[j]:.9g}\n")
     print(
-        f"diffuse: anchor={args.anchor} iterations={column.iterations_used}"
-        f" residual={column.residual_norm:.3g} converged={column.converged}"
+        f"diffuse: anchor={args.anchor} iterations={block.iterations[0]}"
+        f" residual={block.residual[0]:.3g} converged={block.converged[0]}"
         f" -> {out / 'column.txt'}"
     )
     return 0

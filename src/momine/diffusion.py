@@ -6,6 +6,7 @@ never formed; a block of columns is solved at a time, one CG row per anchor.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,15 +29,15 @@ class DiffusionConfig:
             raise ValueError("max_iterations must be positive")
 
 
-@dataclass
-class SimilarityColumn:
-    """One column of the diffusion similarity: values[j] = s_m(anchor, j)."""
+class SimilarityBlock(NamedTuple):
+    """The solves of m anchors: values[i, j] = s_m(anchors[i], j), and per
+    row the relative residual, the CG iterations run and whether the
+    residual met the tolerance."""
 
-    anchor_index: int
-    values: np.ndarray
-    residual_norm: float
-    iterations_used: int
-    converged: bool
+    values: np.ndarray  # (m, n)
+    residual: np.ndarray  # (m,)
+    iterations: np.ndarray  # (m,) int64
+    converged: np.ndarray  # (m,) bool
 
 
 def check_anchor_ids(anchors, n: int) -> np.ndarray:
@@ -53,14 +54,15 @@ def check_anchor_ids(anchors, n: int) -> np.ndarray:
 
 def solve_columns(
     operator: NormalizedOperator, anchors, config: DiffusionConfig
-) -> list[SimilarityColumn]:
-    """Conjugate-gradient solves of (I - alpha*S) f = (1-alpha) e_a, one per anchor.
+) -> SimilarityBlock:
+    """Conjugate-gradient solves of (I - alpha*S) f = (1-alpha) e_a, one per
+    anchor, as the rows of one block in anchor order.
 
     The state is one row per anchor and every iteration does a single sparse
     product for all rows still running; each row keeps its own step scalars.
     Each solve starts from the zero vector and keeps the best iterate seen,
     so its residual never increases with max_iterations, and on
-    non-convergence the best iterate is returned with converged=False. A row stops when it
+    non-convergence the best iterate is returned with converged False. A row stops when it
     converges, reaches max_iterations, or its curvature p.Ap is no longer
     positive. Isolated anchors get the analytic solution (1-alpha) e_a
     without running CG. Memory is O(len(anchors) * n).
@@ -116,21 +118,4 @@ def solve_columns(
             )
         p = r + (rs_new / rs)[:, None] * p
         rs = rs_new
-    return [
-        SimilarityColumn(
-            anchor_index=int(anchors[i]),
-            values=values[i],
-            residual_norm=residual[i],
-            iterations_used=int(iterations[i]),
-            converged=bool(converged[i]),
-        )
-        for i in rows
-    ]
-
-
-def solve_column(
-    operator: NormalizedOperator, anchor: int, config: DiffusionConfig
-) -> SimilarityColumn:
-    """One anchor's column: the single-row case of :func:`solve_columns`."""
-    return solve_columns(operator, [anchor], config)[0]
-
+    return SimilarityBlock(values, residual, iterations, converged)

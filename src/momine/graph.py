@@ -56,15 +56,6 @@ class NeighborGraph:
     adjacency: sp.csr_matrix
     degrees: np.ndarray
 
-    @classmethod
-    def from_edges(cls, n: int, k: int, edges) -> "NeighborGraph":
-        """Build a graph from (i, j, w) triples with i < j; each edge is mirrored."""
-        edges = np.array(list(edges), dtype=object).reshape(-1, 3)
-        i, j = (edges[:, c].astype(np.int64) for c in (0, 1))
-        w = edges[:, 2].astype(np.float64)
-        _check_edges(n, i, j, w)
-        return _mirrored_graph(n, k, i, j, w)
-
 
 def _check_edges(n: int, i, j, w, where: str = "graph") -> None:
     """Raise BadGraph unless every edge has 0 <= i < j < n, a finite
@@ -418,12 +409,12 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
             nbrs = np.take_along_axis(_by_row(cand, cols, m, k, 0), order, axis=1)
             full = np.flatnonzero(full | ~(dots[rows, order[:, -1]] >= 1e-100))
             if full.size:  # every pair dot of these rows
-                clipped = np.empty((full.size, n))
+                pair = np.empty((full.size, n))
                 for row, i in enumerate(start + full):
-                    np.einsum("j,ij->i", x[i], x, out=clipped[row])
-                np.maximum(clipped, 0.0, out=clipped)
-                clipped[np.arange(full.size), start + full] = -np.inf  # exclude self
-                nbrs[full] = top_k(clipped**3, k)
+                    np.einsum("j,ij->i", x[i], x, out=pair[row])
+                sims = similarity(pair)
+                sims[np.arange(full.size), start + full] = -np.inf  # exclude self
+                nbrs[full] = top_k(sims, k)
             neighbors[start:stop] = nbrs
 
     _run_blocks(n, RANK_ROWS, rank)

@@ -66,23 +66,24 @@ def _pairs(ids: np.ndarray, values: np.ndarray) -> list:
     return list(zip(ids.tolist(), values[ids].tolist()))
 
 
-def _block_pools(columns: list, features: FeatureSet, mining_config: MiningConfig) -> list:
-    """Positives: manifold top-k_pos minus Euclidean top-k_pos, by descending
+def _block_pools(anchors: np.ndarray, manifold: np.ndarray, features: FeatureSet,
+                 mining_config: MiningConfig) -> list:
+    """The pools of each anchor from its row of the solved block `manifold`.
+    Positives: manifold top-k_pos minus Euclidean top-k_pos, by descending
     s_m. Negatives: Euclidean top-k_neg minus manifold top-k_neg, by
     descending s_e, capped at max_neg.
 
     Each side of the block is ranked once, to the larger k, by one 2-D
     top_k; the rankings are exact, so their prefixes are the smaller
-    rankings. The anchor's own manifold value is set to -inf, which ranks the
-    others as "top k+1, then drop self" does. Neighbor counts above n-1 are
-    clamped (the large-set k_neg default can exceed a desk-scale collection).
+    rankings. The anchor's own manifold value is set to -inf in place, which
+    ranks the others as "top k+1, then drop self" does. Neighbor counts
+    above n-1 are clamped (the large-set k_neg default can exceed a
+    desk-scale collection).
     """
     n = features.n
-    anchors = [c.anchor_index for c in columns]
-    rows = np.arange(len(columns))[:, None]
+    rows = np.arange(anchors.size)[:, None]
     k_pos = min(mining_config.k_pos, n - 1)
     k_neg = min(mining_config.k_neg, n - 1)
-    manifold = np.stack([c.values for c in columns])
     manifold[rows[:, 0], anchors] = -np.inf
     nn_m = top_k(manifold, max(k_pos, k_neg))
     sims = _euclidean_block(features, anchors)
@@ -94,12 +95,23 @@ def _block_pools(columns: list, features: FeatureSet, mining_config: MiningConfi
     pos_kept = ~listed[0, rows, nn_m[:, :k_pos]]
     neg_kept = ~listed[1, rows, nn_e[:, :k_neg]]
     pools = []
-    for i, column in enumerate(columns):
+    for i, anchor in enumerate(anchors.tolist()):
         pos = nn_m[i, :k_pos][pos_kept[i]][: mining_config.max_pos]
         neg = nn_e[i, :k_neg][neg_kept[i]][: mining_config.max_neg]
-        pos_pairs, neg_pairs = _pairs(pos, column.values), _pairs(neg, sims[i])
-        pools.append(AnchorPools(anchors[i], pos_pairs, neg_pairs))
+        pools.append(AnchorPools(anchor, _pairs(pos, manifold[i]), _pairs(neg, sims[i])))
     return pools
+
+
+def drop_empty_pools(pools: list) -> list:
+    """The pools with a positive or a negative. Warns, from the caller's
+    caller, with the number of anchors dropped, and raises AllPoolsEmpty
+    when none is left."""
+    kept = [p for p in pools if p.positives or p.negatives]
+    if len(kept) < len(pools):
+        warnings.warn(f"dropped {len(pools) - len(kept)} anchors with empty pools", stacklevel=3)
+    if not kept:
+        raise AllPoolsEmpty("every anchor produced empty pools")
+    return kept
 
 
 def _ranked(ids: np.ndarray, sims: np.ndarray, k) -> np.ndarray:
@@ -180,9 +192,8 @@ def build_training_pool(
     bit-equal to its single-anchor solve, whatever the block size.
 
     Diffusion solves that stop above diffusion_config.tolerance are counted
-    in one warning. Anchors whose pools both come out empty are dropped
-    (with a warning) and do not enter the union. Raises AllPoolsEmpty if
-    nothing survives.
+    in one warning. Anchors whose pools both come out empty are dropped by
+    drop_empty_pools and do not enter the union.
     """
     if operator.n != features.n:
         raise DimMismatch(f"graph has n={operator.n}, features have n={features.n}")
@@ -191,21 +202,17 @@ def build_training_pool(
 
     def mine(spans):
         for start, stop in spans:
-            columns = solve_columns(operator, anchors[start:stop], diffusion_config)
-            stopped.append(sum(not c.converged for c in columns))
-            mined[start] = [p for p in _block_pools(columns, features, mining_config)
-                            if p.positives or p.negatives]
+            block = solve_columns(operator, anchors[start:stop], diffusion_config)
+            stopped.append(np.count_nonzero(~block.converged))
+            mined[start] = _block_pools(anchors[start:stop], block.values, features,
+                                        mining_config)
 
     size = min(ANCHOR_BLOCK, max(1, ANCHOR_CELLS // features.n))
     _run_blocks(anchors.size, size, mine, balance=True)
-    pools = list(chain.from_iterable(mined[start] for start in sorted(mined)))
     if sum(stopped):
         warnings.warn(f"{sum(stopped)} of {anchors.size} diffusion solves stopped above "
                       "diffusion.tolerance", stacklevel=2)
-    if len(pools) < anchors.size:
-        warnings.warn(f"dropped {anchors.size - len(pools)} anchors with empty pools", stacklevel=2)
-    if not pools:
-        raise AllPoolsEmpty("every anchor produced empty pools")
+    pools = drop_empty_pools(list(chain.from_iterable(mined[start] for start in sorted(mined))))
     members = {p.anchor_id for p in pools}
     for p in pools:
         members.update(j for j, _ in p.positives)

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from momine.diffusion import SimilarityColumn, solve_column
+from momine.diffusion import SimilarityBlock, solve_columns
 from momine.errors import EmptyGraph
 from momine.evaluation import _row_aps
 from momine.graph import (
     GRAPH_MAGIC,
     RANK_ROWS,
-    NeighborGraph,
+    _check_edges,
     _mirrored_graph,
     knn_search,
     similarity,
@@ -27,6 +27,15 @@ from momine.mining import AnchorPools, _block_pools
 from momine.trainer import _LOSSES, _backward, _forward_cache, forward, sgd_momentum_step
 
 DENSE_ORACLE_LIMIT = 2000
+
+
+def graph_from_edges(n, k, edges):
+    """A graph from (i, j, w) triples with i < j; each edge is mirrored."""
+    edges = np.array(list(edges), dtype=object).reshape(-1, 3)
+    i, j = (edges[:, c].astype(np.int64) for c in (0, 1))
+    w = edges[:, 2].astype(np.float64)
+    _check_edges(n, i, j, w)
+    return _mirrored_graph(n, k, i, j, w)
 
 
 class TooLarge(Exception):
@@ -114,7 +123,7 @@ def random_graph(n, seed, extra_edges=None, connected=True, ensure_triangle=True
     if ensure_triangle and n >= 3:
         for key in ((0, 1), (1, 2), (0, 2)):
             edges.setdefault(key, 0.1 + 0.9 * rng.random())
-    return NeighborGraph.from_edges(
+    return graph_from_edges(
         n, k=n, edges=[(i, j, w) for (i, j), w in sorted(edges.items())]
     )
 
@@ -128,7 +137,7 @@ def circulant_graph(n, offsets=(1, 2), weight=1.0):
             j = (i + off) % n
             key = (min(i, j), max(i, j))
             edges[key] = weight
-    return NeighborGraph.from_edges(n, k=n, edges=[(i, j, w) for (i, j), w in sorted(edges.items())])
+    return graph_from_edges(n, k=n, edges=[(i, j, w) for (i, j), w in sorted(edges.items())])
 
 
 def knn_oracle(data, k):
@@ -198,7 +207,7 @@ def disjoint_union(*graphs, isolated=0):
                   for i, j, w in zip(coo.row[upper], coo.col[upper], coo.data[upper])]
         offset += g.n
     n = offset + isolated
-    return NeighborGraph.from_edges(n, k=n, edges=sorted(edges))
+    return graph_from_edges(n, k=n, edges=sorted(edges))
 
 
 def neighbors(graph, i):
@@ -407,14 +416,15 @@ def ranking_metrics_reference(embeddings, labels, ks):
 
 def solve_column_reference(operator, anchor, config):
     """Reference for diffusion.solve_columns: CG on one vector, with one
-    sparse matvec and scalar dot products per iteration, best iterate kept."""
+    sparse matvec and scalar dot products per iteration, best iterate kept.
+    Returns a one-row block."""
     n = operator.n
     alpha = config.alpha
     mat = operator.matrix
     b = np.zeros(n)
     b[anchor] = 1.0 - alpha
     if mat.indptr[anchor] == mat.indptr[anchor + 1]:  # isolated: system decouples
-        return SimilarityColumn(anchor, b, 0.0, 0, True)
+        return SimilarityBlock(b[None], np.zeros(1), np.zeros(1, np.int64), np.ones(1, bool))
     b_norm = 1.0 - alpha
     x = np.zeros(n)
     r = b.copy()
@@ -443,22 +453,23 @@ def solve_column_reference(operator, anchor, config):
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return SimilarityColumn(anchor, best_x, best_rel, iterations, converged)
+    return SimilarityBlock(best_x[None], np.array([best_rel]), np.array([iterations]),
+                           np.array([converged]))
 
 
-def pools_two_rankings(column, features, mining_config):
-    """Reference for mining's one-ranking pools: each side ranked separately
-    at k_pos and at k_neg by a full lexsort, as the pool rule reads."""
+def pools_two_rankings(anchor, values, features, mining_config):
+    """Reference for mining's one-ranking pools from the anchor's column
+    `values`: each side ranked separately at k_pos and at k_neg by a full
+    lexsort, as the pool rule reads."""
     n = features.n
-    anchor = column.anchor_index
     k_pos = min(mining_config.k_pos, n - 1)
     k_neg = min(mining_config.k_neg, n - 1)
-    manifold = column.values.copy()
+    manifold = values.copy()
     manifold[anchor] = -np.inf
     sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
     sims[anchor] = -np.inf
     m_pos, e_pos = lexsort_top_k(manifold, k_pos), lexsort_top_k(sims, k_pos)
-    positives = [(int(j), float(column.values[j])) for j in m_pos if j not in set(e_pos)]
+    positives = [(int(j), float(values[j])) for j in m_pos if j not in set(e_pos)]
     if mining_config.max_pos is not None:
         positives = positives[: mining_config.max_pos]
     m_neg, e_neg = lexsort_top_k(manifold, k_neg), lexsort_top_k(sims, k_neg)
@@ -469,8 +480,8 @@ def pools_two_rankings(column, features, mining_config):
 def mine_pools(anchor, features, operator, diffusion_config, mining_config):
     """One anchor's pools from its single diffusion solve, as
     mining.build_training_pool mines them, empty pools included."""
-    column = solve_column(operator, anchor, diffusion_config)
-    return _block_pools([column], features, mining_config)[0]
+    block = solve_columns(operator, [anchor], diffusion_config)
+    return _block_pools(np.array([anchor]), block.values, features, mining_config)[0]
 
 
 def sample_epoch_tuples_reference(pools, current_embeddings, mining_config, seed):

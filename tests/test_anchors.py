@@ -13,11 +13,12 @@ from momine.anchors import (
 )
 from momine.errors import BadAnchors, EmptyGraph, MomineError
 from momine.features import SyntheticSpec, generate_synthetic, l2_normalize
-from momine.graph import NeighborGraph, build_reciprocal_graph
+from momine.graph import build_reciprocal_graph
 
 from helpers import (
     circulant_graph,
     disjoint_union,
+    graph_from_edges,
     local_maxima_oracle,
     local_maxima_reference,
     neighbors,
@@ -48,7 +49,7 @@ def test_weighted_graph_degree_law():
 
 def test_bipartite_path_oscillates():
     # degrees are uneven, so the uniform start is period-2 on this path
-    g = NeighborGraph.from_edges(3, 2, [(0, 1, 1.0), (1, 2, 1.0)])
+    g = graph_from_edges(3, 2, [(0, 1, 1.0), (1, 2, 1.0)])
     stat = power_iteration(g, tolerance=1e-10, max_iterations=500)
     assert not stat.converged
     assert stat.l1_delta > 1e-3
@@ -56,20 +57,20 @@ def test_bipartite_path_oscillates():
 
 def test_two_node_edge_converges_from_uniform():
     # uniform is already stationary here, so the bipartite graph converges
-    g = NeighborGraph.from_edges(2, 1, [(0, 1, 1.0)])
+    g = graph_from_edges(2, 1, [(0, 1, 1.0)])
     stat = power_iteration(g, tolerance=1e-10, max_iterations=50)
     assert stat.converged
     assert np.allclose(stat.pi, [0.5, 0.5])
 
 
 def test_isolated_nodes_lose_all_mass():
-    g = NeighborGraph.from_edges(5, 2, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    g = graph_from_edges(5, 2, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     stat = power_iteration(g, tolerance=1e-12, max_iterations=10000)
     assert stat.pi[3] == 0.0 and stat.pi[4] == 0.0
 
 
 def test_edgeless_graph_is_a_named_error_for_both_routes():
-    empty = NeighborGraph.from_edges(5, 2, [])
+    empty = graph_from_edges(5, 2, [])
     for route in (lambda: stationary(empty), lambda: power_iteration(empty)):
         with pytest.raises(EmptyGraph) as info:
             route()
@@ -77,7 +78,7 @@ def test_edgeless_graph_is_a_named_error_for_both_routes():
 
 
 def path_graph(weights):
-    return NeighborGraph.from_edges(
+    return graph_from_edges(
         len(weights) + 1, 2, [(i, i + 1, w) for i, w in enumerate(weights)]
     )
 
@@ -103,8 +104,8 @@ def test_stationary_equals_power_iteration_on_aperiodic_components():
 def test_stationary_is_the_mean_of_a_bipartite_oscillation():
     # paths with uneven degrees, a 4-cycle and a star are bipartite: the
     # iterate ends in a period-2 cycle whose mean is the closed form
-    cycle = NeighborGraph.from_edges(4, 2, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 3, 0.5)])
-    star = NeighborGraph.from_edges(5, 4, [(0, j, 0.25 * j) for j in range(1, 5)])
+    cycle = graph_from_edges(4, 2, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 3, 0.5)])
+    star = graph_from_edges(5, 4, [(0, j, 0.25 * j) for j in range(1, 5)])
     g = disjoint_union(
         path_graph([1.0, 1.0]), path_graph([1.0, 2.0, 0.5]), cycle, star,
         random_graph(8, seed=3), isolated=2,
@@ -130,7 +131,7 @@ def tied_graph(seed):
     edges.update({(m + 4, m + 5): 1.0, (m + 5, m + 6): 1.0})  # a path triple
     edges.update({(m + 7, m + 8): 0.5, (m + 8, m + 9): 0.5, (m + 7, m + 9): 0.5})  # triangle
     n = m + 14  # the last four nodes are isolated
-    return NeighborGraph.from_edges(n, 5, [(i, j, w) for (i, j), w in sorted(edges.items())])
+    return graph_from_edges(n, 5, [(i, j, w) for (i, j), w in sorted(edges.items())])
 
 
 def test_local_maxima_equals_the_plateau_flood_on_ties():
@@ -145,27 +146,27 @@ def test_local_maxima_equals_the_plateau_flood_on_ties():
 
 
 def test_local_maxima_on_edgeless_graph_is_empty():
-    assert local_maxima(NeighborGraph.from_edges(3, 1, []), np.ones(3)) == []
+    assert local_maxima(graph_from_edges(3, 1, []), np.ones(3)) == []
 
 
 def test_local_maxima_unique_peak():
-    g = NeighborGraph.from_edges(3, 2, [(0, 1, 1.0), (1, 2, 1.0)])
+    g = graph_from_edges(3, 2, [(0, 1, 1.0), (1, 2, 1.0)])
     assert local_maxima(g, np.array([0.25, 0.5, 0.25])) == [1]
 
 
 def test_local_maxima_plateau_one_representative():
-    g = NeighborGraph.from_edges(4, 1, [(0, 1, 1.0), (2, 3, 1.0)])
+    g = graph_from_edges(4, 1, [(0, 1, 1.0), (2, 3, 1.0)])
     assert local_maxima(g, np.array([0.25, 0.25, 0.25, 0.25])) == [0, 2]
 
 
 def test_local_maxima_shoulder_plateau_rejected():
     # pi equal on an edge whose plateau touches a strictly larger neighbor
-    g = NeighborGraph.from_edges(3, 2, [(0, 1, 1.0), (1, 2, 1.0)])
+    g = graph_from_edges(3, 2, [(0, 1, 1.0), (1, 2, 1.0)])
     assert local_maxima(g, np.array([1.0, 1.0, 2.0])) == [2]
 
 
 def test_local_maxima_ignores_isolated():
-    g = NeighborGraph.from_edges(3, 1, [(0, 1, 1.0)])
+    g = graph_from_edges(3, 1, [(0, 1, 1.0)])
     assert local_maxima(g, np.array([0.1, 0.2, 0.9])) == [1]
 
 

@@ -7,14 +7,15 @@ import sys
 import numpy as np
 import pytest
 
+import momine.cli
 from momine.cli import DEFAULTS, main
-from momine.diffusion import DiffusionConfig, solve_column
+from momine.diffusion import DiffusionConfig, solve_columns
 from momine.features import load_features, load_labels
-from momine.graph import NeighborGraph, load_graph, normalize_graph, save_graph
-from momine.mining import load_pools
+from momine.graph import load_graph, normalize_graph, save_graph
+from momine.mining import AnchorPools, load_pools
 from momine.trainer import EmbeddingModel, save_model
 
-from helpers import lexsort_top_k
+from helpers import graph_from_edges, lexsort_top_k
 
 GEN_ARGS = [
     "--set", "gen.kind", "clusters",
@@ -496,11 +497,38 @@ def test_mine_with_an_empty_anchors_file_is_data_error(tmp_path, capsys):
                  "--set", "graph.k", "8"]) == 0
     anchors = tmp_path / "anchors.txt"
     anchors.write_text("")
-    code = main(["mine", "--out", str(tmp_path / "m"), "--features", features,
-                 "--graph", str(tmp_path / "g" / "graph.txt"), "--anchors", str(anchors)])
-    assert code == 2
-    assert capsys.readouterr().err == "mom mine: error: every anchor produced empty pools\n"
-    assert not (tmp_path / "m").exists()
+    for mode in ("mined", "baseline"):
+        code = main(["mine", "--out", str(tmp_path / "m"), "--features", features,
+                     "--graph", str(tmp_path / "g" / "graph.txt"), "--anchors", str(anchors),
+                     "--set", "mining.mode", mode])
+        assert code == 2
+        assert capsys.readouterr().err == "mom mine: error: every anchor produced empty pools\n"
+        assert not (tmp_path / "m").exists()
+
+
+def test_baseline_mine_drops_empty_pools_with_a_warning(tmp_path, capsys, monkeypatch):
+    # baseline pools always hold the anchor's nearest neighbours, so empty
+    # ones are made here; mined mode drops its empty pools by the same rule
+    run_gen(tmp_path / "data")
+    features = str(tmp_path / "data" / "features.bin")
+    assert main(["graph", "--out", str(tmp_path / "g"), "--features", features,
+                 "--set", "graph.k", "8"]) == 0
+    real = momine.cli.baseline_pools
+    for empty, code in (({3, 5}, 0), ({3, 5, 7}, 2)):
+        monkeypatch.setattr(momine.cli, "baseline_pools", lambda a, *args, **kw: (
+            AnchorPools(a, [], []) if a in empty else real(a, *args, **kw)))
+        (tmp_path / "anchors.txt").write_text("3 0.1\n5 0.1\n7 0.1\n")
+        out = tmp_path / f"m{code}"
+        with pytest.warns(UserWarning, match=f"^dropped {len(empty)} anchors with empty pools$"):
+            assert main(["mine", "--out", str(out), "--features", features,
+                         "--graph", str(tmp_path / "g" / "graph.txt"),
+                         "--anchors", str(tmp_path / "anchors.txt"),
+                         "--set", "mining.mode", "baseline"]) == code
+        if code:
+            assert not out.exists()
+        else:
+            assert [p.anchor_id for p in load_pools(out / "pools.jsonl")] == [7]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("anchor_id", [str(2**64), str(-(2**63) - 1)])
@@ -520,16 +548,16 @@ def test_diffuse_column_order_matches_lexsort_with_isolated_nodes(tmp_path, caps
     edges = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 4, 0.25), (4, 5, 1.0),
              (6, 7, 1.0), (7, 8, 1.0)]
     path = tmp_path / "graph.txt"
-    save_graph(NeighborGraph.from_edges(12, 2, edges), path)
+    save_graph(graph_from_edges(12, 2, edges), path)
     for anchor in (0, 7, 10):
         assert main(["diffuse", "--out", str(tmp_path / f"d{anchor}"), "--graph", str(path),
                      "--anchor", str(anchor)]) == 0
         ids = [int(line.split()[0])
                for line in (tmp_path / f"d{anchor}" / "column.txt").read_text().splitlines()]
-        column = solve_column(normalize_graph(load_graph(path)), anchor,
-                              DiffusionConfig())
-        assert (column.values == 0).sum() >= 6
-        assert ids == lexsort_top_k(column.values, 12).tolist()
+        values = solve_columns(normalize_graph(load_graph(path)), [anchor],
+                               DiffusionConfig()).values[0]
+        assert (values == 0).sum() >= 6
+        assert ids == lexsort_top_k(values, 12).tolist()
     capsys.readouterr()
 
 

@@ -16,7 +16,6 @@ from momine.graph import (
     _SAMPLE_SPREAD,
     BLOCK_ROWS,
     EDGE_CHUNK,
-    NeighborGraph,
     _run_blocks,
     build_reciprocal_graph,
     components,
@@ -31,6 +30,7 @@ from momine.graph import (
 from helpers import (
     components_reference,
     disjoint_union,
+    graph_from_edges,
     knn_oracle,
     lexsort_top_k,
     pair_dot_knn_oracle,
@@ -518,7 +518,7 @@ def test_knn_search_is_the_same_at_every_worker_count(monkeypatch):
 
 
 def test_normalize_two_node_unit_edge():
-    g = NeighborGraph.from_edges(2, 1, [(0, 1, 1.0)])
+    g = graph_from_edges(2, 1, [(0, 1, 1.0)])
     sym = normalize_graph(g)
     assert np.allclose(sym.matrix.toarray(), [[0, 1], [1, 0]])
 
@@ -534,7 +534,7 @@ def test_normalize_row_sums_and_symmetry():
 
 
 def test_normalize_reports_isolated():
-    g = NeighborGraph.from_edges(4, 1, [(0, 1, 1.0)])
+    g = graph_from_edges(4, 1, [(0, 1, 1.0)])
     op = normalize_graph(g)
     assert np.asarray(op.matrix.sum(axis=1)).ravel()[2] == 0.0
 
@@ -600,10 +600,10 @@ def test_graph_file_round_trip_property(tmp_path_factory, case):
     n, k, edges = case
     if degree_overflows(n, edges):
         with pytest.raises(BadGraph, match="degree that is not finite"):
-            NeighborGraph.from_edges(n, k, edges)
+            graph_from_edges(n, k, edges)
         return
     path = tmp_path_factory.mktemp("graph") / "g.txt"
-    save_graph(NeighborGraph.from_edges(n, k, edges), path)
+    save_graph(graph_from_edges(n, k, edges), path)
     first = path.read_bytes()
     loaded = load_graph(path)
     save_graph(loaded, path)
@@ -681,7 +681,7 @@ def test_graph_file_bytes_match_per_edge_writer(tmp_path):
     rng = np.random.default_rng(16)
     pairs = {(int(i), int(j)) for i, j in np.sort(rng.integers(0, 60, (300, 2)), axis=1) if i < j}
     edges = [(i, j, rng.random() * 10.0 ** rng.integers(-12, 4)) for i, j in sorted(pairs)]
-    g = NeighborGraph.from_edges(60, 7, edges)
+    g = graph_from_edges(60, 7, edges)
     path = tmp_path / "g.txt"
     save_graph(g, path)
     coo = sp.triu(g.adjacency, k=1).tocoo()
@@ -699,7 +699,7 @@ def test_graph_file_bytes_match_one_shot_writer(tmp_path, count):
     upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1).ravel())
     pairs = np.divmod(rng.choice(upper, size=count, replace=False), n)
     weights = rng.random(count) * 10.0 ** rng.integers(-12, 4, size=count)
-    g = NeighborGraph.from_edges(n, 7, zip(*pairs, weights))
+    g = graph_from_edges(n, 7, zip(*pairs, weights))
     save_graph(g, tmp_path / "g.txt")
     save_graph_reference(g, tmp_path / "reference.txt")
     assert (tmp_path / "g.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
@@ -749,26 +749,26 @@ def test_load_graph_accepts_blank_lines_and_no_edges(tmp_path):
 
 def test_from_edges_rejects_duplicates_and_non_finite_weights():
     with pytest.raises(BadGraph):
-        NeighborGraph.from_edges(3, 1, [(0, 1, 0.5), (0, 1, 0.5)])
+        graph_from_edges(3, 1, [(0, 1, 0.5), (0, 1, 0.5)])
     with pytest.raises(ValueError):
-        NeighborGraph.from_edges(3, 1, [(0, 1, float("nan"))])
+        graph_from_edges(3, 1, [(0, 1, float("nan"))])
     with pytest.raises(ValueError):
-        NeighborGraph.from_edges(3, 1, [(1, 0, 0.5)])
+        graph_from_edges(3, 1, [(1, 0, 0.5)])
     with pytest.raises(BadGraph, match="node 1 has a degree that is not finite"):
-        NeighborGraph.from_edges(3, 1, [(0, 1, 1e308), (1, 2, 1e308)])
+        graph_from_edges(3, 1, [(0, 1, 1e308), (1, 2, 1e308)])
 
 
 def shuffled_path(n, seed):
     """A path through all n nodes in a random order of ids."""
     perm = np.random.default_rng(seed).permutation(n)
     lo, hi = np.minimum(perm[:-1], perm[1:]), np.maximum(perm[:-1], perm[1:])
-    return NeighborGraph.from_edges(n, 2, zip(lo.tolist(), hi.tolist(), [1.0] * (n - 1)))
+    return graph_from_edges(n, 2, zip(lo.tolist(), hi.tolist(), [1.0] * (n - 1)))
 
 
 def test_components_match_breadth_first_search():
-    star = NeighborGraph.from_edges(9, 8, [(j, 7, 1.0) for j in range(7)] + [(7, 8, 1.0)])
+    star = graph_from_edges(9, 8, [(j, 7, 1.0) for j in range(7)] + [(7, 8, 1.0)])
     graphs = [
-        NeighborGraph.from_edges(6, 1, []),
+        graph_from_edges(6, 1, []),
         star,
         shuffled_path(2000, seed=0),
         disjoint_union(shuffled_path(300, seed=1), star, shuffled_path(2, seed=2), isolated=4),

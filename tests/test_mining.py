@@ -21,6 +21,7 @@ from momine.mining import (
     MiningConfig,
     baseline_pools,
     build_training_pool,
+    drop_empty_pools,
     load_pools,
     oracle_pools,
     pool_table,
@@ -286,6 +287,31 @@ def test_build_training_pool_all_empty_raises():
             build_training_pool(anchors, feats, op, DC, cfg)
 
 
+def test_drop_empty_pools_is_one_rule_for_mined_and_baseline_pools():
+    feats, graph, op = small_setup(n=10, k=4)
+    cfg = MiningConfig(k_pos=9, k_neg=9, max_neg=3, hard_subset_size=2)
+    mined = [mine_pools(a, feats, op, DC, cfg) for a in (0, 1)]  # k = n-1: both empty
+    baseline = [baseline_pools(a, feats, k_base=2, max_neg=3) for a in (2, 3)]
+    empty = [AnchorPools(a, [], []) for a in (4, 5, 6)]
+    assert not any(p.positives or p.negatives for p in mined)
+
+    def dropped(pools):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                kept = drop_empty_pools(pools)
+            except AllPoolsEmpty:
+                kept = AllPoolsEmpty
+        return kept, [str(w.message) for w in caught]
+
+    assert dropped(baseline) == (baseline, [])
+    assert dropped(mined[:1] + baseline + empty) == (
+        baseline, ["dropped 4 anchors with empty pools"])
+    assert dropped(mined) == (AllPoolsEmpty, ["dropped 2 anchors with empty pools"])
+    assert dropped(empty) == (AllPoolsEmpty, ["dropped 3 anchors with empty pools"])
+    assert dropped([]) == (AllPoolsEmpty, [])
+
+
 def test_sample_epoch_tuples_deterministic():
     feats, graph, op = small_setup(n=40, seed=8)
     cfg = MiningConfig(k_pos=10, k_neg=15, max_neg=8, hard_subset_size=3)
@@ -388,9 +414,10 @@ def duplicated_setup(k=6):
 def test_one_ranking_pools_match_two_rankings(k_pos, k_neg, max_pos):
     cfg = MiningConfig(k_pos=k_pos, k_neg=k_neg, max_pos=max_pos, max_neg=10, hard_subset_size=3)
     for feats, graph, op in (small_setup(n=60, seed=15), duplicated_setup()):
-        for column in solve_columns(op, np.arange(feats.n), DC):
-            expected = pools_two_rankings(column, feats, cfg)
-            assert mine_pools(column.anchor_index, feats, op, DC, cfg) == expected
+        block = solve_columns(op, np.arange(feats.n), DC)
+        for anchor, values in enumerate(block.values):
+            expected = pools_two_rankings(anchor, values, feats, cfg)
+            assert mine_pools(anchor, feats, op, DC, cfg) == expected
 
 
 def test_build_training_pool_blocks_match_single_solves():
@@ -398,7 +425,8 @@ def test_build_training_pool_blocks_match_single_solves():
     cfg = MiningConfig(k_pos=12, k_neg=30, max_neg=10, hard_subset_size=4)
     ids = np.arange(149, -1, -1)  # 150 anchors: 64 does not divide them
     pools, _ = build_training_pool(AnchorSet(ids, np.zeros(150)), feats, op, DC, cfg)
-    expected = [pools_two_rankings(solve_column_reference(op, int(a), DC), feats, cfg) for a in ids]
+    expected = [pools_two_rankings(a, solve_column_reference(op, a, DC).values[0], feats, cfg)
+                for a in ids.tolist()]
     assert pools == [p for p in expected if p.positives or p.negatives]
 
 
@@ -444,7 +472,8 @@ def test_build_training_pool_matches_single_solves_at_any_block_grid(monkeypatch
     feats, graph, op = small_setup(n=128, seed=21, k=2)
     cfg = MiningConfig(k_pos=12, k_neg=30, max_pos=6, max_neg=10, hard_subset_size=3)
     ids = np.arange(feats.n)
-    expected = [pools_two_rankings(solve_column_reference(op, int(a), DC), feats, cfg) for a in ids]
+    expected = [pools_two_rankings(a, solve_column_reference(op, a, DC).values[0], feats, cfg)
+                for a in ids.tolist()]
     expected = [p for p in expected if p.positives or p.negatives]
     assert {p.anchor_id for p in expected} & set(np.flatnonzero(graph.degrees == 0).tolist())
     for rows in (1, 3, 64):
@@ -539,7 +568,8 @@ def test_block_pools_match_two_rankings_with_isolated_anchors(k_pos, k_neg, max_
     cfg = MiningConfig(k_pos=k_pos, k_neg=k_neg, max_pos=max_pos, max_neg=10, hard_subset_size=3)
     ids = np.arange(feats.n)  # two blocks of 45 at one or two workers
     pools, items = build_training_pool(AnchorSet(ids, np.zeros(feats.n)), feats, op, DC, cfg)
-    expected = [pools_two_rankings(solve_column_reference(op, int(a), DC), feats, cfg) for a in ids]
+    expected = [pools_two_rankings(a, solve_column_reference(op, a, DC).values[0], feats, cfg)
+                for a in ids.tolist()]
     assert pools == [p for p in expected if p.positives or p.negatives]
     isolated = set(np.flatnonzero(graph.degrees == 0).tolist())
     assert isolated & {p.anchor_id for p in pools}
