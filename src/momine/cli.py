@@ -4,7 +4,8 @@ and the chained `pipeline` with optional alternating rounds.
 Every subcommand reads a flat dotted-key JSON config (CLI flags win) and its
 inputs, and only then creates the output directory, writes its resolved
 config next to its outputs and prints a one-line summary.
-Exit codes: 0 success, 1 usage error, 2 data error. Artifacts contain no
+Exit codes: 0 success, 1 usage error, 2 data error; a warning prints as one
+line, "mom <command>: warning: <message>". Artifacts contain no
 timestamps, so a fixed seed reproduces them byte for byte.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -147,11 +149,13 @@ def _load_config(path, pairs) -> dict:
 
 # the config values no config object checks: key -> (test, rule)
 _CHECKS = {
+    "seed": (lambda v: v >= 0, ">= 0"),
     "prep.whiten_dims": (lambda v: v >= 0, ">= 0"),
     "graph.k": (lambda v: v >= 1, ">= 1"),
     "anchors.count": (lambda v: v >= 1, ">= 1"),
     "anchors.mode": (lambda v: v in ("maxima", "all"), "'maxima' or 'all'"),
     "mining.mode": (lambda v: v in ("mined", "baseline"), "'mined' or 'baseline'"),
+    "mining.max_pos": (lambda v: v >= 0, ">= 0 (0 = unlimited)"),
     "mining.baseline_k": (lambda v: v >= 1, ">= 1"),
     "mining.oracle": (
         lambda v: v in ("none", "positive", "negative"), "'none', 'positive' or 'negative'"
@@ -160,6 +164,7 @@ _CHECKS = {
     "model.output_dim": (lambda v: v >= 1, ">= 1"),
     "model.hidden_dim": (lambda v: v >= 0, ">= 0"),
     "train.margin": (lambda v: v >= 0, ">= 0 (0 = per-loss default)"),
+    "train.epochs": (lambda v: v >= 0, ">= 0"),
     "rounds": (lambda v: v >= 1, ">= 1"),
 }
 
@@ -557,21 +562,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "pipeline" and args.labels and not args.features:
         parser.error("pipeline --labels needs --features: generated data brings its own labels")
-    try:
-        cfg = _load_config(args.config, args.set)
-        if getattr(args, "rounds", None) is not None:
-            cfg["rounds"] = args.rounds
-        if getattr(args, "baseline", None):
-            cfg["mining.mode"] = "baseline"
-        if getattr(args, "oracle", None):
-            cfg["mining.oracle"] = args.oracle
-        seed = _resolve_seed(args, cfg)
-        cfg["seed"] = seed
-        _validate_config(cfg, seed)
-        return _COMMANDS[args.command](args, cfg, seed, Path(args.out))
-    except (MomineError, OSError) as exc:
-        print(f"mom {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # restores showwarning when main returns
+        warnings.showwarning = lambda message, *_: print(
+            f"mom {args.command}: warning: {message}", file=sys.stderr)
+        try:
+            cfg = _load_config(args.config, args.set)
+            if getattr(args, "rounds", None) is not None:
+                cfg["rounds"] = args.rounds
+            if getattr(args, "baseline", None):
+                cfg["mining.mode"] = "baseline"
+            if getattr(args, "oracle", None):
+                cfg["mining.oracle"] = args.oracle
+            seed = _resolve_seed(args, cfg)
+            cfg["seed"] = seed
+            _validate_config(cfg, seed)
+            return _COMMANDS[args.command](args, cfg, seed, Path(args.out))
+        except (MomineError, OSError) as exc:
+            print(f"mom {args.command}: error: {exc}", file=sys.stderr)
+            return 2
 
 
 def main_entry():

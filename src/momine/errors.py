@@ -48,6 +48,10 @@ class TrailingBytes(MomineError):
     """File holds bytes after the payload promised by its header."""
 
 
+class EmptyFeatures(MomineError, ValueError):
+    """A feature matrix that is not 2-D with at least one row and one column."""
+
+
 class NonFinite(MomineError):
     """A feature value is NaN or infinite."""
 

@@ -17,6 +17,7 @@ from .errors import (
     BadMagic,
     BadSpec,
     DimMismatch,
+    EmptyFeatures,
     NonFinite,
     RankDeficient,
     TrailingBytes,
@@ -45,7 +46,7 @@ class FeatureSet:
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
-            raise ValueError(f"feature matrix must be 2-D and non-empty, got {self.data.shape}")
+            raise EmptyFeatures(f"feature matrix must be 2-D and non-empty, got {self.data.shape}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.data.shape[0],):
@@ -261,6 +262,8 @@ def load_features(path) -> FeatureSet:
         if len(header) < 8:
             raise TruncatedFile(f"{path}: header truncated")
         n, d = struct.unpack("<II", header)
+        if not n or not d:
+            raise EmptyFeatures(f"{path}: header promises an empty {n}x{d} matrix")
         # the size the header promises against the bytes left, before any read
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left < n * d * 4:

@@ -7,7 +7,6 @@ Everything is stored CSR via scipy.sparse and is immutable once built.
 
 import contextvars
 import io
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -147,34 +146,36 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
     Works on a 1-D array or on each row of a 2-D block and ranks as a stable
     sort of the negated scores would, NaN last, -0.0 equal to 0.0. For k up
-    to n/4 a float64 row is selected on the int64 view of its scores above a
-    sampled bound (see _top_k_above_bound); the rows that cannot be, and
-    every row for larger k, are ranked by a full sort (_top_k_sorted).
+    to n/4 a float row's top k are among its scores >= _kth_lower_bound, so
+    only those candidates are ranked; a row left with fewer than k (only a
+    NaN among its class maxima can do that), and every row for larger k or
+    another dtype, is ranked whole. Both go through _top_k_sorted.
     """
     scores = np.asarray(scores)
     block = np.atleast_2d(scores)
     m, n = block.shape
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} must be in [1, {n}]")
-    out = np.empty((m, k), dtype=np.int64)
-    rest = np.arange(m)
-    if 4 * k <= n and block.dtype == np.float64:
-        rest = _top_k_above_bound(block, k, out)
-    if rest.size:
-        out[rest] = _top_k_sorted(block[rest], k)
+    if 4 * k <= n and np.issubdtype(block.dtype, np.floating):
+        flat = np.flatnonzero(block >= _kth_lower_bound(block, k)[:, None])
+        rows, cols = np.divmod(flat, n)
+        # each row's candidates in ascending column order, so a stable
+        # ranking breaks ties by index, and the -inf fill ranks after them
+        order = _top_k_sorted(_by_row(rows, block.ravel()[flat], m, k, -np.inf), k)
+        out = np.take_along_axis(_by_row(rows, cols, m, k, 0), order, axis=1)
+        short = np.flatnonzero(np.bincount(rows, minlength=m) < k)
+    else:
+        out, short = np.empty((m, k), dtype=np.int64), np.arange(m)
+    if short.size:
+        out[short] = _top_k_sorted(block[short], k)
     return out[0] if scores.ndim == 1 else out
 
 
-# int64 views of doubles: +inf, and a bound that no key reaches but a NaN
-_INF_KEY = np.float64(np.inf).view(np.int64)
-_NO_BOUND = np.iinfo(np.int64).max
-# each row's sample takes every stride-th column, stride = isqrt(n // (8 k)):
-# the sample's cost grows as n / stride and the candidates above its bound
-# as k * stride, and 8 balances the two on 256 x 10^4 blocks. stride <= 1
-# (n < 32 k) takes every column, so the bound is the row's exact k-th key;
-# otherwise n // stride >= 8 k * stride >= k, so every sample holds k keys.
-# knn_search's float32 rows are bounded by the k-th largest maximum of
-# 8 k residue classes instead (at most n // 4 classes, at least k)
+# _kth_lower_bound takes the maxima of B = max(k, min(8k, n // 4)) residue
+# classes of each row: the entries above its bound outnumber the row's top k
+# only where two of the top k share a class, which more classes make rarer,
+# and a partition of more maxima costs more. B is 8k from n / k = 32 on, and
+# n // 4 (at least k) below that
 _SAMPLE_SPREAD = 8
 # knn_search keeps its thresholds at -4 or above, below every float32 score
 # of the scaled features (at most 2 in magnitude), so that a vast margin
@@ -182,43 +183,19 @@ _SAMPLE_SPREAD = 8
 _FLOOR32 = -4.0
 
 
-def _top_k_above_bound(block: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """Fill the rows of out that can be ranked on int64 keys; return the others.
+def _kth_lower_bound(block: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the k-th largest of the maxima of B = max(k, min(8k, n // 4))
+    residue classes mod B of its columns, the last n mod B columns left out.
 
-    A double whose sign bit is clear views as an int64 that orders as the
-    double does (+0.0 is 0, +inf is _INF_KEY, a NaN is above it); a set sign
-    bit (negatives, -0.0, -inf) views as a negative int64. The k-th largest
-    key b of a strided sample of a row is a lower bound on the row's k-th
-    largest, since the sample's top k are k entries of the row, so the row's
-    top k are among its keys >= b. When b is positive and not a NaN, those
-    candidates are positive doubles and NaNs, and every other entry is a
-    double below b or one that ranks last; with no NaN among them, the top k
-    of the row are the k largest candidate keys, equal keys being equal
-    values, ties by index. A row whose b is +0.0 or below (where -0.0 would
-    have to tie with 0.0), or a NaN, or whose candidates hold a NaN, is
-    returned for the full sort.
+    The maxima are entries of distinct columns, so without a NaN among them
+    at least k entries of the row are >= the bound, and the row's k-th
+    largest is too. A NaN maximum sorts above every number, so a row with
+    one may have fewer than k entries >= its bound. Needs 1 <= k <= n.
     """
     m, n = block.shape
-    keys = block.view(np.int64)
-    stride = max(1, math.isqrt(n // (_SAMPLE_SPREAD * k)))
-    bound = np.partition(keys[:, ::stride], -k, axis=1)[:, -k]
-    exact = (bound > 0) & (bound <= _INF_KEY)
-    bound[~exact] = _NO_BOUND  # no candidates
-    flat = np.flatnonzero(keys >= bound[:, None])
-    rows, cols = np.divmod(flat, n)
-    vals = keys.ravel()[flat]
-    # each row's exact k-th key, from a partition of its candidates alone
-    padded = _by_row(rows, vals, m, k, np.iinfo(np.int64).min)
-    top = np.partition(padded, -k, axis=1)[:, -k:]
-    exact &= top.max(axis=1) <= _INF_KEY
-    take = (vals >= top[rows, 0]) & exact[rows]  # k or more per exact row
-    rows, cols, vals = rows[take], cols[take], vals[take]
-    # each row's entries are in ascending column order, so a stable sort of
-    # the negated keys breaks ties by index
-    order = np.argsort(_by_row(rows, -vals, m, k, _NO_BOUND), axis=1, kind="stable")
-    done = np.flatnonzero(exact)
-    out[done] = np.take_along_axis(_by_row(rows, cols, m, k, 0), order[:, :k], axis=1)[done]
-    return np.flatnonzero(~exact)
+    classes = max(k, min(_SAMPLE_SPREAD * k, n // 4))
+    maxima = block[:, : n // classes * classes].reshape(m, -1, classes).max(axis=1)
+    return np.partition(maxima, -k, axis=1)[:, -k]
 
 
 def _by_row(rows: np.ndarray, values: np.ndarray, m: int, k: int, fill) -> np.ndarray:
@@ -226,16 +203,17 @@ def _by_row(rows: np.ndarray, values: np.ndarray, m: int, k: int, fill) -> np.nd
     padded with fill to the longest row's length and at least k."""
     counts = np.bincount(rows, minlength=m)
     padded = np.full((m, max(int(counts.max(initial=0)), k)), fill, dtype=values.dtype)
-    padded[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = values
+    padded[np.arange(padded.shape[1]) < counts[:, None]] = values  # C order: row by row
     return padded
 
 
 def _top_k_sorted(block: np.ndarray, k: int) -> np.ndarray:
     """top_k of each row by numpy's default (unstable) sort of the negated
-    scores. A row with no equal adjacent keys has only one correct order; on
-    the other rows each run of equal keys (numerically equal, so -0.0 equals
-    0.0, or both NaN) is put back in ascending index order by one integer
-    sort of run id * n + index.
+    scores. A row with no equal adjacent keys among its first k + 1 has only
+    one correct top k, whatever ties lie below it (such as top_k's -inf
+    fill); on the other rows each run of equal keys (numerically equal, so
+    -0.0 equals 0.0, or both NaN) is put back in ascending index order by
+    one integer sort of run id * n + index.
     """
     n = block.shape[1]
     order = np.argsort(-block, axis=1)
@@ -246,7 +224,7 @@ def _top_k_sorted(block: np.ndarray, k: int) -> np.ndarray:
     nan_rows = np.flatnonzero(np.isnan(keys[:, -1]))
     same[nan_rows] |= np.isnan(keys[nan_rows, :-1])
     del keys
-    tied = np.flatnonzero(same.any(axis=1))
+    tied = np.flatnonzero(same[:, :k].any(axis=1))
     if tied.size:
         runs = np.zeros((tied.size, n), dtype=np.int64)
         np.cumsum(~same[tied], axis=1, out=runs[:, 1:])
@@ -346,10 +324,9 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
                  + 10 d t + 4 d 2^(-1022-2e)),
 
     rounded up. The j with F_ij >= f - M_i survive (30.1 per row at k = 30
-    on the 64-d moons of n = 10^4). To find them, each row's columns are
-    split into B = max(k, min(8k, n // 4)) residue classes mod B (the last
-    n mod B columns left out): the k-th largest of the class maxima, k
-    entries of the row, is a lower bound b <= f, so the candidates
+    on the 64-d moons of n = 10^4). To find them, each row is bounded by
+    _kth_lower_bound, the k-th largest of its residue-class maxima: k
+    entries of a row without NaN, so a bound b <= f. The candidates
     F_ij >= b - M_i (32.5 per row there) hold every survivor, and f is
     their k-th largest.
 
@@ -372,8 +349,6 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
         raise KTooLarge(f"k={k} must satisfy 1 <= k < n={n}")
     x = features.data
     y, margin = _float32_prefilter(x)
-    classes = max(k, min(_SAMPLE_SPREAD * k, n // 4))
-    sampled = n // classes * classes
     neighbors = np.empty((n, k), dtype=np.int64)
 
     def rank(spans):
@@ -386,8 +361,7 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
             f[rows, start + rows] = -np.inf  # exclude self
             slack = margin[start:stop]
             # candidates above the class maxima's bound, then the survivors
-            maxima = f[:, :sampled].reshape(m, -1, classes).max(axis=1)
-            bound = np.partition(maxima, -k, axis=1)[:, -k]
+            bound = _kth_lower_bound(f, k)
             flat = np.flatnonzero(f >= _below(bound, slack)[:, None])
             cand, cols = np.divmod(flat, n)
             scores = f.ravel()[flat]

@@ -17,6 +17,7 @@ from .errors import (
     BadMagic,
     BadPools,
     DegenerateOutput,
+    DimMismatch,
     Diverged,
     NonFinite,
     TrailingBytes,
@@ -109,6 +110,8 @@ def _forward_cache(model: EmbeddingModel, x: np.ndarray):
 def forward(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
     """Embed one vector or a batch; rows come out unit-norm."""
     arr = np.asarray(x, dtype=np.float64)
+    if arr.shape[-1] != model.input_dim:
+        raise DimMismatch(f"model expects input_dim={model.input_dim}, features have d={arr.shape[-1]}")
     single = arr.ndim == 1
     z, _ = _forward_cache(model, arr[None, :] if single else arr)
     return z[0] if single else z

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import momine.cli
 from momine.cli import DEFAULTS, main
 from momine.diffusion import DiffusionConfig, solve_columns
-from momine.features import load_features, load_labels
+from momine.features import FeatureSet, load_features, load_labels
 from momine.graph import load_graph, normalize_graph, save_graph
 from momine.mining import AnchorPools, load_pools
 from momine.trainer import EmbeddingModel, save_model
@@ -319,8 +320,11 @@ def test_mine_warns_when_diffusion_solves_stop_early(tmp_path, capsys):
                              + ["--out", str(tmp_path / name)],
                              env=env, capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
-        warned = re.findall(r"UserWarning: (\d+) of (\d+) diffusion solves stopped above "
-                            r"diffusion\.tolerance", res.stderr)
+        warned = re.findall(r"^mom mine: warning: (\d+) of (\d+) diffusion solves stopped above "
+                            r"diffusion\.tolerance$", res.stderr, flags=re.M)
+        # one line per warning, without a source file or line
+        assert all(line.startswith("mom mine: warning: ")
+                   for line in res.stderr.splitlines()), res.stderr
         if starved:
             assert len(warned) == 1 and 0 < int(warned[0][0]) <= int(warned[0][1]), res.stderr
         else:
@@ -378,6 +382,8 @@ def test_bad_config_value_exits_two_before_any_work(tmp_path, capsys, key, value
     ("train.lr_decay_every", "0"),
     ("train.weighted", "maybe"),
     ("eval.ks", "1,x"),
+    ("mining.max_pos", "-5"),
+    ("train.epochs", "-1"),
 ])
 def test_unchecked_config_value_exits_two_before_any_work(tmp_path, capsys, key, value):
     out = tmp_path / "run"
@@ -464,6 +470,50 @@ def test_bad_mom_seed_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
     assert "MOM_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("how", ["flag", "env", "config"])
+def test_negative_seed_exits_two_before_any_work(tmp_path, capsys, monkeypatch, how):
+    run_gen(tmp_path / "data")
+    argv = ["pipeline", "--features", str(tmp_path / "data" / "features.bin")] + SMALL_PIPELINE
+    if how == "flag":
+        argv += ["--seed", "-1"]
+    elif how == "env":
+        monkeypatch.setenv("MOM_SEED", "-3")
+    else:
+        (tmp_path / "cfg.json").write_text('{"seed": -2}')
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("mom pipeline: error: seed must be >= 0")
+
+
+@pytest.mark.parametrize("header", [b"MOM1\0\0\0\0\5\0\0\0", b"MOM1\5\0\0\0\0\0\0\0"])
+def test_empty_feature_matrix_is_data_error(tmp_path, capsys, header):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(header)
+    out = tmp_path / "g"
+    assert main(["graph", "--out", str(out), "--features", str(path)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"mom graph: error: {path}: header promises an empty")
+    with pytest.raises(ValueError):  # EmptyFeatures, for library callers
+        FeatureSet(np.zeros((0, 3)))
+
+
+def test_eval_model_of_another_width_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_gen(data)
+    save_model(EmbeddingModel.initialize("linear", 16, 4, seed=0), tmp_path / "wide.bin")
+    out = tmp_path / "e"
+    code = main(["eval", "--out", str(out), "--features", str(data / "features.bin"),
+                 "--labels", str(data / "labels.txt"), "--model", str(tmp_path / "wide.bin")])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "mom eval: error: model expects input_dim=16, features have d=8\n")
+
+
 @pytest.mark.parametrize("anchors_txt", [
     "-3 0.1\n", "7 0.2\n500 0.1\n", "x y\n", "7 0.2\n18446744073709551616 0.1\n",
 ])
@@ -519,16 +569,21 @@ def test_baseline_mine_drops_empty_pools_with_a_warning(tmp_path, capsys, monkey
             AnchorPools(a, [], []) if a in empty else real(a, *args, **kw)))
         (tmp_path / "anchors.txt").write_text("3 0.1\n5 0.1\n7 0.1\n")
         out = tmp_path / f"m{code}"
-        with pytest.warns(UserWarning, match=f"^dropped {len(empty)} anchors with empty pools$"):
-            assert main(["mine", "--out", str(out), "--features", features,
-                         "--graph", str(tmp_path / "g" / "graph.txt"),
-                         "--anchors", str(tmp_path / "anchors.txt"),
-                         "--set", "mining.mode", "baseline"]) == code
+        capsys.readouterr()
+        shown = warnings.showwarning
+        assert main(["mine", "--out", str(out), "--features", features,
+                     "--graph", str(tmp_path / "g" / "graph.txt"),
+                     "--anchors", str(tmp_path / "anchors.txt"),
+                     "--set", "mining.mode", "baseline"]) == code
+        assert warnings.showwarning is shown  # in-process callers keep their handler
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"mom mine: warning: dropped {len(empty)} anchors with empty pools"
         if code:
+            assert err[1:] == ["mom mine: error: every anchor produced empty pools"]
             assert not out.exists()
         else:
+            assert err[1:] == []
             assert [p.anchor_id for p in load_pools(out / "pools.jsonl")] == [7]
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("anchor_id", [str(2**64), str(-(2**63) - 1)])

@@ -113,23 +113,25 @@ def test_top_k_matches_lexsort(case):
     assert np.array_equal(top_k(scores[0], k), lexsort_top_k(scores[0], k))
 
 
-# top_k samples every stride-th column once stride = isqrt(n // (8 k)) >= 2
-SAMPLED_FROM = 4 * _SAMPLE_SPREAD  # the n / k where that starts
+# top_k and knn_search bound a row by the maxima of B = max(k, min(8k, n // 4))
+# residue classes of its columns; B reaches 8k at n / k = 32
+SAMPLED_FROM = 4 * _SAMPLE_SPREAD  # the n / k where B stops growing with n
 
 
-def stride(n, k):
-    return math.isqrt(n // (_SAMPLE_SPREAD * k))
+def classes(n, k):
+    return max(k, min(_SAMPLE_SPREAD * k, n // 4))
 
 
-# a few values per row, so ties fall on sampled and unsampled columns and
-# the sampled bound is often the k-th value itself; plus distinct negatives
+# a few values per row, so ties fall on columns in and out of the classes and
+# the bound is often the k-th value itself; plus distinct negatives
 PALETTE_SCORES = st.one_of(TIED_SCORES, st.floats(-2.0, 0.0, exclude_max=True))
 
 
 @st.composite
 def sampled_blocks(draw):
-    """Blocks just below and just above the n / k where sampling starts, and
-    a few strides beyond; each row draws its entries from its own palette."""
+    """Blocks just below and just above the n / k where the class count
+    reaches 8k, and up to five times beyond; each row draws its entries from
+    its own palette."""
     k = draw(st.integers(1, 6))
     n = draw(st.one_of(
         st.integers(SAMPLED_FROM * k - 4, SAMPLED_FROM * k + 4),
@@ -152,11 +154,11 @@ def test_top_k_matches_lexsort_around_the_sampled_bound(case):
 
 @pytest.fixture
 def full_sorts(monkeypatch):
-    """The row counts that top_k hands to its full sort."""
+    """The blocks that top_k hands to _top_k_sorted, in call order."""
     calls = []
 
     def spy(block, k):
-        calls.append(block.shape[0])
+        calls.append(block.copy())
         return sorted_rows(block, k)
 
     sorted_rows = momine.graph._top_k_sorted
@@ -166,28 +168,41 @@ def full_sorts(monkeypatch):
 
 def test_top_k_sampled_bound_edge_cases(full_sorts):
     k, n = 4, 200
-    assert stride(n, k) == 2  # columns 0, 2, 4, ... are sampled
+    assert classes(n, k) == 32  # columns 192-199 are in no class
     rng = np.random.default_rng(5)
-    rows = np.tile(rng.random(n) * 0.4, (4, 1))
-    # 0.5 on three sampled and three unsampled columns straddles the k-th
-    # rank; the unsampled 1.0 leaves the bound below it
+    rows = np.tile(rng.random(n) * 0.4, (8, 1))
+    # 0.5 on six classes straddles the k-th rank, and the 1.0 in column
+    # 101 shares column 5's class
     rows[0, 1:7] = 0.5
     rows[0, 101] = 1.0
-    # a sampled 1.0 makes the sample's k-th value 0.5, the row's k-th value
-    rows[1] = rows[0]
-    rows[1, [100, 101]] = [1.0, 0.0]
-    # samples that hold only zeros (+0.0 and -0.0): the bound is zero
-    rows[2, ::2] = np.where(np.arange(n // 2) % 3, 0.0, -0.0)
-    # the same with at most k - 1 positives, so zeros tie at the k-th rank
+    # a tie at the bound 0.5 between column 10 and column 195, in no class
+    rows[1, [0, 1, 2, 10, 195]] = [0.9, 0.9, 0.9, 0.5, 0.5]
+    # a column in no class above the bound
+    rows[2, [195, 3, 4, 5, 6]] = [1.0, 0.5, 0.5, 0.5, 0.5]
+    # a bound of +-0: every signed zero is a candidate, and zeros tie
     rows[3] = np.where(np.arange(n) % 2, -0.0, 0.0)
     rows[3, [7, 9, 150]] = [0.3, 0.2, 0.3]
-    ranked = top_k(rows, k)
-    assert np.array_equal(ranked, lexsort_top_k(rows, k))
-    assert ranked[:2].tolist() == [[101, 1, 2, 3], [100, 1, 2, 3]]
-    assert ranked[3].tolist() == [7, 150, 9, 0]
-    assert full_sorts == [2]  # the two rows whose bound is zero
-    for row in rows:
-        assert np.array_equal(top_k(row, k), lexsort_top_k(row, k))
+    # negatives with four signed zeros, and a -0.0 in no class tied with them
+    rows[4] = -0.5 - rows[4]
+    rows[4, [3, 40, 77, 100, 197]] = [-0.0, 0.0, -0.0, 0.0, -0.0]
+    # negatives only, ranked in a block padded past their candidates
+    rows[5] = -0.5 - rows[5]
+    # two NaN class maxima leave candidates 5 and 6 alone: the one short row
+    rows[6, [0, 1, 5, 6]] = [np.nan, np.nan, 0.9, 0.8]
+    # one NaN class maximum and four 0.9s: k candidates, not short
+    rows[7, [0, 5, 6, 7, 8]] = [np.nan, 0.9, 0.9, 0.9, 0.9]
+    for block in (rows, rows.astype(np.float32)):
+        full_sorts.clear()
+        ranked = top_k(block, k)
+        assert np.array_equal(ranked, lexsort_top_k(block, k))
+        assert ranked[:5].tolist() == [
+            [101, 1, 2, 3], [0, 1, 2, 10], [195, 3, 4, 5], [7, 150, 9, 0], [3, 40, 77, 100]]
+        assert ranked[6, :2].tolist() == [5, 6] and ranked[7].tolist() == [5, 6, 7, 8]
+        # the candidates of every row, then the whole of the short row alone
+        assert [b.shape[0] for b in full_sorts] == [8, 1]
+        assert np.array_equal(full_sorts[1], block[6:7], equal_nan=True)
+        for row in block:
+            assert np.array_equal(top_k(row, k), lexsort_top_k(row, k))
 
 
 def test_top_k_nan_ranks_last():
@@ -269,7 +284,7 @@ def sampled_knn_features(seed):
 @pytest.mark.parametrize("k", [5, 12, 17])
 def test_knn_sampled_path_matches_lexsort(k):
     n = 2 * BLOCK_ROWS + 37
-    assert stride(n, k) >= 2  # top_k samples each block row
+    assert classes(n, k) > k  # more classes than neighbours bound each row
     feats = sampled_knn_features(seed=k)
     s = np.clip(feats.data @ feats.data.T, 0.0, None) ** 3
     np.fill_diagonal(s, -np.inf)
