@@ -41,10 +41,8 @@ from .graph import (
 from .mining import (
     AnchorPools,
     MiningConfig,
-    baseline_pools,
     build_training_pool,
     load_pools,
-    oracle_pools,
     pool_table,
     sample_epoch_tuples,
     save_pools,

@@ -42,15 +42,7 @@ from .features import (
     save_labels,
 )
 from .graph import build_reciprocal_graph, load_graph, normalize_graph, save_graph, top_k
-from .mining import (
-    MiningConfig,
-    baseline_pools,
-    build_training_pool,
-    drop_empty_pools,
-    load_pools,
-    oracle_pools,
-    save_pools,
-)
+from .mining import MiningConfig, build_training_pool, load_pools, save_pools
 from .evaluation import evaluate_embeddings
 from .trainer import (
     EmbeddingModel,
@@ -154,12 +146,7 @@ _CHECKS = {
     "graph.k": (lambda v: v >= 1, ">= 1"),
     "anchors.count": (lambda v: v >= 1, ">= 1"),
     "anchors.mode": (lambda v: v in ("maxima", "all"), "'maxima' or 'all'"),
-    "mining.mode": (lambda v: v in ("mined", "baseline"), "'mined' or 'baseline'"),
     "mining.max_pos": (lambda v: v >= 0, ">= 0 (0 = unlimited)"),
-    "mining.baseline_k": (lambda v: v >= 1, ">= 1"),
-    "mining.oracle": (
-        lambda v: v in ("none", "positive", "negative"), "'none', 'positive' or 'negative'"
-    ),
     "model.kind": (lambda v: v in ("linear", "mlp"), "'linear' or 'mlp'"),
     "model.output_dim": (lambda v: v >= 1, ">= 1"),
     "model.hidden_dim": (lambda v: v >= 0, ">= 0"),
@@ -264,31 +251,6 @@ def _initial_model(cfg, input_dim, seed) -> EmbeddingModel:
     )
 
 
-def _mine_pools(feats, graph, anchor_set, cfg, seed, labels=None):
-    sym = normalize_graph(graph)
-    dcfg = _diffusion_config(cfg)
-    mcfg = _mining_config(cfg)
-    if cfg["mining.mode"] == "baseline":
-        pools = drop_empty_pools([
-            baseline_pools(
-                int(a), feats, k_base=cfg["mining.baseline_k"], seed=seed,
-                max_neg=mcfg.max_neg,
-            )
-            for a in anchor_set.anchor_ids
-        ])
-    else:
-        pools, _ = build_training_pool(anchor_set, feats, sym, dcfg, mcfg)
-    if cfg["mining.oracle"] != "none":
-        pools = [
-            oracle_pools(
-                p, labels, cfg["mining.oracle"], feats,
-                max_neg=mcfg.max_neg, max_pos=mcfg.max_pos,
-            )
-            for p in pools
-        ]
-    return pools
-
-
 def _labels(args, cfg, n):
     """The --labels sidecar, or None without one; the oracle pools need it."""
     if not args.labels and cfg["mining.oracle"] != "none":
@@ -361,7 +323,8 @@ def cmd_mine(args, cfg, seed, out: Path):
     graph = load_graph(args.graph)
     anchor_set = load_anchors(args.anchors)
     labels = _labels(args, cfg, feats.n)
-    pools = _mine_pools(feats, graph, anchor_set, cfg, seed, labels)
+    pools, _ = build_training_pool(anchor_set, feats, normalize_graph(graph),
+                                   _diffusion_config(cfg), _mining_config(cfg), labels, seed)
     _write_config(cfg, out)
     save_pools(pools, out / "pools.jsonl")
     n_pos = sum(len(p.positives) for p in pools)
@@ -453,6 +416,7 @@ def cmd_pipeline(args, cfg, seed, out: Path):
     feats = _prepare(feats_raw, cfg)
     model = _initial_model(cfg, feats.d, seed)
     rounds = cfg["rounds"]
+    dcfg = _diffusion_config(cfg)
     mcfg = _mining_config(cfg)
     tcfg = _train_config(cfg, seed)
     for rnd in range(1, rounds + 1):
@@ -465,7 +429,8 @@ def cmd_pipeline(args, cfg, seed, out: Path):
         anchors_path = out / f"anchors{suffix}.txt"
         save_anchors(anchor_set, anchors_path)
         print(f"round {rnd}: " + _anchors_line(anchor_set, parts, cfg, anchors_path))
-        pools = _mine_pools(space, graph, anchor_set, cfg, seed, labels)
+        pools, _ = build_training_pool(anchor_set, space, normalize_graph(graph), dcfg, mcfg,
+                                       labels, seed)
         save_pools(pools, out / f"pools{suffix}.jsonl")
         model, log = train(feats, pools, model, tcfg, mcfg)
         save_train_log(log, out / f"train_log{suffix}.csv")

@@ -44,6 +44,10 @@ class EmptyGraph(MomineError, ValueError):
     """A graph without edges: its random walk and stationary distribution are undefined."""
 
 
+class BadModel(MomineError):
+    """A model header whose kind and hidden width disagree."""
+
+
 class TrailingBytes(MomineError):
     """File holds bytes after the payload promised by its header."""
 

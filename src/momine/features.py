@@ -283,14 +283,17 @@ def save_labels(labels: np.ndarray, path) -> None:
 
 
 def load_labels(path, expected_n: int) -> np.ndarray:
-    """Read the label sidecar: one decimal integer per line, exactly n lines."""
+    """Read the label sidecar: one int64 decimal integer per line, exactly n lines."""
     values = []
     with open_text(path, BadLabels) as fh:
         for number, line in enumerate(fh, 1):
             try:
-                values.extend(int(token) for token in line.split())
+                labels = [int(token) for token in line.split()]
             except ValueError:
                 raise BadLabels(f"{path}, line {number}: not an integer: {line.strip()!r}") from None
+            if not all(-(2**63) <= label < 2**63 for label in labels):
+                raise BadLabels(f"{path}, line {number}: a label beyond 64 bits: {line.strip()!r}")
+            values.extend(labels)
     if len(values) != expected_n:
         raise DimMismatch(f"{path}: {len(values)} labels for n={expected_n} items")
     return np.asarray(values, dtype=np.int64)

@@ -1,7 +1,9 @@
 """Per-anchor positive/negative pools and epoch-level tuple sampling.
 
-Positives are manifold neighbors that are not Euclidean neighbors; negatives
-the reverse. Pools are computed once per mining round and frozen; only the
+build_training_pool mines every pool mode in one pass over anchor blocks:
+mined pools (positives are manifold neighbors that are not Euclidean
+neighbors, negatives the reverse) or the Euclidean-NN baseline, then any
+label oracle. Pools are computed once per mining round and frozen; only the
 per-epoch hard-negative window looks at the current embedding.
 """
 
@@ -35,6 +37,9 @@ class MiningConfig:
     max_pos: int | None = None
     max_neg: int = 50
     hard_subset_size: int = 10
+    mode: str = "mined"  # mined | baseline (Euclidean-NN positives, drawn negatives)
+    baseline_k: int = 5  # the baseline's positives
+    oracle: str = "none"  # none | positive | negative: that side from the labels
 
     def __post_init__(self):
         if self.k_pos < 1 or self.k_neg < 1:
@@ -43,6 +48,12 @@ class MiningConfig:
             raise ValueError("max_neg must be >= 1")
         if not 1 <= self.hard_subset_size <= self.max_neg:
             raise ValueError("hard_subset_size must be in [1, max_neg]")
+        if self.mode not in ("mined", "baseline"):
+            raise ValueError(f"mode must be 'mined' or 'baseline', got {self.mode!r}")
+        if self.baseline_k < 1:
+            raise ValueError(f"baseline_k must be >= 1, got {self.baseline_k!r}")
+        if self.oracle not in ("none", "positive", "negative"):
+            raise ValueError(f"oracle must be 'none', 'positive' or 'negative', got {self.oracle!r}")
 
 
 @dataclass
@@ -67,11 +78,12 @@ def _pairs(ids: np.ndarray, values: np.ndarray) -> list:
 
 
 def _block_pools(anchors: np.ndarray, manifold: np.ndarray, features: FeatureSet,
-                 mining_config: MiningConfig) -> list:
-    """The pools of each anchor from its row of the solved block `manifold`.
-    Positives: manifold top-k_pos minus Euclidean top-k_pos, by descending
-    s_m. Negatives: Euclidean top-k_neg minus manifold top-k_neg, by
-    descending s_e, capped at max_neg.
+                 mining_config: MiningConfig) -> tuple:
+    """The mined pools of each anchor from its row of the solved block
+    `manifold`, and the anchors' Euclidean block. Positives: manifold
+    top-k_pos minus Euclidean top-k_pos, by descending s_m. Negatives:
+    Euclidean top-k_neg minus manifold top-k_neg, by descending s_e, capped
+    at max_neg.
 
     Each side of the block is ranked once, to the larger k, by one 2-D
     top_k; the rankings are exact, so their prefixes are the smaller
@@ -86,7 +98,7 @@ def _block_pools(anchors: np.ndarray, manifold: np.ndarray, features: FeatureSet
     k_neg = min(mining_config.k_neg, n - 1)
     manifold[rows[:, 0], anchors] = -np.inf
     nn_m = top_k(manifold, max(k_pos, k_neg))
-    sims = _euclidean_block(features, anchors)
+    sims = _euclidean_block(features, anchors)  # once top_k's temporaries are freed
     nn_e = top_k(sims, max(k_pos, k_neg))
     # membership in the other side's top-k, marked on n-wide rows: memory
     # O(block * n), where comparing every pair of two top-k lists is O(block * k^2)
@@ -99,80 +111,52 @@ def _block_pools(anchors: np.ndarray, manifold: np.ndarray, features: FeatureSet
         pos = nn_m[i, :k_pos][pos_kept[i]][: mining_config.max_pos]
         neg = nn_e[i, :k_neg][neg_kept[i]][: mining_config.max_neg]
         pools.append(AnchorPools(anchor, _pairs(pos, manifold[i]), _pairs(neg, sims[i])))
-    return pools
+    return pools, sims
 
 
-def drop_empty_pools(pools: list) -> list:
-    """The pools with a positive or a negative. Warns, from the caller's
-    caller, with the number of anchors dropped, and raises AllPoolsEmpty
-    when none is left."""
-    kept = [p for p in pools if p.positives or p.negatives]
-    if len(kept) < len(pools):
-        warnings.warn(f"dropped {len(pools) - len(kept)} anchors with empty pools", stacklevel=3)
-    if not kept:
-        raise AllPoolsEmpty("every anchor produced empty pools")
-    return kept
+def _ranked(keep: np.ndarray, sims: np.ndarray, limit=None) -> list:
+    """Per row of the block, at most limit (None: all) of the columns where
+    keep holds, by descending sims, ties by column: one top_k of the block
+    with the other columns at -inf, each row cut to its own count."""
+    counts = np.minimum(np.count_nonzero(keep, axis=1), keep.shape[1] if limit is None else limit)
+    k = int(counts.max(initial=0))
+    ranked = top_k(np.where(keep, sims, -np.inf), k) if k else np.zeros((keep.shape[0], 0), int)
+    return [row[:count] for row, count in zip(ranked, counts.tolist())]
 
 
-def _ranked(ids: np.ndarray, sims: np.ndarray, k) -> np.ndarray:
-    """At most k of the ascending ids, by descending sims[id], ties by id."""
-    k = ids.size if k is None else min(k, ids.size)
-    return ids[top_k(sims[ids], k)] if k else ids[:0]
+def _baseline_pools(anchors: np.ndarray, sims: np.ndarray, mining_config: MiningConfig,
+                    seed) -> list:
+    """Euclidean-NN baseline pools of each anchor: its baseline_k nearest
+    neighbors, and a uniform draw of at most max_neg of the other items,
+    seeded by (seed, anchor), by descending s_e."""
+    n = sims.shape[1]
+    rows = np.arange(anchors.size)
+    nn_e = top_k(sims, min(mining_config.baseline_k, n - 1))
+    rest = np.ones(sims.shape, dtype=bool)
+    rest[rows[:, None], nn_e] = rest[rows, anchors] = False
+    # every row leaves the same n - 1 - k candidates, so every anchor draws alike
+    take = min(mining_config.max_neg, n - 1 - nn_e.shape[1])
+    drawn = np.zeros(sims.shape, dtype=bool)
+    for i, anchor in enumerate(anchors.tolist()):
+        rng = np.random.default_rng([seed, anchor])
+        drawn[i, rng.choice(np.flatnonzero(rest[i]), size=take, replace=False)] = True
+    return [AnchorPools(anchor, _pairs(pos, row), _pairs(neg, row))
+            for anchor, pos, neg, row in zip(anchors.tolist(), nn_e, _ranked(drawn, sims), sims)]
 
 
-def baseline_pools(
-    anchor: int,
-    features: FeatureSet,
-    k_base: int = 5,
-    seed: int = 0,
-    max_neg: int = 50,
-) -> AnchorPools:
-    """Euclidean-NN baseline: positives are the k_base nearest neighbors and
-    negatives a seeded uniform draw from everything else."""
-    if k_base < 1:
-        raise ValueError("k_base must be >= 1")
-    n = features.n
-    check_anchor_ids([anchor], n)
-    sims = _euclidean_block(features, [anchor])[0]
-    nn_e = top_k(sims, min(k_base, n - 1))
-    candidate = np.ones(n, dtype=bool)
-    candidate[nn_e] = candidate[anchor] = False
-    candidates = np.flatnonzero(candidate)
-    rng = np.random.default_rng([seed, anchor])
-    take = min(max_neg, candidates.size)
-    drawn = rng.choice(candidates, size=take, replace=False) if take else candidates[:0]
-    neg = _ranked(np.sort(drawn), sims, take)
-    return AnchorPools(anchor, _pairs(nn_e, sims), _pairs(neg, sims))
-
-
-def oracle_pools(
-    base: AnchorPools,
-    labels: np.ndarray,
-    mode: str,
-    features: FeatureSet,
-    max_neg: int = 50,
-    max_pos: int | None = None,
-) -> AnchorPools:
-    """Ablation helper: replace one pool with label ground truth.
-
-    mode="positive" swaps in all same-label items; mode="negative" swaps in
-    the hardest different-label items by Euclidean similarity. The other pool
-    is left untouched. Evaluation/ablation only.
-    """
-    if labels is None:
-        raise LabelsMissing("oracle pools need the label sidecar")
-    if mode not in ("positive", "negative"):
-        raise ValueError(f"mode must be 'positive' or 'negative', got {mode!r}")
-    labels = np.asarray(labels)
-    anchor = base.anchor_id
-    sims = _euclidean_block(features, [anchor])[0]
-    same = labels == labels[anchor]
-    if mode == "positive":
-        same[anchor] = False
-        pool = _pairs(_ranked(np.flatnonzero(same), sims, max_pos), sims)
-        return AnchorPools(anchor, pool, list(base.negatives))
-    pool = _pairs(_ranked(np.flatnonzero(~same), sims, max_neg), sims)
-    return AnchorPools(anchor, list(base.positives), pool)
+def _oracle_pools(pools: list, anchors: np.ndarray, sims: np.ndarray, labels: np.ndarray,
+                  mining_config: MiningConfig) -> list:
+    """The pools with one side swapped for label ground truth, by descending
+    s_e: the anchor's other same-label items, at most max_pos (oracle
+    "positive"), or its items of another label, at most max_neg ("negative")."""
+    positive = mining_config.oracle == "positive"
+    keep = (labels[anchors][:, None] == labels) == positive
+    keep[np.arange(anchors.size), anchors] = False
+    limit = mining_config.max_pos if positive else mining_config.max_neg
+    sides = [_pairs(ids, row) for ids, row in zip(_ranked(keep, sims, limit), sims)]
+    if positive:
+        return [AnchorPools(p.anchor_id, side, p.negatives) for p, side in zip(pools, sides)]
+    return [AnchorPools(p.anchor_id, p.positives, side) for p, side in zip(pools, sides)]
 
 
 def build_training_pool(
@@ -181,43 +165,66 @@ def build_training_pool(
     operator: NormalizedOperator,
     diffusion_config: DiffusionConfig,
     mining_config: MiningConfig,
+    labels=None,
+    seed=0,
 ):
-    """Pools for every anchor plus the item union they span.
+    """Pools for every anchor, in mining_config's mode, plus the item union they span.
 
-    The m anchors are solved and ranked in blocks of at most
+    The m anchors are ranked in blocks of at most
     min(ANCHOR_BLOCK, max(1, ANCHOR_CELLS // n)), balanced over the worker
     threads (see graph._run_blocks): the fewest such blocks whose number is
     a multiple of the workers, so mining's memory is O(ANCHOR_CELLS + n)
-    per worker. The pools are joined in block order; each column is
-    bit-equal to its single-anchor solve, whatever the block size.
+    per worker. A block takes its Euclidean rows once and, for mined pools,
+    solves its diffusion columns, each bit-equal to its single-anchor solve
+    whatever the block size; the pools are joined in block order. Baseline
+    negatives are drawn from default_rng([seed, anchor]); an oracle reads
+    `labels`, one per item, and raises LabelsMissing without them.
 
     Diffusion solves that stop above diffusion_config.tolerance are counted
-    in one warning. Anchors whose pools both come out empty are dropped by
-    drop_empty_pools and do not enter the union.
+    in one warning. Anchors whose base pools (before an oracle swaps a side)
+    are both empty are dropped and counted in one warning; AllPoolsEmpty is
+    raised when none is left.
     """
     if operator.n != features.n:
         raise DimMismatch(f"graph has n={operator.n}, features have n={features.n}")
     anchors = check_anchor_ids(anchor_set.anchor_ids, features.n)
-    mined, stopped = {}, []
+    if mining_config.oracle != "none":
+        if labels is None:
+            raise LabelsMissing("oracle pools need the label sidecar")
+        labels = np.asarray(labels)
+        if labels.shape != (features.n,):
+            raise DimMismatch(f"{labels.size} labels for n={features.n} items")
+    mined, stopped, dropped = {}, [], []
 
     def mine(spans):
         for start, stop in spans:
-            block = solve_columns(operator, anchors[start:stop], diffusion_config)
-            stopped.append(np.count_nonzero(~block.converged))
-            mined[start] = _block_pools(anchors[start:stop], block.values, features,
-                                        mining_config)
+            ids = anchors[start:stop]
+            if mining_config.mode == "baseline":
+                sims = _euclidean_block(features, ids)
+                pools = _baseline_pools(ids, sims, mining_config, seed)
+            else:
+                block = solve_columns(operator, ids, diffusion_config)
+                stopped.append(np.count_nonzero(~block.converged))
+                pools, sims = _block_pools(ids, block.values, features, mining_config)
+            kept = [i for i, p in enumerate(pools) if p.positives or p.negatives]
+            dropped.append(len(pools) - len(kept))
+            if mining_config.oracle != "none":
+                pools = _oracle_pools(pools, ids, sims, labels, mining_config)
+            mined[start] = [pools[i] for i in kept]
+            del sims  # a (rows, n) block, not to be held through the next solve
 
     size = min(ANCHOR_BLOCK, max(1, ANCHOR_CELLS // features.n))
     _run_blocks(anchors.size, size, mine, balance=True)
     if sum(stopped):
         warnings.warn(f"{sum(stopped)} of {anchors.size} diffusion solves stopped above "
                       "diffusion.tolerance", stacklevel=2)
-    pools = drop_empty_pools(list(chain.from_iterable(mined[start] for start in sorted(mined))))
-    members = {p.anchor_id for p in pools}
-    for p in pools:
-        members.update(j for j, _ in p.positives)
-        members.update(j for j, _ in p.negatives)
-    return pools, np.array(sorted(members), dtype=np.int64)
+    if sum(dropped):
+        warnings.warn(f"dropped {sum(dropped)} anchors with empty pools", stacklevel=2)
+    pools = list(chain.from_iterable(mined[start] for start in sorted(mined)))
+    if not pools:
+        raise AllPoolsEmpty("every anchor produced empty pools")
+    members = [p.anchor_id for p in pools] + [j for p in pools for j, _ in p.positives + p.negatives]
+    return pools, np.unique(np.array(members, dtype=np.int64))
 
 
 @dataclass

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    BadModel,
     BadPools,
     DegenerateOutput,
     DimMismatch,
@@ -243,7 +244,7 @@ def train(
     if not pools:
         raise ValueError("pools must be non-empty")
     if features.d != model.input_dim:
-        raise ValueError(f"model expects input_dim={model.input_dim}, features have d={features.d}")
+        raise DimMismatch(f"model expects input_dim={model.input_dim}, features have d={features.d}")
     weighting = train_config.weight_normalization if train_config.weighted else "unit"
     table = pool_table(pools, weighting)
     members = table.members
@@ -321,6 +322,8 @@ def load_model(path) -> EmbeddingModel:
         if code not in _CODE_KINDS:
             raise BadMagic(f"{path}: unknown model kind code {code}")
         kind = _CODE_KINDS[code]
+        if (kind == "mlp") != (hidden > 0):
+            raise BadModel(f"{path}: a {kind} model cannot have hidden_dim={hidden}")
         dims = _layer_dims(kind, d_in, d_out, hidden)
         # the size the header promises against the bytes left, before any read
         if os.fstat(fh.fileno()).st_size - fh.tell() < sum((o * i + o) * 4 for o, i in dims):

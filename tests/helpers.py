@@ -481,7 +481,8 @@ def mine_pools(anchor, features, operator, diffusion_config, mining_config):
     """One anchor's pools from its single diffusion solve, as
     mining.build_training_pool mines them, empty pools included."""
     block = solve_columns(operator, [anchor], diffusion_config)
-    return _block_pools(np.array([anchor]), block.values, features, mining_config)[0]
+    pools, _ = _block_pools(np.array([anchor]), block.values, features, mining_config)
+    return pools[0]
 
 
 def sample_epoch_tuples_reference(pools, current_embeddings, mining_config, seed):
@@ -563,8 +564,9 @@ def train_reference(features, pools, model, train_config, mining_config):
 
 
 def baseline_pools_reference(anchor, features, k_base, seed, max_neg):
-    """Reference for mining.baseline_pools: the candidate set built by a
-    Python loop and every ranking by a full lexsort on (-s_e, id)."""
+    """Reference for one anchor's baseline pools (mining.build_training_pool
+    with mode "baseline"): the candidate set built by a Python loop and every
+    ranking by a full lexsort on (-s_e, id)."""
     n = features.n
     sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
     others = sims.copy()
@@ -581,8 +583,9 @@ def baseline_pools_reference(anchor, features, k_base, seed, max_neg):
 
 
 def oracle_side_reference(anchor, features, labels, same_label, limit):
-    """Reference for one side of mining.oracle_pools: the other-than-anchor
-    items with (or without) the anchor's label by a full lexsort on (-s_e, id)."""
+    """Reference for the side an oracle swaps in (mining.build_training_pool
+    with an oracle): the other-than-anchor items with (or without) the
+    anchor's label by a full lexsort on (-s_e, id)."""
     sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
     ids = np.flatnonzero((np.asarray(labels) == labels[anchor]) == same_label)
     ids = ids[ids != anchor]

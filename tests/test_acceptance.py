@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,13 +21,7 @@ from momine.diffusion import DiffusionConfig, solve_columns
 from momine.evaluation import evaluate_embeddings, nmi
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import build_reciprocal_graph, normalize_graph
-from momine.mining import (
-    AnchorPools,
-    MiningConfig,
-    baseline_pools,
-    build_training_pool,
-    oracle_pools,
-)
+from momine.mining import AnchorPools, MiningConfig, build_training_pool
 from momine.trainer import (
     EmbeddingModel,
     TrainConfig,
@@ -296,17 +291,20 @@ def _train_recall(features, labels, pools, setup, weighted, hard_subset):
     return evaluate_embeddings(forward(model, features.data), labels, ks=[1]).recall_at[1]
 
 
+def _baseline(features, operator, anchors, setup):
+    """Euclidean-NN baseline pools: 5 nearest neighbours, negatives drawn by the generator seed."""
+    mcfg = replace(setup["mining"], mode="baseline", baseline_k=5)
+    pools, _ = build_training_pool(anchors, features, operator, setup["diffusion"], mcfg,
+                                   seed=setup["gen_seed"])
+    return pools
+
+
 def _ordering_run(setup):
     fs, fn, sym, anchors = _mining_space(setup)
     labels = fs.labels
     r_init = evaluate_embeddings(fn.data, labels, ks=[1]).recall_at[1]
     mined, _ = build_training_pool(anchors, fn, sym, setup["diffusion"], setup["mining"])
-    base = [
-        baseline_pools(int(a), fn, k_base=5, seed=setup["gen_seed"],
-                       max_neg=setup["mining"].max_neg)
-        for a in anchors.anchor_ids
-    ]
-    base = [p for p in base if p.positives and p.negatives]
+    base = [p for p in _baseline(fn, sym, anchors, setup) if p.positives and p.negatives]
     r_w = _train_recall(fn, labels, mined, setup, True, setup["mining"].hard_subset_size)
     r_u = _train_recall(fn, labels, mined, setup, False, setup["mining"].hard_subset_size)
     r_b = _train_recall(fn, labels, base, setup, False, setup["mining"].max_neg)
@@ -357,12 +355,9 @@ def test_acceptance_7_oracle_ablation_ordering():
     labels = fs.labels
     mined, _ = build_training_pool(anchors, fn, sym, setup["diffusion"], setup["mining"])
     max_neg = setup["mining"].max_neg
-    pos_oracle = [oracle_pools(p, labels, "positive", fn, max_neg=max_neg) for p in mined]
-    base = [
-        baseline_pools(int(a), fn, k_base=5, seed=setup["gen_seed"], max_neg=max_neg)
-        for a in anchors.anchor_ids
-    ]
-    base = [p for p in base if p.positives and p.negatives]
+    pos_oracle, _ = build_training_pool(anchors, fn, sym, setup["diffusion"],
+                                        replace(setup["mining"], oracle="positive"), labels)
+    base = [p for p in _baseline(fn, sym, anchors, setup) if p.positives and p.negatives]
     mined_by_id = {p.anchor_id: p for p in mined}
     nn5_mined_neg, nn5_rand_neg = [], []
     for pool in base:

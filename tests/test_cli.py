@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-import momine.cli
+import momine.mining
 from momine.cli import DEFAULTS, main
 from momine.diffusion import DiffusionConfig, solve_columns
 from momine.features import FeatureSet, load_features, load_labels
@@ -121,6 +121,36 @@ def test_eval_non_integer_label_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("mom eval: error:") and f"{labels}, line 1" in err
     assert not (tmp_path / "e").exists()
+
+
+def test_eval_label_beyond_int64_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    run_gen(data)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n" * 119 + f"{2**63}\n")
+    code = main(["eval", "--out", str(tmp_path / "e"), "--features",
+                 str(data / "features.bin"), "--labels", str(labels)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"mom eval: error: {labels}, line 120: a label beyond 64 bits: '{2**63}'\n")
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("code,hidden", [(0, 4), (1, 0)])
+def test_eval_model_whose_kind_and_hidden_width_disagree_is_data_error(tmp_path, capsys,
+                                                                      code, hidden):
+    data = tmp_path / "data"
+    run_gen(data)
+    save_model(EmbeddingModel.initialize("linear", 8, 4, seed=0), tmp_path / "m.bin")
+    blob = bytearray((tmp_path / "m.bin").read_bytes())
+    blob[4:8], blob[16:20] = code.to_bytes(4, "little"), hidden.to_bytes(4, "little")
+    (tmp_path / "m.bin").write_bytes(blob)
+    out = tmp_path / "e"
+    assert main(["eval", "--out", str(out), "--features", str(data / "features.bin"),
+                 "--labels", str(data / "labels.txt"), "--model", str(tmp_path / "m.bin")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mom eval: error: {tmp_path / 'm.bin'}: a ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_eval_non_finite_model_is_data_error(tmp_path, capsys):
@@ -563,10 +593,10 @@ def test_baseline_mine_drops_empty_pools_with_a_warning(tmp_path, capsys, monkey
     features = str(tmp_path / "data" / "features.bin")
     assert main(["graph", "--out", str(tmp_path / "g"), "--features", features,
                  "--set", "graph.k", "8"]) == 0
-    real = momine.cli.baseline_pools
+    real = momine.mining._baseline_pools
     for empty, code in (({3, 5}, 0), ({3, 5, 7}, 2)):
-        monkeypatch.setattr(momine.cli, "baseline_pools", lambda a, *args, **kw: (
-            AnchorPools(a, [], []) if a in empty else real(a, *args, **kw)))
+        monkeypatch.setattr(momine.mining, "_baseline_pools", lambda *args: [
+            AnchorPools(p.anchor_id, [], []) if p.anchor_id in empty else p for p in real(*args)])
         (tmp_path / "anchors.txt").write_text("3 0.1\n5 0.1\n7 0.1\n")
         out = tmp_path / f"m{code}"
         capsys.readouterr()

@@ -286,3 +286,13 @@ def test_labels_sidecar_non_integer_line_names_file_and_line(tmp_path):
     path.write_text("0\n1\nx\n1\n")
     with pytest.raises(BadLabels, match=r"labels\.txt, line 3: .*'x'"):
         load_labels(path, 4)
+
+
+@pytest.mark.parametrize("label", [str(2**63), str(-(2**63) - 1)])
+def test_labels_sidecar_label_beyond_int64_names_file_and_line(tmp_path, label):
+    path = tmp_path / "labels.txt"
+    path.write_text(f"0\n{2**63 - 1}\n{-(2**63)}\n{label}\n")
+    with pytest.raises(BadLabels, match=rf"labels\.txt, line 4: a label beyond 64 bits: '{label}'"):
+        load_labels(path, 4)
+    path.write_text(f"0\n{2**63 - 1}\n{-(2**63)}\n1\n")
+    assert load_labels(path, 4).tolist() == [0, 2**63 - 1, -(2**63), 1]

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +20,8 @@ from momine.mining import (
     ANCHOR_BLOCK,
     AnchorPools,
     MiningConfig,
-    baseline_pools,
     build_training_pool,
-    drop_empty_pools,
     load_pools,
-    oracle_pools,
     pool_table,
     sample_epoch_tuples,
     save_pools,
@@ -212,54 +210,57 @@ def test_unconverged_diffusion_flags_the_pool():
     assert [p.anchor_id for p in flagged[0]] == [p.anchor_id for p in healthy[0]]
 
 
+def pools_of(ids, feats, op, cfg, labels=None, seed=0):
+    """build_training_pool's pools of the anchors ids, in their order."""
+    anchors = AnchorSet(np.asarray(ids), np.zeros(len(ids)))
+    pools, _ = build_training_pool(anchors, feats, op, DC, cfg, labels, seed)
+    return pools
+
+
 def test_baseline_pools_contract():
     feats, graph, op = small_setup(n=30, seed=4)
-    pools = baseline_pools(3, feats, k_base=5, seed=9, max_neg=10)
+    cfg = MiningConfig(max_neg=10, hard_subset_size=3, mode="baseline", baseline_k=5)
+    pools = pools_of([3, 4], feats, op, cfg, seed=9)
     expected = knn_oracle(feats.data, 5)[3]
-    assert [j for j, _ in pools.positives] == expected
-    again = baseline_pools(3, feats, k_base=5, seed=9, max_neg=10)
-    assert pools.negatives == again.negatives
-    other_anchor = baseline_pools(4, feats, k_base=5, seed=9, max_neg=10)
-    assert pools.negatives != other_anchor.negatives
-    neg_ids = {j for j, _ in pools.negatives}
-    assert 3 not in neg_ids and not neg_ids & set(expected)
-    neg_w = [w for _, w in pools.negatives]
+    assert [j for j, _ in pools[0].positives] == expected
+    assert pools_of([3, 4], feats, op, cfg, seed=9) == pools
+    assert pools[0].negatives != pools[1].negatives  # each anchor draws its own
+    assert pools[0].negatives != pools_of([3], feats, op, cfg, seed=10)[0].negatives
+    neg_ids = {j for j, _ in pools[0].negatives}
+    assert len(neg_ids) == 10 and 3 not in neg_ids and not neg_ids & set(expected)
+    neg_w = [w for _, w in pools[0].negatives]
     assert all(a >= b for a, b in zip(neg_w, neg_w[1:]))
-
-
-def test_baseline_pools_exhausted_complement():
-    rng = np.random.default_rng(5)
-    feats = l2_normalize(FeatureSet(data=rng.normal(size=(6, 4))))
-    pools = baseline_pools(0, feats, k_base=5, seed=1, max_neg=10)
-    assert len(pools.positives) == 5
-    assert pools.negatives == []
 
 
 def test_oracle_pools_modes():
     fs, fn, graph, sym, anchors = clusters_setup(noise=0.8)
     cfg = MiningConfig(k_pos=30, k_neg=60, max_neg=15, hard_subset_size=5)
-    base = mine_pools(int(anchors.anchor_ids[0]), fn, sym, DiffusionConfig(), cfg)
-    pos = oracle_pools(base, fs.labels, "positive", fn, max_neg=15)
+    first = anchors.anchor_ids[:1]
+    (base,) = pools_of(first, fn, sym, cfg)
+    (pos,) = pools_of(first, fn, sym, replace(cfg, oracle="positive"), fs.labels)
     anchor_label = fs.labels[base.anchor_id]
     assert all(fs.labels[j] == anchor_label for j, _ in pos.positives)
     assert pos.negatives == base.negatives
-    neg = oracle_pools(base, fs.labels, "negative", fn, max_neg=15)
+    (neg,) = pools_of(first, fn, sym, replace(cfg, oracle="negative"), fs.labels)
     assert all(fs.labels[j] != anchor_label for j, _ in neg.negatives)
     assert neg.positives == base.positives
-    assert len(neg.negatives) <= 15
+    assert len(neg.negatives) == 15
     with pytest.raises(LabelsMissing):
-        oracle_pools(base, None, "positive", fn)
-    with pytest.raises(ValueError):
-        oracle_pools(base, fs.labels, "both", fn)
+        pools_of(first, fn, sym, replace(cfg, oracle="positive"))
+    with pytest.raises(DimMismatch):
+        pools_of(first, fn, sym, replace(cfg, oracle="positive"), fs.labels[1:])
+    with pytest.raises(ValueError, match="^oracle must be 'none', 'positive' or 'negative'"):
+        replace(cfg, oracle="both")
 
 
 def test_oracle_positive_singleton_class_empty():
-    rng = np.random.default_rng(6)
-    feats = l2_normalize(FeatureSet(data=rng.normal(size=(8, 3))))
+    feats, graph, op = small_setup(n=8, d=3, seed=6, k=3)
     labels = np.array([0, 1, 1, 1, 1, 1, 1, 1])
-    base = AnchorPools(anchor_id=0, positives=[(1, 0.5)], negatives=[(2, 0.4)])
-    out = oracle_pools(base, labels, "positive", feats)
-    assert out.positives == []
+    cfg = MiningConfig(max_neg=3, hard_subset_size=2, mode="baseline", baseline_k=2)
+    (base,) = pools_of([0], feats, op, cfg)
+    (out,) = pools_of([0], feats, op, replace(cfg, oracle="positive"), labels)
+    assert base.positives and out.positives == []
+    assert out.negatives == base.negatives
 
 
 def test_build_training_pool_union():
@@ -285,31 +286,6 @@ def test_build_training_pool_all_empty_raises():
     with pytest.warns(UserWarning, match="dropped 2 anchors"):
         with pytest.raises(AllPoolsEmpty):
             build_training_pool(anchors, feats, op, DC, cfg)
-
-
-def test_drop_empty_pools_is_one_rule_for_mined_and_baseline_pools():
-    feats, graph, op = small_setup(n=10, k=4)
-    cfg = MiningConfig(k_pos=9, k_neg=9, max_neg=3, hard_subset_size=2)
-    mined = [mine_pools(a, feats, op, DC, cfg) for a in (0, 1)]  # k = n-1: both empty
-    baseline = [baseline_pools(a, feats, k_base=2, max_neg=3) for a in (2, 3)]
-    empty = [AnchorPools(a, [], []) for a in (4, 5, 6)]
-    assert not any(p.positives or p.negatives for p in mined)
-
-    def dropped(pools):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                kept = drop_empty_pools(pools)
-            except AllPoolsEmpty:
-                kept = AllPoolsEmpty
-        return kept, [str(w.message) for w in caught]
-
-    assert dropped(baseline) == (baseline, [])
-    assert dropped(mined[:1] + baseline + empty) == (
-        baseline, ["dropped 4 anchors with empty pools"])
-    assert dropped(mined) == (AllPoolsEmpty, ["dropped 2 anchors with empty pools"])
-    assert dropped(empty) == (AllPoolsEmpty, ["dropped 3 anchors with empty pools"])
-    assert dropped([]) == (AllPoolsEmpty, [])
 
 
 def test_sample_epoch_tuples_deterministic():
@@ -514,7 +490,7 @@ def test_build_training_pool_checks_anchor_ids_and_sizes():
         with pytest.raises(BadAnchors):
             build_training_pool(anchors, feats, op, DC, cfg)
     with pytest.raises(BadAnchors):
-        baseline_pools(-3, feats)
+        pools_of([-3], feats, op, replace(cfg, mode="baseline"))
     other = FeatureSet(data=feats.data[:20])
     with pytest.raises(DimMismatch):
         build_training_pool(AnchorSet(np.asarray([0]), np.zeros(1)), other, op, DC, cfg)
@@ -543,21 +519,74 @@ def test_sample_epoch_tuples_matches_per_pool_loop():
     assert (tuple_lists(got), skipped) == (([], [], [], []), 2)
 
 
-def test_baseline_and_oracle_pools_match_lexsort_references():
-    for feats, graph, op in (small_setup(n=60, seed=15), duplicated_setup()):
+def every_mode_reference(ids, feats, op, cfg, labels, seed):
+    """Reference for build_training_pool in every pool mode: mined pools from
+    two rankings of each anchor's own solve, or the lexsort baseline pools;
+    anchors whose base pools are both empty dropped; then any oracle side
+    swapped in from its lexsort reference. Returns (pools, dropped ids)."""
+    pools, dropped = [], []
+    for a in ids.tolist():
+        if cfg.mode == "mined":
+            base = pools_two_rankings(a, solve_column_reference(op, a, DC).values[0], feats, cfg)
+        else:
+            base = baseline_pools_reference(a, feats, cfg.baseline_k, seed, cfg.max_neg)
+        if not (base.positives or base.negatives):
+            dropped.append(a)
+        elif cfg.oracle == "positive":
+            side = oracle_side_reference(a, feats, labels, True, cfg.max_pos)
+            pools.append(AnchorPools(a, side, base.negatives))
+        elif cfg.oracle == "negative":
+            side = oracle_side_reference(a, feats, labels, False, cfg.max_neg)
+            pools.append(AnchorPools(a, base.positives, side))
+        else:
+            pools.append(base)
+    return pools, dropped
+
+
+# (setup, mining config) pairs: exact ties in both rankings (duplicated
+# points), isolated anchors (graph.k 2), anchors whose mined pools are both
+# empty (k_pos = k_neg = 1 on duplicated points), and a baseline whose
+# negatives exhaust the complement (baseline_k >= n - 1 leaves take = 0)
+EVERY_MODE_CASES = [
+    (lambda: small_setup(n=60, seed=15), dict(k_pos=25, k_neg=8, baseline_k=5, max_neg=10)),
+    (duplicated_setup, dict(k_pos=12, k_neg=30, max_pos=4, baseline_k=3, max_neg=200)),
+    (duplicated_setup, dict(k_pos=1, k_neg=1, max_pos=4, baseline_k=200, max_neg=10)),
+    (lambda: small_setup(n=90, seed=21, k=2), dict(k_pos=12, k_neg=30, baseline_k=5, max_neg=9)),
+]
+
+
+@pytest.mark.parametrize("oracle", ["none", "positive", "negative"])
+@pytest.mark.parametrize("mode", ["mined", "baseline"])
+def test_build_training_pool_every_mode_matches_references(monkeypatch, mode, oracle):
+    for case, (setup, values) in enumerate(EVERY_MODE_CASES):
+        feats, graph, op = setup()
         labels = np.arange(feats.n) % 3
-        for anchor in range(0, feats.n, 7):
-            for k_base, max_neg in ((5, 10), (3, 200), (200, 10)):
-                got = baseline_pools(anchor, feats, k_base=k_base, seed=4, max_neg=max_neg)
-                assert got == baseline_pools_reference(anchor, feats, k_base, 4, max_neg)
-            base = AnchorPools(anchor, [(1, 0.5)], [(2, 0.4)])
-            for max_pos in (None, 4):
-                pos = oracle_pools(base, labels, "positive", feats, max_pos=max_pos)
-                assert pos.positives == oracle_side_reference(anchor, feats, labels, True, max_pos)
-                assert pos.negatives == base.negatives
-            neg = oracle_pools(base, labels, "negative", feats, max_neg=9)
-            assert neg.negatives == oracle_side_reference(anchor, feats, labels, False, 9)
-            assert neg.positives == base.positives
+        cfg = MiningConfig(hard_subset_size=3, mode=mode, oracle=oracle, **values)
+        ids = np.arange(feats.n - 1, -1, -1)
+        expected, dropped = every_mode_reference(ids, feats, op, cfg, labels, seed=4)
+        assert bool(dropped) == (case == 2 and mode == "mined"), case
+        if dropped and oracle != "none":
+            # the swapped-in side alone would keep them: the drop comes first
+            assert oracle_side_reference(dropped[0], feats, labels, oracle == "positive", 4)
+        if mode == "baseline" and case == 2 and oracle != "negative":
+            assert all(p.negatives == [] for p in expected)  # take = 0
+        for rows in (3, 64):
+            # blocks of at most rows anchors
+            monkeypatch.setattr(momine.mining, "ANCHOR_CELLS", rows * feats.n)
+            for workers in (1, 2):
+                monkeypatch.setattr(momine.graph, "WORKERS", workers)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    pools, items = build_training_pool(
+                        AnchorSet(ids, np.zeros(ids.size)), feats, op, DC, cfg, labels, seed=4)
+                assert pools == expected, (case, rows, workers)
+                assert [str(w.message) for w in caught] == (
+                    [f"dropped {len(dropped)} anchors with empty pools"] if dropped else [])
+                assert items.tolist() == sorted({p.anchor_id for p in pools} | {
+                    j for p in pools for j, _ in p.positives + p.negatives})
+        if oracle != "none":
+            with pytest.raises(LabelsMissing, match="^oracle pools need the label sidecar$"):
+                build_training_pool(AnchorSet(ids, np.zeros(ids.size)), feats, op, DC, cfg)
 
 
 @pytest.mark.parametrize("k_pos,k_neg,max_pos", [(12, 30, 4), (500, 20, None), (9, 500, None)])

@@ -9,8 +9,10 @@ from hypothesis.extra.numpy import arrays
 from momine.diffusion import DiffusionConfig
 from momine.errors import (
     BadMagic,
+    BadModel,
     BadPools,
     DegenerateOutput,
+    DimMismatch,
     Diverged,
     NonFinite,
     TrailingBytes,
@@ -357,6 +359,13 @@ def test_train_rejects_pool_ids_outside_features(bad_id):
         train(fn, pools, model, TrainConfig(epochs=1, seed=3), MiningConfig(max_neg=50))
 
 
+def test_train_model_of_another_width_is_dim_mismatch():
+    fn, pools = two_moons_run()  # d = 8
+    model = EmbeddingModel.initialize("linear", 4, 4, seed=1)
+    with pytest.raises(DimMismatch, match="^model expects input_dim=4, features have d=8$"):
+        train(fn, pools, model, TrainConfig(epochs=1, seed=3), MiningConfig(max_neg=50))
+
+
 def test_train_deterministic_given_seed():
     fn, pools = two_moons_run()
     mcfg = MiningConfig(hard_subset_size=5, max_neg=50)
@@ -519,6 +528,23 @@ def test_model_file_errors(tmp_path):
     assert raises_with_peak(TruncatedFile, lambda: load_model(path)) < 2**20
     path.write_bytes(blob + b"\x00")
     with pytest.raises(TrailingBytes):
+        load_model(path)
+
+
+@pytest.mark.parametrize("code,hidden,payload", [
+    (0, 3, True),  # linear with a hidden width, over a payload of the right size
+    (1, 0, True),  # mlp without one, over a linear model's payload
+    (1, 0, False),
+])
+def test_load_model_rejects_a_kind_and_hidden_width_that_disagree(tmp_path, code, hidden, payload):
+    blob = b""
+    if payload:
+        save_model(EmbeddingModel.initialize("linear", 4, 3, seed=0), tmp_path / "m.bin")
+        blob = (tmp_path / "m.bin").read_bytes()[20:]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(MODEL_MAGIC + struct.pack("<IIII", code, 4, 3, hidden) + blob)
+    kind = ("linear", "mlp")[code]
+    with pytest.raises(BadModel, match=f"bad.bin: a {kind} model cannot have hidden_dim={hidden}$"):
         load_model(path)
 
 
