@@ -3,14 +3,17 @@
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BadAnchors, EmptyGraph, open_text
 from .graph import NeighborGraph, components, top_k
 
+ANCHOR_MODES = ("maxima", "all")
+
 
 @dataclass
 class AnchorSet:
-    """Local maxima of the stationary distribution, sorted by probability."""
+    """Anchors sorted by descending stationary probability."""
 
     anchor_ids: np.ndarray
     pi_values: np.ndarray
@@ -35,7 +38,7 @@ def stationary(graph: NeighborGraph) -> tuple[np.ndarray, int]:
         raise EmptyGraph("graph has no edges; the walk is undefined")
     d = graph.degrees
     live = d > 0
-    part = components(graph)[live]
+    part = components(graph.adjacency)[live]
     vol = np.bincount(part, weights=d[live], minlength=graph.n)
     size = np.bincount(part, minlength=graph.n)
     pi = np.zeros(graph.n)
@@ -44,59 +47,47 @@ def stationary(graph: NeighborGraph) -> tuple[np.ndarray, int]:
 
 
 def local_maxima(graph: NeighborGraph, pi: np.ndarray) -> list[int]:
-    """Nodes (degree > 0) whose pi dominates every neighbor.
+    """Nodes (degree > 0) whose pi dominates every neighbor, ascending.
 
-    An exact-tie plateau (connected nodes with identical pi, none of which has
-    a strictly greater neighbor) contributes its smallest index only. A node
-    above its largest neighbour (NaN neighbours are ignored) is a maximum on
-    its own; only nodes level with their largest neighbour start a flood of
-    their plateau, and the other nodes are dominated.
+    The exact-tie plateaus are the components of the edges whose two ends
+    have equal pi, a node without such an edge being a plateau of its own.
+    A plateau contributes its smallest index unless one of its nodes lies
+    below its largest neighbour (NaN neighbours are ignored).
     """
     pi = np.asarray(pi, dtype=np.float64)
     if pi.shape != (graph.n,):
         raise ValueError(f"pi must have length {graph.n}")
-    indptr, cols = graph.adjacency.indptr, graph.adjacency.indices
-    live = np.flatnonzero(np.diff(indptr))
-    own, top = pi[live], np.fmax.reduceat(pi[cols], indptr[live])
-    # NaN compares false either way: a NaN pi or all-NaN neighbours leave
-    # the node undominated, as in the flood
-    out = live[~(own <= top)].tolist()
-    visited = np.zeros(graph.n, dtype=bool)
-    for start in live[own == top].tolist():
-        if visited[start]:
-            continue
-        # flood the exact-equality plateau containing `start`
-        level = pi[start]
-        plateau = [start]
-        visited[start] = True
-        dominated = False
-        q = 0
-        while q < len(plateau):
-            i = plateau[q]
-            q += 1
-            for j in cols[indptr[i] : indptr[i + 1]].tolist():
-                if pi[j] > level:
-                    dominated = True
-                elif pi[j] == level and not visited[j]:
-                    visited[j] = True
-                    plateau.append(j)
-        if not dominated:
-            out.append(min(plateau))
-    out.sort()
-    return out
+    adj = graph.adjacency
+    live = np.flatnonzero(np.diff(adj.indptr))
+    # NaN compares false: a NaN pi, or one with only NaN neighbours, is not below
+    below = pi[live] < np.fmax.reduceat(pi[adj.indices], adj.indptr[live])
+    tie = np.repeat(pi, np.diff(adj.indptr)) == pi[adj.indices]
+    plateau = components(sp.csr_matrix(
+        (tie[tie], adj.indices[tie], np.concatenate(([0], np.cumsum(tie)))[adj.indptr]),
+        shape=adj.shape,
+    ))
+    keep = (plateau[live] == live) & ~np.isin(live, plateau[live[below]])
+    return live[keep].tolist()
 
 
-def select_anchors(graph: NeighborGraph, pi: np.ndarray, count: int) -> AnchorSet:
-    """The `count` local maxima with largest pi, descending (ties: lower index).
+def select_anchors(graph: NeighborGraph, pi: np.ndarray, count: int, mode: str = "maxima") -> AnchorSet:
+    """The `count` candidates with largest pi, descending (ties: lower index).
 
-    Returns fewer when maxima are scarce.
+    The candidates are the local maxima of pi in mode "maxima", and every
+    non-isolated node in mode "all" (the all-items protocol). Returns fewer
+    when candidates are scarce.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    maxima = np.asarray(local_maxima(graph, pi), dtype=np.int64)
-    if maxima.size == 0:
-        return AnchorSet(anchor_ids=maxima, pi_values=np.zeros(0))
-    chosen = maxima[top_k(pi[maxima], min(count, maxima.size))]
+    if mode not in ANCHOR_MODES:
+        raise ValueError(f"mode must be one of {ANCHOR_MODES}, got {mode!r}")
+    if mode == "all":
+        candidates = np.flatnonzero(graph.degrees > 0)
+    else:
+        candidates = np.asarray(local_maxima(graph, pi), dtype=np.int64)
+    if candidates.size == 0:
+        return AnchorSet(anchor_ids=candidates, pi_values=np.zeros(0))
+    chosen = candidates[top_k(pi[candidates], min(count, candidates.size))]
     return AnchorSet(anchor_ids=chosen, pi_values=np.asarray(pi)[chosen])
 
 

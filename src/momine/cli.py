@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .anchors import (
+    ANCHOR_MODES,
     AnchorSet,
     load_anchors,
     save_anchors,
@@ -145,7 +146,7 @@ _CHECKS = {
     "prep.whiten_dims": (lambda v: v >= 0, ">= 0"),
     "graph.k": (lambda v: v >= 1, ">= 1"),
     "anchors.count": (lambda v: v >= 1, ">= 1"),
-    "anchors.mode": (lambda v: v in ("maxima", "all"), "'maxima' or 'all'"),
+    "anchors.mode": (lambda v: v in ANCHOR_MODES, "'maxima' or 'all'"),
     "mining.max_pos": (lambda v: v >= 0, ">= 0 (0 = unlimited)"),
     "model.kind": (lambda v: v in ("linear", "mlp"), "'linear' or 'mlp'"),
     "model.output_dim": (lambda v: v >= 1, ">= 1"),
@@ -218,14 +219,8 @@ def _train_config(cfg, seed) -> TrainConfig:
 
 
 def _anchor_set(graph, pi, cfg) -> AnchorSet:
-    """Anchor selection per config: stationary local maxima, or every
-    non-isolated node ordered by pi (the all-items protocol)."""
-    count = cfg["anchors.count"]
-    if cfg["anchors.mode"] == "all":
-        ids = np.flatnonzero(graph.degrees > 0)
-        chosen = ids[top_k(pi[ids], min(count, ids.size))]
-        return AnchorSet(anchor_ids=chosen, pi_values=pi[chosen])
-    return select_anchors(graph, pi, count)
+    """Anchor selection per config (see select_anchors)."""
+    return select_anchors(graph, pi, cfg["anchors.count"], cfg["anchors.mode"])
 
 
 def _gen_spec(cfg) -> SyntheticSpec:

@@ -135,9 +135,10 @@ def kmeans(embeddings: np.ndarray, c: int, seed: int = 0) -> np.ndarray:
         centers[j] = x[int(np.argmax(mind))]
         mind = np.minimum(mind, np.linalg.norm(x - centers[j], axis=1))
     assign = np.full(n, -1, dtype=np.int64)
+    sq = np.sum(x**2, axis=1)[:, None]
     for _ in range(KMEANS_MAX_ITER):
         d2 = (
-            np.sum(x**2, axis=1)[:, None]
+            sq
             - 2.0 * (x @ centers.T)
             + np.sum(centers**2, axis=1)[None, :]
         )

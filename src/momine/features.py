@@ -217,28 +217,33 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
     ``ambient_dim`` via a seeded random orthonormal matrix when the ambient
     dimension exceeds the intrinsic one, and perturbed by isotropic Gaussian
     noise. Values are quantized through float32 so the feature-file round
-    trip is exact.
+    trip is exact. Raises BadSpec, naming the size, when numpy cannot
+    allocate the data.
     """
     rng = np.random.default_rng(seed)
-    pts, labels = _intrinsic_points(spec, rng)
-    q = pts.shape[1]
-    if spec.ambient_dim < q:
-        raise BadSpec(f"ambient_dim {spec.ambient_dim} below intrinsic dimension {q}")
-    if spec.ambient_dim > q:
-        basis, _ = np.linalg.qr(rng.normal(size=(spec.ambient_dim, q)))
-        pts = pts @ basis.T
-        # affine part of the embedding: move the manifold plane off the
-        # origin (as CNN-style features are), otherwise l2 normalization
-        # would collapse the lifted plane onto a circle of directions.
-        # Cluster centers already sit on spread-out rays, where the purely
-        # radial view is the interesting geometry, so they stay unshifted.
-        if spec.kind != "clusters":
-            shift = rng.normal(size=spec.ambient_dim)
-            shift /= np.linalg.norm(shift)
-            pts = pts + 3.0 * max(1.0, float(np.linalg.norm(pts, axis=1).max())) * shift
-    if spec.noise > 0:
-        pts = pts + spec.noise * rng.normal(size=pts.shape)
-    pts = pts.astype(np.float32).astype(np.float64)
+    try:
+        pts, labels = _intrinsic_points(spec, rng)
+        q = pts.shape[1]
+        if spec.ambient_dim < q:
+            raise BadSpec(f"ambient_dim {spec.ambient_dim} below intrinsic dimension {q}")
+        if spec.ambient_dim > q:
+            basis, _ = np.linalg.qr(rng.normal(size=(spec.ambient_dim, q)))
+            pts = pts @ basis.T
+            # affine part of the embedding: move the manifold plane off the
+            # origin (as CNN-style features are), otherwise l2 normalization
+            # would collapse the lifted plane onto a circle of directions.
+            # Cluster centers already sit on spread-out rays, where the purely
+            # radial view is the interesting geometry, so they stay unshifted.
+            if spec.kind != "clusters":
+                shift = rng.normal(size=spec.ambient_dim)
+                shift /= np.linalg.norm(shift)
+                pts = pts + 3.0 * max(1.0, float(np.linalg.norm(pts, axis=1).max())) * shift
+        if spec.noise > 0:
+            pts = pts + spec.noise * rng.normal(size=pts.shape)
+        pts = pts.astype(np.float32).astype(np.float64)
+    except (ValueError, MemoryError):  # numpy: too many dimensions, too big, or no memory
+        raise BadSpec(f"{spec.classes} classes of {spec.per_class} items in "
+                      f"{spec.ambient_dim} dimensions do not fit in memory") from None
     return FeatureSet(data=pts, labels=labels)
 
 

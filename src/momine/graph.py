@@ -37,9 +37,9 @@ WORKERS = min(MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_ge
 # grid is the same at every worker count, and its reports reproduce byte
 # for byte with one BLAS thread
 RANK_ROWS = BLOCK_ROWS // MAX_WORKERS
-# edges per chunk when build_reciprocal_graph gathers both endpoints to weigh
-# them, when knn_search rescores its survivors and when save_graph formats
-# them: memory is O(EDGE_CHUNK * d), where
+# pairs per chunk when _pair_dots gathers both ends of the kNN survivors or
+# of the edges to take their dots, and edges per chunk when save_graph
+# formats them: memory is O(EDGE_CHUNK * d), where
 # one gather of every edge is about 5 * n * d doubles at graph.k 30. At d = 64
 # a 1024-edge chunk (2 x 512 KB) stays in cache and weighs the 55k edges of
 # n = 10^4 about 3x faster than one gather; larger chunks are slower
@@ -48,7 +48,8 @@ EDGE_CHUNK = 1024
 
 @dataclass
 class NeighborGraph:
-    """Sparse symmetric adjacency with zero diagonal and non-negative weights."""
+    """Sparse symmetric adjacency with zero diagonal and non-negative weights,
+    in canonical CSR form: each row's columns ascending, none twice."""
 
     n: int
     k: int
@@ -99,9 +100,9 @@ def _mirrored_graph(n: int, k: int, i, j, w, where: str = "graph") -> NeighborGr
     return NeighborGraph(n=n, k=k, adjacency=adj, degrees=degrees)
 
 
-def components(graph: NeighborGraph) -> np.ndarray:
-    """Connected-component labels: each node's label is the smallest node id
-    in its component, so an isolated node is labelled with its own id.
+def components(adjacency: sp.csr_matrix) -> np.ndarray:
+    """Connected-component labels of a symmetric CSR adjacency: each node gets
+    the smallest node id in its component, an isolated node its own id.
 
     Every round each non-isolated node finds the smallest label among itself
     and its neighbours and hands it to the node its label points at; the
@@ -111,9 +112,9 @@ def components(graph: NeighborGraph) -> np.ndarray:
     rather than to the node alone keeps a long path with shuffled ids at a
     few rounds.
     """
-    indptr, cols = graph.adjacency.indptr, graph.adjacency.indices
+    indptr, cols = adjacency.indptr, adjacency.indices
     live = np.flatnonzero(np.diff(indptr))
-    label = np.arange(graph.n)
+    label = np.arange(adjacency.shape[0])
     starts = indptr[live]
     while True:
         own = label[live]
@@ -353,7 +354,6 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
 
     def rank(spans):
         buffer = np.empty((min(RANK_ROWS, n), n), dtype=np.float32)
-        ends = np.empty((2, EDGE_CHUNK, x.shape[1]))  # both ends of the pairs rescored
         for start, stop in spans:
             m = stop - start
             rows = np.arange(m)
@@ -371,14 +371,7 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
             keep &= ~full[cand]
             cand, cols = cand[keep], cols[keep]
             # each row's survivors in ascending id order, rescored and ranked
-            dots = np.empty(cand.size)
-            for s in range(0, cand.size, EDGE_CHUNK):
-                c = min(EDGE_CHUNK, cand.size - s)
-                # the ids are in range; "clip" lets take write into out unbuffered
-                a = np.take(x, start + cand[s : s + c], axis=0, out=ends[0, :c], mode="clip")
-                b = np.take(x, cols[s : s + c], axis=0, out=ends[1, :c], mode="clip")
-                np.einsum("ij,ij->i", a, b, out=dots[s : s + c])
-            dots = _by_row(cand, dots, m, k, -np.inf)
+            dots = _by_row(cand, _pair_dots(x, start + cand, cols), m, k, -np.inf)
             order = top_k(dots, k)
             nbrs = np.take_along_axis(_by_row(cand, cols, m, k, 0), order, axis=1)
             full = np.flatnonzero(full | ~(dots[rows, order[:, -1]] >= 1e-100))
@@ -393,6 +386,21 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
 
     _run_blocks(n, RANK_ROWS, rank)
     return neighbors
+
+
+def _pair_dots(x: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """The float64 dot of rows ii[e] and jj[e] of x for every pair e, each its
+    own einsum, so no dot's bits depend on the chunking. Both ends are
+    gathered EDGE_CHUNK pairs at a time; the ids must be in range."""
+    dots = np.empty(ii.size)
+    ends = np.empty((2, min(EDGE_CHUNK, ii.size), x.shape[1]))
+    for s in range(0, ii.size, EDGE_CHUNK):
+        c = min(EDGE_CHUNK, ii.size - s)
+        # "clip" lets take write into out unbuffered
+        a = np.take(x, ii[s : s + c], axis=0, out=ends[0, :c], mode="clip")
+        b = np.take(x, jj[s : s + c], axis=0, out=ends[1, :c], mode="clip")
+        np.einsum("ij,ij->i", a, b, out=dots[s : s + c])
+    return dots
 
 
 def _scores32(y: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
@@ -441,11 +449,10 @@ def build_reciprocal_graph(features: FeatureSet, k: int) -> NeighborGraph:
 
     The weight is the pair similarity, computed once per unordered pair so the
     matrix is symmetric bit-for-bit. Pairs with zero similarity are dropped
-    (their adjacency entry would be zero anyway). The dot products are taken
-    EDGE_CHUNK pairs at a time, so the endpoint gathers stay O(EDGE_CHUNK * d)
-    and the peak memory is that of knn_search's (RANK_ROWS, n) blocks. Each
-    pair's dot is its own einsum, so the chunking leaves every weight's bits
-    as they are; the kNN GEMM's values would round differently.
+    (their adjacency entry would be zero anyway). The dots come from
+    _pair_dots, as knn_search's rescored ones do, so the peak memory is that
+    of knn_search's (RANK_ROWS, n) blocks; the kNN GEMM's values would round
+    differently.
     """
     n = features.n
     nbrs = knn_search(features, k)
@@ -455,25 +462,21 @@ def build_reciprocal_graph(features: FeatureSet, k: int) -> NeighborGraph:
     )
     mutual = sp.triu(listed.multiply(listed.T), k=1).tocoo()
     ii, jj = mutual.row, mutual.col
-    x = features.data
-    dots = np.empty(ii.size)
-    for start in range(0, ii.size, EDGE_CHUNK):
-        edges = slice(start, start + EDGE_CHUNK)
-        np.einsum("ij,ij->i", x[ii[edges]], x[jj[edges]], out=dots[edges])
-    w = similarity(dots)
+    w = similarity(_pair_dots(features.data, ii, jj))
     keep = w > 0
     return _mirrored_graph(n, k, ii[keep], jj[keep], w[keep])
 
 
 def normalize_graph(graph: NeighborGraph) -> NormalizedOperator:
-    """Build D^-1/2 A D^-1/2; isolated nodes yield all-zero rows/columns."""
+    """Build D^-1/2 A D^-1/2 by scaling a copy of the CSR by the row factor,
+    then the column factor; isolated nodes yield all-zero rows/columns."""
     d = graph.degrees
     inv = np.zeros_like(d)
     nz = d > 0
     inv[nz] = 1.0 / np.sqrt(d[nz])
-    coo = graph.adjacency.tocoo()
-    vals = coo.data * inv[coo.row] * inv[coo.col]
-    mat = sp.csr_matrix((vals, (coo.row, coo.col)), shape=(graph.n, graph.n))
+    mat = graph.adjacency.copy()
+    mat.data *= np.repeat(inv, np.diff(mat.indptr))
+    mat.data *= inv[mat.indices]
     return NormalizedOperator(matrix=mat, n=graph.n)
 
 
@@ -481,16 +484,17 @@ def save_graph(graph: NeighborGraph, path) -> None:
     """Text format: header "MOMG n k", then "i j w" per edge with i < j,
     ascending by (i, j), w at 9 significant digits.
 
-    The edges are sorted once and written EDGE_CHUNK lines at a time, each
-    chunk by one %-format, so the Python ints, floats and strings of the
-    lines never exist for more than one chunk.
+    The canonical CSR holds the edges in that order. They are written
+    EDGE_CHUNK lines at a time, each chunk by one %-format, so the Python
+    ints, floats and strings of the lines never exist for more than one chunk.
     """
-    coo = sp.triu(graph.adjacency, k=1).tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    rows, cols, weights = coo.row[order], coo.col[order], coo.data[order]
+    adj = graph.adjacency
+    rows = np.repeat(np.arange(graph.n), np.diff(adj.indptr))
+    upper = rows < adj.indices
+    rows, cols, weights = rows[upper], adj.indices[upper], adj.data[upper]
     with open(path, "w") as fh:
         fh.write(f"{GRAPH_MAGIC} {graph.n} {graph.k}\n")
-        for start in range(0, order.size, EDGE_CHUNK):
+        for start in range(0, rows.size, EDGE_CHUNK):
             i, j, w = (a[start : start + EDGE_CHUNK].tolist() for a in (rows, cols, weights))
             fh.write("%d %d %.9g\n" * len(i) % tuple(chain.from_iterable(zip(i, j, w))))
 

@@ -44,6 +44,8 @@ class MiningConfig:
     def __post_init__(self):
         if self.k_pos < 1 or self.k_neg < 1:
             raise ValueError("k_pos and k_neg must be >= 1")
+        if self.max_pos is not None and self.max_pos < 1:
+            raise ValueError(f"max_pos must be >= 1, or None for unlimited, got {self.max_pos!r}")
         if self.max_neg < 1:
             raise ValueError("max_neg must be >= 1")
         if not 1 <= self.hard_subset_size <= self.max_neg:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    AllPoolsEmpty,
     BadMagic,
     BadModel,
     BadPools,
@@ -242,7 +243,7 @@ def train(
     mean_loss, lr, tuples_used.
     """
     if not pools:
-        raise ValueError("pools must be non-empty")
+        raise AllPoolsEmpty("no pools to train on")
     if features.d != model.input_dim:
         raise DimMismatch(f"model expects input_dim={model.input_dim}, features have d={features.d}")
     weighting = train_config.weight_normalization if train_config.weighted else "unit"

@@ -143,6 +143,15 @@ def test_local_maxima_equals_the_plateau_flood_on_ties():
         with_nan[rng.choice(g.n, size=6, replace=False)] = np.nan
         for pi in (g.degrees / g.degrees.sum(), stationary(g)[0], coarse, with_nan):
             assert local_maxima(g, pi) == local_maxima_reference(g, pi)
+    # random graphs with isolated nodes whose pi takes a few levels, so that
+    # plateaus, shoulders and NaN or infinite values meet on every edge kind
+    levels = np.array([np.nan, -np.inf, np.inf, -0.0, 0.0, 0.25, 0.5, 1.0])
+    for seed in range(300):
+        n = int(rng.integers(2, 40))
+        g = random_graph(n, seed=seed, extra_edges=int(rng.integers(0, 2 * n)),
+                         connected=False, ensure_triangle=False)
+        pi = rng.choice(levels[rng.choice(levels.size, size=int(rng.integers(1, 5)))], size=n)
+        assert local_maxima(g, pi) == local_maxima_reference(g, pi)
 
 
 def test_local_maxima_on_edgeless_graph_is_empty():

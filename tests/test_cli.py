@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -516,6 +517,27 @@ def test_negative_seed_exits_two_before_any_work(tmp_path, capsys, monkeypatch, 
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("mom pipeline: error: seed must be >= 0")
+
+
+@pytest.mark.parametrize("per_class", [str(2**63), "100000000000"])
+def test_gen_of_a_size_beyond_memory_is_data_error(tmp_path, capsys, per_class):
+    # numpy refuses 2^63 items per class as too many dimensions, and 10^11
+    # doubles (745 GiB) as too much memory. A 512 GiB address-space cap makes
+    # the second refusal hold under every overcommit policy, so the case
+    # never fills memory
+    out = tmp_path / "gen"
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2**39 if soft == resource.RLIM_INFINITY else min(soft, 2**39)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        code = main(["gen", "--out", str(out), "--set", "gen.per_class", per_class])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == (f"mom gen: error: 2 classes of {per_class} items in 16 dimensions"
+                   " do not fit in memory\n")
 
 
 @pytest.mark.parametrize("header", [b"MOM1\0\0\0\0\5\0\0\0", b"MOM1\5\0\0\0\0\0\0\0"])

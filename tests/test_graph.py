@@ -548,6 +548,34 @@ def test_normalize_row_sums_and_symmetry():
     assert np.max(np.abs(m - m.T)) < 1e-12
 
 
+def normalize_graph_coo_rebuild(graph):
+    """D^-1/2 A D^-1/2 rebuilt from the adjacency's COO entries, as a
+    reference for normalize_graph's in-place scaling of the CSR."""
+    d = graph.degrees
+    inv = np.zeros_like(d)
+    inv[d > 0] = 1.0 / np.sqrt(d[d > 0])
+    coo = graph.adjacency.tocoo()
+    vals = coo.data * inv[coo.row] * inv[coo.col]
+    return sp.csr_matrix((vals, (coo.row, coo.col)), shape=(graph.n, graph.n))
+
+
+def test_normalize_equals_the_coo_rebuild_bit_for_bit():
+    # nodes 0 and 1 hold degrees near 1e300, so their 1e-300 edge scales to
+    # an explicit zero, which both forms keep
+    extreme = graph_from_edges(6, 2, [(0, 1, 1e-300), (0, 2, 1e300), (1, 3, 1e300), (4, 5, 1e-300)])
+    graphs = [extreme, graph_from_edges(3, 1, [])]
+    graphs += [disjoint_union(random_graph(30, seed=seed), random_graph(7, seed=seed + 50),
+                              isolated=seed) for seed in range(5)]
+    for g in graphs:
+        got, expected = normalize_graph(g).matrix, normalize_graph_coo_rebuild(g)
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    scaled = normalize_graph(extreme).matrix
+    assert scaled[0, 1] == 0.0 and scaled.nnz == 8
+
+
 def test_normalize_reports_isolated():
     g = graph_from_edges(4, 1, [(0, 1, 1.0)])
     op = normalize_graph(g)
@@ -707,6 +735,19 @@ def test_graph_file_bytes_match_per_edge_writer(tmp_path):
     assert path.read_text() == expected
 
 
+def test_graph_loaded_from_a_shuffled_file_saves_its_edges_ascending(tmp_path):
+    rng = np.random.default_rng(18)
+    n = 90
+    upper = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), k=1).ravel())
+    ii, jj = np.divmod(rng.choice(upper, size=EDGE_CHUNK + 300, replace=False), n)
+    lines = [f"{i} {j} {w:.9g}\n" for i, j, w in zip(ii.tolist(), jj.tolist(), rng.random(ii.size).tolist())]
+    assert lines != sorted(lines, key=lambda line: tuple(map(int, line.split()[:2])))
+    (tmp_path / "shuffled.txt").write_text(f"MOMG {n} 6\n" + "".join(lines))
+    save_graph(load_graph(tmp_path / "shuffled.txt"), tmp_path / "saved.txt")
+    lines.sort(key=lambda line: tuple(map(int, line.split()[:2])))
+    assert (tmp_path / "saved.txt").read_text() == f"MOMG {n} 6\n" + "".join(lines)
+
+
 @pytest.mark.parametrize("count", [0, 1, EDGE_CHUNK, EDGE_CHUNK + 1, 3 * EDGE_CHUNK + 5])
 def test_graph_file_bytes_match_one_shot_writer(tmp_path, count):
     rng = np.random.default_rng(count)
@@ -793,7 +834,7 @@ def test_components_match_breadth_first_search():
                  for m in (30, 12, 3)]
         graphs.append(disjoint_union(*parts, isolated=seed))
     for g in graphs:
-        assert np.array_equal(components(g), components_reference(g))
+        assert np.array_equal(components(g.adjacency), components_reference(g))
 
 
 def test_pair_einsum_is_symmetric_and_the_same_in_every_form():

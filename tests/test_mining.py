@@ -253,6 +253,15 @@ def test_oracle_pools_modes():
         replace(cfg, oracle="both")
 
 
+@pytest.mark.parametrize("max_pos", [0, -3])
+def test_max_pos_below_one_is_rejected(max_pos):
+    # a slice [:0] would empty every positive pool and [:-3] drop its tail;
+    # None is the library's unlimited, which mom's mining.max_pos 0 maps to
+    with pytest.raises(ValueError, match="^max_pos must be >= 1, or None for unlimited"):
+        MiningConfig(max_pos=max_pos)
+    assert MiningConfig(max_pos=None).max_pos is None
+
+
 def test_oracle_positive_singleton_class_empty():
     feats, graph, op = small_setup(n=8, d=3, seed=6, k=3)
     labels = np.array([0, 1, 1, 1, 1, 1, 1, 1])

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from momine.diffusion import DiffusionConfig
 from momine.errors import (
+    AllPoolsEmpty,
     BadMagic,
     BadModel,
     BadPools,
@@ -357,6 +358,13 @@ def test_train_rejects_pool_ids_outside_features(bad_id):
     model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
     with pytest.raises(BadPools, match=f"{bad_id} out of range"):
         train(fn, pools, model, TrainConfig(epochs=1, seed=3), MiningConfig(max_neg=50))
+
+
+def test_train_without_pools_is_all_pools_empty():
+    fn, _ = two_moons_run()
+    model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
+    with pytest.raises(AllPoolsEmpty, match="^no pools to train on$"):
+        train(fn, [], model, TrainConfig(epochs=1, seed=3), MiningConfig(max_neg=50))
 
 
 def test_train_model_of_another_width_is_dim_mismatch():
