@@ -11,6 +11,7 @@ timestamps, so a fixed seed reproduces them byte for byte.
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -29,7 +30,7 @@ from .anchors import (
     stationary,
 )
 from .diffusion import DiffusionConfig, solve_columns
-from .errors import BadConfig, LabelsMissing, MomineError, open_text
+from .errors import BadConfig, KTooLarge, LabelsMissing, MomineError, open_text
 from .features import (
     FeatureSet,
     SyntheticSpec,
@@ -44,7 +45,7 @@ from .features import (
 )
 from .graph import build_reciprocal_graph, load_graph, normalize_graph, save_graph, top_k
 from .mining import MiningConfig, build_training_pool, load_pools, save_pools
-from .evaluation import evaluate_embeddings
+from .evaluation import evaluate_embeddings, recall_depths
 from .trainer import (
     EmbeddingModel,
     TrainConfig,
@@ -103,15 +104,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _parse(key, value, text=False, source=None):
     """The one place a config value gets its type: that of the key's DEFAULTS
     entry. A string from the command line (`text`: `--set`, MOM_SEED) is
     parsed, a bool from one of the _BOOLS spellings. A config-file value must
-    already have the key's JSON type; an integer also passes for a float.
-    A mismatch is a BadConfig naming `source`, by default the key."""
+    already have the key's JSON type; an integer also passes for a float,
+    and a float must be finite. A mismatch is a BadConfig naming `source`,
+    by default the key."""
     if key not in DEFAULTS:
         raise BadConfig(f"unknown config key {key!r}")
     kind = type(DEFAULTS[key])
@@ -119,7 +121,9 @@ def _parse(key, value, text=False, source=None):
         if text and kind is bool:
             return _BOOLS[value.lower()]
         if text or type(value) is kind or (kind is float and type(value) is int):
-            return kind(value)
+            parsed = kind(value)
+            if kind is not float or math.isfinite(parsed):
+                return parsed
     except (KeyError, ValueError, OverflowError):  # OverflowError: a huge int for a float
         pass
     rule = f"one of {sorted(_BOOLS)}" if text and kind is bool else _KINDS[kind]
@@ -404,12 +408,16 @@ def cmd_pipeline(args, cfg, seed, out: Path):
     else:
         feats_raw = _gen(cfg, seed)
         labels = feats_raw.labels
+    feats = _prepare(feats_raw, cfg)
+    if cfg["graph.k"] >= feats.n:
+        raise KTooLarge(f"graph.k={cfg['graph.k']} must be below n={feats.n}")
+    if labels is not None:
+        recall_depths(_eval_ks(cfg), feats.n)
+    model = _initial_model(cfg, feats.d, seed)
     _write_config(cfg, out)
     save_features(feats_raw, out / "features.bin")
     if labels is not None:
         save_labels(labels, out / "labels.txt")
-    feats = _prepare(feats_raw, cfg)
-    model = _initial_model(cfg, feats.d, seed)
     rounds = cfg["rounds"]
     dcfg = _diffusion_config(cfg)
     mcfg = _mining_config(cfg)

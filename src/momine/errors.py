@@ -45,7 +45,7 @@ class EmptyGraph(MomineError, ValueError):
 
 
 class BadModel(MomineError):
-    """A model header whose kind and hidden width disagree."""
+    """A model whose kind and hidden width disagree, or whose layers numpy cannot allocate."""
 
 
 class TrailingBytes(MomineError):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, KTooLarge, LengthMismatch, NonFinite
-from .graph import RANK_ROWS, _run_blocks, top_k
+from .graph import RANK_ROWS, _run_blocks, gram_rows, top_k
 
 KMEANS_MAX_ITER = 100  # Lloyd rounds; the loop also stops once no assignment changes
 _INF_BITS = np.float64(np.inf).view(np.uint64)  # above it: negative, -0.0 or NaN
@@ -59,16 +59,19 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks):
     """(Recall@k per k in ks, mAP, scorable queries) from one ranking.
 
     Each query ranks every other item by ascending squared Euclidean
-    distance, ties by ascending index, RANK_ROWS queries per block on each
-    worker thread, so memory is O(BLOCK_ROWS * n). Queries whose label
-    occurs once are excluded.
+    distance, ties by ascending index, in blocks of at most RANK_ROWS
+    queries on each worker thread, so memory is O(BLOCK_ROWS * n). Queries
+    whose label occurs once are excluded.
 
     Only the label pattern of a ranking enters the metrics, so a row is one
     int64 sort of packed keys: the bits of d >= +0.0 (ordered as d is) with
     the lowest bit set to "label differs from the query's". Same-label ties
     and last-bit swaps cannot change the pattern. A row goes back to top_k
-    when a d is negative, -0.0 or NaN, or when two sorted keys differ in the
-    label bit alone (a cross-label tie up to the last bit).
+    when a d is negative, -0.0 or NaN, or when two of its first n sorted
+    keys differ in the label bit alone (a cross-label tie up to the last
+    bit). The rows are as wide as gram_rows' padded block: a pad column's
+    distance is +inf and its label bit set, so its keys sort after the n
+    real ones.
     """
     n = embeddings.shape[0]
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
@@ -76,24 +79,25 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks):
     scorable = int(np.count_nonzero(totals))
     if scorable == 0:
         raise DegenerateLabels("no query has a same-label counterpart")
-    codes = inverse.astype(np.min_scalar_type(counts.size - 1))
-    depth = n - 1
-    sq = np.sum(embeddings**2, axis=1)
+    depth, pad = n - 1, -n % 8
+    x = np.pad(embeddings, ((0, pad), (0, 0)))  # padded once, so no block copies it
+    codes = np.append(inverse, np.full(pad, counts.size)).astype(np.min_scalar_type(counts.size))
+    sq = np.concatenate([np.sum(embeddings**2, axis=1), np.full(pad, np.inf)])
     hits = []  # one integer count per worker, summed at the end
     aps = np.empty(n)
 
     def rank(spans):
-        # a worker's distances, keys and (RANK_ROWS, n) temporaries go into
+        # a worker's distances, keys and (RANK_ROWS, n8) temporaries go into
         # three buffers that all its blocks reuse, so no block allocates (and
         # page faults) arrays of that size afresh
-        dist_buf, temp_buf = np.empty((2, min(RANK_ROWS, n), n))
+        dist_buf, temp_buf = np.empty((2, min(RANK_ROWS, n), sq.size))
         key_buf = np.empty(dist_buf.shape, dtype=np.int64)
         found = np.zeros(len(ks), dtype=np.int64)
         hits.append(found)
         for start, stop in spans:
             m = stop - start
             # |x|^2 + |y|^2 - 2 x.y, built in place; the self distance is +inf
-            dist = np.matmul(embeddings[start:stop], embeddings.T, out=dist_buf[:m])
+            dist = gram_rows(x, slice(start, stop), out=dist_buf[:m])
             dist *= -2.0
             dist += np.add(sq[start:stop, None], sq[None, :], out=temp_buf[:m])
             dist[np.arange(m), np.arange(start, stop)] = np.inf
@@ -102,11 +106,11 @@ def _ranking_metrics(embeddings: np.ndarray, labels: np.ndarray, ks):
             key |= codes[None, :] != codes[start:stop, None]
             key.sort(axis=1)
             pairs = temp_buf[:m].view(np.int64)[:, :depth]
-            fallback |= (np.bitwise_xor(key[:, 1:], key[:, :-1], out=pairs) == 1).any(axis=1)
+            fallback |= (np.bitwise_xor(key[:, 1:n], key[:, :depth], out=pairs) == 1).any(axis=1)
             rel = np.bitwise_and(key[:, :depth], 1, out=pairs) == 0
             rows = np.flatnonzero(fallback)
             if rows.size:
-                ranked = top_k(np.negative(dist[rows]), depth)
+                ranked = top_k(np.negative(dist[rows, :n]), depth)
                 rel[rows] = codes[ranked] == codes[start + rows, None]
             first = np.where(rel.any(axis=1), rel.argmax(axis=1), depth)
             found += np.count_nonzero(first[:, None] < np.asarray(ks), axis=0)
@@ -182,6 +186,14 @@ def nmi(labels_a, labels_b) -> float:
     return max(0.0, min(1.0, mi / denom))
 
 
+def recall_depths(ks, n: int) -> list:
+    """The depths of ks in [1, n - 1], ascending; KTooLarge when none is."""
+    depths = sorted(int(k) for k in ks if 1 <= k <= n - 1)
+    if not depths:
+        raise KTooLarge(f"no recall depth lies in [1, n-1={n - 1}]")
+    return depths
+
+
 def evaluate_embeddings(
     embeddings: np.ndarray,
     labels,
@@ -193,11 +205,8 @@ def evaluate_embeddings(
     occurs at least twice."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = _check_inputs(embeddings, labels)
-    n = embeddings.shape[0]
-    ks = sorted(int(k) for k in ks if 1 <= k <= n - 1)
-    if not ks:
-        raise KTooLarge(f"no recall depth lies in [1, n-1={n - 1}]")
-    recall, ap, n_queries = _ranking_metrics(embeddings, labels, ks)
+    recall, ap, n_queries = _ranking_metrics(embeddings, labels,
+                                             recall_depths(ks, embeddings.shape[0]))
     c = int(np.unique(labels).size)
     clusters = kmeans(embeddings, c, seed=seed)
     score = nmi(labels, clusters)

@@ -29,13 +29,10 @@ BLOCK_ROWS = 256
 # No byte of an artifact depends on the count
 MAX_WORKERS = 2
 WORKERS = min(MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
-# rows per kNN and evaluation block, so that MAX_WORKERS blocks hold
-# BLOCK_ROWS rows. knn_search writes a worker's float32 GEMMs into its one
-# (RANK_ROWS, n) buffer, and its neighbours depend neither on the grid nor
-# on the BLAS threads. Evaluation's float64 GEMMs do: OpenBLAS rounds a row
-# of x[s:s+m] @ x.T differently for a different m or thread count, so its
-# grid is the same at every worker count, and its reports reproduce byte
-# for byte with one BLAS thread
+# the most rows per kNN and evaluation block, so that MAX_WORKERS blocks
+# hold BLOCK_ROWS rows; each worker writes its blocks into one (RANK_ROWS, n)
+# buffer. Neither the neighbours nor the reports depend on the grid or on
+# the BLAS threads (see knn_search and gram_rows)
 RANK_ROWS = BLOCK_ROWS // MAX_WORKERS
 # pairs per chunk when _pair_dots gathers both ends of the kNN survivors or
 # of the edges to take their dots, and edges per chunk when save_graph
@@ -237,15 +234,14 @@ def _top_k_sorted(block: np.ndarray, k: int) -> np.ndarray:
     return order[:, :k]
 
 
-def _run_blocks(count: int, size: int, work, balance: bool = False) -> None:
-    """Run range(count) in blocks of size items on up to WORKERS threads.
+def _run_blocks(count: int, size: int, work) -> None:
+    """Run range(count) in blocks of at most size items on up to WORKERS
+    threads; no caller's results depend on the blocks.
 
     work(spans) is called once per worker with an iterator over the
     (start, stop) of its blocks: worker w takes blocks w, w + workers, ...
     in ascending order, and any buffers work allocates before its loop are
-    that worker's own. The blocks are the same at every worker count unless
-    balance is set, which suits only a loop whose results do not depend on
-    the block size. Then B is the fewest blocks of at most size items whose
+    that worker's own. B is the fewest blocks of at most size items whose
     number is a multiple of WORKERS, and each block holds ceil(count / B)
     items, which is ceil(count / WORKERS) when count <= WORKERS * size. That
     makes B blocks, or fewer where B blocks of that size would leave one
@@ -257,9 +253,8 @@ def _run_blocks(count: int, size: int, work, balance: bool = False) -> None:
     lowest failing block is raised: the one a serial loop would raise, since
     every block below it has run.
     """
-    size = max(1, size)
-    if balance and count:
-        size = -(-count // (-(-count // (size * WORKERS)) * WORKERS))
+    grid = -(-count // (max(1, size) * WORKERS)) * WORKERS or 1
+    size = -(-count // grid) or 1
     blocks = -(-count // size)
     workers = max(1, min(WORKERS, blocks))
     failed = {}
@@ -292,6 +287,31 @@ def _run_blocks(count: int, size: int, work, balance: bool = False) -> None:
         raise failed[min(failed)]
 
 
+def gram_rows(x: np.ndarray, rows, out=None) -> np.ndarray:
+    """The float64 dots of x[rows] (a slice or a gather) with every row of
+    x, as an (m, n8) block whose columns n to n8, the multiple of 8 at or
+    above n, are 0. A block of at least max(2, 1200 // n8 + 1) rows is
+    written into out when given; a smaller one is a new array.
+
+    x is padded with zero rows to n8 once per call (a caller that takes
+    many blocks passes x padded already, which is then not copied), and a
+    smaller block is computed with zero rows added up to that count, so
+    every product is a GEMM of at least two rows, more than 1200 entries and
+    a multiple of 8 columns. OpenBLAS rounds each entry of such a product alike whatever
+    its row count and BLAS threads. Unpadded, the last n mod 8 columns
+    round by both. A one-row product goes to GEMV, and OpenBLAS 0.3.31's
+    SkylakeX build sends a product of at most 1200 entries with d >= 32, of
+    operands laid out as these are, to its small-matrix kernel; both round
+    otherwise.
+    """
+    right = np.pad(x, ((0, -len(x) % 8), (0, 0))) if len(x) % 8 else x
+    left = x[rows]
+    short = max(0, 2 - len(left), 1200 // len(right) + 1 - len(left))  # zero rows to add
+    if not short:
+        return np.matmul(left, right.T, out=out)
+    return np.matmul(np.pad(left, ((0, short), (0, 0))), right.T)[: len(left)]
+
+
 def knn_search(features: FeatureSet, k: int) -> np.ndarray:
     """Exact brute-force top-k neighbors by similarity for every item.
 
@@ -301,7 +321,7 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
     build_reciprocal_graph weighs the pair's edge with, so the neighbours
     depend neither on the BLAS threads nor on the block grid.
 
-    Prefilter. Each block of RANK_ROWS rows is one float32 GEMM of
+    Prefilter. Each block of at most RANK_ROWS rows is one float32 GEMM of
     y = fl32(2^-e x) into its worker's buffer, with e chosen so that every
     ||2^-e x_i|| is at most nu_i < 1; E_ij = 2^-2e x_i.x_j is the exact
     scaled dot. Let u = 2^-24, g(v) = d v / (1 - d v) and t = 2^-126.

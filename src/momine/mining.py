@@ -18,7 +18,7 @@ import numpy as np
 from .diffusion import DiffusionConfig, check_anchor_ids, solve_columns
 from .errors import AllPoolsEmpty, BadPools, DimMismatch, LabelsMissing, open_text
 from .features import FeatureSet
-from .graph import NormalizedOperator, _run_blocks, similarity, top_k
+from .graph import NormalizedOperator, _run_blocks, gram_rows, similarity, top_k
 
 # anchors per block: the sampler's distance block is
 # O(ANCHOR_BLOCK * max_neg * d), and build_training_pool solves and ranks at
@@ -68,9 +68,9 @@ class AnchorPools:
     negatives: list  # [(item_id, s_e), ...]
 
 
-def _euclidean_block(features: FeatureSet, anchors: list) -> np.ndarray:
-    """s_e to each anchor, self at -inf, a GEMV per row: a GEMM rounds differently."""
-    sims = np.stack([similarity(features.data @ features.data[a]) for a in anchors])
+def _euclidean_block(features: FeatureSet, anchors: np.ndarray) -> np.ndarray:
+    """s_e to each anchor, self at -inf, from one gram_rows block."""
+    sims = similarity(gram_rows(features.data, anchors)[:, : features.n])
     sims[np.arange(len(anchors)), anchors] = -np.inf
     return sims
 
@@ -215,8 +215,7 @@ def build_training_pool(
             mined[start] = [pools[i] for i in kept]
             del sims  # a (rows, n) block, not to be held through the next solve
 
-    size = min(ANCHOR_BLOCK, max(1, ANCHOR_CELLS // features.n))
-    _run_blocks(anchors.size, size, mine, balance=True)
+    _run_blocks(anchors.size, min(ANCHOR_BLOCK, ANCHOR_CELLS // features.n), mine)
     if sum(stopped):
         warnings.warn(f"{sum(stopped)} of {anchors.size} diffusion solves stopped above "
                       "diffusion.tolerance", stacklevel=2)

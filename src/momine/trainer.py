@@ -72,24 +72,29 @@ class EmbeddingModel:
         Linear models start at the identity (square) or a seeded orthonormal
         projection (reducing), so the epoch-0 embedding equals the normalized
         input features. MLP layers get seeded Gaussians scaled by
-        1/sqrt(fan_in); biases are zero.
+        1/sqrt(fan_in); biases are zero. Raises BadModel, naming the sizes,
+        when numpy cannot allocate the layers.
         """
         rng = np.random.default_rng(seed)
-        if kind == "linear":
-            if output_dim == input_dim:
-                w = np.eye(output_dim)
-            elif output_dim < input_dim:
-                q, _ = np.linalg.qr(rng.normal(size=(input_dim, output_dim)))
-                w = q.T
+        try:
+            if kind == "linear":
+                if output_dim == input_dim:
+                    w = np.eye(output_dim)
+                elif output_dim < input_dim:
+                    q, _ = np.linalg.qr(rng.normal(size=(input_dim, output_dim)))
+                    w = q.T
+                else:
+                    q, _ = np.linalg.qr(rng.normal(size=(output_dim, input_dim)))
+                    w = q
+                layers = [[w, np.zeros(output_dim)]]
             else:
-                q, _ = np.linalg.qr(rng.normal(size=(output_dim, input_dim)))
-                w = q
-            layers = [[w, np.zeros(output_dim)]]
-        else:
-            layers = [
-                [rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_out, fan_in)), np.zeros(fan_out)]
-                for fan_out, fan_in in _layer_dims(kind, input_dim, output_dim, hidden_dim)
-            ]
+                layers = [
+                    [rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_out, fan_in)), np.zeros(fan_out)]
+                    for fan_out, fan_in in _layer_dims(kind, input_dim, output_dim, hidden_dim)
+                ]
+        except (ValueError, MemoryError):  # numpy: too many dimensions, too big, or no memory
+            raise BadModel(f"a {kind} model with input_dim={input_dim}, output_dim={output_dim}"
+                           f" and hidden_dim={hidden_dim} does not fit in memory") from None
         return cls(kind, input_dim, output_dim, hidden_dim, layers)
 
 
@@ -216,8 +221,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in _LOSSES:
             raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {self.loss!r}")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not self.margin > 0:
+            raise ValueError(f"margin must be positive, got {self.margin}")
+        if not self.lr0 > 0:
+            raise ValueError(f"lr0 must be positive, got {self.lr0}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_decay_every < 1:

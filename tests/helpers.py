@@ -19,6 +19,8 @@ from momine.graph import (
     RANK_ROWS,
     _check_edges,
     _mirrored_graph,
+    _run_blocks,
+    gram_rows,
     knn_search,
     similarity,
     top_k,
@@ -388,9 +390,10 @@ def ranking_metrics_oracle(embeddings, labels, ks):
 
 def ranking_metrics_reference(embeddings, labels, ks):
     """Reference for evaluation._ranking_metrics: each block of queries is
-    ranked by top_k on the negated squared distances, the self score -inf.
-    The blocks are the RANK_ROWS rows that _ranking_metrics takes, so a
-    failure (such as _row_aps on an inf row) names the same block shape."""
+    ranked by top_k on the negated squared distances, the self score -inf,
+    built on the first n columns of gram_rows. The blocks are the ones
+    _run_blocks gives _ranking_metrics, so a failure (such as _row_aps on an
+    inf row) names the same block shape."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
@@ -400,9 +403,10 @@ def ranking_metrics_reference(embeddings, labels, ks):
     sq = np.sum(embeddings**2, axis=1)
     hits = np.zeros(len(ks), dtype=np.int64)
     aps = np.empty(n)
-    for start in range(0, n, RANK_ROWS):
-        stop = min(start + RANK_ROWS, n)
-        score = embeddings[start:stop] @ embeddings.T
+    spans = []
+    _run_blocks(n, RANK_ROWS, spans.extend)
+    for start, stop in sorted(spans):
+        score = gram_rows(embeddings, slice(start, stop))[:, :n]
         score *= 2.0
         score -= sq[start:stop, None] + sq[None, :]
         score[np.arange(stop - start), np.arange(start, stop)] = -np.inf
@@ -457,6 +461,13 @@ def solve_column_reference(operator, anchor, config):
                            np.array([converged]))
 
 
+def euclidean_row(features, anchor):
+    """s_e of one anchor to every item, the clipped cube of its float64 dots
+    from gram_rows, the one product mining takes them from: a GEMV such as
+    x @ x[anchor] rounds some of them differently."""
+    return np.clip(gram_rows(features.data, [anchor])[0, : features.n], 0.0, None) ** 3
+
+
 def pools_two_rankings(anchor, values, features, mining_config):
     """Reference for mining's one-ranking pools from the anchor's column
     `values`: each side ranked separately at k_pos and at k_neg by a full
@@ -466,7 +477,7 @@ def pools_two_rankings(anchor, values, features, mining_config):
     k_neg = min(mining_config.k_neg, n - 1)
     manifold = values.copy()
     manifold[anchor] = -np.inf
-    sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
+    sims = euclidean_row(features, anchor)
     sims[anchor] = -np.inf
     m_pos, e_pos = lexsort_top_k(manifold, k_pos), lexsort_top_k(sims, k_pos)
     positives = [(int(j), float(values[j])) for j in m_pos if j not in set(e_pos)]
@@ -568,7 +579,7 @@ def baseline_pools_reference(anchor, features, k_base, seed, max_neg):
     with mode "baseline"): the candidate set built by a Python loop and every
     ranking by a full lexsort on (-s_e, id)."""
     n = features.n
-    sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
+    sims = euclidean_row(features, anchor)
     others = sims.copy()
     others[anchor] = -np.inf
     nn_e = lexsort_top_k(others, min(k_base, n - 1))
@@ -586,7 +597,7 @@ def oracle_side_reference(anchor, features, labels, same_label, limit):
     """Reference for the side an oracle swaps in (mining.build_training_pool
     with an oracle): the other-than-anchor items with (or without) the
     anchor's label by a full lexsort on (-s_e, id)."""
-    sims = np.clip(features.data @ features.data[anchor], 0.0, None) ** 3
+    sims = euclidean_row(features, anchor)
     ids = np.flatnonzero((np.asarray(labels) == labels[anchor]) == same_label)
     ids = ids[ids != anchor]
     ids = ids[np.lexsort((ids, -sims[ids]))][:limit]

@@ -415,6 +415,13 @@ def test_bad_config_value_exits_two_before_any_work(tmp_path, capsys, key, value
     ("eval.ks", "1,x"),
     ("mining.max_pos", "-5"),
     ("train.epochs", "-1"),
+    ("diffusion.tolerance", "nan"),
+    ("train.lr0", "nan"),
+    ("train.lr_decay", "nan"),
+    ("train.lr0", "-1"),
+    ("train.lr0", "0"),
+    ("gen.noise", "inf"),
+    ("train.margin", "1e400"),  # inf once parsed
 ])
 def test_unchecked_config_value_exits_two_before_any_work(tmp_path, capsys, key, value):
     out = tmp_path / "run"
@@ -538,6 +545,43 @@ def test_gen_of_a_size_beyond_memory_is_data_error(tmp_path, capsys, per_class):
     err = capsys.readouterr().err
     assert err == (f"mom gen: error: 2 classes of {per_class} items in 16 dimensions"
                    " do not fit in memory\n")
+
+
+@pytest.mark.parametrize("pairs,message", [
+    pytest.param({"gen.per_class": "5"}, "graph.k=30 must be below n=10", id="graph.k-at-n"),
+    pytest.param({"prep.whiten_dims": "40"}, "retained_dims must be in [1, min(n-1, d)=16]",
+                 id="whiten-beyond-d"),
+    pytest.param({"gen.noise": "inf"}, "gen.noise must be a finite number", id="noise-inf"),
+    pytest.param({"gen.per_class": "100", "eval.ks": "500"},
+                 "no recall depth lies in [1, n-1=199]", id="eval.ks-beyond-n"),
+    pytest.param({"model.output_dim": str(2**63)}, "output_dim=9223372036854775808",
+                 id="output-dim-2^63"),
+    pytest.param({"model.kind": "mlp", "model.hidden_dim": str(2**63)},
+                 "hidden_dim=9223372036854775808 does not fit", id="hidden-dim-2^63"),
+    pytest.param({"model.output_dim": "100000000000"}, "output_dim=100000000000",
+                 id="output-dim-1e11"),
+])
+def test_pipeline_checks_its_config_against_the_input_before_creating_out(
+    tmp_path, capsys, pairs, message
+):
+    # 10^11 outputs of 16 inputs are 1.6e12 doubles (12 TiB); the 512 GiB
+    # address-space cap makes numpy refuse them under every overcommit policy
+    out = tmp_path / "run"
+    argv = ["pipeline", "--out", str(out), "--seed", "5"]
+    for key, value in pairs.items():
+        argv += ["--set", key, value]
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2**39 if soft == resource.RLIM_INFINITY else min(soft, 2**39)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        code = main(argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("mom pipeline: error:") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("header", [b"MOM1\0\0\0\0\5\0\0\0", b"MOM1\5\0\0\0\0\0\0\0"])

@@ -132,6 +132,9 @@ def test_solve_column_validates_inputs():
         solve_columns(sym_op(g), [10], DiffusionConfig())
     with pytest.raises(ValueError):
         DiffusionConfig(alpha=1.0)
+    for value in (0.0, -1e-9, float("nan")):  # NaN fails "not tolerance > 0" too
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            DiffusionConfig(tolerance=value)
 
 
 def test_manifold_knn_basis_column():

@@ -334,6 +334,23 @@ def test_ranking_metrics_is_the_same_at_every_worker_count(monkeypatch):
                 assert outcome == _outcome(lambda: ranking_metrics_reference(bad, labels, depths))
 
 
+def test_ranking_metrics_is_the_same_on_every_block_grid(monkeypatch):
+    # the distances come from gram_rows, whose rows round alike in every
+    # block, so no grid changes a report bit; n = 602 is not a multiple of 8
+    z, labels = _mixed_case(5)
+    z = np.vstack([z, z[:21] + 0.5])
+    labels = np.concatenate([labels, labels[:21]])
+    assert z.shape[0] % 8 == 2
+    ks = [1, 2, 5, 16]
+    expected = _ranking_metrics(z, labels, ks)
+    assert expected == ranking_metrics_oracle(z, labels, ks)
+    for rows in (1, 17, 128):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(momine.evaluation, "RANK_ROWS", rows)
+            monkeypatch.setattr(momine.graph, "WORKERS", workers)
+            assert _ranking_metrics(z, labels, ks) == expected, (rows, workers)
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_metrics_reject_a_non_finite_embedding_row(value):
     z, labels = _mixed_case(2)

@@ -16,9 +16,11 @@ from momine.graph import (
     _SAMPLE_SPREAD,
     BLOCK_ROWS,
     EDGE_CHUNK,
+    RANK_ROWS,
     _run_blocks,
     build_reciprocal_graph,
     components,
+    gram_rows,
     knn_search,
     similarity,
     load_graph,
@@ -392,20 +394,8 @@ def test_run_blocks_gives_each_worker_its_blocks_in_order(monkeypatch, workers):
     _run_blocks(20, 3, lambda spans: seen.append(list(spans)))
     assert sorted(seen) == [grid[w::workers] for w in range(workers)]
     seen.clear()
-    _run_blocks(3, 3, lambda spans: seen.append(list(spans)))  # one block: the caller alone
-    assert seen == [[(0, 3)]]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_run_blocks_balances_only_when_asked(monkeypatch, workers):
-    monkeypatch.setattr(momine.graph, "WORKERS", workers)
-    seen = []
-    _run_blocks(7, 64, lambda spans: seen.extend(spans), balance=True)
-    size = -(-7 // workers)
-    assert sorted(seen) == [(s, min(s + size, 7)) for s in range(0, 7, size)]
-    seen.clear()
-    _run_blocks(7, 64, lambda spans: seen.extend(spans))
-    assert seen == [(0, 7)]
+    _run_blocks(1, 3, lambda spans: seen.append(list(spans)))  # one block: the caller alone
+    assert seen == [[(0, 1)]]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -415,7 +405,7 @@ def test_run_blocks_balanced_takes_the_fewest_blocks_a_multiple_of_the_workers(
     monkeypatch.setattr(momine.graph, "WORKERS", workers)
     for count, size in itertools.product(range(130), (1, 2, 3, 5, 13, 64)):
         seen = []
-        _run_blocks(count, size, lambda spans: seen.extend(spans), balance=True)
+        _run_blocks(count, size, lambda spans: seen.extend(spans))
         seen.sort()
         assert [i for start, stop in seen for i in range(start, stop)] == list(range(count))
         assert all(0 < stop - start <= size for start, stop in seen)
@@ -435,7 +425,7 @@ def test_run_blocks_balanced_takes_the_fewest_blocks_a_multiple_of_the_workers(
     }
     for (count, size), by_workers in grids.items():
         seen = []
-        _run_blocks(count, size, lambda spans: seen.extend(spans), balance=True)
+        _run_blocks(count, size, lambda spans: seen.extend(spans))
         assert (len(seen), max(stop - start for start, stop in seen)) == by_workers[workers]
 
 
@@ -478,14 +468,14 @@ def test_run_blocks_keeps_the_callers_errstate(monkeypatch, workers):
 
 def test_run_blocks_loses_no_block_with_more_workers_than_cpus(monkeypatch):
     # eight workers switching every microsecond: every block runs once, and
-    # knn_search ranks the one-worker GEMM blocks byte for byte and writes
-    # the one-worker neighbours. n = 700 is not a multiple of 8, where a GEMM
-    # of another row count would round the last columns' products differently
+    # knn_search ranks each row's one-worker survivor dots byte for byte
+    # (the blocks differ, and so does the -inf fill after each row's dots)
+    # and writes the one-worker neighbours
     feats = l2_normalize(FeatureSet(data=np.random.default_rng(8).normal(size=(700, 6))))
     ranked = []
 
     def spy(scores, k):
-        ranked.append(scores.tobytes())
+        ranked.extend(row[np.isfinite(row)].tobytes() for row in scores)
         return top_k(scores, k)
 
     monkeypatch.setattr(momine.graph, "top_k", spy)
@@ -903,6 +893,28 @@ def test_knn_matches_pair_dot_oracle_where_float32_is_poor(monkeypatch, name, k)
         assert sum(full) == 0
     if name == "near 1e200":
         assert sum(full) == data.shape[0]
+
+
+@pytest.mark.parametrize("n", [264, 258, 261])  # n mod 8 in {0, 2, 5}
+def test_gram_rows_is_bit_identical_on_every_block_size(n):
+    # each row of a block, over a permuted gather, has the bits of that
+    # row in one call of all n rows, for every block size up to RANK_ROWS;
+    # the pad columns are 0 and the dots are x.y up to rounding
+    rng = np.random.default_rng(n)
+    for d in (3, 16, 64, 129):
+        x = rng.normal(size=(n, d))
+        perm = rng.permutation(n)
+        whole = gram_rows(x, perm)
+        width = -(-n // 8) * 8
+        assert whole.shape == (n, width) and not whole[:, n:].any()
+        assert np.allclose(whole[:, :n], np.einsum("ik,jk->ij", x[perm], x), rtol=0, atol=1e-12)
+        for size in range(1, RANK_ROWS + 1):
+            for start in range(0, n, size):
+                got = gram_rows(x, perm[start : start + size])
+                assert got.tobytes() == whole[start : start + size].tobytes(), (d, size, start)
+        out = np.empty((5, width))  # 5 rows: enough for a product of over 1200 entries
+        assert np.shares_memory(gram_rows(x, slice(7, 12), out=out), out)
+        assert out.tobytes() == gram_rows(x, np.arange(7, 12)).tobytes()
 
 
 def test_knn_search_is_the_same_on_every_block_grid_and_worker_count(monkeypatch):

@@ -111,6 +111,26 @@ def test_initialize_shapes_and_identity():
         EmbeddingModel("linear", 3, 2, layers=[[np.zeros((9, 9)), np.zeros(9)]])
 
 
+@pytest.mark.parametrize("kind,output_dim,hidden_dim", [
+    ("linear", 2**63, 0), ("mlp", 4, 2**63), ("mlp", 2**63, 4),
+])
+def test_initialize_of_a_size_numpy_refuses_is_a_named_error(kind, output_dim, hidden_dim):
+    # each size is too many dimensions for numpy, which refuses it before
+    # allocating anything
+    with pytest.raises(BadModel, match=f"input_dim=16, output_dim={output_dim} and "
+                                       f"hidden_dim={hidden_dim} does not fit in memory"):
+        EmbeddingModel.initialize(kind, 16, output_dim, hidden_dim)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr0", 0.0), ("lr0", -1.0), ("lr0", float("nan")), ("margin", float("nan")),
+    ("momentum", float("nan")),
+])
+def test_train_config_rejects_a_nonpositive_or_nan_value(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
 # ---- losses ----------------------------------------------------------------
 
 
