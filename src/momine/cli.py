@@ -45,7 +45,7 @@ from .features import (
 )
 from .graph import build_reciprocal_graph, load_graph, normalize_graph, save_graph, top_k
 from .mining import MiningConfig, build_training_pool, load_pools, save_pools
-from .evaluation import evaluate_embeddings, recall_depths
+from .evaluation import check_labels_differ, evaluate_embeddings, recall_depths
 from .trainer import (
     EmbeddingModel,
     TrainConfig,
@@ -413,6 +413,7 @@ def cmd_pipeline(args, cfg, seed, out: Path):
         raise KTooLarge(f"graph.k={cfg['graph.k']} must be below n={feats.n}")
     if labels is not None:
         recall_depths(_eval_ks(cfg), feats.n)
+        check_labels_differ(labels)
     model = _initial_model(cfg, feats.d, seed)
     _write_config(cfg, out)
     save_features(feats_raw, out / "features.bin")

@@ -31,9 +31,15 @@ def _check_inputs(embeddings: np.ndarray, labels) -> np.ndarray:
         raise LengthMismatch(
             f"{labels.shape[0]} labels for {embeddings.shape[0]} embeddings"
         )
+    check_labels_differ(labels)
+    return labels
+
+
+def check_labels_differ(labels) -> None:
+    """DegenerateLabels when every item has the same label, which leaves
+    nothing to rank or cluster."""
     if np.unique(labels).size < 2:
         raise DegenerateLabels("all items share one label")
-    return labels
 
 
 def _row_aps(rel: np.ndarray, totals: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .features import FeatureSet
 from .mining import MiningConfig, pool_table, sample_epoch_tuples
 
 MODEL_MAGIC = b"MOMM"
+_FLOAT32_MAX = np.finfo(np.float32).max  # model.bin stores float32: a larger weight saves as inf
 _KIND_CODES = {"linear": 0, "mlp": 1}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
@@ -225,6 +226,8 @@ class TrainConfig:
             raise ValueError(f"margin must be positive, got {self.margin}")
         if not self.lr0 > 0:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        if not self.lr_decay > 0:
+            raise ValueError(f"lr_decay must be positive, got {self.lr_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_decay_every < 1:
@@ -293,6 +296,8 @@ def train(
         mean_loss = total / anchors.size
         if not np.isfinite(mean_loss):
             raise Diverged(f"mean loss became non-finite at epoch {epoch}")
+        if not all((np.abs(p) <= _FLOAT32_MAX).all() for layer in model.layers for p in layer):
+            raise Diverged(f"a model parameter left float32's range at epoch {epoch}")
         log.append({"epoch": epoch, "mean_loss": mean_loss, "lr": lr, "tuples_used": anchors.size})
     return model, log
 

@@ -26,7 +26,8 @@ VALUES = ["-1", "0", str(2**63), "1e308", "nan", "inf", "-0.0", "1e-320", "word"
 UNBOUNDED = ("train.epochs", "rounds")
 PIPELINE = ["--seed", "3", "--set", "gen.per_class", "60", "--set", "graph.k", "8",
             "--set", "anchors.count", "16", "--set", "train.epochs", "3"]
-ROUND_ERRORS = re.compile(r"every anchor produced empty pools|mean loss became non-finite")
+ROUND_ERRORS = re.compile(r"every anchor produced empty pools|mean loss became non-finite"
+                          r"|a model parameter left float32's range")
 # a number, word or JSON key: what a single-token replacement swaps out
 TOKEN = re.compile(r'[^\s\[\],:{}"]+')
 SETTINGS = settings(max_examples=120, derandomize=True, database=None, deadline=None)

@@ -840,6 +840,61 @@ def test_pipeline_loads_no_dense_or_graph_solvers(tmp_path):
     assert (tmp_path / "run" / "report.json").exists()
 
 
+def test_importing_the_cli_loads_scipy_sparse_and_every_stage():
+    # `mom` imports every stage before it runs one, so no stage's wall time
+    # includes an import; `import momine` alone loads them on first use
+    import momine
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(next(iter(momine.__path__)) + "/..")
+    stages = ("anchors", "diffusion", "errors", "evaluation", "features", "graph", "mining",
+              "trainer")
+    script = (
+        "import sys\n"
+        "import momine.cli\n"
+        f"wanted = ['scipy.sparse'] + ['momine.' + stage for stage in {stages!r}]\n"
+        "print('missing:', [m for m in wanted if m not in sys.modules])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "missing: []"
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "-0.0"])
+def test_a_nonpositive_lr_decay_exits_two_before_any_work(tmp_path, capsys, value):
+    out = tmp_path / "run"
+    code = main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE
+                + ["--set", "train.lr_decay", value])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"mom pipeline: error: train.lr_decay must be positive, got {float(value)}\n")
+
+
+def test_pipeline_with_one_label_exits_two_before_any_work(tmp_path, capsys):
+    run_gen(tmp_path / "data")
+    same = tmp_path / "same.txt"
+    same.write_text("3\n" * 120)
+    out = tmp_path / "run"
+    code = main(["pipeline", "--out", str(out), "--seed", "5",
+                 "--features", str(tmp_path / "data" / "features.bin"), "--labels", str(same)]
+                + SMALL_PIPELINE)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == "mom pipeline: error: all items share one label"
+
+
+def test_pipeline_whose_weights_leave_float32_exits_two_without_a_model(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["pipeline", "--out", str(out), "--seed", "5"] + SMALL_PIPELINE
+                + ["--set", "train.lr0", "1e50"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "mom pipeline: error: a model parameter left float32's range at epoch 0\n")
+    assert not (out / "model.bin").exists()
+
+
 GOOD_POOL_LINE = '{"anchor": 0, "positives": [[1, 0.5]], "negatives": [[2, 0.25]]}\n'
 
 

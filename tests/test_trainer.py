@@ -429,6 +429,16 @@ def test_train_diverged_guard():
         train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50))
 
 
+def test_train_diverges_once_a_weight_leaves_float32():
+    # a step of lr0 = 1e50 takes the weights far past float32's 3.4e38,
+    # while the float64 forward pass and loss stay finite
+    fn, pools = two_moons_run()
+    model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
+    cfg = TrainConfig(epochs=2, seed=1, lr0=1e50)
+    with pytest.raises(Diverged, match="^a model parameter left float32's range at epoch 0$"):
+        train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50))
+
+
 # clusters 3 x 30 in d = 8, mined on a 6-NN graph; one seed drives gen, model and training
 ROUND_ARGS = [
     "--seed", "5",
