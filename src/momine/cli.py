@@ -30,7 +30,7 @@ from .anchors import (
     stationary,
 )
 from .diffusion import DiffusionConfig, solve_columns
-from .errors import BadConfig, KTooLarge, LabelsMissing, MomineError, open_text
+from .errors import BadConfig, BadModel, KTooLarge, LabelsMissing, MomineError, open_text
 from .features import (
     FeatureSet,
     SyntheticSpec,
@@ -152,23 +152,22 @@ _CHECKS = {
     "anchors.count": (lambda v: v >= 1, ">= 1"),
     "anchors.mode": (lambda v: v in ANCHOR_MODES, "'maxima' or 'all'"),
     "mining.max_pos": (lambda v: v >= 0, ">= 0 (0 = unlimited)"),
-    "model.kind": (lambda v: v in ("linear", "mlp"), "'linear' or 'mlp'"),
-    "model.output_dim": (lambda v: v >= 1, ">= 1"),
-    "model.hidden_dim": (lambda v: v >= 0, ">= 0"),
-    "train.margin": (lambda v: v >= 0, ">= 0 (0 = per-loss default)"),
-    "train.epochs": (lambda v: v >= 0, ">= 0"),
     "rounds": (lambda v: v >= 1, ">= 1"),
 }
 
 
 def _validate_config(cfg, seed) -> None:
-    """Check every config value and build the generator, diffusion, mining
-    and training configs, so a bad value fails before any work."""
+    """Check every config value and the model's architecture, and build the
+    generator, diffusion, mining and training configs, so a bad value fails
+    before any work."""
     for key, (test, rule) in _CHECKS.items():
         if not test(cfg[key]):
             raise BadConfig(f"{key} must be {rule}, got {cfg[key]!r}")
-    if (cfg["model.kind"] == "mlp") != (cfg["model.hidden_dim"] > 0):
-        raise BadConfig("model.hidden_dim must be 0 for a linear model and >= 1 for an mlp")
+    try:
+        EmbeddingModel.check_architecture(
+            cfg["model.kind"], cfg["model.output_dim"], cfg["model.hidden_dim"])
+    except BadModel as exc:
+        raise BadConfig(f"model.{exc.field}: {exc}") from None
     _gen_spec(cfg)
     _diffusion_config(cfg)
     _mining_config(cfg)
@@ -188,12 +187,6 @@ def _write_config(cfg: dict, out: Path) -> None:
     with open(out / "config.json", "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _margin(cfg) -> float:
-    if cfg["train.margin"] > 0:
-        return cfg["train.margin"]
-    return 0.7 if cfg["train.loss"] == "contrastive" else 0.5
 
 
 def _checked(section, make, cfg, **values):
@@ -219,7 +212,7 @@ def _mining_config(cfg) -> MiningConfig:
 
 
 def _train_config(cfg, seed) -> TrainConfig:
-    return _checked("train", TrainConfig, cfg, margin=_margin(cfg), seed=seed)
+    return _checked("train", TrainConfig, cfg, seed=seed)
 
 
 def _anchor_set(graph, pi, cfg) -> AnchorSet:
@@ -229,10 +222,6 @@ def _anchor_set(graph, pi, cfg) -> AnchorSet:
 
 def _gen_spec(cfg) -> SyntheticSpec:
     return _checked("gen", SyntheticSpec, cfg)
-
-
-def _gen(cfg, seed) -> FeatureSet:
-    return generate_synthetic(_gen_spec(cfg), seed)
 
 
 def _prepare(feats, cfg) -> FeatureSet:
@@ -258,7 +247,7 @@ def _labels(args, cfg, n):
 
 
 def cmd_gen(args, cfg, seed, out: Path):
-    feats = _gen(cfg, seed)
+    feats = generate_synthetic(_gen_spec(cfg), seed)
     _write_config(cfg, out)
     save_features(feats, out / "features.bin")
     save_labels(feats.labels, out / "labels.txt")
@@ -319,11 +308,11 @@ def cmd_anchors(args, cfg, seed, out: Path):
 
 def cmd_mine(args, cfg, seed, out: Path):
     feats = _prepare(load_features(args.features), cfg)
-    graph = load_graph(args.graph)
+    operator = normalize_graph(load_graph(args.graph)) if args.graph else None
     anchor_set = load_anchors(args.anchors)
     labels = _labels(args, cfg, feats.n)
-    pools, _ = build_training_pool(anchor_set, feats, normalize_graph(graph),
-                                   _diffusion_config(cfg), _mining_config(cfg), labels, seed)
+    pools, _ = build_training_pool(anchor_set, feats, operator, _diffusion_config(cfg),
+                                   _mining_config(cfg), labels, seed)
     _write_config(cfg, out)
     save_pools(pools, out / "pools.jsonl")
     n_pos = sum(len(p.positives) for p in pools)
@@ -363,10 +352,6 @@ def _eval_ks(cfg) -> list:
     return ks
 
 
-def _eval_report(embeddings, labels, cfg, seed):
-    return evaluate_embeddings(embeddings, labels, ks=_eval_ks(cfg), seed=seed)
-
-
 def _write_report(report, path):
     payload = {
         "recall_at": {str(k): v for k, v in report.recall_at.items()},
@@ -390,7 +375,7 @@ def cmd_eval(args, cfg, seed, out: Path):
     else:
         emb = feats.data
         name = "initial_report.json"
-    report = _eval_report(emb, labels, cfg, seed)
+    report = evaluate_embeddings(emb, labels, ks=_eval_ks(cfg), seed=seed)
     _write_config(cfg, out)
     _write_report(report, out / name)
     k = min(report.recall_at)
@@ -406,7 +391,7 @@ def cmd_pipeline(args, cfg, seed, out: Path):
         feats_raw = load_features(args.features)
         labels = _labels(args, cfg, feats_raw.n)
     else:
-        feats_raw = _gen(cfg, seed)
+        feats_raw = generate_synthetic(_gen_spec(cfg), seed)
         labels = feats_raw.labels
     feats = _prepare(feats_raw, cfg)
     if cfg["graph.k"] >= feats.n:
@@ -433,17 +418,18 @@ def cmd_pipeline(args, cfg, seed, out: Path):
         anchors_path = out / f"anchors{suffix}.txt"
         save_anchors(anchor_set, anchors_path)
         print(f"round {rnd}: " + _anchors_line(anchor_set, parts, cfg, anchors_path))
-        pools, _ = build_training_pool(anchor_set, space, normalize_graph(graph), dcfg, mcfg,
-                                       labels, seed)
+        operator = normalize_graph(graph) if mcfg.mode == "mined" else None
+        pools, _ = build_training_pool(anchor_set, space, operator, dcfg, mcfg, labels, seed)
         save_pools(pools, out / f"pools{suffix}.jsonl")
         model, log = train(feats, pools, model, tcfg, mcfg)
         save_train_log(log, out / f"train_log{suffix}.csv")
     save_model(model, out / "model.bin")
 
     if labels is not None:
-        initial = _eval_report(feats.data, labels, cfg, seed)
+        initial = evaluate_embeddings(feats.data, labels, ks=_eval_ks(cfg), seed=seed)
         _write_report(initial, out / "initial_report.json")
-        trained = _eval_report(forward(model, feats.data), labels, cfg, seed)
+        trained = evaluate_embeddings(forward(model, feats.data), labels, ks=_eval_ks(cfg),
+                                      seed=seed)
         _write_report(trained, out / "report.json")
         k = min(initial.recall_at)
         print(
@@ -487,7 +473,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mine", help="build positive/negative pools per anchor")
     _add_common(p)
     p.add_argument("--features", required=True)
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", help="graph file; needed for mined pools only")
     p.add_argument("--anchors", required=True)
     p.add_argument("--labels", help="label sidecar (oracle ablations only)")
 
@@ -545,6 +531,8 @@ def main(argv=None) -> int:
             seed = _resolve_seed(args, cfg)
             cfg["seed"] = seed
             _validate_config(cfg, seed)
+            if args.command == "mine" and not args.graph and cfg["mining.mode"] == "mined":
+                parser.error("mine needs --graph for mined pools; baseline pools need none")
             return _COMMANDS[args.command](args, cfg, seed, Path(args.out))
         except (MomineError, OSError) as exc:
             print(f"mom {args.command}: error: {exc}", file=sys.stderr)

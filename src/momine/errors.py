@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and a text opener that names its file."""
+"""Exception types shared across the package, and file readers and a writer that name their file."""
 
 import json
+import os
+import struct
 from contextlib import contextmanager
 
 
@@ -37,15 +39,20 @@ class TruncatedFile(MomineError):
 
 
 class BadGraph(MomineError, ValueError):
-    """Graph sizes or edges that cannot be parsed or break the format's rules."""
+    """Graph sizes or edges that break the format's rules, or no graph for mined pools."""
 
 
 class EmptyGraph(MomineError, ValueError):
     """A graph without edges: its random walk and stationary distribution are undefined."""
 
 
-class BadModel(MomineError):
-    """A model whose kind and hidden width disagree, or whose layers numpy cannot allocate."""
+class BadModel(MomineError, ValueError):
+    """A model that breaks the architecture rule (`field` names the value), or
+    whose layers numpy cannot allocate (`field` None)."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class TrailingBytes(MomineError):
@@ -61,7 +68,7 @@ class NonFinite(MomineError):
 
 
 class DimMismatch(MomineError):
-    """Sidecar length or dimensionality does not match the feature set."""
+    """A sidecar, dimension or label sequence whose length does not match its counterpart."""
 
 
 class KTooLarge(MomineError):
@@ -92,10 +99,6 @@ class DegenerateLabels(MomineError):
     """All items share a single label; the metric is undefined."""
 
 
-class LengthMismatch(MomineError):
-    """Two label sequences differ in length."""
-
-
 class DegenerateOutput(MomineError):
     """Embedding collapsed to (near-)zero before normalization."""
 
@@ -112,3 +115,38 @@ def open_text(path, error):
             yield fh
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"{path}: {exc}") from None
+
+
+def read_binary(path, magic: bytes, header_format: str, payload_size):
+    """(header tuple, payload bytes) of a file of `magic`, a struct header and
+    a payload. `payload_size(*header)` checks the header and returns the
+    payload's byte count, which is compared with the bytes left before the
+    payload is read, so a header that promises more allocates nothing."""
+    with open(path, "rb") as fh:
+        found = fh.read(len(magic))
+        if len(found) < len(magic):
+            raise TruncatedFile(f"{path}: shorter than the {len(magic)}-byte magic")
+        if found != magic:
+            raise BadMagic(f"{path}: bad magic {found!r}, expected {magic!r}")
+        raw = fh.read(struct.calcsize(header_format))
+        if len(raw) < struct.calcsize(header_format):
+            raise TruncatedFile(f"{path}: header truncated")
+        header = struct.unpack(header_format, raw)
+        size = payload_size(*header)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < size:
+            raise TruncatedFile(f"{path}: header promises {size} payload bytes, file has {left}")
+        payload = fh.read(size)
+        if fh.read(1):
+            raise TrailingBytes(f"{path}: bytes after the {size}-byte payload")
+    return header, payload
+
+
+def write_binary(path, magic: bytes, header_format: str, header: tuple, chunks) -> None:
+    """Write what read_binary reads: `magic`, the packed header, then each
+    bytes-like chunk of the payload in order."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack(header_format, *header))
+        for chunk in chunks:
+            fh.write(chunk)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, KTooLarge, LengthMismatch, NonFinite
+from .errors import DegenerateLabels, DimMismatch, KTooLarge, NonFinite
 from .graph import RANK_ROWS, _run_blocks, gram_rows, top_k
 
 KMEANS_MAX_ITER = 100  # Lloyd rounds; the loop also stops once no assignment changes
@@ -28,9 +28,7 @@ def _check_inputs(embeddings: np.ndarray, labels) -> np.ndarray:
         raise NonFinite(f"embedding row {int(bad[0])} has a NaN or infinite value")
     labels = np.asarray(labels)
     if labels.shape[0] != embeddings.shape[0]:
-        raise LengthMismatch(
-            f"{labels.shape[0]} labels for {embeddings.shape[0]} embeddings"
-        )
+        raise DimMismatch(f"{labels.shape[0]} labels for {embeddings.shape[0]} embeddings")
     check_labels_differ(labels)
     return labels
 
@@ -171,7 +169,7 @@ def nmi(labels_a, labels_b) -> float:
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
     if a.shape[0] != b.shape[0] or a.shape[0] < 1:
-        raise LengthMismatch(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
+        raise DimMismatch(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
     n = a.shape[0]
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)

@@ -6,24 +6,21 @@ ever consumed by evaluation and oracle ablations, never by the graph, mining,
 or training code paths.
 """
 
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BadLabels,
-    BadMagic,
     BadSpec,
     DimMismatch,
     EmptyFeatures,
     NonFinite,
     RankDeficient,
-    TrailingBytes,
-    TruncatedFile,
     ZeroVector,
     open_text,
+    read_binary,
+    write_binary,
 )
 
 MAGIC = b"MOM1"
@@ -249,34 +246,18 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
 
 def save_features(features: FeatureSet, path) -> None:
     """Write the binary feature file: MOM1, u32 n, u32 d, n*d float32 LE."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", features.n, features.d))
-        fh.write(features.data.astype("<f4").tobytes())
+    write_binary(path, MAGIC, "<II", (features.n, features.d), [features.data.astype("<f4")])
 
 
 def load_features(path) -> FeatureSet:
     """Read a binary feature file written by :func:`save_features`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if len(magic) < 4:
-            raise TruncatedFile(f"{path}: file shorter than the 4-byte magic")
-        if magic != MAGIC:
-            raise BadMagic(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        header = fh.read(8)
-        if len(header) < 8:
-            raise TruncatedFile(f"{path}: header truncated")
-        n, d = struct.unpack("<II", header)
+
+    def payload_size(n, d):
         if not n or not d:
             raise EmptyFeatures(f"{path}: header promises an empty {n}x{d} matrix")
-        # the size the header promises against the bytes left, before any read
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if left < n * d * 4:
-            have = left // (d * 4) if d else 0
-            raise TruncatedFile(f"{path}: header promises {n} rows, payload has {have}")
-        payload = fh.read(n * d * 4)
-        if fh.read(1):
-            raise TrailingBytes(f"{path}: bytes after the {n}x{d} payload")
+        return n * d * 4
+
+    (n, d), payload = read_binary(path, MAGIC, "<II", payload_size)
     data = np.frombuffer(payload, dtype="<f4").reshape(n, d).astype(np.float64)
     return FeatureSet(data=data)
 

@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .diffusion import DiffusionConfig, check_anchor_ids, solve_columns
-from .errors import AllPoolsEmpty, BadPools, DimMismatch, LabelsMissing, open_text
+from .errors import AllPoolsEmpty, BadGraph, BadPools, DimMismatch, LabelsMissing, open_text
 from .features import FeatureSet
 from .graph import NormalizedOperator, _run_blocks, gram_rows, similarity, top_k
 
@@ -164,7 +164,7 @@ def _oracle_pools(pools: list, anchors: np.ndarray, sims: np.ndarray, labels: np
 def build_training_pool(
     anchor_set,
     features: FeatureSet,
-    operator: NormalizedOperator,
+    operator: NormalizedOperator | None,
     diffusion_config: DiffusionConfig,
     mining_config: MiningConfig,
     labels=None,
@@ -179,15 +179,19 @@ def build_training_pool(
     per worker. A block takes its Euclidean rows once and, for mined pools,
     solves its diffusion columns, each bit-equal to its single-anchor solve
     whatever the block size; the pools are joined in block order. Baseline
-    negatives are drawn from default_rng([seed, anchor]); an oracle reads
-    `labels`, one per item, and raises LabelsMissing without them.
+    pools need no `operator` (None); a given one must match the features' n,
+    and mined pools raise BadGraph without one. Baseline negatives are drawn
+    from default_rng([seed, anchor]); an oracle reads `labels`, one per item,
+    and raises LabelsMissing without them.
 
     Diffusion solves that stop above diffusion_config.tolerance are counted
     in one warning. Anchors whose base pools (before an oracle swaps a side)
     are both empty are dropped and counted in one warning; AllPoolsEmpty is
     raised when none is left.
     """
-    if operator.n != features.n:
+    if operator is None and mining_config.mode == "mined":
+        raise BadGraph("mined pools need the graph's diffusion operator")
+    if operator is not None and operator.n != features.n:
         raise DimMismatch(f"graph has n={operator.n}, features have n={features.n}")
     anchors = check_anchor_ids(anchor_set.anchor_ids, features.n)
     if mining_config.oracle != "none":

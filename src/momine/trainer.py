@@ -7,8 +7,6 @@ gradients; backprop through the normalization is the tangent-space projection
 config seed.
 """
 
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,16 +20,15 @@ from .errors import (
     DimMismatch,
     Diverged,
     NonFinite,
-    TrailingBytes,
-    TruncatedFile,
+    read_binary,
+    write_binary,
 )
 from .features import FeatureSet
 from .mining import MiningConfig, pool_table, sample_epoch_tuples
 
 MODEL_MAGIC = b"MOMM"
 _FLOAT32_MAX = np.finfo(np.float32).max  # model.bin stores float32: a larger weight saves as inf
-_KIND_CODES = {"linear": 0, "mlp": 1}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_KINDS = ("linear", "mlp")  # a model file's kind code is the index
 
 
 def _layer_dims(kind, input_dim, output_dim, hidden_dim):
@@ -53,17 +50,24 @@ class EmbeddingModel:
     layers: list = field(default_factory=list)  # [[W, b], ...]
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
-            raise ValueError(f"kind must be 'linear' or 'mlp', got {self.kind!r}")
-        if self.kind == "linear" and self.hidden_dim:
-            raise ValueError("linear model takes hidden_dim=0")
-        if self.kind == "mlp" and self.hidden_dim < 1:
-            raise ValueError("mlp model needs hidden_dim >= 1")
+        self.check_architecture(self.kind, self.output_dim, self.hidden_dim)
         dims = _layer_dims(self.kind, self.input_dim, self.output_dim, self.hidden_dim)
         shapes = [((fan_out, fan_in), (fan_out,)) for fan_out, fan_in in dims]
         got = [(w.shape, b.shape) for w, b in self.layers]
         if got != shapes:
             raise ValueError(f"parameter shapes {got} do not match architecture {shapes}")
+
+    @staticmethod
+    def check_architecture(kind, output_dim, hidden_dim) -> None:
+        """The architecture rule: kind 'linear' or 'mlp', output_dim >= 1, and
+        hidden_dim 0 for a linear model and >= 1 for an mlp. Raises BadModel
+        whose `field` names the first value that breaks it."""
+        if kind not in _KINDS:
+            raise BadModel(f"a model's kind must be 'linear' or 'mlp', got {kind!r}", "kind")
+        if output_dim < 1:
+            raise BadModel(f"a {kind} model cannot have output_dim={output_dim}", "output_dim")
+        if not (hidden_dim >= 1 if kind == "mlp" else hidden_dim == 0):
+            raise BadModel(f"a {kind} model cannot have hidden_dim={hidden_dim}", "hidden_dim")
 
     @classmethod
     def initialize(cls, kind, input_dim, output_dim, hidden_dim=0, seed=0):
@@ -73,9 +77,11 @@ class EmbeddingModel:
         Linear models start at the identity (square) or a seeded orthonormal
         projection (reducing), so the epoch-0 embedding equals the normalized
         input features. MLP layers get seeded Gaussians scaled by
-        1/sqrt(fan_in); biases are zero. Raises BadModel, naming the sizes,
-        when numpy cannot allocate the layers.
+        1/sqrt(fan_in); biases are zero. Raises BadModel before allocating
+        when the sizes break the architecture rule, or naming them when numpy
+        cannot allocate the layers.
         """
+        cls.check_architecture(kind, output_dim, hidden_dim)
         rng = np.random.default_rng(seed)
         try:
             if kind == "linear":
@@ -209,7 +215,7 @@ def sgd_momentum_step(params: list, grads: list, velocity: list, lr: float, mome
 class TrainConfig:
     loss: str = "contrastive"
     weighted: bool = True
-    margin: float = 0.7
+    margin: float = 0.0  # 0 = the loss's default: 0.7 contrastive, 0.5 triplet and triplet-literal
     lr0: float = 0.01
     lr_decay: float = 0.1
     lr_decay_every: int = 10
@@ -222,8 +228,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in _LOSSES:
             raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {self.loss!r}")
-        if not self.margin > 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
+        if not self.margin >= 0:
+            raise ValueError(f"margin must be >= 0 (0 = per-loss default), got {self.margin!r}")
+        if not self.margin:
+            self.margin = 0.7 if self.loss == "contrastive" else 0.5
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
         if not self.lr0 > 0:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
         if not self.lr_decay > 0:
@@ -305,53 +315,33 @@ def train(
 def save_model(model: EmbeddingModel, path) -> None:
     """Binary format: MOMM, u32 kind code, u32 in/out/hidden dims, then all
     parameters as float32 LE, layer by layer (weights row-major, then bias)."""
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIII",
-                _KIND_CODES[model.kind],
-                model.input_dim,
-                model.output_dim,
-                model.hidden_dim,
-            )
-        )
-        for w, b in model.layers:
-            fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-            fh.write(np.asarray(b, dtype="<f4").tobytes())
+    header = (_KINDS.index(model.kind), model.input_dim, model.output_dim, model.hidden_dim)
+    write_binary(path, MODEL_MAGIC, "<IIII", header,
+                 [np.ascontiguousarray(p, dtype="<f4") for layer in model.layers for p in layer])
 
 
 def load_model(path) -> EmbeddingModel:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if len(magic) < 4:
-            raise TruncatedFile(f"{path}: shorter than the 4-byte magic")
-        if magic != MODEL_MAGIC:
-            raise BadMagic(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-        header = fh.read(16)
-        if len(header) < 16:
-            raise TruncatedFile(f"{path}: header truncated")
-        code, d_in, d_out, hidden = struct.unpack("<IIII", header)
-        if code not in _CODE_KINDS:
+    """Read a model file written by :func:`save_model`."""
+
+    def payload_size(code, d_in, d_out, hidden):
+        if code >= len(_KINDS):
             raise BadMagic(f"{path}: unknown model kind code {code}")
-        kind = _CODE_KINDS[code]
-        if (kind == "mlp") != (hidden > 0):
-            raise BadModel(f"{path}: a {kind} model cannot have hidden_dim={hidden}")
-        dims = _layer_dims(kind, d_in, d_out, hidden)
-        # the size the header promises against the bytes left, before any read
-        if os.fstat(fh.fileno()).st_size - fh.tell() < sum((o * i + o) * 4 for o, i in dims):
-            raise TruncatedFile(f"{path}: parameter payload truncated")
-        layers = []
-        for fan_out, fan_in in dims:
-            blob = fh.read((fan_out * fan_in + fan_out) * 4)
-            flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-            if not np.isfinite(flat).all():
-                raise NonFinite(f"{path}: a model parameter is NaN or infinite")
-            layers.append(
-                [flat[: fan_out * fan_in].reshape(fan_out, fan_in), flat[fan_out * fan_in :]]
-            )
-        if fh.read(1):
-            raise TrailingBytes(f"{path}: bytes after the parameter payload")
+        try:
+            EmbeddingModel.check_architecture(_KINDS[code], d_out, hidden)
+        except BadModel as exc:
+            raise BadModel(f"{path}: {exc}", exc.field) from None
+        return sum(o * i + o for o, i in _layer_dims(_KINDS[code], d_in, d_out, hidden)) * 4
+
+    (code, d_in, d_out, hidden), payload = read_binary(path, MODEL_MAGIC, "<IIII", payload_size)
+    params = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    if not np.isfinite(params).all():
+        raise NonFinite(f"{path}: a model parameter is NaN or infinite")
+    kind = _KINDS[code]
+    layers, start = [], 0
+    for fan_out, fan_in in _layer_dims(kind, d_in, d_out, hidden):
+        stop = start + fan_out * fan_in
+        layers.append([params[start:stop].reshape(fan_out, fan_in), params[stop : stop + fan_out]])
+        start = stop + fan_out
     return EmbeddingModel(kind, d_in, d_out, hidden, layers)
 
 

@@ -12,10 +12,10 @@ import pytest
 import momine.mining
 from momine.cli import DEFAULTS, main
 from momine.diffusion import DiffusionConfig, solve_columns
-from momine.features import FeatureSet, load_features, load_labels
+from momine.features import FeatureSet, l2_normalize, load_features, load_labels
 from momine.graph import load_graph, normalize_graph, save_graph
-from momine.mining import AnchorPools, load_pools
-from momine.trainer import EmbeddingModel, save_model
+from momine.mining import AnchorPools, MiningConfig, load_pools
+from momine.trainer import EmbeddingModel, TrainConfig, save_model, train
 
 from helpers import graph_from_edges, lexsort_top_k
 
@@ -650,6 +650,50 @@ def test_mine_with_an_empty_anchors_file_is_data_error(tmp_path, capsys):
         assert code == 2
         assert capsys.readouterr().err == "mom mine: error: every anchor produced empty pools\n"
         assert not (tmp_path / "m").exists()
+
+
+def test_baseline_mine_needs_no_graph(tmp_path, capsys):
+    run_gen(tmp_path / "data")
+    features = str(tmp_path / "data" / "features.bin")
+    assert main(["graph", "--out", str(tmp_path / "g"), "--features", features,
+                 "--set", "graph.k", "8"]) == 0
+    (tmp_path / "anchors.txt").write_text("3 0.1\n5 0.1\n7 0.1\n")
+    mine = ["mine", "--features", features, "--anchors", str(tmp_path / "anchors.txt")]
+    graph = ["--graph", str(tmp_path / "g" / "graph.txt")]
+    baseline = ["--set", "mining.mode", "baseline"]
+    assert main(mine + graph + baseline + ["--out", str(tmp_path / "with")]) == 0
+    assert main(mine + baseline + ["--out", str(tmp_path / "without")]) == 0
+    for name in ("pools.jsonl", "config.json"):
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(mine + ["--out", str(tmp_path / "mined")])
+    assert exc.value.code == 1
+    assert "mine needs --graph for mined pools" in capsys.readouterr().err
+    assert not (tmp_path / "mined").exists()
+    # a given graph is still read and checked against the features
+    (tmp_path / "small.txt").write_text("MOMG 4 2\n0 1 0.5\n")
+    assert main(mine + baseline + ["--graph", str(tmp_path / "small.txt"),
+                                   "--out", str(tmp_path / "other")]) == 2
+    assert "graph has n=4, features have n=120" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists()
+
+
+@pytest.mark.parametrize("loss", ["contrastive", "triplet", "triplet-literal"])
+def test_the_library_trains_what_mom_trains(tmp_path, loss):
+    # TrainConfig's default margin is the loss's own, as train.margin 0 is.
+    # On these pools the triplet loss trains other weights at 0.5 and 0.7
+    run = tmp_path / "run"
+    assert main(["pipeline", "--out", str(run), "--seed", "1"] + SMALL_PIPELINE) == 0
+    features, pools = run / "features.bin", run / "pools.jsonl"
+    assert main(["train", "--out", str(tmp_path / "mom"), "--features", str(features),
+                 "--pools", str(pools), "--set", "train.loss", loss, "--seed", "9"]) == 0
+    feats = l2_normalize(load_features(features))
+    model = EmbeddingModel.initialize("linear", feats.d, DEFAULTS["model.output_dim"], seed=9)
+    model, _ = train(feats, load_pools(pools), model, TrainConfig(loss=loss, seed=9),
+                     MiningConfig())
+    save_model(model, tmp_path / "library.bin")
+    assert (tmp_path / "library.bin").read_bytes() == (tmp_path / "mom" / "model.bin").read_bytes()
 
 
 def test_baseline_mine_drops_empty_pools_with_a_warning(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 import momine.evaluation
 import momine.graph
-from momine.errors import DegenerateLabels, KTooLarge, LengthMismatch, NonFinite
+from momine.errors import DegenerateLabels, DimMismatch, KTooLarge, NonFinite
 from momine.evaluation import (
     _ranking_metrics,
     evaluate_embeddings,
@@ -128,7 +128,7 @@ def test_nmi_symmetry_and_permutation_invariance():
 
 
 def test_nmi_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimMismatch):
         nmi([0, 1], [0, 1, 2])
 
 

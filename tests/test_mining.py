@@ -13,7 +13,7 @@ import momine.graph
 import momine.mining
 from momine.anchors import AnchorSet, select_anchors
 from momine.diffusion import DiffusionConfig, solve_columns
-from momine.errors import AllPoolsEmpty, BadAnchors, DimMismatch, LabelsMissing
+from momine.errors import AllPoolsEmpty, BadAnchors, BadGraph, DimMismatch, LabelsMissing
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import NeighborGraph, build_reciprocal_graph, normalize_graph
 from momine.mining import (
@@ -286,6 +286,20 @@ def test_build_training_pool_union():
         expected.update(j for j, _ in pool.negatives)
     assert set(items) == expected
     assert list(items) == sorted(items)
+
+
+def test_baseline_pools_need_no_operator():
+    feats, graph, op = small_setup(n=50, seed=7, k=7)
+    anchors = select_anchors(graph, power_iteration(graph, max_iterations=50000).pi, 10)
+    cfg = MiningConfig(k_pos=10, k_neg=15, max_neg=8, hard_subset_size=4, mode="baseline")
+    pools, items = build_training_pool(anchors, feats, op, DC, cfg, seed=3)
+    alone, alone_items = build_training_pool(anchors, feats, None, DC, cfg, seed=3)
+    assert alone == pools and np.array_equal(alone_items, items)
+    with pytest.raises(BadGraph, match="mined pools need"):
+        build_training_pool(anchors, feats, None, DC, replace(cfg, mode="mined"))
+    _, _, other = small_setup(n=40, seed=7, k=7)
+    with pytest.raises(DimMismatch):  # a given operator is still checked
+        build_training_pool(anchors, feats, other, DC, cfg)
 
 
 def test_build_training_pool_all_empty_raises():

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,36 @@ def test_initialize_of_a_size_numpy_refuses_is_a_named_error(kind, output_dim, h
     with pytest.raises(BadModel, match=f"input_dim=16, output_dim={output_dim} and "
                                        f"hidden_dim={hidden_dim} does not fit in memory"):
         EmbeddingModel.initialize(kind, 16, output_dim, hidden_dim)
+
+
+@pytest.mark.parametrize("kind,output_dim,hidden_dim,field", [
+    ("mlp", 4, 0, "hidden_dim"), ("linear", 4, 3, "hidden_dim"), ("linear", 4, -1, "hidden_dim"),
+    ("linear", -1, 0, "output_dim"), ("mlp", 0, 4, "output_dim"), ("conv", 4, 0, "kind"),
+])
+def test_initialize_checks_the_architecture_before_allocating(kind, output_dim, hidden_dim, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's divide-by-zero RuntimeWarning included
+        with pytest.raises(BadModel) as exc:
+            EmbeddingModel.initialize(kind, 8, output_dim, hidden_dim)
+    assert exc.value.field == field and "does not fit" not in str(exc.value)
+    assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("loss,margin", [
+    ("contrastive", 0.7), ("triplet", 0.5), ("triplet-literal", 0.5),
+])
+def test_train_config_margin_zero_is_the_loss_default(loss, margin):
+    assert TrainConfig(loss=loss).margin == margin
+    assert TrainConfig(loss=loss, margin=0.0).margin == margin
+    assert TrainConfig(loss=loss, margin=0.3).margin == 0.3
+
+
+@pytest.mark.parametrize("field,value", [
+    ("margin", -1.0), ("epochs", -1),
+])
+def test_train_config_rejects_a_negative_margin_or_epoch_count(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+        TrainConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field,value", [
