@@ -62,7 +62,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli", "errors")
+_SUBMODULES = (*_EXPORTS, "cli", "config", "errors")
 
 __all__ = list(_HOME)
 

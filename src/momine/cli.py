@@ -15,25 +15,17 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .anchors import (
-    ANCHOR_MODES,
-    AnchorSet,
-    load_anchors,
-    save_anchors,
-    select_anchors,
-    stationary,
-)
-from .diffusion import DiffusionConfig, solve_columns
-from .errors import BadConfig, BadModel, KTooLarge, LabelsMissing, MomineError, open_text
+from .anchors import AnchorSet, load_anchors, save_anchors, select_anchors, stationary
+from .config import RunConfig
+from .diffusion import solve_columns
+from .errors import BadConfig, KTooLarge, LabelsMissing, MomineError, open_text
 from .features import (
     FeatureSet,
-    SyntheticSpec,
     generate_synthetic,
     l2_normalize,
     load_features,
@@ -44,56 +36,11 @@ from .features import (
     save_labels,
 )
 from .graph import build_reciprocal_graph, load_graph, normalize_graph, save_graph, top_k
-from .mining import MiningConfig, build_training_pool, load_pools, save_pools
+from .mining import build_training_pool, load_pools, save_pools
 from .evaluation import check_labels_differ, evaluate_embeddings, recall_depths
-from .trainer import (
-    EmbeddingModel,
-    TrainConfig,
-    forward,
-    load_model,
-    save_model,
-    save_train_log,
-    train,
-)
+from .trainer import forward, load_model, save_model, save_train_log, train
 
-DEFAULTS = {
-    "seed": 0,
-    "gen.kind": "moons",
-    "gen.classes": 2,
-    "gen.per_class": 200,
-    "gen.ambient_dim": 16,
-    "gen.noise": 0.15,
-    "prep.whiten_dims": 0,  # 0 = off
-    "graph.k": 30,
-    "diffusion.alpha": 0.99,
-    "diffusion.tolerance": 1e-6,
-    "diffusion.max_iterations": 100,
-    "anchors.count": 64,
-    "anchors.mode": "maxima",  # maxima | all (every non-isolated node, by pi)
-    "mining.k_pos": 50,
-    "mining.k_neg": 100,
-    "mining.max_pos": 0,  # 0 = unlimited
-    "mining.max_neg": 50,
-    "mining.hard_subset_size": 10,
-    "mining.mode": "mined",  # mined | baseline
-    "mining.baseline_k": 5,
-    "mining.oracle": "none",  # none | positive | negative
-    "model.kind": "linear",
-    "model.output_dim": 16,
-    "model.hidden_dim": 0,
-    "train.loss": "contrastive",
-    "train.weighted": True,
-    "train.margin": 0.0,  # 0 = per-loss default (0.7 contrastive, 0.5 triplet)
-    "train.lr0": 0.01,
-    "train.lr_decay": 0.1,
-    "train.lr_decay_every": 10,
-    "train.momentum": 0.9,
-    "train.batch_size": 42,
-    "train.epochs": 30,
-    "train.weight_normalization": "per-anchor-max",
-    "eval.ks": "1,2,4,8",
-    "rounds": 1,
-}
+DEFAULTS = RunConfig.defaults()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,37 +91,6 @@ def _load_config(path, pairs) -> dict:
     return cfg
 
 
-# the config values no config object checks: key -> (test, rule)
-_CHECKS = {
-    "seed": (lambda v: v >= 0, ">= 0"),
-    "prep.whiten_dims": (lambda v: v >= 0, ">= 0"),
-    "graph.k": (lambda v: v >= 1, ">= 1"),
-    "anchors.count": (lambda v: v >= 1, ">= 1"),
-    "anchors.mode": (lambda v: v in ANCHOR_MODES, "'maxima' or 'all'"),
-    "mining.max_pos": (lambda v: v >= 0, ">= 0 (0 = unlimited)"),
-    "rounds": (lambda v: v >= 1, ">= 1"),
-}
-
-
-def _validate_config(cfg, seed) -> None:
-    """Check every config value and the model's architecture, and build the
-    generator, diffusion, mining and training configs, so a bad value fails
-    before any work."""
-    for key, (test, rule) in _CHECKS.items():
-        if not test(cfg[key]):
-            raise BadConfig(f"{key} must be {rule}, got {cfg[key]!r}")
-    try:
-        EmbeddingModel.check_architecture(
-            cfg["model.kind"], cfg["model.output_dim"], cfg["model.hidden_dim"])
-    except BadModel as exc:
-        raise BadConfig(f"model.{exc.field}: {exc}") from None
-    _gen_spec(cfg)
-    _diffusion_config(cfg)
-    _mining_config(cfg)
-    _train_config(cfg, seed)
-    _eval_ks(cfg)
-
-
 def _resolve_seed(args, cfg) -> int:
     if args.seed is not None:
         return args.seed
@@ -182,85 +98,51 @@ def _resolve_seed(args, cfg) -> int:
     return cfg["seed"] if env is None else _parse("seed", env, text=True, source="MOM_SEED")
 
 
-def _write_config(cfg: dict, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+def _write_json(payload: dict, path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _checked(section, make, cfg, **values):
-    """Build a config object from the `section.*` keys named after its fields,
-    `values` winning; a value it rejects is reported under its dotted key."""
-    names = {field.name for field in fields(make)}
-    for key, value in cfg.items():
-        head, _, name = key.partition(".")
-        if head == section and name in names:
-            values.setdefault(name, value)
-    try:
-        return make(**values)
-    except ValueError as exc:
-        raise BadConfig(f"{section}.{exc}") from None
-
-
-def _diffusion_config(cfg) -> DiffusionConfig:
-    return _checked("diffusion", DiffusionConfig, cfg)
-
-
-def _mining_config(cfg) -> MiningConfig:
-    return _checked("mining", MiningConfig, cfg, max_pos=cfg["mining.max_pos"] or None)
-
-
-def _train_config(cfg, seed) -> TrainConfig:
-    return _checked("train", TrainConfig, cfg, seed=seed)
+def _write_config(cfg: dict, out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(cfg, out / "config.json")
 
 
 def _anchor_set(graph, pi, cfg) -> AnchorSet:
-    """Anchor selection per config (see select_anchors)."""
+    """select_anchors per the flat config, whose anchors.count bench/spans.py reads."""
     return select_anchors(graph, pi, cfg["anchors.count"], cfg["anchors.mode"])
 
 
-def _gen_spec(cfg) -> SyntheticSpec:
-    return _checked("gen", SyntheticSpec, cfg)
-
-
-def _prepare(feats, cfg) -> FeatureSet:
+def _prepare(feats, run) -> FeatureSet:
     """Whiten if configured, then l2-normalize."""
-    if cfg["prep.whiten_dims"]:
-        transform = pca_whiten_fit(feats, cfg["prep.whiten_dims"])
-        feats = pca_whiten_apply(feats, transform)
+    if run.prep.whiten_dims:
+        feats = pca_whiten_apply(feats, pca_whiten_fit(feats, run.prep.whiten_dims))
     return l2_normalize(feats)
 
 
-def _initial_model(cfg, input_dim, seed) -> EmbeddingModel:
-    return EmbeddingModel.initialize(
-        cfg["model.kind"], input_dim, cfg["model.output_dim"],
-        cfg["model.hidden_dim"], seed=seed,
-    )
-
-
-def _labels(args, cfg, n):
+def _labels(args, run, n):
     """The --labels sidecar, or None without one; the oracle pools need it."""
-    if not args.labels and cfg["mining.oracle"] != "none":
-        raise LabelsMissing(f"mining.oracle {cfg['mining.oracle']} needs --labels")
+    if not args.labels and run.mining.oracle != "none":
+        raise LabelsMissing(f"mining.oracle {run.mining.oracle} needs --labels")
     return load_labels(args.labels, n) if args.labels else None
 
 
-def cmd_gen(args, cfg, seed, out: Path):
-    feats = generate_synthetic(_gen_spec(cfg), seed)
+def cmd_gen(args, cfg, run, out: Path):
+    feats = generate_synthetic(run.gen, run.seed)
     _write_config(cfg, out)
     save_features(feats, out / "features.bin")
     save_labels(feats.labels, out / "labels.txt")
     print(
-        f"gen: {cfg['gen.kind']} n={feats.n} d={feats.d} noise={cfg['gen.noise']}"
+        f"gen: {run.gen.kind} n={feats.n} d={feats.d} noise={run.gen.noise}"
         f" -> {out / 'features.bin'}"
     )
     return 0
 
 
-def cmd_graph(args, cfg, seed, out: Path):
-    feats = _prepare(load_features(args.features), cfg)
-    graph = build_reciprocal_graph(feats, cfg["graph.k"])
+def cmd_graph(args, cfg, run, out: Path):
+    feats = _prepare(load_features(args.features), run)
+    graph = build_reciprocal_graph(feats, run.graph.k)
     _write_config(cfg, out)
     save_graph(graph, out / "graph.txt")
     isolated = int(np.sum(graph.degrees == 0))
@@ -271,16 +153,15 @@ def cmd_graph(args, cfg, seed, out: Path):
     return 0
 
 
-def cmd_diffuse(args, cfg, seed, out: Path):
+def cmd_diffuse(args, cfg, run, out: Path):
     graph = load_graph(args.graph)
     sym = normalize_graph(graph)
-    block = solve_columns(sym, [args.anchor], _diffusion_config(cfg))
+    block = solve_columns(sym, [args.anchor], run.diffusion)
     values = block.values[0]
     order = top_k(values, graph.n)
     _write_config(cfg, out)
     with open(out / "column.txt", "w") as fh:
-        for j in order:
-            fh.write(f"{j} {values[j]:.9g}\n")
+        fh.writelines(f"{j} {values[j]:.9g}\n" for j in order)
     print(
         f"diffuse: anchor={args.anchor} iterations={block.iterations[0]}"
         f" residual={block.residual[0]:.3g} converged={block.converged[0]}"
@@ -289,84 +170,66 @@ def cmd_diffuse(args, cfg, seed, out: Path):
     return 0
 
 
-def _anchors_line(anchor_set, parts, cfg, path) -> str:
+def _anchors_line(anchor_set, parts, run, path) -> str:
     return (
-        f"anchors: {len(anchor_set)} of requested {cfg['anchors.count']}"
+        f"anchors: {len(anchor_set)} of requested {run.anchors.count}"
         f" (stationary: closed form, {parts} components) -> {path}"
     )
 
 
-def cmd_anchors(args, cfg, seed, out: Path):
+def cmd_anchors(args, cfg, run, out: Path):
     graph = load_graph(args.graph)
     pi, parts = stationary(graph)
     anchor_set = _anchor_set(graph, pi, cfg)
     _write_config(cfg, out)
     save_anchors(anchor_set, out / "anchors.txt")
-    print(_anchors_line(anchor_set, parts, cfg, out / "anchors.txt"))
+    print(_anchors_line(anchor_set, parts, run, out / "anchors.txt"))
     return 0
 
 
-def cmd_mine(args, cfg, seed, out: Path):
-    feats = _prepare(load_features(args.features), cfg)
+def cmd_mine(args, cfg, run, out: Path):
+    feats = _prepare(load_features(args.features), run)
     operator = normalize_graph(load_graph(args.graph)) if args.graph else None
     anchor_set = load_anchors(args.anchors)
-    labels = _labels(args, cfg, feats.n)
-    pools, _ = build_training_pool(anchor_set, feats, operator, _diffusion_config(cfg),
-                                   _mining_config(cfg), labels, seed)
+    labels = _labels(args, run, feats.n)
+    pools, _ = build_training_pool(anchor_set, feats, operator, run.diffusion, run.mining,
+                                   labels, run.seed)
     _write_config(cfg, out)
     save_pools(pools, out / "pools.jsonl")
     n_pos = sum(len(p.positives) for p in pools)
     n_neg = sum(len(p.negatives) for p in pools)
     print(
         f"mine: {len(pools)} anchors, {n_pos} positives, {n_neg} negatives"
-        f" (mode={cfg['mining.mode']}, oracle={cfg['mining.oracle']})"
+        f" (mode={run.mining.mode}, oracle={run.mining.oracle})"
         f" -> {out / 'pools.jsonl'}"
     )
     return 0
 
 
-def cmd_train(args, cfg, seed, out: Path):
-    feats = _prepare(load_features(args.features), cfg)
+def cmd_train(args, cfg, run, out: Path):
+    feats = _prepare(load_features(args.features), run)
     pools = load_pools(args.pools)
-    model = _initial_model(cfg, feats.d, seed)
-    model, log = train(feats, pools, model, _train_config(cfg, seed), _mining_config(cfg))
+    model = run.model.initialize(feats.d, run.seed)
+    model, log = train(feats, pools, model, run.train, run.mining)
     _write_config(cfg, out)
     save_model(model, out / "model.bin")
     save_train_log(log, out / "train_log.csv")
     last = log[-1]["mean_loss"] if log else float("nan")
     print(
-        f"train: {cfg['train.epochs']} epochs, loss={cfg['train.loss']}"
-        f" weighted={cfg['train.weighted']}, final mean loss {last:.6g}"
+        f"train: {run.train.epochs} epochs, loss={run.train.loss}"
+        f" weighted={run.train.weighted}, final mean loss {last:.6g}"
         f" -> {out / 'model.bin'}"
     )
     return 0
 
 
-def _eval_ks(cfg) -> list:
-    try:
-        ks = [int(k) for k in cfg["eval.ks"].split(",") if k.strip()]
-    except ValueError:
-        ks = []
-    if not ks or min(ks) < 1:
-        raise BadConfig(f"eval.ks must list recall depths >= 1, got {cfg['eval.ks']!r}")
-    return ks
+def _write_report(report, path) -> None:
+    _write_json(dict(vars(report), recall_at={str(k): v for k, v in report.recall_at.items()}),
+                path)
 
 
-def _write_report(report, path):
-    payload = {
-        "recall_at": {str(k): v for k, v in report.recall_at.items()},
-        "nmi": report.nmi,
-        "map_score": report.map_score,
-        "n_queries": report.n_queries,
-        "seed": report.seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def cmd_eval(args, cfg, seed, out: Path):
-    feats = _prepare(load_features(args.features), cfg)
+def cmd_eval(args, cfg, run, out: Path):
+    feats = _prepare(load_features(args.features), run)
     labels = load_labels(args.labels, feats.n)
     if args.model:
         model = load_model(args.model)
@@ -375,7 +238,7 @@ def cmd_eval(args, cfg, seed, out: Path):
     else:
         emb = feats.data
         name = "initial_report.json"
-    report = evaluate_embeddings(emb, labels, ks=_eval_ks(cfg), seed=seed)
+    report = evaluate_embeddings(emb, labels, ks=run.eval.depths, seed=run.seed)
     _write_config(cfg, out)
     _write_report(report, out / name)
     k = min(report.recall_at)
@@ -386,58 +249,56 @@ def cmd_eval(args, cfg, seed, out: Path):
     return 0
 
 
-def cmd_pipeline(args, cfg, seed, out: Path):
+def cmd_pipeline(args, cfg, run, out: Path):
     if args.features:
         feats_raw = load_features(args.features)
-        labels = _labels(args, cfg, feats_raw.n)
+        labels = _labels(args, run, feats_raw.n)
     else:
-        feats_raw = generate_synthetic(_gen_spec(cfg), seed)
+        feats_raw = generate_synthetic(run.gen, run.seed)
         labels = feats_raw.labels
-    feats = _prepare(feats_raw, cfg)
-    if cfg["graph.k"] >= feats.n:
-        raise KTooLarge(f"graph.k={cfg['graph.k']} must be below n={feats.n}")
+    feats = _prepare(feats_raw, run)
+    if run.graph.k >= feats.n:
+        raise KTooLarge(f"graph.k={run.graph.k} must be below n={feats.n}")
     if labels is not None:
-        recall_depths(_eval_ks(cfg), feats.n)
+        recall_depths(run.eval.depths, feats.n)
         check_labels_differ(labels)
-    model = _initial_model(cfg, feats.d, seed)
+    model = run.model.initialize(feats.d, run.seed)
     _write_config(cfg, out)
     save_features(feats_raw, out / "features.bin")
     if labels is not None:
         save_labels(labels, out / "labels.txt")
-    rounds = cfg["rounds"]
-    dcfg = _diffusion_config(cfg)
-    mcfg = _mining_config(cfg)
-    tcfg = _train_config(cfg, seed)
-    for rnd in range(1, rounds + 1):
+    for rnd in range(1, run.rounds + 1):
         suffix = "" if rnd == 1 else f".round{rnd}"
         space = feats if rnd == 1 else FeatureSet(forward(model, feats.data))
-        graph = build_reciprocal_graph(space, cfg["graph.k"])
+        graph = build_reciprocal_graph(space, run.graph.k)
         save_graph(graph, out / f"graph{suffix}.txt")
         pi, parts = stationary(graph)
         anchor_set = _anchor_set(graph, pi, cfg)
         anchors_path = out / f"anchors{suffix}.txt"
         save_anchors(anchor_set, anchors_path)
-        print(f"round {rnd}: " + _anchors_line(anchor_set, parts, cfg, anchors_path))
-        operator = normalize_graph(graph) if mcfg.mode == "mined" else None
-        pools, _ = build_training_pool(anchor_set, space, operator, dcfg, mcfg, labels, seed)
+        print(f"round {rnd}: " + _anchors_line(anchor_set, parts, run, anchors_path))
+        operator = normalize_graph(graph) if run.mining.mode == "mined" else None
+        pools, _ = build_training_pool(anchor_set, space, operator, run.diffusion, run.mining,
+                                       labels, run.seed)
         save_pools(pools, out / f"pools{suffix}.jsonl")
-        model, log = train(feats, pools, model, tcfg, mcfg)
+        model, log = train(feats, pools, model, run.train, run.mining)
         save_train_log(log, out / f"train_log{suffix}.csv")
     save_model(model, out / "model.bin")
 
     if labels is not None:
-        initial = evaluate_embeddings(feats.data, labels, ks=_eval_ks(cfg), seed=seed)
+        initial = evaluate_embeddings(feats.data, labels, ks=run.eval.depths, seed=run.seed)
         _write_report(initial, out / "initial_report.json")
-        trained = evaluate_embeddings(forward(model, feats.data), labels, ks=_eval_ks(cfg),
-                                      seed=seed)
+        trained = evaluate_embeddings(forward(model, feats.data), labels, ks=run.eval.depths,
+                                      seed=run.seed)
         _write_report(trained, out / "report.json")
         k = min(initial.recall_at)
         print(
-            f"pipeline: rounds={rounds} recall@{k} initial={initial.recall_at[k]:.4f}"
+            f"pipeline: rounds={run.rounds} recall@{k} initial={initial.recall_at[k]:.4f}"
             f" trained={trained.recall_at[k]:.4f} -> {out / 'report.json'}"
         )
     else:
-        print(f"pipeline: rounds={rounds} trained model -> {out / 'model.bin'} (no labels, no eval)")
+        print(f"pipeline: rounds={run.rounds} trained model -> {out / 'model.bin'}"
+              " (no labels, no eval)")
     return 0
 
 
@@ -528,12 +389,11 @@ def main(argv=None) -> int:
                 cfg["mining.mode"] = "baseline"
             if getattr(args, "oracle", None):
                 cfg["mining.oracle"] = args.oracle
-            seed = _resolve_seed(args, cfg)
-            cfg["seed"] = seed
-            _validate_config(cfg, seed)
-            if args.command == "mine" and not args.graph and cfg["mining.mode"] == "mined":
+            cfg["seed"] = _resolve_seed(args, cfg)
+            run = RunConfig.from_flat(cfg)  # checks every value before any work
+            if args.command == "mine" and not args.graph and run.mining.mode == "mined":
                 parser.error("mine needs --graph for mined pools; baseline pools need none")
-            return _COMMANDS[args.command](args, cfg, seed, Path(args.out))
+            return _COMMANDS[args.command](args, cfg, run, Path(args.out))
         except (MomineError, OSError) as exc:
             print(f"mom {args.command}: error: {exc}", file=sys.stderr)
             return 2

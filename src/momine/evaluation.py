@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, DimMismatch, KTooLarge, NonFinite
+from .features import check_labels
 from .graph import RANK_ROWS, _run_blocks, gram_rows, top_k
 
 KMEANS_MAX_ITER = 100  # Lloyd rounds; the loop also stops once no assignment changes
@@ -27,8 +28,7 @@ def _check_inputs(embeddings: np.ndarray, labels) -> np.ndarray:
     if bad.size:
         raise NonFinite(f"embedding row {int(bad[0])} has a NaN or infinite value")
     labels = np.asarray(labels)
-    if labels.shape[0] != embeddings.shape[0]:
-        raise DimMismatch(f"{labels.shape[0]} labels for {embeddings.shape[0]} embeddings")
+    check_labels(labels, embeddings.shape[0])
     check_labels_differ(labels)
     return labels
 
@@ -168,9 +168,10 @@ def nmi(labels_a, labels_b) -> float:
     """
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
-    if a.shape[0] != b.shape[0] or a.shape[0] < 1:
-        raise DimMismatch(f"label lengths differ: {a.shape[0]} vs {b.shape[0]}")
     n = a.shape[0]
+    check_labels(b, n, "nmi")
+    if n < 1:
+        raise DimMismatch("nmi: no items to score")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     counts = np.zeros((ai.max() + 1, bi.max() + 1))

@@ -30,6 +30,13 @@ SYNTHETIC_KINDS = ("moons", "circles", "swiss-roll", "clusters")
 WHITEN_EPSILON = 1e-9  # eigenvalue floor and regularizer of the whitening scale
 
 
+def check_labels(labels, n: int, where: str = "") -> None:
+    """DimMismatch, "[<where>: ]X labels for n=Y items", unless `labels`
+    holds one label per item: a sequence of exactly n."""
+    if np.shape(labels) != (n,):
+        raise DimMismatch(f"{where}{': ' if where else ''}{np.size(labels)} labels for n={n} items")
+
+
 @dataclass
 class FeatureSet:
     """An immutable n x d matrix of item features; item i is row i.
@@ -46,10 +53,7 @@ class FeatureSet:
             raise EmptyFeatures(f"feature matrix must be 2-D and non-empty, got {self.data.shape}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.data.shape[0],):
-                raise DimMismatch(
-                    f"labels length {self.labels.shape[0]} != n={self.data.shape[0]}"
-                )
+            check_labels(self.labels, self.data.shape[0])
             self.labels.flags.writeable = False
         self.data.flags.writeable = False
 
@@ -72,18 +76,18 @@ class WhiteningTransform:
 
 @dataclass
 class SyntheticSpec:
-    """Parameters for a synthetic manifold dataset.
+    """Parameters for a synthetic manifold dataset; the defaults are `mom gen`'s.
 
     ``noise`` is the ambient Gaussian sigma applied after the (seeded) isometric
     lift into ``ambient_dim`` dimensions; for ``clusters`` it doubles as the
     blob standard deviation.
     """
 
-    kind: str
-    per_class: int
+    kind: str = "moons"
+    per_class: int = 200
     classes: int = 2
-    ambient_dim: int = 2
-    noise: float = 0.0
+    ambient_dim: int = 16
+    noise: float = 0.15
 
     def __post_init__(self):
         if self.kind not in SYNTHETIC_KINDS:
@@ -280,6 +284,6 @@ def load_labels(path, expected_n: int) -> np.ndarray:
             if not all(-(2**63) <= label < 2**63 for label in labels):
                 raise BadLabels(f"{path}, line {number}: a label beyond 64 bits: {line.strip()!r}")
             values.extend(labels)
-    if len(values) != expected_n:
-        raise DimMismatch(f"{path}: {len(values)} labels for n={expected_n} items")
-    return np.asarray(values, dtype=np.int64)
+    labels = np.asarray(values, dtype=np.int64)
+    check_labels(labels, expected_n, str(path))
+    return labels

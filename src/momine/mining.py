@@ -17,7 +17,7 @@ import numpy as np
 
 from .diffusion import DiffusionConfig, check_anchor_ids, solve_columns
 from .errors import AllPoolsEmpty, BadGraph, BadPools, DimMismatch, LabelsMissing, open_text
-from .features import FeatureSet
+from .features import FeatureSet, check_labels
 from .graph import NormalizedOperator, _run_blocks, gram_rows, similarity, top_k
 
 # anchors per block: the sampler's distance block is
@@ -34,7 +34,7 @@ ANCHOR_CELLS = 2**17
 class MiningConfig:
     k_pos: int = 50
     k_neg: int = 100
-    max_pos: int | None = None
+    max_pos: int = 0  # 0 = unlimited
     max_neg: int = 50
     hard_subset_size: int = 10
     mode: str = "mined"  # mined | baseline (Euclidean-NN positives, drawn negatives)
@@ -44,8 +44,8 @@ class MiningConfig:
     def __post_init__(self):
         if self.k_pos < 1 or self.k_neg < 1:
             raise ValueError("k_pos and k_neg must be >= 1")
-        if self.max_pos is not None and self.max_pos < 1:
-            raise ValueError(f"max_pos must be >= 1, or None for unlimited, got {self.max_pos!r}")
+        if self.max_pos < 0:
+            raise ValueError(f"max_pos must be >= 0 (0 = unlimited), got {self.max_pos!r}")
         if self.max_neg < 1:
             raise ValueError("max_neg must be >= 1")
         if not 1 <= self.hard_subset_size <= self.max_neg:
@@ -110,7 +110,7 @@ def _block_pools(anchors: np.ndarray, manifold: np.ndarray, features: FeatureSet
     neg_kept = ~listed[1, rows, nn_e[:, :k_neg]]
     pools = []
     for i, anchor in enumerate(anchors.tolist()):
-        pos = nn_m[i, :k_pos][pos_kept[i]][: mining_config.max_pos]
+        pos = nn_m[i, :k_pos][pos_kept[i]][: mining_config.max_pos or None]
         neg = nn_e[i, :k_neg][neg_kept[i]][: mining_config.max_neg]
         pools.append(AnchorPools(anchor, _pairs(pos, manifold[i]), _pairs(neg, sims[i])))
     return pools, sims
@@ -154,7 +154,7 @@ def _oracle_pools(pools: list, anchors: np.ndarray, sims: np.ndarray, labels: np
     positive = mining_config.oracle == "positive"
     keep = (labels[anchors][:, None] == labels) == positive
     keep[np.arange(anchors.size), anchors] = False
-    limit = mining_config.max_pos if positive else mining_config.max_neg
+    limit = (mining_config.max_pos or None) if positive else mining_config.max_neg
     sides = [_pairs(ids, row) for ids, row in zip(_ranked(keep, sims, limit), sims)]
     if positive:
         return [AnchorPools(p.anchor_id, side, p.negatives) for p, side in zip(pools, sides)]
@@ -198,8 +198,7 @@ def build_training_pool(
         if labels is None:
             raise LabelsMissing("oracle pools need the label sidecar")
         labels = np.asarray(labels)
-        if labels.shape != (features.n,):
-            raise DimMismatch(f"{labels.size} labels for n={features.n} items")
+        check_labels(labels, features.n)
     mined, stopped, dropped = {}, [], []
 
     def mine(spans):

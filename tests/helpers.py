@@ -481,8 +481,7 @@ def pools_two_rankings(anchor, values, features, mining_config):
     sims[anchor] = -np.inf
     m_pos, e_pos = lexsort_top_k(manifold, k_pos), lexsort_top_k(sims, k_pos)
     positives = [(int(j), float(values[j])) for j in m_pos if j not in set(e_pos)]
-    if mining_config.max_pos is not None:
-        positives = positives[: mining_config.max_pos]
+    positives = positives[: mining_config.max_pos or None]
     m_neg, e_neg = lexsort_top_k(manifold, k_neg), lexsort_top_k(sims, k_neg)
     negatives = [(int(j), float(sims[j])) for j in e_neg if j not in set(m_neg)]
     return AnchorPools(anchor, positives, negatives[: mining_config.max_neg])

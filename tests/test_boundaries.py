@@ -10,6 +10,7 @@ values are those a number token can take at its boundaries: -1, 0, 2^63,
 
 import contextlib
 import io
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -109,6 +110,30 @@ def test_a_truncated_or_mutated_file_exits_zero_or_two(small_run, name, data):
         path = Path(tmp) / name
         path.write_text(body)
         run_checked(*readers(small_run)[name](str(path)))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_a_truncated_or_mutated_config_file_exits_zero_or_two(small_run, data):
+    # RunConfig.from_flat checks every key a config file can set, for every
+    # command; one token of the file becomes a boundary value, as in the files above
+    text = (small_run / "config.json").read_text()
+    spans = [m.span() for m in TOKEN.finditer(text)]
+    truncated = st.integers(0, len(text) - 1).map(lambda cut: text[:cut])
+    replaced = st.tuples(st.sampled_from(spans), st.sampled_from(VALUES)).map(
+        lambda pick: text[: pick[0][0]] + pick[1] + text[pick[0][1]:])
+    body = data.draw(st.one_of(truncated, replaced))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("MOM_SEED", None)
+        path = Path(tmp) / "config.json"
+        path.write_text(body)
+        run_checked("gen", ["--config", str(path)])
+
+
+@pytest.mark.parametrize("value", VALUES)
+def test_a_mom_seed_at_a_boundary_exits_zero_or_two(value):
+    with mock.patch.dict(os.environ, {"MOM_SEED": value}):
+        run_checked("gen", ["--set", "gen.per_class", "60"])
 
 
 # the bytes before each binary format's payload: magic, then the struct header

@@ -1,0 +1,130 @@
+"""RunConfig: the one home of every `mom` key's default and rule."""
+
+import json
+
+import numpy as np
+import pytest
+
+from momine import cli
+from momine.anchors import load_anchors
+from momine.config import AnchorsConfig, EvalConfig, ModelConfig, RunConfig
+from momine.errors import BadConfig
+from momine.features import SyntheticSpec, generate_synthetic, l2_normalize, load_features, save_features
+from momine.graph import load_graph, normalize_graph
+from momine.mining import MiningConfig, build_training_pool, save_pools
+from momine.trainer import TrainConfig
+
+# mom's 36 keys with the default, and so the type, each had while cli.py held them
+DEFAULTS = {
+    "seed": 0,
+    "gen.kind": "moons",
+    "gen.classes": 2,
+    "gen.per_class": 200,
+    "gen.ambient_dim": 16,
+    "gen.noise": 0.15,
+    "prep.whiten_dims": 0,
+    "graph.k": 30,
+    "diffusion.alpha": 0.99,
+    "diffusion.tolerance": 1e-6,
+    "diffusion.max_iterations": 100,
+    "anchors.count": 64,
+    "anchors.mode": "maxima",
+    "mining.k_pos": 50,
+    "mining.k_neg": 100,
+    "mining.max_pos": 0,
+    "mining.max_neg": 50,
+    "mining.hard_subset_size": 10,
+    "mining.mode": "mined",
+    "mining.baseline_k": 5,
+    "mining.oracle": "none",
+    "model.kind": "linear",
+    "model.output_dim": 16,
+    "model.hidden_dim": 0,
+    "train.loss": "contrastive",
+    "train.weighted": True,
+    "train.margin": 0.0,
+    "train.lr0": 0.01,
+    "train.lr_decay": 0.1,
+    "train.lr_decay_every": 10,
+    "train.momentum": 0.9,
+    "train.batch_size": 42,
+    "train.epochs": 30,
+    "train.weight_normalization": "per-anchor-max",
+    "eval.ks": "1,2,4,8",
+    "rounds": 1,
+}
+
+
+def test_the_defaults_keep_their_keys_values_and_types():
+    assert cli.DEFAULTS == DEFAULTS == RunConfig.defaults()
+    assert {key: type(value) for key, value in cli.DEFAULTS.items()} == {
+        key: type(value) for key, value in DEFAULTS.items()}
+
+
+def test_the_flat_defaults_are_the_default_run():
+    run = RunConfig.from_flat(DEFAULTS)
+    assert run == RunConfig()
+    assert run.train.margin == 0.7 and run.eval.depths == [1, 2, 4, 8]
+    assert RunConfig.from_flat({}) == run
+
+
+def test_the_run_seed_feeds_the_trainer():
+    assert RunConfig(seed=5, train=TrainConfig(seed=13)).train.seed == 5
+    assert RunConfig.from_flat({"seed": 9, "train.epochs": 2}).train == TrainConfig(epochs=2, seed=9)
+
+
+@pytest.mark.parametrize("flat,message", [
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"rounds": 0}, "rounds must be >= 1, got 0"),
+    ({"graph.k": 0}, "graph.k must be >= 1, got 0"),
+    ({"prep.whiten_dims": -2}, "prep.whiten_dims must be >= 0, got -2"),
+    ({"anchors.mode": "bogus"}, "anchors.mode must be 'maxima' or 'all', got 'bogus'"),
+    ({"mining.max_pos": -5}, "mining.max_pos must be >= 0 (0 = unlimited), got -5"),
+    ({"model.kind": "foo"}, "model.kind: a model's kind must be 'linear' or 'mlp', got 'foo'"),
+    ({"eval.ks": "0,1"}, "eval.ks must list recall depths >= 1, got '0,1'"),
+    ({"diffusion.alpha": 1.5}, "diffusion.alpha must be in [0, 1), got 1.5"),
+])
+def test_a_rejected_value_is_reported_under_its_dotted_key(flat, message):
+    with pytest.raises(BadConfig) as caught:
+        RunConfig.from_flat(flat)
+    assert str(caught.value) == message
+
+
+def test_each_section_checks_its_own_values():
+    with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
+        AnchorsConfig(count=0)
+    with pytest.raises(ValueError, match="^hidden_dim: a mlp model cannot have hidden_dim=0$"):
+        ModelConfig(kind="mlp")
+    with pytest.raises(ValueError, match="^ks must list recall depths >= 1"):
+        EvalConfig(ks="2,x")
+    assert EvalConfig(ks=" 8, 2,").depths == [8, 2]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_default_spec_writes_the_bytes_of_mom_gen(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.delenv("MOM_SEED", raising=False)
+    assert cli.main(["gen", "--out", str(tmp_path / "gen"), "--seed", str(seed)]) == 0
+    save_features(generate_synthetic(SyntheticSpec(), seed), tmp_path / "library.bin")
+    assert (tmp_path / "library.bin").read_bytes() == (tmp_path / "gen" / "features.bin").read_bytes()
+    capsys.readouterr()
+
+
+def test_max_pos_zero_mines_the_pools_of_mom(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MOM_SEED", raising=False)
+    data, graph, anchors = (str(tmp_path / name) for name in ("data", "graph", "anchors"))
+    assert cli.main(["gen", "--out", data, "--seed", "3"]) == 0
+    assert cli.main(["graph", "--out", graph, "--features", f"{data}/features.bin"]) == 0
+    assert cli.main(["anchors", "--out", anchors, "--graph", f"{graph}/graph.txt"]) == 0
+    assert cli.main(["mine", "--out", str(tmp_path / "mine"), "--features", f"{data}/features.bin",
+                     "--graph", f"{graph}/graph.txt", "--anchors", f"{anchors}/anchors.txt",
+                     "--set", "mining.max_pos", "0"]) == 0
+    run = RunConfig(mining=MiningConfig(max_pos=0))
+    pools, _ = build_training_pool(
+        load_anchors(f"{anchors}/anchors.txt"), l2_normalize(load_features(f"{data}/features.bin")),
+        normalize_graph(load_graph(f"{graph}/graph.txt")), run.diffusion, run.mining, None,
+        run.seed)
+    save_pools(pools, tmp_path / "library.jsonl")
+    assert (tmp_path / "library.jsonl").read_bytes() == (tmp_path / "mine" / "pools.jsonl").read_bytes()
+    assert max(len(p.positives) for p in pools) > 1  # 0 keeps every positive
+    assert json.loads((tmp_path / "mine" / "config.json").read_text())["mining.max_pos"] == 0
+    capsys.readouterr()

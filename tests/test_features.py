@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -17,7 +18,9 @@ from momine.errors import (
     TruncatedFile,
     ZeroVector,
 )
-from momine.evaluation import kmeans, nmi
+from momine.anchors import AnchorSet
+from momine.diffusion import DiffusionConfig
+from momine.evaluation import evaluate_embeddings, kmeans, nmi
 from momine.features import (
     FeatureSet,
     SyntheticSpec,
@@ -31,6 +34,8 @@ from momine.features import (
     save_features,
     save_labels,
 )
+
+from momine.mining import MiningConfig, build_training_pool
 
 from helpers import raises_with_peak
 
@@ -296,3 +301,26 @@ def test_labels_sidecar_label_beyond_int64_names_file_and_line(tmp_path, label):
         load_labels(path, 4)
     path.write_text(f"0\n{2**63 - 1}\n{-(2**63)}\n1\n")
     assert load_labels(path, 4).tolist() == [0, 2**63 - 1, -(2**63), 1]
+
+
+@pytest.mark.parametrize("entry", ["FeatureSet", "load_labels", "build_training_pool",
+                                   "evaluate_embeddings", "nmi"])
+def test_every_labels_match_check_raises_one_message(tmp_path, entry):
+    # five labels for six items, at each entry point that takes labels
+    data = np.random.default_rng(3).normal(size=(6, 4))
+    short = [0, 1, 0, 1, 0]
+    path = tmp_path / "labels.txt"
+    save_labels(np.array(short), path)
+    oracle = MiningConfig(mode="baseline", oracle="negative")
+    calls = {
+        "FeatureSet": (lambda: FeatureSet(data, short), ""),
+        "load_labels": (lambda: load_labels(path, 6), f"{path}: "),
+        "build_training_pool": (lambda: build_training_pool(
+            AnchorSet(np.array([0]), np.zeros(1)), l2_normalize(FeatureSet(data)), None,
+            DiffusionConfig(), oracle, short), ""),
+        "evaluate_embeddings": (lambda: evaluate_embeddings(data, short), ""),
+        "nmi": (lambda: nmi([0, 1, 0, 1, 0, 1], short), "nmi: "),
+    }
+    call, where = calls[entry]
+    with pytest.raises(DimMismatch, match=f"^{re.escape(where)}5 labels for n=6 items$"):
+        call()

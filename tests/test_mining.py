@@ -74,8 +74,7 @@ def pools_via_dense_oracle(anchor, feats, op, cfg):
     e_pos = knn_oracle(feats.data, k_pos)[anchor]
     e_neg = knn_oracle(feats.data, k_neg)[anchor]
     pos = [j for j in m_rank[:k_pos] if j not in set(e_pos)]
-    if cfg.max_pos is not None:
-        pos = pos[: cfg.max_pos]
+    pos = pos[: cfg.max_pos or None]
     m_set = set(m_rank[:k_neg])
     neg = [j for j in e_neg if j not in m_set][: cfg.max_neg]
     return pos, neg
@@ -253,13 +252,13 @@ def test_oracle_pools_modes():
         replace(cfg, oracle="both")
 
 
-@pytest.mark.parametrize("max_pos", [0, -3])
+@pytest.mark.parametrize("max_pos", [-1, -3])
 def test_max_pos_below_one_is_rejected(max_pos):
-    # a slice [:0] would empty every positive pool and [:-3] drop its tail;
-    # None is the library's unlimited, which mom's mining.max_pos 0 maps to
-    with pytest.raises(ValueError, match="^max_pos must be >= 1, or None for unlimited"):
+    # a slice [:-3] would drop a pool's tail; 0 is unlimited, as mom's
+    # mining.max_pos 0 is
+    with pytest.raises(ValueError, match=r"^max_pos must be >= 0 \(0 = unlimited\)"):
         MiningConfig(max_pos=max_pos)
-    assert MiningConfig(max_pos=None).max_pos is None
+    assert MiningConfig(max_pos=0).max_pos == MiningConfig().max_pos == 0
 
 
 def test_oracle_positive_singleton_class_empty():
@@ -408,7 +407,7 @@ def duplicated_setup(k=6):
 
 
 @pytest.mark.parametrize("k_pos,k_neg,max_pos", [
-    (25, 8, None), (8, 25, None), (12, 12, 5), (80, 200, None),
+    (25, 8, 0), (8, 25, 0), (12, 12, 5), (80, 200, 0),
 ])
 def test_one_ranking_pools_match_two_rankings(k_pos, k_neg, max_pos):
     cfg = MiningConfig(k_pos=k_pos, k_neg=k_neg, max_pos=max_pos, max_neg=10, hard_subset_size=3)
@@ -556,7 +555,7 @@ def every_mode_reference(ids, feats, op, cfg, labels, seed):
         if not (base.positives or base.negatives):
             dropped.append(a)
         elif cfg.oracle == "positive":
-            side = oracle_side_reference(a, feats, labels, True, cfg.max_pos)
+            side = oracle_side_reference(a, feats, labels, True, cfg.max_pos or None)
             pools.append(AnchorPools(a, side, base.negatives))
         elif cfg.oracle == "negative":
             side = oracle_side_reference(a, feats, labels, False, cfg.max_neg)
@@ -612,7 +611,7 @@ def test_build_training_pool_every_mode_matches_references(monkeypatch, mode, or
                 build_training_pool(AnchorSet(ids, np.zeros(ids.size)), feats, op, DC, cfg)
 
 
-@pytest.mark.parametrize("k_pos,k_neg,max_pos", [(12, 30, 4), (500, 20, None), (9, 500, None)])
+@pytest.mark.parametrize("k_pos,k_neg,max_pos", [(12, 30, 4), (500, 20, 0), (9, 500, 0)])
 def test_block_pools_match_two_rankings_with_isolated_anchors(k_pos, k_neg, max_pos):
     # a sparse reciprocal graph leaves isolated nodes; k above n - 1 is clamped
     feats, graph, op = small_setup(n=90, seed=21, k=2)
