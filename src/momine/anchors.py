@@ -12,6 +12,18 @@ ANCHOR_MODES = ("maxima", "all")
 
 
 @dataclass
+class AnchorsConfig:
+    count: int = 64
+    mode: str = "maxima"  # maxima | all (every non-isolated node, by pi)
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count!r}")
+        if self.mode not in ANCHOR_MODES:
+            raise ValueError(f"mode must be 'maxima' or 'all', got {self.mode!r}")
+
+
+@dataclass
 class AnchorSet:
     """Anchors sorted by descending stationary probability."""
 
@@ -75,12 +87,9 @@ def select_anchors(graph: NeighborGraph, pi: np.ndarray, count: int, mode: str =
 
     The candidates are the local maxima of pi in mode "maxima", and every
     non-isolated node in mode "all" (the all-items protocol). Returns fewer
-    when candidates are scarce.
+    when candidates are scarce. AnchorsConfig checks count and mode.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if mode not in ANCHOR_MODES:
-        raise ValueError(f"mode must be one of {ANCHOR_MODES}, got {mode!r}")
+    AnchorsConfig(count, mode)
     if mode == "all":
         candidates = np.flatnonzero(graph.degrees > 0)
     else:

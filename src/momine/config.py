@@ -1,11 +1,11 @@
 """The typed form of a `mom` run: its seed, its rounds and one section per
 prefix of the dotted config keys (`gen` is a SyntheticSpec, `diffusion`,
-`mining` and `train` are the stages' configs). A section's field defaults
-are its keys' defaults, and its __post_init__ holds their rules."""
+`anchors`, `mining` and `train` are the stages' configs). A section's field
+defaults are its keys' defaults, and its __post_init__ holds their rules."""
 
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .anchors import ANCHOR_MODES
+from .anchors import AnchorsConfig
 from .diffusion import DiffusionConfig
 from .errors import BadConfig, BadModel
 from .features import SyntheticSpec
@@ -29,18 +29,6 @@ class GraphConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k!r}")
-
-
-@dataclass
-class AnchorsConfig:
-    count: int = 64
-    mode: str = "maxima"  # maxima | all (every non-isolated node, by pi)
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count!r}")
-        if self.mode not in ANCHOR_MODES:
-            raise ValueError(f"mode must be 'maxima' or 'all', got {self.mode!r}")
 
 
 @dataclass
@@ -116,10 +104,14 @@ class RunConfig:
     @classmethod
     def from_flat(cls, flat: dict) -> "RunConfig":
         """The run of a flat dotted-key config, as `mom` writes it to
-        config.json; a key left out keeps its default. A value that a section
-        or the run rejects raises BadConfig, under its dotted key."""
+        config.json; a key left out keeps its default. A key that is not one
+        of defaults(), or a value that a section or the run rejects, raises
+        BadConfig, under its dotted key."""
+        known = cls.defaults()
         values = {}
         for key, value in flat.items():
+            if key not in known:
+                raise BadConfig(f"unknown config key {key!r}")
             head, _, name = key.rpartition(".")
             values.setdefault(head, {})[name] = value
         run = values.pop("", {})

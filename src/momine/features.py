@@ -219,7 +219,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
     dimension exceeds the intrinsic one, and perturbed by isotropic Gaussian
     noise. Values are quantized through float32 so the feature-file round
     trip is exact. Raises BadSpec, naming the size, when numpy cannot
-    allocate the data.
+    allocate the data, and naming the noise when a point leaves float32's
+    range.
     """
     rng = np.random.default_rng(seed)
     try:
@@ -239,12 +240,15 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
                 shift = rng.normal(size=spec.ambient_dim)
                 shift /= np.linalg.norm(shift)
                 pts = pts + 3.0 * max(1.0, float(np.linalg.norm(pts, axis=1).max())) * shift
-        if spec.noise > 0:
-            pts = pts + spec.noise * rng.normal(size=pts.shape)
-        pts = pts.astype(np.float32).astype(np.float64)
+        with np.errstate(over="ignore"):  # a vast noise: reported below, not warned
+            if spec.noise > 0:
+                pts = pts + spec.noise * rng.normal(size=pts.shape)
+            pts = pts.astype(np.float32).astype(np.float64)
     except (ValueError, MemoryError):  # numpy: too many dimensions, too big, or no memory
         raise BadSpec(f"{spec.classes} classes of {spec.per_class} items in "
                       f"{spec.ambient_dim} dimensions do not fit in memory") from None
+    if not np.isfinite(pts).all():
+        raise BadSpec(f"noise {spec.noise} takes the points past float32's range")
     return FeatureSet(data=pts, labels=labels)
 
 

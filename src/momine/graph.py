@@ -34,7 +34,7 @@ WORKERS = min(MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_ge
 # buffer. Neither the neighbours nor the reports depend on the grid or on
 # the BLAS threads (see knn_search and gram_rows)
 RANK_ROWS = BLOCK_ROWS // MAX_WORKERS
-# pairs per chunk when _pair_dots gathers both ends of the kNN survivors or
+# pairs per chunk when _pair_dots gathers both ends of the kNN candidates or
 # of the edges to take their dots, and edges per chunk when save_graph
 # formats them: memory is O(EDGE_CHUNK * d), where
 # one gather of every edge is about 5 * n * d doubles at graph.k 30. At d = 64
@@ -142,8 +142,8 @@ def similarity(dots):
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores, descending, ties by ascending index.
 
-    Works on a 1-D array or on each row of a 2-D block and ranks as a stable
-    sort of the negated scores would, NaN last, -0.0 equal to 0.0. For k up
+    Works on a 1-D array or on each row of a 2-D block and ranks by numpy's
+    stable sort of the negated scores, NaN last, -0.0 equal to 0.0. For k up
     to n/4 a float row's top k are among its scores >= _kth_lower_bound, so
     only those candidates are ranked; a row left with fewer than k (only a
     NaN among its class maxima can do that), and every row for larger k or
@@ -206,32 +206,8 @@ def _by_row(rows: np.ndarray, values: np.ndarray, m: int, k: int, fill) -> np.nd
 
 
 def _top_k_sorted(block: np.ndarray, k: int) -> np.ndarray:
-    """top_k of each row by numpy's default (unstable) sort of the negated
-    scores. A row with no equal adjacent keys among its first k + 1 has only
-    one correct top k, whatever ties lie below it (such as top_k's -inf
-    fill); on the other rows each run of equal keys (numerically equal, so
-    -0.0 equals 0.0, or both NaN) is put back in ascending index order by
-    one integer sort of run id * n + index.
-    """
-    n = block.shape[1]
-    order = np.argsort(-block, axis=1)
-    # equal negated keys are equal scores; NaNs compare unequal but sort
-    # last, so only rows that end in NaN need their NaN keys joined
-    keys = np.take_along_axis(block, order, axis=1)
-    same = keys[:, 1:] == keys[:, :-1]
-    nan_rows = np.flatnonzero(np.isnan(keys[:, -1]))
-    same[nan_rows] |= np.isnan(keys[nan_rows, :-1])
-    del keys
-    tied = np.flatnonzero(same[:, :k].any(axis=1))
-    if tied.size:
-        runs = np.zeros((tied.size, n), dtype=np.int64)
-        np.cumsum(~same[tied], axis=1, out=runs[:, 1:])
-        del same
-        runs *= n
-        runs += order[tied]
-        runs.sort(axis=1)
-        order[tied] = np.remainder(runs, n, out=runs)
-    return order[:, :k]
+    """top_k of each row by numpy's stable sort of the negated scores."""
+    return np.argsort(-block, axis=1, kind="stable")[:, :k]
 
 
 def _run_blocks(count: int, size: int, work) -> None:
@@ -344,14 +320,13 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
         M_i = 2 ((g(u) (1 + u)^2 + 2u + u^2 + g(2^-53)) nu_i max(nu)
                  + 10 d t + 4 d 2^(-1022-2e)),
 
-    rounded up. The j with F_ij >= f - M_i survive (30.1 per row at k = 30
-    on the 64-d moons of n = 10^4). To find them, each row is bounded by
-    _kth_lower_bound, the k-th largest of its residue-class maxima: k
-    entries of a row without NaN, so a bound b <= f. The candidates
-    F_ij >= b - M_i (32.5 per row there) hold every survivor, and f is
-    their k-th largest.
+    rounded up. Each row is bounded by _kth_lower_bound, the k-th largest
+    of its residue-class maxima: k entries of a row without NaN, so a bound
+    b <= f. The candidates F_ij >= b - M_i (32.5 per row at k = 30 on the
+    64-d moons of n = 10^4, 30.1 of them at or above f - M_i) hold every
+    neighbour and every item tied with the last.
 
-    Ranking. The survivors are rescored with the pair einsum and ranked by
+    Ranking. The candidates are rescored with the pair einsum and ranked by
     top_k on the raw dots, ties by ascending id. That ranks the clipped
     dot exactly when the k-th dot is at least 1e-100: clipping moves only
     negatives, to 0, below every kept value. And ranking the clipped dot
@@ -361,7 +336,7 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
     AVX-512 loop, 0.50 for libm), so no two distinct kept or boundary
     values cube to equal or swapped results. A row whose k-th dot is below
     1e-100 or a NaN (where clipped zeros tie and tiny cubes underflow), or
-    that has more than n/4 survivors, is ranked on the clipped cubes of all
+    that has more than n/4 candidates, is ranked on the clipped cubes of all
     its pair dots instead. So is every row when x is not finite or e > 511,
     where a float64 dot may overflow.
     """
@@ -380,17 +355,13 @@ def knn_search(features: FeatureSet, k: int) -> np.ndarray:
             f = _scores32(y, start, stop, buffer[:m])
             f[rows, start + rows] = -np.inf  # exclude self
             slack = margin[start:stop]
-            # candidates above the class maxima's bound, then the survivors
-            bound = _kth_lower_bound(f, k)
-            flat = np.flatnonzero(f >= _below(bound, slack)[:, None])
+            # the candidates: at or above the class maxima's bound less the margin
+            flat = np.flatnonzero(f >= _below(_kth_lower_bound(f, k), slack)[:, None])
             cand, cols = np.divmod(flat, n)
-            scores = f.ravel()[flat]
-            kth = np.partition(_by_row(cand, scores, m, k, -np.inf), -k, axis=1)[:, -k]
-            keep = scores >= _below(kth, slack)[cand]
-            full = 4 * np.bincount(cand[keep], minlength=m) > n
-            keep &= ~full[cand]
+            full = 4 * np.bincount(cand, minlength=m) > n
+            keep = ~full[cand]
             cand, cols = cand[keep], cols[keep]
-            # each row's survivors in ascending id order, rescored and ranked
+            # each row's candidates in ascending id order, rescored and ranked
             dots = _by_row(cand, _pair_dots(x, start + cand, cols), m, k, -np.inf)
             order = top_k(dots, k)
             nbrs = np.take_along_axis(_by_row(cand, cols, m, k, 0), order, axis=1)

@@ -11,6 +11,7 @@ from momine.anchors import (
     select_anchors,
     stationary,
 )
+from momine.config import AnchorsConfig
 from momine.errors import BadAnchors, EmptyGraph, MomineError
 from momine.features import SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import build_reciprocal_graph
@@ -200,6 +201,21 @@ def test_select_anchor_saturation_and_order():
     for anchor in got.anchor_ids:
         nbrs = neighbors(g, anchor)
         assert np.all(stat.pi[anchor] >= stat.pi[nbrs])
+
+
+@pytest.mark.parametrize("count,mode,message", [
+    (0, "maxima", "count must be >= 1, got 0"),
+    (3, "x", "mode must be 'maxima' or 'all', got 'x'"),
+])
+def test_select_anchors_checks_its_arguments_by_the_anchors_section(count, mode, message):
+    g = random_graph(30, seed=3)
+    with pytest.raises(ValueError) as caught:
+        select_anchors(g, stationary(g)[0], count, mode)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        AnchorsConfig(count, mode)
+    assert str(caught.value) == message
+    assert AnchorsConfig.__module__ == "momine.anchors"  # config re-imports it
 
 
 def test_cluster_anchors_land_one_per_cluster():

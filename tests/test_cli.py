@@ -547,6 +547,15 @@ def test_gen_of_a_size_beyond_memory_is_data_error(tmp_path, capsys, per_class):
                    " do not fit in memory\n")
 
 
+@pytest.mark.parametrize("noise", ["1e308", "1e39"])  # past float64, past float32
+def test_gen_of_a_noise_past_float32_is_data_error(tmp_path, capsys, noise):
+    out = tmp_path / "gen"
+    assert main(["gen", "--out", str(out), "--set", "gen.noise", noise]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"mom gen: error: noise {float(noise)} takes the points past float32's range\n")
+
+
 @pytest.mark.parametrize("pairs,message", [
     pytest.param({"gen.per_class": "5"}, "graph.k=30 must be below n=10", id="graph.k-at-n"),
     pytest.param({"prep.whiten_dims": "40"}, "retained_dims must be in [1, min(n-1, d)=16]",

@@ -90,6 +90,14 @@ def test_a_rejected_value_is_reported_under_its_dotted_key(flat, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("key", ["graf.k", "graph.kk", "sede", "seed.x", "train.seed"])
+def test_a_key_that_is_not_a_mom_key_is_named_in_bad_config(key):
+    # a library caller's hand-written dict gets mom's own message
+    with pytest.raises(BadConfig) as caught:
+        RunConfig.from_flat({key: 3})
+    assert str(caught.value) == f"unknown config key {key!r}"
+
+
 def test_each_section_checks_its_own_values():
     with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
         AnchorsConfig(count=0)

@@ -1,0 +1,289 @@
+"""Byte-identity check of `mom`: run a fixed list of cases, then compare two runs.
+
+    python tools/identity.py run OUT [--src DIR] [--case NAME ...]
+    python tools/identity.py diff A B
+
+`run` makes OUT/<case>/ for each case and runs its steps there, with paths
+relative to that directory, so two runs print the same lines. Each step is a
+`mom` command or a short Python call, run in a fresh interpreter that imports
+momine from DIR (default: the `src` of this checkout), or an input file the
+case writes itself. A case's log.txt holds every step's command, exit code,
+stdout and stderr, next to the artifacts its commands wrote. OUT/MANIFEST
+lists the sha256 of every file. MOM_SEED is removed from the steps'
+environment; everything else, OPENBLAS_NUM_THREADS included, is inherited.
+
+`diff` prints each file that differs between two finished run directories
+or is in only one, and exits 1 if there is any, or if either directory has
+no MANIFEST; 0 otherwise.
+
+To check that a change keeps every byte, run the parent commit's sources
+through --src, run the change's, and diff the two.
+"""
+
+import argparse
+import hashlib
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the generator settings of the three bench workloads (bench/workloads.py):
+# moons in 64 dimensions at noise 0.15, each on two generator seeds
+BENCH_DIM = "64"
+BENCH_SEEDS = (2, 3)
+# the address-space cap under which 10^11 generated doubles must fail at once
+GEN_LIMIT = 2**39
+
+# model files for the eval errors: of another input width, and with an inf weight
+_NARROW_MODEL = """import sys
+from momine.trainer import EmbeddingModel, save_model
+save_model(EmbeddingModel.initialize('linear', 8, 8), sys.argv[1])
+"""
+_INF_MODEL = """import sys
+from momine.trainer import EmbeddingModel, save_model
+m = EmbeddingModel.initialize('linear', 16, 16)
+m.layers[0][0][0, 0] = float('inf')
+save_model(m, sys.argv[1])
+"""
+
+
+def mom(*argv, limit=None):
+    """A `mom` command; limit caps its address space, in bytes."""
+    return ("mom", argv, limit)
+
+
+def python(code, *argv):
+    return ("python", (code, *argv), None)
+
+
+def write(name, data):
+    """An input file the case writes itself."""
+    return ("write", (name, data.encode() if isinstance(data, str) else data), None)
+
+
+def gen(out, *pairs, seed=None):
+    argv = ["gen", "--out", out]
+    for key, value in pairs:
+        argv += ["--set", key, str(value)]
+    return mom(*argv, *(["--seed", str(seed)] if seed is not None else []))
+
+
+def features(labels=True):
+    """The --features of a case's `gen --out data`, and its --labels."""
+    args = ["--features", "data/features.bin"]
+    return args + ["--labels", "data/labels.txt"] if labels else args
+
+
+def _bench_cases() -> dict:
+    cases = {}
+    for seed in BENCH_SEEDS:
+        shape = [("gen.ambient_dim", BENCH_DIM)]
+        cases[f"bench-maxima-s{seed}"] = [
+            gen("data", ("gen.per_class", 1250), *shape, seed=seed),
+            mom("pipeline", "--out", "run", *features(), "--seed", str(seed), "--rounds", "1"),
+        ]
+        cases[f"bench-all-2r-s{seed}"] = [
+            gen("data", ("gen.per_class", 400), *shape, seed=seed),
+            mom("pipeline", "--out", "run", *features(), "--seed", str(seed), "--rounds", "2",
+                "--set", "anchors.mode", "all", "--set", "anchors.count", "800"),
+        ]
+        cases[f"bench-unlabeled-s{seed}"] = [
+            gen("data", ("gen.per_class", 5000), *shape, seed=seed),
+            mom("pipeline", "--out", "run", *features(labels=False), "--seed", str(seed),
+                "--rounds", "1"),
+        ]
+    return cases
+
+
+def _pipeline_cases() -> dict:
+    all_602 = ["--set", "anchors.mode", "all", "--set", "anchors.count", "602"]
+    return {
+        "default": [
+            mom("pipeline", "--out", "run"),
+            mom("pipeline", "--out", "rerun", "--config", "run/config.json"),
+        ],
+        "ci-602": [
+            gen("data", ("gen.per_class", 301)),
+            mom("pipeline", "--out", "mined", *features(), *all_602),
+            mom("pipeline", "--out", "baseline", *features(), *all_602, "--baseline", "euclidean"),
+            mom("pipeline", "--out", "negative", *features(), *all_602, "--oracle", "negative"),
+        ],
+        "ci-4002": [
+            gen("data", ("gen.per_class", 2001)),
+            mom("pipeline", "--out", "run", *features(), "--set", "anchors.mode", "all",
+                "--set", "anchors.count", "200"),
+        ],
+        "mlp-triplet-2r": [
+            mom("pipeline", "--out", "run", "--seed", "3", "--rounds", "2",
+                "--set", "model.kind", "mlp", "--set", "model.hidden_dim", "32",
+                "--set", "train.loss", "triplet", "--set", "prep.whiten_dims", "8"),
+        ],
+        "clusters-literal-positive": [
+            mom("pipeline", "--out", "run", "--seed", "4", "--oracle", "positive",
+                "--set", "gen.kind", "clusters", "--set", "gen.classes", "4",
+                "--set", "gen.per_class", "60", "--set", "train.loss", "triplet-literal"),
+        ],
+        "stages": [
+            gen("data", seed=5),
+            mom("graph", "--out", "graph", *features(labels=False)),
+            mom("anchors", "--out", "anchors", "--graph", "graph/graph.txt"),
+            mom("diffuse", "--out", "diffuse", "--graph", "graph/graph.txt", "--anchor", "7"),
+            mom("mine", "--out", "mine", *features(labels=False), "--graph", "graph/graph.txt",
+                "--anchors", "anchors/anchors.txt"),
+            mom("train", "--out", "train", *features(labels=False), "--pools",
+                "mine/pools.jsonl"),
+            mom("eval", "--out", "eval", *features()),
+            mom("eval", "--out", "eval-model", *features(), "--model", "train/model.bin"),
+        ],
+    }
+
+
+def _error_cases() -> dict:
+    """The exit-2 cases of the CI workflow, each creating no --out."""
+    data = gen("data")
+    return {
+        "error-bad-config-value": [mom("gen", "--out", "bad", "--set", "graph.k", "abc")],
+        "error-bad-label-file": [
+            data, write("labels.txt", "a\nb\n"),
+            mom("eval", "--out", "eval", *features(labels=False), "--labels", "labels.txt"),
+        ],
+        "error-label-beyond-int64": [
+            data, write("labels.txt", "0\n" * 399 + f"{2**63}\n"),
+            mom("eval", "--out", "eval", *features(labels=False), "--labels", "labels.txt"),
+        ],
+        "error-negative-seed": [
+            data, mom("pipeline", "--out", "run", *features(labels=False), "--seed", "-1"),
+        ],
+        "error-gen-beyond-memory": [
+            mom("gen", "--out", f"gen-{size}", "--set", "gen.per_class", size, limit=GEN_LIMIT)
+            for size in (str(2**63), "100000000000")
+        ],
+        "error-empty-features": [
+            write("empty.bin", b"MOM1\0\0\0\0\5\0\0\0"),
+            mom("graph", "--out", "graph", "--features", "empty.bin"),
+        ],
+        "error-model-width": [
+            data, python(_NARROW_MODEL, "narrow.bin"),
+            mom("eval", "--out", "eval", *features(), "--model", "narrow.bin"),
+        ],
+        "error-inf-weight": [
+            data, python(_INF_MODEL, "inf.bin"),
+            mom("eval", "--out", "eval", *features(), "--model", "inf.bin"),
+        ],
+        "error-degree-overflow": [
+            write("overflow.txt", "MOMG 3 2\n0 1 1e308\n0 2 1e308\n"),
+            mom("anchors", "--out", "anchors", "--graph", "overflow.txt"),
+        ],
+        "error-huge-headers": [
+            data,
+            write("graph.txt", "MOMG 4611686018427387904 2\n0 1 0.5\n"),
+            write("features.bin", b"MOM1" + b"\377" * 8),
+            write("model.bin", b"MOMM\0\0\0\0" + b"\377" * 8 + b"\0\0\0\0"),
+            mom("anchors", "--out", "anchors", "--graph", "graph.txt"),
+            mom("graph", "--out", "graph", "--features", "features.bin"),
+            mom("eval", "--out", "eval", *features(), "--model", "model.bin"),
+        ],
+        "error-graph-k-at-n": [
+            gen("data", ("gen.per_class", 200)),
+            mom("pipeline", "--out", "run", *features(labels=False), "--set", "graph.k", "500"),
+        ],
+        "error-nan-tolerance": [
+            mom("pipeline", "--out", "run", "--set", "diffusion.tolerance", "nan"),
+        ],
+        "error-anchor-id-beyond-int64": [
+            data, mom("graph", "--out", "graph", *features(labels=False)),
+            write("anchors.txt", "18446744073709551616 0.5\n"),
+            mom("mine", "--out", "mine", *features(labels=False), "--graph", "graph/graph.txt",
+                "--anchors", "anchors.txt"),
+        ],
+        "error-baseline-without-anchors": [
+            data, write("anchors.txt", ""),
+            mom("mine", "--out", "mine", *features(labels=False), "--anchors", "anchors.txt",
+                "--set", "mining.mode", "baseline"),
+        ],
+    }
+
+
+CASES = {**_pipeline_cases(), **_bench_cases(), **_error_cases()}
+
+
+def _limit(size):
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (size, size))
+
+
+def run_case(steps, where: Path, src: Path) -> None:
+    where.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("MOM_SEED", None)
+    log = []
+    for kind, args, limit in steps:
+        if kind == "write":
+            (where / args[0]).write_bytes(args[1])
+            log.append(f"$ write {args[0]}\n")
+            continue
+        head = [sys.executable, "-m", "momine.cli"] if kind == "mom" else [sys.executable, "-c"]
+        proc = subprocess.run([*head, *args], cwd=where, env=env, capture_output=True,
+                              preexec_fn=_limit(limit) if limit else None)
+        shown = " ".join(args) if kind == "mom" else " ".join(args[1:])
+        log.append(f"$ {kind} {shown}\nexit {proc.returncode}\n"
+                   f"--- stdout\n{proc.stdout.decode()}--- stderr\n{proc.stderr.decode()}")
+    (where / "log.txt").write_text("".join(log))
+
+
+def digests(root: Path) -> dict:
+    """The sha256 of every file under root but its MANIFEST, by relative path."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path != root / "MANIFEST"
+    }
+
+
+def cmd_run(args) -> int:
+    out, src = Path(args.out), Path(args.src).resolve()
+    if not (src / "momine" / "__init__.py").is_file():
+        raise SystemExit(f"identity: no momine package under {src}")
+    if out.exists():
+        raise SystemExit(f"identity: {out} exists; give a new directory")
+    for name in args.case or CASES:
+        print(f"identity: {name}", flush=True)
+        run_case(CASES[name], out / name, src)
+    (out / "MANIFEST").write_text("".join(
+        f"{digest}  {path}\n" for path, digest in digests(out).items()))
+    return 0
+
+
+def cmd_diff(args) -> int:
+    for root in (args.a, args.b):
+        if not (Path(root) / "MANIFEST").is_file():
+            raise SystemExit(f"identity: {root} holds no MANIFEST of a finished run")
+    a, b = digests(Path(args.a)), digests(Path(args.b))
+    differ = [path for path in sorted(a.keys() | b.keys()) if a.get(path) != b.get(path)]
+    for path in differ:
+        if path in a and path in b:
+            print(f"{path}: differs")
+        else:
+            print(f"{path}: only in {args.a if path in a else args.b}")
+    print(f"identity: {len(differ)} of {len(a.keys() | b.keys())} files differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run", help="run the cases into a new directory")
+    p.add_argument("out")
+    p.add_argument("--src", default=str(SRC), help="the directory that holds the momine package")
+    p.add_argument("--case", action="append", choices=list(CASES), help="run only this case")
+    p = sub.add_parser("diff", help="compare two run directories")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    return cmd_run(args) if args.command == "run" else cmd_diff(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
