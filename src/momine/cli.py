@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .anchors import AnchorSet, load_anchors, save_anchors, select_anchors, stationary
-from .config import RunConfig
+from .config import DEFAULTS, TYPE_RULES, RunConfig, json_value, key_type
 from .diffusion import solve_columns
 from .errors import BadConfig, KTooLarge, LabelsMissing, MomineError, open_text
 from .features import (
@@ -40,8 +40,6 @@ from .mining import build_training_pool, load_pools, save_pools
 from .evaluation import check_labels_differ, evaluate_embeddings, recall_depths
 from .trainer import forward, load_model, save_model, save_train_log, train
 
-DEFAULTS = RunConfig.defaults()
-
 
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1 (argparse defaults to 2, which we reserve for data errors)
@@ -51,43 +49,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _parse(key, value, text=False, source=None):
-    """The one place a config value gets its type: that of the key's DEFAULTS
-    entry. A string from the command line (`text`: `--set`, MOM_SEED) is
-    parsed, a bool from one of the _BOOLS spellings. A config-file value must
-    already have the key's JSON type; an integer also passes for a float,
-    and a float must be finite. A mismatch is a BadConfig naming `source`,
-    by default the key."""
-    if key not in DEFAULTS:
-        raise BadConfig(f"unknown config key {key!r}")
-    kind = type(DEFAULTS[key])
+def _parse(key, value, source=None):
+    """A config value spelled as text (`--set`, MOM_SEED), parsed to the key's
+    type (config.key_type), a bool from one of the _BOOLS spellings; a float
+    must be finite. A mismatch is a BadConfig naming `source`, by default the
+    key."""
+    kind = key_type(key)
     try:
-        if text and kind is bool:
-            return _BOOLS[value.lower()]
-        if text or type(value) is kind or (kind is float and type(value) is int):
-            parsed = kind(value)
-            if kind is not float or math.isfinite(parsed):
-                return parsed
-    except (KeyError, ValueError, OverflowError):  # OverflowError: a huge int for a float
+        parsed = _BOOLS[value.lower()] if kind is bool else kind(value)
+        if kind is not float or math.isfinite(parsed):
+            return parsed
+    except (KeyError, ValueError):
         pass
-    rule = f"one of {sorted(_BOOLS)}" if text and kind is bool else _KINDS[kind]
+    rule = f"one of {sorted(_BOOLS)}" if kind is bool else TYPE_RULES[kind]
     raise BadConfig(f"{source or key} must be {rule}, got {value!r}")
 
 
 def _load_config(path, pairs) -> dict:
-    """DEFAULTS, then the config file's values, then the `--set` pairs, each
-    typed by `_parse`."""
+    """DEFAULTS, then the config file's values, each typed by
+    config.json_value, then the `--set` pairs, each parsed by `_parse`."""
     cfg = dict(DEFAULTS)
     if path:
         with open_text(path, BadConfig) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise BadConfig(f"{path}: the top level must be an object of dotted keys")
-        cfg.update((key, _parse(key, value)) for key, value in loaded.items())
-    cfg.update((key, _parse(key, value, text=True)) for key, value in pairs)
+        cfg.update((key, json_value(key, value)) for key, value in loaded.items())
+    cfg.update((key, _parse(key, value)) for key, value in pairs)
     return cfg
 
 
@@ -95,7 +85,7 @@ def _resolve_seed(args, cfg) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("MOM_SEED")
-    return cfg["seed"] if env is None else _parse("seed", env, text=True, source="MOM_SEED")
+    return cfg["seed"] if env is None else _parse("seed", env, source="MOM_SEED")
 
 
 def _write_json(payload: dict, path: Path) -> None:

@@ -3,6 +3,7 @@ prefix of the dotted config keys (`gen` is a SyntheticSpec, `diffusion`,
 `anchors`, `mining` and `train` are the stages' configs). A section's field
 defaults are its keys' defaults, and its __post_init__ holds their rules."""
 
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .anchors import AnchorsConfig
@@ -105,15 +106,12 @@ class RunConfig:
     def from_flat(cls, flat: dict) -> "RunConfig":
         """The run of a flat dotted-key config, as `mom` writes it to
         config.json; a key left out keeps its default. A key that is not one
-        of defaults(), or a value that a section or the run rejects, raises
-        BadConfig, under its dotted key."""
-        known = cls.defaults()
+        of defaults(), a value that json_value rejects, or one that a section or
+        the run rejects, raises BadConfig, under its dotted key."""
         values = {}
         for key, value in flat.items():
-            if key not in known:
-                raise BadConfig(f"unknown config key {key!r}")
             head, _, name = key.rpartition(".")
-            values.setdefault(head, {})[name] = value
+            values.setdefault(head, {})[name] = json_value(key, value)
         run = values.pop("", {})
         kinds = {top.name: top.default_factory for top in fields(cls)}
         for head, section in values.items():
@@ -125,3 +123,27 @@ class RunConfig:
             return cls(**run)
         except ValueError as exc:
             raise BadConfig(str(exc)) from None
+
+
+DEFAULTS = RunConfig.defaults()
+# what a value of each type must be, as a BadConfig message names it
+TYPE_RULES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def key_type(key) -> type:
+    """The type of a `mom` key's values, that of its default; a key that is
+    not in DEFAULTS raises BadConfig."""
+    if key not in DEFAULTS:
+        raise BadConfig(f"unknown config key {key!r}")
+    return type(DEFAULTS[key])
+
+
+def json_value(key, value):
+    """A config-file value of `key`, as the key's type. It must have that type
+    exactly, but an integer also passes for a float, and a float must be
+    finite; a mismatch raises BadConfig naming the key."""
+    kind = key_type(key)
+    if type(value) is kind or (kind is float and type(value) is int):
+        if kind is not float or abs(value) <= sys.float_info.max:  # finite as a float
+            return kind(value)
+    raise BadConfig(f"{key} must be {TYPE_RULES[kind]}, got {value!r}")

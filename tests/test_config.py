@@ -98,6 +98,20 @@ def test_a_key_that_is_not_a_mom_key_is_named_in_bad_config(key):
     assert str(caught.value) == f"unknown config key {key!r}"
 
 
+@pytest.mark.parametrize("flat,message", [
+    ({"graph.k": "3"}, "graph.k must be an integer, got '3'"),
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"eval.ks": 5}, "eval.ks must be a string, got 5"),
+    ({"anchors.count": 2.5}, "anchors.count must be an integer, got 2.5"),
+    ({"train.weighted": 1}, "train.weighted must be true or false, got 1"),
+])
+def test_a_value_of_another_type_is_named_in_bad_config(flat, message):
+    # the JSON typing rule of mom's --config, for a library caller's dict
+    with pytest.raises(BadConfig) as caught:
+        RunConfig.from_flat(flat)
+    assert str(caught.value) == message
+
+
 def test_each_section_checks_its_own_values():
     with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
         AnchorsConfig(count=0)

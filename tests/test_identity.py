@@ -1,8 +1,11 @@
-"""tools/identity.py: two runs of a case write the same bytes, and diff names a changed file."""
+"""tools/identity.py: two runs of a case write the same bytes, diff names a changed file,
+and run exits 1 when a step breaks its declared exit code."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
 CASE = "clusters-literal-positive"  # the smallest case that writes artifacts
@@ -34,3 +37,22 @@ def test_two_runs_of_a_case_are_identical_and_diff_names_a_changed_file(tmp_path
         f"identity: 2 of {len(manifest) + 1} files differ",
     ]
     assert identity("diff", str(a), str(tmp_path / "unfinished")).returncode == 1
+
+
+@pytest.mark.parametrize("cli,broken", [
+    ("import sys\nsys.exit(3)\n", "exit 3, declared 2"),
+    ("import os, sys\nos.mkdir(sys.argv[sys.argv.index('--out') + 1])\nsys.exit(2)\n",
+     "exit 2, but its --out exists"),
+], ids=["exits-3", "makes-its-out"])
+def test_run_exits_1_on_a_step_that_breaks_its_declared_exit_code(tmp_path, cli, broken):
+    # a stand-in momine whose mom either exits 3 or makes its --out before exiting 2
+    package = tmp_path / "src" / "momine"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(cli)
+    case = "error-bad-config-value"
+    result = identity("run", str(tmp_path / "out"), "--src", str(package.parent), "--case", case)
+    assert result.returncode == 1
+    assert result.stdout.splitlines()[-1] == (
+        f"identity: broken: {case}: mom gen --out bad --set graph.k abc: {broken}")
+    assert (tmp_path / "out" / "MANIFEST").is_file()

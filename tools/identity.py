@@ -3,21 +3,31 @@
     python tools/identity.py run OUT [--src DIR] [--case NAME ...]
     python tools/identity.py diff A B
 
-`run` makes OUT/<case>/ for each case and runs its steps there, with paths
-relative to that directory, so two runs print the same lines. Each step is a
-`mom` command or a short Python call, run in a fresh interpreter that imports
+The cases are the one home of `mom`'s end-to-end checks: bench-shaped,
+CI-shaped and stage-by-stage runs, and one case per data error. `run` makes
+OUT/<case>/ for each case and runs its steps there, with paths relative to
+that directory, so two runs print the same lines. Each step is a `mom`
+command or a short Python call, run in a fresh interpreter that imports
 momine from DIR (default: the `src` of this checkout), or an input file the
 case writes itself. A case's log.txt holds every step's command, exit code,
 stdout and stderr, next to the artifacts its commands wrote. OUT/MANIFEST
 lists the sha256 of every file. MOM_SEED is removed from the steps'
-environment; everything else, OPENBLAS_NUM_THREADS included, is inherited.
+environment; everything else, OPENBLAS_NUM_THREADS and the CPU affinity
+included, is inherited.
+
+Each command declares the exit code it must return, 0 unless its case says
+2, and a command declared to fail must leave no --out. `run` runs every
+case, writes MANIFEST, prints one line per broken declaration and exits 1 if
+there is any; 0 otherwise.
 
 `diff` prints each file that differs between two finished run directories
 or is in only one, and exits 1 if there is any, or if either directory has
 no MANIFEST; 0 otherwise.
 
 To check that a change keeps every byte, run the parent commit's sources
-through --src, run the change's, and diff the two.
+through --src, run the change's, and diff the two. To check that no byte
+follows the BLAS threads or the CPUs, run under each setting (for example
+OPENBLAS_NUM_THREADS=1, the default, and `taskset -c 0`) and diff the runs.
 """
 
 import argparse
@@ -50,18 +60,19 @@ save_model(m, sys.argv[1])
 """
 
 
-def mom(*argv, limit=None):
-    """A `mom` command; limit caps its address space, in bytes."""
-    return ("mom", argv, limit)
+def mom(*argv, limit=None, code=0):
+    """A `mom` command that must exit with `code`; limit caps its address
+    space, in bytes."""
+    return ("mom", argv, limit, code)
 
 
 def python(code, *argv):
-    return ("python", (code, *argv), None)
+    return ("python", (code, *argv), None, 0)
 
 
 def write(name, data):
     """An input file the case writes itself."""
-    return ("write", (name, data.encode() if isinstance(data, str) else data), None)
+    return ("write", (name, data.encode() if isinstance(data, str) else data), None, 0)
 
 
 def gen(out, *pairs, seed=None):
@@ -99,18 +110,21 @@ def _bench_cases() -> dict:
 
 
 def _pipeline_cases() -> dict:
-    all_602 = ["--set", "anchors.mode", "all", "--set", "anchors.count", "602"]
-    return {
+    cases = {
         "default": [
             mom("pipeline", "--out", "run"),
             mom("pipeline", "--out", "rerun", "--config", "run/config.json"),
         ],
-        "ci-602": [
-            gen("data", ("gen.per_class", 301)),
-            mom("pipeline", "--out", "mined", *features(), *all_602),
-            mom("pipeline", "--out", "baseline", *features(), *all_602, "--baseline", "euclidean"),
-            mom("pipeline", "--out", "negative", *features(), *all_602, "--oracle", "negative"),
-        ],
+    }
+    for n in (602, 2502):  # not multiples of 8, so the Gram blocks are padded
+        all_n = ["--set", "anchors.mode", "all", "--set", "anchors.count", str(n)]
+        cases[f"ci-{n}"] = [
+            gen("data", ("gen.per_class", n // 2)),
+            mom("pipeline", "--out", "mined", *features(), *all_n),
+            mom("pipeline", "--out", "baseline", *features(), *all_n, "--baseline", "euclidean"),
+            mom("pipeline", "--out", "negative", *features(), *all_n, "--oracle", "negative"),
+        ]
+    return cases | {
         "ci-4002": [
             gen("data", ("gen.per_class", 2001)),
             mom("pipeline", "--out", "run", *features(), "--set", "anchors.mode", "all",
@@ -142,67 +156,72 @@ def _pipeline_cases() -> dict:
 
 
 def _error_cases() -> dict:
-    """The exit-2 cases of the CI workflow, each creating no --out."""
+    """One case per error that `mom` reports as a data error: each declares
+    exit 2 on the step that fails, and that step must create no --out."""
     data = gen("data")
     return {
-        "error-bad-config-value": [mom("gen", "--out", "bad", "--set", "graph.k", "abc")],
+        "error-bad-config-value": [mom("gen", "--out", "bad", "--set", "graph.k", "abc", code=2)],
         "error-bad-label-file": [
             data, write("labels.txt", "a\nb\n"),
-            mom("eval", "--out", "eval", *features(labels=False), "--labels", "labels.txt"),
+            mom("eval", "--out", "eval", *features(labels=False), "--labels", "labels.txt",
+                code=2),
         ],
         "error-label-beyond-int64": [
             data, write("labels.txt", "0\n" * 399 + f"{2**63}\n"),
-            mom("eval", "--out", "eval", *features(labels=False), "--labels", "labels.txt"),
+            mom("eval", "--out", "eval", *features(labels=False), "--labels", "labels.txt",
+                code=2),
         ],
         "error-negative-seed": [
-            data, mom("pipeline", "--out", "run", *features(labels=False), "--seed", "-1"),
+            data, mom("pipeline", "--out", "run", *features(labels=False), "--seed", "-1", code=2),
         ],
         "error-gen-beyond-memory": [
-            mom("gen", "--out", f"gen-{size}", "--set", "gen.per_class", size, limit=GEN_LIMIT)
+            mom("gen", "--out", f"gen-{size}", "--set", "gen.per_class", size, limit=GEN_LIMIT,
+                code=2)
             for size in (str(2**63), "100000000000")
         ],
         "error-empty-features": [
             write("empty.bin", b"MOM1\0\0\0\0\5\0\0\0"),
-            mom("graph", "--out", "graph", "--features", "empty.bin"),
+            mom("graph", "--out", "graph", "--features", "empty.bin", code=2),
         ],
         "error-model-width": [
             data, python(_NARROW_MODEL, "narrow.bin"),
-            mom("eval", "--out", "eval", *features(), "--model", "narrow.bin"),
+            mom("eval", "--out", "eval", *features(), "--model", "narrow.bin", code=2),
         ],
         "error-inf-weight": [
             data, python(_INF_MODEL, "inf.bin"),
-            mom("eval", "--out", "eval", *features(), "--model", "inf.bin"),
+            mom("eval", "--out", "eval", *features(), "--model", "inf.bin", code=2),
         ],
         "error-degree-overflow": [
             write("overflow.txt", "MOMG 3 2\n0 1 1e308\n0 2 1e308\n"),
-            mom("anchors", "--out", "anchors", "--graph", "overflow.txt"),
+            mom("anchors", "--out", "anchors", "--graph", "overflow.txt", code=2),
         ],
         "error-huge-headers": [
             data,
             write("graph.txt", "MOMG 4611686018427387904 2\n0 1 0.5\n"),
             write("features.bin", b"MOM1" + b"\377" * 8),
             write("model.bin", b"MOMM\0\0\0\0" + b"\377" * 8 + b"\0\0\0\0"),
-            mom("anchors", "--out", "anchors", "--graph", "graph.txt"),
-            mom("graph", "--out", "graph", "--features", "features.bin"),
-            mom("eval", "--out", "eval", *features(), "--model", "model.bin"),
+            mom("anchors", "--out", "anchors", "--graph", "graph.txt", code=2),
+            mom("graph", "--out", "graph", "--features", "features.bin", code=2),
+            mom("eval", "--out", "eval", *features(), "--model", "model.bin", code=2),
         ],
         "error-graph-k-at-n": [
             gen("data", ("gen.per_class", 200)),
-            mom("pipeline", "--out", "run", *features(labels=False), "--set", "graph.k", "500"),
+            mom("pipeline", "--out", "run", *features(labels=False), "--set", "graph.k", "500",
+                code=2),
         ],
         "error-nan-tolerance": [
-            mom("pipeline", "--out", "run", "--set", "diffusion.tolerance", "nan"),
+            mom("pipeline", "--out", "run", "--set", "diffusion.tolerance", "nan", code=2),
         ],
         "error-anchor-id-beyond-int64": [
             data, mom("graph", "--out", "graph", *features(labels=False)),
             write("anchors.txt", "18446744073709551616 0.5\n"),
             mom("mine", "--out", "mine", *features(labels=False), "--graph", "graph/graph.txt",
-                "--anchors", "anchors.txt"),
+                "--anchors", "anchors.txt", code=2),
         ],
         "error-baseline-without-anchors": [
             data, write("anchors.txt", ""),
             mom("mine", "--out", "mine", *features(labels=False), "--anchors", "anchors.txt",
-                "--set", "mining.mode", "baseline"),
+                "--set", "mining.mode", "baseline", code=2),
         ],
     }
 
@@ -214,12 +233,15 @@ def _limit(size):
     return lambda: resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
 
-def run_case(steps, where: Path, src: Path) -> None:
+def run_case(name, steps, where: Path, src: Path) -> list:
+    """Runs the case's steps in `where` and writes its log.txt. Returns one
+    line per broken expectation: a step that exited with another code than
+    it declares, or a step declared to fail whose --out exists."""
     where.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("MOM_SEED", None)
-    log = []
-    for kind, args, limit in steps:
+    log, broken = [], []
+    for kind, args, limit, code in steps:
         if kind == "write":
             (where / args[0]).write_bytes(args[1])
             log.append(f"$ write {args[0]}\n")
@@ -230,7 +252,12 @@ def run_case(steps, where: Path, src: Path) -> None:
         shown = " ".join(args) if kind == "mom" else " ".join(args[1:])
         log.append(f"$ {kind} {shown}\nexit {proc.returncode}\n"
                    f"--- stdout\n{proc.stdout.decode()}--- stderr\n{proc.stderr.decode()}")
+        if proc.returncode != code:
+            broken.append(f"{name}: {kind} {shown}: exit {proc.returncode}, declared {code}")
+        if code and (where / args[args.index("--out") + 1]).exists():
+            broken.append(f"{name}: {kind} {shown}: exit {proc.returncode}, but its --out exists")
     (where / "log.txt").write_text("".join(log))
+    return broken
 
 
 def digests(root: Path) -> dict:
@@ -248,12 +275,15 @@ def cmd_run(args) -> int:
         raise SystemExit(f"identity: no momine package under {src}")
     if out.exists():
         raise SystemExit(f"identity: {out} exists; give a new directory")
+    broken = []
     for name in args.case or CASES:
         print(f"identity: {name}", flush=True)
-        run_case(CASES[name], out / name, src)
+        broken += run_case(name, CASES[name], out / name, src)
     (out / "MANIFEST").write_text("".join(
         f"{digest}  {path}\n" for path, digest in digests(out).items()))
-    return 0
+    for line in broken:
+        print(f"identity: broken: {line}")
+    return 1 if broken else 0
 
 
 def cmd_diff(args) -> int:
