@@ -11,7 +11,6 @@ timestamps, so a fixed seed reproduces them byte for byte.
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -48,23 +47,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
 def _parse(key, value, source=None):
-    """A config value spelled as text (`--set`, MOM_SEED), parsed to the key's
-    type (config.key_type), a bool from one of the _BOOLS spellings; a float
-    must be finite. A mismatch is a BadConfig naming `source`, by default the
-    key."""
+    """A config value spelled as text (`--set`, MOM_SEED): converted by the
+    key's type (config.key_type), then typed by config.json_value. A mismatch
+    is a BadConfig naming `source`, by default the key."""
     kind = key_type(key)
     try:
-        parsed = _BOOLS[value.lower()] if kind is bool else kind(value)
-        if kind is not float or math.isfinite(parsed):
-            return parsed
-    except (KeyError, ValueError):
-        pass
-    rule = f"one of {sorted(_BOOLS)}" if kind is bool else TYPE_RULES[kind]
-    raise BadConfig(f"{source or key} must be {rule}, got {value!r}")
+        return json_value(key, kind(value))
+    except (ValueError, BadConfig):
+        raise BadConfig(f"{source or key} must be {TYPE_RULES[kind]}, got {value!r}") from None
 
 
 def _load_config(path, pairs) -> dict:
@@ -207,7 +198,7 @@ def cmd_train(args, cfg, run, out: Path):
     last = log[-1]["mean_loss"] if log else float("nan")
     print(
         f"train: {run.train.epochs} epochs, loss={run.train.loss}"
-        f" weighted={run.train.weighted}, final mean loss {last:.6g}"
+        f" weights={run.train.weight_normalization}, final mean loss {last:.6g}"
         f" -> {out / 'model.bin'}"
     )
     return 0

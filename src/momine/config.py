@@ -127,7 +127,7 @@ class RunConfig:
 
 DEFAULTS = RunConfig.defaults()
 # what a value of each type must be, as a BadConfig message names it
-TYPE_RULES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+TYPE_RULES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def key_type(key) -> type:

@@ -162,7 +162,8 @@ def pca_whiten_apply(features: FeatureSet, transform: WhiteningTransform) -> Fea
 
 
 def _intrinsic_points(spec: SyntheticSpec, rng: np.random.Generator):
-    """Sample the low-dimensional manifold points and labels for a spec."""
+    """Sample the low-dimensional manifold points of a spec, class by class,
+    per_class points each."""
     m, c = spec.per_class, spec.classes
     if spec.kind == "moons":
         t0 = rng.uniform(0.0, np.pi, m)
@@ -170,27 +171,22 @@ def _intrinsic_points(spec: SyntheticSpec, rng: np.random.Generator):
         arc0 = np.column_stack([np.cos(t0), np.sin(t0)])
         arc1 = np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)])
         pts = np.vstack([arc0, arc1])
-        labels = np.repeat([0, 1], m)
     elif spec.kind == "circles":
-        parts, labels = [], []
+        parts = []
         for k in range(c):
             t = rng.uniform(0.0, 2.0 * np.pi, m)
             r = 1.0 + k
             parts.append(np.column_stack([r * np.cos(t), r * np.sin(t)]))
-            labels.append(np.full(m, k))
         pts = np.vstack(parts)
-        labels = np.concatenate(labels)
     elif spec.kind == "swiss-roll":
         lo, hi = 1.5 * np.pi, 4.5 * np.pi
         edges = np.linspace(lo, hi, c + 1)
-        parts, labels = [], []
+        parts = []
         for k in range(c):
             t = rng.uniform(edges[k], edges[k + 1], m)
             h = rng.uniform(0.0, 10.0, m)
             parts.append(np.column_stack([t * np.cos(t), h, t * np.sin(t)]))
-            labels.append(np.full(m, k))
         pts = np.vstack(parts)
-        labels = np.concatenate(labels)
     else:  # clusters: centers only; the ambient noise provides the blobs
         centers = rng.normal(size=(c, 2))
         # spread the centers so small-noise blobs are k-means separable
@@ -207,8 +203,7 @@ def _intrinsic_points(spec: SyntheticSpec, rng: np.random.Generator):
         if low.any():
             centers[low] += centers[low] / norms[low, None] * (2.5 - norms[low, None])
         pts = np.repeat(centers, m, axis=0)
-        labels = np.repeat(np.arange(c), m)
-    return pts, labels.astype(np.int64)
+    return pts
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
@@ -224,7 +219,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
     """
     rng = np.random.default_rng(seed)
     try:
-        pts, labels = _intrinsic_points(spec, rng)
+        pts = _intrinsic_points(spec, rng)
+        labels = np.repeat(np.arange(spec.classes), spec.per_class)
         q = pts.shape[1]
         if spec.ambient_dim < q:
             raise BadSpec(f"ambient_dim {spec.ambient_dim} below intrinsic dimension {q}")
@@ -277,17 +273,24 @@ def save_labels(labels: np.ndarray, path) -> None:
 
 
 def load_labels(path, expected_n: int) -> np.ndarray:
-    """Read the label sidecar: one int64 decimal integer per line, exactly n lines."""
+    """Read the label sidecar: one int64 decimal integer per line, exactly n
+    labels; blank lines are skipped."""
     values = []
     with open_text(path, BadLabels) as fh:
         for number, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) > 1:
+                raise BadLabels(f"{path}, line {number}: expected one integer,"
+                                f" got {line.strip()!r}")
             try:
-                labels = [int(token) for token in line.split()]
+                label = int(tokens[0])
             except ValueError:
                 raise BadLabels(f"{path}, line {number}: not an integer: {line.strip()!r}") from None
-            if not all(-(2**63) <= label < 2**63 for label in labels):
+            if not -(2**63) <= label < 2**63:
                 raise BadLabels(f"{path}, line {number}: a label beyond 64 bits: {line.strip()!r}")
-            values.extend(labels)
+            values.append(label)
     labels = np.asarray(values, dtype=np.int64)
     check_labels(labels, expected_n, str(path))
     return labels

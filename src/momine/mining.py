@@ -249,7 +249,7 @@ class PoolTable:
     skipped: int  # pools without a positive or without a negative
 
 
-def pool_table(pools: list, weighting: str = "none") -> PoolTable:
+def pool_table(pools: list, weighting: str) -> PoolTable:
     """The pools as one table. A tuple's weight is its positive's s_m
     ("none"); that divided by the largest s_m among all positives of the same
     anchor, in any pool, or 0 where that is not positive ("per-anchor-max");

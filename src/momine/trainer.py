@@ -214,7 +214,6 @@ def sgd_momentum_step(params: list, grads: list, velocity: list, lr: float, mome
 @dataclass
 class TrainConfig:
     loss: str = "contrastive"
-    weighted: bool = True
     margin: float = 0.0  # 0 = the loss's default: 0.7 contrastive, 0.5 triplet and triplet-literal
     lr0: float = 0.01
     lr_decay: float = 0.1
@@ -223,7 +222,7 @@ class TrainConfig:
     batch_size: int = 42
     epochs: int = 30
     seed: int = 0
-    weight_normalization: str = "per-anchor-max"  # or "none"
+    weight_normalization: str = "per-anchor-max"  # or "none" or "unit": mining.pool_table
 
     def __post_init__(self):
         if self.loss not in _LOSSES:
@@ -244,8 +243,9 @@ class TrainConfig:
             raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_normalization not in ("per-anchor-max", "none"):
-            raise ValueError("weight_normalization must be 'per-anchor-max' or 'none'")
+        if self.weight_normalization not in ("per-anchor-max", "none", "unit"):
+            raise ValueError("weight_normalization must be 'per-anchor-max', 'none' or 'unit',"
+                             f" got {self.weight_normalization!r}")
 
 
 def train(
@@ -266,8 +266,7 @@ def train(
         raise AllPoolsEmpty("no pools to train on")
     if features.d != model.input_dim:
         raise DimMismatch(f"model expects input_dim={model.input_dim}, features have d={features.d}")
-    weighting = train_config.weight_normalization if train_config.weighted else "unit"
-    table = pool_table(pools, weighting)
+    table = pool_table(pools, train_config.weight_normalization)
     members = table.members
     if members[0] < 0 or members[-1] >= features.n:
         bad = members[0] if members[0] < 0 else members[-1]

@@ -551,7 +551,7 @@ def train_reference(features, pools, model, train_config, mining_config):
         for start in range(0, len(order), train_config.batch_size):
             batch = [tuples[t] for t in order[start : start + train_config.batch_size]]
             r_ids, p_ids, n_ids = (np.asarray([t[c] for t in batch]) for c in range(3))
-            if not train_config.weighted:
+            if train_config.weight_normalization == "unit":
                 w = np.ones(len(batch))
             elif train_config.weight_normalization == "per-anchor-max":
                 w = np.asarray([t[3] / max_w[t[0]] if max_w[t[0]] > 0 else 0.0 for t in batch])

@@ -286,7 +286,8 @@ def _train_recall(features, labels, pools, setup, weighted, hard_subset):
         hard_subset_size=hard_subset,
     )
     model = EmbeddingModel.initialize("linear", 16, 16, seed=MODEL_SEED)
-    tcfg = TrainConfig(weighted=weighted, **setup["train"])
+    tcfg = TrainConfig(weight_normalization="per-anchor-max" if weighted else "unit",
+                       **setup["train"])
     model, _ = train(features, pools, model, tcfg, mcfg)
     return evaluate_embeddings(forward(model, features.data), labels, ks=[1]).recall_at[1]
 

@@ -260,9 +260,10 @@ def test_usage_error_exit_code_one(tmp_path, capsys):
 
 def test_unknown_config_key_is_data_error(tmp_path, capsys):
     # the anchors.* keys are still in every config.json written before the
-    # damped walk was removed, so feeding one back through --config fails here
+    # damped walk was removed, and train.weighted in every one written before
+    # train.weight_normalization took "unit", so feeding one back fails here
     unknown = {"gen.bogus": 1, "anchors.damping": 0.0, "anchors.max_iterations": 10000,
-               "anchors.tolerance": 1e-10}
+               "anchors.tolerance": 1e-10, "train.weighted": True}
     config, out = tmp_path / "config.json", tmp_path / "x"
     for key, value in unknown.items():
         config.write_text(json.dumps({**DEFAULTS, key: value}, indent=2, sort_keys=True) + "\n")
@@ -411,7 +412,7 @@ def test_bad_config_value_exits_two_before_any_work(tmp_path, capsys, key, value
     ("model.hidden_dim", "8"),  # a linear model has no hidden layer
     ("train.batch_size", "0"),
     ("train.lr_decay_every", "0"),
-    ("train.weighted", "maybe"),
+    ("train.weight_normalization", "maybe"),
     ("eval.ks", "1,x"),
     ("mining.max_pos", "-5"),
     ("train.epochs", "-1"),
@@ -434,8 +435,8 @@ def test_unchecked_config_value_exits_two_before_any_work(tmp_path, capsys, key,
 
 @pytest.mark.parametrize("payload,named", [
     pytest.param({"graph.k": "abc"}, "graph.k", id="graph.k-abc"),
-    pytest.param({"train.weighted": "false"}, "train.weighted", id="train.weighted-string"),
-    pytest.param({"train.weighted": 0}, "train.weighted", id="train.weighted-number"),
+    pytest.param({"train.weight_normalization": 1}, "train.weight_normalization",
+                 id="train.weight_normalization-number"),
     pytest.param(5, "top level", id="not-an-object"),
     pytest.param({"train.margin": "0.5"}, "train.margin", id="train.margin-string"),
     pytest.param({"train.lr0": "abc"}, "train.lr0", id="train.lr0-abc"),
@@ -456,20 +457,6 @@ def test_bad_config_file_value_exits_two_before_any_work(tmp_path, capsys, paylo
     assert named in err and "Traceback" not in err
 
 
-def test_bool_config_spellings(tmp_path):
-    config = tmp_path / "cfg.json"
-    for value, expected in [("true", True), ("Yes", True), ("1", True),
-                            ("false", False), ("NO", False), ("0", False)]:
-        out = tmp_path / value
-        assert main(["gen", "--out", str(out), "--set", "train.weighted", value] + GEN_ARGS) == 0
-        assert json.loads((out / "config.json").read_text())["train.weighted"] is expected
-    for expected in (True, False):
-        config.write_text(json.dumps({"train.weighted": expected}))
-        out = tmp_path / f"file-{expected}"
-        assert main(["gen", "--out", str(out), "--config", str(config)] + GEN_ARGS) == 0
-        assert json.loads((out / "config.json").read_text())["train.weighted"] is expected
-
-
 def test_set_and_config_file_write_the_same_config(tmp_path, monkeypatch):
     # every key's default, once as --set text and once as its JSON value,
     # gives the same typed config; a file's integer for a float key is a float
@@ -481,9 +468,8 @@ def test_set_and_config_file_write_the_same_config(tmp_path, monkeypatch):
         return (tmp_path / name / "config.json").read_text()
 
     for key, value in DEFAULTS.items():
-        text = str(value).lower() if isinstance(value, bool) else str(value)
         config.write_text(json.dumps({key: value}))
-        assert written(f"set-{key}", ["--set", key, text]) == written(
+        assert written(f"set-{key}", ["--set", key, str(value)]) == written(
             f"file-{key}", ["--config", str(config)]), key
     config.write_text(json.dumps({"train.margin": 1}))
     recorded = written("int-for-float", ["--config", str(config)])

@@ -14,7 +14,7 @@ from momine.graph import load_graph, normalize_graph
 from momine.mining import MiningConfig, build_training_pool, save_pools
 from momine.trainer import TrainConfig
 
-# mom's 36 keys with the default, and so the type, each had while cli.py held them
+# mom's 35 keys, each with its default and so its type
 DEFAULTS = {
     "seed": 0,
     "gen.kind": "moons",
@@ -41,7 +41,6 @@ DEFAULTS = {
     "model.output_dim": 16,
     "model.hidden_dim": 0,
     "train.loss": "contrastive",
-    "train.weighted": True,
     "train.margin": 0.0,
     "train.lr0": 0.01,
     "train.lr_decay": 0.1,
@@ -59,6 +58,8 @@ def test_the_defaults_keep_their_keys_values_and_types():
     assert cli.DEFAULTS == DEFAULTS == RunConfig.defaults()
     assert {key: type(value) for key, value in cli.DEFAULTS.items()} == {
         key: type(value) for key, value in DEFAULTS.items()}
+    assert len(DEFAULTS) == 35
+    assert {type(value) for value in DEFAULTS.values()} == {int, float, str}
 
 
 def test_the_flat_defaults_are_the_default_run():
@@ -90,7 +91,9 @@ def test_a_rejected_value_is_reported_under_its_dotted_key(flat, message):
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("key", ["graf.k", "graph.kk", "sede", "seed.x", "train.seed"])
+@pytest.mark.parametrize("key", [
+    "graf.k", "graph.kk", "sede", "seed.x", "train.seed", "train.weighted",
+])
 def test_a_key_that_is_not_a_mom_key_is_named_in_bad_config(key):
     # a library caller's hand-written dict gets mom's own message
     with pytest.raises(BadConfig) as caught:
@@ -103,7 +106,7 @@ def test_a_key_that_is_not_a_mom_key_is_named_in_bad_config(key):
     ({"seed": "x"}, "seed must be an integer, got 'x'"),
     ({"eval.ks": 5}, "eval.ks must be a string, got 5"),
     ({"anchors.count": 2.5}, "anchors.count must be an integer, got 2.5"),
-    ({"train.weighted": 1}, "train.weighted must be true or false, got 1"),
+    ({"train.weight_normalization": 1}, "train.weight_normalization must be a string, got 1"),
 ])
 def test_a_value_of_another_type_is_named_in_bad_config(flat, message):
     # the JSON typing rule of mom's --config, for a library caller's dict

@@ -293,6 +293,16 @@ def test_labels_sidecar_non_integer_line_names_file_and_line(tmp_path):
         load_labels(path, 4)
 
 
+def test_labels_sidecar_line_of_two_labels_names_file_and_line(tmp_path):
+    # two lines of `0 1` are two lines, not four labels
+    path = tmp_path / "labels.txt"
+    path.write_text("\n0 1\n0 1\n")
+    with pytest.raises(BadLabels, match=r"labels\.txt, line 2: expected one integer, got '0 1'$"):
+        load_labels(path, 4)
+    path.write_text("\n0\n\n1\n")  # blank lines are skipped
+    assert load_labels(path, 2).tolist() == [0, 1]
+
+
 @pytest.mark.parametrize("label", [str(2**63), str(-(2**63) - 1)])
 def test_labels_sidecar_label_beyond_int64_names_file_and_line(tmp_path, label):
     path = tmp_path / "labels.txt"

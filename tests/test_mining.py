@@ -317,7 +317,7 @@ def test_sample_epoch_tuples_deterministic():
     pools = [p for p in pools if p.positives and p.negatives]
     rng = np.random.default_rng(9)
     z = rng.normal(size=(40, 5))
-    table = pool_table(pools)
+    table = pool_table(pools, "none")
     first, skipped1 = sample_epoch_tuples(table, z, cfg, seed=123)
     second, _ = sample_epoch_tuples(table, z, cfg, seed=123)
     assert tuple_lists(first) == tuple_lists(second)
@@ -334,16 +334,17 @@ def test_sample_epoch_tuples_hard_window():
     z[2] = [0.0, 1.0]
     z[3] = [1.0, 0.0]  # collapsed onto the anchor: always the hardest
     z[4] = [0.0, -1.0]
+    table = pool_table([pool], "none")
     cfg = MiningConfig(k_pos=5, k_neg=5, max_neg=3, hard_subset_size=1)
     for seed in range(5):
-        (_, _, negatives, _), _ = sample_epoch_tuples(pool_table([pool]), z, cfg, seed=seed)
+        (_, _, negatives, _), _ = sample_epoch_tuples(table, z, cfg, seed=seed)
         assert negatives[0] == 3
     # degenerate window: with the window as large as the pool every member
     # can be drawn
     cfg_all = MiningConfig(k_pos=5, k_neg=5, max_neg=3, hard_subset_size=3)
     seen = set()
     for seed in range(30):
-        (_, _, negatives, _), _ = sample_epoch_tuples(pool_table([pool]), z, cfg_all, seed=seed)
+        (_, _, negatives, _), _ = sample_epoch_tuples(table, z, cfg_all, seed=seed)
         seen.add(int(negatives[0]))
     assert seen == {2, 3, 4}
 
@@ -353,7 +354,7 @@ def test_sample_epoch_tuples_skips_empty():
     empty = AnchorPools(anchor_id=3, positives=[], negatives=[(2, 0.8)])
     z = np.eye(4)
     cfg = MiningConfig(k_pos=3, k_neg=3, max_neg=2, hard_subset_size=1)
-    tuples, skipped = sample_epoch_tuples(pool_table([full, empty]), z, cfg, seed=0)
+    tuples, skipped = sample_epoch_tuples(pool_table([full, empty], "none"), z, cfg, seed=0)
     assert all(len(col) == 1 for col in tuples) and skipped == 1
 
 
@@ -532,12 +533,12 @@ def test_sample_epoch_tuples_matches_per_pool_loop():
     # a coarse integer grid with repeated rows: many exact distance ties
     z = np.random.default_rng(14).integers(0, 3, size=(60, 4)).astype(np.float64)
     z[30:] = z[:30]
-    table = pool_table(pools)
+    table = pool_table(pools, "none")
     for seed in range(30):
         got, skipped = sample_epoch_tuples(table, z, cfg, seed=[seed, 2, 5])
         assert (tuple_lists(got), skipped) == sample_epoch_tuples_reference(pools, z, cfg, [seed, 2, 5])
         assert skipped >= 2
-    got, skipped = sample_epoch_tuples(pool_table(pools[3:5]), z, cfg, seed=0)
+    got, skipped = sample_epoch_tuples(pool_table(pools[3:5], "none"), z, cfg, seed=0)
     assert (tuple_lists(got), skipped) == (([], [], [], []), 2)
 
 

@@ -628,21 +628,21 @@ def test_load_model_rejects_a_non_finite_parameter(tmp_path, kind, hidden, value
         load_model(path)
 
 
-@pytest.mark.parametrize("loss,kind,weighted,normalization", [
-    ("contrastive", "linear", True, "per-anchor-max"),
-    ("triplet", "mlp", True, "per-anchor-max"),
-    ("triplet-literal", "linear", True, "none"),
-    ("contrastive", "mlp", False, "per-anchor-max"),
-    ("triplet", "linear", False, "none"),
+@pytest.mark.parametrize("loss,kind,weighting", [
+    ("contrastive", "linear", "per-anchor-max"),
+    ("triplet", "mlp", "per-anchor-max"),
+    ("triplet-literal", "linear", "none"),
+    ("contrastive", "mlp", "unit"),
+    ("triplet", "linear", "unit"),
 ])
-def test_train_matches_tuple_reference(tmp_path, loss, kind, weighted, normalization):
+def test_train_matches_tuple_reference(tmp_path, loss, kind, weighting):
     fn, pools = two_moons_run()
     pools[2:2] = [AnchorPools(7, [], [(1, 0.5)]), AnchorPools(8, [(2, 0.3)], [])]  # skipped
     pools[5].negatives = pools[5].negatives[:2]  # fewer negatives than the window
     pools.append(AnchorPools(pools[0].anchor_id, [(50, 1.7)], [(51, 0.2)]))  # repeated anchor
     mcfg = MiningConfig(hard_subset_size=5, max_neg=50)
-    tcfg = TrainConfig(loss=loss, weighted=weighted, weight_normalization=normalization,
-                       epochs=4, seed=5, batch_size=16)
+    tcfg = TrainConfig(loss=loss, weight_normalization=weighting, epochs=4, seed=5,
+                       batch_size=16)
     runs = []
     for fit in (train, train_reference):
         model = EmbeddingModel.initialize(kind, 8, 5, hidden_dim=6 if kind == "mlp" else 0, seed=1)

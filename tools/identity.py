@@ -135,6 +135,11 @@ def _pipeline_cases() -> dict:
                 "--set", "model.kind", "mlp", "--set", "model.hidden_dim", "32",
                 "--set", "train.loss", "triplet", "--set", "prep.whiten_dims", "8"),
         ],
+        "weightings": [  # the two tuple weightings besides the default per-anchor-max
+            mom("pipeline", "--out", weighting, "--seed", "4", "--rounds", "2",
+                "--set", "train.weight_normalization", weighting)
+            for weighting in ("unit", "none")
+        ],
         "clusters-literal-positive": [
             mom("pipeline", "--out", "run", "--seed", "4", "--oracle", "positive",
                 "--set", "gen.kind", "clusters", "--set", "gen.classes", "4",
