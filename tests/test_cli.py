@@ -435,6 +435,9 @@ def test_unchecked_config_value_exits_two_before_any_work(tmp_path, capsys, key,
 
 @pytest.mark.parametrize("payload,named", [
     pytest.param({"graph.k": "abc"}, "graph.k", id="graph.k-abc"),
+    # train.weighted is gone: a file that still sets it fails as an unknown key
+    pytest.param({"train.weighted": "false"}, "train.weighted", id="train.weighted-string"),
+    pytest.param({"train.weighted": 0}, "train.weighted", id="train.weighted-number"),
     pytest.param({"train.weight_normalization": 1}, "train.weight_normalization",
                  id="train.weight_normalization-number"),
     pytest.param(5, "top level", id="not-an-object"),
