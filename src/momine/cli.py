@@ -1,5 +1,5 @@
-"""Command-line pipeline: gen, graph, diffuse, anchors, mine, train, eval,
-and the chained `pipeline` with optional alternating rounds.
+"""Command-line pipeline: gen, graph, anchors, mine, train, eval, and the
+chained `pipeline` with optional alternating rounds.
 
 Every subcommand reads a flat dotted-key JSON config (CLI flags win) and its
 inputs, and only then creates the output directory, writes its resolved
@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .anchors import AnchorSet, load_anchors, save_anchors, select_anchors, stationary
 from .config import DEFAULTS, TYPE_RULES, RunConfig, json_value, key_type
-from .diffusion import solve_columns
 from .errors import BadConfig, KTooLarge, LabelsMissing, MomineError, open_text
 from .features import (
     FeatureSet,
@@ -34,7 +33,7 @@ from .features import (
     save_features,
     save_labels,
 )
-from .graph import build_reciprocal_graph, load_graph, normalize_graph, save_graph, top_k
+from .graph import build_reciprocal_graph, load_graph, normalize_graph, save_graph
 from .mining import build_training_pool, load_pools, save_pools
 from .evaluation import check_labels_differ, evaluate_embeddings, recall_depths
 from .trainer import forward, load_model, save_model, save_train_log, train
@@ -134,23 +133,6 @@ def cmd_graph(args, cfg, run, out: Path):
     return 0
 
 
-def cmd_diffuse(args, cfg, run, out: Path):
-    graph = load_graph(args.graph)
-    sym = normalize_graph(graph)
-    block = solve_columns(sym, [args.anchor], run.diffusion)
-    values = block.values[0]
-    order = top_k(values, graph.n)
-    _write_config(cfg, out)
-    with open(out / "column.txt", "w") as fh:
-        fh.writelines(f"{j} {values[j]:.9g}\n" for j in order)
-    print(
-        f"diffuse: anchor={args.anchor} iterations={block.iterations[0]}"
-        f" residual={block.residual[0]:.3g} converged={block.converged[0]}"
-        f" -> {out / 'column.txt'}"
-    )
-    return 0
-
-
 def _anchors_line(anchor_set, parts, run, path) -> str:
     return (
         f"anchors: {len(anchor_set)} of requested {run.anchors.count}"
@@ -191,7 +173,7 @@ def cmd_train(args, cfg, run, out: Path):
     feats = _prepare(load_features(args.features), run)
     pools = load_pools(args.pools)
     model = run.model.initialize(feats.d, run.seed)
-    model, log = train(feats, pools, model, run.train, run.mining)
+    model, log = train(feats, pools, model, run.train, run.mining, run.seed)
     _write_config(cfg, out)
     save_model(model, out / "model.bin")
     save_train_log(log, out / "train_log.csv")
@@ -262,7 +244,7 @@ def cmd_pipeline(args, cfg, run, out: Path):
         pools, _ = build_training_pool(anchor_set, space, operator, run.diffusion, run.mining,
                                        labels, run.seed)
         save_pools(pools, out / f"pools{suffix}.jsonl")
-        model, log = train(feats, pools, model, run.train, run.mining)
+        model, log = train(feats, pools, model, run.train, run.mining, run.seed)
         save_train_log(log, out / f"train_log{suffix}.csv")
     save_model(model, out / "model.bin")
 
@@ -303,11 +285,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--features", required=True)
 
-    p = sub.add_parser("diffuse", help="solve one diffusion column (debug dump)")
-    _add_common(p)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--anchor", type=int, required=True)
-
     p = sub.add_parser("anchors", help="select anchors from the stationary distribution")
     _add_common(p)
     p.add_argument("--graph", required=True)
@@ -335,17 +312,12 @@ def build_parser() -> _Parser:
     p.add_argument("--features", help="feature file; omit to generate synthetically")
     p.add_argument("--labels", help="label sidecar for --features (evaluation)")
     p.add_argument("--rounds", type=int, default=None, help="alternating mine/train rounds")
-    p.add_argument("--baseline", choices=["euclidean"], default=None,
-                   help="use Euclidean-NN baseline pools instead of mined ones")
-    p.add_argument("--oracle", choices=["positive", "negative"], default=None,
-                   help="replace one pool side with label ground truth (needs labels)")
     return parser
 
 
 _COMMANDS = {
     "gen": cmd_gen,
     "graph": cmd_graph,
-    "diffuse": cmd_diffuse,
     "anchors": cmd_anchors,
     "mine": cmd_mine,
     "train": cmd_train,
@@ -366,10 +338,6 @@ def main(argv=None) -> int:
             cfg = _load_config(args.config, args.set)
             if getattr(args, "rounds", None) is not None:
                 cfg["rounds"] = args.rounds
-            if getattr(args, "baseline", None):
-                cfg["mining.mode"] = "baseline"
-            if getattr(args, "oracle", None):
-                cfg["mining.oracle"] = args.oracle
             cfg["seed"] = _resolve_seed(args, cfg)
             run = RunConfig.from_flat(cfg)  # checks every value before any work
             if args.command == "mine" and not args.graph and run.mining.mode == "mined":

@@ -4,7 +4,7 @@ prefix of the dotted config keys (`gen` is a SyntheticSpec, `diffusion`,
 defaults are its keys' defaults, and its __post_init__ holds their rules."""
 
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 from .anchors import AnchorsConfig
 from .diffusion import DiffusionConfig
@@ -34,20 +34,18 @@ class GraphConfig:
 
 @dataclass
 class ModelConfig:
-    kind: str = "linear"
     output_dim: int = 16
-    hidden_dim: int = 0
+    hidden_dim: int = 0  # 0 = one affine layer, else one ReLU hidden layer this wide
 
     def __post_init__(self):
         # EmbeddingModel's architecture rule, its message led by the field it names
         try:
-            EmbeddingModel.check_architecture(self.kind, self.output_dim, self.hidden_dim)
+            EmbeddingModel.check_architecture(self.output_dim, self.hidden_dim)
         except BadModel as exc:
             raise ValueError(f"{exc.field}: {exc}") from None
 
     def initialize(self, input_dim: int, seed: int) -> EmbeddingModel:
-        return EmbeddingModel.initialize(self.kind, input_dim, self.output_dim,
-                                         self.hidden_dim, seed=seed)
+        return EmbeddingModel.initialize(input_dim, self.output_dim, self.hidden_dim, seed=seed)
 
 
 @dataclass
@@ -66,8 +64,8 @@ class EvalConfig:
 
 @dataclass
 class RunConfig:
-    """One `mom` run. The trainer draws from the run's seed: `train.seed` is
-    set to `seed`, as `mom` sets it."""
+    """One `mom` run. Its `seed` feeds the generator, the model's init, the
+    baseline draws, the trainer and k-means alike."""
 
     seed: int = 0
     gen: SyntheticSpec = field(default_factory=SyntheticSpec)
@@ -86,12 +84,11 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds!r}")
-        self.train = replace(self.train, seed=self.seed)
 
     @classmethod
     def defaults(cls) -> dict:
         """The flat dotted-key defaults: each field's default, a section's
-        under `<section>.<field>`, except `train.seed`, which `seed` feeds."""
+        under `<section>.<field>`."""
         flat = {}
         for top in fields(cls):
             if top.default_factory is MISSING:
@@ -99,7 +96,6 @@ class RunConfig:
             else:
                 flat.update((f"{top.name}.{item.name}", item.default)
                             for item in fields(top.default_factory) if item.init)
-        del flat["train.seed"]
         return flat
 
     @classmethod

@@ -3,8 +3,8 @@
 The model is a linear (or one-hidden-layer ReLU) map followed by l2
 normalization. Losses operate on embedding triples and return analytic
 gradients; backprop through the normalization is the tangent-space projection
-(I - z z^T)/||u||. Training is single-threaded and fully determined by the
-config seed.
+(I - z z^T)/||u||. Training is single-threaded and fully determined by its
+seed.
 """
 
 from dataclasses import dataclass, field
@@ -28,63 +28,60 @@ from .mining import MiningConfig, pool_table, sample_epoch_tuples
 
 MODEL_MAGIC = b"MOMM"
 _FLOAT32_MAX = np.finfo(np.float32).max  # model.bin stores float32: a larger weight saves as inf
-_KINDS = ("linear", "mlp")  # a model file's kind code is the index
+_KINDS = ("linear", "mlp")  # a model file's kind code is int(hidden_dim > 0)
 
 
-def _layer_dims(kind, input_dim, output_dim, hidden_dim):
+def _layer_dims(input_dim, output_dim, hidden_dim):
     """(fan_out, fan_in) of each layer: one affine map, or two around the ReLU."""
-    if kind == "linear":
+    if not hidden_dim:
         return [(output_dim, input_dim)]
     return [(hidden_dim, input_dim), (output_dim, hidden_dim)]
 
 
 @dataclass
 class EmbeddingModel:
-    """Parametric map to the unit sphere: affine (+ optional ReLU hidden layer),
-    then l2 normalization."""
+    """Parametric map to the unit sphere: affine (+ a ReLU hidden layer when
+    hidden_dim > 0), then l2 normalization."""
 
-    kind: str  # "linear" | "mlp"
     input_dim: int
     output_dim: int
-    hidden_dim: int = 0
+    hidden_dim: int = 0  # 0 = one affine layer
     layers: list = field(default_factory=list)  # [[W, b], ...]
 
     def __post_init__(self):
-        self.check_architecture(self.kind, self.output_dim, self.hidden_dim)
-        dims = _layer_dims(self.kind, self.input_dim, self.output_dim, self.hidden_dim)
+        self.check_architecture(self.output_dim, self.hidden_dim)
+        dims = _layer_dims(self.input_dim, self.output_dim, self.hidden_dim)
         shapes = [((fan_out, fan_in), (fan_out,)) for fan_out, fan_in in dims]
         got = [(w.shape, b.shape) for w, b in self.layers]
         if got != shapes:
             raise ValueError(f"parameter shapes {got} do not match architecture {shapes}")
 
     @staticmethod
-    def check_architecture(kind, output_dim, hidden_dim) -> None:
-        """The architecture rule: kind 'linear' or 'mlp', output_dim >= 1, and
-        hidden_dim 0 for a linear model and >= 1 for an mlp. Raises BadModel
-        whose `field` names the first value that breaks it."""
-        if kind not in _KINDS:
-            raise BadModel(f"a model's kind must be 'linear' or 'mlp', got {kind!r}", "kind")
+    def check_architecture(output_dim, hidden_dim) -> None:
+        """The architecture rule: output_dim >= 1 and hidden_dim >= 0. Raises
+        BadModel whose `field` names the first value that breaks it."""
         if output_dim < 1:
-            raise BadModel(f"a {kind} model cannot have output_dim={output_dim}", "output_dim")
-        if not (hidden_dim >= 1 if kind == "mlp" else hidden_dim == 0):
-            raise BadModel(f"a {kind} model cannot have hidden_dim={hidden_dim}", "hidden_dim")
+            raise BadModel(f"a model cannot have output_dim={output_dim}", "output_dim")
+        if hidden_dim < 0:
+            raise BadModel(f"a model cannot have hidden_dim={hidden_dim}", "hidden_dim")
 
     @classmethod
-    def initialize(cls, kind, input_dim, output_dim, hidden_dim=0, seed=0):
+    def initialize(cls, input_dim, output_dim, hidden_dim=0, seed=0):
         """Fine-tuning-style init: the starting embedding preserves the input
         geometry as far as the architecture allows.
 
-        Linear models start at the identity (square) or a seeded orthonormal
-        projection (reducing), so the epoch-0 embedding equals the normalized
-        input features. MLP layers get seeded Gaussians scaled by
-        1/sqrt(fan_in); biases are zero. Raises BadModel before allocating
-        when the sizes break the architecture rule, or naming them when numpy
-        cannot allocate the layers.
+        A model without a hidden layer starts at the identity (square) or a
+        seeded orthonormal projection (reducing), so the epoch-0 embedding
+        equals the normalized input features. The two layers around a hidden
+        one get seeded Gaussians scaled by 1/sqrt(fan_in); biases are zero.
+        Raises BadModel before allocating when the sizes break the
+        architecture rule, or naming them when numpy cannot allocate the
+        layers.
         """
-        cls.check_architecture(kind, output_dim, hidden_dim)
+        cls.check_architecture(output_dim, hidden_dim)
         rng = np.random.default_rng(seed)
         try:
-            if kind == "linear":
+            if not hidden_dim:
                 if output_dim == input_dim:
                     w = np.eye(output_dim)
                 elif output_dim < input_dim:
@@ -97,12 +94,12 @@ class EmbeddingModel:
             else:
                 layers = [
                     [rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_out, fan_in)), np.zeros(fan_out)]
-                    for fan_out, fan_in in _layer_dims(kind, input_dim, output_dim, hidden_dim)
+                    for fan_out, fan_in in _layer_dims(input_dim, output_dim, hidden_dim)
                 ]
         except (ValueError, MemoryError):  # numpy: too many dimensions, too big, or no memory
-            raise BadModel(f"a {kind} model with input_dim={input_dim}, output_dim={output_dim}"
+            raise BadModel(f"a model with input_dim={input_dim}, output_dim={output_dim}"
                            f" and hidden_dim={hidden_dim} does not fit in memory") from None
-        return cls(kind, input_dim, output_dim, hidden_dim, layers)
+        return cls(input_dim, output_dim, hidden_dim, layers)
 
 
 def _forward_cache(model: EmbeddingModel, x: np.ndarray):
@@ -221,7 +218,6 @@ class TrainConfig:
     momentum: float = 0.9
     batch_size: int = 42
     epochs: int = 30
-    seed: int = 0
     weight_normalization: str = "per-anchor-max"  # or "none" or "unit": mining.pool_table
 
     def __post_init__(self):
@@ -254,13 +250,14 @@ def train(
     model: EmbeddingModel,
     train_config: TrainConfig,
     mining_config: MiningConfig,
+    seed=0,
 ):
     """Train the model in place on frozen pools; returns (model, epoch log).
 
     Each epoch re-embeds the training pool with the current parameters,
     samples one tuple per anchor (hard negatives in the current space),
-    shuffles, and runs momentum-SGD minibatches. Log rows carry epoch,
-    mean_loss, lr, tuples_used.
+    shuffles, and runs momentum-SGD minibatches; `seed` draws the tuples and
+    the shuffles. Log rows carry epoch, mean_loss, lr, tuples_used.
     """
     if not pools:
         raise AllPoolsEmpty("no pools to train on")
@@ -274,14 +271,14 @@ def train(
 
     loss_fn = _LOSSES[train_config.loss]
     velocity = [[np.zeros_like(w), np.zeros_like(b)] for w, b in model.layers]
-    shuffle_rng = np.random.default_rng([train_config.seed, 1])
+    shuffle_rng = np.random.default_rng([seed, 1])
     log = []
     for epoch in range(train_config.epochs):
         lr = train_config.lr0 * train_config.lr_decay ** (epoch // train_config.lr_decay_every)
         z_pool = np.zeros((features.n, model.output_dim))
         z_pool[members] = forward(model, features.data[members])
         (anchors, positives, negatives, weights), _ = sample_epoch_tuples(
-            table, z_pool, mining_config, seed=[train_config.seed, 2, epoch]
+            table, z_pool, mining_config, seed=[seed, 2, epoch]
         )
         if not anchors.size:
             log.append({"epoch": epoch, "mean_loss": 0.0, "lr": lr, "tuples_used": 0})
@@ -312,9 +309,10 @@ def train(
 
 
 def save_model(model: EmbeddingModel, path) -> None:
-    """Binary format: MOMM, u32 kind code, u32 in/out/hidden dims, then all
-    parameters as float32 LE, layer by layer (weights row-major, then bias)."""
-    header = (_KINDS.index(model.kind), model.input_dim, model.output_dim, model.hidden_dim)
+    """Binary format: MOMM, u32 kind code (1 when hidden_dim > 0, else 0),
+    u32 in/out/hidden dims, then all parameters as float32 LE, layer by layer
+    (weights row-major, then bias)."""
+    header = (int(model.hidden_dim > 0), model.input_dim, model.output_dim, model.hidden_dim)
     write_binary(path, MODEL_MAGIC, "<IIII", header,
                  [np.ascontiguousarray(p, dtype="<f4") for layer in model.layers for p in layer])
 
@@ -326,22 +324,24 @@ def load_model(path) -> EmbeddingModel:
         if code >= len(_KINDS):
             raise BadMagic(f"{path}: unknown model kind code {code}")
         try:
-            EmbeddingModel.check_architecture(_KINDS[code], d_out, hidden)
+            EmbeddingModel.check_architecture(d_out, hidden)
         except BadModel as exc:
             raise BadModel(f"{path}: {exc}", exc.field) from None
-        return sum(o * i + o for o, i in _layer_dims(_KINDS[code], d_in, d_out, hidden)) * 4
+        if code != (hidden > 0):
+            raise BadModel(f"{path}: a {_KINDS[code]} model cannot have hidden_dim={hidden}",
+                           "hidden_dim")
+        return sum(o * i + o for o, i in _layer_dims(d_in, d_out, hidden)) * 4
 
-    (code, d_in, d_out, hidden), payload = read_binary(path, MODEL_MAGIC, "<IIII", payload_size)
+    (_, d_in, d_out, hidden), payload = read_binary(path, MODEL_MAGIC, "<IIII", payload_size)
     params = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if not np.isfinite(params).all():
         raise NonFinite(f"{path}: a model parameter is NaN or infinite")
-    kind = _KINDS[code]
     layers, start = [], 0
-    for fan_out, fan_in in _layer_dims(kind, d_in, d_out, hidden):
+    for fan_out, fan_in in _layer_dims(d_in, d_out, hidden):
         stop = start + fan_out * fan_in
         layers.append([params[start:stop].reshape(fan_out, fan_in), params[stop : stop + fan_out]])
         start = stop + fan_out
-    return EmbeddingModel(kind, d_in, d_out, hidden, layers)
+    return EmbeddingModel(d_in, d_out, hidden, layers)
 
 
 def save_train_log(log: list, path) -> None:

@@ -521,7 +521,7 @@ def tuple_lists(tuples):
     return tuple(np.asarray(col).tolist() for col in tuples)
 
 
-def train_reference(features, pools, model, train_config, mining_config):
+def train_reference(features, pools, model, train_config, mining_config, seed=0):
     """Reference for trainer.train: tuples drawn pool by pool as Python
     tuples, batches assembled from them, per-anchor-max weights taken over
     every positive of the anchor in any pool."""
@@ -533,14 +533,14 @@ def train_reference(features, pools, model, train_config, mining_config):
                      | {j for p in pools for j, _ in p.positives + p.negatives})
     loss_fn = _LOSSES[train_config.loss]
     velocity = [[np.zeros_like(w), np.zeros_like(b)] for w, b in model.layers]
-    shuffle_rng = np.random.default_rng([train_config.seed, 1])
+    shuffle_rng = np.random.default_rng([seed, 1])
     log = []
     for epoch in range(train_config.epochs):
         lr = train_config.lr0 * train_config.lr_decay ** (epoch // train_config.lr_decay_every)
         z_pool = np.zeros((features.n, model.output_dim))
         z_pool[members] = forward(model, features.data[members])
         columns, _ = sample_epoch_tuples_reference(
-            pools, z_pool, mining_config, [train_config.seed, 2, epoch]
+            pools, z_pool, mining_config, [seed, 2, epoch]
         )
         tuples = list(zip(*columns))
         if not tuples:

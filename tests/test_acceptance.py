@@ -203,7 +203,7 @@ def test_acceptance_5_gradient_suite():
         checked = 0
         while checked < 100:
             model = EmbeddingModel(
-                "linear", 5, 4,
+                5, 4,
                 layers=[[rng.normal(size=(4, 5)), 0.1 * rng.normal(size=4)]],
             )
             tuple_x = rng.normal(size=(3, 5))
@@ -254,7 +254,8 @@ MOONS = {
     "graph_k": 15,
     "diffusion": DiffusionConfig(alpha=0.95, tolerance=1e-6, max_iterations=300),
     "mining": MiningConfig(k_pos=50, k_neg=390, max_neg=20, hard_subset_size=5),
-    "train": dict(loss="triplet", margin=0.5, lr0=0.045, batch_size=8, epochs=30, seed=37),
+    "train": dict(loss="triplet", margin=0.5, lr0=0.045, batch_size=8, epochs=30),
+    "train_seed": 37,
 }
 
 CLUSTERS = {
@@ -263,7 +264,8 @@ CLUSTERS = {
     "graph_k": 12,
     "diffusion": DiffusionConfig(alpha=0.99, tolerance=1e-6, max_iterations=300),
     "mining": MiningConfig(k_pos=50, k_neg=150, max_neg=20, hard_subset_size=10),
-    "train": dict(loss="contrastive", margin=0.7, lr0=0.2, batch_size=42, epochs=30, seed=13),
+    "train": dict(loss="contrastive", margin=0.7, lr0=0.2, batch_size=42, epochs=30),
+    "train_seed": 13,
 }
 
 
@@ -285,10 +287,10 @@ def _train_recall(features, labels, pools, setup, weighted, hard_subset):
         max_neg=setup["mining"].max_neg,
         hard_subset_size=hard_subset,
     )
-    model = EmbeddingModel.initialize("linear", 16, 16, seed=MODEL_SEED)
+    model = EmbeddingModel.initialize(16, 16, seed=MODEL_SEED)
     tcfg = TrainConfig(weight_normalization="per-anchor-max" if weighted else "unit",
                        **setup["train"])
-    model, _ = train(features, pools, model, tcfg, mcfg)
+    model, _ = train(features, pools, model, tcfg, mcfg, setup["train_seed"])
     return evaluate_embeddings(forward(model, features.data), labels, ks=[1]).recall_at[1]
 
 

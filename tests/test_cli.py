@@ -11,13 +11,9 @@ import pytest
 
 import momine.mining
 from momine.cli import DEFAULTS, main
-from momine.diffusion import DiffusionConfig, solve_columns
 from momine.features import FeatureSet, l2_normalize, load_features, load_labels
-from momine.graph import load_graph, normalize_graph, save_graph
 from momine.mining import AnchorPools, MiningConfig, load_pools
 from momine.trainer import EmbeddingModel, TrainConfig, save_model, train
-
-from helpers import graph_from_edges, lexsort_top_k
 
 GEN_ARGS = [
     "--set", "gen.kind", "clusters",
@@ -72,13 +68,6 @@ def test_stage_by_stage_chain(tmp_path, capsys):
 
     assert main(["anchors", "--out", str(tmp_path / "a"), "--graph", graph_arg]) == 0
     anchors_arg = str(tmp_path / "a" / "anchors.txt")
-
-    assert main(["diffuse", "--out", str(tmp_path / "d"), "--graph", graph_arg,
-                 "--anchor", "3", "--set", "diffusion.alpha", "0.9"]) == 0
-    column = (tmp_path / "d" / "column.txt").read_text().splitlines()
-    assert column[0].split()[0] == "3"  # anchor tops its own column
-    values = [float(line.split()[1]) for line in column]
-    assert values == sorted(values, reverse=True)
 
     assert main(["mine", "--out", str(tmp_path / "m"), "--features", feats_arg,
                  "--graph", graph_arg, "--anchors", anchors_arg,
@@ -142,7 +131,7 @@ def test_eval_model_whose_kind_and_hidden_width_disagree_is_data_error(tmp_path,
                                                                       code, hidden):
     data = tmp_path / "data"
     run_gen(data)
-    save_model(EmbeddingModel.initialize("linear", 8, 4, seed=0), tmp_path / "m.bin")
+    save_model(EmbeddingModel.initialize(8, 4, seed=0), tmp_path / "m.bin")
     blob = bytearray((tmp_path / "m.bin").read_bytes())
     blob[4:8], blob[16:20] = code.to_bytes(4, "little"), hidden.to_bytes(4, "little")
     (tmp_path / "m.bin").write_bytes(blob)
@@ -157,7 +146,7 @@ def test_eval_model_whose_kind_and_hidden_width_disagree_is_data_error(tmp_path,
 def test_eval_non_finite_model_is_data_error(tmp_path, capsys):
     data = tmp_path / "data"
     run_gen(data)
-    model = EmbeddingModel.initialize("linear", 8, 4, seed=0)
+    model = EmbeddingModel.initialize(8, 4, seed=0)
     model.layers[0][0][1, 2] = np.inf
     save_model(model, tmp_path / "bad.bin")
     code = main(["eval", "--out", str(tmp_path / "e"), "--features", str(data / "features.bin"),
@@ -221,7 +210,7 @@ def test_oracle_without_labels_fails_before_any_work(tmp_path, capsys):
     out = tmp_path / "run"
     capsys.readouterr()
     for argv in (
-        ["pipeline", "--features", features, "--oracle", "positive"],
+        ["pipeline", "--features", features, "--set", "mining.oracle", "positive"],
         ["mine", "--features", features, "--graph", str(graph), "--anchors", str(anchors),
          "--set", "mining.oracle", "negative"],
     ):
@@ -250,6 +239,11 @@ def test_usage_error_exit_code_one(tmp_path, capsys):
         # generated data brings its own labels, which --labels would not replace
         ["pipeline", "--labels", "no-such-file.txt", "--seed", "1",
          "--set", "gen.per_class", "50"],
+        # removed: mining.mode and mining.oracle are the one spelling of the
+        # ablations, and solve_columns is the library's one-column solve
+        ["diffuse", "--graph", "graph.txt", "--anchor", "3"],
+        ["pipeline", "--baseline", "euclidean"],
+        ["pipeline", "--oracle", "positive"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])
@@ -260,10 +254,12 @@ def test_usage_error_exit_code_one(tmp_path, capsys):
 
 def test_unknown_config_key_is_data_error(tmp_path, capsys):
     # the anchors.* keys are still in every config.json written before the
-    # damped walk was removed, and train.weighted in every one written before
-    # train.weight_normalization took "unit", so feeding one back fails here
+    # damped walk was removed, train.weighted in every one written before
+    # train.weight_normalization took "unit", and model.kind in every one
+    # written before model.hidden_dim alone set the architecture, so feeding
+    # one back fails here
     unknown = {"gen.bogus": 1, "anchors.damping": 0.0, "anchors.max_iterations": 10000,
-               "anchors.tolerance": 1e-10, "train.weighted": True}
+               "anchors.tolerance": 1e-10, "train.weighted": True, "model.kind": "mlp"}
     config, out = tmp_path / "config.json", tmp_path / "x"
     for key, value in unknown.items():
         config.write_text(json.dumps({**DEFAULTS, key: value}, indent=2, sort_keys=True) + "\n")
@@ -309,7 +305,7 @@ def test_pipeline_rounds_write_round_artifacts(tmp_path, capsys):
 
 def test_pipeline_baseline_mode(tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(["pipeline", "--out", str(out), "--seed", "5", "--baseline", "euclidean"]
+    assert main(["pipeline", "--out", str(out), "--seed", "5", "--set", "mining.mode", "baseline"]
                 + SMALL_PIPELINE) == 0
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["mining.mode"] == "baseline"
@@ -405,11 +401,11 @@ def test_bad_config_value_exits_two_before_any_work(tmp_path, capsys, key, value
 
 
 @pytest.mark.parametrize("key,value", [
-    ("model.kind", "foo"),
+    ("model.kind", "foo"),  # a removed key: refused as unknown, before any work too
     ("anchors.mode", "bogus"),
     ("mining.oracle", "both"),
     ("train.margin", "-1"),
-    ("model.hidden_dim", "8"),  # a linear model has no hidden layer
+    ("model.hidden_dim", "-1"),  # 0 is one affine layer, more a hidden layer that wide
     ("train.batch_size", "0"),
     ("train.lr_decay_every", "0"),
     ("train.weight_normalization", "maybe"),
@@ -554,7 +550,7 @@ def test_gen_of_a_noise_past_float32_is_data_error(tmp_path, capsys, noise):
                  "no recall depth lies in [1, n-1=199]", id="eval.ks-beyond-n"),
     pytest.param({"model.output_dim": str(2**63)}, "output_dim=9223372036854775808",
                  id="output-dim-2^63"),
-    pytest.param({"model.kind": "mlp", "model.hidden_dim": str(2**63)},
+    pytest.param({"model.hidden_dim": str(2**63)},
                  "hidden_dim=9223372036854775808 does not fit", id="hidden-dim-2^63"),
     pytest.param({"model.output_dim": "100000000000"}, "output_dim=100000000000",
                  id="output-dim-1e11"),
@@ -598,7 +594,7 @@ def test_empty_feature_matrix_is_data_error(tmp_path, capsys, header):
 def test_eval_model_of_another_width_is_data_error(tmp_path, capsys):
     data = tmp_path / "data"
     run_gen(data)
-    save_model(EmbeddingModel.initialize("linear", 16, 4, seed=0), tmp_path / "wide.bin")
+    save_model(EmbeddingModel.initialize(16, 4, seed=0), tmp_path / "wide.bin")
     out = tmp_path / "e"
     code = main(["eval", "--out", str(out), "--features", str(data / "features.bin"),
                  "--labels", str(data / "labels.txt"), "--model", str(tmp_path / "wide.bin")])
@@ -627,11 +623,6 @@ def test_mine_bad_anchor_ids_are_data_errors(tmp_path, capsys, anchors_txt):
         err = capsys.readouterr().err
         assert err.startswith("mom mine: error:") and "anchor" in err
         assert not (tmp_path / "m").exists()
-    code = main(["diffuse", "--out", str(tmp_path / "d"), "--graph", str(tmp_path / "g" / "graph.txt"),
-                 "--anchor", "500"])
-    assert code == 2
-    assert "out of range" in capsys.readouterr().err
-    assert not (tmp_path / "d").exists()
 
 
 def test_mine_with_an_empty_anchors_file_is_data_error(tmp_path, capsys):
@@ -687,9 +678,9 @@ def test_the_library_trains_what_mom_trains(tmp_path, loss):
     assert main(["train", "--out", str(tmp_path / "mom"), "--features", str(features),
                  "--pools", str(pools), "--set", "train.loss", loss, "--seed", "9"]) == 0
     feats = l2_normalize(load_features(features))
-    model = EmbeddingModel.initialize("linear", feats.d, DEFAULTS["model.output_dim"], seed=9)
-    model, _ = train(feats, load_pools(pools), model, TrainConfig(loss=loss, seed=9),
-                     MiningConfig())
+    model = EmbeddingModel.initialize(feats.d, DEFAULTS["model.output_dim"], seed=9)
+    model, _ = train(feats, load_pools(pools), model, TrainConfig(loss=loss), MiningConfig(),
+                     seed=9)
     save_model(model, tmp_path / "library.bin")
     assert (tmp_path / "library.bin").read_bytes() == (tmp_path / "mom" / "model.bin").read_bytes()
 
@@ -722,36 +713,6 @@ def test_baseline_mine_drops_empty_pools_with_a_warning(tmp_path, capsys, monkey
         else:
             assert err[1:] == []
             assert [p.anchor_id for p in load_pools(out / "pools.jsonl")] == [7]
-
-
-@pytest.mark.parametrize("anchor_id", [str(2**64), str(-(2**63) - 1)])
-def test_diffuse_anchor_beyond_int64_is_data_error(tmp_path, capsys, anchor_id):
-    path = tmp_path / "graph.txt"
-    path.write_text("MOMG 4 2\n0 1 0.5\n")
-    out = tmp_path / "d"
-    assert main(["diffuse", "--out", str(out), "--graph", str(path), "--anchor", anchor_id]) == 2
-    err = capsys.readouterr().err
-    assert err == f"mom diffuse: error: anchor id {anchor_id} out of range [0, 4)\n"
-    assert not out.exists()
-
-
-def test_diffuse_column_order_matches_lexsort_with_isolated_nodes(tmp_path, capsys):
-    # nodes 6-8 form another component and 9-11 are isolated, so the column
-    # holds runs of tied zeros that must come out in ascending index order
-    edges = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0), (0, 4, 0.25), (4, 5, 1.0),
-             (6, 7, 1.0), (7, 8, 1.0)]
-    path = tmp_path / "graph.txt"
-    save_graph(graph_from_edges(12, 2, edges), path)
-    for anchor in (0, 7, 10):
-        assert main(["diffuse", "--out", str(tmp_path / f"d{anchor}"), "--graph", str(path),
-                     "--anchor", str(anchor)]) == 0
-        ids = [int(line.split()[0])
-               for line in (tmp_path / f"d{anchor}" / "column.txt").read_text().splitlines()]
-        values = solve_columns(normalize_graph(load_graph(path)), [anchor],
-                               DiffusionConfig()).values[0]
-        assert (values == 0).sum() >= 6
-        assert ids == lexsort_top_k(values, 12).tolist()
-    capsys.readouterr()
 
 
 def test_train_with_pools_from_a_larger_set_is_data_error(tmp_path, capsys):
@@ -830,12 +791,11 @@ def test_trailing_bytes_are_data_errors(tmp_path, capsys):
 def test_bad_graph_file_is_data_error(tmp_path, capsys, body):
     path = tmp_path / "graph.txt"
     path.write_text(body)
-    for argv in (["anchors"], ["diffuse", "--anchor", "0"]):
-        code = main(argv + ["--graph", str(path), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2, (argv, body)
-        assert err.startswith(f"mom {argv[0]}: error:") and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+    code = main(["anchors", "--graph", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, body
+    assert err.startswith("mom anchors: error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_uses_the_closed_form_every_round(tmp_path, capsys):

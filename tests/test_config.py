@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from momine import cli
-from momine.anchors import load_anchors
+from momine.anchors import load_anchors, select_anchors, stationary
 from momine.config import AnchorsConfig, EvalConfig, ModelConfig, RunConfig
 from momine.errors import BadConfig
 from momine.features import SyntheticSpec, generate_synthetic, l2_normalize, load_features, save_features
-from momine.graph import load_graph, normalize_graph
+from momine.graph import build_reciprocal_graph, load_graph, normalize_graph
 from momine.mining import MiningConfig, build_training_pool, save_pools
-from momine.trainer import TrainConfig
+from momine.trainer import save_model, train
 
-# mom's 35 keys, each with its default and so its type
+# mom's 34 keys, each with its default and so its type
 DEFAULTS = {
     "seed": 0,
     "gen.kind": "moons",
@@ -37,7 +37,6 @@ DEFAULTS = {
     "mining.mode": "mined",
     "mining.baseline_k": 5,
     "mining.oracle": "none",
-    "model.kind": "linear",
     "model.output_dim": 16,
     "model.hidden_dim": 0,
     "train.loss": "contrastive",
@@ -58,7 +57,7 @@ def test_the_defaults_keep_their_keys_values_and_types():
     assert cli.DEFAULTS == DEFAULTS == RunConfig.defaults()
     assert {key: type(value) for key, value in cli.DEFAULTS.items()} == {
         key: type(value) for key, value in DEFAULTS.items()}
-    assert len(DEFAULTS) == 35
+    assert len(DEFAULTS) == 34
     assert {type(value) for value in DEFAULTS.values()} == {int, float, str}
 
 
@@ -69,9 +68,25 @@ def test_the_flat_defaults_are_the_default_run():
     assert RunConfig.from_flat({}) == run
 
 
-def test_the_run_seed_feeds_the_trainer():
-    assert RunConfig(seed=5, train=TrainConfig(seed=13)).train.seed == 5
-    assert RunConfig.from_flat({"seed": 9, "train.epochs": 2}).train == TrainConfig(epochs=2, seed=9)
+def test_the_run_seed_feeds_the_trainer(tmp_path, monkeypatch, capsys):
+    # mom pipeline trains with the run's seed, which train() takes as `seed`
+    monkeypatch.delenv("MOM_SEED", raising=False)
+    out = tmp_path / "run"
+    assert cli.main(["pipeline", "--out", str(out), "--seed", "9", "--set", "gen.per_class", "60",
+                     "--set", "graph.k", "8", "--set", "train.epochs", "3"]) == 0
+    capsys.readouterr()
+    run = RunConfig.from_flat(json.loads((out / "config.json").read_text()))
+    feats = l2_normalize(generate_synthetic(run.gen, run.seed))
+    graph = build_reciprocal_graph(feats, run.graph.k)
+    anchors = select_anchors(graph, stationary(graph)[0], run.anchors.count, run.anchors.mode)
+    pools, _ = build_training_pool(anchors, feats, normalize_graph(graph), run.diffusion,
+                                   run.mining, None, run.seed)
+    for seed in (9, 10):
+        model = run.model.initialize(feats.d, run.seed)
+        model, _ = train(feats, pools, model, run.train, run.mining, seed=seed)
+        save_model(model, tmp_path / "library.bin")
+        same = (tmp_path / "library.bin").read_bytes() == (out / "model.bin").read_bytes()
+        assert same == (seed == run.seed)
 
 
 @pytest.mark.parametrize("flat,message", [
@@ -81,7 +96,7 @@ def test_the_run_seed_feeds_the_trainer():
     ({"prep.whiten_dims": -2}, "prep.whiten_dims must be >= 0, got -2"),
     ({"anchors.mode": "bogus"}, "anchors.mode must be 'maxima' or 'all', got 'bogus'"),
     ({"mining.max_pos": -5}, "mining.max_pos must be >= 0 (0 = unlimited), got -5"),
-    ({"model.kind": "foo"}, "model.kind: a model's kind must be 'linear' or 'mlp', got 'foo'"),
+    ({"model.hidden_dim": -1}, "model.hidden_dim: a model cannot have hidden_dim=-1"),
     ({"eval.ks": "0,1"}, "eval.ks must list recall depths >= 1, got '0,1'"),
     ({"diffusion.alpha": 1.5}, "diffusion.alpha must be in [0, 1), got 1.5"),
 ])
@@ -92,7 +107,7 @@ def test_a_rejected_value_is_reported_under_its_dotted_key(flat, message):
 
 
 @pytest.mark.parametrize("key", [
-    "graf.k", "graph.kk", "sede", "seed.x", "train.seed", "train.weighted",
+    "graf.k", "graph.kk", "sede", "seed.x", "train.seed", "train.weighted", "model.kind",
 ])
 def test_a_key_that_is_not_a_mom_key_is_named_in_bad_config(key):
     # a library caller's hand-written dict gets mom's own message
@@ -118,8 +133,8 @@ def test_a_value_of_another_type_is_named_in_bad_config(flat, message):
 def test_each_section_checks_its_own_values():
     with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
         AnchorsConfig(count=0)
-    with pytest.raises(ValueError, match="^hidden_dim: a mlp model cannot have hidden_dim=0$"):
-        ModelConfig(kind="mlp")
+    with pytest.raises(ValueError, match="^hidden_dim: a model cannot have hidden_dim=-1$"):
+        ModelConfig(hidden_dim=-1)
     with pytest.raises(ValueError, match="^ks must list recall depths >= 1"):
         EvalConfig(ks="2,x")
     assert EvalConfig(ks=" 8, 2,").depths == [8, 2]

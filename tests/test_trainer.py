@@ -65,7 +65,7 @@ triplet_literal_loss = tuple_loss("triplet-literal")
 
 
 def identity_model(d):
-    return EmbeddingModel(kind="linear", input_dim=d, output_dim=d, layers=[[np.eye(d), np.zeros(d)]])
+    return EmbeddingModel(input_dim=d, output_dim=d, layers=[[np.eye(d), np.zeros(d)]])
 
 
 # ---- forward ---------------------------------------------------------------
@@ -80,59 +80,65 @@ def test_identity_model_passes_unit_input_through():
 def test_linear_model_scale_invariant():
     rng = np.random.default_rng(0)
     w = rng.normal(size=(4, 5))
-    m1 = EmbeddingModel("linear", 5, 4, layers=[[w, np.zeros(4)]])
-    m2 = EmbeddingModel("linear", 5, 4, layers=[[2.0 * w, np.zeros(4)]])
+    m1 = EmbeddingModel(5, 4, layers=[[w, np.zeros(4)]])
+    m2 = EmbeddingModel(5, 4, layers=[[2.0 * w, np.zeros(4)]])
     x = rng.normal(size=5)
     assert np.allclose(forward(m1, x), forward(m2, x), atol=1e-12)
 
 
 def test_forward_outputs_unit_norm():
     rng = np.random.default_rng(1)
-    model = EmbeddingModel.initialize("mlp", 6, 4, hidden_dim=8, seed=2)
+    model = EmbeddingModel.initialize(6, 4, hidden_dim=8, seed=2)
     z = forward(model, rng.normal(size=(20, 6)))
     assert np.max(np.abs(np.linalg.norm(z, axis=1) - 1.0)) < 1e-6
 
 
 def test_forward_degenerate_output():
-    model = EmbeddingModel("linear", 3, 2, layers=[[np.zeros((2, 3)), np.zeros(2)]])
+    model = EmbeddingModel(3, 2, layers=[[np.zeros((2, 3)), np.zeros(2)]])
     with pytest.raises(DegenerateOutput):
         forward(model, np.array([1.0, 0.0, 0.0]))
 
 
 def test_initialize_shapes_and_identity():
-    lin = EmbeddingModel.initialize("linear", 5, 5, seed=0)
+    lin = EmbeddingModel.initialize(5, 5, seed=0)
     assert np.array_equal(lin.layers[0][0], np.eye(5))
-    proj = EmbeddingModel.initialize("linear", 8, 3, seed=0)
+    proj = EmbeddingModel.initialize(8, 3, seed=0)
     assert np.allclose(proj.layers[0][0] @ proj.layers[0][0].T, np.eye(3), atol=1e-12)
-    up = EmbeddingModel.initialize("linear", 3, 8, seed=0)
+    up = EmbeddingModel.initialize(3, 8, seed=0)
     assert np.allclose(up.layers[0][0].T @ up.layers[0][0], np.eye(3), atol=1e-12)
-    mlp = EmbeddingModel.initialize("mlp", 5, 3, hidden_dim=7, seed=0)
+    mlp = EmbeddingModel.initialize(5, 3, hidden_dim=7, seed=0)
     assert [(w.shape, b.shape) for w, b in mlp.layers] == [((7, 5), (7,)), ((3, 7), (3,))]
     with pytest.raises(ValueError):
-        EmbeddingModel("linear", 3, 2, layers=[[np.zeros((9, 9)), np.zeros(9)]])
+        EmbeddingModel(3, 2, layers=[[np.zeros((9, 9)), np.zeros(9)]])
 
 
-@pytest.mark.parametrize("kind,output_dim,hidden_dim", [
-    ("linear", 2**63, 0), ("mlp", 4, 2**63), ("mlp", 2**63, 4),
+# the ids name the architecture, one affine layer ("linear") or a hidden one ("mlp")
+@pytest.mark.parametrize("output_dim,hidden_dim", [
+    pytest.param(2**63, 0, id="linear-9223372036854775808-0"),
+    pytest.param(4, 2**63, id="mlp-4-9223372036854775808"),
+    pytest.param(2**63, 4, id="mlp-9223372036854775808-4"),
 ])
-def test_initialize_of_a_size_numpy_refuses_is_a_named_error(kind, output_dim, hidden_dim):
+def test_initialize_of_a_size_numpy_refuses_is_a_named_error(output_dim, hidden_dim):
     # each size is too many dimensions for numpy, which refuses it before
     # allocating anything
-    with pytest.raises(BadModel, match=f"input_dim=16, output_dim={output_dim} and "
-                                       f"hidden_dim={hidden_dim} does not fit in memory"):
-        EmbeddingModel.initialize(kind, 16, output_dim, hidden_dim)
+    with pytest.raises(BadModel, match=f"^a model with input_dim=16, output_dim={output_dim} and "
+                                       f"hidden_dim={hidden_dim} does not fit in memory$"):
+        EmbeddingModel.initialize(16, output_dim, hidden_dim)
 
 
-@pytest.mark.parametrize("kind,output_dim,hidden_dim,field", [
-    ("mlp", 4, 0, "hidden_dim"), ("linear", 4, 3, "hidden_dim"), ("linear", 4, -1, "hidden_dim"),
-    ("linear", -1, 0, "output_dim"), ("mlp", 0, 4, "output_dim"), ("conv", 4, 0, "kind"),
+@pytest.mark.parametrize("output_dim,hidden_dim,field", [
+    pytest.param(4, -1, "hidden_dim", id="linear-4--1-hidden_dim"),
+    pytest.param(-1, 0, "output_dim", id="linear--1-0-output_dim"),
+    pytest.param(0, 4, "output_dim", id="mlp-0-4-output_dim"),
 ])
-def test_initialize_checks_the_architecture_before_allocating(kind, output_dim, hidden_dim, field):
+def test_initialize_checks_the_architecture_before_allocating(output_dim, hidden_dim, field):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's divide-by-zero RuntimeWarning included
         with pytest.raises(BadModel) as exc:
-            EmbeddingModel.initialize(kind, 8, output_dim, hidden_dim)
+            EmbeddingModel.initialize(8, output_dim, hidden_dim)
     assert exc.value.field == field and "does not fit" not in str(exc.value)
+    value = {"output_dim": output_dim, "hidden_dim": hidden_dim}[field]
+    assert str(exc.value) == f"a model cannot have {field}={value}"
     assert isinstance(exc.value, ValueError)
 
 
@@ -288,10 +294,10 @@ def test_parameter_gradients_through_normalization(arch):
     # every parameter
     rng = np.random.default_rng(5)
     if arch == "linear":
-        model = EmbeddingModel("linear", 5, 4, layers=[[rng.normal(size=(4, 5)), rng.normal(size=4) * 0.1]])
+        model = EmbeddingModel(5, 4, layers=[[rng.normal(size=(4, 5)), rng.normal(size=4) * 0.1]])
     else:
         model = EmbeddingModel(
-            "mlp", 5, 4, 6,
+            5, 4, 6,
             layers=[
                 [rng.normal(size=(6, 5)), rng.normal(size=6) * 0.1],
                 [rng.normal(size=(4, 6)), rng.normal(size=4) * 0.1],
@@ -394,10 +400,10 @@ def two_moons_run(seed=11):
 
 def test_train_zero_epochs_returns_model_unchanged():
     fn, pools = two_moons_run()
-    model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
+    model = EmbeddingModel.initialize(8, 8, seed=1)
     before = [w.copy() for w, _ in model.layers]
-    cfg = TrainConfig(epochs=0, seed=3)
-    out, log = train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50))
+    cfg = TrainConfig(epochs=0)
+    out, log = train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50), seed=3)
     assert out is model and log == []
     assert all(np.array_equal(a, w) for a, (w, _) in zip(before, model.layers))
 
@@ -406,23 +412,23 @@ def test_train_zero_epochs_returns_model_unchanged():
 def test_train_rejects_pool_ids_outside_features(bad_id):
     fn, pools = two_moons_run()  # 120 items
     pools[4].negatives.append((bad_id, 0.5))
-    model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
+    model = EmbeddingModel.initialize(8, 8, seed=1)
     with pytest.raises(BadPools, match=f"{bad_id} out of range"):
-        train(fn, pools, model, TrainConfig(epochs=1, seed=3), MiningConfig(max_neg=50))
+        train(fn, pools, model, TrainConfig(epochs=1), MiningConfig(max_neg=50), seed=3)
 
 
 def test_train_without_pools_is_all_pools_empty():
     fn, _ = two_moons_run()
-    model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
+    model = EmbeddingModel.initialize(8, 8, seed=1)
     with pytest.raises(AllPoolsEmpty, match="^no pools to train on$"):
-        train(fn, [], model, TrainConfig(epochs=1, seed=3), MiningConfig(max_neg=50))
+        train(fn, [], model, TrainConfig(epochs=1), MiningConfig(max_neg=50), seed=3)
 
 
 def test_train_model_of_another_width_is_dim_mismatch():
     fn, pools = two_moons_run()  # d = 8
-    model = EmbeddingModel.initialize("linear", 4, 4, seed=1)
+    model = EmbeddingModel.initialize(4, 4, seed=1)
     with pytest.raises(DimMismatch, match="^model expects input_dim=4, features have d=8$"):
-        train(fn, pools, model, TrainConfig(epochs=1, seed=3), MiningConfig(max_neg=50))
+        train(fn, pools, model, TrainConfig(epochs=1), MiningConfig(max_neg=50), seed=3)
 
 
 def test_train_deterministic_given_seed():
@@ -430,9 +436,9 @@ def test_train_deterministic_given_seed():
     mcfg = MiningConfig(hard_subset_size=5, max_neg=50)
     results = []
     for _ in range(2):
-        model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
-        cfg = TrainConfig(loss="contrastive", margin=0.7, epochs=5, seed=42, batch_size=16)
-        model, log = train(fn, pools, model, cfg, mcfg)
+        model = EmbeddingModel.initialize(8, 8, seed=1)
+        cfg = TrainConfig(loss="contrastive", margin=0.7, epochs=5, batch_size=16)
+        model, log = train(fn, pools, model, cfg, mcfg, seed=42)
         results.append((model.layers[0][0].copy(), [row["mean_loss"] for row in log]))
     assert np.array_equal(results[0][0], results[1][0])
     assert results[0][1] == results[1][1]
@@ -440,9 +446,9 @@ def test_train_deterministic_given_seed():
 
 def test_train_loss_decreases_on_moons():
     fn, pools = two_moons_run()
-    model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
-    cfg = TrainConfig(loss="contrastive", margin=0.7, epochs=30, seed=7, batch_size=16, lr0=0.05)
-    model, log = train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50))
+    model = EmbeddingModel.initialize(8, 8, seed=1)
+    cfg = TrainConfig(loss="contrastive", margin=0.7, epochs=30, batch_size=16, lr0=0.05)
+    model, log = train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50), seed=7)
     assert log[-1]["mean_loss"] < log[0]["mean_loss"]
     # normalization is preserved through training
     z = forward(model, fn.data)
@@ -453,21 +459,21 @@ def test_train_loss_decreases_on_moons():
 
 def test_train_diverged_guard():
     fn, pools = two_moons_run()
-    model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
+    model = EmbeddingModel.initialize(8, 8, seed=1)
     model.layers[0][0][0, 0] = np.nan
-    cfg = TrainConfig(epochs=1, seed=1)
+    cfg = TrainConfig(epochs=1)
     with pytest.raises(Diverged):
-        train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50))
+        train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50), seed=1)
 
 
 def test_train_diverges_once_a_weight_leaves_float32():
     # a step of lr0 = 1e50 takes the weights far past float32's 3.4e38,
     # while the float64 forward pass and loss stay finite
     fn, pools = two_moons_run()
-    model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
-    cfg = TrainConfig(epochs=2, seed=1, lr0=1e50)
+    model = EmbeddingModel.initialize(8, 8, seed=1)
+    cfg = TrainConfig(epochs=2, lr0=1e50)
     with pytest.raises(Diverged, match="^a model parameter left float32's range at epoch 0$"):
-        train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50))
+        train(fn, pools, model, cfg, MiningConfig(hard_subset_size=5, max_neg=50), seed=1)
 
 
 # clusters 3 x 30 in d = 8, mined on a 6-NN graph; one seed drives gen, model and training
@@ -499,12 +505,12 @@ def test_alternate_single_round_equals_plain_train(tmp_path, capsys):
     fn = l2_normalize(generate_synthetic(spec, 5))
     dcfg = DiffusionConfig(alpha=0.95, tolerance=1e-8, max_iterations=300)
     mcfg = MiningConfig(k_pos=10, k_neg=20, max_neg=10, hard_subset_size=5)
-    tcfg = TrainConfig(loss="contrastive", margin=0.7, epochs=4, seed=5, batch_size=16)
+    tcfg = TrainConfig(loss="contrastive", margin=0.7, epochs=4, batch_size=16)
     graph = build_reciprocal_graph(fn, 6)
     anchors = select_anchors(graph, stationary(graph)[0], 50)
     pools, _ = build_training_pool(anchors, fn, normalize_graph(graph), dcfg, mcfg)
-    model = EmbeddingModel.initialize("linear", 8, 8, seed=5)
-    model, _ = train(fn, pools, model, tcfg, mcfg)
+    model = EmbeddingModel.initialize(8, 8, seed=5)
+    model, _ = train(fn, pools, model, tcfg, mcfg, seed=5)
     save_model(model, tmp_path / "chain.bin")
     assert (tmp_path / "chain.bin").read_bytes() == (out / "model.bin").read_bytes()
 
@@ -532,13 +538,14 @@ def test_alternate_rounds_remines_from_new_embedding(tmp_path, capsys):
 
 
 def test_model_file_round_trip(tmp_path):
-    for kind, hidden in (("linear", 0), ("mlp", 5)):
-        model = EmbeddingModel.initialize(kind, 6, 4, hidden_dim=hidden, seed=3)
-        path = tmp_path / f"{kind}.bin"
+    for hidden in (0, 5):
+        model = EmbeddingModel.initialize(6, 4, hidden_dim=hidden, seed=3)
+        path = tmp_path / f"hidden{hidden}.bin"
         save_model(model, path)
         first = path.read_bytes()
+        assert first[4:8] == int(hidden > 0).to_bytes(4, "little")  # the kind code
         loaded = load_model(path)
-        assert loaded.kind == kind and loaded.input_dim == 6 and loaded.output_dim == 4
+        assert (loaded.input_dim, loaded.output_dim, loaded.hidden_dim) == (6, 4, hidden)
         save_model(loaded, path)
         assert path.read_bytes() == first
         for (w, b), (lw, lb) in zip(model.layers, loaded.layers):
@@ -552,16 +559,15 @@ FINITE_PARAMETERS = st.floats(width=32, allow_nan=False, allow_infinity=False)
 @st.composite
 def models(draw):
     """Linear and MLP models of small dims whose parameters are finite float32 values."""
-    kind = draw(st.sampled_from(["linear", "mlp"]))
     d_in, d_out = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    hidden = draw(st.integers(1, 6)) if kind == "mlp" else 0
-    shapes = [(d_out, d_in)] if kind == "linear" else [(hidden, d_in), (d_out, hidden)]
+    hidden = draw(st.sampled_from([0, *range(1, 7)]))
+    shapes = [(hidden, d_in), (d_out, hidden)] if hidden else [(d_out, d_in)]
     layers = [
         [draw(arrays(np.float32, shape, elements=FINITE_PARAMETERS)).astype(np.float64),
          draw(arrays(np.float32, shape[0], elements=FINITE_PARAMETERS)).astype(np.float64)]
         for shape in shapes
     ]
-    return EmbeddingModel(kind, d_in, d_out, hidden, layers)
+    return EmbeddingModel(d_in, d_out, hidden, layers)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -573,8 +579,8 @@ def test_model_file_round_trip_property(tmp_path_factory, model):
     loaded = load_model(path)
     save_model(loaded, path)
     assert path.read_bytes() == first
-    assert (loaded.kind, loaded.input_dim, loaded.output_dim, loaded.hidden_dim) == (
-        model.kind, model.input_dim, model.output_dim, model.hidden_dim)
+    assert (loaded.input_dim, loaded.output_dim, loaded.hidden_dim) == (
+        model.input_dim, model.output_dim, model.hidden_dim)
     for (w, b), (lw, lb) in zip(model.layers, loaded.layers, strict=True):
         assert np.array_equal(lw.view(np.int64), w.view(np.int64))
         assert np.array_equal(lb.view(np.int64), b.view(np.int64))
@@ -585,7 +591,7 @@ def test_model_file_errors(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(BadMagic):
         load_model(path)
-    model = EmbeddingModel.initialize("linear", 4, 3, seed=0)
+    model = EmbeddingModel.initialize(4, 3, seed=0)
     save_model(model, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
@@ -608,7 +614,7 @@ def test_model_file_errors(tmp_path):
 def test_load_model_rejects_a_kind_and_hidden_width_that_disagree(tmp_path, code, hidden, payload):
     blob = b""
     if payload:
-        save_model(EmbeddingModel.initialize("linear", 4, 3, seed=0), tmp_path / "m.bin")
+        save_model(EmbeddingModel.initialize(4, 3, seed=0), tmp_path / "m.bin")
         blob = (tmp_path / "m.bin").read_bytes()[20:]
     path = tmp_path / "bad.bin"
     path.write_bytes(MODEL_MAGIC + struct.pack("<IIII", code, 4, 3, hidden) + blob)
@@ -617,10 +623,10 @@ def test_load_model_rejects_a_kind_and_hidden_width_that_disagree(tmp_path, code
         load_model(path)
 
 
-@pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp", 5)])
+@pytest.mark.parametrize("hidden", [0, 5], ids=["linear-0", "mlp-5"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-def test_load_model_rejects_a_non_finite_parameter(tmp_path, kind, hidden, value):
-    model = EmbeddingModel.initialize(kind, 6, 4, hidden_dim=hidden, seed=3)
+def test_load_model_rejects_a_non_finite_parameter(tmp_path, hidden, value):
+    model = EmbeddingModel.initialize(6, 4, hidden_dim=hidden, seed=3)
     model.layers[-1][1][2] = value  # a bias of the last layer
     path = tmp_path / "bad.bin"
     save_model(model, path)
@@ -628,25 +634,24 @@ def test_load_model_rejects_a_non_finite_parameter(tmp_path, kind, hidden, value
         load_model(path)
 
 
-@pytest.mark.parametrize("loss,kind,weighting", [
-    ("contrastive", "linear", "per-anchor-max"),
-    ("triplet", "mlp", "per-anchor-max"),
-    ("triplet-literal", "linear", "none"),
-    ("contrastive", "mlp", "unit"),
-    ("triplet", "linear", "unit"),
+@pytest.mark.parametrize("loss,hidden,weighting", [
+    pytest.param("contrastive", 0, "per-anchor-max", id="contrastive-linear-per-anchor-max"),
+    pytest.param("triplet", 6, "per-anchor-max", id="triplet-mlp-per-anchor-max"),
+    pytest.param("triplet-literal", 0, "none", id="triplet-literal-linear-none"),
+    pytest.param("contrastive", 6, "unit", id="contrastive-mlp-unit"),
+    pytest.param("triplet", 0, "unit", id="triplet-linear-unit"),
 ])
-def test_train_matches_tuple_reference(tmp_path, loss, kind, weighting):
+def test_train_matches_tuple_reference(tmp_path, loss, hidden, weighting):
     fn, pools = two_moons_run()
     pools[2:2] = [AnchorPools(7, [], [(1, 0.5)]), AnchorPools(8, [(2, 0.3)], [])]  # skipped
     pools[5].negatives = pools[5].negatives[:2]  # fewer negatives than the window
     pools.append(AnchorPools(pools[0].anchor_id, [(50, 1.7)], [(51, 0.2)]))  # repeated anchor
     mcfg = MiningConfig(hard_subset_size=5, max_neg=50)
-    tcfg = TrainConfig(loss=loss, weight_normalization=weighting, epochs=4, seed=5,
-                       batch_size=16)
+    tcfg = TrainConfig(loss=loss, weight_normalization=weighting, epochs=4, batch_size=16)
     runs = []
     for fit in (train, train_reference):
-        model = EmbeddingModel.initialize(kind, 8, 5, hidden_dim=6 if kind == "mlp" else 0, seed=1)
-        model, log = fit(fn, pools, model, tcfg, mcfg)
+        model = EmbeddingModel.initialize(8, 5, hidden_dim=hidden, seed=1)
+        model, log = fit(fn, pools, model, tcfg, mcfg, seed=5)
         save_model(model, tmp_path / "model.bin")
         runs.append(([p for layer in model.layers for p in layer], log,
                      (tmp_path / "model.bin").read_bytes()))
@@ -659,14 +664,14 @@ def test_train_matches_tuple_reference(tmp_path, loss, kind, weighting):
 def test_per_anchor_max_normalizes_over_every_pool_of_a_repeated_anchor():
     fn, _ = two_moons_run()
     mcfg = MiningConfig(hard_subset_size=2, max_neg=50)
-    tcfg = TrainConfig(epochs=3, seed=4, batch_size=2)
+    tcfg = TrainConfig(epochs=3, batch_size=2)
     negatives = [(20, 0.4), (21, 0.3)]
     split = [AnchorPools(0, [(1, 0.9)], negatives), AnchorPools(0, [(3, 0.3)], negatives)]
     # the same pools with the weights already divided by the anchor's max, 0.9
     scaled = [AnchorPools(0, [(1, 1.0)], negatives), AnchorPools(0, [(3, 0.3 / 0.9)], negatives)]
     models = []
     for pools, normalization in ((split, "per-anchor-max"), (scaled, "none")):
-        model = EmbeddingModel.initialize("linear", 8, 8, seed=1)
+        model = EmbeddingModel.initialize(8, 8, seed=1)
         cfg = TrainConfig(**{**tcfg.__dict__, "weight_normalization": normalization})
-        models.append(train(fn, pools, model, cfg, mcfg)[0].layers[0][0])
+        models.append(train(fn, pools, model, cfg, mcfg, seed=4)[0].layers[0][0])
     assert np.array_equal(models[0], models[1])

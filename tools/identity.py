@@ -25,7 +25,11 @@ or is in only one, and exits 1 if there is any, or if either directory has
 no MANIFEST; 0 otherwise.
 
 To check that a change keeps every byte, run the parent commit's sources
-through --src, run the change's, and diff the two. To check that no byte
+through --src, run the change's, and diff the two. A change that edits the
+case list, or a command of a case, is compared otherwise: run each side's own
+tools/identity.py on its own sources, diff the two, and list beforehand the
+files expected to differ. An edited command shows in its case's log.txt, and
+a step added or removed writes its files in one run only. To check that no byte
 follows the BLAS threads or the CPUs, run under each setting (for example
 OPENBLAS_NUM_THREADS=1, the default, and `taskset -c 0`) and diff the runs.
 """
@@ -50,11 +54,11 @@ GEN_LIMIT = 2**39
 # model files for the eval errors: of another input width, and with an inf weight
 _NARROW_MODEL = """import sys
 from momine.trainer import EmbeddingModel, save_model
-save_model(EmbeddingModel.initialize('linear', 8, 8), sys.argv[1])
+save_model(EmbeddingModel.initialize(8, 8), sys.argv[1])
 """
 _INF_MODEL = """import sys
 from momine.trainer import EmbeddingModel, save_model
-m = EmbeddingModel.initialize('linear', 16, 16)
+m = EmbeddingModel.initialize(16, 16)
 m.layers[0][0][0, 0] = float('inf')
 save_model(m, sys.argv[1])
 """
@@ -121,8 +125,10 @@ def _pipeline_cases() -> dict:
         cases[f"ci-{n}"] = [
             gen("data", ("gen.per_class", n // 2)),
             mom("pipeline", "--out", "mined", *features(), *all_n),
-            mom("pipeline", "--out", "baseline", *features(), *all_n, "--baseline", "euclidean"),
-            mom("pipeline", "--out", "negative", *features(), *all_n, "--oracle", "negative"),
+            mom("pipeline", "--out", "baseline", *features(), *all_n,
+                "--set", "mining.mode", "baseline"),
+            mom("pipeline", "--out", "negative", *features(), *all_n,
+                "--set", "mining.oracle", "negative"),
         ]
     return cases | {
         "ci-4002": [
@@ -132,7 +138,7 @@ def _pipeline_cases() -> dict:
         ],
         "mlp-triplet-2r": [
             mom("pipeline", "--out", "run", "--seed", "3", "--rounds", "2",
-                "--set", "model.kind", "mlp", "--set", "model.hidden_dim", "32",
+                "--set", "model.hidden_dim", "32",
                 "--set", "train.loss", "triplet", "--set", "prep.whiten_dims", "8"),
         ],
         "weightings": [  # the two tuple weightings besides the default per-anchor-max
@@ -141,7 +147,7 @@ def _pipeline_cases() -> dict:
             for weighting in ("unit", "none")
         ],
         "clusters-literal-positive": [
-            mom("pipeline", "--out", "run", "--seed", "4", "--oracle", "positive",
+            mom("pipeline", "--out", "run", "--seed", "4", "--set", "mining.oracle", "positive",
                 "--set", "gen.kind", "clusters", "--set", "gen.classes", "4",
                 "--set", "gen.per_class", "60", "--set", "train.loss", "triplet-literal"),
         ],
@@ -149,11 +155,15 @@ def _pipeline_cases() -> dict:
             gen("data", seed=5),
             mom("graph", "--out", "graph", *features(labels=False)),
             mom("anchors", "--out", "anchors", "--graph", "graph/graph.txt"),
-            mom("diffuse", "--out", "diffuse", "--graph", "graph/graph.txt", "--anchor", "7"),
+            mom("anchors", "--out", "anchors-all", "--graph", "graph/graph.txt",
+                "--set", "anchors.mode", "all", "--set", "anchors.count", "400"),
             mom("mine", "--out", "mine", *features(labels=False), "--graph", "graph/graph.txt",
                 "--anchors", "anchors/anchors.txt"),
             mom("train", "--out", "train", *features(labels=False), "--pools",
                 "mine/pools.jsonl"),
+            *(mom("train", "--out", f"train-{loss}", *features(labels=False), "--pools",
+                  "mine/pools.jsonl", "--set", "train.loss", loss)
+              for loss in ("triplet", "triplet-literal")),
             mom("eval", "--out", "eval", *features()),
             mom("eval", "--out", "eval-model", *features(), "--model", "train/model.bin"),
         ],
