@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadAnchors, EmptyGraph, open_text
+from .errors import INT64, BadAnchors, EmptyGraph, read_lines
 from .graph import NeighborGraph, components, top_k
 
 ANCHOR_MODES = ("maxima", "all")
@@ -103,29 +103,23 @@ def select_anchors(graph: NeighborGraph, pi: np.ndarray, count: int, mode: str =
 def save_anchors(anchor_set: AnchorSet, path) -> None:
     """Text dump: one "id pi" line per anchor, descending pi."""
     with open(path, "w") as fh:
-        for i, p in zip(anchor_set.anchor_ids, anchor_set.pi_values):
-            fh.write(f"{i} {p:.9g}\n")
+        fh.writelines(f"{i} {p:.9g}\n" for i, p in zip(anchor_set.anchor_ids, anchor_set.pi_values))
+
+
+def _anchor(line: str) -> tuple:
+    try:
+        anchor, pi = line.split()
+        anchor, pi = int(anchor), float(pi)
+    except ValueError:
+        raise BadAnchors(f"expected 'id pi', got {line.strip()!r}") from None
+    if anchor not in INT64:
+        raise BadAnchors(f"anchor id {anchor} does not fit in 64 bits")
+    return anchor, pi
 
 
 def load_anchors(path) -> AnchorSet:
     """Read an anchor dump; a line that is not "id pi", or whose id does not
     fit in an int64, raises BadAnchors."""
-    ids, pis = [], []
-    with open_text(path, BadAnchors) as fh:
-        for number, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                anchor, pi = parts
-                ids.append(int(anchor))
-                pis.append(float(pi))
-            except ValueError:
-                raise BadAnchors(
-                    f"{path}:{number}: expected 'id pi', got {line.strip()!r}"
-                ) from None
-            if not -(2**63) <= ids[-1] < 2**63:
-                raise BadAnchors(f"{path}:{number}: anchor id {ids[-1]} does not fit in 64 bits")
-    return AnchorSet(
-        anchor_ids=np.asarray(ids, dtype=np.int64), pi_values=np.asarray(pis)
-    )
+    rows = read_lines(path, BadAnchors, _anchor)
+    ids, pis = zip(*rows) if rows else ((), ())
+    return AnchorSet(np.asarray(ids, dtype=np.int64), np.asarray(pis, dtype=np.float64))

@@ -11,6 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadAnchors
+from .features import check_ids
 from .graph import NormalizedOperator
 
 
@@ -40,18 +41,6 @@ class SimilarityBlock(NamedTuple):
     converged: np.ndarray  # (m,) bool
 
 
-def check_anchor_ids(anchors, n: int) -> np.ndarray:
-    """Anchor ids as an int64 array; raises BadAnchors unless all lie in [0, n)."""
-    try:
-        ids = np.asarray(anchors, dtype=np.int64).reshape(-1)
-    except OverflowError:  # a Python int beyond int64, so outside [0, n) too
-        ids = np.asarray(anchors, dtype=object).reshape(-1)
-    bad = ids[(ids < 0) | (ids >= n)]
-    if bad.size:
-        raise BadAnchors(f"anchor id {int(bad[0])} out of range [0, {n})")
-    return ids
-
-
 def solve_columns(
     operator: NormalizedOperator, anchors, config: DiffusionConfig
 ) -> SimilarityBlock:
@@ -68,7 +57,7 @@ def solve_columns(
     without running CG. Memory is O(len(anchors) * n).
     """
     n = operator.n
-    anchors = check_anchor_ids(anchors, n)
+    anchors = check_ids(anchors, n, BadAnchors, "anchor id")
     alpha = config.alpha
     mat = operator.matrix
     b_norm = 1.0 - alpha  # ||b||

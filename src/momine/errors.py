@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and file readers and a writer that name their file."""
+"""Exception types, and the readers (read_lines, read_binary) and writer that name their file."""
 
 import json
 import os
 import struct
 from contextlib import contextmanager
+
+INT64 = range(-(2**63), 2**63)  # the integers an int64 holds; `x in INT64` is O(1)
 
 
 class MomineError(Exception):
@@ -80,7 +82,7 @@ class BadAnchors(MomineError, ValueError):
 
 
 class BadPools(MomineError, ValueError):
-    """Pool member ids that lie outside [0, n)."""
+    """A pools line that is not a pool, or pool member ids outside [0, n)."""
 
 
 class BadLabels(MomineError, ValueError):
@@ -115,6 +117,22 @@ def open_text(path, error):
             yield fh
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"{path}: {exc}") from None
+
+
+def read_lines(path, error, parse) -> list:
+    """parse(line) of each non-blank line of a text file, in order. A ValueError, TypeError,
+    KeyError or OverflowError of parse raises `error`, "<path>:<line>: <reason>" (blank lines
+    counted): the message of an `error` parse raised, else the exception's type and message."""
+    values = []
+    with open_text(path, error) as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    values.append(parse(line))
+                except (ValueError, TypeError, KeyError, OverflowError) as exc:
+                    reason = exc if isinstance(exc, error) else f"{type(exc).__name__}: {exc}"
+                    raise error(f"{path}:{number}: {reason}") from None
+    return values
 
 
 def read_binary(path, magic: bytes, header_format: str, payload_size):

@@ -15,11 +15,12 @@ from .errors import (
     BadSpec,
     DimMismatch,
     EmptyFeatures,
+    INT64,
     NonFinite,
     RankDeficient,
     ZeroVector,
-    open_text,
     read_binary,
+    read_lines,
     write_binary,
 )
 
@@ -35,6 +36,18 @@ def check_labels(labels, n: int, where: str = "") -> None:
     holds one label per item: a sequence of exactly n."""
     if np.shape(labels) != (n,):
         raise DimMismatch(f"{where}{': ' if where else ''}{np.size(labels)} labels for n={n} items")
+
+
+def check_ids(ids, n: int, error, what: str) -> np.ndarray:
+    """`ids` as int64, or `error` "<what> X out of range [0, n)" for the smallest X outside."""
+    try:
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    except OverflowError:  # a Python int beyond int64, so outside [0, n) too
+        ids = np.asarray(ids, dtype=object).reshape(-1)
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise error(f"{what} {int(bad.min())} out of range [0, {n})")
+    return ids
 
 
 @dataclass
@@ -268,29 +281,24 @@ def load_features(path) -> FeatureSet:
 
 def save_labels(labels: np.ndarray, path) -> None:
     with open(path, "w") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+        fh.writelines(f"{int(v)}\n" for v in labels)
+
+
+def _label(line: str) -> int:
+    token, *rest = line.split()
+    if rest:
+        raise BadLabels(f"expected one integer, got {line.strip()!r}")
+    try:
+        label = int(token)
+    except ValueError:
+        raise BadLabels(f"not an integer: {line.strip()!r}") from None
+    if label not in INT64:
+        raise BadLabels(f"a label beyond 64 bits: {line.strip()!r}")
+    return label
 
 
 def load_labels(path, expected_n: int) -> np.ndarray:
-    """Read the label sidecar: one int64 decimal integer per line, exactly n
-    labels; blank lines are skipped."""
-    values = []
-    with open_text(path, BadLabels) as fh:
-        for number, line in enumerate(fh, 1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) > 1:
-                raise BadLabels(f"{path}, line {number}: expected one integer,"
-                                f" got {line.strip()!r}")
-            try:
-                label = int(tokens[0])
-            except ValueError:
-                raise BadLabels(f"{path}, line {number}: not an integer: {line.strip()!r}") from None
-            if not -(2**63) <= label < 2**63:
-                raise BadLabels(f"{path}, line {number}: a label beyond 64 bits: {line.strip()!r}")
-            values.append(label)
-    labels = np.asarray(values, dtype=np.int64)
+    """Read the label sidecar: one int64 decimal integer per line, exactly n labels."""
+    labels = np.asarray(read_lines(path, BadLabels, _label), dtype=np.int64)
     check_labels(labels, expected_n, str(path))
     return labels

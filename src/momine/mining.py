@@ -15,9 +15,10 @@ from itertools import chain
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, check_anchor_ids, solve_columns
-from .errors import AllPoolsEmpty, BadGraph, BadPools, DimMismatch, LabelsMissing, open_text
-from .features import FeatureSet, check_labels
+from .diffusion import DiffusionConfig, solve_columns
+from .errors import (AllPoolsEmpty, BadAnchors, BadGraph, BadPools, DimMismatch, LabelsMissing,
+                     read_lines)
+from .features import FeatureSet, check_ids, check_labels
 from .graph import NormalizedOperator, _run_blocks, gram_rows, similarity, top_k
 
 # anchors per block: the sampler's distance block is
@@ -193,7 +194,7 @@ def build_training_pool(
         raise BadGraph("mined pools need the graph's diffusion operator")
     if operator is not None and operator.n != features.n:
         raise DimMismatch(f"graph has n={operator.n}, features have n={features.n}")
-    anchors = check_anchor_ids(anchor_set.anchor_ids, features.n)
+    anchors = check_ids(anchor_set.anchor_ids, features.n, BadAnchors, "anchor id")
     if mining_config.oracle != "none":
         if labels is None:
             raise LabelsMissing("oracle pools need the label sidecar")
@@ -291,8 +292,7 @@ def sample_epoch_tuples(table: PoolTable, current_embeddings, mining_config: Min
     """
     anchors, ids, m = table.anchors, table.neg_ids, table.anchors.size
     z = np.asarray(current_embeddings)
-    if table.members.size and not 0 <= table.members[0] <= table.members[-1] < len(z):
-        raise BadPools(f"pool member ids outside the {len(z)} rows of the embeddings")
+    check_ids(table.members, len(z), BadPools, "pool member id")
     dists = np.empty(ids.shape)
     # np.linalg.norm's steps (square, add.reduce over the last axis, sqrt)
     # in one reused buffer: the same values bit for bit
@@ -364,14 +364,7 @@ def load_pools(path) -> list:
     naming the file and line, on a line that is not an object with an integer
     "anchor" and "positives" and "negatives" lists of [id, weight] pairs
     (ids below 2^63, both >= 0, weights finite), and on a file without pools."""
-    pools = []
-    with open_text(path, BadPools) as fh:
-        for number, line in enumerate(fh, 1):
-            try:
-                if line.strip():
-                    pools.append(_pool_from_json(json.loads(line)))
-            except (KeyError, ValueError, TypeError, OverflowError) as exc:
-                raise BadPools(f"{path}:{number}: {type(exc).__name__}: {exc}") from None
+    pools = read_lines(path, BadPools, lambda line: _pool_from_json(json.loads(line)))
     if not pools:
         raise BadPools(f"{path}: no pools")
     return pools

@@ -23,7 +23,7 @@ from .errors import (
     read_binary,
     write_binary,
 )
-from .features import FeatureSet
+from .features import FeatureSet, check_ids
 from .mining import MiningConfig, pool_table, sample_epoch_tuples
 
 MODEL_MAGIC = b"MOMM"
@@ -264,10 +264,7 @@ def train(
     if features.d != model.input_dim:
         raise DimMismatch(f"model expects input_dim={model.input_dim}, features have d={features.d}")
     table = pool_table(pools, train_config.weight_normalization)
-    members = table.members
-    if members[0] < 0 or members[-1] >= features.n:
-        bad = members[0] if members[0] < 0 else members[-1]
-        raise BadPools(f"pool member id {bad} out of range [0, {features.n})")
+    members = check_ids(table.members, features.n, BadPools, "pool member id")
 
     loss_fn = _LOSSES[train_config.loss]
     velocity = [[np.zeros_like(w), np.zeros_like(b)] for w, b in model.layers]

@@ -109,7 +109,7 @@ def test_eval_non_integer_label_is_data_error(tmp_path, capsys):
                  str(data / "features.bin"), "--labels", str(labels)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("mom eval: error:") and f"{labels}, line 1" in err
+    assert err.startswith("mom eval: error:") and f"{labels}:1:" in err
     assert not (tmp_path / "e").exists()
 
 
@@ -122,7 +122,7 @@ def test_eval_label_beyond_int64_is_data_error(tmp_path, capsys):
                  str(data / "features.bin"), "--labels", str(labels)])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"mom eval: error: {labels}, line 120: a label beyond 64 bits: '{2**63}'\n")
+        f"mom eval: error: {labels}:120: a label beyond 64 bits: '{2**63}'\n")
     assert not (tmp_path / "e").exists()
 
 

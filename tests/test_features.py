@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from momine.errors import (
+    BadAnchors,
     BadLabels,
     BadMagic,
+    BadPools,
     BadSpec,
     DimMismatch,
     NonFinite,
@@ -18,12 +20,13 @@ from momine.errors import (
     TruncatedFile,
     ZeroVector,
 )
-from momine.anchors import AnchorSet
+from momine.anchors import AnchorSet, load_anchors
 from momine.diffusion import DiffusionConfig
 from momine.evaluation import evaluate_embeddings, kmeans, nmi
 from momine.features import (
     FeatureSet,
     SyntheticSpec,
+    check_ids,
     generate_synthetic,
     MAGIC,
     l2_normalize,
@@ -35,7 +38,7 @@ from momine.features import (
     save_labels,
 )
 
-from momine.mining import MiningConfig, build_training_pool
+from momine.mining import MiningConfig, build_training_pool, load_pools
 
 from helpers import raises_with_peak
 
@@ -289,7 +292,7 @@ def test_labels_sidecar_round_trip(tmp_path):
 def test_labels_sidecar_non_integer_line_names_file_and_line(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n1\nx\n1\n")
-    with pytest.raises(BadLabels, match=r"labels\.txt, line 3: .*'x'"):
+    with pytest.raises(BadLabels, match=r"labels\.txt:3: .*'x'"):
         load_labels(path, 4)
 
 
@@ -297,7 +300,7 @@ def test_labels_sidecar_line_of_two_labels_names_file_and_line(tmp_path):
     # two lines of `0 1` are two lines, not four labels
     path = tmp_path / "labels.txt"
     path.write_text("\n0 1\n0 1\n")
-    with pytest.raises(BadLabels, match=r"labels\.txt, line 2: expected one integer, got '0 1'$"):
+    with pytest.raises(BadLabels, match=r"labels\.txt:2: expected one integer, got '0 1'$"):
         load_labels(path, 4)
     path.write_text("\n0\n\n1\n")  # blank lines are skipped
     assert load_labels(path, 2).tolist() == [0, 1]
@@ -307,10 +310,47 @@ def test_labels_sidecar_line_of_two_labels_names_file_and_line(tmp_path):
 def test_labels_sidecar_label_beyond_int64_names_file_and_line(tmp_path, label):
     path = tmp_path / "labels.txt"
     path.write_text(f"0\n{2**63 - 1}\n{-(2**63)}\n{label}\n")
-    with pytest.raises(BadLabels, match=rf"labels\.txt, line 4: a label beyond 64 bits: '{label}'"):
+    with pytest.raises(BadLabels, match=rf"labels\.txt:4: a label beyond 64 bits: '{label}'"):
         load_labels(path, 4)
     path.write_text(f"0\n{2**63 - 1}\n{-(2**63)}\n1\n")
     assert load_labels(path, 4).tolist() == [0, 2**63 - 1, -(2**63), 1]
+
+
+@pytest.mark.parametrize("kind", ["labels", "anchors", "pools"])
+def test_line_files_share_one_reader(tmp_path, kind):
+    # a good line, a blank and a whitespace-only line, then a bad one
+    load, error, good, bad = {
+        "labels": (lambda path: load_labels(path, 2), BadLabels, "3", "x"),
+        "anchors": (load_anchors, BadAnchors, "3 0.5", "3"),
+        "pools": (load_pools, BadPools, '{"anchor": 0, "positives": [], "negatives": []}', "{"),
+    }[kind]
+    path = tmp_path / "lines.txt"
+    path.write_text(f"{good}\n\n \t\n{bad}\n")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}:4: "):
+        load(path)
+    path.write_bytes(f"{good}\n".encode() + b"\xff\n")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: .*0xff"):
+        load(path)
+    path.write_text(" \n\t\n\n")
+    if kind == "labels":
+        with pytest.raises(DimMismatch, match=f"^{re.escape(str(path))}: 0 labels for n=2 items$"):
+            load(path)
+    elif kind == "anchors":
+        empty = load(path)
+        assert len(empty) == 0 and empty.anchor_ids.dtype == np.int64
+        assert empty.pi_values.dtype == np.float64 and empty.pi_values.shape == (0,)
+    else:
+        with pytest.raises(BadPools, match=f"^{re.escape(str(path))}: no pools$"):
+            load(path)
+
+
+@pytest.mark.parametrize("ids,named", [([2**64], 2**64), ([-1], -1), ([4], 4),
+                                       ([3, 7, 5, -(2**63) - 1, -2], -(2**63) - 1)],
+                         ids=["beyond-int64", "negative", "n", "smallest-named"])
+def test_check_ids_names_the_smallest_id_outside_the_range(ids, named):
+    with pytest.raises(BadPools, match=rf"^pool member id {named} out of range \[0, 4\)$"):
+        check_ids(ids, 4, BadPools, "pool member id")
+    assert check_ids([[3, 0], [1, 2]], 4, BadAnchors, "anchor id").tolist() == [3, 0, 1, 2]
 
 
 @pytest.mark.parametrize("entry", ["FeatureSet", "load_labels", "build_training_pool",

@@ -13,7 +13,7 @@ import momine.graph
 import momine.mining
 from momine.anchors import AnchorSet, select_anchors
 from momine.diffusion import DiffusionConfig, solve_columns
-from momine.errors import AllPoolsEmpty, BadAnchors, BadGraph, DimMismatch, LabelsMissing
+from momine.errors import AllPoolsEmpty, BadAnchors, BadGraph, BadPools, DimMismatch, LabelsMissing
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import NeighborGraph, build_reciprocal_graph, normalize_graph
 from momine.mining import (
@@ -356,6 +356,13 @@ def test_sample_epoch_tuples_skips_empty():
     cfg = MiningConfig(k_pos=3, k_neg=3, max_neg=2, hard_subset_size=1)
     tuples, skipped = sample_epoch_tuples(pool_table([full, empty], "none"), z, cfg, seed=0)
     assert all(len(col) == 1 for col in tuples) and skipped == 1
+
+
+def test_sample_epoch_tuples_names_a_member_beyond_the_embeddings():
+    pool = AnchorPools(anchor_id=0, positives=[(1, 0.9)], negatives=[(2, 0.8), (6, 0.7)])
+    cfg = MiningConfig(k_pos=3, k_neg=3, max_neg=2, hard_subset_size=1)
+    with pytest.raises(BadPools, match=r"^pool member id 6 out of range \[0, 4\)$"):
+        sample_epoch_tuples(pool_table([pool], "none"), np.eye(4), cfg, seed=0)
 
 
 def test_pools_jsonl_round_trip(tmp_path):

@@ -233,6 +233,12 @@ def _error_cases() -> dict:
             mom("mine", "--out", "mine", *features(labels=False), "--graph", "graph/graph.txt",
                 "--anchors", "anchors.txt", code=2),
         ],
+        "error-bad-pool-line": [
+            data, write("pools.jsonl", '{"anchor": 0, "positives": [[1, 0.5]], "negatives": '
+                        '[[2, 0.25]]}\n{"anchor": 1, "positives": [[3, 0.5]\n'),
+            mom("train", "--out", "train", *features(labels=False), "--pools", "pools.jsonl",
+                code=2),
+        ],
         "error-baseline-without-anchors": [
             data, write("anchors.txt", ""),
             mom("mine", "--out", "mine", *features(labels=False), "--anchors", "anchors.txt",
