@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import INT64, BadAnchors, EmptyGraph, read_lines
+from .errors import INT64, BadAnchors, EmptyGraph, check_fields, read_lines, ruled
 from .graph import NeighborGraph, components, top_k
 
 ANCHOR_MODES = ("maxima", "all")
@@ -13,14 +13,11 @@ ANCHOR_MODES = ("maxima", "all")
 
 @dataclass
 class AnchorsConfig:
-    count: int = 64
-    mode: str = "maxima"  # maxima | all (every non-isolated node, by pi)
+    count: int = ruled(64, ">= 1")
+    mode: str = ruled("maxima", ANCHOR_MODES)  # all: every non-isolated node, by pi
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count!r}")
-        if self.mode not in ANCHOR_MODES:
-            raise ValueError(f"mode must be 'maxima' or 'all', got {self.mode!r}")
+        check_fields(self, ValueError)
 
 
 @dataclass

@@ -1,51 +1,36 @@
 """The typed form of a `mom` run: its seed, its rounds and one section per
 prefix of the dotted config keys (`gen` is a SyntheticSpec, `diffusion`,
-`anchors`, `mining` and `train` are the stages' configs). A section's field
-defaults are its keys' defaults, and its __post_init__ holds their rules."""
+`anchors`, `mining`, `model` and `train` are the stages' configs). A
+section's field declares its key's default and, through errors.ruled, its
+rule; each section's __post_init__ runs errors.check_fields, which words
+every failure "<field> must be <rule>, got <value>", and then the few rules
+that tie two fields together."""
 
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 from .anchors import AnchorsConfig
 from .diffusion import DiffusionConfig
-from .errors import BadConfig, BadModel
+from .errors import BadConfig, check_fields, ruled
 from .features import SyntheticSpec
 from .mining import MiningConfig
-from .trainer import EmbeddingModel, TrainConfig
+from .trainer import ModelConfig, TrainConfig
 
 
 @dataclass
 class PrepConfig:
-    whiten_dims: int = 0  # PCA-whitened dimensions before l2 normalization; 0 = off
+    whiten_dims: int = ruled(0, ">= 0")  # PCA-whitened dimensions before l2 normalization; 0 = off
 
     def __post_init__(self):
-        if self.whiten_dims < 0:
-            raise ValueError(f"whiten_dims must be >= 0, got {self.whiten_dims!r}")
+        check_fields(self, ValueError)
 
 
 @dataclass
 class GraphConfig:
-    k: int = 30  # neighbours per item of the reciprocal kNN graph
+    k: int = ruled(30, ">= 1")  # neighbours per item of the reciprocal kNN graph
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k!r}")
-
-
-@dataclass
-class ModelConfig:
-    output_dim: int = 16
-    hidden_dim: int = 0  # 0 = one affine layer, else one ReLU hidden layer this wide
-
-    def __post_init__(self):
-        # EmbeddingModel's architecture rule, its message led by the field it names
-        try:
-            EmbeddingModel.check_architecture(self.output_dim, self.hidden_dim)
-        except BadModel as exc:
-            raise ValueError(f"{exc.field}: {exc}") from None
-
-    def initialize(self, input_dim: int, seed: int) -> EmbeddingModel:
-        return EmbeddingModel.initialize(input_dim, self.output_dim, self.hidden_dim, seed=seed)
+        check_fields(self, ValueError)
 
 
 @dataclass
@@ -67,7 +52,7 @@ class RunConfig:
     """One `mom` run. Its `seed` feeds the generator, the model's init, the
     baseline draws, the trainer and k-means alike."""
 
-    seed: int = 0
+    seed: int = ruled(0, ">= 0")
     gen: SyntheticSpec = field(default_factory=SyntheticSpec)
     prep: PrepConfig = field(default_factory=PrepConfig)
     graph: GraphConfig = field(default_factory=GraphConfig)
@@ -77,13 +62,10 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    rounds: int = 1  # alternating mine/train rounds
+    rounds: int = ruled(1, ">= 1")  # alternating mine/train rounds
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds!r}")
+        check_fields(self, ValueError)
 
     @classmethod
     def defaults(cls) -> dict:

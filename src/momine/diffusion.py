@@ -10,24 +10,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadAnchors
+from .errors import BadAnchors, check_fields, ruled
 from .features import check_ids
 from .graph import NormalizedOperator
 
 
 @dataclass
 class DiffusionConfig:
-    alpha: float = 0.99
-    tolerance: float = 1e-6
-    max_iterations: int = 100
+    alpha: float = ruled(0.99, "in [0, 1)")
+    tolerance: float = ruled(1e-6, "> 0")
+    max_iterations: int = ruled(100, ">= 1")
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        check_fields(self, ValueError)
 
 
 class SimilarityBlock(NamedTuple):

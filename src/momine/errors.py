@@ -1,11 +1,47 @@
-"""Exception types, and the readers (read_lines, read_binary) and writer that name their file."""
+"""Exception types, the one checker of the config fields' declared rules
+(ruled, check_fields), and the readers (read_lines, read_binary) and writer
+that name their file."""
 
 import json
 import os
 import struct
 from contextlib import contextmanager
+from dataclasses import field, fields
 
 INT64 = range(-(2**63), 2**63)  # the integers an int64 holds; `x in INT64` is O(1)
+# the range rules a config field may declare; NaN meets none of them
+RANGES = {
+    ">= 0": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    "> 0": lambda x: x > 0,
+    "in [0, 1)": lambda x: 0 <= x < 1,
+}
+
+
+def ruled(default, rule):
+    """A dataclass field of `default` whose values must meet `rule`: a key of
+    RANGES, or a tuple of the values allowed."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def rule_text(rule) -> str:
+    """A declared rule as its messages word it: the range, or "'a', 'b' or 'c'"."""
+    if isinstance(rule, str):
+        return rule
+    *head, last = map(repr, rule)
+    return f"{', '.join(head)} or {last}"
+
+
+def check_fields(section, error) -> None:
+    """`error` "<field> must be <rule>, got <value!r>" for the first field of
+    the dataclass instance `section` whose value breaks its declared rule."""
+    for item in fields(section):
+        rule = item.metadata.get("rule")
+        if rule is None:
+            continue
+        value = getattr(section, item.name)
+        if not (value in rule if isinstance(rule, tuple) else RANGES[rule](value)):
+            raise error(f"{item.name} must be {rule_text(rule)}, got {value!r}")
 
 
 class MomineError(Exception):
@@ -28,7 +64,7 @@ class BadConfig(MomineError):
     """A configuration value cannot be parsed or is out of range."""
 
 
-class BadSpec(MomineError):
+class BadSpec(MomineError, ValueError):
     """Invalid synthetic dataset specification."""
 
 
@@ -49,12 +85,7 @@ class EmptyGraph(MomineError, ValueError):
 
 
 class BadModel(MomineError, ValueError):
-    """A model that breaks the architecture rule (`field` names the value), or
-    whose layers numpy cannot allocate (`field` None)."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
+    """A model that breaks the architecture rule, or whose layers numpy cannot allocate."""
 
 
 class TrailingBytes(MomineError):

@@ -19,8 +19,10 @@ from .errors import (
     NonFinite,
     RankDeficient,
     ZeroVector,
+    check_fields,
     read_binary,
     read_lines,
+    ruled,
     write_binary,
 )
 
@@ -96,21 +98,16 @@ class SyntheticSpec:
     blob standard deviation.
     """
 
-    kind: str = "moons"
-    per_class: int = 200
-    classes: int = 2
-    ambient_dim: int = 16
-    noise: float = 0.15
+    kind: str = ruled("moons", SYNTHETIC_KINDS)
+    per_class: int = ruled(200, ">= 1")
+    classes: int = ruled(2, ">= 1")
+    ambient_dim: int = ruled(16, ">= 1")
+    noise: float = ruled(0.15, ">= 0")
 
     def __post_init__(self):
-        if self.kind not in SYNTHETIC_KINDS:
-            raise BadSpec(f"unknown kind {self.kind!r}; expected one of {SYNTHETIC_KINDS}")
-        if self.per_class < 1 or self.classes < 1 or self.ambient_dim < 1:
-            raise BadSpec("per_class, classes and ambient_dim must be positive")
+        check_fields(self, BadSpec)
         if self.kind == "moons" and self.classes != 2:
-            raise BadSpec("moons has exactly 2 classes")
-        if not self.noise >= 0:
-            raise BadSpec("noise must be non-negative")
+            raise BadSpec(f"classes must be 2 for kind 'moons', got {self.classes!r}")
 
 
 def l2_normalize(features: FeatureSet) -> FeatureSet:
@@ -253,6 +250,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
             if spec.noise > 0:
                 pts = pts + spec.noise * rng.normal(size=pts.shape)
             pts = pts.astype(np.float32).astype(np.float64)
+    except BadSpec:
+        raise
     except (ValueError, MemoryError):  # numpy: too many dimensions, too big, or no memory
         raise BadSpec(f"{spec.classes} classes of {spec.per_class} items in "
                       f"{spec.ambient_dim} dimensions do not fit in memory") from None

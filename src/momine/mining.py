@@ -17,7 +17,7 @@ import numpy as np
 
 from .diffusion import DiffusionConfig, solve_columns
 from .errors import (AllPoolsEmpty, BadAnchors, BadGraph, BadPools, DimMismatch, LabelsMissing,
-                     read_lines)
+                     check_fields, read_lines, ruled)
 from .features import FeatureSet, check_ids, check_labels
 from .graph import NormalizedOperator, _run_blocks, gram_rows, similarity, top_k
 
@@ -33,30 +33,20 @@ ANCHOR_CELLS = 2**17
 
 @dataclass
 class MiningConfig:
-    k_pos: int = 50
-    k_neg: int = 100
-    max_pos: int = 0  # 0 = unlimited
-    max_neg: int = 50
-    hard_subset_size: int = 10
-    mode: str = "mined"  # mined | baseline (Euclidean-NN positives, drawn negatives)
-    baseline_k: int = 5  # the baseline's positives
-    oracle: str = "none"  # none | positive | negative: that side from the labels
+    k_pos: int = ruled(50, ">= 1")
+    k_neg: int = ruled(100, ">= 1")
+    max_pos: int = ruled(0, ">= 0")  # 0 = unlimited
+    max_neg: int = ruled(50, ">= 1")
+    hard_subset_size: int = ruled(10, ">= 1")  # and <= max_neg
+    mode: str = ruled("mined", ("mined", "baseline"))  # baseline: Euclidean kNN, drawn negatives
+    baseline_k: int = ruled(5, ">= 1")  # the baseline's positives
+    oracle: str = ruled("none", ("none", "positive", "negative"))  # that side from the labels
 
     def __post_init__(self):
-        if self.k_pos < 1 or self.k_neg < 1:
-            raise ValueError("k_pos and k_neg must be >= 1")
-        if self.max_pos < 0:
-            raise ValueError(f"max_pos must be >= 0 (0 = unlimited), got {self.max_pos!r}")
-        if self.max_neg < 1:
-            raise ValueError("max_neg must be >= 1")
-        if not 1 <= self.hard_subset_size <= self.max_neg:
-            raise ValueError("hard_subset_size must be in [1, max_neg]")
-        if self.mode not in ("mined", "baseline"):
-            raise ValueError(f"mode must be 'mined' or 'baseline', got {self.mode!r}")
-        if self.baseline_k < 1:
-            raise ValueError(f"baseline_k must be >= 1, got {self.baseline_k!r}")
-        if self.oracle not in ("none", "positive", "negative"):
-            raise ValueError(f"oracle must be 'none', 'positive' or 'negative', got {self.oracle!r}")
+        check_fields(self, ValueError)
+        if self.hard_subset_size > self.max_neg:
+            raise ValueError(f"hard_subset_size must be <= max_neg ({self.max_neg}),"
+                             f" got {self.hard_subset_size!r}")
 
 
 @dataclass
@@ -364,7 +354,7 @@ def load_pools(path) -> list:
     naming the file and line, on a line that is not an object with an integer
     "anchor" and "positives" and "negatives" lists of [id, weight] pairs
     (ids below 2^63, both >= 0, weights finite), and on a file without pools."""
-    pools = read_lines(path, BadPools, lambda line: _pool_from_json(json.loads(line)))
+    pools = read_lines(path, BadPools, lambda line: _pool_from_json(json.loads(line.rstrip())))
     if not pools:
         raise BadPools(f"{path}: no pools")
     return pools

@@ -20,7 +20,9 @@ from .errors import (
     DimMismatch,
     Diverged,
     NonFinite,
+    check_fields,
     read_binary,
+    ruled,
     write_binary,
 )
 from .features import FeatureSet, check_ids
@@ -39,6 +41,20 @@ def _layer_dims(input_dim, output_dim, hidden_dim):
 
 
 @dataclass
+class ModelConfig:
+    """The architecture of an EmbeddingModel, checked with BadModel."""
+
+    output_dim: int = ruled(16, ">= 1")
+    hidden_dim: int = ruled(0, ">= 0")  # 0 = one affine layer, else a ReLU hidden layer this wide
+
+    def __post_init__(self):
+        check_fields(self, BadModel)
+
+    def initialize(self, input_dim: int, seed: int) -> "EmbeddingModel":
+        return EmbeddingModel.initialize(input_dim, self.output_dim, self.hidden_dim, seed=seed)
+
+
+@dataclass
 class EmbeddingModel:
     """Parametric map to the unit sphere: affine (+ a ReLU hidden layer when
     hidden_dim > 0), then l2 normalization."""
@@ -49,21 +65,12 @@ class EmbeddingModel:
     layers: list = field(default_factory=list)  # [[W, b], ...]
 
     def __post_init__(self):
-        self.check_architecture(self.output_dim, self.hidden_dim)
+        ModelConfig(self.output_dim, self.hidden_dim)
         dims = _layer_dims(self.input_dim, self.output_dim, self.hidden_dim)
         shapes = [((fan_out, fan_in), (fan_out,)) for fan_out, fan_in in dims]
         got = [(w.shape, b.shape) for w, b in self.layers]
         if got != shapes:
             raise ValueError(f"parameter shapes {got} do not match architecture {shapes}")
-
-    @staticmethod
-    def check_architecture(output_dim, hidden_dim) -> None:
-        """The architecture rule: output_dim >= 1 and hidden_dim >= 0. Raises
-        BadModel whose `field` names the first value that breaks it."""
-        if output_dim < 1:
-            raise BadModel(f"a model cannot have output_dim={output_dim}", "output_dim")
-        if hidden_dim < 0:
-            raise BadModel(f"a model cannot have hidden_dim={hidden_dim}", "hidden_dim")
 
     @classmethod
     def initialize(cls, input_dim, output_dim, hidden_dim=0, seed=0):
@@ -74,11 +81,10 @@ class EmbeddingModel:
         seeded orthonormal projection (reducing), so the epoch-0 embedding
         equals the normalized input features. The two layers around a hidden
         one get seeded Gaussians scaled by 1/sqrt(fan_in); biases are zero.
-        Raises BadModel before allocating when the sizes break the
-        architecture rule, or naming them when numpy cannot allocate the
-        layers.
+        Raises BadModel before allocating when the sizes break ModelConfig's
+        rules, or naming them when numpy cannot allocate the layers.
         """
-        cls.check_architecture(output_dim, hidden_dim)
+        ModelConfig(output_dim, hidden_dim)
         rng = np.random.default_rng(seed)
         try:
             if not hidden_dim:
@@ -210,38 +216,21 @@ def sgd_momentum_step(params: list, grads: list, velocity: list, lr: float, mome
 
 @dataclass
 class TrainConfig:
-    loss: str = "contrastive"
-    margin: float = 0.0  # 0 = the loss's default: 0.7 contrastive, 0.5 triplet and triplet-literal
-    lr0: float = 0.01
-    lr_decay: float = 0.1
-    lr_decay_every: int = 10
-    momentum: float = 0.9
-    batch_size: int = 42
-    epochs: int = 30
-    weight_normalization: str = "per-anchor-max"  # or "none" or "unit": mining.pool_table
+    loss: str = ruled("contrastive", tuple(_LOSSES))
+    margin: float = ruled(0.0, ">= 0")  # 0 = the loss's: 0.7 contrastive, else 0.5
+    lr0: float = ruled(0.01, "> 0")
+    lr_decay: float = ruled(0.1, "> 0")
+    lr_decay_every: int = ruled(10, ">= 1")
+    momentum: float = ruled(0.9, "in [0, 1)")
+    batch_size: int = ruled(42, ">= 1")
+    epochs: int = ruled(30, ">= 0")
+    # the tuple weights of mining.pool_table
+    weight_normalization: str = ruled("per-anchor-max", ("per-anchor-max", "none", "unit"))
 
     def __post_init__(self):
-        if self.loss not in _LOSSES:
-            raise ValueError(f"loss must be one of {sorted(_LOSSES)}, got {self.loss!r}")
-        if not self.margin >= 0:
-            raise ValueError(f"margin must be >= 0 (0 = per-loss default), got {self.margin!r}")
+        check_fields(self, ValueError)
         if not self.margin:
             self.margin = 0.7 if self.loss == "contrastive" else 0.5
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
-        if not self.lr0 > 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
-        if not self.lr_decay > 0:
-            raise ValueError(f"lr_decay must be positive, got {self.lr_decay}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr_decay_every < 1:
-            raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_normalization not in ("per-anchor-max", "none", "unit"):
-            raise ValueError("weight_normalization must be 'per-anchor-max', 'none' or 'unit',"
-                             f" got {self.weight_normalization!r}")
 
 
 def train(
@@ -321,12 +310,11 @@ def load_model(path) -> EmbeddingModel:
         if code >= len(_KINDS):
             raise BadMagic(f"{path}: unknown model kind code {code}")
         try:
-            EmbeddingModel.check_architecture(d_out, hidden)
+            ModelConfig(d_out, hidden)
         except BadModel as exc:
-            raise BadModel(f"{path}: {exc}", exc.field) from None
+            raise BadModel(f"{path}: {exc}") from None
         if code != (hidden > 0):
-            raise BadModel(f"{path}: a {_KINDS[code]} model cannot have hidden_dim={hidden}",
-                           "hidden_dim")
+            raise BadModel(f"{path}: a {_KINDS[code]} model cannot have hidden_dim={hidden}")
         return sum(o * i + o for o, i in _layer_dims(d_in, d_out, hidden)) * 4
 
     (_, d_in, d_out, hidden), payload = read_binary(path, MODEL_MAGIC, "<IIII", payload_size)

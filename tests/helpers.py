@@ -6,11 +6,12 @@ paths they are checking.
 """
 
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
 
+from momine.config import RunConfig
 from momine.diffusion import SimilarityBlock, solve_columns
 from momine.errors import EmptyGraph
 from momine.evaluation import _row_aps
@@ -29,6 +30,14 @@ from momine.mining import AnchorPools, _block_pools
 from momine.trainer import _LOSSES, _backward, _forward_cache, forward, sgd_momentum_step
 
 DENSE_ORACLE_LIMIT = 2000
+
+
+def declared_rule(key):
+    """The rule that a `mom` key's dataclass field declares, or None: read off
+    the field itself, a section's key `<section>.<field>`."""
+    head, _, name = key.rpartition(".")
+    section = type(getattr(RunConfig(), head)) if head else RunConfig
+    return next(item for item in fields(section) if item.name == name).metadata.get("rule")
 
 
 def graph_from_edges(n, k, edges):

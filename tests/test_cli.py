@@ -871,7 +871,7 @@ def test_a_nonpositive_lr_decay_exits_two_before_any_work(tmp_path, capsys, valu
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err == (
-        f"mom pipeline: error: train.lr_decay must be positive, got {float(value)}\n")
+        f"mom pipeline: error: train.lr_decay must be > 0, got {float(value)}\n")
 
 
 def test_pipeline_with_one_label_exits_two_before_any_work(tmp_path, capsys):

@@ -14,6 +14,8 @@ from momine.graph import build_reciprocal_graph, load_graph, normalize_graph
 from momine.mining import MiningConfig, build_training_pool, save_pools
 from momine.trainer import save_model, train
 
+from helpers import declared_rule
+
 # mom's 34 keys, each with its default and so its type
 DEFAULTS = {
     "seed": 0,
@@ -95,15 +97,35 @@ def test_the_run_seed_feeds_the_trainer(tmp_path, monkeypatch, capsys):
     ({"graph.k": 0}, "graph.k must be >= 1, got 0"),
     ({"prep.whiten_dims": -2}, "prep.whiten_dims must be >= 0, got -2"),
     ({"anchors.mode": "bogus"}, "anchors.mode must be 'maxima' or 'all', got 'bogus'"),
-    ({"mining.max_pos": -5}, "mining.max_pos must be >= 0 (0 = unlimited), got -5"),
-    ({"model.hidden_dim": -1}, "model.hidden_dim: a model cannot have hidden_dim=-1"),
+    ({"mining.max_pos": -5}, "mining.max_pos must be >= 0, got -5"),
+    ({"model.hidden_dim": -1}, "model.hidden_dim must be >= 0, got -1"),
     ({"eval.ks": "0,1"}, "eval.ks must list recall depths >= 1, got '0,1'"),
     ({"diffusion.alpha": 1.5}, "diffusion.alpha must be in [0, 1), got 1.5"),
+    ({"gen.per_class": 0}, "gen.per_class must be >= 1, got 0"),
+    ({"gen.kind": "x"}, "gen.kind must be 'moons', 'circles', 'swiss-roll' or 'clusters', got 'x'"),
+    ({"gen.classes": 3}, "gen.classes must be 2 for kind 'moons', got 3"),
+    ({"mining.k_neg": 0}, "mining.k_neg must be >= 1, got 0"),
+    ({"mining.hard_subset_size": 51}, "mining.hard_subset_size must be <= max_neg (50), got 51"),
+    ({"train.momentum": 1.0}, "train.momentum must be in [0, 1), got 1.0"),
+    ({"model.output_dim": 0}, "model.output_dim must be >= 1, got 0"),
 ])
 def test_a_rejected_value_is_reported_under_its_dotted_key(flat, message):
     with pytest.raises(BadConfig) as caught:
         RunConfig.from_flat(flat)
     assert str(caught.value) == message
+
+
+# a value just outside each range rule
+OUTSIDE = {">= 0": -1, ">= 1": 0, "> 0": 0, "in [0, 1)": 1}
+
+
+@pytest.mark.parametrize("key", [key for key in DEFAULTS if isinstance(declared_rule(key), str)])
+def test_every_range_rule_rejects_a_value_just_outside_it(key):
+    rule = declared_rule(key)
+    value = type(DEFAULTS[key])(OUTSIDE[rule])
+    with pytest.raises(BadConfig) as caught:
+        RunConfig.from_flat({key: value})
+    assert str(caught.value) == f"{key} must be {rule}, got {value!r}"
 
 
 @pytest.mark.parametrize("key", [
@@ -133,7 +155,7 @@ def test_a_value_of_another_type_is_named_in_bad_config(flat, message):
 def test_each_section_checks_its_own_values():
     with pytest.raises(ValueError, match="^count must be >= 1, got 0$"):
         AnchorsConfig(count=0)
-    with pytest.raises(ValueError, match="^hidden_dim: a model cannot have hidden_dim=-1$"):
+    with pytest.raises(ValueError, match="^hidden_dim must be >= 0, got -1$"):
         ModelConfig(hidden_dim=-1)
     with pytest.raises(ValueError, match="^ks must list recall depths >= 1"):
         EvalConfig(ks="2,x")

@@ -133,7 +133,7 @@ def test_solve_column_validates_inputs():
     with pytest.raises(ValueError):
         DiffusionConfig(alpha=1.0)
     for value in (0.0, -1e-9, float("nan")):  # NaN fails "not tolerance > 0" too
-        with pytest.raises(ValueError, match="tolerance must be positive"):
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
             DiffusionConfig(tolerance=value)
 
 

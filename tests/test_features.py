@@ -342,6 +342,12 @@ def test_line_files_share_one_reader(tmp_path, kind):
     else:
         with pytest.raises(BadPools, match=f"^{re.escape(str(path))}: no pools$"):
             load(path)
+        # a JSON position counts within the line, its line end left out
+        path.write_text(f"{good}\n\n{good}\n \n" + '{"anchor": 1, "positives": [[3, 0.5]\n')
+        with pytest.raises(BadPools) as caught:
+            load(path)
+        assert str(caught.value) == (f"{path}:5: JSONDecodeError: Expecting ',' delimiter: "
+                                     "line 1 column 37 (char 36)")
 
 
 @pytest.mark.parametrize("ids,named", [([2**64], 2**64), ([-1], -1), ([4], 4),

@@ -256,7 +256,7 @@ def test_oracle_pools_modes():
 def test_max_pos_below_one_is_rejected(max_pos):
     # a slice [:-3] would drop a pool's tail; 0 is unlimited, as mom's
     # mining.max_pos 0 is
-    with pytest.raises(ValueError, match=r"^max_pos must be >= 0 \(0 = unlimited\)"):
+    with pytest.raises(ValueError, match=r"^max_pos must be >= 0, got "):
         MiningConfig(max_pos=max_pos)
     assert MiningConfig(max_pos=0).max_pos == MiningConfig().max_pos == 0
 

@@ -136,9 +136,8 @@ def test_initialize_checks_the_architecture_before_allocating(output_dim, hidden
         warnings.simplefilter("error")  # numpy's divide-by-zero RuntimeWarning included
         with pytest.raises(BadModel) as exc:
             EmbeddingModel.initialize(8, output_dim, hidden_dim)
-    assert exc.value.field == field and "does not fit" not in str(exc.value)
-    value = {"output_dim": output_dim, "hidden_dim": hidden_dim}[field]
-    assert str(exc.value) == f"a model cannot have {field}={value}"
+    value, rule = {"output_dim": (output_dim, ">= 1"), "hidden_dim": (hidden_dim, ">= 0")}[field]
+    assert str(exc.value) == f"{field} must be {rule}, got {value}"
     assert isinstance(exc.value, ValueError)
 
 
@@ -621,6 +620,14 @@ def test_load_model_rejects_a_kind_and_hidden_width_that_disagree(tmp_path, code
     kind = ("linear", "mlp")[code]
     with pytest.raises(BadModel, match=f"bad.bin: a {kind} model cannot have hidden_dim={hidden}$"):
         load_model(path)
+
+
+def test_load_model_names_the_file_and_the_width_rule(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(MODEL_MAGIC + struct.pack("<IIII", 0, 4, 0, 0))
+    with pytest.raises(BadModel) as caught:
+        load_model(path)
+    assert str(caught.value) == f"{path}: output_dim must be >= 1, got 0"
 
 
 @pytest.mark.parametrize("hidden", [0, 5], ids=["linear-0", "mlp-5"])

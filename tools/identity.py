@@ -176,6 +176,7 @@ def _error_cases() -> dict:
     data = gen("data")
     return {
         "error-bad-config-value": [mom("gen", "--out", "bad", "--set", "graph.k", "abc", code=2)],
+        "error-gen-spec": [mom("gen", "--out", "bad", "--set", "gen.per_class", "0", code=2)],
         "error-bad-label-file": [
             data, write("labels.txt", "a\nb\n"),
             mom("eval", "--out", "eval", *features(labels=False), "--labels", "labels.txt",
