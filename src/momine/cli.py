@@ -2,8 +2,11 @@
 chained `pipeline` with optional alternating rounds.
 
 Every subcommand reads a flat dotted-key JSON config (CLI flags win) and its
-inputs, and only then creates the output directory, writes its resolved
-config next to its outputs and prints a one-line summary.
+inputs, computes its results and returns them as (file name, saver, value)
+entries with its summary lines. `main` is the one writer: once the command
+has returned, it creates the output directory, writes the resolved
+config.json and each file next to it, and prints the lines, so a command
+that fails writes nothing.
 Exit codes: 0 success, 1 usage error, 2 data error; a warning prints as one
 line, "mom <command>: warning: <message>". Artifacts contain no
 timestamps, so a fixed seed reproduces them byte for byte.
@@ -84,14 +87,22 @@ def _write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_config(cfg: dict, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg, out / "config.json")
-
-
 def _anchor_set(graph, pi, cfg) -> AnchorSet:
     """select_anchors per the flat config, whose anchors.count bench/spans.py reads."""
     return select_anchors(graph, pi, cfg["anchors.count"], cfg["anchors.mode"])
+
+
+def _anchors(graph, cfg, run, path):
+    """The graph's anchors and the `anchors: ...` line that names `path`."""
+    pi, parts = stationary(graph)
+    anchor_set = _anchor_set(graph, pi, cfg)
+    return anchor_set, (f"anchors: {len(anchor_set)} of requested {run.anchors.count}"
+                        f" (stationary: closed form, {parts} components) -> {path}")
+
+
+def _evaluate(emb, labels, run):
+    """evaluate_embeddings at the run's recall depths and seed."""
+    return evaluate_embeddings(emb, labels, ks=run.eval.depths, seed=run.seed)
 
 
 def _prepare(feats, run) -> FeatureSet:
@@ -110,44 +121,24 @@ def _labels(args, run, n):
 
 def cmd_gen(args, cfg, run, out: Path):
     feats = generate_synthetic(run.gen, run.seed)
-    _write_config(cfg, out)
-    save_features(feats, out / "features.bin")
-    save_labels(feats.labels, out / "labels.txt")
-    print(
+    return [("features.bin", save_features, feats), ("labels.txt", save_labels, feats.labels)], [
         f"gen: {run.gen.kind} n={feats.n} d={feats.d} noise={run.gen.noise}"
         f" -> {out / 'features.bin'}"
-    )
-    return 0
+    ]
 
 
 def cmd_graph(args, cfg, run, out: Path):
-    feats = _prepare(load_features(args.features), run)
-    graph = build_reciprocal_graph(feats, run.graph.k)
-    _write_config(cfg, out)
-    save_graph(graph, out / "graph.txt")
+    graph = build_reciprocal_graph(_prepare(load_features(args.features), run), run.graph.k)
     isolated = int(np.sum(graph.degrees == 0))
-    print(
+    return [("graph.txt", save_graph, graph)], [
         f"graph: n={graph.n} k={graph.k} edges={graph.adjacency.nnz // 2}"
         f" isolated={isolated} -> {out / 'graph.txt'}"
-    )
-    return 0
-
-
-def _anchors_line(anchor_set, parts, run, path) -> str:
-    return (
-        f"anchors: {len(anchor_set)} of requested {run.anchors.count}"
-        f" (stationary: closed form, {parts} components) -> {path}"
-    )
+    ]
 
 
 def cmd_anchors(args, cfg, run, out: Path):
-    graph = load_graph(args.graph)
-    pi, parts = stationary(graph)
-    anchor_set = _anchor_set(graph, pi, cfg)
-    _write_config(cfg, out)
-    save_anchors(anchor_set, out / "anchors.txt")
-    print(_anchors_line(anchor_set, parts, run, out / "anchors.txt"))
-    return 0
+    anchor_set, line = _anchors(load_graph(args.graph), cfg, run, out / "anchors.txt")
+    return [("anchors.txt", save_anchors, anchor_set)], [line]
 
 
 def cmd_mine(args, cfg, run, out: Path):
@@ -157,16 +148,13 @@ def cmd_mine(args, cfg, run, out: Path):
     labels = _labels(args, run, feats.n)
     pools, _ = build_training_pool(anchor_set, feats, operator, run.diffusion, run.mining,
                                    labels, run.seed)
-    _write_config(cfg, out)
-    save_pools(pools, out / "pools.jsonl")
     n_pos = sum(len(p.positives) for p in pools)
     n_neg = sum(len(p.negatives) for p in pools)
-    print(
+    return [("pools.jsonl", save_pools, pools)], [
         f"mine: {len(pools)} anchors, {n_pos} positives, {n_neg} negatives"
         f" (mode={run.mining.mode}, oracle={run.mining.oracle})"
         f" -> {out / 'pools.jsonl'}"
-    )
-    return 0
+    ]
 
 
 def cmd_train(args, cfg, run, out: Path):
@@ -174,16 +162,12 @@ def cmd_train(args, cfg, run, out: Path):
     pools = load_pools(args.pools)
     model = run.model.initialize(feats.d, run.seed)
     model, log = train(feats, pools, model, run.train, run.mining, run.seed)
-    _write_config(cfg, out)
-    save_model(model, out / "model.bin")
-    save_train_log(log, out / "train_log.csv")
     last = log[-1]["mean_loss"] if log else float("nan")
-    print(
+    return [("model.bin", save_model, model), ("train_log.csv", save_train_log, log)], [
         f"train: {run.train.epochs} epochs, loss={run.train.loss}"
         f" weights={run.train.weight_normalization}, final mean loss {last:.6g}"
         f" -> {out / 'model.bin'}"
-    )
-    return 0
+    ]
 
 
 def _write_report(report, path) -> None:
@@ -195,21 +179,15 @@ def cmd_eval(args, cfg, run, out: Path):
     feats = _prepare(load_features(args.features), run)
     labels = load_labels(args.labels, feats.n)
     if args.model:
-        model = load_model(args.model)
-        emb = forward(model, feats.data)
-        name = "report.json"
+        emb, name = forward(load_model(args.model), feats.data), "report.json"
     else:
-        emb = feats.data
-        name = "initial_report.json"
-    report = evaluate_embeddings(emb, labels, ks=run.eval.depths, seed=run.seed)
-    _write_config(cfg, out)
-    _write_report(report, out / name)
+        emb, name = feats.data, "initial_report.json"
+    report = _evaluate(emb, labels, run)
     k = min(report.recall_at)
-    print(
+    return [(name, _write_report, report)], [
         f"eval: recall@{k}={report.recall_at[k]:.4f} nmi={report.nmi:.4f}"
         f" map={report.map_score:.4f} -> {out / name}"
-    )
-    return 0
+    ]
 
 
 def cmd_pipeline(args, cfg, run, out: Path):
@@ -226,43 +204,38 @@ def cmd_pipeline(args, cfg, run, out: Path):
         recall_depths(run.eval.depths, feats.n)
         check_labels_differ(labels)
     model = run.model.initialize(feats.d, run.seed)
-    _write_config(cfg, out)
-    save_features(feats_raw, out / "features.bin")
+    files = [("features.bin", save_features, feats_raw)]
     if labels is not None:
-        save_labels(labels, out / "labels.txt")
+        files.append(("labels.txt", save_labels, labels))
+    lines = []
     for rnd in range(1, run.rounds + 1):
         suffix = "" if rnd == 1 else f".round{rnd}"
         space = feats if rnd == 1 else FeatureSet(forward(model, feats.data))
         graph = build_reciprocal_graph(space, run.graph.k)
-        save_graph(graph, out / f"graph{suffix}.txt")
-        pi, parts = stationary(graph)
-        anchor_set = _anchor_set(graph, pi, cfg)
-        anchors_path = out / f"anchors{suffix}.txt"
-        save_anchors(anchor_set, anchors_path)
-        print(f"round {rnd}: " + _anchors_line(anchor_set, parts, run, anchors_path))
+        anchors_name = f"anchors{suffix}.txt"
+        anchor_set, line = _anchors(graph, cfg, run, out / anchors_name)
+        lines.append(f"round {rnd}: {line}")
         operator = normalize_graph(graph) if run.mining.mode == "mined" else None
         pools, _ = build_training_pool(anchor_set, space, operator, run.diffusion, run.mining,
                                        labels, run.seed)
-        save_pools(pools, out / f"pools{suffix}.jsonl")
         model, log = train(feats, pools, model, run.train, run.mining, run.seed)
-        save_train_log(log, out / f"train_log{suffix}.csv")
-    save_model(model, out / "model.bin")
-
-    if labels is not None:
-        initial = evaluate_embeddings(feats.data, labels, ks=run.eval.depths, seed=run.seed)
-        _write_report(initial, out / "initial_report.json")
-        trained = evaluate_embeddings(forward(model, feats.data), labels, ks=run.eval.depths,
-                                      seed=run.seed)
-        _write_report(trained, out / "report.json")
-        k = min(initial.recall_at)
-        print(
-            f"pipeline: rounds={run.rounds} recall@{k} initial={initial.recall_at[k]:.4f}"
-            f" trained={trained.recall_at[k]:.4f} -> {out / 'report.json'}"
-        )
-    else:
-        print(f"pipeline: rounds={run.rounds} trained model -> {out / 'model.bin'}"
-              " (no labels, no eval)")
-    return 0
+        files += [(f"graph{suffix}.txt", save_graph, graph),
+                  (anchors_name, save_anchors, anchor_set),
+                  (f"pools{suffix}.jsonl", save_pools, pools),
+                  (f"train_log{suffix}.csv", save_train_log, log)]
+    files.append(("model.bin", save_model, model))
+    if labels is None:
+        return files, lines + [f"pipeline: rounds={run.rounds} trained model"
+                               f" -> {out / 'model.bin'} (no labels, no eval)"]
+    initial = _evaluate(feats.data, labels, run)
+    trained = _evaluate(forward(model, feats.data), labels, run)
+    k = min(initial.recall_at)
+    files += [("initial_report.json", _write_report, initial),
+              ("report.json", _write_report, trained)]
+    return files, lines + [
+        f"pipeline: rounds={run.rounds} recall@{k} initial={initial.recall_at[k]:.4f}"
+        f" trained={trained.recall_at[k]:.4f} -> {out / 'report.json'}"
+    ]
 
 
 def _add_common(p):
@@ -342,7 +315,14 @@ def main(argv=None) -> int:
             run = RunConfig.from_flat(cfg)  # checks every value before any work
             if args.command == "mine" and not args.graph and run.mining.mode == "mined":
                 parser.error("mine needs --graph for mined pools; baseline pools need none")
-            return _COMMANDS[args.command](args, cfg, run, Path(args.out))
+            out = Path(args.out)
+            files, lines = _COMMANDS[args.command](args, cfg, run, out)
+            out.mkdir(parents=True, exist_ok=True)
+            _write_json(cfg, out / "config.json")
+            for name, save, value in files:
+                save(value, out / name)
+            print(*lines, sep="\n")
+            return 0
         except (MomineError, OSError) as exc:
             print(f"mom {args.command}: error: {exc}", file=sys.stderr)
             return 2

@@ -28,7 +28,9 @@ from .errors import (
 
 MAGIC = b"MOM1"
 
-SYNTHETIC_KINDS = ("moons", "circles", "swiss-roll", "clusters")
+# each generator kind's intrinsic dimension, the fewest ambient_dim it takes
+INTRINSIC_DIMS = {"moons": 2, "circles": 2, "swiss-roll": 3, "clusters": 2}
+SYNTHETIC_KINDS = tuple(INTRINSIC_DIMS)
 
 WHITEN_EPSILON = 1e-9  # eigenvalue floor and regularizer of the whitening scale
 
@@ -108,6 +110,9 @@ class SyntheticSpec:
         check_fields(self, BadSpec)
         if self.kind == "moons" and self.classes != 2:
             raise BadSpec(f"classes must be 2 for kind 'moons', got {self.classes!r}")
+        if self.ambient_dim < INTRINSIC_DIMS[self.kind]:
+            raise BadSpec(f"ambient_dim must be >= {INTRINSIC_DIMS[self.kind]} for kind "
+                          f"{self.kind!r}, got {self.ambient_dim!r}")
 
 
 def l2_normalize(features: FeatureSet) -> FeatureSet:
@@ -232,8 +237,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
         pts = _intrinsic_points(spec, rng)
         labels = np.repeat(np.arange(spec.classes), spec.per_class)
         q = pts.shape[1]
-        if spec.ambient_dim < q:
-            raise BadSpec(f"ambient_dim {spec.ambient_dim} below intrinsic dimension {q}")
         if spec.ambient_dim > q:
             basis, _ = np.linalg.qr(rng.normal(size=(spec.ambient_dim, q)))
             pts = pts @ basis.T
@@ -250,8 +253,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> FeatureSet:
             if spec.noise > 0:
                 pts = pts + spec.noise * rng.normal(size=pts.shape)
             pts = pts.astype(np.float32).astype(np.float64)
-    except BadSpec:
-        raise
     except (ValueError, MemoryError):  # numpy: too many dimensions, too big, or no memory
         raise BadSpec(f"{spec.classes} classes of {spec.per_class} items in "
                       f"{spec.ambient_dim} dimensions do not fit in memory") from None

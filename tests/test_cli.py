@@ -894,7 +894,21 @@ def test_pipeline_whose_weights_leave_float32_exits_two_without_a_model(tmp_path
     assert code == 2
     assert capsys.readouterr().err == (
         "mom pipeline: error: a model parameter left float32's range at epoch 0\n")
-    assert not (out / "model.bin").exists()
+    assert not out.exists()
+
+
+def test_pipeline_whose_round_mines_no_pool_exits_two_without_out(tmp_path, capsys):
+    # one anchor whose single manifold and Euclidean neighbours agree: both pools empty
+    out = tmp_path / "run"
+    code = main(["pipeline", "--out", str(out), "--set", "gen.kind", "circles",
+                 "--set", "gen.per_class", "100", "--set", "anchors.count", "1",
+                 "--set", "mining.k_pos", "1", "--set", "mining.k_neg", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("mom pipeline: warning: dropped 1 anchors with empty pools\n"
+                            "mom pipeline: error: every anchor produced empty pools\n")
+    assert not out.exists()
 
 
 GOOD_POOL_LINE = '{"anchor": 0, "positives": [[1, 0.5]], "negatives": [[2, 0.25]]}\n'

@@ -108,6 +108,8 @@ def test_the_run_seed_feeds_the_trainer(tmp_path, monkeypatch, capsys):
     ({"mining.hard_subset_size": 51}, "mining.hard_subset_size must be <= max_neg (50), got 51"),
     ({"train.momentum": 1.0}, "train.momentum must be in [0, 1), got 1.0"),
     ({"model.output_dim": 0}, "model.output_dim must be >= 1, got 0"),
+    ({"gen.kind": "swiss-roll", "gen.ambient_dim": 2},
+     "gen.ambient_dim must be >= 3 for kind 'swiss-roll', got 2"),
 ])
 def test_a_rejected_value_is_reported_under_its_dotted_key(flat, message):
     with pytest.raises(BadConfig) as caught:

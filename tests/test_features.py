@@ -24,8 +24,11 @@ from momine.anchors import AnchorSet, load_anchors
 from momine.diffusion import DiffusionConfig
 from momine.evaluation import evaluate_embeddings, kmeans, nmi
 from momine.features import (
+    INTRINSIC_DIMS,
+    SYNTHETIC_KINDS,
     FeatureSet,
     SyntheticSpec,
+    _intrinsic_points,
     check_ids,
     generate_synthetic,
     MAGIC,
@@ -193,6 +196,12 @@ def test_circles_ring_radii():
     for cls in range(3):
         r, resid = _circle_fit_residual(fs.data[fs.labels == cls])
         assert abs(r - (1.0 + cls)) < 1e-5 and resid < 1e-5
+
+
+@pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+def test_intrinsic_points_have_the_declared_dimension(kind):
+    spec = SyntheticSpec(kind=kind, per_class=5, classes=2)
+    assert _intrinsic_points(spec, np.random.default_rng(0)).shape == (10, INTRINSIC_DIMS[kind])
 
 
 def test_generate_bad_specs():

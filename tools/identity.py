@@ -240,6 +240,13 @@ def _error_cases() -> dict:
             mom("train", "--out", "train", *features(labels=False), "--pools", "pools.jsonl",
                 code=2),
         ],
+        "error-late-pipeline": [  # failures inside a round, after its graph and anchors
+            mom("pipeline", "--out", "empty-pools", "--set", "gen.kind", "circles",
+                "--set", "gen.per_class", "100", "--set", "anchors.count", "1",
+                "--set", "mining.k_pos", "1", "--set", "mining.k_neg", "1", code=2),
+            mom("pipeline", "--out", "diverged", "--seed", "5", "--set", "gen.per_class", "60",
+                "--set", "train.lr0", "1e50", code=2),
+        ],
         "error-baseline-without-anchors": [
             data, write("anchors.txt", ""),
             mom("mine", "--out", "mine", *features(labels=False), "--anchors", "anchors.txt",
