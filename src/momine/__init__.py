@@ -42,8 +42,8 @@ _EXPORTS = {
         "save_graph",
     ),
     "mining": (
-        "AnchorPools",
         "MiningConfig",
+        "Pools",
         "build_training_pool",
         "load_pools",
         "pool_table",

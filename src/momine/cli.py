@@ -146,13 +146,11 @@ def cmd_mine(args, cfg, run, out: Path):
     operator = normalize_graph(load_graph(args.graph)) if args.graph else None
     anchor_set = load_anchors(args.anchors)
     labels = _labels(args, run, feats.n)
-    pools, _ = build_training_pool(anchor_set, feats, operator, run.diffusion, run.mining,
-                                   labels, run.seed)
-    n_pos = sum(len(p.positives) for p in pools)
-    n_neg = sum(len(p.negatives) for p in pools)
+    pools = build_training_pool(anchor_set, feats, operator, run.diffusion, run.mining, labels,
+                                run.seed)
     return [("pools.jsonl", save_pools, pools)], [
-        f"mine: {len(pools)} anchors, {n_pos} positives, {n_neg} negatives"
-        f" (mode={run.mining.mode}, oracle={run.mining.oracle})"
+        f"mine: {pools.anchors.size} anchors, {pools.pos_ids.size} positives,"
+        f" {pools.neg_ids.size} negatives (mode={run.mining.mode}, oracle={run.mining.oracle})"
         f" -> {out / 'pools.jsonl'}"
     ]
 
@@ -216,8 +214,8 @@ def cmd_pipeline(args, cfg, run, out: Path):
         anchor_set, line = _anchors(graph, cfg, run, out / anchors_name)
         lines.append(f"round {rnd}: {line}")
         operator = normalize_graph(graph) if run.mining.mode == "mined" else None
-        pools, _ = build_training_pool(anchor_set, space, operator, run.diffusion, run.mining,
-                                       labels, run.seed)
+        pools = build_training_pool(anchor_set, space, operator, run.diffusion, run.mining,
+                                    labels, run.seed)
         model, log = train(feats, pools, model, run.train, run.mining, run.seed)
         files += [(f"graph{suffix}.txt", save_graph, graph),
                   (anchors_name, save_anchors, anchor_set),

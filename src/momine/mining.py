@@ -3,15 +3,14 @@
 build_training_pool mines every pool mode in one pass over anchor blocks:
 mined pools (positives are manifold neighbors that are not Euclidean
 neighbors, negatives the reverse) or the Euclidean-NN baseline, then any
-label oracle. Pools are computed once per mining round and frozen; only the
-per-epoch hard-negative window looks at the current embedding.
+label oracle. A round's pools are one `Pools` of flat arrays, frozen once
+mined; only the per-epoch hard-negative window reads the current embedding.
 """
 
 import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -49,14 +48,19 @@ class MiningConfig:
                              f" got {self.hard_subset_size!r}")
 
 
-@dataclass
-class AnchorPools:
-    """Ordered pools for one anchor: positives by descending manifold
-    similarity, negatives by descending Euclidean similarity."""
+@dataclass(eq=False)
+class Pools:
+    """Every anchor's pools in order; an anchor may repeat. Pool i, of anchors[i],
+    holds the next pos_sizes[i] pos_ids, by descending s_m (pos_weights), and
+    the next neg_sizes[i] neg_ids, by descending s_e (neg_weights)."""
 
-    anchor_id: int
-    positives: list  # [(item_id, s_m), ...]
-    negatives: list  # [(item_id, s_e), ...]
+    anchors: np.ndarray
+    pos_ids: np.ndarray
+    pos_weights: np.ndarray
+    pos_sizes: np.ndarray
+    neg_ids: np.ndarray
+    neg_weights: np.ndarray
+    neg_sizes: np.ndarray
 
 
 def _euclidean_block(features: FeatureSet, anchors: np.ndarray) -> np.ndarray:
@@ -66,17 +70,18 @@ def _euclidean_block(features: FeatureSet, anchors: np.ndarray) -> np.ndarray:
     return sims
 
 
-def _pairs(ids: np.ndarray, values: np.ndarray) -> list:
-    return list(zip(ids.tolist(), values[ids].tolist()))
+def _side(ranked: np.ndarray, keep: np.ndarray, values: np.ndarray) -> tuple:
+    """(ids, weights, sizes) of one side: each row's ranked columns where keep holds."""
+    return ranked[keep], np.take_along_axis(values, ranked, axis=1)[keep], keep.sum(axis=1)
 
 
 def _block_pools(anchors: np.ndarray, manifold: np.ndarray, features: FeatureSet,
                  mining_config: MiningConfig) -> tuple:
-    """The mined pools of each anchor from its row of the solved block
+    """The mined Pools of the anchors from their rows of the solved block
     `manifold`, and the anchors' Euclidean block. Positives: manifold
-    top-k_pos minus Euclidean top-k_pos, by descending s_m. Negatives:
-    Euclidean top-k_neg minus manifold top-k_neg, by descending s_e, capped
-    at max_neg.
+    top-k_pos minus Euclidean top-k_pos, by descending s_m, the first max_pos
+    (0: all). Negatives: Euclidean top-k_neg minus manifold top-k_neg, by
+    descending s_e, the first max_neg.
 
     Each side of the block is ranked once, to the larger k, by one 2-D
     top_k; the rankings are exact, so their prefixes are the smaller
@@ -85,10 +90,8 @@ def _block_pools(anchors: np.ndarray, manifold: np.ndarray, features: FeatureSet
     above n-1 are clamped (the large-set k_neg default can exceed a
     desk-scale collection).
     """
-    n = features.n
     rows = np.arange(anchors.size)[:, None]
-    k_pos = min(mining_config.k_pos, n - 1)
-    k_neg = min(mining_config.k_neg, n - 1)
+    k_pos, k_neg = (min(k, features.n - 1) for k in (mining_config.k_pos, mining_config.k_neg))
     manifold[rows[:, 0], anchors] = -np.inf
     nn_m = top_k(manifold, max(k_pos, k_neg))
     sims = _euclidean_block(features, anchors)  # once top_k's temporaries are freed
@@ -97,28 +100,25 @@ def _block_pools(anchors: np.ndarray, manifold: np.ndarray, features: FeatureSet
     # O(block * n), where comparing every pair of two top-k lists is O(block * k^2)
     listed = np.zeros((2,) + manifold.shape, dtype=bool)
     listed[0, rows, nn_e[:, :k_pos]] = listed[1, rows, nn_m[:, :k_neg]] = True
-    pos_kept = ~listed[0, rows, nn_m[:, :k_pos]]
-    neg_kept = ~listed[1, rows, nn_e[:, :k_neg]]
-    pools = []
-    for i, anchor in enumerate(anchors.tolist()):
-        pos = nn_m[i, :k_pos][pos_kept[i]][: mining_config.max_pos or None]
-        neg = nn_e[i, :k_neg][neg_kept[i]][: mining_config.max_neg]
-        pools.append(AnchorPools(anchor, _pairs(pos, manifold[i]), _pairs(neg, sims[i])))
-    return pools, sims
+    pos, neg = nn_m[:, :k_pos], nn_e[:, :k_neg]
+    pos_kept, neg_kept = ~listed[0, rows, pos], ~listed[1, rows, neg]
+    pos_kept &= np.cumsum(pos_kept, axis=1) <= (mining_config.max_pos or k_pos)
+    neg_kept &= np.cumsum(neg_kept, axis=1) <= mining_config.max_neg
+    return Pools(anchors, *_side(pos, pos_kept, manifold), *_side(neg, neg_kept, sims)), sims
 
 
-def _ranked(keep: np.ndarray, sims: np.ndarray, limit=None) -> list:
-    """Per row of the block, at most limit (None: all) of the columns where
-    keep holds, by descending sims, ties by column: one top_k of the block
-    with the other columns at -inf, each row cut to its own count."""
+def _ranked(keep: np.ndarray, sims: np.ndarray, limit=None) -> tuple:
+    """One pool side of the block: per row, at most limit (None: all) of the
+    columns where keep holds, by descending sims, ties by column: one top_k
+    of the block with the other columns at -inf, each row cut to its count."""
     counts = np.minimum(np.count_nonzero(keep, axis=1), keep.shape[1] if limit is None else limit)
     k = int(counts.max(initial=0))
     ranked = top_k(np.where(keep, sims, -np.inf), k) if k else np.zeros((keep.shape[0], 0), int)
-    return [row[:count] for row, count in zip(ranked, counts.tolist())]
+    return _side(ranked, np.arange(k) < counts[:, None], sims)
 
 
 def _baseline_pools(anchors: np.ndarray, sims: np.ndarray, mining_config: MiningConfig,
-                    seed) -> list:
+                    seed) -> Pools:
     """Euclidean-NN baseline pools of each anchor: its baseline_k nearest
     neighbors, and a uniform draw of at most max_neg of the other items,
     seeded by (seed, anchor), by descending s_e."""
@@ -133,23 +133,22 @@ def _baseline_pools(anchors: np.ndarray, sims: np.ndarray, mining_config: Mining
     for i, anchor in enumerate(anchors.tolist()):
         rng = np.random.default_rng([seed, anchor])
         drawn[i, rng.choice(np.flatnonzero(rest[i]), size=take, replace=False)] = True
-    return [AnchorPools(anchor, _pairs(pos, row), _pairs(neg, row))
-            for anchor, pos, neg, row in zip(anchors.tolist(), nn_e, _ranked(drawn, sims), sims)]
+    return Pools(anchors, *_side(nn_e, np.ones(nn_e.shape, bool), sims), *_ranked(drawn, sims))
 
 
-def _oracle_pools(pools: list, anchors: np.ndarray, sims: np.ndarray, labels: np.ndarray,
-                  mining_config: MiningConfig) -> list:
-    """The pools with one side swapped for label ground truth, by descending
-    s_e: the anchor's other same-label items, at most max_pos (oracle
+def _oracle_pools(pools: Pools, sims: np.ndarray, labels: np.ndarray,
+                  mining_config: MiningConfig) -> Pools:
+    """The block's pools with one side swapped for label ground truth, by
+    descending s_e: the anchor's other same-label items, at most max_pos (oracle
     "positive"), or its items of another label, at most max_neg ("negative")."""
-    positive = mining_config.oracle == "positive"
+    positive, anchors = mining_config.oracle == "positive", pools.anchors
     keep = (labels[anchors][:, None] == labels) == positive
     keep[np.arange(anchors.size), anchors] = False
     limit = (mining_config.max_pos or None) if positive else mining_config.max_neg
-    sides = [_pairs(ids, row) for ids, row in zip(_ranked(keep, sims, limit), sims)]
+    side = _ranked(keep, sims, limit)
     if positive:
-        return [AnchorPools(p.anchor_id, side, p.negatives) for p, side in zip(pools, sides)]
-    return [AnchorPools(p.anchor_id, p.positives, side) for p, side in zip(pools, sides)]
+        return Pools(anchors, *side, pools.neg_ids, pools.neg_weights, pools.neg_sizes)
+    return Pools(anchors, pools.pos_ids, pools.pos_weights, pools.pos_sizes, *side)
 
 
 def build_training_pool(
@@ -161,7 +160,7 @@ def build_training_pool(
     labels=None,
     seed=0,
 ):
-    """Pools for every anchor, in mining_config's mode, plus the item union they span.
+    """The Pools of every anchor, in mining_config's mode.
 
     The m anchors are ranked in blocks of at most
     min(ANCHOR_BLOCK, max(1, ANCHOR_CELLS // n)), balanced over the worker
@@ -190,7 +189,7 @@ def build_training_pool(
             raise LabelsMissing("oracle pools need the label sidecar")
         labels = np.asarray(labels)
         check_labels(labels, features.n)
-    mined, stopped, dropped = {}, [], []
+    mined, stopped = {}, []
 
     def mine(spans):
         for start, stop in spans:
@@ -202,30 +201,34 @@ def build_training_pool(
                 block = solve_columns(operator, ids, diffusion_config)
                 stopped.append(np.count_nonzero(~block.converged))
                 pools, sims = _block_pools(ids, block.values, features, mining_config)
-            kept = [i for i, p in enumerate(pools) if p.positives or p.negatives]
-            dropped.append(len(pools) - len(kept))
+            kept = (pools.pos_sizes > 0) | (pools.neg_sizes > 0)  # before an oracle swaps a side
             if mining_config.oracle != "none":
-                pools = _oracle_pools(pools, ids, sims, labels, mining_config)
-            mined[start] = [pools[i] for i in kept]
+                pools = _oracle_pools(pools, sims, labels, mining_config)
+            mined[start] = pools, kept
             del sims  # a (rows, n) block, not to be held through the next solve
 
     _run_blocks(anchors.size, min(ANCHOR_BLOCK, ANCHOR_CELLS // features.n), mine)
     if sum(stopped):
         warnings.warn(f"{sum(stopped)} of {anchors.size} diffusion solves stopped above "
                       "diffusion.tolerance", stacklevel=2)
-    if sum(dropped):
-        warnings.warn(f"dropped {sum(dropped)} anchors with empty pools", stacklevel=2)
-    pools = list(chain.from_iterable(mined[start] for start in sorted(mined)))
-    if not pools:
+    blocks = [mined[start] for start in sorted(mined)]
+    kept = np.concatenate([keep for _, keep in blocks] or [np.zeros(0, bool)])  # no anchors: []
+    if not kept.all():
+        warnings.warn(f"dropped {np.count_nonzero(~kept)} anchors with empty pools", stacklevel=2)
+    if not kept.any():
         raise AllPoolsEmpty("every anchor produced empty pools")
-    members = [p.anchor_id for p in pools] + [j for p in pools for j, _ in p.positives + p.negatives]
-    return pools, np.unique(np.array(members, dtype=np.int64))
+    # each field of the blocks' Pools joined, then the dropped anchors masked out
+    pools = Pools(*map(np.concatenate, zip(*(vars(part).values() for part, _ in blocks))))
+    pos, neg = np.repeat(kept, pools.pos_sizes), np.repeat(kept, pools.neg_sizes)
+    return Pools(pools.anchors[kept], pools.pos_ids[pos], pools.pos_weights[pos],
+                 pools.pos_sizes[kept], pools.neg_ids[neg], pools.neg_weights[neg],
+                 pools.neg_sizes[kept])
 
 
 @dataclass
 class PoolTable:
-    """Pools flattened for sampling, in pool order, keeping the usable ones
-    (with a positive and a negative). Pool i draws its positive from
+    """The usable pools (with a positive and a negative) as the sampler
+    reads them, in pool order. Pool i draws its positive from
     pos_ids[pos_offsets[i] : pos_offsets[i + 1]], and a tuple with positive t
     trains at weights[t]. Its negatives are neg_ids[i, : neg_sizes[i]],
     sorted by id; the rest of the row is 0."""
@@ -240,17 +243,13 @@ class PoolTable:
     skipped: int  # pools without a positive or without a negative
 
 
-def pool_table(pools: list, weighting: str) -> PoolTable:
+def pool_table(pools: Pools, weighting: str) -> PoolTable:
     """The pools as one table. A tuple's weight is its positive's s_m
     ("none"); that divided by the largest s_m among all positives of the same
     anchor, in any pool, or 0 where that is not positive ("per-anchor-max");
     or 1 ("unit")."""
-    anchors = np.fromiter((p.anchor_id for p in pools), np.int64, len(pools))
-    n_pos = np.fromiter((len(p.positives) for p in pools), np.int64, len(pools))
-    n_neg = np.fromiter((len(p.negatives) for p in pools), np.int64, len(pools))
-    pos_ids = np.fromiter((j for p in pools for j, _ in p.positives), np.int64, n_pos.sum())
-    weights = np.fromiter((w for p in pools for _, w in p.positives), np.float64, n_pos.sum())
-    neg_ids = np.fromiter((j for p in pools for j, _ in p.negatives), np.int64, n_neg.sum())
+    anchors, weights = pools.anchors, pools.pos_weights
+    n_pos, n_neg = pools.pos_sizes, pools.neg_sizes
     if weighting == "per-anchor-max":
         keys, owner = np.unique(np.repeat(anchors, n_pos), return_inverse=True)
         top = np.full(keys.size, -np.inf)
@@ -262,14 +261,14 @@ def pool_table(pools: list, weighting: str) -> PoolTable:
     sizes = n_neg[use]
     block = np.full((sizes.size, sizes.max(initial=0)), np.iinfo(np.int64).max)
     real = np.arange(block.shape[1]) < sizes[:, None]
-    block[real] = neg_ids[np.repeat(use, n_neg)]
+    block[real] = pools.neg_ids[np.repeat(use, n_neg)]
     block.sort(axis=1)
     block[~real] = 0
-    return PoolTable(
-        anchors[use], np.concatenate([[0], np.cumsum(n_pos[use])]),
-        pos_ids[np.repeat(use, n_pos)], weights[np.repeat(use, n_pos)], block, sizes,
-        np.unique(np.concatenate([anchors, pos_ids, neg_ids])), len(pools) - sizes.size,
-    )
+    pos = np.repeat(use, n_pos)
+    return PoolTable(anchors[use], np.concatenate([[0], np.cumsum(n_pos[use])]), pools.pos_ids[pos],
+                     weights[pos], block, sizes,
+                     np.unique(np.concatenate([anchors, pools.pos_ids, pools.neg_ids])),
+                     anchors.size - sizes.size)
 
 
 def sample_epoch_tuples(table: PoolTable, current_embeddings, mining_config: MiningConfig, seed):
@@ -309,52 +308,54 @@ def sample_epoch_tuples(table: PoolTable, current_embeddings, mining_config: Min
     return (anchors, table.pos_ids[pick], negatives, table.weights[pick]), table.skipped
 
 
-def save_pools(pools: list, path) -> None:
-    """JSON lines, one object per anchor, weights at 9 significant digits.
-
-    A zero weight is written as 0 whatever its sign: "%.9g" writes -0.0 as
-    "-0", which json reads back as the integer 0, so the file would not
-    round-trip. A weight is the only field that follows ", ", so ", -0]"
-    marks exactly the weights written as "-0", and one replace per formatted
-    side rewrites them.
-    """
+def save_pools(pools: Pools, path) -> None:
+    """JSON lines, one object per anchor, weights at 9 significant digits. A
+    zero weight is written as 0 whatever its sign: "%.9g" writes -0.0 as "-0",
+    which json reads back as the integer 0, so the file would not round-trip;
+    adding 0.0 turns -0.0 into 0.0 and keeps every other weight."""
+    sides = []
+    for ids, weights, sizes in ((pools.pos_ids, pools.pos_weights, pools.pos_sizes),
+                                (pools.neg_ids, pools.neg_weights, pools.neg_sizes)):
+        pairs = ["[%d, %.9g]" % pair for pair in zip(ids.tolist(), (weights + 0.0).tolist())]
+        ends = np.cumsum(sizes).tolist()
+        sides.append([", ".join(pairs[start:end]) for start, end in zip([0] + ends, ends)])
     with open(path, "w") as fh:
-        for pool in pools:
-            # one %-format per side, "[id, weight], ..."
-            pos, neg = (
-                (", ".join(["[%d, %.9g]"] * len(side)) % tuple(chain.from_iterable(side)))
-                .replace(", -0]", ", 0]")
-                for side in (pool.positives, pool.negatives)
-            )
-            fh.write(
-                f'{{"anchor": {pool.anchor_id}, "positives": [{pos}], "negatives": [{neg}]}}\n'
-            )
+        for anchor, pos, neg in zip(pools.anchors.tolist(), *sides):
+            fh.write(f'{{"anchor": {anchor}, "positives": [{pos}], "negatives": [{neg}]}}\n')
 
 
 def _is_id(j) -> bool:
     return type(j) is int and 0 <= j < 2**63  # an int64 array index
 
 
-def _pool_entry(pair) -> tuple:
+def _entry(pair) -> tuple:
     j, w = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
     if not _is_id(j) or type(w) not in (int, float) or not (math.isfinite(w) and w >= 0):
         raise ValueError(f"{pair!r} is not an [id >= 0, finite weight >= 0] pair")
     return j, float(w)
 
 
-def _pool_from_json(obj) -> AnchorPools:
+def _pool_line(line) -> tuple:
+    """(anchor, positives, negatives) of one line, each side [(id, weight), ...]."""
+    obj = json.loads(line.rstrip())
     if not (isinstance(obj, dict) and _is_id(obj.get("anchor"))):
         raise ValueError('not an object with an integer "anchor" >= 0')
-    pos, neg = ([_pool_entry(e) for e in obj[side]] for side in ("positives", "negatives"))
-    return AnchorPools(obj["anchor"], pos, neg)
+    return obj["anchor"], *([_entry(e) for e in obj[side]] for side in ("positives", "negatives"))
 
 
-def load_pools(path) -> list:
+def load_pools(path) -> Pools:
     """Read a pools file written by :func:`save_pools`. Raises BadPools,
     naming the file and line, on a line that is not an object with an integer
     "anchor" and "positives" and "negatives" lists of [id, weight] pairs
     (ids below 2^63, both >= 0, weights finite), and on a file without pools."""
-    pools = read_lines(path, BadPools, lambda line: _pool_from_json(json.loads(line.rstrip())))
-    if not pools:
+    lines = read_lines(path, BadPools, _pool_line)
+    if not lines:
         raise BadPools(f"{path}: no pools")
-    return pools
+    anchors, *sides = zip(*lines)
+    columns = [np.array(anchors, dtype=np.int64)]
+    for side in sides:  # the positives, then the negatives
+        pairs = [pair for pool in side for pair in pool]
+        columns += [np.array([j for j, _ in pairs], dtype=np.int64),
+                    np.array([w for _, w in pairs], dtype=np.float64),
+                    np.array([len(pool) for pool in side], dtype=np.int64)]
+    return Pools(*columns)

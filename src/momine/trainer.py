@@ -3,8 +3,8 @@
 The model is a linear (or one-hidden-layer ReLU) map followed by l2
 normalization. Losses operate on embedding triples and return analytic
 gradients; backprop through the normalization is the tangent-space projection
-(I - z z^T)/||u||. Training is single-threaded and fully determined by its
-seed.
+(I - z z^T)/||u||. Training takes a round's mining.Pools, arrays that only
+mining.pool_table reads, and is single-threaded and fully determined by its seed.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ from .errors import (
     write_binary,
 )
 from .features import FeatureSet, check_ids
-from .mining import MiningConfig, pool_table, sample_epoch_tuples
+from .mining import MiningConfig, Pools, pool_table, sample_epoch_tuples
 
 MODEL_MAGIC = b"MOMM"
 _FLOAT32_MAX = np.finfo(np.float32).max  # model.bin stores float32: a larger weight saves as inf
@@ -235,7 +235,7 @@ class TrainConfig:
 
 def train(
     features: FeatureSet,
-    pools: list,
+    pools: Pools,
     model: EmbeddingModel,
     train_config: TrainConfig,
     mining_config: MiningConfig,
@@ -248,7 +248,7 @@ def train(
     shuffles, and runs momentum-SGD minibatches; `seed` draws the tuples and
     the shuffles. Log rows carry epoch, mean_loss, lr, tuples_used.
     """
-    if not pools:
+    if not pools.anchors.size:
         raise AllPoolsEmpty("no pools to train on")
     if features.d != model.input_dim:
         raise DimMismatch(f"model expects input_dim={model.input_dim}, features have d={features.d}")

@@ -6,6 +6,7 @@ paths they are checking.
 """
 
 import tracemalloc
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,10 +27,41 @@ from momine.graph import (
     similarity,
     top_k,
 )
-from momine.mining import AnchorPools, _block_pools
+from momine.mining import Pools, _block_pools
 from momine.trainer import _LOSSES, _backward, _forward_cache, forward, sgd_momentum_step
 
 DENSE_ORACLE_LIMIT = 2000
+
+# one anchor's pools as lists: positives and negatives [(id, weight), ...];
+# equal to the plain (anchor, positives, negatives) tuple
+PoolRow = namedtuple("PoolRow", "anchor positives negatives")
+
+
+def pool_lists(pools):
+    """A mining.Pools as one PoolRow per anchor, in pool order."""
+    sides = []
+    for ids, weights, sizes in ((pools.pos_ids, pools.pos_weights, pools.pos_sizes),
+                                (pools.neg_ids, pools.neg_weights, pools.neg_sizes)):
+        pairs, start = list(zip(ids.tolist(), weights.tolist())), 0
+        sides.append([])
+        for size in sizes.tolist():
+            sides[-1].append(pairs[start : start + size])
+            start += size
+        assert start == len(pairs)
+    return [PoolRow(*row) for row in zip(pools.anchors.tolist(), *sides, strict=True)]
+
+
+def make_pools(rows):
+    """A mining.Pools from (anchor, positives, negatives) rows, as pool_lists lists it."""
+
+    def side(lists):
+        pairs = [pair for pool in lists for pair in pool]
+        return (np.array([j for j, _ in pairs], dtype=np.int64),
+                np.array([w for _, w in pairs], dtype=np.float64),
+                np.array([len(pool) for pool in lists], dtype=np.int64))
+
+    anchors = np.array([anchor for anchor, _, _ in rows], dtype=np.int64)
+    return Pools(anchors, *side([row[1] for row in rows]), *side([row[2] for row in rows]))
 
 
 def declared_rule(key):
@@ -493,21 +525,23 @@ def pools_two_rankings(anchor, values, features, mining_config):
     positives = positives[: mining_config.max_pos or None]
     m_neg, e_neg = lexsort_top_k(manifold, k_neg), lexsort_top_k(sims, k_neg)
     negatives = [(int(j), float(sims[j])) for j in e_neg if j not in set(m_neg)]
-    return AnchorPools(anchor, positives, negatives[: mining_config.max_neg])
+    return PoolRow(anchor, positives, negatives[: mining_config.max_neg])
 
 
 def mine_pools(anchor, features, operator, diffusion_config, mining_config):
-    """One anchor's pools from its single diffusion solve, as
-    mining.build_training_pool mines them, empty pools included."""
+    """One anchor's PoolRow from its single diffusion solve, as
+    mining.build_training_pool mines it, empty pools included."""
     block = solve_columns(operator, [anchor], diffusion_config)
     pools, _ = _block_pools(np.array([anchor]), block.values, features, mining_config)
-    return pools[0]
+    (row,) = pool_lists(pools)
+    return row
 
 
 def sample_epoch_tuples_reference(pools, current_embeddings, mining_config, seed):
-    """Reference for mining.sample_epoch_tuples: one step per pool, with a
-    scalar draw for the positive and one for the hard-window negative.
-    Returns ((anchor, positive, negative, weight) lists, skipped)."""
+    """Reference for mining.sample_epoch_tuples on the table of the PoolRows
+    `pools`: one step per pool, with a scalar draw for the positive and one
+    for the hard-window negative. Returns ((anchor, positive, negative,
+    weight) lists, skipped)."""
     rng = np.random.default_rng(seed)
     z = np.asarray(current_embeddings)
     tuples = []
@@ -518,10 +552,10 @@ def sample_epoch_tuples_reference(pools, current_embeddings, mining_config, seed
             continue
         pos_id, pos_w = pool.positives[rng.integers(len(pool.positives))]
         neg_ids = np.asarray([j for j, _ in pool.negatives], dtype=np.int64)
-        dists = np.linalg.norm(z[neg_ids] - z[pool.anchor_id], axis=1)
+        dists = np.linalg.norm(z[neg_ids] - z[pool.anchor], axis=1)
         window = neg_ids[np.lexsort((neg_ids, dists))[: mining_config.hard_subset_size]]
         neg_id = int(window[rng.integers(len(window))])
-        tuples.append((pool.anchor_id, int(pos_id), neg_id, float(pos_w)))
+        tuples.append((pool.anchor, int(pos_id), neg_id, float(pos_w)))
     return tuple(list(col) for col in zip(*tuples)) or ([], [], [], []), skipped
 
 
@@ -531,14 +565,14 @@ def tuple_lists(tuples):
 
 
 def train_reference(features, pools, model, train_config, mining_config, seed=0):
-    """Reference for trainer.train: tuples drawn pool by pool as Python
-    tuples, batches assembled from them, per-anchor-max weights taken over
-    every positive of the anchor in any pool."""
+    """Reference for trainer.train on the PoolRows `pools`: tuples drawn pool
+    by pool as Python tuples, batches assembled from them, per-anchor-max
+    weights taken over every positive of the anchor in any pool."""
     max_w = {}
     for pool in pools:
         for _, w in pool.positives:
-            max_w[pool.anchor_id] = max(max_w.get(pool.anchor_id, w), w)
-    members = sorted({p.anchor_id for p in pools}
+            max_w[pool.anchor] = max(max_w.get(pool.anchor, w), w)
+    members = sorted({p.anchor for p in pools}
                      | {j for p in pools for j, _ in p.positives + p.negatives})
     loss_fn = _LOSSES[train_config.loss]
     velocity = [[np.zeros_like(w), np.zeros_like(b)] for w, b in model.layers]
@@ -597,8 +631,8 @@ def baseline_pools_reference(anchor, features, k_base, seed, max_neg):
     take = min(max_neg, candidates.size)
     drawn = rng.choice(candidates, size=take, replace=False) if take else candidates[:0]
     drawn = drawn[np.lexsort((drawn, -sims[drawn]))]
-    return AnchorPools(anchor, [(int(j), float(sims[j])) for j in nn_e],
-                       [(int(j), float(sims[j])) for j in drawn])
+    return PoolRow(anchor, [(int(j), float(sims[j])) for j in nn_e],
+                   [(int(j), float(sims[j])) for j in drawn])
 
 
 def oracle_side_reference(anchor, features, labels, same_label, limit):

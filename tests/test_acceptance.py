@@ -21,7 +21,7 @@ from momine.diffusion import DiffusionConfig, solve_columns
 from momine.evaluation import evaluate_embeddings, nmi
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import build_reciprocal_graph, normalize_graph
-from momine.mining import AnchorPools, MiningConfig, build_training_pool
+from momine.mining import MiningConfig, build_training_pool
 from momine.trainer import (
     EmbeddingModel,
     TrainConfig,
@@ -34,9 +34,11 @@ from momine.trainer import (
 
 from helpers import (
     dense_oracle,
+    make_pools,
     map_oracle,
     mine_pools,
     nmi_oracle,
+    pool_lists,
     power_iteration,
     random_graph,
     recall_oracle,
@@ -295,22 +297,22 @@ def _train_recall(features, labels, pools, setup, weighted, hard_subset):
 
 
 def _baseline(features, operator, anchors, setup):
-    """Euclidean-NN baseline pools: 5 nearest neighbours, negatives drawn by the generator seed."""
+    """Euclidean-NN baseline pools as PoolRows: 5 nearest neighbours, negatives
+    drawn by the generator seed."""
     mcfg = replace(setup["mining"], mode="baseline", baseline_k=5)
-    pools, _ = build_training_pool(anchors, features, operator, setup["diffusion"], mcfg,
-                                   seed=setup["gen_seed"])
-    return pools
+    return pool_lists(build_training_pool(anchors, features, operator, setup["diffusion"], mcfg,
+                                          seed=setup["gen_seed"]))
 
 
 def _ordering_run(setup):
     fs, fn, sym, anchors = _mining_space(setup)
     labels = fs.labels
     r_init = evaluate_embeddings(fn.data, labels, ks=[1]).recall_at[1]
-    mined, _ = build_training_pool(anchors, fn, sym, setup["diffusion"], setup["mining"])
+    mined = build_training_pool(anchors, fn, sym, setup["diffusion"], setup["mining"])
     base = [p for p in _baseline(fn, sym, anchors, setup) if p.positives and p.negatives]
     r_w = _train_recall(fn, labels, mined, setup, True, setup["mining"].hard_subset_size)
     r_u = _train_recall(fn, labels, mined, setup, False, setup["mining"].hard_subset_size)
-    r_b = _train_recall(fn, labels, base, setup, False, setup["mining"].max_neg)
+    r_b = _train_recall(fn, labels, make_pools(base), setup, False, setup["mining"].max_neg)
     return r_init, r_w, r_u, r_b, fn, labels, mined, base
 
 
@@ -356,23 +358,20 @@ def test_acceptance_7_oracle_ablation_ordering():
     setup = CLUSTERS
     fs, fn, sym, anchors = _mining_space(setup)
     labels = fs.labels
-    mined, _ = build_training_pool(anchors, fn, sym, setup["diffusion"], setup["mining"])
+    mined = build_training_pool(anchors, fn, sym, setup["diffusion"], setup["mining"])
     max_neg = setup["mining"].max_neg
-    pos_oracle, _ = build_training_pool(anchors, fn, sym, setup["diffusion"],
-                                        replace(setup["mining"], oracle="positive"), labels)
+    pos_oracle = build_training_pool(anchors, fn, sym, setup["diffusion"],
+                                     replace(setup["mining"], oracle="positive"), labels)
     base = [p for p in _baseline(fn, sym, anchors, setup) if p.positives and p.negatives]
-    mined_by_id = {p.anchor_id: p for p in mined}
+    mined_by_id = {p.anchor: p for p in pool_lists(mined)}
     nn5_mined_neg, nn5_rand_neg = [], []
     for pool in base:
-        counterpart = mined_by_id.get(pool.anchor_id)
+        counterpart = mined_by_id.get(pool.anchor)
         if counterpart is None or not counterpart.negatives:
             continue
-        nn5_mined_neg.append(
-            AnchorPools(pool.anchor_id, list(pool.positives), list(counterpart.negatives))
-        )
-        nn5_rand_neg.append(
-            AnchorPools(pool.anchor_id, list(pool.positives), list(pool.negatives))
-        )
+        nn5_mined_neg.append((pool.anchor, list(pool.positives), list(counterpart.negatives)))
+        nn5_rand_neg.append((pool.anchor, list(pool.positives), list(pool.negatives)))
+    nn5_mined_neg, nn5_rand_neg = make_pools(nn5_mined_neg), make_pools(nn5_rand_neg)
     r_mined = _train_recall(fn, labels, mined, setup, False, setup["mining"].hard_subset_size)
     r_pos_oracle = _train_recall(fn, labels, pos_oracle, setup, False, setup["mining"].hard_subset_size)
     r_nn5_mined = _train_recall(fn, labels, nn5_mined_neg, setup, False, setup["mining"].hard_subset_size)

@@ -12,8 +12,10 @@ import pytest
 import momine.mining
 from momine.cli import DEFAULTS, main
 from momine.features import FeatureSet, l2_normalize, load_features, load_labels
-from momine.mining import AnchorPools, MiningConfig, load_pools
+from momine.mining import MiningConfig, load_pools
 from momine.trainer import EmbeddingModel, TrainConfig, save_model, train
+
+from helpers import make_pools, pool_lists
 
 GEN_ARGS = [
     "--set", "gen.kind", "clusters",
@@ -694,8 +696,8 @@ def test_baseline_mine_drops_empty_pools_with_a_warning(tmp_path, capsys, monkey
                  "--set", "graph.k", "8"]) == 0
     real = momine.mining._baseline_pools
     for empty, code in (({3, 5}, 0), ({3, 5, 7}, 2)):
-        monkeypatch.setattr(momine.mining, "_baseline_pools", lambda *args: [
-            AnchorPools(p.anchor_id, [], []) if p.anchor_id in empty else p for p in real(*args)])
+        monkeypatch.setattr(momine.mining, "_baseline_pools", lambda *args: make_pools([
+            (p.anchor, [], []) if p.anchor in empty else p for p in pool_lists(real(*args))]))
         (tmp_path / "anchors.txt").write_text("3 0.1\n5 0.1\n7 0.1\n")
         out = tmp_path / f"m{code}"
         capsys.readouterr()
@@ -712,7 +714,7 @@ def test_baseline_mine_drops_empty_pools_with_a_warning(tmp_path, capsys, monkey
             assert not out.exists()
         else:
             assert err[1:] == []
-            assert [p.anchor_id for p in load_pools(out / "pools.jsonl")] == [7]
+            assert load_pools(out / "pools.jsonl").anchors.tolist() == [7]
 
 
 def test_train_with_pools_from_a_larger_set_is_data_error(tmp_path, capsys):
@@ -731,7 +733,7 @@ def test_train_with_pools_from_a_larger_set_is_data_error(tmp_path, capsys):
                  "--set", "mining.k_pos", "15", "--set", "mining.k_neg", "40",
                  "--set", "mining.max_neg", "10"]) == 0
     pools = tmp_path / "m" / "pools.jsonl"
-    assert max(j for p in load_pools(pools) for j, _ in p.positives + p.negatives) >= 120
+    assert max(j for p in pool_lists(load_pools(pools)) for j, _ in p.positives + p.negatives) >= 120
     capsys.readouterr()
     code = main(["train", "--out", str(tmp_path / "t"), "--features",
                  str(small / "features.bin"), "--pools", str(pools)])

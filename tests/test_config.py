@@ -81,8 +81,8 @@ def test_the_run_seed_feeds_the_trainer(tmp_path, monkeypatch, capsys):
     feats = l2_normalize(generate_synthetic(run.gen, run.seed))
     graph = build_reciprocal_graph(feats, run.graph.k)
     anchors = select_anchors(graph, stationary(graph)[0], run.anchors.count, run.anchors.mode)
-    pools, _ = build_training_pool(anchors, feats, normalize_graph(graph), run.diffusion,
-                                   run.mining, None, run.seed)
+    pools = build_training_pool(anchors, feats, normalize_graph(graph), run.diffusion,
+                                run.mining, None, run.seed)
     for seed in (9, 10):
         model = run.model.initialize(feats.d, run.seed)
         model, _ = train(feats, pools, model, run.train, run.mining, seed=seed)
@@ -183,12 +183,12 @@ def test_max_pos_zero_mines_the_pools_of_mom(tmp_path, monkeypatch, capsys):
                      "--graph", f"{graph}/graph.txt", "--anchors", f"{anchors}/anchors.txt",
                      "--set", "mining.max_pos", "0"]) == 0
     run = RunConfig(mining=MiningConfig(max_pos=0))
-    pools, _ = build_training_pool(
+    pools = build_training_pool(
         load_anchors(f"{anchors}/anchors.txt"), l2_normalize(load_features(f"{data}/features.bin")),
         normalize_graph(load_graph(f"{graph}/graph.txt")), run.diffusion, run.mining, None,
         run.seed)
     save_pools(pools, tmp_path / "library.jsonl")
     assert (tmp_path / "library.jsonl").read_bytes() == (tmp_path / "mine" / "pools.jsonl").read_bytes()
-    assert max(len(p.positives) for p in pools) > 1  # 0 keeps every positive
+    assert pools.pos_sizes.max() > 1  # 0 keeps every positive
     assert json.loads((tmp_path / "mine" / "config.json").read_text())["mining.max_pos"] == 0
     capsys.readouterr()

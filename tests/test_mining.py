@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 import momine.graph
 import momine.mining
-from momine.anchors import AnchorSet, select_anchors
+from momine.anchors import AnchorSet, select_anchors, stationary
+from momine.config import RunConfig
 from momine.diffusion import DiffusionConfig, solve_columns
 from momine.errors import AllPoolsEmpty, BadAnchors, BadGraph, BadPools, DimMismatch, LabelsMissing
 from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.graph import NeighborGraph, build_reciprocal_graph, normalize_graph
 from momine.mining import (
     ANCHOR_BLOCK,
-    AnchorPools,
     MiningConfig,
     build_training_pool,
     load_pools,
@@ -28,11 +28,14 @@ from momine.mining import (
 )
 
 from helpers import (
+    PoolRow,
     baseline_pools_reference,
     dense_oracle,
     knn_oracle,
+    make_pools,
     mine_pools,
     oracle_side_reference,
+    pool_lists,
     pools_two_rankings,
     power_iteration,
     sample_epoch_tuples_reference,
@@ -185,10 +188,10 @@ def test_clusters_benchmark_pool_purity():
     fs, fn, graph, sym, anchors = clusters_setup(noise=1.0)
     cfg = MiningConfig(k_pos=50, k_neg=150, max_neg=20, hard_subset_size=10)
     dcfg = DiffusionConfig(alpha=0.99, tolerance=1e-6, max_iterations=300)
-    pools, _ = build_training_pool(anchors, fn, sym, dcfg, cfg)
+    pools = pool_lists(build_training_pool(anchors, fn, sym, dcfg, cfg))
     pos_hits, neg_hits = [], []
     for pool in pools:
-        label = fs.labels[pool.anchor_id]
+        label = fs.labels[pool.anchor]
         pos_hits += [fs.labels[j] == label for j, _ in pool.positives]
         neg_hits += [fs.labels[j] != label for j, _ in pool.negatives]
     assert np.mean(neg_hits) >= 0.9
@@ -206,14 +209,13 @@ def test_unconverged_diffusion_flags_the_pool():
         warnings.simplefilter("error")
         healthy = build_training_pool(anchors, feats, op, DC, cfg)
     # the warning is the only trace: the pools keep their shape
-    assert [p.anchor_id for p in flagged[0]] == [p.anchor_id for p in healthy[0]]
+    assert flagged.anchors.tolist() == healthy.anchors.tolist()
 
 
 def pools_of(ids, feats, op, cfg, labels=None, seed=0):
-    """build_training_pool's pools of the anchors ids, in their order."""
+    """build_training_pool's pools of the anchors ids, in their order, as PoolRows."""
     anchors = AnchorSet(np.asarray(ids), np.zeros(len(ids)))
-    pools, _ = build_training_pool(anchors, feats, op, DC, cfg, labels, seed)
-    return pools
+    return pool_lists(build_training_pool(anchors, feats, op, DC, cfg, labels, seed))
 
 
 def test_baseline_pools_contract():
@@ -237,7 +239,7 @@ def test_oracle_pools_modes():
     first = anchors.anchor_ids[:1]
     (base,) = pools_of(first, fn, sym, cfg)
     (pos,) = pools_of(first, fn, sym, replace(cfg, oracle="positive"), fs.labels)
-    anchor_label = fs.labels[base.anchor_id]
+    anchor_label = fs.labels[base.anchor]
     assert all(fs.labels[j] == anchor_label for j, _ in pos.positives)
     assert pos.negatives == base.negatives
     (neg,) = pools_of(first, fn, sym, replace(cfg, oracle="negative"), fs.labels)
@@ -276,11 +278,13 @@ def test_build_training_pool_union():
     stat = power_iteration(graph, max_iterations=50000)
     anchors = select_anchors(graph, stat.pi, 10)
     cfg = MiningConfig(k_pos=10, k_neg=15, max_neg=8, hard_subset_size=4)
-    pools, items = build_training_pool(anchors, feats, op, DC, cfg)
+    pools = build_training_pool(anchors, feats, op, DC, cfg)
+    # the union that train embeds: the table's members
+    items = pool_table(pools, "none").members
     # oracle: recompute the union from the returned pools
     expected = set()
-    for pool in pools:
-        expected.add(pool.anchor_id)
+    for pool in pool_lists(pools):
+        expected.add(pool.anchor)
         expected.update(j for j, _ in pool.positives)
         expected.update(j for j, _ in pool.negatives)
     assert set(items) == expected
@@ -291,9 +295,9 @@ def test_baseline_pools_need_no_operator():
     feats, graph, op = small_setup(n=50, seed=7, k=7)
     anchors = select_anchors(graph, power_iteration(graph, max_iterations=50000).pi, 10)
     cfg = MiningConfig(k_pos=10, k_neg=15, max_neg=8, hard_subset_size=4, mode="baseline")
-    pools, items = build_training_pool(anchors, feats, op, DC, cfg, seed=3)
-    alone, alone_items = build_training_pool(anchors, feats, None, DC, cfg, seed=3)
-    assert alone == pools and np.array_equal(alone_items, items)
+    pools = build_training_pool(anchors, feats, op, DC, cfg, seed=3)
+    alone = build_training_pool(anchors, feats, None, DC, cfg, seed=3)
+    assert pool_lists(alone) == pool_lists(pools)
     with pytest.raises(BadGraph, match="mined pools need"):
         build_training_pool(anchors, feats, None, DC, replace(cfg, mode="mined"))
     _, _, other = small_setup(n=40, seed=7, k=7)
@@ -317,7 +321,7 @@ def test_sample_epoch_tuples_deterministic():
     pools = [p for p in pools if p.positives and p.negatives]
     rng = np.random.default_rng(9)
     z = rng.normal(size=(40, 5))
-    table = pool_table(pools, "none")
+    table = pool_table(make_pools(pools), "none")
     first, skipped1 = sample_epoch_tuples(table, z, cfg, seed=123)
     second, _ = sample_epoch_tuples(table, z, cfg, seed=123)
     assert tuple_lists(first) == tuple_lists(second)
@@ -328,13 +332,13 @@ def test_sample_epoch_tuples_deterministic():
 
 
 def test_sample_epoch_tuples_hard_window():
-    pool = AnchorPools(anchor_id=0, positives=[(1, 0.9)], negatives=[(2, 0.8), (3, 0.7), (4, 0.6)])
+    pools = make_pools([(0, [(1, 0.9)], [(2, 0.8), (3, 0.7), (4, 0.6)])])
     z = np.zeros((5, 2))
     z[0] = [1.0, 0.0]
     z[2] = [0.0, 1.0]
     z[3] = [1.0, 0.0]  # collapsed onto the anchor: always the hardest
     z[4] = [0.0, -1.0]
-    table = pool_table([pool], "none")
+    table = pool_table(pools, "none")
     cfg = MiningConfig(k_pos=5, k_neg=5, max_neg=3, hard_subset_size=1)
     for seed in range(5):
         (_, _, negatives, _), _ = sample_epoch_tuples(table, z, cfg, seed=seed)
@@ -350,19 +354,20 @@ def test_sample_epoch_tuples_hard_window():
 
 
 def test_sample_epoch_tuples_skips_empty():
-    full = AnchorPools(anchor_id=0, positives=[(1, 0.9)], negatives=[(2, 0.8)])
-    empty = AnchorPools(anchor_id=3, positives=[], negatives=[(2, 0.8)])
+    full = (0, [(1, 0.9)], [(2, 0.8)])
+    empty = (3, [], [(2, 0.8)])
     z = np.eye(4)
     cfg = MiningConfig(k_pos=3, k_neg=3, max_neg=2, hard_subset_size=1)
-    tuples, skipped = sample_epoch_tuples(pool_table([full, empty], "none"), z, cfg, seed=0)
+    tuples, skipped = sample_epoch_tuples(pool_table(make_pools([full, empty]), "none"), z, cfg,
+                                          seed=0)
     assert all(len(col) == 1 for col in tuples) and skipped == 1
 
 
 def test_sample_epoch_tuples_names_a_member_beyond_the_embeddings():
-    pool = AnchorPools(anchor_id=0, positives=[(1, 0.9)], negatives=[(2, 0.8), (6, 0.7)])
+    pools = make_pools([(0, [(1, 0.9)], [(2, 0.8), (6, 0.7)])])
     cfg = MiningConfig(k_pos=3, k_neg=3, max_neg=2, hard_subset_size=1)
     with pytest.raises(BadPools, match=r"^pool member id 6 out of range \[0, 4\)$"):
-        sample_epoch_tuples(pool_table([pool], "none"), np.eye(4), cfg, seed=0)
+        sample_epoch_tuples(pool_table(pools, "none"), np.eye(4), cfg, seed=0)
 
 
 def test_pools_jsonl_round_trip(tmp_path):
@@ -370,14 +375,14 @@ def test_pools_jsonl_round_trip(tmp_path):
     cfg = MiningConfig(k_pos=8, k_neg=12, max_neg=6, hard_subset_size=3)
     pools = [mine_pools(a, feats, op, DC, cfg) for a in (0, 5, 9)]
     path = tmp_path / "pools.jsonl"
-    save_pools(pools, path)
+    save_pools(make_pools(pools), path)
     for line in path.read_text().splitlines():
         json.loads(line)  # every line is valid JSON
-    save_pools(pools, tmp_path / "again.jsonl")
+    save_pools(make_pools(pools), tmp_path / "again.jsonl")
     assert path.read_bytes() == (tmp_path / "again.jsonl").read_bytes()
-    loaded = load_pools(path)
+    loaded = pool_lists(load_pools(path))
     for a, b in zip(pools, loaded):
-        assert a.anchor_id == b.anchor_id
+        assert a.anchor == b.anchor
         assert [j for j, _ in a.positives] == [j for j, _ in b.positives]
         assert [j for j, _ in a.negatives] == [j for j, _ in b.negatives]
         for (_, wa), (_, wb) in zip(a.positives + a.negatives, b.positives + b.negatives):
@@ -390,16 +395,16 @@ SIDES = st.lists(st.tuples(IDS, st.floats(-0.0, allow_infinity=False)), max_size
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.builds(AnchorPools, IDS, SIDES, SIDES), min_size=1, max_size=5))
+@given(st.lists(st.builds(PoolRow, IDS, SIDES, SIDES), min_size=1, max_size=5))
 def test_pools_file_round_trip_property(tmp_path_factory, pools):
     path = tmp_path_factory.mktemp("pools") / "pools.jsonl"
-    save_pools(pools, path)
+    save_pools(make_pools(pools), path)
     first = path.read_bytes()
     loaded = load_pools(path)
     save_pools(loaded, path)
     assert path.read_bytes() == first
-    for a, b in zip(pools, loaded, strict=True):
-        assert b.anchor_id == a.anchor_id
+    for a, b in zip(pools, pool_lists(loaded), strict=True):
+        assert b.anchor == a.anchor
         for side_a, side_b in ((a.positives, b.positives), (a.negatives, b.negatives)):
             assert side_b == [(j, float(f"{w:.9g}")) for j, w in side_a]
 
@@ -430,7 +435,7 @@ def test_build_training_pool_blocks_match_single_solves():
     feats, graph, op = small_setup(n=150, seed=16, k=6)
     cfg = MiningConfig(k_pos=12, k_neg=30, max_neg=10, hard_subset_size=4)
     ids = np.arange(149, -1, -1)  # 150 anchors: 64 does not divide them
-    pools, _ = build_training_pool(AnchorSet(ids, np.zeros(150)), feats, op, DC, cfg)
+    pools = pool_lists(build_training_pool(AnchorSet(ids, np.zeros(150)), feats, op, DC, cfg))
     expected = [pools_two_rankings(a, solve_column_reference(op, a, DC).values[0], feats, cfg)
                 for a in ids.tolist()]
     assert pools == [p for p in expected if p.positives or p.negatives]
@@ -445,9 +450,9 @@ def test_build_training_pool_is_the_same_at_every_worker_count(monkeypatch):
         first = None
         for workers in (1, 2, 3):
             monkeypatch.setattr(momine.graph, "WORKERS", workers)
-            got = build_training_pool(anchors, feats, op, DC, cfg)
+            got = pool_lists(build_training_pool(anchors, feats, op, DC, cfg))
             first = first or got
-            assert got[0] == first[0] and np.array_equal(got[1], first[1]), workers
+            assert got == first, workers
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -481,14 +486,14 @@ def test_build_training_pool_matches_single_solves_at_any_block_grid(monkeypatch
     expected = [pools_two_rankings(a, solve_column_reference(op, a, DC).values[0], feats, cfg)
                 for a in ids.tolist()]
     expected = [p for p in expected if p.positives or p.negatives]
-    assert {p.anchor_id for p in expected} & set(np.flatnonzero(graph.degrees == 0).tolist())
+    assert {p.anchor for p in expected} & set(np.flatnonzero(graph.degrees == 0).tolist())
     for rows in (1, 3, 64):
         # blocks of at most rows anchors; 64 rows at one or two workers
         monkeypatch.setattr(momine.mining, "ANCHOR_CELLS", rows * feats.n)
         for workers in (1, 2, 3):
             monkeypatch.setattr(momine.graph, "WORKERS", workers)
-            pools, _ = build_training_pool(AnchorSet(ids, np.zeros(ids.size)), feats, op, DC, cfg)
-            assert pools == expected, (rows, workers)
+            pools = build_training_pool(AnchorSet(ids, np.zeros(ids.size)), feats, op, DC, cfg)
+            assert pool_lists(pools) == expected, (rows, workers)
 
 
 def test_build_training_pool_memory_does_not_grow_with_block_times_n(monkeypatch):
@@ -504,12 +509,31 @@ def test_build_training_pool_memory_does_not_grow_with_block_times_n(monkeypatch
     tracemalloc.start()
     try:
         with pytest.warns(UserWarning, match="64 of 64 diffusion solves stopped"):
-            pools, _ = build_training_pool(anchors, feats, op, short, MiningConfig())
+            pools = build_training_pool(anchors, feats, op, short, MiningConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(pools) == 64
+    assert pools.anchors.size == 64
     assert peak < 40e6
+
+
+def test_held_pools_are_array_sized():
+    # every node of 800 moons an anchor: about 45,000 pool entries, which
+    # take 16 bytes each as an id and a weight in flat arrays
+    run = RunConfig(gen=SyntheticSpec(per_class=400))
+    feats = l2_normalize(generate_synthetic(run.gen, run.seed))
+    graph = build_reciprocal_graph(feats, run.graph.k)
+    anchors = select_anchors(graph, stationary(graph)[0], feats.n, "all")
+    op = normalize_graph(graph)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pools = build_training_pool(anchors, feats, op, run.diffusion, run.mining, seed=run.seed)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5e6
+    assert pools.anchors.size > 700
 
 
 def test_build_training_pool_checks_anchor_ids_and_sizes():
@@ -531,21 +555,21 @@ def test_sample_epoch_tuples_matches_per_pool_loop():
     cfg = MiningConfig(k_pos=10, k_neg=25, max_neg=12, hard_subset_size=6)
     pools = [mine_pools(a, feats, op, DC, cfg) for a in range(60)] * 2
     pools[3:3] = [
-        AnchorPools(5, [], [(1, 0.5)]),  # empty pools are skipped
-        AnchorPools(6, [(2, 0.3)], []),
-        AnchorPools(7, [(3, 0.2)], [(9, 0.1), (8, 0.05)]),  # fewer negatives than the window
+        PoolRow(5, [], [(1, 0.5)]),  # empty pools are skipped
+        PoolRow(6, [(2, 0.3)], []),
+        PoolRow(7, [(3, 0.2)], [(9, 0.1), (8, 0.05)]),  # fewer negatives than the window
     ]
     assert any(0 < len(p.negatives) < cfg.hard_subset_size for p in pools)
     assert len(pools) > ANCHOR_BLOCK  # the distances span two blocks
     # a coarse integer grid with repeated rows: many exact distance ties
     z = np.random.default_rng(14).integers(0, 3, size=(60, 4)).astype(np.float64)
     z[30:] = z[:30]
-    table = pool_table(pools, "none")
+    table = pool_table(make_pools(pools), "none")
     for seed in range(30):
         got, skipped = sample_epoch_tuples(table, z, cfg, seed=[seed, 2, 5])
         assert (tuple_lists(got), skipped) == sample_epoch_tuples_reference(pools, z, cfg, [seed, 2, 5])
         assert skipped >= 2
-    got, skipped = sample_epoch_tuples(pool_table(pools[3:5], "none"), z, cfg, seed=0)
+    got, skipped = sample_epoch_tuples(pool_table(make_pools(pools[3:5]), "none"), z, cfg, seed=0)
     assert (tuple_lists(got), skipped) == (([], [], [], []), 2)
 
 
@@ -564,10 +588,10 @@ def every_mode_reference(ids, feats, op, cfg, labels, seed):
             dropped.append(a)
         elif cfg.oracle == "positive":
             side = oracle_side_reference(a, feats, labels, True, cfg.max_pos or None)
-            pools.append(AnchorPools(a, side, base.negatives))
+            pools.append(PoolRow(a, side, base.negatives))
         elif cfg.oracle == "negative":
             side = oracle_side_reference(a, feats, labels, False, cfg.max_neg)
-            pools.append(AnchorPools(a, base.positives, side))
+            pools.append(PoolRow(a, base.positives, side))
         else:
             pools.append(base)
     return pools, dropped
@@ -607,12 +631,13 @@ def test_build_training_pool_every_mode_matches_references(monkeypatch, mode, or
                 monkeypatch.setattr(momine.graph, "WORKERS", workers)
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    pools, items = build_training_pool(
+                    got = build_training_pool(
                         AnchorSet(ids, np.zeros(ids.size)), feats, op, DC, cfg, labels, seed=4)
+                pools, items = pool_lists(got), pool_table(got, "none").members
                 assert pools == expected, (case, rows, workers)
                 assert [str(w.message) for w in caught] == (
                     [f"dropped {len(dropped)} anchors with empty pools"] if dropped else [])
-                assert items.tolist() == sorted({p.anchor_id for p in pools} | {
+                assert items.tolist() == sorted({p.anchor for p in pools} | {
                     j for p in pools for j, _ in p.positives + p.negatives})
         if oracle != "none":
             with pytest.raises(LabelsMissing, match="^oracle pools need the label sidecar$"):
@@ -626,23 +651,24 @@ def test_block_pools_match_two_rankings_with_isolated_anchors(k_pos, k_neg, max_
     assert (graph.degrees == 0).sum() >= 3
     cfg = MiningConfig(k_pos=k_pos, k_neg=k_neg, max_pos=max_pos, max_neg=10, hard_subset_size=3)
     ids = np.arange(feats.n)  # two blocks of 45 at one or two workers
-    pools, items = build_training_pool(AnchorSet(ids, np.zeros(feats.n)), feats, op, DC, cfg)
+    got = build_training_pool(AnchorSet(ids, np.zeros(feats.n)), feats, op, DC, cfg)
+    pools, items = pool_lists(got), pool_table(got, "none").members
     expected = [pools_two_rankings(a, solve_column_reference(op, a, DC).values[0], feats, cfg)
                 for a in ids.tolist()]
     assert pools == [p for p in expected if p.positives or p.negatives]
     isolated = set(np.flatnonzero(graph.degrees == 0).tolist())
-    assert isolated & {p.anchor_id for p in pools}
-    assert items.tolist() == sorted({p.anchor_id for p in pools} | {
+    assert isolated & {p.anchor for p in pools}
+    assert items.tolist() == sorted({p.anchor for p in pools} | {
         j for p in pools for j, _ in p.positives + p.negatives})
 
 
 def test_pool_table_per_anchor_max_spans_every_pool_of_the_anchor():
-    pools = [
-        AnchorPools(0, [(1, 0.9)], [(2, 0.5)]),
-        AnchorPools(4, [(5, 0.0)], [(2, 0.5)]),  # a zero maximum trains at weight 0
-        AnchorPools(0, [(3, 0.3), (6, 0.45)], [(2, 0.5)]),
-        AnchorPools(0, [(7, 1.8)], []),  # skipped, but its positive still counts
-    ]
+    pools = make_pools([
+        (0, [(1, 0.9)], [(2, 0.5)]),
+        (4, [(5, 0.0)], [(2, 0.5)]),  # a zero maximum trains at weight 0
+        (0, [(3, 0.3), (6, 0.45)], [(2, 0.5)]),
+        (0, [(7, 1.8)], []),  # skipped, but its positive still counts
+    ])
     table = pool_table(pools, "per-anchor-max")
     assert table.weights.tolist() == [0.5, 0.0, 0.3 / 1.8, 0.45 / 1.8]
     assert table.anchors.tolist() == [0, 4, 0] and table.skipped == 1

@@ -18,7 +18,7 @@ PUBLIC = {
                  "pca_whiten_fit", "save_features", "save_labels"],
     "graph": ["NeighborGraph", "NormalizedOperator", "build_reciprocal_graph", "knn_search",
               "load_graph", "normalize_graph", "save_graph"],
-    "mining": ["AnchorPools", "MiningConfig", "build_training_pool", "load_pools", "pool_table",
+    "mining": ["MiningConfig", "Pools", "build_training_pool", "load_pools", "pool_table",
                "sample_epoch_tuples", "save_pools"],
     "evaluation": ["EvalReport", "evaluate_embeddings", "kmeans", "nmi"],
     "trainer": ["EmbeddingModel", "TrainConfig", "forward", "load_model", "save_model",

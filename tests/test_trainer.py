@@ -21,7 +21,7 @@ from momine.errors import (
     TruncatedFile,
 )
 from momine.features import SyntheticSpec, generate_synthetic, l2_normalize
-from momine.mining import AnchorPools, MiningConfig
+from momine.mining import MiningConfig
 from momine.trainer import (
     MODEL_MAGIC,
     EmbeddingModel,
@@ -36,7 +36,7 @@ from momine.trainer import (
     train,
 )
 
-from helpers import raises_with_peak, train_reference
+from helpers import PoolRow, make_pools, pool_lists, raises_with_peak, train_reference
 
 
 def unit(v):
@@ -387,14 +387,14 @@ def two_moons_run(seed=11):
     fs = generate_synthetic(spec, seed)
     fn = l2_normalize(fs)
     rng = np.random.default_rng(seed + 1)
-    pools = []
+    rows = []
     for anchor in range(0, fn.n, 3):
         others = [j for j in range(fn.n) if j != anchor]
         rng.shuffle(others)
         pos = [(int(j), float(rng.uniform(0.2, 1.0))) for j in others[:5]]
         neg = [(int(j), float(rng.uniform(0.2, 1.0))) for j in others[5:12]]
-        pools.append(AnchorPools(anchor_id=anchor, positives=pos, negatives=neg))
-    return fn, pools
+        rows.append((anchor, pos, neg))
+    return fn, make_pools(rows)
 
 
 def test_train_zero_epochs_returns_model_unchanged():
@@ -410,17 +410,18 @@ def test_train_zero_epochs_returns_model_unchanged():
 @pytest.mark.parametrize("bad_id", [-1, 120])
 def test_train_rejects_pool_ids_outside_features(bad_id):
     fn, pools = two_moons_run()  # 120 items
-    pools[4].negatives.append((bad_id, 0.5))
+    rows = pool_lists(pools)
+    rows[4].negatives.append((bad_id, 0.5))
     model = EmbeddingModel.initialize(8, 8, seed=1)
     with pytest.raises(BadPools, match=f"{bad_id} out of range"):
-        train(fn, pools, model, TrainConfig(epochs=1), MiningConfig(max_neg=50), seed=3)
+        train(fn, make_pools(rows), model, TrainConfig(epochs=1), MiningConfig(max_neg=50), seed=3)
 
 
 def test_train_without_pools_is_all_pools_empty():
     fn, _ = two_moons_run()
     model = EmbeddingModel.initialize(8, 8, seed=1)
     with pytest.raises(AllPoolsEmpty, match="^no pools to train on$"):
-        train(fn, [], model, TrainConfig(epochs=1), MiningConfig(max_neg=50), seed=3)
+        train(fn, make_pools([]), model, TrainConfig(epochs=1), MiningConfig(max_neg=50), seed=3)
 
 
 def test_train_model_of_another_width_is_dim_mismatch():
@@ -507,7 +508,7 @@ def test_alternate_single_round_equals_plain_train(tmp_path, capsys):
     tcfg = TrainConfig(loss="contrastive", margin=0.7, epochs=4, batch_size=16)
     graph = build_reciprocal_graph(fn, 6)
     anchors = select_anchors(graph, stationary(graph)[0], 50)
-    pools, _ = build_training_pool(anchors, fn, normalize_graph(graph), dcfg, mcfg)
+    pools = build_training_pool(anchors, fn, normalize_graph(graph), dcfg, mcfg)
     model = EmbeddingModel.initialize(8, 8, seed=5)
     model, _ = train(fn, pools, model, tcfg, mcfg, seed=5)
     save_model(model, tmp_path / "chain.bin")
@@ -650,15 +651,16 @@ def test_load_model_rejects_a_non_finite_parameter(tmp_path, hidden, value):
 ])
 def test_train_matches_tuple_reference(tmp_path, loss, hidden, weighting):
     fn, pools = two_moons_run()
-    pools[2:2] = [AnchorPools(7, [], [(1, 0.5)]), AnchorPools(8, [(2, 0.3)], [])]  # skipped
-    pools[5].negatives = pools[5].negatives[:2]  # fewer negatives than the window
-    pools.append(AnchorPools(pools[0].anchor_id, [(50, 1.7)], [(51, 0.2)]))  # repeated anchor
+    pools = pool_lists(pools)
+    pools[2:2] = [PoolRow(7, [], [(1, 0.5)]), PoolRow(8, [(2, 0.3)], [])]  # skipped
+    del pools[5].negatives[2:]  # fewer negatives than the window
+    pools.append(PoolRow(pools[0].anchor, [(50, 1.7)], [(51, 0.2)]))  # repeated anchor
     mcfg = MiningConfig(hard_subset_size=5, max_neg=50)
     tcfg = TrainConfig(loss=loss, weight_normalization=weighting, epochs=4, batch_size=16)
     runs = []
-    for fit in (train, train_reference):
+    for fit, given in ((train, make_pools(pools)), (train_reference, pools)):
         model = EmbeddingModel.initialize(8, 5, hidden_dim=hidden, seed=1)
-        model, log = fit(fn, pools, model, tcfg, mcfg, seed=5)
+        model, log = fit(fn, given, model, tcfg, mcfg, seed=5)
         save_model(model, tmp_path / "model.bin")
         runs.append(([p for layer in model.layers for p in layer], log,
                      (tmp_path / "model.bin").read_bytes()))
@@ -673,9 +675,9 @@ def test_per_anchor_max_normalizes_over_every_pool_of_a_repeated_anchor():
     mcfg = MiningConfig(hard_subset_size=2, max_neg=50)
     tcfg = TrainConfig(epochs=3, batch_size=2)
     negatives = [(20, 0.4), (21, 0.3)]
-    split = [AnchorPools(0, [(1, 0.9)], negatives), AnchorPools(0, [(3, 0.3)], negatives)]
+    split = make_pools([(0, [(1, 0.9)], negatives), (0, [(3, 0.3)], negatives)])
     # the same pools with the weights already divided by the anchor's max, 0.9
-    scaled = [AnchorPools(0, [(1, 1.0)], negatives), AnchorPools(0, [(3, 0.3 / 0.9)], negatives)]
+    scaled = make_pools([(0, [(1, 1.0)], negatives), (0, [(3, 0.3 / 0.9)], negatives)])
     models = []
     for pools, normalization in ((split, "per-anchor-max"), (scaled, "none")):
         model = EmbeddingModel.initialize(8, 8, seed=1)
