@@ -276,8 +276,8 @@ def sample_epoch_tuples(table: PoolTable, current_embeddings, mining_config: Min
 
     The positive is uniform over the positive pool; the negative is uniform
     over the hard window: the hard_subset_size pool members closest to the
-    anchor in the current embedding space, ties by id. Returns the four
-    columns as arrays and the table's skipped count.
+    anchor in the current embedding space, ranked by top_k, ties by id.
+    Returns the four columns as arrays and the table's skipped count.
     """
     anchors, ids, m = table.anchors, table.neg_ids, table.anchors.size
     z = np.asarray(current_embeddings)
@@ -294,17 +294,17 @@ def sample_epoch_tuples(table: PoolTable, current_embeddings, mining_config: Min
         diff *= diff
         np.add.reduce(diff, axis=2, out=dists[block])
     np.sqrt(dists, out=dists)
-    dists[np.arange(ids.shape[1]) >= table.neg_sizes[:, None]] = np.nan
-    # rows are sorted by id, so a stable sort breaks distance ties by id
-    order = np.argsort(dists, axis=1, kind="stable")
+    # +inf pads keep top_k's candidate bound, where NaN would not; ids ascend, so ties go by id
+    dists[np.arange(ids.shape[1]) >= table.neg_sizes[:, None]] = np.inf
+    k = min(mining_config.hard_subset_size, ids.shape[1])
+    window = top_k(-dists, k) if k else np.zeros((m, 0), dtype=np.int64)
     # one draw per positive pool and per hard window, in pool order
-    bounds = np.empty(2 * m, dtype=np.int64)
-    bounds[0::2] = np.diff(table.pos_offsets)
-    bounds[1::2] = np.minimum(table.neg_sizes, mining_config.hard_subset_size)
-    draws = np.random.default_rng(seed).integers(bounds)
+    bounds = np.column_stack([np.diff(table.pos_offsets),
+                              np.minimum(table.neg_sizes, mining_config.hard_subset_size)])
+    pos_draws, neg_draws = np.random.default_rng(seed).integers(bounds).T
     rows = np.arange(m)
-    pick = table.pos_offsets[:-1] + draws[0::2]
-    negatives = ids[rows, order[rows, draws[1::2]]]
+    pick = table.pos_offsets[:-1] + pos_draws
+    negatives = ids[rows, window[rows, neg_draws]]
     return (anchors, table.pos_ids[pick], negatives, table.weights[pick]), table.skipped
 
 

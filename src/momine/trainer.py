@@ -108,19 +108,21 @@ class EmbeddingModel:
         return cls(input_dim, output_dim, hidden_dim, layers)
 
 
-def _forward_cache(model: EmbeddingModel, x: np.ndarray):
-    """Batched forward pass, a ReLU between layers, keeping each layer's
-    input and the normalization for the backward pass."""
+def _forward_cache(model: EmbeddingModel, x: np.ndarray, items=None, epoch=None):
+    """Forward pass over x's leading axes, keeping each layer's input and the
+    norms for the backward pass. A norm below 1e-12 is a DegenerateOutput
+    naming its row's flat position, or its id in `items` and the `epoch`."""
     inputs = []
     pre = x
     for i, (w, b) in enumerate(model.layers):
         inputs.append(np.maximum(pre, 0.0) if i else pre)
         pre = inputs[i] @ w.T + b
-    norms = np.linalg.norm(pre, axis=1)
-    if np.any(norms < 1e-12):
-        bad = int(np.flatnonzero(norms < 1e-12)[0])
-        raise DegenerateOutput(f"pre-normalization norm below 1e-12 for input row {bad}")
-    z = pre / norms[:, None]
+    norms = np.linalg.norm(pre, axis=-1)
+    bad = np.flatnonzero(norms < 1e-12)
+    if bad.size:
+        row = f"input row {bad[0]}" if items is None else f"item {items.flat[bad[0]]} at epoch {epoch}"
+        raise DegenerateOutput(f"pre-normalization norm below 1e-12 for {row}")
+    z = pre / norms[..., None]
     return z, (inputs, z, norms)
 
 
@@ -129,21 +131,21 @@ def forward(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape[-1] != model.input_dim:
         raise DimMismatch(f"model expects input_dim={model.input_dim}, features have d={arr.shape[-1]}")
-    single = arr.ndim == 1
-    z, _ = _forward_cache(model, arr[None, :] if single else arr)
-    return z[0] if single else z
+    return _forward_cache(model, arr)[0]
 
 
 def _backward(model: EmbeddingModel, cache, dz: np.ndarray, grads: list) -> None:
     """Accumulate parameter gradients for dLoss/dz into `grads` (same shapes
     as model.layers). Normalization backprop: dpre = (dz - (dz.z) z)/||pre||;
     a ReLU passes the gradient where its output, the next layer's input, is
-    positive."""
+    positive. A stack (..., B, d) adds each batch's product in turn, as one
+    call per batch does: one product of every row would round otherwise."""
     inputs, z, norms = cache
-    dpre = (dz - np.sum(dz * z, axis=1, keepdims=True) * z) / norms[:, None]
+    dpre = (dz - np.sum(dz * z, axis=-1, keepdims=True) * z) / norms[..., None]
     for i in reversed(range(len(model.layers))):
-        grads[i][0] += dpre.T @ inputs[i]
-        grads[i][1] += dpre.sum(axis=0)
+        for d_batch, x_batch in zip(*(a.reshape(-1, *a.shape[-2:]) for a in (dpre, inputs[i]))):
+            grads[i][0] += d_batch.T @ x_batch
+            grads[i][1] += d_batch.sum(axis=0)
         if i:
             dpre = (dpre @ model.layers[i][0]) * (inputs[i] > 0.0)
 
@@ -243,10 +245,10 @@ def train(
 ):
     """Train the model in place on frozen pools; returns (model, epoch log).
 
-    Each epoch re-embeds the training pool with the current parameters,
-    samples one tuple per anchor (hard negatives in the current space),
-    shuffles, and runs momentum-SGD minibatches; `seed` draws the tuples and
-    the shuffles. Log rows carry epoch, mean_loss, lr, tuples_used.
+    Each epoch re-embeds the training pool, samples one (anchor, positive,
+    hard negative) tuple per pool as a (3, m) id stack, shuffles its columns
+    and runs momentum-SGD minibatches, one pass per (3, batch) stack; `seed`
+    draws the tuples and the shuffles. Log rows: epoch, mean_loss, lr, tuples_used.
     """
     if not pools.anchors.size:
         raise AllPoolsEmpty("no pools to train on")
@@ -256,33 +258,30 @@ def train(
     members = check_ids(table.members, features.n, BadPools, "pool member id")
 
     loss_fn = _LOSSES[train_config.loss]
-    velocity = [[np.zeros_like(w), np.zeros_like(b)] for w, b in model.layers]
+    velocity, grads = ([[np.zeros_like(w), np.zeros_like(b)] for w, b in model.layers] for _ in range(2))
     shuffle_rng = np.random.default_rng([seed, 1])
     log = []
     for epoch in range(train_config.epochs):
         lr = train_config.lr0 * train_config.lr_decay ** (epoch // train_config.lr_decay_every)
         z_pool = np.zeros((features.n, model.output_dim))
-        z_pool[members] = forward(model, features.data[members])
+        z_pool[members] = _forward_cache(model, features.data[members], members, epoch)[0]
         (anchors, positives, negatives, weights), _ = sample_epoch_tuples(
             table, z_pool, mining_config, seed=[seed, 2, epoch]
         )
         if not anchors.size:
             log.append({"epoch": epoch, "mean_loss": 0.0, "lr": lr, "tuples_used": 0})
             continue
+        tuples = np.stack([anchors, positives, negatives])
         order = shuffle_rng.permutation(anchors.size)
         total = 0.0
         for start in range(0, anchors.size, train_config.batch_size):
             batch = order[start : start + train_config.batch_size]
-            w = weights[batch]
-            zr, cr = _forward_cache(model, features.data[anchors[batch]])
-            zp, cp = _forward_cache(model, features.data[positives[batch]])
-            zn, cn = _forward_cache(model, features.data[negatives[batch]])
-            losses, g_r, g_p, g_n = loss_fn(zr, zp, zn, train_config.margin)
-            scale = (w / batch.size)[:, None]
-            grads = [[np.zeros_like(wm), np.zeros_like(bm)] for wm, bm in model.layers]
-            _backward(model, cr, g_r * scale, grads)
-            _backward(model, cp, g_p * scale, grads)
-            _backward(model, cn, g_n * scale, grads)
+            items, w = tuples[:, batch], weights[batch]
+            z, cache = _forward_cache(model, features.data[items], items, epoch)
+            losses, *dz = loss_fn(*z, train_config.margin)
+            for p in (p for layer in grads for p in layer):
+                p.fill(0.0)
+            _backward(model, cache, np.stack(dz) * (w / batch.size)[:, None], grads)
             sgd_momentum_step(model.layers, grads, velocity, lr, train_config.momentum)
             total += float(np.sum(losses * w))
         mean_loss = total / anchors.size

@@ -11,8 +11,8 @@ import pytest
 
 import momine.mining
 from momine.cli import DEFAULTS, main
-from momine.features import FeatureSet, l2_normalize, load_features, load_labels
-from momine.mining import MiningConfig, load_pools
+from momine.features import FeatureSet, l2_normalize, load_features, load_labels, save_features
+from momine.mining import MiningConfig, load_pools, save_pools
 from momine.trainer import EmbeddingModel, TrainConfig, save_model, train
 
 from helpers import make_pools, pool_lists
@@ -740,6 +740,23 @@ def test_train_with_pools_from_a_larger_set_is_data_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("mom train: error:") and "out of range [0, 120)" in err
+
+
+def test_train_names_the_item_of_a_degenerate_embedding_and_writes_nothing(tmp_path, capsys):
+    # the seeded model's one hidden ReLU unit is 0 on item 5 alone, so item 5
+    # embeds to zero; the pool members are [0, 2, 5, 7]
+    w = EmbeddingModel.initialize(3, 2, hidden_dim=1, seed=0).layers[0][0][0]
+    data = w + 0.1 * np.random.default_rng(1).normal(size=(8, 3))
+    data[5] = -w
+    save_features(FeatureSet(data), tmp_path / "features.bin")
+    save_pools(make_pools([(0, [(2, 1.0)], [(5, 0.5), (7, 0.4)])]), tmp_path / "pools.jsonl")
+    code = main(["train", "--out", str(tmp_path / "t"), "--seed", "0",
+                 "--features", str(tmp_path / "features.bin"),
+                 "--pools", str(tmp_path / "pools.jsonl"),
+                 "--set", "model.output_dim", "2", "--set", "model.hidden_dim", "1"])
+    assert code == 2 and not (tmp_path / "t").exists()
+    assert capsys.readouterr().err == ("mom train: error: pre-normalization norm below 1e-12"
+                                       " for item 5 at epoch 0\n")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -20,7 +20,7 @@ from momine.errors import (
     TrailingBytes,
     TruncatedFile,
 )
-from momine.features import SyntheticSpec, generate_synthetic, l2_normalize
+from momine.features import FeatureSet, SyntheticSpec, generate_synthetic, l2_normalize
 from momine.mining import MiningConfig
 from momine.trainer import (
     MODEL_MAGIC,
@@ -97,6 +97,36 @@ def test_forward_degenerate_output():
     model = EmbeddingModel(3, 2, layers=[[np.zeros((2, 3)), np.zeros(2)]])
     with pytest.raises(DegenerateOutput):
         forward(model, np.array([1.0, 0.0, 0.0]))
+
+
+def test_forward_of_a_vector_is_row_0_of_its_batch():
+    rng = np.random.default_rng(4)
+    for hidden in (0, 6):
+        model = EmbeddingModel.initialize(5, 4, hidden_dim=hidden, seed=2)
+        x = rng.normal(size=5)
+        assert np.array_equal(forward(model, x), forward(model, x[None, :])[0])
+
+
+@pytest.mark.parametrize("hidden", [0, 6])
+@pytest.mark.parametrize("batch", [1, 13])
+def test_stacked_pass_equals_one_pass_per_side_bit_for_bit(hidden, batch):
+    # one forward and one backward over a (3, B, d) stack give the z and add
+    # the gradients of three 2-D passes, anchor, positive, negative in turn
+    rng = np.random.default_rng(10 * batch + hidden)
+    model = EmbeddingModel.initialize(5, 4, hidden_dim=hidden, seed=3)
+    for layer in model.layers:
+        layer[1] += 0.1 * rng.normal(size=layer[1].shape)
+    x, dz = rng.normal(size=(3, batch, 5)), rng.normal(size=(3, batch, 4))
+    start = [[rng.normal(size=w.shape), rng.normal(size=b.shape)] for w, b in model.layers]
+    grads, expected = ([[p.copy() for p in layer] for layer in start] for _ in range(2))
+    z, cache = _forward_cache(model, x)
+    _backward(model, cache, dz, grads)
+    for side in range(3):
+        z_side, cache_side = _forward_cache(model, x[side])
+        assert np.array_equal(z[side], z_side)
+        _backward(model, cache_side, dz[side], expected)
+    for layer, expected_layer in zip(grads, expected):
+        assert all(np.array_equal(g, e) for g, e in zip(layer, expected_layer))
 
 
 def test_initialize_shapes_and_identity():
@@ -429,6 +459,18 @@ def test_train_model_of_another_width_is_dim_mismatch():
     model = EmbeddingModel.initialize(4, 4, seed=1)
     with pytest.raises(DimMismatch, match="^model expects input_dim=4, features have d=8$"):
         train(fn, pools, model, TrainConfig(epochs=1), MiningConfig(max_neg=50), seed=3)
+
+
+def test_train_names_the_item_and_epoch_of_a_degenerate_embedding():
+    # the projection maps item 5 to zero; the pool members are [0, 2, 5, 7],
+    # so item 5 is row 2 of the members' forward, and the message names the item
+    data = np.random.default_rng(0).normal(size=(8, 3))
+    data[5] = [0.0, 0.0, 1.0]
+    model = EmbeddingModel(3, 2, layers=[[np.eye(3)[:2], np.zeros(2)]])
+    pools = make_pools([(0, [(2, 1.0)], [(5, 0.5), (7, 0.4)])])
+    with pytest.raises(DegenerateOutput,
+                       match="^pre-normalization norm below 1e-12 for item 5 at epoch 0$"):
+        train(FeatureSet(data), pools, model, TrainConfig(epochs=1), MiningConfig(), seed=0)
 
 
 def test_train_deterministic_given_seed():
