@@ -5,19 +5,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import INT64, BadAnchors, EmptyGraph, check_fields, read_lines, ruled
+from .errors import INT64, BadAnchors, EmptyGraph, Ruled, read_lines, ruled
 from .graph import NeighborGraph, components, top_k
 
 ANCHOR_MODES = ("maxima", "all")
 
 
 @dataclass
-class AnchorsConfig:
+class AnchorsConfig(Ruled):
     count: int = ruled(64, ">= 1")
     mode: str = ruled("maxima", ANCHOR_MODES)  # all: every non-isolated node, by pi
-
-    def __post_init__(self):
-        check_fields(self, ValueError)
 
 
 @dataclass

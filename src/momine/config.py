@@ -2,35 +2,29 @@
 prefix of the dotted config keys (`gen` is a SyntheticSpec, `diffusion`,
 `anchors`, `mining`, `model` and `train` are the stages' configs). A
 section's field declares its key's default and, through errors.ruled, its
-rule; each section's __post_init__ runs errors.check_fields, which words
-every failure "<field> must be <rule>, got <value>", and then the few rules
-that tie two fields together."""
+rule. Each section derives from errors.Ruled, whose __post_init__ words
+every failure "<field> must be <rule>, got <value>"; the few rules that tie
+two fields together follow it in the section's own __post_init__."""
 
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 from .anchors import AnchorsConfig
 from .diffusion import DiffusionConfig
-from .errors import BadConfig, check_fields, ruled
+from .errors import BadConfig, Ruled, ruled
 from .features import SyntheticSpec
 from .mining import MiningConfig
 from .trainer import ModelConfig, TrainConfig
 
 
 @dataclass
-class PrepConfig:
+class PrepConfig(Ruled):
     whiten_dims: int = ruled(0, ">= 0")  # PCA-whitened dimensions before l2 normalization; 0 = off
-
-    def __post_init__(self):
-        check_fields(self, ValueError)
 
 
 @dataclass
-class GraphConfig:
+class GraphConfig(Ruled):
     k: int = ruled(30, ">= 1")  # neighbours per item of the reciprocal kNN graph
-
-    def __post_init__(self):
-        check_fields(self, ValueError)
 
 
 @dataclass
@@ -48,7 +42,7 @@ class EvalConfig:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Ruled):
     """One `mom` run. Its `seed` feeds the generator, the model's init, the
     baseline draws, the trainer and k-means alike."""
 
@@ -63,9 +57,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     rounds: int = ruled(1, ">= 1")  # alternating mine/train rounds
-
-    def __post_init__(self):
-        check_fields(self, ValueError)
 
     @classmethod
     def defaults(cls) -> dict:

@@ -10,19 +10,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadAnchors, check_fields, ruled
+from .errors import BadAnchors, Ruled, ruled
 from .features import check_ids
 from .graph import NormalizedOperator
 
 
 @dataclass
-class DiffusionConfig:
+class DiffusionConfig(Ruled):
     alpha: float = ruled(0.99, "in [0, 1)")
     tolerance: float = ruled(1e-6, "> 0")
     max_iterations: int = ruled(100, ">= 1")
-
-    def __post_init__(self):
-        check_fields(self, ValueError)
 
 
 class SimilarityBlock(NamedTuple):

@@ -1,6 +1,6 @@
-"""Exception types, the one checker of the config fields' declared rules
-(ruled, check_fields), and the readers (read_lines, read_binary) and writer
-that name their file."""
+"""Exception types, the config fields' declared rules (ruled) and the base
+class of a config section that checks them (Ruled), and the readers
+(read_lines, read_binary) and writer that name their file."""
 
 import json
 import os
@@ -32,16 +32,23 @@ def rule_text(rule) -> str:
     return f"{', '.join(head)} or {last}"
 
 
-def check_fields(section, error) -> None:
-    """`error` "<field> must be <rule>, got <value!r>" for the first field of
-    the dataclass instance `section` whose value breaks its declared rule."""
-    for item in fields(section):
-        rule = item.metadata.get("rule")
-        if rule is None:
-            continue
-        value = getattr(section, item.name)
-        if not (value in rule if isinstance(rule, tuple) else RANGES[rule](value)):
-            raise error(f"{item.name} must be {rule_text(rule)}, got {value!r}")
+class Ruled:
+    """Base class of a config section, a dataclass whose fields may declare
+    rules through `ruled`. Construction raises the class's `error`
+    "<field> must be <rule>, got <value!r>" for the first field whose value
+    breaks its rule; a subclass with rules that tie fields together checks
+    them after super().__post_init__()."""
+
+    error = ValueError
+
+    def __post_init__(self):
+        for item in fields(self):
+            rule = item.metadata.get("rule")
+            if rule is None:
+                continue
+            value = getattr(self, item.name)
+            if not (value in rule if isinstance(rule, tuple) else RANGES[rule](value)):
+                raise self.error(f"{item.name} must be {rule_text(rule)}, got {value!r}")
 
 
 class MomineError(Exception):

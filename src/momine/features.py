@@ -18,8 +18,8 @@ from .errors import (
     INT64,
     NonFinite,
     RankDeficient,
+    Ruled,
     ZeroVector,
-    check_fields,
     read_binary,
     read_lines,
     ruled,
@@ -92,13 +92,15 @@ class WhiteningTransform:
 
 
 @dataclass
-class SyntheticSpec:
+class SyntheticSpec(Ruled):
     """Parameters for a synthetic manifold dataset; the defaults are `mom gen`'s.
 
     ``noise`` is the ambient Gaussian sigma applied after the (seeded) isometric
     lift into ``ambient_dim`` dimensions; for ``clusters`` it doubles as the
     blob standard deviation.
     """
+
+    error = BadSpec
 
     kind: str = ruled("moons", SYNTHETIC_KINDS)
     per_class: int = ruled(200, ">= 1")
@@ -107,7 +109,7 @@ class SyntheticSpec:
     noise: float = ruled(0.15, ">= 0")
 
     def __post_init__(self):
-        check_fields(self, BadSpec)
+        super().__post_init__()
         if self.kind == "moons" and self.classes != 2:
             raise BadSpec(f"classes must be 2 for kind 'moons', got {self.classes!r}")
         if self.ambient_dim < INTRINSIC_DIMS[self.kind]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .diffusion import DiffusionConfig, solve_columns
 from .errors import (AllPoolsEmpty, BadAnchors, BadGraph, BadPools, DimMismatch, LabelsMissing,
-                     check_fields, read_lines, ruled)
+                     Ruled, read_lines, ruled)
 from .features import FeatureSet, check_ids, check_labels
 from .graph import NormalizedOperator, _run_blocks, gram_rows, similarity, top_k
 
@@ -31,7 +31,7 @@ ANCHOR_CELLS = 2**17
 
 
 @dataclass
-class MiningConfig:
+class MiningConfig(Ruled):
     k_pos: int = ruled(50, ">= 1")
     k_neg: int = ruled(100, ">= 1")
     max_pos: int = ruled(0, ">= 0")  # 0 = unlimited
@@ -42,7 +42,7 @@ class MiningConfig:
     oracle: str = ruled("none", ("none", "positive", "negative"))  # that side from the labels
 
     def __post_init__(self):
-        check_fields(self, ValueError)
+        super().__post_init__()
         if self.hard_subset_size > self.max_neg:
             raise ValueError(f"hard_subset_size must be <= max_neg ({self.max_neg}),"
                              f" got {self.hard_subset_size!r}")

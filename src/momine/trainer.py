@@ -20,7 +20,7 @@ from .errors import (
     DimMismatch,
     Diverged,
     NonFinite,
-    check_fields,
+    Ruled,
     read_binary,
     ruled,
     write_binary,
@@ -41,14 +41,13 @@ def _layer_dims(input_dim, output_dim, hidden_dim):
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Ruled):
     """The architecture of an EmbeddingModel, checked with BadModel."""
+
+    error = BadModel
 
     output_dim: int = ruled(16, ">= 1")
     hidden_dim: int = ruled(0, ">= 0")  # 0 = one affine layer, else a ReLU hidden layer this wide
-
-    def __post_init__(self):
-        check_fields(self, BadModel)
 
     def initialize(self, input_dim: int, seed: int) -> "EmbeddingModel":
         return EmbeddingModel.initialize(input_dim, self.output_dim, self.hidden_dim, seed=seed)
@@ -217,7 +216,7 @@ def sgd_momentum_step(params: list, grads: list, velocity: list, lr: float, mome
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Ruled):
     loss: str = ruled("contrastive", tuple(_LOSSES))
     margin: float = ruled(0.0, ">= 0")  # 0 = the loss's: 0.7 contrastive, else 0.5
     lr0: float = ruled(0.01, "> 0")
@@ -230,7 +229,7 @@ class TrainConfig:
     weight_normalization: str = ruled("per-anchor-max", ("per-anchor-max", "none", "unit"))
 
     def __post_init__(self):
-        check_fields(self, ValueError)
+        super().__post_init__()
         if not self.margin:
             self.margin = 0.7 if self.loss == "contrastive" else 0.5
 
@@ -249,12 +248,15 @@ def train(
     hard negative) tuple per pool as a (3, m) id stack, shuffles its columns
     and runs momentum-SGD minibatches, one pass per (3, batch) stack; `seed`
     draws the tuples and the shuffles. Log rows: epoch, mean_loss, lr, tuples_used.
+    Pools of which none has both a positive and a negative raise AllPoolsEmpty.
     """
     if not pools.anchors.size:
         raise AllPoolsEmpty("no pools to train on")
     if features.d != model.input_dim:
         raise DimMismatch(f"model expects input_dim={model.input_dim}, features have d={features.d}")
     table = pool_table(pools, train_config.weight_normalization)
+    if not table.anchors.size:
+        raise AllPoolsEmpty(f"no pool has both a positive and a negative ({pools.anchors.size} pools)")
     members = check_ids(table.members, features.n, BadPools, "pool member id")
 
     loss_fn = _LOSSES[train_config.loss]
@@ -268,9 +270,6 @@ def train(
         (anchors, positives, negatives, weights), _ = sample_epoch_tuples(
             table, z_pool, mining_config, seed=[seed, 2, epoch]
         )
-        if not anchors.size:
-            log.append({"epoch": epoch, "mean_loss": 0.0, "lr": lr, "tuples_used": 0})
-            continue
         tuples = np.stack([anchors, positives, negatives])
         order = shuffle_rng.permutation(anchors.size)
         total = 0.0

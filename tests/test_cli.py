@@ -759,6 +759,17 @@ def test_train_names_the_item_of_a_degenerate_embedding_and_writes_nothing(tmp_p
                                        " for item 5 at epoch 0\n")
 
 
+def test_pipeline_on_too_few_items_for_k_neg_trains_nothing_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # n = 80 <= mining.k_neg + 1: the Euclidean and manifold top-k_neg are both
+    # every other item, so the one pool has no negative
+    monkeypatch.delenv("MOM_SEED", raising=False)
+    code = main(["pipeline", "--out", str(tmp_path / "run"), "--set", "gen.per_class", "40"])
+    assert code == 2 and not (tmp_path / "run").exists()
+    assert capsys.readouterr().err == (
+        "mom pipeline: error: no pool has both a positive and a negative (1 pools)\n")
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 @pytest.mark.parametrize("whiten", ["0", "4"])
 def test_graph_non_finite_features_are_data_errors(tmp_path, capsys, bad, whiten):

@@ -454,6 +454,15 @@ def test_train_without_pools_is_all_pools_empty():
         train(fn, make_pools([]), model, TrainConfig(epochs=1), MiningConfig(max_neg=50), seed=3)
 
 
+def test_train_on_one_sided_pools_is_all_pools_empty():
+    fn, _ = two_moons_run()
+    model = EmbeddingModel.initialize(8, 8, seed=1)
+    pools = make_pools([(0, [(1, 0.5)], []), (2, [], [(3, 0.4)])])
+    with pytest.raises(AllPoolsEmpty,
+                       match=r"^no pool has both a positive and a negative \(2 pools\)$"):
+        train(fn, pools, model, TrainConfig(epochs=1), MiningConfig(max_neg=50), seed=3)
+
+
 def test_train_model_of_another_width_is_dim_mismatch():
     fn, pools = two_moons_run()  # d = 8
     model = EmbeddingModel.initialize(4, 4, seed=1)

@@ -247,6 +247,9 @@ def _error_cases() -> dict:
             mom("pipeline", "--out", "diverged", "--seed", "5", "--set", "gen.per_class", "60",
                 "--set", "train.lr0", "1e50", code=2),
         ],
+        "error-one-sided-pools": [  # n = 80 <= mining.k_neg + 1: no pool has a negative
+            mom("pipeline", "--out", "run", "--set", "gen.per_class", "40", code=2),
+        ],
         "error-baseline-without-anchors": [
             data, write("anchors.txt", ""),
             mom("mine", "--out", "mine", *features(labels=False), "--anchors", "anchors.txt",
