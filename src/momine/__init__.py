@@ -22,19 +22,16 @@ _EXPORTS = {
     "features": (
         "FeatureSet",
         "SyntheticSpec",
-        "WhiteningTransform",
         "generate_synthetic",
         "l2_normalize",
         "load_features",
         "load_labels",
-        "pca_whiten_apply",
-        "pca_whiten_fit",
+        "pca_whiten",
         "save_features",
         "save_labels",
     ),
     "graph": (
         "NeighborGraph",
-        "NormalizedOperator",
         "build_reciprocal_graph",
         "knn_search",
         "load_graph",

@@ -31,8 +31,7 @@ from .features import (
     l2_normalize,
     load_features,
     load_labels,
-    pca_whiten_apply,
-    pca_whiten_fit,
+    pca_whiten,
     save_features,
     save_labels,
 )
@@ -108,7 +107,7 @@ def _evaluate(emb, labels, run):
 def _prepare(feats, run) -> FeatureSet:
     """Whiten if configured, then l2-normalize."""
     if run.prep.whiten_dims:
-        feats = pca_whiten_apply(feats, pca_whiten_fit(feats, run.prep.whiten_dims))
+        feats = pca_whiten(feats, run.prep.whiten_dims)
     return l2_normalize(feats)
 
 

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BadAnchors, Ruled, ruled
 from .features import check_ids
-from .graph import NormalizedOperator
 
 
 @dataclass
@@ -34,10 +34,11 @@ class SimilarityBlock(NamedTuple):
 
 
 def solve_columns(
-    operator: NormalizedOperator, anchors, config: DiffusionConfig
+    operator: sp.csr_matrix, anchors, config: DiffusionConfig
 ) -> SimilarityBlock:
     """Conjugate-gradient solves of (I - alpha*S) f = (1-alpha) e_a, one per
-    anchor, as the rows of one block in anchor order.
+    anchor, as the rows of one block in anchor order; `operator` is S, the
+    CSR of graph.normalize_graph.
 
     The state is one row per anchor and every iteration does a single sparse
     product for all rows still running; each row keeps its own step scalars.
@@ -48,10 +49,9 @@ def solve_columns(
     positive. Isolated anchors get the analytic solution (1-alpha) e_a
     without running CG. Memory is O(len(anchors) * n).
     """
-    n = operator.n
+    n = operator.shape[0]
     anchors = check_ids(anchors, n, BadAnchors, "anchor id")
     alpha = config.alpha
-    mat = operator.matrix
     b_norm = 1.0 - alpha  # ||b||
     rows = np.arange(anchors.size)
     values = np.zeros((anchors.size, n))  # the best iterate of each row
@@ -60,7 +60,7 @@ def solve_columns(
     converged = np.ones(anchors.size, dtype=bool)
     residual = np.zeros(anchors.size)
 
-    live = rows[mat.indptr[anchors] != mat.indptr[anchors + 1]]  # isolated rows decouple
+    live = rows[operator.indptr[anchors] != operator.indptr[anchors + 1]]  # isolated rows decouple
     r = values[live].copy()
     values[live] = 0.0
     x = np.zeros_like(r)
@@ -72,7 +72,7 @@ def solve_columns(
     for it in range(1, config.max_iterations + 1):
         if not live.size:
             break
-        ap = p - alpha * (mat @ p.T).T
+        ap = p - alpha * (operator @ p.T).T
         denom = np.vecdot(p, ap)
         keep = denom > 0.0  # else numerically exhausted; the system is PD
         if not keep.all():

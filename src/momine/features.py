@@ -84,14 +84,6 @@ class FeatureSet:
 
 
 @dataclass
-class WhiteningTransform:
-    """Centering plus projection onto scaled principal axes."""
-
-    mean: np.ndarray
-    projection: np.ndarray  # (d, retained_dims), columns scaled by 1/sqrt(eigval + eps)
-
-
-@dataclass
 class SyntheticSpec(Ruled):
     """Parameters for a synthetic manifold dataset; the defaults are `mom gen`'s.
 
@@ -134,12 +126,13 @@ def l2_normalize(features: FeatureSet) -> FeatureSet:
     return FeatureSet(data=features.data / norms[:, None], labels=features.labels)
 
 
-def pca_whiten_fit(features: FeatureSet, retained_dims: int) -> WhiteningTransform:
-    """Fit an unsupervised PCA whitening transform on the feature set.
+def pca_whiten(features: FeatureSet, retained_dims: int) -> FeatureSet:
+    """Whiten a feature set by unsupervised PCA on its own statistics.
 
-    Centers by the sample mean, keeps the top ``retained_dims`` principal
-    axes, and scales each by 1/sqrt(eigenvalue + WHITEN_EPSILON) so the
-    fitting set comes out with unit variance per retained component.
+    Centers by the sample mean, projects onto the top ``retained_dims``
+    principal axes, and scales each by 1/sqrt(eigenvalue + WHITEN_EPSILON),
+    so the set comes out with unit variance per retained component. The
+    output is not normalized.
     """
     n, d = features.n, features.d
     if not 1 <= retained_dims <= min(n - 1, d):
@@ -165,17 +158,7 @@ def pca_whiten_fit(features: FeatureSet, retained_dims: int) -> WhiteningTransfo
         if eigvecs[pivot, j] < 0:
             eigvecs[:, j] = -eigvecs[:, j]
     proj = eigvecs[:, :retained_dims] / np.sqrt(eigvals[:retained_dims] + WHITEN_EPSILON)
-    return WhiteningTransform(mean=mean, projection=proj)
-
-
-def pca_whiten_apply(features: FeatureSet, transform: WhiteningTransform) -> FeatureSet:
-    """Apply a fitted whitening transform; output is not normalized."""
-    if features.d != transform.mean.shape[0]:
-        raise DimMismatch(
-            f"transform expects d={transform.mean.shape[0]}, got d={features.d}"
-        )
-    out = (features.data - transform.mean) @ transform.projection
-    return FeatureSet(data=out, labels=features.labels)
+    return FeatureSet(data=centered @ proj, labels=features.labels)
 
 
 def _intrinsic_points(spec: SyntheticSpec, rng: np.random.Generator):

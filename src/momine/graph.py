@@ -126,14 +126,6 @@ def components(adjacency: sp.csr_matrix) -> np.ndarray:
             label = jumped
 
 
-@dataclass
-class NormalizedOperator:
-    """The symmetric normalized adjacency D^-1/2 A D^-1/2."""
-
-    matrix: sp.csr_matrix
-    n: int
-
-
 def similarity(dots):
     """The similarity kernel on dot products of unit vectors: max(dot, 0)^3."""
     return np.clip(dots, 0.0, None) ** 3
@@ -458,9 +450,10 @@ def build_reciprocal_graph(features: FeatureSet, k: int) -> NeighborGraph:
     return _mirrored_graph(n, k, ii[keep], jj[keep], w[keep])
 
 
-def normalize_graph(graph: NeighborGraph) -> NormalizedOperator:
-    """Build D^-1/2 A D^-1/2 by scaling a copy of the CSR by the row factor,
-    then the column factor; isolated nodes yield all-zero rows/columns."""
+def normalize_graph(graph: NeighborGraph) -> sp.csr_matrix:
+    """The symmetric normalized adjacency S = D^-1/2 A D^-1/2: a copy of the
+    CSR scaled by the row factor, then the column factor; isolated nodes
+    yield all-zero rows/columns."""
     d = graph.degrees
     inv = np.zeros_like(d)
     nz = d > 0
@@ -468,7 +461,7 @@ def normalize_graph(graph: NeighborGraph) -> NormalizedOperator:
     mat = graph.adjacency.copy()
     mat.data *= np.repeat(inv, np.diff(mat.indptr))
     mat.data *= inv[mat.indices]
-    return NormalizedOperator(matrix=mat, n=graph.n)
+    return mat
 
 
 def save_graph(graph: NeighborGraph, path) -> None:

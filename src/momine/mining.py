@@ -13,12 +13,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .diffusion import DiffusionConfig, solve_columns
 from .errors import (AllPoolsEmpty, BadAnchors, BadGraph, BadPools, DimMismatch, LabelsMissing,
                      Ruled, read_lines, ruled)
 from .features import FeatureSet, check_ids, check_labels
-from .graph import NormalizedOperator, _run_blocks, gram_rows, similarity, top_k
+from .graph import _run_blocks, gram_rows, similarity, top_k
 
 # anchors per block: the sampler's distance block is
 # O(ANCHOR_BLOCK * max_neg * d), and build_training_pool solves and ranks at
@@ -154,7 +155,7 @@ def _oracle_pools(pools: Pools, sims: np.ndarray, labels: np.ndarray,
 def build_training_pool(
     anchor_set,
     features: FeatureSet,
-    operator: NormalizedOperator | None,
+    operator: sp.csr_matrix | None,
     diffusion_config: DiffusionConfig,
     mining_config: MiningConfig,
     labels=None,
@@ -181,8 +182,8 @@ def build_training_pool(
     """
     if operator is None and mining_config.mode == "mined":
         raise BadGraph("mined pools need the graph's diffusion operator")
-    if operator is not None and operator.n != features.n:
-        raise DimMismatch(f"graph has n={operator.n}, features have n={features.n}")
+    if operator is not None and operator.shape[0] != features.n:
+        raise DimMismatch(f"graph has n={operator.shape[0]}, features have n={features.n}")
     anchors = check_ids(anchor_set.anchor_ids, features.n, BadAnchors, "anchor id")
     if mining_config.oracle != "none":
         if labels is None:

@@ -87,10 +87,10 @@ class TooLarge(Exception):
 
 def dense_oracle(operator, alpha):
     """Dense (1-alpha)(I - alpha*S)^-1 by direct solve."""
-    n = operator.n
+    n = operator.shape[0]
     if n > DENSE_ORACLE_LIMIT:
         raise TooLarge(f"dense oracle capped at n={DENSE_ORACLE_LIMIT}, got {n}")
-    m = np.eye(n) - alpha * operator.matrix.toarray()
+    m = np.eye(n) - alpha * operator.toarray()
     return np.linalg.solve(m, (1.0 - alpha) * np.eye(n))
 
 
@@ -463,12 +463,11 @@ def solve_column_reference(operator, anchor, config):
     """Reference for diffusion.solve_columns: CG on one vector, with one
     sparse matvec and scalar dot products per iteration, best iterate kept.
     Returns a one-row block."""
-    n = operator.n
+    n = operator.shape[0]
     alpha = config.alpha
-    mat = operator.matrix
     b = np.zeros(n)
     b[anchor] = 1.0 - alpha
-    if mat.indptr[anchor] == mat.indptr[anchor + 1]:  # isolated: system decouples
+    if operator.indptr[anchor] == operator.indptr[anchor + 1]:  # isolated: system decouples
         return SimilarityBlock(b[None], np.zeros(1), np.zeros(1, np.int64), np.ones(1, bool))
     b_norm = 1.0 - alpha
     x = np.zeros(n)
@@ -480,7 +479,7 @@ def solve_column_reference(operator, anchor, config):
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        ap = p - alpha * (mat @ p)
+        ap = p - alpha * (operator @ p)
         denom = float(p @ ap)
         if denom <= 0.0:
             iterations -= 1

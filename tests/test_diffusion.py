@@ -11,6 +11,7 @@ from helpers import (
     TooLarge,
     circulant_graph,
     dense_oracle,
+    disjoint_union,
     graph_from_edges,
     random_graph,
     solve_column_reference,
@@ -166,6 +167,23 @@ def test_manifold_knn_two_triangles_weak_bridge():
     assert set(order[1:3]) == {1, 2}
 
 
+def test_normalize_graph_is_the_csr_that_solve_columns_takes():
+    g = disjoint_union(random_graph(30, seed=11), isolated=2)
+    op = normalize_graph(g)
+    assert isinstance(op, sp.csr_matrix) and op.shape == (32, 32)
+    # oracle: D^-1/2 A D^-1/2 from the dense adjacency, zero on isolated nodes
+    a = g.adjacency.toarray()
+    d = a.sum(axis=1)
+    inv = np.zeros(32)
+    inv[d > 0] = 1.0 / np.sqrt(d[d > 0])
+    dense = inv[:, None] * a * inv[None, :]
+    assert np.max(np.abs(op.toarray() - dense)) < 1e-15
+    cfg = DiffusionConfig(alpha=0.9, tolerance=1e-12, max_iterations=200)
+    block = solve_columns(op, np.arange(32), cfg)
+    full = np.linalg.solve(np.eye(32) - 0.9 * dense, 0.1 * np.eye(32))
+    assert block.converged.all() and np.max(np.abs(block.values - full.T)) < 1e-9
+
+
 def test_dense_oracle_alpha_zero_is_identity():
     op = sym_op(random_graph(7, seed=9))
     assert np.allclose(dense_oracle(op, 0.0), np.eye(7))
@@ -207,7 +225,7 @@ def test_solve_columns_bit_equal_to_single_solves(cfg):
     blocks = [solve_columns(op, anchors[s : s + ANCHOR_BLOCK], cfg)
               for s in range(0, anchors.size, ANCHOR_BLOCK)]
     for block in (whole, SimilarityBlock(*map(np.concatenate, zip(*blocks)))):
-        assert block.values.shape == (anchors.size, op.n)
+        assert block.values.shape == (anchors.size, op.shape[0])
         for i, anchor in enumerate(anchors):
             for ref in (solve_columns(op, [anchor], cfg),
                         solve_column_reference(op, anchor, cfg)):

@@ -525,7 +525,7 @@ def test_knn_search_is_the_same_at_every_worker_count(monkeypatch):
 def test_normalize_two_node_unit_edge():
     g = graph_from_edges(2, 1, [(0, 1, 1.0)])
     sym = normalize_graph(g)
-    assert np.allclose(sym.matrix.toarray(), [[0, 1], [1, 0]])
+    assert np.allclose(sym.toarray(), [[0, 1], [1, 0]])
 
 
 def test_normalize_row_sums_and_symmetry():
@@ -533,8 +533,8 @@ def test_normalize_row_sums_and_symmetry():
     sym = normalize_graph(g)
     # oracle: D^-1/2 A D^-1/2 d^1/2 = D^-1/2 A 1 = d^1/2, the row sums of A
     root = np.sqrt(g.degrees)
-    assert np.max(np.abs(sym.matrix @ root - root)) < 1e-12
-    m = sym.matrix.toarray()
+    assert np.max(np.abs(sym @ root - root)) < 1e-12
+    m = sym.toarray()
     assert np.max(np.abs(m - m.T)) < 1e-12
 
 
@@ -557,19 +557,19 @@ def test_normalize_equals_the_coo_rebuild_bit_for_bit():
     graphs += [disjoint_union(random_graph(30, seed=seed), random_graph(7, seed=seed + 50),
                               isolated=seed) for seed in range(5)]
     for g in graphs:
-        got, expected = normalize_graph(g).matrix, normalize_graph_coo_rebuild(g)
+        got, expected = normalize_graph(g), normalize_graph_coo_rebuild(g)
         assert got.shape == expected.shape
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    scaled = normalize_graph(extreme).matrix
+    scaled = normalize_graph(extreme)
     assert scaled[0, 1] == 0.0 and scaled.nnz == 8
 
 
 def test_normalize_reports_isolated():
     g = graph_from_edges(4, 1, [(0, 1, 1.0)])
     op = normalize_graph(g)
-    assert np.asarray(op.matrix.sum(axis=1)).ravel()[2] == 0.0
+    assert np.asarray(op.sum(axis=1)).ravel()[2] == 0.0
 
 
 def test_symmetric_operator_spectral_radius_at_most_one():
@@ -580,7 +580,7 @@ def test_symmetric_operator_spectral_radius_at_most_one():
         v = rng.normal(size=60)
         prev = np.linalg.norm(v)
         for _ in range(50):
-            v = sym.matrix @ v
+            v = sym @ v
             cur = np.linalg.norm(v)
             assert cur <= prev * (1.0 + 1e-9)
             prev = cur

@@ -13,10 +13,9 @@ import momine
 PUBLIC = {
     "anchors": ["AnchorSet", "local_maxima", "select_anchors", "stationary"],
     "diffusion": ["DiffusionConfig", "solve_columns"],
-    "features": ["FeatureSet", "SyntheticSpec", "WhiteningTransform", "generate_synthetic",
-                 "l2_normalize", "load_features", "load_labels", "pca_whiten_apply",
-                 "pca_whiten_fit", "save_features", "save_labels"],
-    "graph": ["NeighborGraph", "NormalizedOperator", "build_reciprocal_graph", "knn_search",
+    "features": ["FeatureSet", "SyntheticSpec", "generate_synthetic", "l2_normalize",
+                 "load_features", "load_labels", "pca_whiten", "save_features", "save_labels"],
+    "graph": ["NeighborGraph", "build_reciprocal_graph", "knn_search",
               "load_graph", "normalize_graph", "save_graph"],
     "mining": ["MiningConfig", "Pools", "build_training_pool", "load_pools", "pool_table",
                "sample_epoch_tuples", "save_pools"],
@@ -55,7 +54,7 @@ def test_the_data_layer_loads_no_scipy_and_no_stage(tmp_path):
 
 def test_every_public_name_is_its_submodules_object():
     assert sorted(momine.__all__) == sorted(name for names in PUBLIC.values() for name in names)
-    assert len(momine.__all__) == 42
+    assert len(momine.__all__) == 39
     for module, names in PUBLIC.items():
         source = importlib.import_module(f"momine.{module}")
         for name in names:

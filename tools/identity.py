@@ -4,16 +4,17 @@
     python tools/identity.py diff A B
 
 The cases are the one home of `mom`'s end-to-end checks: bench-shaped,
-CI-shaped and stage-by-stage runs, and one case per data error. `run` makes
-OUT/<case>/ for each case and runs its steps there, with paths relative to
-that directory, so two runs print the same lines. Each step is a `mom`
-command or a short Python call, run in a fresh interpreter that imports
-momine from DIR (default: the `src` of this checkout), or an input file the
-case writes itself. A case's log.txt holds every step's command, exit code,
-stdout and stderr, next to the artifacts its commands wrote. OUT/MANIFEST
-lists the sha256 of every file. MOM_SEED is removed from the steps'
-environment; everything else, OPENBLAS_NUM_THREADS and the CPU affinity
-included, is inherited.
+CI-shaped and stage-by-stage runs, and one case per data error. The
+bench-shaped cases follow bench/workloads.py: each workload on the inputs of
+the bench's first invocation. `run` makes OUT/<case>/ for each case and runs
+its steps there, with paths relative to that directory, so two runs print
+the same lines. Each step is a `mom` command or a short Python call, run in
+a fresh interpreter that imports momine from DIR (default: the `src` of this
+checkout), or an input file the case writes itself. A case's log.txt holds
+every step's command, exit code, stdout and stderr, next to the artifacts
+its commands wrote. OUT/MANIFEST lists the sha256 of every file. MOM_SEED is
+removed from the steps' environment; everything else, OPENBLAS_NUM_THREADS
+and the CPU affinity included, is inherited.
 
 Each command declares the exit code it must return, 0 unless its case says
 2, and a command declared to fail must leave no --out. `run` runs every
@@ -42,12 +43,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402  the bench's workloads, read only
 
-# the generator settings of the three bench workloads (bench/workloads.py):
-# moons in 64 dimensions at noise 0.15, each on two generator seeds
-BENCH_DIM = "64"
-BENCH_SEEDS = (2, 3)
 # the address-space cap under which 10^11 generated doubles must fail at once
 GEN_LIMIT = 2**39
 
@@ -93,23 +93,16 @@ def features(labels=True):
 
 
 def _bench_cases() -> dict:
+    """Each bench workload on the inputs of its first invocation (seed 1)."""
     cases = {}
-    for seed in BENCH_SEEDS:
-        shape = [("gen.ambient_dim", BENCH_DIM)]
-        cases[f"bench-maxima-s{seed}"] = [
-            gen("data", ("gen.per_class", 1250), *shape, seed=seed),
-            mom("pipeline", "--out", "run", *features(), "--seed", str(seed), "--rounds", "1"),
-        ]
-        cases[f"bench-all-2r-s{seed}"] = [
-            gen("data", ("gen.per_class", 400), *shape, seed=seed),
-            mom("pipeline", "--out", "run", *features(), "--seed", str(seed), "--rounds", "2",
-                "--set", "anchors.mode", "all", "--set", "anchors.count", "800"),
-        ]
-        cases[f"bench-unlabeled-s{seed}"] = [
-            gen("data", ("gen.per_class", 5000), *shape, seed=seed),
-            mom("pipeline", "--out", "run", *features(labels=False), "--seed", str(seed),
-                "--rounds", "1"),
-        ]
+    for seed in workloads.input_seeds(1):
+        for name, w in workloads.WORKLOADS.items():
+            cases[f"bench-{name.removeprefix('moons-')}-s{seed}"] = [
+                gen("data", ("gen.kind", w.kind), ("gen.per_class", w.per_class),
+                    ("gen.classes", w.classes), ("gen.ambient_dim", workloads.AMBIENT_DIM),
+                    ("gen.noise", w.noise), seed=seed),
+                mom(*w.pipeline_argv(Path("data"), "run", seed)),
+            ]
     return cases
 
 
